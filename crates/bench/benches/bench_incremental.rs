@@ -57,12 +57,16 @@ fn bench_cold_score(c: &mut Criterion) {
                 })
             },
         );
+        // Only a replay-scoring service keeps a log to replay.
+        let replaying = loaded_service(log_len, false);
+        let store = replaying.store().clone();
         group.bench_with_input(BenchmarkId::new("replay", log_len), &log_len, |b, _| {
             b.iter(|| {
                 let estimate = store
                     .with_subject_shard(black_box(subject), |shard| {
+                        let log = shard.store().expect("replay scoring keeps the log");
                         let mut mechanism = BetaMechanism::new();
-                        score_from_log(&mut mechanism, shard.store().about(subject), subject)
+                        score_from_log(&mut mechanism, log.about(subject), subject)
                     })
                     .expect("evidence exists");
                 assert_eq!(estimate, expected);

@@ -11,7 +11,7 @@ use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
-use wsrep_serve::ReputationService;
+use wsrep_serve::{ReputationService, ServiceBuilder};
 use wsrep_sim::registry::Listing;
 
 fn feedback(rater: u64, service: u64, score: f64, at: u64) -> Feedback {
@@ -24,7 +24,15 @@ fn feedback(rater: u64, service: u64, score: f64, at: u64) -> Feedback {
 }
 
 fn loaded_service(reports_per_subject: u64, services: u64) -> ReputationService {
-    let service = ReputationService::builder().shards(8).build();
+    load(
+        ReputationService::builder().shards(8),
+        reports_per_subject,
+        services,
+    )
+}
+
+fn load(builder: ServiceBuilder, reports_per_subject: u64, services: u64) -> ReputationService {
+    let service = builder.build();
     for s in 0..services {
         service
             .publish(Listing {
@@ -65,14 +73,21 @@ fn bench_score_cached_vs_uncached(c: &mut Criterion) {
                 estimate
             })
         });
-        // The work a miss performs: snapshot-free replay of the same
-        // shard log through a fresh mechanism.
-        let store = service.store().clone();
+        // The work a miss performs without a fold: replay of the shard
+        // log — which only a replay-scoring service keeps — through a
+        // fresh mechanism.
+        let replaying = load(
+            ReputationService::builder().shards(8).replay_scoring(),
+            log_len,
+            4,
+        );
+        let store = replaying.store().clone();
         group.bench_with_input(BenchmarkId::new("uncached", log_len), &log_len, |b, _| {
             b.iter(|| {
                 store.with_subject_shard(black_box(subject), |shard| {
+                    let log = shard.store().expect("replay scoring keeps the log");
                     let mut mechanism = BetaMechanism::new();
-                    score_from_log(&mut mechanism, shard.store().about(subject), subject)
+                    score_from_log(&mut mechanism, log.about(subject), subject)
                 })
             })
         });

@@ -59,7 +59,7 @@ pub use faults::{Fault, FaultCounters, FaultScript, IoOp, IoPolicy, PeriodicFaul
 pub use group::{GroupSet, LsnAllocator};
 pub use journal::{AppendReceipt, Journal, JournalConfig, JournalStats};
 pub use record::JournalRecord;
-pub use recovery::{recover, Recovered};
+pub use recovery::{recover, recover_prefix, Recovered};
 pub use segment::{group_dir_name, list_group_dirs};
 pub use ship::{ShipCursor, ShippedBatch};
 pub use snapshot::{latest_snapshot, write_snapshot, Snapshot};

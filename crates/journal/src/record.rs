@@ -31,6 +31,14 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
+    /// The feedback report this record carries, if it is one.
+    pub fn as_feedback(&self) -> Option<&Feedback> {
+        match self {
+            JournalRecord::Feedback(feedback) => Some(feedback),
+            _ => None,
+        }
+    }
+
     /// Encode into `out` (version-1 layout: a tag byte plus the payload).
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {

@@ -68,6 +68,20 @@ pub struct Recovered {
 /// partitioned, and migrated (root segments + group directories)
 /// layouts.
 pub fn recover(dir: &Path) -> io::Result<Recovered> {
+    recover_prefix(dir, u64::MAX)
+}
+
+/// [`recover`], but only the records `[0, upto)`: exactly what a
+/// snapshot at LSN `upto` has to hold. This is how a checkpoint is built
+/// — from the log itself, not from the serving state — so it may run
+/// beside a live writer, provided every record below `upto` has been
+/// written: appends in flight all lie at or above `upto`, where a frame
+/// still half-written reads as a torn tail and is left out like any
+/// other record the prefix does not cover.
+///
+/// Errors with [`io::ErrorKind::InvalidInput`] when the newest valid
+/// snapshot already lies beyond `upto`.
+pub fn recover_prefix(dir: &Path, upto: u64) -> io::Result<Recovered> {
     if !dir.exists() {
         return Ok(Recovered::default());
     }
@@ -76,6 +90,15 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
 
     let mut covered_lsn = 0;
     if let Some(snapshot) = latest_snapshot(dir)? {
+        if snapshot.lsn > upto {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "snapshot at lsn {} lies beyond the requested prefix [0, {upto})",
+                    snapshot.lsn
+                ),
+            ));
+        }
         covered_lsn = snapshot.lsn;
         recovered.snapshot_lsn = Some(snapshot.lsn);
         recovered.records_recovered += snapshot.entries();
@@ -87,9 +110,16 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
     }
 
     // One stream per log: the root's own segments, then each group's.
-    let mut streams = vec![list_segments(dir)?];
+    // A segment's name is a lower bound on every LSN inside it, so one
+    // named at or past `upto` holds nothing of the prefix.
+    let prefix_segments = |dir: &Path| -> io::Result<Vec<(u64, PathBuf)>> {
+        let mut segments = list_segments(dir)?;
+        segments.retain(|(start, _)| *start < upto);
+        Ok(segments)
+    };
+    let mut streams = vec![prefix_segments(dir)?];
     for (_, group_dir) in list_group_dirs(dir)? {
-        streams.push(list_segments(&group_dir)?);
+        streams.push(prefix_segments(&group_dir)?);
     }
     let flat: Vec<&(u64, PathBuf)> = streams.iter().flatten().collect();
     let mut scans = scan_segments_parallel(&flat).into_iter();
@@ -110,7 +140,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
                 continue;
             };
             for (lsn, record) in scan.entries {
-                if lsn >= covered_lsn {
+                if (covered_lsn..upto).contains(&lsn) {
                     entries.push((lsn, record));
                 }
             }

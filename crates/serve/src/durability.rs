@@ -7,10 +7,11 @@
 //! the [`Journal`]; with several ([`GroupSet`]), each group has its own
 //! commit lock and fsyncs independently, and a shared allocator hands
 //! out LSNs so cross-group order is defined. Either way the invariant
-//! that makes checkpoints consistent holds: a checkpointer holding *all*
-//! commit locks observes an `(LSN, state)` pair where the state is
-//! exactly the effect of the first `LSN` journal records — no
-//! applied-but-unjournaled record, no journaled-but-unapplied one.
+//! that makes checkpoints consistent holds: at an instant when *all*
+//! commit locks are held no batch is in flight, so the LSN read there
+//! ([`JournalHandle::frozen_lsn`]) names a prefix of the log that is
+//! entirely on disk — and a snapshot built from that prefix is, by
+//! construction, what its first `LSN` records rebuild.
 //!
 //! Listing mutations (publish/deregister) always commit through **group
 //! 0**, so they keep a total order among themselves regardless of how
@@ -170,7 +171,7 @@ enum Wal {
 }
 
 /// The commit-lock layer: serializes journal appends with their
-/// in-memory applies and with checkpoint state capture, and enforces
+/// in-memory applies and with the checkpoint's LSN read, and enforces
 /// the configured [`DurabilityPolicy`] on append failure.
 #[derive(Debug)]
 pub(crate) struct JournalHandle {
@@ -182,6 +183,7 @@ pub(crate) struct JournalHandle {
     journal_errors: AtomicU64,
     degraded: AtomicBool,
     fenced: AtomicBool,
+    checkpointing: Mutex<()>,
 }
 
 /// One writer group's held commit lock, for multi-step commits
@@ -260,6 +262,7 @@ impl JournalHandle {
             journal_errors: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             fenced: AtomicBool::new(false),
+            checkpointing: Mutex::new(()),
         }
     }
 
@@ -279,6 +282,7 @@ impl JournalHandle {
             journal_errors: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             fenced: AtomicBool::new(false),
+            checkpointing: Mutex::new(()),
         }
     }
 
@@ -340,9 +344,8 @@ impl JournalHandle {
     }
 
     /// Group-commit `records` to `group`, then run `apply` — both under
-    /// that group's commit lock, so a concurrent checkpoint can never
-    /// observe the store between a journal append and its apply (or vice
-    /// versa). When the durability policy rejects the append
+    /// that group's commit lock, so the log order of one group's batches
+    /// is their apply order. When the durability policy rejects the append
     /// (`Err(NotDurable)`), `apply` is **not** run.
     pub(crate) fn commit<R>(
         &self,
@@ -355,31 +358,28 @@ impl JournalHandle {
         Ok(apply())
     }
 
-    /// Hold **every** commit lock while running `capture`, and return the
-    /// checkpoint LSN alongside its result. With all locks held no batch
-    /// is in flight, so the allocator's next LSN (or the single writer's
-    /// position) is a consistent cut: the captured state is exactly the
-    /// effect of the first `lsn` records.
-    pub(crate) fn freeze<R>(&self, capture: impl FnOnce() -> R) -> (u64, R) {
+    /// Take **every** commit lock just long enough to read the
+    /// checkpoint LSN. With all locks held no batch is in flight, so the
+    /// allocator's next LSN (or the single writer's position) is a
+    /// consistent cut: every record below it has been written to its
+    /// segment, and nothing the handle refused to journal is below it.
+    pub(crate) fn frozen_lsn(&self) -> u64 {
         match &self.wal {
-            Wal::Single(journal) => {
-                let journal = journal.lock().unwrap_or_else(|e| e.into_inner());
-                let lsn = journal.next_lsn();
-                let result = capture();
-                drop(journal);
-                (lsn, result)
-            }
+            Wal::Single(journal) => journal.lock().unwrap_or_else(|e| e.into_inner()).next_lsn(),
             Wal::Partitioned(set) => {
                 // Writers each hold at most one group lock and never
                 // acquire a second, so taking all of them in index order
                 // cannot deadlock.
-                let guards: Vec<_> = (0..set.group_count()).map(|g| set.lock(g)).collect();
-                let lsn = set.allocator().next_lsn();
-                let result = capture();
-                drop(guards);
-                (lsn, result)
+                let _guards: Vec<_> = (0..set.group_count()).map(|g| set.lock(g)).collect();
+                set.allocator().next_lsn()
             }
         }
+    }
+
+    /// Serializes checkpoints: one reads segments outside every commit
+    /// lock, which must not race another one's compaction deleting them.
+    pub(crate) fn checkpoint_guard(&self) -> MutexGuard<'_, ()> {
+        self.checkpointing.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Compact segments (every group's, plus any pre-partition root

@@ -279,45 +279,50 @@ fn drain(
             }
         }
         let applied = batch.len() as u64;
-        let subjects: Vec<_> = match score_epochs {
-            Some(_) => batch.iter().map(|f| f.subject).collect(),
-            None => Vec::new(),
-        };
-        let accepted = match journal {
+        match journal {
             Some(handle) => {
                 // Journal first (one write + one fsync for the whole
                 // batch, on this group's log), apply second, both under
-                // this group's commit lock. A fenced handle rejects the
-                // batch: it is dropped here, unapplied — the fence is
-                // observable before `progress` moves, so a flusher that
-                // checks `fenced` after flushing cannot miss it.
+                // this group's commit lock. The reports move into the
+                // records and are applied from there by reference. A
+                // fenced handle rejects the batch: it is dropped here,
+                // unapplied — the fence is observable before `progress`
+                // moves, so a flusher that checks `fenced` after
+                // flushing cannot miss it.
                 let records: Vec<JournalRecord> =
-                    batch.iter().cloned().map(JournalRecord::Feedback).collect();
-                handle
-                    .commit(group, &records, || store.insert_batch(batch))
+                    batch.into_iter().map(JournalRecord::Feedback).collect();
+                let reports = || records.iter().filter_map(JournalRecord::as_feedback);
+                if handle
+                    .commit(group, &records, || store.insert_batch(reports()))
                     .is_ok()
+                {
+                    bump_score_epochs(score_epochs, reports());
+                }
             }
             None => {
-                store.insert_batch(batch);
-                true
-            }
-        };
-        // Bump category score epochs only after the batch is in the
-        // store: an epoch observer that rebuilds is then guaranteed to
-        // see at least the feedback the epoch counts (never-stale rule),
-        // and it happens before `progress` moves so `flush()` callers
-        // always see their own invalidations.
-        if accepted {
-            if let Some(epochs) = score_epochs {
-                for subject in subjects {
-                    epochs.bump(subject);
-                }
+                store.insert_batch(&batch);
+                bump_score_epochs(score_epochs, &batch);
             }
         }
         // Progress advances even for rejected batches so `flush()` never
         // hangs on a fenced pipeline; the caller learns of the rejection
         // from the fence flag, not from a stuck barrier.
         progress.add(applied);
+    }
+}
+
+/// Bump category score epochs — only after the batch is in the store: an
+/// epoch observer that rebuilds is then guaranteed to see at least the
+/// feedback the epoch counts (never-stale rule), and before `progress`
+/// moves, so `flush()` callers always see their own invalidations.
+fn bump_score_epochs<'a>(
+    score_epochs: Option<&ScoreEpochs>,
+    reports: impl IntoIterator<Item = &'a Feedback>,
+) {
+    if let Some(epochs) = score_epochs {
+        for report in reports {
+            epochs.bump(report.subject);
+        }
     }
 }
 
@@ -419,7 +424,8 @@ mod tests {
         for service in 0..12u64 {
             let subject: SubjectId = ServiceId::new(service).into();
             assert_eq!(store.epoch(subject), 200);
-            let times: Vec<u64> = store.about(subject).iter().map(|f| f.at.round()).collect();
+            let log = store.about(subject).expect("log mode keeps the log");
+            let times: Vec<u64> = log.iter().map(|f| f.at.round()).collect();
             let sorted = {
                 let mut s = times.clone();
                 s.sort_unstable();

@@ -9,8 +9,10 @@
 //!   every read-path cache publishes through: readers pin + probe
 //!   (wait-free), writers swap whole immutable snapshots;
 //! - [`fxhash`] — the multiply-xor hasher the hot maps key with;
-//! - [`shard`] — the feedback log split over independently locked shards,
-//!   with wait-free per-subject epoch counters;
+//! - [`shard`] — per-subject scoring state split over independently
+//!   locked shards — resident accumulators when the mechanism folds (no
+//!   log is held: the journal owns it), the feedback log when it does not
+//!   — with wait-free per-subject epoch counters;
 //! - [`ingest`] — bounded channels + one writer thread per **writer
 //!   group** (subjects route by shard, groups own disjoint shard sets),
 //!   applying feedback in per-shard batches and bumping category score
@@ -31,7 +33,8 @@
 //!   with `ServiceBuilder::writer_groups(n)`, to `n` partitioned logs
 //!   with independent fsync pipelines under a shared LSN space —
 //!   `ServiceBuilder::recover_from` replays snapshot + WAL tail(s) on
-//!   boot, and a background checkpointer snapshots and compacts the log.
+//!   boot, and a background checkpointer builds snapshots from the log
+//!   itself and compacts it.
 
 pub mod cache;
 pub mod durability;

@@ -8,11 +8,16 @@
 //! Scoring is **incremental** whenever the configured
 //! [`ReputationMechanism`] offers a fold
 //! ([`ReputationMechanism::accumulator`]): the ingest writer folds each
-//! applied report into shard-resident per-subject state, and a score read
-//! is an O(1) lookup of the resident estimate no matter how long the
-//! subject's log is. Mechanisms without a fold fall back to replaying the
-//! subject's shard log through [`score_from_log`] on every cache miss
-//! (also selectable explicitly with [`ServiceBuilder::replay_scoring`]).
+//! applied report into shard-resident per-subject state and drops it, and
+//! a score read is an O(1) lookup of the resident estimate no matter how
+//! much feedback the subject has seen. The service then holds **no
+//! feedback log in RAM**: the journal is the only copy, recovery folds it
+//! back in, and a checkpoint is built from the journal itself, outside
+//! every commit lock. Mechanisms without a fold keep each shard's log and
+//! replay the subject's part of it through [`score_from_log`] on every
+//! cache miss (also selectable explicitly with
+//! [`ServiceBuilder::replay_scoring`], the twin the fold is tested
+//! against).
 //!
 //! The query path is **read-mostly wait-free**: `score` validates a
 //! wait-free per-subject epoch and probes a snapshot-swapped cache;
@@ -47,8 +52,10 @@ use wsrep_core::mechanism::{score_from_log, ReputationMechanism};
 use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::faults::IoPolicy;
+use wsrep_journal::snapshot::list_snapshots;
 use wsrep_journal::{
-    list_group_dirs, recover, write_snapshot, GroupSet, Journal, JournalConfig, JournalRecord,
+    list_group_dirs, recover, recover_prefix, write_snapshot, GroupSet, Journal, JournalConfig,
+    JournalRecord,
 };
 use wsrep_qos::metric::Metric;
 use wsrep_qos::normalize::{NormalizationMatrix, OverallScore};
@@ -380,7 +387,7 @@ impl ServiceBuilder {
             };
         let store = Arc::new(ShardedStore::with_fold(self.shards, fold));
         let listings = Arc::new(Listings::default());
-        let score_epochs = Arc::new(ScoreEpochs::new());
+        let mut score_epochs = ScoreEpochs::new();
 
         let mut journal = None;
         if let Some(dir) = self.journal_dir {
@@ -393,16 +400,25 @@ impl ServiceBuilder {
                 let recovered = recover(&dir)?;
                 records_recovered = recovered.records_recovered;
                 floor_lsn = recovered.next_lsn;
+                // Nothing shares the service yet, so the recovered
+                // listing table's category memberships go in as one
+                // prebuilt map instead of one copy-on-write per listing.
+                score_epochs = ScoreEpochs::with_members(
+                    recovered
+                        .listings
+                        .iter()
+                        .map(|listing| (listing.service.into(), listing.category)),
+                );
                 for listing in recovered.listings {
-                    score_epochs.ensure(listing.service.into(), listing.category);
                     listings.publish(listing);
                 }
-                // Re-inserting the recovered log restores every
+                // Re-applying the recovered log restores every
                 // per-subject epoch (an epoch is a count of applied
                 // reports), so the empty score cache can never validate
-                // against a stale epoch. The parallel path rebuilds the
-                // resident accumulators on all cores — restart cost
-                // scales with cores, not history length.
+                // against a stale epoch. The shard-owning workers fold
+                // it by reference on all cores — restart cost scales
+                // with cores, not history length — and it is dropped
+                // here: the journal stays the only copy.
                 store.insert_batch_parallel(recovered.feedback);
             }
             // A directory that already has writer-group partitions must
@@ -436,6 +452,7 @@ impl ServiceBuilder {
             journal = Some(Arc::new(handle));
         }
 
+        let score_epochs = Arc::new(score_epochs);
         // A journaled pipeline's fan-out must match the log's partition
         // count (which may exceed the requested one when reopening a
         // wider on-disk layout); without a journal the knob alone decides.
@@ -451,12 +468,7 @@ impl ServiceBuilder {
             pipeline_groups,
         );
         let compactor = match (&journal, self.checkpoint_every) {
-            (Some(handle), Some(every)) => Some(Compactor::spawn(
-                every,
-                Arc::clone(handle),
-                Arc::clone(&store),
-                Arc::clone(&listings),
-            )),
+            (Some(handle), Some(every)) => Some(Compactor::spawn(every, Arc::clone(handle))),
             _ => None,
         };
         Ok(ReputationService {
@@ -762,19 +774,23 @@ impl ReputationService {
             .map(|handle| handle.dir().to_path_buf())
     }
 
-    /// Snapshot the full registry state at a consistent LSN, then drop
-    /// every WAL segment (and superseded snapshot) the new snapshot
-    /// covers. Returns `None` when no journal is attached.
+    /// Snapshot the journal's first `L` records' worth of registry state,
+    /// then drop every WAL segment (and superseded snapshot) the new
+    /// snapshot covers. Returns `None` when no journal is attached.
     ///
     /// Flushes first, so the snapshot covers everything ingested before
-    /// the call. The commit lock is held only while state is copied out —
-    /// the snapshot file itself is written with ingestion running.
+    /// the call. Writers stall only while `L` is read; the snapshot is
+    /// built from the log on disk with ingestion running (see
+    /// [`checkpoint_now`]). After a journal failure under
+    /// [`DurabilityPolicy::Degrade`] that means it covers the journal's
+    /// clean prefix — not the un-journaled state the service still
+    /// serves from memory.
     pub fn checkpoint(&self) -> io::Result<Option<CheckpointReport>> {
         let Some(handle) = &self.journal else {
             return Ok(None);
         };
         self.flush();
-        checkpoint_now(handle, &self.store, &self.listings).map(Some)
+        checkpoint_now(handle).map(Some)
     }
 
     /// The subject's reputation, from cache when the store hasn't moved.
@@ -782,8 +798,9 @@ impl ReputationService {
     /// Wait-free when cached: the epoch read and the cache probe are both
     /// snapshot reads that never block on the ingest writer. A miss reads
     /// the shard-resident accumulator (O(1) in the subject's history)
-    /// with an incremental mechanism, or replays the subject's shard log
-    /// through a fresh mechanism instance without one.
+    /// with an incremental mechanism; without one the shard kept the
+    /// log, and the miss replays the subject's part of it through a
+    /// fresh mechanism instance.
     ///
     /// `None` means no evidence: either nothing was ever reported, or the
     /// mechanism abstains.
@@ -794,12 +811,12 @@ impl ReputationService {
         }
         self.cache.get_or_compute(subject, epoch, || {
             self.store
-                .with_subject_shard(subject, |shard| match shard.resident_estimate(subject) {
-                    Some(estimate) => estimate,
-                    None => {
+                .with_subject_shard(subject, |shard| match shard.store() {
+                    Some(log) => {
                         let mut mechanism = (self.factory)();
-                        score_from_log(mechanism.as_mut(), shard.store().about(subject), subject)
+                        score_from_log(mechanism.as_mut(), log.about(subject), subject)
                     }
+                    None => shard.resident_estimate(subject).flatten(),
                 })
         })
     }
@@ -963,34 +980,45 @@ impl ReputationService {
     }
 }
 
-/// Capture `(LSN, listings, feedback)` with every commit lock held,
-/// write the snapshot outside the locks, then compact.
+/// Read the checkpoint LSN `L` with every commit lock held — and only
+/// that — then build `snap-L` from what is on disk: the latest valid
+/// snapshot plus the WAL records `[snapshot.lsn, L)`.
 ///
-/// Consistency argument: every mutation commits its journal record and
-/// its in-memory apply under the same (per-group) commit lock, so with
-/// all locks held the state is exactly the effect of records
-/// `[0, next_lsn)` — including reports still queued in the ingest
-/// channels, which get LSNs above the captured one and survive
-/// compaction in the WAL tails.
-fn checkpoint_now(
-    handle: &JournalHandle,
-    store: &ShardedStore,
-    listings: &Listings,
-) -> io::Result<CheckpointReport> {
-    let (lsn, (listing_vec, feedback)) = handle.freeze(|| {
-        let listing_vec: Vec<Listing> = listings.table.read().values().cloned().collect();
-        let feedback = store.dump();
-        (listing_vec, feedback)
-    });
-    let entries = listing_vec.len() as u64 + feedback.len() as u64;
+/// Consistency argument: every mutation appends its journal record
+/// under a commit lock, so with all locks held no append is in flight
+/// and every record below `L` is in its segment. The snapshot is then
+/// *by construction* what the first `L` records rebuild — the same
+/// [`recover_prefix`] code recovery itself runs — whatever the serving
+/// state holds: reports still queued in the ingest channels get LSNs at
+/// or above `L` and survive compaction in the WAL tails, and state a
+/// degraded handle applied without journaling is never persisted under
+/// a journal LSN.
+fn checkpoint_now(handle: &JournalHandle) -> io::Result<CheckpointReport> {
+    let _one_at_a_time = handle.checkpoint_guard();
+    let lsn = handle.frozen_lsn();
     // The checkpoint-side fault seam: an installed IoPolicy can fail or
     // delay the snapshot write just like any journal I/O.
     handle.consult_snapshot()?;
-    write_snapshot(handle.dir(), lsn, &listing_vec, &feedback)?;
+    let dir = handle.dir();
+    let state = recover_prefix(dir, lsn)?;
+    // `recover_prefix` falls back past a damaged snapshot, as recovery
+    // must; but the segments that one covered are gone, so a snapshot
+    // built on the fallback would seal the loss in and delete its trace.
+    let newest = list_snapshots(dir)?.last().map(|(lsn, _)| *lsn);
+    if newest != state.snapshot_lsn {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "newest snapshot in {} does not validate; refusing to checkpoint over it",
+                dir.display()
+            ),
+        ));
+    }
+    write_snapshot(dir, lsn, &state.listings, &state.feedback)?;
     let report = handle.compact(lsn)?;
     Ok(CheckpointReport {
         lsn,
-        entries,
+        entries: state.listings.len() as u64 + state.feedback.len() as u64,
         segments_removed: report.segments_removed,
         snapshots_removed: report.snapshots_removed,
         bytes_reclaimed: report.bytes_reclaimed,
@@ -1005,12 +1033,7 @@ struct Compactor {
 }
 
 impl Compactor {
-    fn spawn(
-        every: Duration,
-        handle: Arc<JournalHandle>,
-        store: Arc<ShardedStore>,
-        listings: Arc<Listings>,
-    ) -> Compactor {
+    fn spawn(every: Duration, handle: Arc<JournalHandle>) -> Compactor {
         let stop = Arc::new((StdMutex::new(false), Condvar::new()));
         let thread_stop = Arc::clone(&stop);
         let thread = thread::spawn(move || {
@@ -1024,7 +1047,7 @@ impl Compactor {
                 if !*stopped && timeout.timed_out() {
                     // A failed background pass only delays compaction;
                     // the WAL still holds everything.
-                    let _ = checkpoint_now(&handle, &store, &listings);
+                    let _ = checkpoint_now(&handle);
                 }
             }
         });
@@ -1220,6 +1243,40 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.preranked_hits, 1, "{stats:?}");
         assert_eq!(stats.preranked_misses, 1, "{stats:?}");
+    }
+
+    /// `ScoreEpochs::ensure` copies the membership map per first-seen
+    /// listing — right for a publish, quadratic for a recovered table.
+    /// Recovery must install the whole table without a single swap.
+    #[test]
+    fn recovering_a_listing_table_installs_memberships_without_swaps() {
+        const LISTINGS: u64 = 20_000;
+        let dir = std::env::temp_dir().join(format!(
+            "wsrep-serve-service-memberships-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+            let records: Vec<JournalRecord> = (0..LISTINGS)
+                .map(|s| JournalRecord::Publish(listing(s, (s % 40) as u32, 1.0, 0.5)))
+                .collect();
+            journal.append_batch(&records).unwrap();
+        }
+        let svc = ReputationService::builder().recover_from(&dir).build();
+        assert_eq!(svc.stats().listings, LISTINGS as usize);
+        assert_eq!(svc.score_epochs.swaps(), 0);
+        // The memberships are live: feedback about a recovered listing
+        // moves its category's score epoch.
+        svc.ingest(feedback(0, 47, 0.9, 0)).unwrap();
+        svc.flush();
+        assert_eq!(svc.score_epochs.get(7), 1);
+        // A publish still pays its per-listing copy: a new category and
+        // a new member, one swap each.
+        svc.publish(listing(LISTINGS, 40, 1.0, 0.5)).unwrap();
+        assert_eq!(svc.score_epochs.swaps(), 2);
+        drop(svc);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,10 +1,27 @@
-//! The sharded feedback store behind the served registry.
+//! The sharded scoring state behind the served registry.
 //!
-//! The single-threaded [`FeedbackStore`] is the unit of storage; this
-//! module spreads one store per shard, keyed by a hash of the subject, so
-//! ingestion and queries touching different subjects proceed in parallel.
-//! Every report about one subject lands in exactly one shard, which keeps
-//! per-subject scoring local: a score never needs more than one read lock.
+//! Subjects are spread over independently locked shards, keyed by a hash
+//! of the subject, so ingestion and queries touching different subjects
+//! proceed in parallel. Every report about one subject lands in exactly
+//! one shard, which keeps per-subject scoring local: a score never needs
+//! more than one read lock.
+//!
+//! What a shard keeps of the reports it applied is a property of the
+//! mechanism, fixed when the store is built:
+//!
+//! - **Fold mode** ([`ShardedStore::with_fold`] with a factory): one
+//!   [`SubjectAccumulator`] per subject, folded forward as reports are
+//!   applied. A report is absorbed **by reference and dropped** — the
+//!   shard holds no log, the journal is the only copy of it, and what one
+//!   more report costs in RAM is nothing once its subject is resident. A
+//!   score read is O(1) in the subject's history.
+//! - **Log mode** (no factory: the mechanism has no fold, or the service
+//!   was built with `replay_scoring()`): a plain [`FeedbackStore`], kept
+//!   as replay material for `score_from_log`.
+//!
+//! The accessors that hand out the log ([`Shard::store`],
+//! [`ShardedStore::about`]) return `None` in fold mode rather than an
+//! empty log; report counts come from counters in both modes.
 //!
 //! Each shard also tracks a per-subject **epoch** — a counter bumped on
 //! every report about that subject. The score cache stamps entries with
@@ -14,22 +31,15 @@
 //! behind a snapshot cell: reading an epoch — the first step of every
 //! `score` — is wait-free and never queues behind the ingest writer.
 //!
-//! Epoch bumps happen **after** the report is applied to the shard (and
-//! folded into the resident accumulator). A reader that observes epoch
-//! `E` and recomputes therefore sees *at least* `E` reports — the score
-//! it caches at `E` is never staler than `E`, only possibly fresher,
-//! and the next bump invalidates it.
-//!
-//! With a fold factory attached ([`ShardedStore::with_fold`]), each shard
-//! additionally keeps **resident scoring state**: one
-//! [`SubjectAccumulator`] per subject, folded forward as reports are
-//! applied. A score read then costs O(1) regardless of how long the
-//! subject's log has grown — the log itself stays only as replay
-//! material for checkpoints and for mechanisms without a fold.
+//! Epoch bumps happen **after** the report is applied to the shard. A
+//! reader that observes epoch `E` and recomputes therefore sees *at
+//! least* `E` reports — the score it caches at `E` is never staler than
+//! `E`, only possibly fresher, and the next bump invalidates it.
 
 use crate::fxhash::{self, FxHashMap};
 use crate::snapshot::SnapshotCell;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,13 +54,33 @@ use wsrep_core::trust::TrustEstimate;
 /// mechanism has no incremental fold and scoring replays the log.
 pub type FoldFactory = Arc<dyn Fn() -> Box<dyn SubjectAccumulator> + Send + Sync>;
 
+/// A report handed to the store: borrowed or owned. Fold mode only ever
+/// looks at it; log mode needs to own it, and clones a borrowed one.
+pub trait Report: Borrow<Feedback> {
+    /// The owned report, for the shard log.
+    fn into_feedback(self) -> Feedback;
+}
+
+impl Report for Feedback {
+    fn into_feedback(self) -> Feedback {
+        self
+    }
+}
+
+impl Report for &Feedback {
+    fn into_feedback(self) -> Feedback {
+        self.clone()
+    }
+}
+
 /// Wait-free subject → epoch counters for one shard.
 ///
 /// The map of `Arc<AtomicU64>` counters is published through a
 /// [`SnapshotCell`]; reading an epoch is a pin + probe + atomic load.
-/// Adding a *new* subject copies the map and swaps the snapshot (rare —
-/// once per subject lifetime); bumping an existing subject is a single
-/// `fetch_add` with no snapshot churn.
+/// Adding *new* subjects copies the map and swaps the snapshot (rare —
+/// once per subject lifetime, and once per applied batch however many
+/// first-seen subjects it carries); bumping an existing subject is a
+/// single `fetch_add` with no snapshot churn.
 #[derive(Debug, Default)]
 pub struct EpochMap {
     snapshot: SnapshotCell<FxHashMap<SubjectId, Arc<AtomicU64>>>,
@@ -67,56 +97,104 @@ impl EpochMap {
         })
     }
 
-    /// Count one applied report about `subject`.
-    fn bump(&self, subject: SubjectId) {
-        let existing = self.snapshot.read(|map| map.get(&subject).cloned());
-        if let Some(counter) = existing {
-            counter.fetch_add(1, Ordering::AcqRel);
+    /// Count one applied report per entry of `subjects`. First-seen
+    /// subjects are published together in one snapshot swap, so applying
+    /// a batch (or a whole recovered log) costs one map copy, not one
+    /// per new subject.
+    fn bump_all(&self, subjects: impl IntoIterator<Item = SubjectId>) {
+        let current = self.snapshot.load();
+        let mut unseen: Vec<SubjectId> = Vec::new();
+        for subject in subjects {
+            match current.get(&subject) {
+                Some(counter) => {
+                    counter.fetch_add(1, Ordering::AcqRel);
+                }
+                None => unseen.push(subject),
+            }
+        }
+        if unseen.is_empty() {
             return;
         }
         let _writer = self.write.lock();
-        // Re-check under the writer mutex: a racing bump may have
-        // published the counter while we waited.
-        let existing = self.snapshot.read(|map| map.get(&subject).cloned());
-        if let Some(counter) = existing {
-            counter.fetch_add(1, Ordering::AcqRel);
-            return;
-        }
+        // Re-read under the writer mutex: a racing bump may have
+        // published some of these counters while we waited.
         let mut next = (*self.snapshot.load()).clone();
-        next.insert(subject, Arc::new(AtomicU64::new(1)));
+        for subject in unseen {
+            next.entry(subject)
+                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
+                .fetch_add(1, Ordering::AcqRel);
+        }
         self.snapshot.store(Arc::new(next));
     }
 }
 
-/// One shard: a plain feedback store and (in incremental mode) the
-/// resident accumulators of the subjects it owns.
-#[derive(Debug, Default)]
+/// What a shard keeps of the reports it applied.
+enum ShardState {
+    /// The mechanism folds: a report is absorbed into its subject's
+    /// accumulator and dropped.
+    Folded {
+        fold: FoldFactory,
+        accumulators: BTreeMap<SubjectId, Box<dyn SubjectAccumulator>>,
+    },
+    /// No fold: the log itself, replayed on every score miss.
+    Logged(FeedbackStore),
+}
+
+/// One shard: the resident accumulators of the subjects it owns, or —
+/// for a mechanism without a fold — their feedback log.
 pub struct Shard {
-    store: FeedbackStore,
-    accumulators: BTreeMap<SubjectId, Box<dyn SubjectAccumulator>>,
+    state: ShardState,
+    /// Reports applied to this shard, whether or not they are held.
+    applied: usize,
 }
 
 impl Shard {
-    /// The shard's underlying append-only store.
-    pub fn store(&self) -> &FeedbackStore {
-        &self.store
+    fn new(fold: Option<FoldFactory>) -> Shard {
+        Shard {
+            state: match fold {
+                Some(fold) => ShardState::Folded {
+                    fold,
+                    accumulators: BTreeMap::new(),
+                },
+                None => ShardState::Logged(FeedbackStore::new()),
+            },
+            applied: 0,
+        }
+    }
+
+    /// The shard's feedback log — `None` in fold mode, where no log is
+    /// held (the journal owns it).
+    pub fn store(&self) -> Option<&FeedbackStore> {
+        match &self.state {
+            ShardState::Folded { .. } => None,
+            ShardState::Logged(store) => Some(store),
+        }
     }
 
     /// The resident estimate for `subject`: `Some(estimate)` when an
     /// accumulator is folding this subject, `None` when scoring must
-    /// replay the log (no fold factory, or no report applied yet).
+    /// replay the log (log mode, or no report applied yet).
     pub fn resident_estimate(&self, subject: SubjectId) -> Option<Option<TrustEstimate>> {
-        self.accumulators.get(&subject).map(|acc| acc.estimate())
+        match &self.state {
+            ShardState::Folded { accumulators, .. } => {
+                accumulators.get(&subject).map(|acc| acc.estimate())
+            }
+            ShardState::Logged(_) => None,
+        }
     }
 
-    fn push(&mut self, feedback: Feedback, fold: Option<&FoldFactory>) {
-        if let Some(factory) = fold {
-            self.accumulators
-                .entry(feedback.subject)
-                .or_insert_with(|| factory())
-                .absorb(&feedback);
+    fn push(&mut self, report: impl Report) {
+        match &mut self.state {
+            ShardState::Folded { fold, accumulators } => {
+                let feedback = report.borrow();
+                accumulators
+                    .entry(feedback.subject)
+                    .or_insert_with(|| fold())
+                    .absorb(feedback);
+            }
+            ShardState::Logged(store) => store.push(report.into_feedback()),
         }
-        self.store.push(feedback);
+        self.applied += 1;
     }
 }
 
@@ -131,40 +209,44 @@ pub struct ShardedStore {
     epochs: Vec<EpochMap>,
     /// Reports applied across all shards; relaxed, bumped per batch.
     total: AtomicU64,
-    fold: Option<FoldFactory>,
+    incremental: bool,
 }
 
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("shards", &self.shards.len())
-            .field("incremental", &self.fold.is_some())
+            .field("incremental", &self.incremental)
             .finish()
     }
 }
 
 impl ShardedStore {
-    /// A store with `shards` independent locks (at least one), scoring
-    /// by log replay.
+    /// A store with `shards` independent locks (at least one), keeping
+    /// each shard's log and scoring by replay.
     pub fn new(shards: usize) -> Self {
         Self::with_fold(shards, None)
     }
 
-    /// A store whose shards keep resident per-subject accumulators built
-    /// by `fold`, folded forward on every applied report.
+    /// With a factory, a store whose shards keep resident per-subject
+    /// accumulators built by `fold`, folded forward on every applied
+    /// report, and no log; with `None`, one whose shards keep the log.
     pub fn with_fold(shards: usize, fold: Option<FoldFactory>) -> Self {
         let count = shards.max(1);
         ShardedStore {
-            shards: (0..count).map(|_| RwLock::default()).collect(),
+            shards: (0..count)
+                .map(|_| RwLock::new(Shard::new(fold.clone())))
+                .collect(),
             epochs: (0..count).map(|_| EpochMap::default()).collect(),
             total: AtomicU64::new(0),
-            fold,
+            incremental: fold.is_some(),
         }
     }
 
-    /// Whether shards fold reports into resident scoring state.
+    /// Whether shards fold reports into resident scoring state (and so
+    /// hold no log).
     pub fn is_incremental(&self) -> bool {
-        self.fold.is_some()
+        self.incremental
     }
 
     /// Number of shards.
@@ -178,65 +260,65 @@ impl ShardedStore {
     }
 
     /// Apply one report.
-    pub fn insert(&self, feedback: Feedback) {
-        let idx = self.shard_of(feedback.subject);
-        let subject = feedback.subject;
-        {
-            let mut shard = self.shards[idx].write();
-            shard.push(feedback, self.fold.as_ref());
-        }
-        // Bump after the report is visible in the shard: a reader that
-        // sees the new epoch and recomputes is guaranteed to see the
-        // report (never-stale rule; see module docs).
-        self.epochs[idx].bump(subject);
+    pub fn insert(&self, report: impl Report) {
+        let subject = report.borrow().subject;
+        let idx = self.shard_of(subject);
+        self.shards[idx].write().push(report);
         self.total.fetch_add(1, Ordering::Relaxed);
+        // Bump after the report is applied (never-stale rule).
+        self.epochs[idx].bump_all([subject]);
     }
 
-    /// Apply a batch, taking each shard's write lock once.
+    /// Apply a batch — owned reports or references — taking each shard's
+    /// write lock once.
     ///
     /// This is what makes batched ingestion pay: a batch of B reports
     /// spread over S shards costs at most `min(B, S)` lock acquisitions
-    /// instead of B.
-    pub fn insert_batch(&self, batch: Vec<Feedback>) {
+    /// instead of B. In fold mode a borrowed batch is never copied.
+    pub fn insert_batch<R: Report>(&self, batch: impl IntoIterator<Item = R>) {
         for (idx, group) in self.partition(batch).into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+            if !group.is_empty() {
+                self.apply_group(idx, group);
             }
-            self.apply_group(idx, group);
         }
     }
 
     /// Apply one shard's pre-partitioned group: push everything under one
     /// write-lock acquisition, then bump epochs (after-apply, so epoch
-    /// observers can never get ahead of the log).
-    fn apply_group(&self, idx: usize, group: Vec<Feedback>) {
-        let count = group.len() as u64;
-        let mut subjects: Vec<SubjectId> = Vec::with_capacity(group.len());
+    /// observers can never get ahead of the applied state — the
+    /// never-stale rule; see module docs).
+    fn apply_group<R: Report>(&self, idx: usize, group: Vec<R>) {
+        let subjects: Vec<SubjectId> = group.iter().map(|r| r.borrow().subject).collect();
         {
             let mut shard = self.shards[idx].write();
-            for feedback in group {
-                subjects.push(feedback.subject);
-                shard.push(feedback, self.fold.as_ref());
+            for report in group {
+                shard.push(report);
             }
         }
-        for subject in subjects {
-            self.epochs[idx].bump(subject);
-        }
-        self.total.fetch_add(count, Ordering::Relaxed);
+        self.total
+            .fetch_add(subjects.len() as u64, Ordering::Relaxed);
+        self.epochs[idx].bump_all(subjects);
     }
 
     /// Apply a batch with one worker thread per core, each owning a
     /// disjoint set of shards — the recovery path, where the WAL replay
     /// hands us the whole history at once and restart cost should scale
-    /// with cores, not log length.
+    /// with cores, not log length. In fold mode the workers absorb the
+    /// reports by reference: nothing is moved out of `batch`.
     ///
     /// Equivalent to [`ShardedStore::insert_batch`]: partitioning keeps
     /// per-subject order (a subject lives in exactly one shard group),
     /// and cross-shard apply order never mattered — shards share no
-    /// state. Epochs, logs, and resident accumulators come out
-    /// identical.
+    /// state. Epochs and resident state come out identical.
     pub fn insert_batch_parallel(&self, batch: Vec<Feedback>) {
-        let per_shard = self.partition(batch);
+        if self.incremental {
+            self.apply_parallel(self.partition(&batch));
+        } else {
+            self.apply_parallel(self.partition(batch));
+        }
+    }
+
+    fn apply_parallel<R: Report + Send>(&self, per_shard: Vec<Vec<R>>) {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -244,13 +326,11 @@ impl ShardedStore {
         // Round-robin shard ownership: worker w applies shard groups
         // w, w + workers, w + 2·workers, … No two workers touch the
         // same shard, so there is no lock contention to speak of.
-        let mut per_worker: Vec<Vec<(usize, Vec<Feedback>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
+        let mut per_worker: Vec<Vec<(usize, Vec<R>)>> = (0..workers).map(|_| Vec::new()).collect();
         for (idx, group) in per_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+            if !group.is_empty() {
+                per_worker[idx % workers].push((idx, group));
             }
-            per_worker[idx % workers].push((idx, group));
         }
         std::thread::scope(|scope| {
             for mine in per_worker {
@@ -266,11 +346,10 @@ impl ShardedStore {
         });
     }
 
-    fn partition(&self, batch: Vec<Feedback>) -> Vec<Vec<Feedback>> {
-        let mut per_shard: Vec<Vec<Feedback>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for feedback in batch {
-            per_shard[self.shard_of(feedback.subject)].push(feedback);
+    fn partition<R: Report>(&self, batch: impl IntoIterator<Item = R>) -> Vec<Vec<R>> {
+        let mut per_shard: Vec<Vec<R>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        for report in batch {
+            per_shard[self.shard_of(report.borrow().subject)].push(report);
         }
         per_shard
     }
@@ -282,40 +361,34 @@ impl ShardedStore {
         self.epochs[self.shard_of(subject)].get(subject)
     }
 
-    /// Snapshot of every report about `subject`, oldest first.
-    pub fn about(&self, subject: SubjectId) -> Vec<Feedback> {
-        self.shards[self.shard_of(subject)]
-            .read()
-            .store
-            .about(subject)
-            .cloned()
-            .collect()
+    /// Every report about `subject`, oldest first — `None` in fold mode,
+    /// where the store holds no log to copy from.
+    pub fn about(&self, subject: SubjectId) -> Option<Vec<Feedback>> {
+        self.with_subject_shard(subject, |shard| {
+            shard
+                .store()
+                .map(|store| store.about(subject).cloned().collect())
+        })
     }
 
     /// Run `f` against the shard owning `subject` under its read lock —
-    /// scoring without copying the log out.
+    /// scoring without copying anything out.
     pub fn with_subject_shard<R>(&self, subject: SubjectId, f: impl FnOnce(&Shard) -> R) -> R {
         f(&self.shards[self.shard_of(subject)].read())
     }
 
-    /// Copy out every report, shard by shard.
-    ///
-    /// Per-subject order is preserved — a subject lives in exactly one
-    /// shard — which is all replay needs: re-inserting the dump into a
-    /// fresh store reproduces every per-subject log and epoch exactly.
-    /// This is the state a checkpoint snapshots.
-    pub fn dump(&self) -> Vec<Feedback> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let shard = shard.read();
-            out.extend(shard.store.iter().cloned());
-        }
-        out
+    /// Reports applied to shard `idx` (a counter: fold mode holds none).
+    pub fn shard_len(&self, idx: usize) -> usize {
+        self.shards[idx].read().applied
     }
 
-    /// Reports held by shard `idx`.
-    pub fn shard_len(&self, idx: usize) -> usize {
-        self.shards[idx].read().store.len()
+    /// Reports held in RAM across all shards: every applied report in
+    /// log mode, zero in fold mode.
+    pub fn resident_reports(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.read().store().map_or(0, FeedbackStore::len))
+            .sum()
     }
 
     /// Total reports across all shards, from a relaxed counter bumped as
@@ -411,9 +484,17 @@ mod tests {
             .with_subject_shard(s, |sh| sh.resident_estimate(s))
             .expect("accumulator exists")
             .expect("evidence exists");
+        // Fold mode holds no log; a log-mode twin fed the same reports
+        // is the replay reference.
+        assert_eq!(store.about(s), None);
+        assert_eq!(store.resident_reports(), 0);
+        let twin = ShardedStore::new(4);
+        twin.insert(fb(0, 1, 1.0));
+        twin.insert(fb(1, 1, 1.0));
+        assert_eq!(twin.resident_reports(), 2);
+        let log = twin.about(s).expect("log mode keeps the log");
         let mut replay = BetaMechanism::new();
-        let replayed =
-            wsrep_core::mechanism::score_from_log(&mut replay, &store.about(s), s).unwrap();
+        let replayed = wsrep_core::mechanism::score_from_log(&mut replay, &log, s).unwrap();
         assert_eq!(resident, replayed);
     }
 
@@ -435,19 +516,40 @@ mod tests {
         let batch: Vec<Feedback> = (0..500)
             .map(|i| fb(i, i % 13, (i % 10) as f64 / 10.0))
             .collect();
-        let parallel = ShardedStore::with_fold(8, beta_fold());
-        parallel.insert_batch_parallel(batch.clone());
-        let sequential = ShardedStore::with_fold(8, beta_fold());
-        sequential.insert_batch(batch);
-        assert_eq!(parallel.len(), sequential.len());
-        for service in 0..13u64 {
-            let s: SubjectId = ServiceId::new(service).into();
-            assert_eq!(parallel.epoch(s), sequential.epoch(s));
-            assert_eq!(parallel.about(s), sequential.about(s));
-            assert_eq!(
-                parallel.with_subject_shard(s, |sh| sh.resident_estimate(s)),
-                sequential.with_subject_shard(s, |sh| sh.resident_estimate(s)),
-            );
+        // Both modes: fold mode absorbs the batch by reference, log mode
+        // moves it into the shard logs.
+        for fold in [beta_fold(), None] {
+            let parallel = ShardedStore::with_fold(8, fold.clone());
+            parallel.insert_batch_parallel(batch.clone());
+            let sequential = ShardedStore::with_fold(8, fold);
+            sequential.insert_batch(&batch);
+            assert_eq!(parallel.len(), sequential.len());
+            for idx in 0..8 {
+                assert_eq!(parallel.shard_len(idx), sequential.shard_len(idx));
+            }
+            for service in 0..13u64 {
+                let s: SubjectId = ServiceId::new(service).into();
+                assert_eq!(parallel.epoch(s), sequential.epoch(s));
+                assert_eq!(parallel.about(s), sequential.about(s));
+                assert_eq!(
+                    parallel.with_subject_shard(s, |sh| sh.resident_estimate(s)),
+                    sequential.with_subject_shard(s, |sh| sh.resident_estimate(s)),
+                );
+            }
+        }
+    }
+
+    /// A batch full of first-seen subjects publishes their epoch
+    /// counters in one snapshot swap per shard, not one per subject.
+    #[test]
+    fn first_seen_subjects_of_a_batch_share_one_epoch_swap() {
+        let store = ShardedStore::with_fold(2, beta_fold());
+        let batch: Vec<Feedback> = (0..600).map(|i| fb(i, i % 300, 0.5)).collect();
+        store.insert_batch(&batch);
+        let swaps: u64 = store.epochs.iter().map(|e| e.snapshot.swaps()).sum();
+        assert_eq!(swaps, 2, "one swap per touched shard");
+        for service in 0..300u64 {
+            assert_eq!(store.epoch(ServiceId::new(service).into()), 2);
         }
     }
 

@@ -154,6 +154,32 @@ impl ScoreEpochs {
         Self::default()
     }
 
+    /// A map already holding `members` (subject, category) — how
+    /// recovery installs a whole listing table at once. [`ensure`] copies
+    /// the membership map per first-seen subject, which is right for one
+    /// publish and quadratic for N of them; this builds both maps once
+    /// and publishes them without a single swap.
+    ///
+    /// [`ensure`]: ScoreEpochs::ensure
+    pub fn with_members(members: impl IntoIterator<Item = (SubjectId, u32)>) -> Self {
+        let mut counters: FxHashMap<u32, Arc<AtomicU64>> = FxHashMap::default();
+        let members: FxHashMap<SubjectId, Arc<AtomicU64>> = members
+            .into_iter()
+            .map(|(subject, category)| (subject, Arc::clone(counters.entry(category).or_default())))
+            .collect();
+        ScoreEpochs {
+            members: SnapshotCell::new(Arc::new(members)),
+            counters: SnapshotCell::new(Arc::new(counters)),
+            write: Mutex::new(()),
+        }
+    }
+
+    /// Snapshots published so far (membership and counter maps): one or
+    /// two per first-seen subject or category, none for a bump.
+    pub fn swaps(&self) -> u64 {
+        self.members.swaps() + self.counters.swaps()
+    }
+
     /// The category's current score epoch (0 = no member feedback yet).
     /// Wait-free.
     pub fn get(&self, category: u32) -> u64 {
