@@ -1,15 +1,14 @@
 //! Read-path microbenchmarks: what one query costs on the wait-free
 //! fast paths and on each miss tier.
 //!
-//! - `readpath_score`: a cached `score` (epoch read + snapshot probe)
-//!   against the same read with readers and a writer racing — the
-//!   snapshot swap must keep the hot read flat under write pressure.
+//! - `readpath_score`: a `score` (one probe of the published map)
+//!   against the same read with readers and a writer racing — publishing
+//!   in place must keep the hot read flat under write pressure.
 //! - `readpath_top_k`: the pre-ranked hit (probe + k-element copy into a
 //!   reused buffer) against the re-rank miss (score + sort over the
 //!   cached plan) and the full plan rebuild.
 //! - `readpath_primitives`: the underlying `SnapshotCell` read and the
-//!   wait-free store-epoch lookup, the two loads every query starts
-//!   with.
+//!   store's published-score read built on it.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,16 +54,15 @@ fn loaded_service(reports: u64) -> ReputationService {
     service
 }
 
-/// The cached score read, quiet and under concurrent load. Wait-free
-/// means the contended number should track the quiet one.
+/// The score read, quiet and under concurrent load. Lock-free means the
+/// contended number should track the quiet one.
 fn bench_score(c: &mut Criterion) {
     let mut group = c.benchmark_group("readpath_score");
     let service = Arc::new(loaded_service(100_000));
     let subject: SubjectId = ServiceId::new(7).into();
-    // Warm the cache entry.
     let expected = service.score(subject).expect("evidence exists");
 
-    group.bench_function("cached_quiet", |b| {
+    group.bench_function("published_quiet", |b| {
         b.iter(|| {
             let estimate = service.score(black_box(subject)).unwrap();
             assert_eq!(estimate, expected);
@@ -72,8 +70,8 @@ fn bench_score(c: &mut Criterion) {
         })
     });
 
-    // Same read while a writer keeps ingesting (invalidating other
-    // subjects) and two readers sweep the whole id space.
+    // Same read while a writer keeps ingesting (publishing other
+    // subjects' scores) and two readers sweep the whole id space.
     let stop = Arc::new(AtomicBool::new(false));
     let mut background = Vec::new();
     for reader in 0..2u64 {
@@ -94,7 +92,7 @@ fn bench_score(c: &mut Criterion) {
         background.push(std::thread::spawn(move || {
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                // Skip the measured subject so its cache entry stays hot.
+                // Skip the measured subject so its entry is never mid-publish.
                 let target = 8 + (i % (SERVICES - 8));
                 service
                     .ingest(Feedback::scored(
@@ -108,7 +106,7 @@ fn bench_score(c: &mut Criterion) {
             }
         }));
     }
-    group.bench_function("cached_contended", |b| {
+    group.bench_function("published_contended", |b| {
         b.iter(|| black_box(service.score(black_box(subject))))
     });
     stop.store(true, Ordering::Relaxed);
@@ -178,8 +176,8 @@ fn bench_top_k(c: &mut Criterion) {
     group.finish();
 }
 
-/// The primitives every query starts with: one `SnapshotCell` read and
-/// one wait-free store-epoch lookup.
+/// The primitives under every query: one `SnapshotCell` read, and the
+/// store's published-score read (pin, probe, sequence-checked load).
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("readpath_primitives");
     let cell = SnapshotCell::new(Arc::new(vec![1u64; 64]));
@@ -190,8 +188,8 @@ fn bench_primitives(c: &mut Criterion) {
     let service = loaded_service(10_000);
     let subject: SubjectId = ServiceId::new(5).into();
     let store = service.store().clone();
-    group.bench_function(BenchmarkId::new("store_epoch", "wait_free"), |b| {
-        b.iter(|| black_box(store.epoch(black_box(subject))))
+    group.bench_function(BenchmarkId::new("store_score", "published"), |b| {
+        b.iter(|| black_box(store.score(black_box(subject))))
     });
     group.finish();
 }

@@ -26,7 +26,7 @@
 //! Zipf(S) distribution over the services instead of uniformly (S = 0 is
 //! uniform). Skew concentrates feedback on a few hot subjects, growing
 //! their logs — exactly the workload where incremental scoring beats
-//! replay-on-miss. `--replay` disables the incremental fold so the
+//! replaying them. `--replay` disables the incremental fold so the
 //! before/after cost is measurable on one binary; the comparison is
 //! checked in as BENCH_incremental.json.
 //!
@@ -425,10 +425,6 @@ fn run_read_heavy(config: Config) {
         "pre-ranked         {:>12} hits / {} misses",
         stats.preranked_hits, stats.preranked_misses
     );
-    println!(
-        "cache              {:>12} hits / {} misses",
-        stats.cache_hits, stats.cache_misses
-    );
     println!("snapshot swaps     {:>12}", stats.snapshot_swaps);
 
     let sweep_json: Vec<String> = sweep
@@ -446,7 +442,7 @@ fn run_read_heavy(config: Config) {
         .map(|p| format!("{:.0}", p.ops_per_sec))
         .unwrap_or_else(|| "null".to_string());
     println!(
-        "{{\"mode\":\"read_heavy\",\"preload_reports\":{},\"queries_per_querier\":{},\"max_query_threads\":{},\"shards\":{},\"seed\":{},\"skew\":{},\"incremental\":{},\"wall_seconds\":{:.3},\"sweep\":[{}],\"query_ops_per_sec_1t\":{:.0},\"query_ops_per_sec_8t\":{},\"query_ops_per_sec\":{:.0},\"query_p50_ns\":{},\"query_p99_ns\":{},\"preranked_hits\":{},\"preranked_misses\":{},\"cache_hits\":{},\"cache_misses\":{},\"snapshot_swaps\":{},\"scratch_reuse\":{}}}",
+        "{{\"mode\":\"read_heavy\",\"preload_reports\":{},\"queries_per_querier\":{},\"max_query_threads\":{},\"shards\":{},\"seed\":{},\"skew\":{},\"incremental\":{},\"wall_seconds\":{:.3},\"sweep\":[{}],\"query_ops_per_sec_1t\":{:.0},\"query_ops_per_sec_8t\":{},\"query_ops_per_sec\":{:.0},\"query_p50_ns\":{},\"query_p99_ns\":{},\"preranked_hits\":{},\"preranked_misses\":{},\"snapshot_swaps\":{},\"scratch_reuse\":{}}}",
         preload,
         config.queries_per_querier,
         config.query_threads,
@@ -463,8 +459,6 @@ fn run_read_heavy(config: Config) {
         peak.p99_ns,
         stats.preranked_hits,
         stats.preranked_misses,
-        stats.cache_hits,
-        stats.cache_misses,
         stats.snapshot_swaps,
         stats.scratch_reuse,
     );
@@ -1229,10 +1223,6 @@ fn main() {
     println!("query p50          {:>12.2} µs", p50 as f64 / 1_000.0);
     println!("query p99          {:>12.2} µs", p99 as f64 / 1_000.0);
     println!(
-        "cache              {:>12} hits / {} misses",
-        stats.cache_hits, stats.cache_misses
-    );
-    println!(
         "top-k plans        {:>12} hits / {} rebuilds",
         stats.topk_plan_hits, stats.topk_plan_misses
     );
@@ -1263,7 +1253,7 @@ fn main() {
         None => "null".to_string(),
     };
     println!(
-        "{{\"ingest_threads\":{},\"query_threads\":{},\"reports_per_ingester\":{},\"queries_per_querier\":{},\"shards\":{},\"seed\":{},\"skew\":{},\"incremental\":{},\"wall_seconds\":{:.3},\"ingest_ops_per_sec\":{:.0},\"query_ops_per_sec\":{:.0},\"query_p50_ns\":{},\"query_p99_ns\":{},\"cache_hits\":{},\"cache_misses\":{},\"topk_plan_hits\":{},\"topk_plan_misses\":{},\"feedback_applied\":{},\"journal\":{}}}",
+        "{{\"ingest_threads\":{},\"query_threads\":{},\"reports_per_ingester\":{},\"queries_per_querier\":{},\"shards\":{},\"seed\":{},\"skew\":{},\"incremental\":{},\"wall_seconds\":{:.3},\"ingest_ops_per_sec\":{:.0},\"query_ops_per_sec\":{:.0},\"query_p50_ns\":{},\"query_p99_ns\":{},\"topk_plan_hits\":{},\"topk_plan_misses\":{},\"feedback_applied\":{},\"journal\":{}}}",
         config.ingest_threads,
         config.query_threads,
         config.reports_per_ingester,
@@ -1277,8 +1267,6 @@ fn main() {
         query_rate,
         p50,
         p99,
-        stats.cache_hits,
-        stats.cache_misses,
         stats.topk_plan_hits,
         stats.topk_plan_misses,
         stats.feedback,

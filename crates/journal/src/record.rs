@@ -2,8 +2,8 @@
 //!
 //! The registry's durable state is fully determined by three event kinds:
 //! consumer feedback (the reputation evidence), listing publication and
-//! listing withdrawal. Everything else the service holds — per-subject
-//! epochs, cached scores, normalization matrices — is derived and is
+//! listing withdrawal. Everything else the service holds — accumulators,
+//! published scores, normalization matrices — is derived and is
 //! rebuilt by replay, never persisted. This is the log-then-derive
 //! architecture: the WAL is the source of truth, the in-memory store is a
 //! view.

@@ -7,7 +7,7 @@
 //! (republishing is an idempotent upsert), files every observed feedback
 //! through the batched ingest pipeline, and picks via the service's cached
 //! `top_k` — so a market run doubles as an integration test of the whole
-//! shards → cache → selection path.
+//! shards → published scores → selection path.
 
 use crate::strategy::{SelectionContext, SelectionStrategy};
 use rand::rngs::StdRng;
@@ -125,10 +125,6 @@ mod tests {
         assert!(
             stats.feedback > 0,
             "feedback must reach the store: {stats:?}"
-        );
-        assert!(
-            stats.cache_hits > 0,
-            "repeat queries within a round must hit the cache: {stats:?}"
         );
     }
 

@@ -1,6 +1,6 @@
 //! A word-at-a-time multiply-xor hasher for the registry's hot maps.
 //!
-//! The read path probes two or three hash maps per query; the standard
+//! The read path probes one or two hash maps per query; the standard
 //! library's SipHash costs more than the rest of the probe combined for
 //! the 8–16 byte keys used here (`SubjectId`, `ServiceId`, category ids).
 //! This is the Firefox/rustc "Fx" construction — `h = (h <<< 5 ^ word) ·

@@ -27,7 +27,6 @@
 
 use crate::durability::JournalHandle;
 use crate::shard::ShardedStore;
-use crate::topk::ScoreEpochs;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,19 +114,17 @@ impl fmt::Debug for IngestPipeline {
 impl IngestPipeline {
     /// Start a single writer thread draining into `store`.
     pub fn start(store: Arc<ShardedStore>, config: IngestConfig) -> Self {
-        Self::start_with_journal(store, config, None, None, 1)
+        Self::start_with_journal(store, config, None, 1)
     }
 
     /// Start `writer_groups` writer threads, each journaling its batches
     /// to its own writer group before applying them when a journal
-    /// handle is attached, and bumping per-category score epochs after
-    /// each apply when a [`ScoreEpochs`] map is attached. A journaled
-    /// pipeline's group count must match the handle's.
+    /// handle is attached. A journaled pipeline's group count must match
+    /// the handle's.
     pub(crate) fn start_with_journal(
         store: Arc<ShardedStore>,
         config: IngestConfig,
         journal: Option<Arc<JournalHandle>>,
-        score_epochs: Option<Arc<ScoreEpochs>>,
         writer_groups: usize,
     ) -> Self {
         let groups = writer_groups.max(1);
@@ -147,7 +144,6 @@ impl IngestPipeline {
             let store = Arc::clone(&store);
             let progress = Arc::clone(&progress);
             let journal = journal.clone();
-            let score_epochs = score_epochs.clone();
             let writer = std::thread::Builder::new()
                 .name(format!("wsrep-ingest-{group}"))
                 .spawn(move || {
@@ -157,7 +153,6 @@ impl IngestPipeline {
                         batch_size,
                         &progress,
                         journal.as_deref(),
-                        score_epochs.as_deref(),
                         group,
                     );
                 })
@@ -264,7 +259,6 @@ fn drain(
     batch_size: usize,
     progress: &Progress,
     journal: Option<&JournalHandle>,
-    score_epochs: Option<&ScoreEpochs>,
     group: usize,
 ) {
     // Blocking recv for the first report of a batch, then opportunistic
@@ -291,18 +285,10 @@ fn drain(
                 // flushing cannot miss it.
                 let records: Vec<JournalRecord> =
                     batch.into_iter().map(JournalRecord::Feedback).collect();
-                let reports = || records.iter().filter_map(JournalRecord::as_feedback);
-                if handle
-                    .commit(group, &records, || store.insert_batch(reports()))
-                    .is_ok()
-                {
-                    bump_score_epochs(score_epochs, reports());
-                }
+                let reports = records.iter().filter_map(JournalRecord::as_feedback);
+                let _ = handle.commit(group, &records, || store.insert_batch(reports));
             }
-            None => {
-                store.insert_batch(&batch);
-                bump_score_epochs(score_epochs, &batch);
-            }
+            None => store.insert_batch(&batch),
         }
         // Progress advances even for rejected batches so `flush()` never
         // hangs on a fenced pipeline; the caller learns of the rejection
@@ -311,26 +297,18 @@ fn drain(
     }
 }
 
-/// Bump category score epochs — only after the batch is in the store: an
-/// epoch observer that rebuilds is then guaranteed to see at least the
-/// feedback the epoch counts (never-stale rule), and before `progress`
-/// moves, so `flush()` callers always see their own invalidations.
-fn bump_score_epochs<'a>(
-    score_epochs: Option<&ScoreEpochs>,
-    reports: impl IntoIterator<Item = &'a Feedback>,
-) {
-    if let Some(epochs) = score_epochs {
-        for report in reports {
-            epochs.bump(report.subject);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wsrep_core::id::{AgentId, ServiceId, SubjectId};
+    use wsrep_core::mechanisms::beta::BetaMechanism;
     use wsrep_core::time::Time;
+
+    /// A log-mode store, so tests can read back what was applied.
+    fn store(shards: usize) -> Arc<ShardedStore> {
+        let beta = Arc::new(|| Box::new(BetaMechanism::new()) as _);
+        Arc::new(ShardedStore::new(shards, beta, false))
+    }
 
     fn fb(rater: u64, service: u64) -> Feedback {
         Feedback::scored(
@@ -343,7 +321,7 @@ mod tests {
 
     #[test]
     fn flush_observes_every_submitted_report() {
-        let store = Arc::new(ShardedStore::new(4));
+        let store = store(4);
         let pipeline = IngestPipeline::start(Arc::clone(&store), IngestConfig::default());
         for i in 0..500 {
             pipeline.submit(fb(i, i % 11)).unwrap();
@@ -355,7 +333,7 @@ mod tests {
 
     #[test]
     fn drop_drains_the_queue() {
-        let store = Arc::new(ShardedStore::new(2));
+        let store = store(2);
         {
             let pipeline = IngestPipeline::start(Arc::clone(&store), IngestConfig::default());
             for i in 0..100 {
@@ -364,12 +342,12 @@ mod tests {
         } // drop: disconnect + join
         assert_eq!(store.len(), 100);
         let subject: SubjectId = ServiceId::new(3).into();
-        assert_eq!(store.epoch(subject), 100);
+        assert_eq!(store.about(subject).expect("log mode").len(), 100);
     }
 
     #[test]
     fn submit_batch_counts_and_flushes_like_individual_submits() {
-        let store = Arc::new(ShardedStore::new(4));
+        let store = store(4);
         let pipeline = IngestPipeline::start(Arc::clone(&store), IngestConfig::default());
         let accepted = pipeline
             .submit_batch((0..300).map(|i| fb(i, i % 7)))
@@ -382,7 +360,7 @@ mod tests {
 
     #[test]
     fn tiny_channel_applies_backpressure_without_loss() {
-        let store = Arc::new(ShardedStore::new(2));
+        let store = store(2);
         let config = IngestConfig {
             channel_capacity: 2,
             batch_size: 4,
@@ -397,11 +375,10 @@ mod tests {
 
     #[test]
     fn multiple_writer_groups_preserve_per_subject_order() {
-        let store = Arc::new(ShardedStore::new(8));
+        let store = store(8);
         let pipeline = IngestPipeline::start_with_journal(
             Arc::clone(&store),
             IngestConfig::default(),
-            None,
             None,
             4,
         );
@@ -423,8 +400,8 @@ mod tests {
         assert_eq!(store.len(), 200 * 12);
         for service in 0..12u64 {
             let subject: SubjectId = ServiceId::new(service).into();
-            assert_eq!(store.epoch(subject), 200);
             let log = store.about(subject).expect("log mode keeps the log");
+            assert_eq!(log.len(), 200);
             let times: Vec<u64> = log.iter().map(|f| f.at.round()).collect();
             let sorted = {
                 let mut s = times.clone();

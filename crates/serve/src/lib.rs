@@ -6,23 +6,22 @@
 //! subsystem:
 //!
 //! - [`snapshot`] — the RCU-style [`SnapshotCell`](snapshot::SnapshotCell)
-//!   every read-path cache publishes through: readers pin + probe
-//!   (wait-free), writers swap whole immutable snapshots;
+//!   every read-path map publishes through: readers pin + probe
+//!   (wait-free), writers swap whole immutable snapshots. The crate's
+//!   only `unsafe`, and the compiler holds it there;
 //! - [`fxhash`] — the multiply-xor hasher the hot maps key with;
 //! - [`shard`] — per-subject scoring state split over independently
 //!   locked shards — resident accumulators when the mechanism folds (no
 //!   log is held: the journal owns it), the feedback log when it does not
-//!   — with wait-free per-subject epoch counters;
+//!   — and the one published estimate per subject that the writer stores
+//!   to before it releases the shard, so a score read is one probe;
 //! - [`ingest`] — bounded channels + one writer thread per **writer
 //!   group** (subjects route by shard, groups own disjoint shard sets),
-//!   applying feedback in per-shard batches and bumping category score
-//!   epochs;
-//! - [`cache`] — epoch-validated score memoization over snapshot-swapped
-//!   shards, so a hot subject costs one atomic probe instead of a log
-//!   replay;
+//!   applying feedback in per-shard batches;
 //! - [`topk`] — per-category ranking plans *and* fully pre-ranked result
-//!   lists, validated against the listings epoch and per-category score
-//!   epochs, so a repeat `top_k` is a probe plus a `k`-element copy;
+//!   lists, validated against the listings epoch and the store's
+//!   per-category score epochs, so a repeat `top_k` is a probe plus a
+//!   `k`-element copy;
 //! - [`service`] — the query API: `publish` / `ingest` / `score` /
 //!   `top_k`, speaking the same [`Listing`](wsrep_sim::registry::Listing)
 //!   and [`Preferences`](wsrep_qos::preference::Preferences) types as the
@@ -36,23 +35,23 @@
 //!   boot, and a background checkpointer builds snapshots from the log
 //!   itself and compacts it.
 
-pub mod cache;
+#![deny(unsafe_code)]
+
 pub mod durability;
 pub mod fxhash;
 pub mod ingest;
 pub mod service;
 pub mod shard;
+#[allow(unsafe_code)]
 pub mod snapshot;
 pub mod topk;
 
-pub use cache::ScoreCache;
 pub use durability::{DurabilityPolicy, JournalHealth, NotDurable};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use ingest::{IngestClosed, IngestConfig, IngestPipeline};
 pub use service::{
-    CheckpointReport, MechanismFactory, ReplicateError, ReputationService, ServiceBuilder,
-    ServiceStats,
+    CheckpointReport, ReplicateError, ReputationService, ServiceBuilder, ServiceStats,
 };
-pub use shard::{EpochMap, FoldFactory, ShardedStore};
+pub use shard::{MechanismFactory, ShardedStore};
 pub use snapshot::SnapshotCell;
-pub use topk::{CategoryPlan, PlanCache, RankCache, RankedList, RankedService, ScoreEpochs};
+pub use topk::{CategoryPlan, PlanCache, RankCache, RankedList, RankedService};

@@ -8,34 +8,30 @@
 //! Scoring is **incremental** whenever the configured
 //! [`ReputationMechanism`] offers a fold
 //! ([`ReputationMechanism::accumulator`]): the ingest writer folds each
-//! applied report into shard-resident per-subject state and drops it, and
-//! a score read is an O(1) lookup of the resident estimate no matter how
-//! much feedback the subject has seen. The service then holds **no
-//! feedback log in RAM**: the journal is the only copy, recovery folds it
-//! back in, and a checkpoint is built from the journal itself, outside
-//! every commit lock. Mechanisms without a fold keep each shard's log and
-//! replay the subject's part of it through [`score_from_log`] on every
-//! cache miss (also selectable explicitly with
+//! applied report into shard-resident per-subject state and drops it. The
+//! service then holds **no feedback log in RAM**: the journal is the only
+//! copy, recovery folds it back in, and a checkpoint is built from the
+//! journal itself, outside every commit lock. Mechanisms without a fold
+//! keep each shard's log, and the writer replays a touched subject's part
+//! of it once per applied group (also selectable explicitly with
 //! [`ServiceBuilder::replay_scoring`], the twin the fold is tested
 //! against).
 //!
-//! The query path is **read-mostly wait-free**: `score` validates a
-//! wait-free per-subject epoch and probes a snapshot-swapped cache;
-//! `top_k` validates the listings epoch (one atomic load) and the
-//! category's score epoch, then serves a pre-ranked list with a
-//! `k`-element copy. Writers — the ingest thread, publish, deregister —
-//! swap immutable snapshots and bump epochs; they never hold a lock a
-//! reader has to wait on. See `DESIGN.md` § "Read path".
+//! Either way the writer that applies a report **publishes the subject's
+//! new score** before it moves on, so the query path computes nothing and
+//! takes no lock: `score` is one probe of the published map; `top_k`
+//! validates the listings epoch (one atomic load) and the category's
+//! score epoch, then serves a pre-ranked list with a `k`-element copy.
+//! See `DESIGN.md` § "Scoring and read path".
 //!
 //! Reads are eventually consistent with respect to ingestion: a query
 //! reflects the reports the writer has applied, not the ones still queued.
 //! Call [`ReputationService::flush`] for a consistency point.
 
-use crate::cache::ScoreCache;
 use crate::durability::{DurabilityPolicy, JournalHandle, JournalHealth, NotDurable};
 use crate::ingest::{IngestClosed, IngestConfig, IngestPipeline};
-use crate::shard::{FoldFactory, ShardedStore};
-use crate::topk::{CategoryPlan, PlanCache, RankCache, RankedList, ScoreEpochs};
+use crate::shard::{MechanismFactory, ShardedStore};
+use crate::topk::{CategoryPlan, PlanCache, RankCache, RankedList};
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -48,7 +44,7 @@ use std::thread;
 use std::time::Duration;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{ServiceId, SubjectId};
-use wsrep_core::mechanism::{score_from_log, ReputationMechanism};
+use wsrep_core::mechanism::ReputationMechanism;
 use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::faults::IoPolicy;
@@ -64,10 +60,6 @@ use wsrep_qos::value::QosVector;
 use wsrep_sim::registry::{search_category, Listing, PublishStatus, RegistryError};
 
 pub use crate::topk::RankedService;
-
-/// Builds a fresh mechanism instance for one scoring pass. Shared
-/// (`Arc`) so the shard-resident fold can reuse the same recipe.
-pub type MechanismFactory = Arc<dyn Fn() -> Box<dyn ReputationMechanism> + Send + Sync>;
 
 /// The listing table plus its **epoch** and **count**, both readable
 /// without the lock.
@@ -130,8 +122,8 @@ impl Listings {
 /// **Consistency contract:** every counter is maintained as a relaxed
 /// atomic (or derived from one) and read without stopping writers. Each
 /// counter is individually monotonic and exact, but one `stats()` call is
-/// *not* a consistent cut across them — e.g. `cache_hits +
-/// cache_misses` may momentarily disagree with the number of `score`
+/// *not* a consistent cut across them — e.g. `preranked_hits +
+/// preranked_misses` may momentarily disagree with the number of `top_k`
 /// calls that have returned, and `feedback` may trail an in-flight batch.
 /// Collecting stats never takes a lock the read or write path uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,10 +136,6 @@ pub struct ServiceStats {
     pub feedback: u64,
     /// Reports accepted but possibly still queued.
     pub submitted: u64,
-    /// Score queries answered from the cache.
-    pub cache_hits: u64,
-    /// Score queries that recomputed.
-    pub cache_misses: u64,
     /// `top_k` rebuilds ranking over a prebuilt category plan.
     pub topk_plan_hits: u64,
     /// `top_k` rebuilds that (re)built their category plan.
@@ -157,8 +145,9 @@ pub struct ServiceStats {
     pub preranked_hits: u64,
     /// `top_k` queries that had to score and sort the category.
     pub preranked_misses: u64,
-    /// Immutable snapshots published across the score, plan, and rank
-    /// caches (one per copy-on-write insert).
+    /// Immutable snapshots swapped in across the store's published maps
+    /// (first-seen subjects and categories) and the plan and rank caches
+    /// (one per copy-on-write insert).
     pub snapshot_swaps: u64,
     /// `top_k` rebuilds that reused a warm thread-local scratch buffer
     /// instead of allocating.
@@ -278,7 +267,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// The reputation mechanism scoring queries replay feedback through.
+    /// The reputation mechanism feedback is scored by.
     pub fn mechanism<F, M>(mut self, factory: F) -> Self
     where
         F: Fn() -> M + Send + Sync + 'static,
@@ -295,10 +284,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Score by replaying the subject's log on every cache miss even when
-    /// the mechanism offers an incremental fold — the pre-incremental
-    /// behavior, kept selectable for measurement and as the reference
-    /// semantics the fold is tested against.
+    /// Keep each shard's log and score by replaying it even when the
+    /// mechanism offers an incremental fold — the reference semantics the
+    /// fold is tested against.
     pub fn replay_scoring(mut self) -> Self {
         self.incremental = false;
         self
@@ -372,22 +360,12 @@ impl ServiceBuilder {
 
     /// Start the service, surfacing journal open/recovery errors.
     pub fn try_build(self) -> io::Result<ReputationService> {
-        // Probe once whether the mechanism folds; availability is a
-        // property of the mechanism type, not of any one instance.
-        let fold: Option<FoldFactory> =
-            if self.incremental && (self.factory)().accumulator().is_some() {
-                let factory = Arc::clone(&self.factory);
-                Some(Arc::new(move || {
-                    (factory)()
-                        .accumulator()
-                        .expect("accumulator availability must not vary per instance")
-                }))
-            } else {
-                None
-            };
-        let store = Arc::new(ShardedStore::with_fold(self.shards, fold));
+        let store = Arc::new(ShardedStore::new(
+            self.shards,
+            self.factory,
+            self.incremental,
+        ));
         let listings = Arc::new(Listings::default());
-        let mut score_epochs = ScoreEpochs::new();
 
         let mut journal = None;
         if let Some(dir) = self.journal_dir {
@@ -400,10 +378,10 @@ impl ServiceBuilder {
                 let recovered = recover(&dir)?;
                 records_recovered = recovered.records_recovered;
                 floor_lsn = recovered.next_lsn;
-                // Nothing shares the service yet, so the recovered
-                // listing table's category memberships go in as one
-                // prebuilt map instead of one copy-on-write per listing.
-                score_epochs = ScoreEpochs::with_members(
+                // The recovered listing table's category memberships go
+                // in with one swap per shard, not one map copy per
+                // listing.
+                store.list(
                     recovered
                         .listings
                         .iter()
@@ -412,13 +390,11 @@ impl ServiceBuilder {
                 for listing in recovered.listings {
                     listings.publish(listing);
                 }
-                // Re-applying the recovered log restores every
-                // per-subject epoch (an epoch is a count of applied
-                // reports), so the empty score cache can never validate
-                // against a stale epoch. The shard-owning workers fold
-                // it by reference on all cores — restart cost scales
-                // with cores, not history length — and it is dropped
-                // here: the journal stays the only copy.
+                // The shard-owning workers fold the recovered log by
+                // reference on all cores — restart cost scales with
+                // cores, not history length — publishing every score as
+                // they go, and it is dropped here: the journal stays the
+                // only copy.
                 store.insert_batch_parallel(recovered.feedback);
             }
             // A directory that already has writer-group partitions must
@@ -452,7 +428,6 @@ impl ServiceBuilder {
             journal = Some(Arc::new(handle));
         }
 
-        let score_epochs = Arc::new(score_epochs);
         // A journaled pipeline's fan-out must match the log's partition
         // count (which may exceed the requested one when reopening a
         // wider on-disk layout); without a journal the knob alone decides.
@@ -464,7 +439,6 @@ impl ServiceBuilder {
             Arc::clone(&store),
             self.ingest,
             journal.clone(),
-            Some(Arc::clone(&score_epochs)),
             pipeline_groups,
         );
         let compactor = match (&journal, self.checkpoint_every) {
@@ -473,13 +447,10 @@ impl ServiceBuilder {
         };
         Ok(ReputationService {
             store,
-            cache: ScoreCache::new(),
             plans: PlanCache::new(),
             ranks: RankCache::new(),
-            score_epochs,
             listings,
             reputation_weight: self.reputation_weight,
-            factory: self.factory,
             scratch_reuse: AtomicU64::new(0),
             journal,
             _compactor: compactor,
@@ -502,17 +473,15 @@ struct RankScratch {
     warm: bool,
 }
 
-/// Thread-safe reputation registry: sharded store + batched ingestion +
-/// snapshot-swapped score/plan/rank caches + preference-aware top-k.
+/// Thread-safe reputation registry: sharded store with written-through
+/// scores + batched ingestion + snapshot-swapped plan/rank caches +
+/// preference-aware top-k.
 pub struct ReputationService {
     store: Arc<ShardedStore>,
-    cache: ScoreCache,
     plans: PlanCache,
     ranks: RankCache,
-    score_epochs: Arc<ScoreEpochs>,
     listings: Arc<Listings>,
     reputation_weight: f64,
-    factory: MechanismFactory,
     scratch_reuse: AtomicU64,
     journal: Option<Arc<JournalHandle>>,
     // Held only for its Drop. Declared before `ingest`: drop stops the
@@ -568,10 +537,10 @@ impl ReputationService {
 
     fn apply_publish(&self, listing: Listing) -> PublishStatus {
         // Membership first: feedback landing between the two calls bumps
-        // the (possibly brand-new) category counter, which at worst
+        // the (possibly brand-new) category epoch, which at worst
         // invalidates a rank list one query earlier than necessary.
-        self.score_epochs
-            .ensure(listing.service.into(), listing.category);
+        self.store
+            .list([(listing.service.into(), listing.category)]);
         self.listings.publish(listing)
     }
 
@@ -609,7 +578,7 @@ impl ReputationService {
 
     fn apply_deregister(&self, service: ServiceId) -> bool {
         if self.listings.deregister(service) {
-            self.score_epochs.forget(service.into());
+            self.store.unlist(service.into());
             true
         } else {
             false
@@ -793,32 +762,14 @@ impl ReputationService {
         checkpoint_now(handle).map(Some)
     }
 
-    /// The subject's reputation, from cache when the store hasn't moved.
-    ///
-    /// Wait-free when cached: the epoch read and the cache probe are both
-    /// snapshot reads that never block on the ingest writer. A miss reads
-    /// the shard-resident accumulator (O(1) in the subject's history)
-    /// with an incremental mechanism; without one the shard kept the
-    /// log, and the miss replays the subject's part of it through a
-    /// fresh mechanism instance.
+    /// The subject's reputation as the ingest writer last published it
+    /// ([`ShardedStore::score`]): one probe, no lock, no computation,
+    /// whatever the mechanism.
     ///
     /// `None` means no evidence: either nothing was ever reported, or the
     /// mechanism abstains.
     pub fn score(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let epoch = self.store.epoch(subject);
-        if epoch == 0 {
-            return None;
-        }
-        self.cache.get_or_compute(subject, epoch, || {
-            self.store
-                .with_subject_shard(subject, |shard| match shard.store() {
-                    Some(log) => {
-                        let mut mechanism = (self.factory)();
-                        score_from_log(mechanism.as_mut(), log.about(subject), subject)
-                    }
-                    None => shard.resident_estimate(subject).flatten(),
-                })
-        })
+        self.store.score(subject)
     }
 
     /// The `k` best services in `category` under `prefs`.
@@ -860,7 +811,7 @@ impl ReputationService {
         // mid-rebuild the list is stamped older than its content and the
         // bumped counter forces a harmless rebuild — never the reverse
         // (fresh-stamped stale scores served forever).
-        let score_epoch = self.score_epochs.get(category);
+        let score_epoch = self.store.category_epoch(category);
         if let Some(list) = self.ranks.get(category, prefs, listings_epoch, score_epoch) {
             let take = k.min(list.ranked.len());
             out.extend_from_slice(&list.ranked[..take]);
@@ -961,13 +912,11 @@ impl ReputationService {
             listings: self.listings.len(),
             feedback: self.store.len() as u64,
             submitted: self.ingest.submitted(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
             topk_plan_hits: self.plans.hits(),
             topk_plan_misses: self.plans.misses(),
             preranked_hits: self.ranks.hits(),
             preranked_misses: self.ranks.misses(),
-            snapshot_swaps: self.cache.swaps() + self.plans.swaps() + self.ranks.swaps(),
+            snapshot_swaps: self.store.swaps() + self.plans.swaps() + self.ranks.swaps(),
             scratch_reuse: self.scratch_reuse.load(Ordering::Relaxed),
             incremental: self.store.is_incremental(),
             journal: self.journal.as_ref().map(|handle| handle.health()),
@@ -1122,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn score_reflects_flushed_feedback_and_caches() {
+    fn score_reflects_flushed_feedback() {
         let svc = ReputationService::default();
         let subject: SubjectId = ServiceId::new(1).into();
         assert_eq!(svc.score(subject), None);
@@ -1132,15 +1081,12 @@ mod tests {
         svc.flush();
         let first = svc.score(subject).expect("evidence exists");
         assert!(first.value.get() > 0.5, "20 positive reports");
-        let again = svc.score(subject).unwrap();
-        assert_eq!(first, again);
-        let stats = svc.stats();
-        assert!(stats.cache_hits >= 1, "second query must hit: {stats:?}");
-        assert_eq!(stats.feedback, 20);
+        assert_eq!(svc.score(subject), Some(first));
+        assert_eq!(svc.stats().feedback, 20);
     }
 
     #[test]
-    fn new_feedback_invalidates_the_cached_score() {
+    fn new_feedback_moves_the_published_score() {
         let svc = ReputationService::default();
         let subject: SubjectId = ServiceId::new(1).into();
         svc.ingest(feedback(0, 1, 0.95, 0)).unwrap();
@@ -1245,11 +1191,11 @@ mod tests {
         assert_eq!(stats.preranked_misses, 1, "{stats:?}");
     }
 
-    /// `ScoreEpochs::ensure` copies the membership map per first-seen
-    /// listing — right for a publish, quadratic for a recovered table.
-    /// Recovery must install the whole table without a single swap.
+    /// Installing a recovered listing table one listing at a time would
+    /// copy a published map per first-seen listing — quadratic. Recovery
+    /// installs the whole table with at most one swap per shard.
     #[test]
-    fn recovering_a_listing_table_installs_memberships_without_swaps() {
+    fn recovering_a_listing_table_swaps_each_published_map_at_most_once() {
         const LISTINGS: u64 = 20_000;
         let dir = std::env::temp_dir().join(format!(
             "wsrep-serve-service-memberships-{}",
@@ -1265,16 +1211,24 @@ mod tests {
         }
         let svc = ReputationService::builder().recover_from(&dir).build();
         assert_eq!(svc.stats().listings, LISTINGS as usize);
-        assert_eq!(svc.score_epochs.swaps(), 0);
+        // One swap per shard, and one for the 40 categories' epochs.
+        let recovered = svc.store.swaps();
+        assert!(
+            recovered <= svc.store.num_shards() as u64 + 1,
+            "{recovered}"
+        );
         // The memberships are live: feedback about a recovered listing
-        // moves its category's score epoch.
+        // moves its category's score epoch, and swaps nothing.
         svc.ingest(feedback(0, 47, 0.9, 0)).unwrap();
         svc.flush();
-        assert_eq!(svc.score_epochs.get(7), 1);
-        // A publish still pays its per-listing copy: a new category and
-        // a new member, one swap each.
+        assert_eq!(svc.store.category_epoch(7), 1);
+        // Nor does re-publishing an unchanged listing.
+        svc.publish(listing(47, 7, 1.0, 0.5)).unwrap();
+        assert_eq!(svc.store.swaps(), recovered);
+        // A new listing in a new category still pays its copy: one swap
+        // for the category's epoch, one for the member.
         svc.publish(listing(LISTINGS, 40, 1.0, 0.5)).unwrap();
-        assert_eq!(svc.score_epochs.swaps(), 2);
+        assert_eq!(svc.store.swaps(), recovered + 2);
         drop(svc);
         std::fs::remove_dir_all(&dir).unwrap();
     }

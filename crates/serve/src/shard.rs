@@ -1,40 +1,58 @@
-//! The sharded scoring state behind the served registry.
+//! The sharded scoring state behind the served registry, and the one
+//! published estimate per subject that every read is served from.
 //!
 //! Subjects are spread over independently locked shards, keyed by a hash
-//! of the subject, so ingestion and queries touching different subjects
-//! proceed in parallel. Every report about one subject lands in exactly
-//! one shard, which keeps per-subject scoring local: a score never needs
-//! more than one read lock.
+//! of the subject, so ingestion touching different subjects proceeds in
+//! parallel. Every report about one subject lands in exactly one shard,
+//! which keeps per-subject scoring local.
 //!
 //! What a shard keeps of the reports it applied is a property of the
 //! mechanism, fixed when the store is built:
 //!
-//! - **Fold mode** ([`ShardedStore::with_fold`] with a factory): one
-//!   [`SubjectAccumulator`] per subject, folded forward as reports are
-//!   applied. A report is absorbed **by reference and dropped** — the
-//!   shard holds no log, the journal is the only copy of it, and what one
-//!   more report costs in RAM is nothing once its subject is resident. A
-//!   score read is O(1) in the subject's history.
-//! - **Log mode** (no factory: the mechanism has no fold, or the service
-//!   was built with `replay_scoring()`): a plain [`FeedbackStore`], kept
-//!   as replay material for `score_from_log`.
+//! - **Fold mode** (a mechanism that offers
+//!   [`ReputationMechanism::accumulator`]): one [`SubjectAccumulator`] per
+//!   subject, folded forward as reports are applied. A report is absorbed
+//!   **by reference and dropped** — the shard holds no log, the journal is
+//!   the only copy of it, and what one more report costs in RAM is nothing
+//!   once its subject is resident.
+//! - **Log mode** (the mechanism has no fold, or the store was built with
+//!   `fold: false`): a plain [`FeedbackStore`], replayed through
+//!   [`score_from_log`].
 //!
-//! The accessors that hand out the log ([`Shard::store`],
-//! [`ShardedStore::about`]) return `None` in fold mode rather than an
-//! empty log; report counts come from counters in both modes.
+//! The accessor that hands out the log ([`ShardedStore::about`]) returns
+//! `None` in fold mode rather than an empty log; report counts come from
+//! counters in both modes.
 //!
-//! Each shard also tracks a per-subject **epoch** — a counter bumped on
-//! every report about that subject. The score cache stamps entries with
-//! the epoch it computed from; a stale epoch is a cache miss, so readers
-//! can never serve a score that silently ignores applied feedback. Epochs
-//! live *outside* the shard lock, in an [`EpochMap`] of atomic counters
-//! behind a snapshot cell: reading an epoch — the first step of every
-//! `score` — is wait-free and never queues behind the ingest writer.
+//! # The publish protocol
 //!
-//! Epoch bumps happen **after** the report is applied to the shard. A
-//! reader that observes epoch `E` and recomputes therefore sees *at
-//! least* `E` reports — the score it caches at `E` is never staler than
-//! `E`, only possibly fresher, and the next bump invalidates it.
+//! The registry computes a rating once and serves it to everyone who
+//! asks. Beside each shard's lock the store keeps one snapshot-swapped map
+//! of subject → `Published`: the subject's current estimate, held inline
+//! as plain atomics behind a sequence counter, plus the category the
+//! subject is listed in. The writer that applies a group of reports
+//! stores, **before it releases the shard's write lock**, the shard's own
+//! estimate of every distinct subject the group touched, and bumps the
+//! score epoch of each touched subject's category. [`ShardedStore::score`]
+//! is then one pin, one probe and one sequence-checked read: no lock and
+//! no computation in either mode, and never older than the last applied
+//! group.
+//!
+//! **One lock, one rule.** Entries are stored to, and a map is cloned and
+//! swapped (first-seen subjects only: one swap per applied group or
+//! installed listing table, however many it carries), *only under that
+//! shard's write lock* — `Slot::update` is the one place that takes it.
+//! That is what makes inline values in a copy-on-write map sound: no
+//! store can land in a map that a concurrent clone is about to supersede,
+//! a superseded map is never stored to again (its sequence counters stay
+//! even, so a reader pinned to it never retries), and such a reader
+//! linearizes before the swap.
+//!
+//! **Cost model.** A fold-mode publish is an O(1) read of the resident
+//! accumulator per touched subject. A log-mode publish replays the
+//! touched subject's whole log through a fresh mechanism — the replay a
+//! reader's miss used to do, moved to the one thread that knows when it
+//! is needed: a log-mode write is O(subject history) per touched subject
+//! per applied group (ROADMAP item 2 removes log mode).
 
 use crate::fxhash::{self, FxHashMap};
 use crate::snapshot::SnapshotCell;
@@ -45,14 +63,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::SubjectId;
-use wsrep_core::mechanism::SubjectAccumulator;
+use wsrep_core::mechanism::{score_from_log, ReputationMechanism, SubjectAccumulator};
 use wsrep_core::store::FeedbackStore;
-use wsrep_core::trust::TrustEstimate;
+use wsrep_core::trust::{TrustEstimate, TrustValue};
 
-/// Builds one empty per-subject accumulator; shards call it the first
-/// time they see a subject. `None` on the store means the configured
-/// mechanism has no incremental fold and scoring replays the log.
-pub type FoldFactory = Arc<dyn Fn() -> Box<dyn SubjectAccumulator> + Send + Sync>;
+/// Builds a fresh mechanism instance: the recipe for a shard's
+/// per-subject accumulators in fold mode, and for one replay pass in log
+/// mode.
+pub type MechanismFactory = Arc<dyn Fn() -> Box<dyn ReputationMechanism> + Send + Sync>;
 
 /// A report handed to the store: borrowed or owned. Fold mode only ever
 /// looks at it; log mode needs to own it, and clones a borrowed one.
@@ -73,173 +91,247 @@ impl Report for &Feedback {
     }
 }
 
-/// Wait-free subject → epoch counters for one shard.
-///
-/// The map of `Arc<AtomicU64>` counters is published through a
-/// [`SnapshotCell`]; reading an epoch is a pin + probe + atomic load.
-/// Adding *new* subjects copies the map and swaps the snapshot (rare —
-/// once per subject lifetime, and once per applied batch however many
-/// first-seen subjects it carries); bumping an existing subject is a
-/// single `fetch_add` with no snapshot churn.
-#[derive(Debug, Default)]
-pub struct EpochMap {
-    snapshot: SnapshotCell<FxHashMap<SubjectId, Arc<AtomicU64>>>,
-    write: Mutex<()>,
+fn report_subject(report: &impl Report) -> SubjectId {
+    report.borrow().subject
 }
 
-impl EpochMap {
-    /// The subject's epoch (0 = never seen). Wait-free.
-    pub fn get(&self, subject: SubjectId) -> u64 {
-        self.snapshot.read(|map| {
-            map.get(&subject)
-                .map(|counter| counter.load(Ordering::Acquire))
-                .unwrap_or(0)
-        })
+/// The word that encodes `None`, in `Published::confidence` (no estimate:
+/// a NaN payload no arithmetic produces) and in `Published::category`
+/// (not listed: above every `u32`).
+const NONE: u64 = u64::MAX;
+
+/// Reads that found the writer mid-publish spin this many times before
+/// they start yielding the core to it.
+const SPINS_BEFORE_YIELD: u32 = 16;
+
+/// One subject's published state: its estimate behind a sequence counter
+/// and the category it is listed in.
+///
+/// Every access is `SeqCst`, so all of them sit in one total order
+/// consistent with each thread's program order. A publish is `seq` odd,
+/// `value`, `confidence`, `seq` even; a read is `seq`, `value`,
+/// `confidence`, `seq`. A read whose two `seq` loads return the same even
+/// number lies, in that order, after the publish that stored it and before
+/// the next publish's first store — so both words it loaded are that one
+/// publish's.
+#[derive(Debug)]
+struct Published {
+    seq: AtomicU64,
+    value: AtomicU64,
+    confidence: AtomicU64,
+    category: AtomicU64,
+}
+
+impl Published {
+    fn new(estimate: Option<TrustEstimate>, category: Option<u32>) -> Self {
+        let (value, confidence) = Self::words(estimate);
+        Published {
+            seq: AtomicU64::new(0),
+            value: AtomicU64::new(value),
+            confidence: AtomicU64::new(confidence),
+            category: AtomicU64::new(category.map_or(NONE, u64::from)),
+        }
     }
 
-    /// Count one applied report per entry of `subjects`. First-seen
-    /// subjects are published together in one snapshot swap, so applying
-    /// a batch (or a whole recovered log) costs one map copy, not one
-    /// per new subject.
-    fn bump_all(&self, subjects: impl IntoIterator<Item = SubjectId>) {
-        let current = self.snapshot.load();
-        let mut unseen: Vec<SubjectId> = Vec::new();
-        for subject in subjects {
-            match current.get(&subject) {
-                Some(counter) => {
-                    counter.fetch_add(1, Ordering::AcqRel);
-                }
-                None => unseen.push(subject),
+    fn words(estimate: Option<TrustEstimate>) -> (u64, u64) {
+        match estimate {
+            Some(e) => (e.value.get().to_bits(), e.confidence.to_bits()),
+            None => (0, NONE),
+        }
+    }
+
+    /// The current estimate. Retries only while the writer is between the
+    /// two `seq` stores of this subject's publish; a writer descheduled
+    /// there is a real schedule on a small box, so the wait yields.
+    fn estimate(&self) -> Option<TrustEstimate> {
+        let mut attempts = 0u32;
+        loop {
+            let seq = self.seq.load(Ordering::SeqCst);
+            let value = self.value.load(Ordering::SeqCst);
+            let confidence = self.confidence.load(Ordering::SeqCst);
+            if seq & 1 == 0 && self.seq.load(Ordering::SeqCst) == seq {
+                return (confidence != NONE).then(|| TrustEstimate {
+                    value: TrustValue::new(f64::from_bits(value)),
+                    confidence: f64::from_bits(confidence),
+                });
+            }
+            attempts += 1;
+            if attempts < SPINS_BEFORE_YIELD {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
             }
         }
-        if unseen.is_empty() {
-            return;
-        }
-        let _writer = self.write.lock();
-        // Re-read under the writer mutex: a racing bump may have
-        // published some of these counters while we waited.
-        let mut next = (*self.snapshot.load()).clone();
-        for subject in unseen {
-            next.entry(subject)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .fetch_add(1, Ordering::AcqRel);
-        }
-        self.snapshot.store(Arc::new(next));
+    }
+
+    /// Publish `estimate`. Only inside [`Slot::update`].
+    fn set_estimate(&self, estimate: Option<TrustEstimate>) {
+        let (value, confidence) = Self::words(estimate);
+        let seq = self.seq.load(Ordering::SeqCst);
+        self.seq.store(seq + 1, Ordering::SeqCst);
+        self.value.store(value, Ordering::SeqCst);
+        self.confidence.store(confidence, Ordering::SeqCst);
+        self.seq.store(seq + 2, Ordering::SeqCst);
+    }
+
+    fn category(&self) -> Option<u32> {
+        u32::try_from(self.category.load(Ordering::SeqCst)).ok()
+    }
+
+    /// Only inside [`Slot::update`].
+    fn set_category(&self, category: Option<u32>) {
+        self.category
+            .store(category.map_or(NONE, u64::from), Ordering::SeqCst);
     }
 }
+
+impl Clone for Published {
+    /// Copies the words into fresh atomics. Maps are cloned only inside
+    /// [`Slot::update`], where no publish can be in flight.
+    fn clone(&self) -> Self {
+        Published::new(self.estimate(), self.category())
+    }
+}
+
+type PublishedMap = FxHashMap<SubjectId, Published>;
 
 /// What a shard keeps of the reports it applied.
 enum ShardState {
     /// The mechanism folds: a report is absorbed into its subject's
     /// accumulator and dropped.
-    Folded {
-        fold: FoldFactory,
-        accumulators: BTreeMap<SubjectId, Box<dyn SubjectAccumulator>>,
-    },
-    /// No fold: the log itself, replayed on every score miss.
+    Folded(BTreeMap<SubjectId, Box<dyn SubjectAccumulator>>),
+    /// No fold: the log itself, replayed once per touched subject per
+    /// applied group.
     Logged(FeedbackStore),
 }
 
 /// One shard: the resident accumulators of the subjects it owns, or —
 /// for a mechanism without a fold — their feedback log.
-pub struct Shard {
+struct Shard {
     state: ShardState,
     /// Reports applied to this shard, whether or not they are held.
     applied: usize,
 }
 
 impl Shard {
-    fn new(fold: Option<FoldFactory>) -> Shard {
-        Shard {
-            state: match fold {
-                Some(fold) => ShardState::Folded {
-                    fold,
-                    accumulators: BTreeMap::new(),
-                },
-                None => ShardState::Logged(FeedbackStore::new()),
-            },
-            applied: 0,
-        }
-    }
-
-    /// The shard's feedback log — `None` in fold mode, where no log is
-    /// held (the journal owns it).
-    pub fn store(&self) -> Option<&FeedbackStore> {
+    fn log(&self) -> Option<&FeedbackStore> {
         match &self.state {
-            ShardState::Folded { .. } => None,
+            ShardState::Folded(_) => None,
             ShardState::Logged(store) => Some(store),
         }
     }
 
-    /// The resident estimate for `subject`: `Some(estimate)` when an
-    /// accumulator is folding this subject, `None` when scoring must
-    /// replay the log (log mode, or no report applied yet).
-    pub fn resident_estimate(&self, subject: SubjectId) -> Option<Option<TrustEstimate>> {
-        match &self.state {
-            ShardState::Folded { accumulators, .. } => {
-                accumulators.get(&subject).map(|acc| acc.estimate())
-            }
-            ShardState::Logged(_) => None,
-        }
-    }
-
-    fn push(&mut self, report: impl Report) {
+    fn push(&mut self, report: impl Report, mechanism: &MechanismFactory) {
         match &mut self.state {
-            ShardState::Folded { fold, accumulators } => {
+            ShardState::Folded(accumulators) => {
                 let feedback = report.borrow();
                 accumulators
                     .entry(feedback.subject)
-                    .or_insert_with(|| fold())
+                    .or_insert_with(|| {
+                        mechanism()
+                            .accumulator()
+                            .expect("accumulator availability must not vary per instance")
+                    })
                     .absorb(feedback);
             }
             ShardState::Logged(store) => store.push(report.into_feedback()),
         }
         self.applied += 1;
     }
+
+    /// The shard's own estimate of `subject` from everything applied so
+    /// far: the value the writer publishes.
+    fn estimate(&self, subject: SubjectId, mechanism: &MechanismFactory) -> Option<TrustEstimate> {
+        match &self.state {
+            ShardState::Folded(accumulators) => accumulators.get(&subject)?.estimate(),
+            ShardState::Logged(store) => {
+                score_from_log(mechanism().as_mut(), store.about(subject), subject)
+            }
+        }
+    }
 }
 
-/// A fixed set of independently locked shards.
+/// A shard behind its lock, and beside it the map its writers publish to.
+struct Slot {
+    shard: RwLock<Shard>,
+    published: SnapshotCell<PublishedMap>,
+}
+
+impl Slot {
+    /// Run `f` with the shard write-locked and the current published map
+    /// in hand. `f` stores to the entries it finds; the entries it returns
+    /// are first-seen subjects, installed with one copy-on-write swap
+    /// before the lock is released. The only place this lock is taken for
+    /// writing, hence the only place entries or maps change.
+    fn update(&self, f: impl FnOnce(&mut Shard, &PublishedMap) -> Vec<(SubjectId, Published)>) {
+        let mut shard = self.shard.write();
+        let current = self.published.load();
+        let fresh = f(&mut shard, &current);
+        if !fresh.is_empty() {
+            let mut next = (*current).clone();
+            next.extend(fresh);
+            self.published.store(Arc::new(next));
+        }
+    }
+}
+
+/// A fixed set of independently locked shards and their published maps.
 ///
 /// All methods take `&self`; interior mutability lives in the per-shard
 /// `RwLock`s, so the store can sit behind an `Arc` and be hit from any
-/// number of ingest and query threads at once. Epoch reads and the total
-/// report count bypass the locks entirely.
+/// number of ingest and query threads at once. Score reads, category
+/// epochs and the total report count bypass the locks entirely.
 pub struct ShardedStore {
-    shards: Vec<RwLock<Shard>>,
-    epochs: Vec<EpochMap>,
+    slots: Vec<Slot>,
+    /// category → its score epoch: bumped once per touched listed subject
+    /// per applied group, after that subject's estimate is published.
+    category_epochs: SnapshotCell<FxHashMap<u32, Arc<AtomicU64>>>,
+    /// Serializes first-seen categories, which arrive under any shard.
+    category_write: Mutex<()>,
     /// Reports applied across all shards; relaxed, bumped per batch.
     total: AtomicU64,
+    mechanism: MechanismFactory,
     incremental: bool,
 }
 
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.slots.len())
             .field("incremental", &self.incremental)
             .finish()
     }
 }
 
 impl ShardedStore {
-    /// A store with `shards` independent locks (at least one), keeping
-    /// each shard's log and scoring by replay.
-    pub fn new(shards: usize) -> Self {
-        Self::with_fold(shards, None)
-    }
-
-    /// With a factory, a store whose shards keep resident per-subject
-    /// accumulators built by `fold`, folded forward on every applied
-    /// report, and no log; with `None`, one whose shards keep the log.
-    pub fn with_fold(shards: usize, fold: Option<FoldFactory>) -> Self {
-        let count = shards.max(1);
+    /// A store with `shards` independent locks (at least one) scoring
+    /// through `mechanism`. With `fold`, and a mechanism that offers one,
+    /// shards fold into resident per-subject accumulators and hold no
+    /// log; otherwise they keep the log and score by replay — which
+    /// `fold: false` forces even on a folding mechanism, as the reference
+    /// the fold is tested against.
+    pub fn new(shards: usize, mechanism: MechanismFactory, fold: bool) -> Self {
+        // Availability is a property of the mechanism type, not of any
+        // one instance: probe once.
+        let incremental = fold && mechanism().accumulator().is_some();
+        let slot = || Slot {
+            shard: RwLock::new(Shard {
+                state: if incremental {
+                    ShardState::Folded(BTreeMap::new())
+                } else {
+                    ShardState::Logged(FeedbackStore::new())
+                },
+                applied: 0,
+            }),
+            published: SnapshotCell::default(),
+        };
         ShardedStore {
-            shards: (0..count)
-                .map(|_| RwLock::new(Shard::new(fold.clone())))
-                .collect(),
-            epochs: (0..count).map(|_| EpochMap::default()).collect(),
+            slots: (0..shards.max(1)).map(|_| slot()).collect(),
+            category_epochs: SnapshotCell::default(),
+            category_write: Mutex::new(()),
             total: AtomicU64::new(0),
-            incremental: fold.is_some(),
+            mechanism,
+            incremental,
         }
     }
 
@@ -251,22 +343,18 @@ impl ShardedStore {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.slots.len()
     }
 
     /// The shard index owning `subject`.
     pub fn shard_of(&self, subject: SubjectId) -> usize {
-        (fxhash::hash_one(&subject) % self.shards.len() as u64) as usize
+        (fxhash::hash_one(&subject) % self.slots.len() as u64) as usize
     }
 
     /// Apply one report.
     pub fn insert(&self, report: impl Report) {
-        let subject = report.borrow().subject;
-        let idx = self.shard_of(subject);
-        self.shards[idx].write().push(report);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        // Bump after the report is applied (never-stale rule).
-        self.epochs[idx].bump_all([subject]);
+        let idx = self.shard_of(report_subject(&report));
+        self.apply_group(idx, vec![report]);
     }
 
     /// Apply a batch — owned reports or references — taking each shard's
@@ -274,30 +362,54 @@ impl ShardedStore {
     ///
     /// This is what makes batched ingestion pay: a batch of B reports
     /// spread over S shards costs at most `min(B, S)` lock acquisitions
-    /// instead of B. In fold mode a borrowed batch is never copied.
+    /// instead of B. In fold mode a borrowed batch is never copied. When
+    /// it returns, [`ShardedStore::score`] reflects every report in it.
     pub fn insert_batch<R: Report>(&self, batch: impl IntoIterator<Item = R>) {
-        for (idx, group) in self.partition(batch).into_iter().enumerate() {
+        for (idx, group) in self
+            .partition(batch, report_subject)
+            .into_iter()
+            .enumerate()
+        {
             if !group.is_empty() {
                 self.apply_group(idx, group);
             }
         }
     }
 
-    /// Apply one shard's pre-partitioned group: push everything under one
-    /// write-lock acquisition, then bump epochs (after-apply, so epoch
-    /// observers can never get ahead of the applied state — the
-    /// never-stale rule; see module docs).
+    /// Apply one shard's pre-partitioned group under one write-lock
+    /// acquisition: push every report, then publish the shard's estimate
+    /// of each distinct touched subject and bump its category's epoch —
+    /// after the apply and before the lock is released, so neither a
+    /// score nor an epoch a reader observes can be ahead of, or (once
+    /// this returns) behind, the applied state.
     fn apply_group<R: Report>(&self, idx: usize, group: Vec<R>) {
-        let subjects: Vec<SubjectId> = group.iter().map(|r| r.borrow().subject).collect();
-        {
-            let mut shard = self.shards[idx].write();
+        let applied = group.len() as u64;
+        let mut touched: Vec<SubjectId> = group.iter().map(report_subject).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        self.slots[idx].update(|shard, published| {
             for report in group {
-                shard.push(report);
+                shard.push(report, &self.mechanism);
             }
-        }
-        self.total
-            .fetch_add(subjects.len() as u64, Ordering::Relaxed);
-        self.epochs[idx].bump_all(subjects);
+            let mut fresh = Vec::new();
+            self.category_epochs.read(|epochs| {
+                for subject in touched {
+                    let estimate = shard.estimate(subject, &self.mechanism);
+                    match published.get(&subject) {
+                        Some(entry) => {
+                            entry.set_estimate(estimate);
+                            if let Some(epoch) = entry.category().and_then(|c| epochs.get(&c)) {
+                                epoch.fetch_add(1, Ordering::AcqRel);
+                            }
+                        }
+                        // First seen, so never listed: nothing to bump.
+                        None => fresh.push((subject, Published::new(estimate, None))),
+                    }
+                }
+            });
+            fresh
+        });
+        self.total.fetch_add(applied, Ordering::Relaxed);
     }
 
     /// Apply a batch with one worker thread per core, each owning a
@@ -309,12 +421,12 @@ impl ShardedStore {
     /// Equivalent to [`ShardedStore::insert_batch`]: partitioning keeps
     /// per-subject order (a subject lives in exactly one shard group),
     /// and cross-shard apply order never mattered — shards share no
-    /// state. Epochs and resident state come out identical.
+    /// state. Published and resident state come out identical.
     pub fn insert_batch_parallel(&self, batch: Vec<Feedback>) {
         if self.incremental {
-            self.apply_parallel(self.partition(&batch));
+            self.apply_parallel(self.partition(&batch, report_subject));
         } else {
-            self.apply_parallel(self.partition(batch));
+            self.apply_parallel(self.partition(batch, report_subject));
         }
     }
 
@@ -322,7 +434,7 @@ impl ShardedStore {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(self.shards.len());
+            .min(self.slots.len());
         // Round-robin shard ownership: worker w applies shard groups
         // w, w + workers, w + 2·workers, … No two workers touch the
         // same shard, so there is no lock contention to speak of.
@@ -346,48 +458,119 @@ impl ShardedStore {
         });
     }
 
-    fn partition<R: Report>(&self, batch: impl IntoIterator<Item = R>) -> Vec<Vec<R>> {
-        let mut per_shard: Vec<Vec<R>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for report in batch {
-            per_shard[self.shard_of(report.borrow().subject)].push(report);
+    fn partition<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        subject: impl Fn(&T) -> SubjectId,
+    ) -> Vec<Vec<T>> {
+        let mut per_shard: Vec<Vec<T>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
+        for item in items {
+            per_shard[self.shard_of(subject(&item))].push(item);
         }
         per_shard
     }
 
-    /// The subject's current epoch (0 = no evidence yet). Wait-free:
-    /// one snapshot pin, one probe, one atomic load — never queues
-    /// behind the ingest writer.
-    pub fn epoch(&self, subject: SubjectId) -> u64 {
-        self.epochs[self.shard_of(subject)].get(subject)
+    /// The subject's published estimate: `None` when nothing was ever
+    /// reported about it or the mechanism abstains. One snapshot pin, one
+    /// probe, one sequence-checked read — no lock, and never older than
+    /// the last group [`ShardedStore::insert_batch`] returned from.
+    pub fn score(&self, subject: SubjectId) -> Option<TrustEstimate> {
+        self.slots[self.shard_of(subject)]
+            .published
+            .read(|map| map.get(&subject)?.estimate())
+    }
+
+    /// The category's score epoch (0 = no member feedback yet): moves
+    /// whenever a group that touched a subject listed in it is applied,
+    /// after that subject's estimate is published. A rank rebuild reads it
+    /// **before** it reads scores. Wait-free.
+    pub fn category_epoch(&self, category: u32) -> u64 {
+        self.category_epochs.read(|epochs| {
+            epochs
+                .get(&category)
+                .map_or(0, |epoch| epoch.load(Ordering::Acquire))
+        })
+    }
+
+    /// Record that each `subject` is listed in `category` — one listing
+    /// on the publish path, a whole table on recovery. Listing a subject
+    /// elsewhere repoints it; an entry created here, before any feedback,
+    /// reads as no estimate; first-seen subjects share one swap per shard,
+    /// and an unchanged membership costs none.
+    pub fn list(&self, memberships: impl IntoIterator<Item = (SubjectId, u32)>) {
+        let per_shard = self.partition(memberships, |&(subject, _)| subject);
+        self.ensure_categories(per_shard.iter().flatten().map(|&(_, category)| category));
+        let touched = self.slots.iter().zip(per_shard);
+        for (slot, group) in touched.filter(|(_, group)| !group.is_empty()) {
+            slot.update(|_, published| {
+                let mut fresh = Vec::new();
+                for (subject, category) in group {
+                    match published.get(&subject) {
+                        Some(entry) => entry.set_category(Some(category)),
+                        None => fresh.push((subject, Published::new(None, Some(category)))),
+                    }
+                }
+                fresh
+            });
+        }
+    }
+
+    /// Give every first-seen category its epoch counter — before any
+    /// entry names the category, so a writer that reads a category word
+    /// always finds its counter.
+    fn ensure_categories(&self, categories: impl IntoIterator<Item = u32>) {
+        let missing: Vec<u32> = self.category_epochs.read(|epochs| {
+            categories
+                .into_iter()
+                .filter(|category| !epochs.contains_key(category))
+                .collect()
+        });
+        if missing.is_empty() {
+            return;
+        }
+        let _writer = self.category_write.lock();
+        let mut next = (*self.category_epochs.load()).clone();
+        for category in missing {
+            next.entry(category).or_default();
+        }
+        self.category_epochs.store(Arc::new(next));
+    }
+
+    /// Drop `subject`'s membership (deregister path); its estimate stays.
+    pub fn unlist(&self, subject: SubjectId) {
+        self.slots[self.shard_of(subject)].update(|_, published| {
+            if let Some(entry) = published.get(&subject) {
+                entry.set_category(None);
+            }
+            Vec::new()
+        });
+    }
+
+    /// Snapshots of the published maps and the category-epoch map swapped
+    /// in so far: first-seen subjects and categories only, never a score.
+    pub fn swaps(&self) -> u64 {
+        let published: u64 = self.slots.iter().map(|slot| slot.published.swaps()).sum();
+        published + self.category_epochs.swaps()
     }
 
     /// Every report about `subject`, oldest first — `None` in fold mode,
     /// where the store holds no log to copy from.
     pub fn about(&self, subject: SubjectId) -> Option<Vec<Feedback>> {
-        self.with_subject_shard(subject, |shard| {
-            shard
-                .store()
-                .map(|store| store.about(subject).cloned().collect())
-        })
-    }
-
-    /// Run `f` against the shard owning `subject` under its read lock —
-    /// scoring without copying anything out.
-    pub fn with_subject_shard<R>(&self, subject: SubjectId, f: impl FnOnce(&Shard) -> R) -> R {
-        f(&self.shards[self.shard_of(subject)].read())
+        let shard = self.slots[self.shard_of(subject)].shard.read();
+        shard.log().map(|log| log.about(subject).cloned().collect())
     }
 
     /// Reports applied to shard `idx` (a counter: fold mode holds none).
     pub fn shard_len(&self, idx: usize) -> usize {
-        self.shards[idx].read().applied
+        self.slots[idx].shard.read().applied
     }
 
     /// Reports held in RAM across all shards: every applied report in
     /// log mode, zero in fold mode.
     pub fn resident_reports(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
-            .map(|shard| shard.read().store().map_or(0, FeedbackStore::len))
+            .map(|slot| slot.shard.read().log().map_or(0, FeedbackStore::len))
             .sum()
     }
 
@@ -407,8 +590,11 @@ impl ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
     use wsrep_core::id::{AgentId, ServiceId};
-    use wsrep_core::mechanism::ReputationMechanism;
+    use wsrep_core::mechanisms::all_figure4_mechanisms;
     use wsrep_core::mechanisms::beta::BetaMechanism;
     use wsrep_core::time::Time;
 
@@ -421,94 +607,89 @@ mod tests {
         )
     }
 
-    fn beta_fold() -> Option<FoldFactory> {
-        Some(Arc::new(|| {
-            BetaMechanism::new()
-                .accumulator()
-                .expect("beta has an incremental fold")
-        }))
+    fn subject(service: u64) -> SubjectId {
+        ServiceId::new(service).into()
+    }
+
+    fn beta() -> MechanismFactory {
+        Arc::new(|| Box::new(BetaMechanism::new()))
+    }
+
+    /// What a fresh `mechanism` makes of `twin`'s log of `subject`: the
+    /// reference every published score is held to.
+    fn replayed(
+        mechanism: &MechanismFactory,
+        twin: &ShardedStore,
+        subject: SubjectId,
+    ) -> Option<TrustEstimate> {
+        let log = twin.about(subject).expect("log mode keeps the log");
+        score_from_log(mechanism().as_mut(), &log, subject)
     }
 
     #[test]
     fn subject_always_maps_to_the_same_shard() {
-        let store = ShardedStore::new(8);
-        let s: SubjectId = ServiceId::new(42).into();
-        let first = store.shard_of(s);
+        let store = ShardedStore::new(8, beta(), true);
+        let first = store.shard_of(subject(42));
         for _ in 0..10 {
-            assert_eq!(store.shard_of(s), first);
+            assert_eq!(store.shard_of(subject(42)), first);
         }
-    }
-
-    #[test]
-    fn epochs_count_reports_per_subject() {
-        let store = ShardedStore::new(4);
-        let s: SubjectId = ServiceId::new(1).into();
-        assert_eq!(store.epoch(s), 0);
-        store.insert(fb(0, 1, 0.9));
-        store.insert(fb(1, 1, 0.4));
-        store.insert(fb(0, 2, 0.7));
-        assert_eq!(store.epoch(s), 2);
-        assert_eq!(store.epoch(ServiceId::new(2).into()), 1);
-        assert_eq!(store.len(), 3);
     }
 
     #[test]
     fn batch_equals_sequential_inserts() {
         let batch: Vec<Feedback> = (0..40).map(|i| fb(i, i % 7, 0.5)).collect();
-        let batched = ShardedStore::new(4);
+        let batched = ShardedStore::new(4, beta(), false);
         batched.insert_batch(batch.clone());
-        let sequential = ShardedStore::new(4);
+        let sequential = ShardedStore::new(4, beta(), false);
         for f in batch {
             sequential.insert(f);
         }
         assert_eq!(batched.len(), sequential.len());
-        for service in 0..7u64 {
-            let s: SubjectId = ServiceId::new(service).into();
-            assert_eq!(batched.epoch(s), sequential.epoch(s));
+        for service in 0..7 {
+            let s = subject(service);
+            assert_eq!(batched.score(s), sequential.score(s));
             assert_eq!(batched.about(s), sequential.about(s));
         }
     }
 
+    /// Store-level never-stale, both modes, every Figure-4 mechanism:
+    /// the moment `insert_batch` returns, every published score equals a
+    /// replay of the log so far — `None` included, for a mechanism that
+    /// abstains on evidence it has.
     #[test]
-    fn resident_estimates_track_applied_feedback() {
-        let store = ShardedStore::with_fold(4, beta_fold());
-        assert!(store.is_incremental());
-        let s: SubjectId = ServiceId::new(1).into();
-        assert_eq!(
-            store.with_subject_shard(s, |sh| sh.resident_estimate(s)),
-            None
-        );
-        store.insert(fb(0, 1, 1.0));
-        store.insert(fb(1, 1, 1.0));
-        let resident = store
-            .with_subject_shard(s, |sh| sh.resident_estimate(s))
-            .expect("accumulator exists")
-            .expect("evidence exists");
-        // Fold mode holds no log; a log-mode twin fed the same reports
-        // is the replay reference.
-        assert_eq!(store.about(s), None);
-        assert_eq!(store.resident_reports(), 0);
-        let twin = ShardedStore::new(4);
-        twin.insert(fb(0, 1, 1.0));
-        twin.insert(fb(1, 1, 1.0));
-        assert_eq!(twin.resident_reports(), 2);
-        let log = twin.about(s).expect("log mode keeps the log");
-        let mut replay = BetaMechanism::new();
-        let replayed = wsrep_core::mechanism::score_from_log(&mut replay, &log, s).unwrap();
-        assert_eq!(resident, replayed);
-    }
-
-    #[test]
-    fn replay_mode_has_no_resident_state() {
-        let store = ShardedStore::new(4);
-        assert!(!store.is_incremental());
-        let s: SubjectId = ServiceId::new(1).into();
-        store.insert(fb(0, 1, 0.9));
-        assert_eq!(
-            store.with_subject_shard(s, |sh| sh.resident_estimate(s)),
-            None
-        );
-        assert_eq!(store.epoch(s), 1);
+    fn published_scores_equal_a_replay_when_insert_batch_returns() {
+        let reports: Vec<Feedback> = (0..120)
+            .map(|i| {
+                let mut report = fb(i % 11, i % 5, (i % 10) as f64 / 10.0);
+                report.at = Time::new(i / 3);
+                report
+            })
+            .collect();
+        let mut abstained = 0;
+        for prototype in all_figure4_mechanisms() {
+            let key = prototype.info().key;
+            let mechanism: MechanismFactory = Arc::new(move || {
+                all_figure4_mechanisms()
+                    .into_iter()
+                    .find(|m| m.info().key == key)
+                    .expect("mechanism key is stable")
+            });
+            let folding = ShardedStore::new(3, Arc::clone(&mechanism), true);
+            assert_eq!(folding.is_incremental(), prototype.accumulator().is_some());
+            let twin = ShardedStore::new(3, Arc::clone(&mechanism), false);
+            for chunk in reports.chunks(17) {
+                folding.insert_batch(chunk);
+                twin.insert_batch(chunk);
+                for service in 0..5 {
+                    let s = subject(service);
+                    let expected = replayed(&mechanism, &twin, s);
+                    assert_eq!(folding.score(s), expected, "{key}, service {service}");
+                    assert_eq!(twin.score(s), expected, "{key}, service {service}");
+                    abstained += usize::from(expected.is_none());
+                }
+            }
+        }
+        assert!(abstained > 0, "some Figure-4 mechanism abstains");
     }
 
     #[test]
@@ -518,72 +699,149 @@ mod tests {
             .collect();
         // Both modes: fold mode absorbs the batch by reference, log mode
         // moves it into the shard logs.
-        for fold in [beta_fold(), None] {
-            let parallel = ShardedStore::with_fold(8, fold.clone());
+        for fold in [true, false] {
+            let parallel = ShardedStore::new(8, beta(), fold);
             parallel.insert_batch_parallel(batch.clone());
-            let sequential = ShardedStore::with_fold(8, fold);
+            let sequential = ShardedStore::new(8, beta(), fold);
             sequential.insert_batch(&batch);
             assert_eq!(parallel.len(), sequential.len());
             for idx in 0..8 {
                 assert_eq!(parallel.shard_len(idx), sequential.shard_len(idx));
             }
-            for service in 0..13u64 {
-                let s: SubjectId = ServiceId::new(service).into();
-                assert_eq!(parallel.epoch(s), sequential.epoch(s));
+            for service in 0..13 {
+                let s = subject(service);
+                assert!(parallel.score(s).is_some());
+                assert_eq!(parallel.score(s), sequential.score(s));
                 assert_eq!(parallel.about(s), sequential.about(s));
-                assert_eq!(
-                    parallel.with_subject_shard(s, |sh| sh.resident_estimate(s)),
-                    sequential.with_subject_shard(s, |sh| sh.resident_estimate(s)),
-                );
             }
         }
     }
 
-    /// A batch full of first-seen subjects publishes their epoch
-    /// counters in one snapshot swap per shard, not one per subject.
+    /// A batch full of first-seen subjects installs their entries with
+    /// one snapshot swap per shard, not one per subject.
     #[test]
-    fn first_seen_subjects_of_a_batch_share_one_epoch_swap() {
-        let store = ShardedStore::with_fold(2, beta_fold());
+    fn first_seen_subjects_of_a_batch_share_one_published_swap() {
+        let store = ShardedStore::new(2, beta(), true);
         let batch: Vec<Feedback> = (0..600).map(|i| fb(i, i % 300, 0.5)).collect();
         store.insert_batch(&batch);
-        let swaps: u64 = store.epochs.iter().map(|e| e.snapshot.swaps()).sum();
-        assert_eq!(swaps, 2, "one swap per touched shard");
-        for service in 0..300u64 {
-            assert_eq!(store.epoch(ServiceId::new(service).into()), 2);
+        assert_eq!(store.swaps(), 2, "one swap per touched shard");
+        let twin = ShardedStore::new(2, beta(), false);
+        twin.insert_batch(&batch);
+        for service in 0..300 {
+            let s = subject(service);
+            assert_eq!(store.score(s), replayed(&beta(), &twin, s));
         }
+    }
+
+    /// The scaling property of writing through: once a subject has its
+    /// entry, neither feedback about it, nor reading it, nor re-listing
+    /// it where it already is copies a map.
+    #[test]
+    fn known_subjects_never_swap_a_published_map() {
+        const SUBJECTS: u64 = 400;
+        let store = ShardedStore::new(8, beta(), true);
+        store.list((0..SUBJECTS).map(|s| (subject(s), (s % 5) as u32)));
+        store.insert_batch((0..SUBJECTS).map(|s| fb(0, s, 0.5)));
+        let warm = store.swaps();
+        for round in 0..25 {
+            store.insert_batch((0..SUBJECTS).map(|s| fb(round, s, 0.9)));
+        }
+        assert_eq!(store.len() as u64, SUBJECTS + 10_000);
+        for s in 0..SUBJECTS {
+            assert!(store.score(subject(s)).is_some());
+            store.list([(subject(s), (s % 5) as u32)]);
+        }
+        assert_eq!(store.swaps(), warm);
     }
 
     #[test]
     fn zero_shards_is_clamped_to_one() {
-        let store = ShardedStore::new(0);
+        let store = ShardedStore::new(0, beta(), true);
         assert_eq!(store.num_shards(), 1);
+        assert_eq!(store.score(subject(1)), None);
         store.insert(fb(0, 1, 0.5));
         assert_eq!(store.len(), 1);
+        assert!(store.score(subject(1)).is_some());
     }
 
-    /// Epoch readers racing the writer observe a monotone counter that
-    /// never gets ahead of the applied log.
     #[test]
-    fn epoch_reads_race_inserts_without_blocking() {
-        let store = Arc::new(ShardedStore::new(2));
-        let s: SubjectId = ServiceId::new(5).into();
+    fn category_epochs_follow_memberships() {
+        let store = ShardedStore::new(4, beta(), true);
+        assert_eq!(store.category_epoch(7), 0);
+        // Feedback about a never-listed subject counts against nothing.
+        store.insert(fb(0, 1, 0.5));
+        assert_eq!(store.category_epoch(7), 0);
+        // Listed: one bump per applied group that touched it, however
+        // many reports the group carried.
+        store.list([(subject(1), 7)]);
+        store.insert(fb(1, 1, 0.5));
+        store.insert_batch([fb(2, 1, 0.5), fb(3, 1, 0.5), fb(4, 1, 0.5)]);
+        assert_eq!(store.category_epoch(7), 2);
+        // Listed elsewhere: the membership is repointed.
+        store.list([(subject(1), 9)]);
+        store.insert(fb(5, 1, 0.5));
+        assert_eq!(store.category_epoch(7), 2);
+        assert_eq!(store.category_epoch(9), 1);
+        // Unlisted: silent again, and the score keeps moving.
+        store.unlist(subject(1));
+        let before = store.score(subject(1));
+        store.insert(fb(6, 1, 1.0));
+        assert_eq!(store.category_epoch(9), 1);
+        assert_ne!(store.score(subject(1)), before);
+        // An entry a listing creates before any feedback reads as `None`.
+        store.list([(subject(2), 7)]);
+        assert_eq!(store.score(subject(2)), None);
+        store.insert(fb(0, 2, 0.5));
+        assert!(store.score(subject(2)).is_some());
+        assert_eq!(store.category_epoch(7), 3);
+    }
+
+    /// Torn-read stress: one writer folds a stream whose successive
+    /// estimates are all distinct in both words; every `score()` a
+    /// reader sees must be one of the published pairs, and never an
+    /// older one than it saw before. First-seen neighbours keep swapping
+    /// the map under the readers meanwhile.
+    #[test]
+    fn racing_reads_see_whole_estimates_that_never_go_back() {
+        const REPORTS: u64 = 20_000;
+        const READERS: usize = 3;
+        let mut twin = BetaMechanism::new().accumulator().expect("beta folds");
+        let mut nth: HashMap<(u64, u64), u64> = HashMap::new();
+        for n in 1..=REPORTS {
+            twin.absorb(&fb(n, 5, 1.0));
+            let e = twin.estimate().expect("evidence exists");
+            let pair = (e.value.get().to_bits(), e.confidence.to_bits());
+            assert_eq!(nth.insert(pair, n), None, "estimates must be distinct");
+        }
+        let store = ShardedStore::new(1, beta(), true);
+        let start = Barrier::new(READERS + 1);
+        let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let reader_store = Arc::clone(&store);
-            scope.spawn(move || {
-                let mut last = 0;
-                for _ in 0..50_000 {
-                    let e = reader_store.epoch(s);
-                    assert!(e >= last, "epoch went backwards: {e} < {last}");
-                    last = e;
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    let mut last = 0;
+                    start.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        let Some(e) = store.score(subject(5)) else {
+                            assert_eq!(last, 0, "a published score vanished");
+                            continue;
+                        };
+                        let pair = (e.value.get().to_bits(), e.confidence.to_bits());
+                        let n = *nth.get(&pair).expect("a torn or unpublished estimate");
+                        assert!(n >= last, "score went back: report {n} after {last}");
+                        last = n;
+                    }
+                });
+            }
+            start.wait();
+            for n in 1..=REPORTS {
+                store.insert(fb(n, 5, 1.0));
+                if n % 100 == 0 {
+                    store.insert(fb(0, 1_000 + n, 0.5));
                 }
-            });
-            let writer_store = Arc::clone(&store);
-            scope.spawn(move || {
-                for i in 0..2_000 {
-                    writer_store.insert(fb(i, 5, 0.5));
-                }
-            });
+            }
+            done.store(true, Ordering::SeqCst);
         });
-        assert_eq!(store.epoch(s), 2_000);
+        assert_eq!(store.score(subject(5)), twin.estimate());
     }
 }

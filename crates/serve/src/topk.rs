@@ -1,8 +1,9 @@
-//! Pre-ranked, epoch-validated `top_k` state: category plans, rank
-//! lists, and the per-category score epochs that invalidate them.
+//! Pre-ranked `top_k` state: category plans and rank lists.
 //!
-//! Ranking a category has three cost tiers, and this module caches the
-//! top two:
+//! These two caches hold ranking work derived from the *listing table*,
+//! which no ingest writer holds — unlike a score, which the writer that
+//! folds a report publishes itself (see [`crate::shard`]). Ranking a
+//! category has three cost tiers, and this module caches the top two:
 //!
 //! 1. **Plan** ([`CategoryPlan`], cached in [`PlanCache`]): the
 //!    listings-derived part — candidate set and normalized advertised-QoS
@@ -12,24 +13,26 @@
 //!    scored, fully sorted answer for one `(category, preferences)` pair.
 //!    Depends on the plan *and* on every member's reputation, so it is
 //!    stamped with both the listings epoch and the category's **score
-//!    epoch** — a counter ([`ScoreEpochs`]) the ingest writer bumps when
-//!    feedback lands on a category member. A hit serves `top_k` with one
-//!    snapshot probe and a `k`-element copy: no scoring, no sort, no
-//!    allocation.
-//! 3. The miss path recomputes scores over the plan matrix and re-sorts —
-//!    the pre-PR-5 behavior, now paid only when listings or member
-//!    feedback actually moved.
+//!    epoch** ([`ShardedStore::category_epoch`]), which the ingest writer
+//!    bumps when it publishes a category member's new score. A hit serves
+//!    `top_k` with one snapshot probe and a `k`-element copy: no scoring,
+//!    no sort, no allocation.
+//! 3. The miss path reads every candidate's published score over the plan
+//!    matrix and re-sorts — paid only when listings or member feedback
+//!    actually moved.
 //!
 //! Both caches publish immutable snapshots through [`SnapshotCell`], so
 //! the validating reads above are wait-free; writers copy-on-write behind
 //! a small mutex.
 //!
-//! **Never-stale rule.** A rank list's score epoch must be read *before*
-//! its scores are computed. If feedback lands mid-build, the list gets
+//! **Never-stale rule.** A rank rebuild reads the category's score epoch
+//! *before* it reads scores. If feedback lands mid-build, the list gets
 //! stamped with the pre-build epoch while holding possibly-fresher
 //! scores; the already-bumped counter then fails validation and forces a
 //! harmless rebuild. Reading the epoch *after* scoring would allow the
 //! opposite — stale scores stamped fresh and served forever.
+//!
+//! [`ShardedStore::category_epoch`]: crate::shard::ShardedStore::category_epoch
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::snapshot::SnapshotCell;
@@ -37,7 +40,7 @@ use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wsrep_core::id::{ProviderId, ServiceId, SubjectId};
+use wsrep_core::id::{ProviderId, ServiceId};
 use wsrep_core::trust::TrustEstimate;
 use wsrep_qos::normalize::NormalizationMatrix;
 use wsrep_qos::preference::Preferences;
@@ -127,116 +130,6 @@ impl PlanCache {
     /// Snapshots published (one per accepted insert).
     pub fn swaps(&self) -> u64 {
         self.plans.swaps()
-    }
-}
-
-/// Per-category score epochs: counters bumped whenever applied feedback
-/// touches a subject listed in the category.
-///
-/// Membership (subject → its category's counter) is maintained by the
-/// publish/deregister path; bumping is done by the ingest writer *after*
-/// a batch is applied, so an epoch observer that recomputes is guaranteed
-/// to see at least the feedback the epoch counts. Reads are wait-free
-/// (snapshot probe + atomic load); only first-seen subjects or categories
-/// pay a copy-on-write swap.
-#[derive(Debug, Default)]
-pub struct ScoreEpochs {
-    /// subject → the shared counter of the category it is listed in.
-    members: SnapshotCell<FxHashMap<SubjectId, Arc<AtomicU64>>>,
-    /// category → its counter (shared with `members` entries).
-    counters: SnapshotCell<FxHashMap<u32, Arc<AtomicU64>>>,
-    write: Mutex<()>,
-}
-
-impl ScoreEpochs {
-    /// Empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A map already holding `members` (subject, category) — how
-    /// recovery installs a whole listing table at once. [`ensure`] copies
-    /// the membership map per first-seen subject, which is right for one
-    /// publish and quadratic for N of them; this builds both maps once
-    /// and publishes them without a single swap.
-    ///
-    /// [`ensure`]: ScoreEpochs::ensure
-    pub fn with_members(members: impl IntoIterator<Item = (SubjectId, u32)>) -> Self {
-        let mut counters: FxHashMap<u32, Arc<AtomicU64>> = FxHashMap::default();
-        let members: FxHashMap<SubjectId, Arc<AtomicU64>> = members
-            .into_iter()
-            .map(|(subject, category)| (subject, Arc::clone(counters.entry(category).or_default())))
-            .collect();
-        ScoreEpochs {
-            members: SnapshotCell::new(Arc::new(members)),
-            counters: SnapshotCell::new(Arc::new(counters)),
-            write: Mutex::new(()),
-        }
-    }
-
-    /// Snapshots published so far (membership and counter maps): one or
-    /// two per first-seen subject or category, none for a bump.
-    pub fn swaps(&self) -> u64 {
-        self.members.swaps() + self.counters.swaps()
-    }
-
-    /// The category's current score epoch (0 = no member feedback yet).
-    /// Wait-free.
-    pub fn get(&self, category: u32) -> u64 {
-        self.counters.read(|map| {
-            map.get(&category)
-                .map(|c| c.load(Ordering::Acquire))
-                .unwrap_or(0)
-        })
-    }
-
-    /// Record that `subject` is listed in `category` (publish path).
-    /// Re-publishing into a different category repoints the membership.
-    pub fn ensure(&self, subject: SubjectId, category: u32) {
-        let _writer = self.write.lock();
-        let counter = {
-            let existing = self.counters.read(|map| map.get(&category).cloned());
-            match existing {
-                Some(counter) => counter,
-                None => {
-                    let counter = Arc::new(AtomicU64::new(0));
-                    let mut next = (*self.counters.load()).clone();
-                    next.insert(category, Arc::clone(&counter));
-                    self.counters.store(Arc::new(next));
-                    counter
-                }
-            }
-        };
-        let already = self
-            .members
-            .read(|map| map.get(&subject).is_some_and(|c| Arc::ptr_eq(c, &counter)));
-        if already {
-            return;
-        }
-        let mut next = (*self.members.load()).clone();
-        next.insert(subject, counter);
-        self.members.store(Arc::new(next));
-    }
-
-    /// Drop `subject`'s membership (deregister path).
-    pub fn forget(&self, subject: SubjectId) {
-        let _writer = self.write.lock();
-        if self.members.read(|map| !map.contains_key(&subject)) {
-            return;
-        }
-        let mut next = (*self.members.load()).clone();
-        next.remove(&subject);
-        self.members.store(Arc::new(next));
-    }
-
-    /// Count applied feedback about `subject` against its category, if it
-    /// is a listed member. Called by the ingest writer *after* the batch
-    /// lands in the store (never-stale rule; see module docs).
-    pub fn bump(&self, subject: SubjectId) {
-        let counter = self.members.read(|map| map.get(&subject).cloned());
-        if let Some(counter) = counter {
-            counter.fetch_add(1, Ordering::AcqRel);
-        }
     }
 }
 
@@ -404,28 +297,6 @@ mod tests {
         let kept = cache.insert(0, plan(3));
         assert_eq!(kept.epoch, 5);
         assert!(cache.get(0, 5).is_some());
-    }
-
-    #[test]
-    fn score_epochs_track_membership_and_bumps() {
-        let epochs = ScoreEpochs::new();
-        let s: SubjectId = ServiceId::new(1).into();
-        assert_eq!(epochs.get(7), 0);
-        // Feedback about an unlisted subject counts against nothing.
-        epochs.bump(s);
-        assert_eq!(epochs.get(7), 0);
-        epochs.ensure(s, 7);
-        epochs.bump(s);
-        epochs.bump(s);
-        assert_eq!(epochs.get(7), 2);
-        // Re-publishing into another category repoints the membership.
-        epochs.ensure(s, 9);
-        epochs.bump(s);
-        assert_eq!(epochs.get(7), 2);
-        assert_eq!(epochs.get(9), 1);
-        epochs.forget(s);
-        epochs.bump(s);
-        assert_eq!(epochs.get(9), 1);
     }
 
     #[test]

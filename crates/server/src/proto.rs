@@ -450,8 +450,11 @@ fn put_service_stats(out: &mut Vec<u8>, version: u8, stats: &ServiceStats) {
     put_u64(out, stats.listings as u64);
     put_u64(out, stats.feedback);
     put_u64(out, stats.submitted);
-    put_u64(out, stats.cache_hits);
-    put_u64(out, stats.cache_misses);
+    // Two reserved slots, once `cache_hits`/`cache_misses` of a score
+    // cache that no longer exists: written as zero, skipped on decode,
+    // and gone when `MIN_PROTO_VERSION` next rises.
+    put_u64(out, 0);
+    put_u64(out, 0);
     put_u64(out, stats.topk_plan_hits);
     put_u64(out, stats.topk_plan_misses);
     put_u64(out, stats.preranked_hits);
@@ -488,9 +491,12 @@ fn get_service_stats(cur: &mut Cursor<'_>, version: u8) -> Result<ServiceStats, 
         listings: cur.u64()? as usize,
         feedback: cur.u64()?,
         submitted: cur.u64()?,
-        cache_hits: cur.u64()?,
-        cache_misses: cur.u64()?,
-        topk_plan_hits: cur.u64()?,
+        topk_plan_hits: {
+            // After the two reserved slots (see `put_service_stats`).
+            cur.u64()?;
+            cur.u64()?;
+            cur.u64()?
+        },
         topk_plan_misses: cur.u64()?,
         preranked_hits: cur.u64()?,
         preranked_misses: cur.u64()?,
@@ -1082,8 +1088,6 @@ mod tests {
                     listings: 64,
                     feedback: 1000,
                     submitted: 1000,
-                    cache_hits: 1,
-                    cache_misses: 2,
                     topk_plan_hits: 3,
                     topk_plan_misses: 4,
                     preranked_hits: 5,
@@ -1228,8 +1232,6 @@ mod tests {
                 listings: 0,
                 feedback: 0,
                 submitted: 0,
-                cache_hits: 0,
-                cache_misses: 0,
                 topk_plan_hits: 0,
                 topk_plan_misses: 0,
                 preranked_hits: 0,

@@ -120,8 +120,6 @@ fn sample_stats() -> WireStats {
             listings: 64,
             feedback: 1000,
             submitted: 1001,
-            cache_hits: 1,
-            cache_misses: 2,
             topk_plan_hits: 3,
             topk_plan_misses: 4,
             preranked_hits: 5,

@@ -85,7 +85,7 @@ fn main() {
 
     let stats = service.stats();
     println!(
-        "service stats: {} listings, {} reports in {} shards, cache {} hits / {} misses",
-        stats.listings, stats.feedback, stats.shards, stats.cache_hits, stats.cache_misses
+        "service stats: {} listings, {} reports in {} shards, top-k {} pre-ranked hits / {} re-ranks",
+        stats.listings, stats.feedback, stats.shards, stats.preranked_hits, stats.preranked_misses
     );
 }
