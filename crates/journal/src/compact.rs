@@ -2,12 +2,13 @@
 //!
 //! Once a snapshot at LSN `L` is durably on disk, every WAL record with
 //! `lsn < L` is redundant: recovery loads the snapshot and replays only
-//! the tail. The compactor therefore deletes each segment whose *entire*
-//! record range lies below `L` — which, with dense LSNs, is exactly every
-//! segment whose successor starts at or below `L`. The active (last)
-//! segment is never deleted, and a segment straddling the snapshot
-//! boundary is kept whole; recovery skips its covered prefix record by
-//! record.
+//! the tail. A segment's name is a lower bound on its records and a
+//! log's LSNs only increase, so every record of a segment lies below its
+//! successor's start: the compactor deletes each segment whose successor
+//! starts at or below `L`. The active (last) segment has no successor and
+//! is never deleted — unless the log is sealed and known to end at or
+//! below `L` — and a segment straddling the snapshot boundary is kept
+//! whole; recovery skips its covered prefix record by record.
 //!
 //! Snapshots older than the newest one are removed at the same time —
 //! they can no longer win [`crate::snapshot::latest_snapshot`].
@@ -32,14 +33,27 @@ pub struct CompactReport {
 /// Delete segments fully covered by a snapshot at `covered_lsn`, plus
 /// snapshots superseded by a newer one.
 pub fn compact_dir(dir: &Path, covered_lsn: u64) -> io::Result<CompactReport> {
+    compact_log(dir, covered_lsn, None)
+}
+
+/// [`compact_dir`] for a log that may be sealed: `sealed_end` is one past
+/// its last record when no writer will append to it again.
+pub(crate) fn compact_log(
+    dir: &Path,
+    covered_lsn: u64,
+    sealed_end: Option<u64>,
+) -> io::Result<CompactReport> {
     let mut report = CompactReport::default();
     let segments = list_segments(dir)?;
-    // Pair each segment with its successor's start: that successor start
-    // is one past the segment's last LSN.
-    for window in segments.windows(2) {
-        let (_, path) = &window[0];
-        let (next_start, _) = &window[1];
-        if *next_start <= covered_lsn {
+    // Pair each segment with a bound above its last LSN: its successor's
+    // start, or for the last one the end of a sealed log.
+    let ends = segments
+        .iter()
+        .skip(1)
+        .map(|(start, _)| Some(*start))
+        .chain([sealed_end]);
+    for ((_, path), end) in segments.iter().zip(ends) {
+        if end.is_some_and(|end| end <= covered_lsn) {
             report.bytes_reclaimed += fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             fs::remove_file(path)?;
             report.segments_removed += 1;
@@ -111,11 +125,9 @@ mod tests {
         assert!(report.bytes_reclaimed > 0);
         // Every surviving record with lsn >= 10 is still recoverable.
         let mut remaining = Vec::new();
-        for (start, path) in &after {
-            let scan = crate::segment::scan_segment(path).unwrap().unwrap();
-            for (i, r) in scan.records.into_iter().enumerate() {
-                remaining.push((start + i as u64, r));
-            }
+        for (_, path) in &after {
+            let scan = crate::segment::scan_segment_entries(path).unwrap().unwrap();
+            remaining.extend(scan.entries);
         }
         for lsn in 10..30 {
             assert!(

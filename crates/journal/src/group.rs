@@ -1,17 +1,17 @@
-//! The partitioned write path: N writer groups, one LSN space.
+//! The write-ahead log: N writer groups, one LSN space.
 //!
-//! A [`GroupSet`] holds one LSN-tagged [`Journal`] per writer group,
-//! each in its own `group-NNN/` subdirectory of the journal root, so N
-//! writer threads can group-commit concurrently — one fsync per group
-//! per batch — instead of serializing on a single commit lock. Record
-//! order across groups is preserved by a shared [`LsnAllocator`]: every
-//! batch takes a contiguous run of global LSNs before it is written, and
-//! readers (recovery, the ship cursor) merge the per-group logs back
-//! into one stream by sorting on LSN.
+//! A [`GroupSet`] holds one [`Journal`] per writer group, each in its
+//! own `group-NNN/` subdirectory of the journal root, so N writer
+//! threads group-commit concurrently — one commit lock and one fsync per
+//! group per batch. Record order across groups is preserved by a shared
+//! [`LsnAllocator`]: every batch takes a contiguous run of global LSNs
+//! before it is written, and readers (recovery, the ship cursor) merge
+//! the per-group logs back into one stream by sorting on LSN. One group
+//! is the same thing with nothing to merge: its log is dense and no
+//! frame in it ever states an LSN.
 //!
 //! # The durable watermark
 //!
-//! With one log, "durable up to LSN x" is just the writer's position.
 //! With N logs, group A may have fsynced LSN 900 while group B is still
 //! writing LSN 850, so the *contiguous* durable frontier — the largest
 //! `w` such that every LSN below `w` is on stable storage — trails the
@@ -25,8 +25,7 @@
 //!
 //! recomputed under the allocator lock and published through an atomic
 //! for lock-free readers. It is monotone by construction. Replication
-//! ships and heartbeats against this watermark, exactly as it did
-//! against the single writer's position.
+//! ships and heartbeats against this watermark.
 //!
 //! # Crash shape
 //!
@@ -39,7 +38,7 @@
 //! been acknowledged by a later flush) and the merged stream must treat
 //! a gap as permanently empty once every group has moved past it.
 
-use crate::compact::{compact_dir, CompactReport};
+use crate::compact::{compact_log, CompactReport};
 use crate::journal::{AppendReceipt, Journal, JournalConfig, JournalStats};
 use crate::record::JournalRecord;
 use crate::segment::{group_dir_name, list_group_dirs, list_segments};
@@ -115,6 +114,21 @@ impl LsnAllocator {
         self.publish(&state);
     }
 
+    /// Settle `group`'s in-flight run `[first, first + count)` whose
+    /// append was rejected. It goes back to be claimed again if nothing
+    /// later was claimed since — always, with one group — so a rejected
+    /// batch leaves no hole in the LSN space; otherwise the run stays
+    /// claimed and empty. Every run still in flight was claimed before
+    /// this one, so the watermark cannot move back.
+    pub fn release(&self, group: usize, first: u64, count: u64) {
+        let mut state = self.lock();
+        if state.next == first + count {
+            state.next = first;
+        }
+        state.in_flight[group] = IDLE;
+        self.publish(&state);
+    }
+
     /// The contiguous durable frontier: every LSN below this is settled.
     pub fn durable_lsn(&self) -> u64 {
         self.watermark.load(Ordering::Acquire)
@@ -131,21 +145,24 @@ impl LsnAllocator {
     }
 }
 
-/// The N per-group journals of a partitioned log, plus their allocator.
+/// The per-group journals of a write-ahead log, plus their allocator.
 #[derive(Debug)]
 pub struct GroupSet {
     root: PathBuf,
     groups: Vec<Mutex<Journal>>,
     allocator: LsnAllocator,
+    /// One past the last record of the root's own sealed log, when the
+    /// root held one at open.
+    sealed_end: Option<u64>,
 }
 
 impl GroupSet {
-    /// Open (or create) a partitioned journal under `root` with at least
+    /// Open (or create) a journal under `root` with at least
     /// `writer_groups` groups — an on-disk layout with more groups wins,
     /// so reopening with a smaller setting never strands a group's
     /// records. The allocator resumes past `floor_lsn` (the recovered
     /// `next_lsn`, when the caller ran recovery), every group's highest
-    /// LSN, and any dense pre-partition segments still in the root.
+    /// LSN, and any sealed log still in the root.
     pub fn open(
         root: impl Into<PathBuf>,
         writer_groups: usize,
@@ -161,19 +178,22 @@ impl GroupSet {
         let count = writer_groups.max(on_disk).max(1);
 
         let mut next = floor_lsn;
-        // A root migrated from a single-log life still holds dense
-        // segments. Opening them as a journal repairs a torn tail left
-        // by the pre-partition writer's crash (readers of the sealed
-        // root assume clean frames) and yields the LSN the allocator
-        // must clear even when the caller skipped recovery.
+        // A root from a single-directory life still holds that log's
+        // segments; nothing appends to them again. Opening them as a
+        // journal repairs a torn tail left by that writer's crash
+        // (readers of the sealed root assume clean frames) and yields the
+        // LSN the allocator must clear even when the caller skipped
+        // recovery.
+        let mut sealed_end = None;
         if !list_segments(&root)?.is_empty() {
             let sealed = Journal::open(&root, config)?;
+            sealed_end = Some(sealed.next_lsn());
             next = next.max(sealed.next_lsn());
         }
 
         let mut groups = Vec::with_capacity(count);
         for group in 0..count {
-            let journal = Journal::open_tagged(root.join(group_dir_name(group)), config)?;
+            let journal = Journal::open(root.join(group_dir_name(group)), config)?;
             next = next.max(journal.next_lsn());
             groups.push(Mutex::new(journal));
         }
@@ -181,6 +201,7 @@ impl GroupSet {
             root,
             groups,
             allocator: LsnAllocator::new(next, count),
+            sealed_end,
         })
     }
 
@@ -224,9 +245,13 @@ impl GroupSet {
         journal: &mut Journal,
         records: &[JournalRecord],
     ) -> io::Result<AppendReceipt> {
-        let first_lsn = self.allocator.allocate(group, records.len() as u64);
+        let count = records.len() as u64;
+        let first_lsn = self.allocator.allocate(group, count);
         let result = journal.append_batch_at(first_lsn, records);
-        self.allocator.complete(group);
+        match &result {
+            Ok(_) => self.allocator.complete(group),
+            Err(_) => self.allocator.release(group, first_lsn, count),
+        }
         result
     }
 
@@ -261,14 +286,12 @@ impl GroupSet {
         total
     }
 
-    /// Compact every group's log — and any dense pre-partition segments
-    /// in the root, along with stale snapshots — up to `covered_lsn`.
-    /// The per-group deletion rule is the single-log one: a segment may
-    /// go once its successor's start LSN is covered, which stays valid
-    /// because a group's LSNs increase strictly within and across its
-    /// segments.
+    /// Compact every group's log — and the root's sealed log, along with
+    /// stale snapshots — up to `covered_lsn`. The sealed log has no
+    /// active segment to protect: once the snapshot covers its end, its
+    /// last segment goes too.
     pub fn compact(&self, covered_lsn: u64) -> io::Result<CompactReport> {
-        let mut total = compact_dir(&self.root, covered_lsn)?;
+        let mut total = compact_log(&self.root, covered_lsn, self.sealed_end)?;
         for group in 0..self.groups.len() {
             let report = self.lock(group).compact(covered_lsn)?;
             total.segments_removed += report.segments_removed;
@@ -379,6 +402,41 @@ mod tests {
         assert_eq!(set.durable_lsn(), 1);
         set.allocator().complete(1);
         assert_eq!(set.durable_lsn(), 6, "abandoned claim settled");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rejected_run_goes_back_unless_something_later_was_claimed() {
+        let alloc = LsnAllocator::new(0, 2);
+        let first = alloc.allocate(0, 3);
+        alloc.release(0, first, 3);
+        assert_eq!(alloc.next_lsn(), 0, "nothing claimed since: no hole");
+        assert_eq!(alloc.durable_lsn(), 0);
+
+        let first = alloc.allocate(0, 3); // [0, 3)
+        alloc.allocate(1, 2); // [3, 5) claimed behind it
+        alloc.release(0, first, 3);
+        assert_eq!(alloc.next_lsn(), 5, "a later claim pins the run");
+        assert_eq!(alloc.durable_lsn(), 3, "group 1 still in flight");
+        alloc.complete(1);
+        assert_eq!(alloc.durable_lsn(), 5);
+    }
+
+    #[test]
+    fn a_rejected_batch_of_a_lone_group_claims_no_lsn() {
+        use crate::faults::{Fault, FaultScript, IoOp};
+        let dir = temp_dir("lone-reject");
+        let set = GroupSet::open(&dir, 1, JournalConfig::default(), 0).unwrap();
+        let script = std::sync::Arc::new(FaultScript::new());
+        script.push_after(IoOp::Append, 1, Fault::enospc());
+        set.set_io_policy(script);
+        set.append_batch(0, &[record(0)]).unwrap();
+        set.append_batch(0, &[record(1), record(2)]).unwrap_err();
+        assert_eq!(set.durable_lsn(), 1);
+        let receipt = set.append_batch(0, &[record(1)]).unwrap();
+        assert_eq!(receipt.first_lsn, 1, "the rejected run was handed back");
+        let dense: usize = (0..2).map(|i| 8 + record(i).to_bytes().len()).sum();
+        assert_eq!(set.stats().bytes_appended, dense as u64, "no LSN stated");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,20 +11,20 @@
 //! away (those records were never acknowledged durable), while damage to
 //! an earlier segment is real corruption and refuses to open.
 //!
-//! A journal writes one of two segment formats (see [`crate::segment`]):
-//! **dense** (v1), where LSNs follow from the segment start, or
-//! **tagged** (v2), where every frame carries its global LSN — the format
-//! of a partitioned journal's per-group logs, opened with
-//! [`Journal::open_tagged`] and appended with
-//! [`Journal::append_batch_at`] at LSNs handed out by a
-//! [`LsnAllocator`](crate::group::LsnAllocator).
+//! A journal may share its LSN space with others: a writer group's
+//! log takes each batch's first LSN from its partition's
+//! [`LsnAllocator`](crate::group::LsnAllocator) through
+//! [`Journal::append_batch_at`], and states it on the batch's first frame
+//! exactly when it is not the LSN this log would have reached by itself
+//! (the frame rule, [`crate::segment::LsnWalk`]). A log written alone
+//! ([`Journal::append_batch`]) never states one.
 
 use crate::faults::{Fault, IoOp, IoPolicy};
 use crate::frame::{begin_frame, end_frame};
 use crate::record::JournalRecord;
 use crate::segment::{
-    list_segments, scan_segment_entries, segment_file_name, segment_header, tagged_segment_header,
-    SEGMENT_HEADER_LEN,
+    list_segments, scan_segment_entries, segment_file_name, segment_header, FORMAT_VERSION,
+    LSN_MARKER, SEGMENT_HEADER_LEN,
 };
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, Write};
@@ -86,7 +86,9 @@ pub struct Journal {
     bytes_appended: u64,
     last_fsync_nanos: u64,
     commits: u64,
-    tagged: bool,
+    /// The active segment was written by an earlier build's format: seal
+    /// it and rotate before appending, so no segment mixes two formats.
+    stale: bool,
     policy: Option<Arc<dyn IoPolicy>>,
 }
 
@@ -99,45 +101,31 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-fn create_segment(dir: &Path, start_lsn: u64, tagged: bool) -> io::Result<File> {
+fn create_segment(dir: &Path, start_lsn: u64) -> io::Result<File> {
     let path = dir.join(segment_file_name(start_lsn));
     let mut file = OpenOptions::new()
         .create_new(true)
         .write(true)
         .open(&path)?;
-    let header = if tagged {
-        tagged_segment_header(start_lsn)
-    } else {
-        segment_header(start_lsn)
-    };
-    file.write_all(&header)?;
+    file.write_all(&segment_header(start_lsn))?;
     file.sync_data()?;
     sync_dir(dir)?;
     Ok(file)
 }
 
 impl Journal {
-    /// Open (or create) a dense journal in `dir` and position the writer
-    /// after the last durable record.
+    /// Open (or create) a journal in `dir` and position the writer after
+    /// the last durable record.
     ///
     /// A torn tail on the final segment — the signature of a crashed
     /// append — is truncated. A torn or unreadable *non-final* segment is
     /// an [`io::ErrorKind::InvalidData`] error: the log lost acknowledged
-    /// history and must not be silently extended.
+    /// history and must not be silently extended. A final segment in an
+    /// earlier build's format is kept as it is and sealed by the first
+    /// append; one still empty is re-headed in place, since its successor
+    /// would take its file name.
     pub fn open(dir: impl Into<PathBuf>, config: JournalConfig) -> io::Result<Journal> {
-        Self::open_inner(dir.into(), config, false)
-    }
-
-    /// Open (or create) an LSN-tagged journal in `dir` — one writer
-    /// group's log of a partitioned journal. Same crash-repair rules as
-    /// [`Journal::open`]; the writer resumes past the highest LSN on
-    /// disk, though the real resume point is the partition-wide
-    /// allocator's, which is at least this.
-    pub fn open_tagged(dir: impl Into<PathBuf>, config: JournalConfig) -> io::Result<Journal> {
-        Self::open_inner(dir.into(), config, true)
-    }
-
-    fn open_inner(dir: PathBuf, config: JournalConfig, tagged: bool) -> io::Result<Journal> {
+        let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut segments = list_segments(&dir)?;
 
@@ -151,45 +139,17 @@ impl Journal {
             segments.pop();
         }
 
-        if segments.is_empty() {
-            let file = create_segment(&dir, 0, tagged)?;
-            return Ok(Journal {
-                dir,
-                config,
-                file,
-                segment_start: 0,
-                segment_bytes: SEGMENT_HEADER_LEN as u64,
-                next_lsn: 0,
-                segments: 1,
-                bytes_appended: 0,
-                last_fsync_nanos: 0,
-                commits: 0,
-                tagged,
-                policy: None,
-            });
-        }
-
-        let last_index = segments.len() - 1;
         let mut next_lsn = 0;
+        let mut stale = false;
         for (i, (start_lsn, path)) in segments.iter().enumerate() {
+            let last = i + 1 == segments.len();
             let scan = scan_segment_entries(path)?.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("segment {} has a corrupt header", path.display()),
                 )
             })?;
-            if scan.tagged != tagged {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "segment {} has format v{}, but this journal writes v{}",
-                        path.display(),
-                        if scan.tagged { 2 } else { 1 },
-                        if tagged { 2 } else { 1 },
-                    ),
-                ));
-            }
-            if scan.torn && i != last_index {
+            if scan.torn && !last {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -204,6 +164,15 @@ impl Journal {
                 file.set_len(scan.valid_len)?;
                 file.sync_data()?;
             }
+            if last && scan.version != FORMAT_VERSION {
+                if scan.entries.is_empty() {
+                    let mut file = OpenOptions::new().write(true).open(path)?;
+                    file.write_all(&segment_header(*start_lsn))?;
+                    file.sync_data()?;
+                } else {
+                    stale = true;
+                }
+            }
             next_lsn = scan
                 .entries
                 .last()
@@ -212,9 +181,14 @@ impl Journal {
                 .max(next_lsn);
         }
 
-        let (segment_start, last_path) = segments[last_index].clone();
-        let segment_bytes = fs::metadata(&last_path)?.len();
-        let file = OpenOptions::new().append(true).open(&last_path)?;
+        let (segment_start, file, segment_bytes) = match segments.last() {
+            Some((start, path)) => (
+                *start,
+                OpenOptions::new().append(true).open(path)?,
+                fs::metadata(path)?.len(),
+            ),
+            None => (0, create_segment(&dir, 0)?, SEGMENT_HEADER_LEN as u64),
+        };
         Ok(Journal {
             dir,
             config,
@@ -222,11 +196,11 @@ impl Journal {
             segment_start,
             segment_bytes,
             next_lsn,
-            segments: segments.len() as u64,
+            segments: segments.len().max(1) as u64,
             bytes_appended: 0,
             last_fsync_nanos: 0,
             commits: 0,
-            tagged,
+            stale,
             policy: None,
         })
     }
@@ -289,42 +263,30 @@ impl Journal {
         }
     }
 
-    /// Group-commit a batch: one buffered write, one `fdatasync`.
+    /// Group-commit a batch at the LSN this log has reached: one buffered
+    /// write, one `fdatasync`.
     ///
     /// When this returns `Ok`, every record of the batch is durable. An
-    /// empty batch is a no-op that costs nothing. Dense journals only —
-    /// a tagged journal's LSNs come from its partition's allocator, via
-    /// [`Journal::append_batch_at`].
+    /// empty batch is a no-op that costs nothing.
     pub fn append_batch(&mut self, records: &[JournalRecord]) -> io::Result<AppendReceipt> {
-        assert!(
-            !self.tagged,
-            "append_batch on a tagged journal; LSNs must come from the allocator"
-        );
-        self.append_at(self.next_lsn, records)
+        self.append_batch_at(self.next_lsn, records)
     }
 
-    /// Group-commit a batch whose first record has the globally allocated
-    /// LSN `first_lsn` (the batch occupies `[first_lsn, first_lsn + n)`).
-    /// Tagged journals only; `first_lsn` must not go backwards.
+    /// Group-commit a batch whose first record has LSN `first_lsn` (the
+    /// batch occupies `[first_lsn, first_lsn + n)`) — for a log whose
+    /// LSNs are allocated outside it. `first_lsn` must not go backwards;
+    /// where it skips ahead of this log, the batch's first frame states
+    /// it.
     pub fn append_batch_at(
         &mut self,
         first_lsn: u64,
         records: &[JournalRecord],
     ) -> io::Result<AppendReceipt> {
-        assert!(self.tagged, "append_batch_at on a dense journal");
         assert!(
             first_lsn >= self.next_lsn,
             "LSN {first_lsn} would rewind a journal already at {}",
             self.next_lsn
         );
-        self.append_at(first_lsn, records)
-    }
-
-    fn append_at(
-        &mut self,
-        first_lsn: u64,
-        records: &[JournalRecord],
-    ) -> io::Result<AppendReceipt> {
         if records.is_empty() {
             return Ok(AppendReceipt {
                 first_lsn,
@@ -334,9 +296,9 @@ impl Journal {
         }
         // Never rotate an empty segment: there is nothing to seal, and
         // the successor would collide with the active segment's name.
-        if self.segment_bytes >= self.config.max_segment_bytes
-            && self.segment_bytes > SEGMENT_HEADER_LEN as u64
-        {
+        let full = self.segment_bytes >= self.config.max_segment_bytes
+            && self.segment_bytes > SEGMENT_HEADER_LEN as u64;
+        if full || self.stale {
             self.rotate_to(first_lsn)?;
         }
         let torn = self.consult(IoOp::Append)?;
@@ -346,8 +308,9 @@ impl Journal {
         let mut buf = Vec::new();
         for (i, record) in records.iter().enumerate() {
             let frame_start = begin_frame(&mut buf);
-            if self.tagged {
-                buf.extend_from_slice(&(first_lsn + i as u64).to_le_bytes());
+            if i == 0 && first_lsn != self.next_lsn {
+                buf.push(LSN_MARKER);
+                buf.extend_from_slice(&first_lsn.to_le_bytes());
             }
             record.encode(&mut buf);
             end_frame(&mut buf, frame_start);
@@ -392,15 +355,17 @@ impl Journal {
         self.rotate_to(self.next_lsn)
     }
 
-    /// Close the active segment and start a fresh one named `start_lsn` —
-    /// the LSN of the first record the new segment will hold (for a
-    /// tagged journal, a lower bound on it).
+    /// Close the active segment and start a fresh one whose header says
+    /// `start_lsn` — the LSN of the first record it will hold, which
+    /// therefore never has to state it.
     fn rotate_to(&mut self, start_lsn: u64) -> io::Result<()> {
         self.consult(IoOp::Rotate)?;
         self.file.sync_data()?;
-        self.file = create_segment(&self.dir, start_lsn, self.tagged)?;
+        self.file = create_segment(&self.dir, start_lsn)?;
         self.segment_start = start_lsn;
         self.segment_bytes = SEGMENT_HEADER_LEN as u64;
+        self.next_lsn = start_lsn;
+        self.stale = false;
         self.segments += 1;
         Ok(())
     }
@@ -417,7 +382,6 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::scan_segment;
     use wsrep_core::feedback::Feedback;
     use wsrep_core::id::{AgentId, ServiceId};
     use wsrep_core::time::Time;
@@ -438,12 +402,16 @@ mod tests {
         dir
     }
 
-    fn all_records(dir: &Path) -> Vec<JournalRecord> {
+    fn all_entries(dir: &Path) -> Vec<(u64, JournalRecord)> {
         let mut out = Vec::new();
         for (_, path) in list_segments(dir).unwrap() {
-            out.extend(scan_segment(&path).unwrap().unwrap().records);
+            out.extend(scan_segment_entries(&path).unwrap().unwrap().entries);
         }
         out
+    }
+
+    fn all_records(dir: &Path) -> Vec<JournalRecord> {
+        all_entries(dir).into_iter().map(|(_, r)| r).collect()
     }
 
     #[test]
@@ -488,7 +456,7 @@ mod tests {
         let mut expected_start = 0;
         for (start, path) in list_segments(&dir).unwrap() {
             assert_eq!(start, expected_start);
-            expected_start += scan_segment(&path).unwrap().unwrap().records.len() as u64;
+            expected_start += scan_segment_entries(&path).unwrap().unwrap().entries.len() as u64;
         }
         assert_eq!(expected_start, 40);
         fs::remove_dir_all(&dir).unwrap();
@@ -572,27 +540,21 @@ mod tests {
     }
 
     fn tagged_lsns(dir: &Path) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (_, path) in list_segments(dir).unwrap() {
-            let scan = scan_segment_entries(&path).unwrap().unwrap();
-            assert!(scan.tagged);
-            out.extend(scan.entries.iter().map(|(lsn, _)| *lsn));
-        }
-        out
+        all_entries(dir).into_iter().map(|(lsn, _)| lsn).collect()
     }
 
     #[test]
     fn tagged_journal_persists_sparse_lsns_and_resumes() {
         let dir = temp_dir("tagged-resume");
         {
-            let mut journal = Journal::open_tagged(&dir, JournalConfig::default()).unwrap();
+            let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
             journal.append_batch_at(2, &[record(2), record(3)]).unwrap();
             // LSNs 4..7 went to other groups.
             journal.append_batch_at(7, &[record(7)]).unwrap();
             assert_eq!(journal.next_lsn(), 8);
         }
         {
-            let journal = Journal::open_tagged(&dir, JournalConfig::default()).unwrap();
+            let journal = Journal::open(&dir, JournalConfig::default()).unwrap();
             assert_eq!(journal.next_lsn(), 8, "resumes past the highest LSN");
         }
         assert_eq!(tagged_lsns(&dir), vec![2, 3, 7]);
@@ -605,7 +567,7 @@ mod tests {
         let config = JournalConfig {
             max_segment_bytes: 128,
         };
-        let mut journal = Journal::open_tagged(&dir, config).unwrap();
+        let mut journal = Journal::open(&dir, config).unwrap();
         let mut lsn = 0;
         for _ in 0..20 {
             journal.append_batch_at(lsn, &[record(lsn)]).unwrap();
@@ -627,7 +589,7 @@ mod tests {
     fn tagged_torn_tail_is_truncated_on_open() {
         let dir = temp_dir("tagged-torn");
         {
-            let mut journal = Journal::open_tagged(&dir, JournalConfig::default()).unwrap();
+            let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
             journal
                 .append_batch_at(10, &(10..15).map(record).collect::<Vec<_>>())
                 .unwrap();
@@ -640,7 +602,7 @@ mod tests {
             .unwrap()
             .set_len(len - 4)
             .unwrap();
-        let journal = Journal::open_tagged(&dir, JournalConfig::default()).unwrap();
+        let journal = Journal::open(&dir, JournalConfig::default()).unwrap();
         assert_eq!(journal.next_lsn(), 14, "torn record dropped");
         assert_eq!(tagged_lsns(&dir), vec![10, 11, 12, 13]);
         fs::remove_dir_all(&dir).unwrap();
@@ -734,18 +696,6 @@ mod tests {
         journal.append_batch(&[record(1)]).unwrap();
         drop(journal);
         assert_eq!(all_records(&dir), vec![record(0), record(1)]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn format_mismatch_refuses_to_open() {
-        let dir = temp_dir("format-mismatch");
-        {
-            let mut journal = Journal::open_tagged(&dir, JournalConfig::default()).unwrap();
-            journal.append_batch_at(0, &[record(0)]).unwrap();
-        }
-        let err = Journal::open(&dir, JournalConfig::default()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,29 +16,30 @@
 //!   append/fsync/rotate/snapshot, so durability claims are testable
 //!   under disk failures, not just SIGKILL;
 //! - [`frame`] — CRC32 framing with torn-write detection;
-//! - [`segment`] — LSN-named segment files (dense and LSN-tagged) and
-//!   their scanners;
-//! - [`journal`] — the group-committing writer (one fsync per batch);
-//! - [`group`] — the partitioned write path: N writer-group journals
+//! - [`segment`] — LSN-named segment files, their scanner, and the one
+//!   rule that gives a frame its LSN;
+//! - [`journal`] — the group-committing writer of one log (one fsync per
+//!   batch);
+//! - [`group`] — the write-ahead log: one journal per writer group,
 //!   sharing one LSN space via a global allocator, with a cross-group
 //!   durable watermark;
 //! - [`snapshot`] — atomic point-in-time state captures;
 //! - [`recovery`] — snapshot + tail replay, merging all log streams by
 //!   LSN, tolerant of torn final records;
 //! - [`compact`] — deletion of segments fully covered by a snapshot;
-//! - [`ship`] — incremental reads of a live log (single or merged
-//!   across writer groups), for replication followers.
+//! - [`ship`] — incremental reads of a live log, merged across writer
+//!   groups, for replication followers.
 //!
 //! ## Durability contract
 //!
-//! A record is *acknowledged* once the [`Journal::append_batch`] call
+//! A record is *acknowledged* once the [`GroupSet::append_batch`] call
 //! that carried it returns `Ok`: it has been written and fdatasync'd.
 //! Recovery restores **at least the acknowledged prefix** of the log — a
 //! crash mid-append loses only unacknowledged records, which the framing
 //! detects and truncates per log stream. Acknowledged data is never
-//! silently dropped: a torn *non-final* segment refuses to open. In a
-//! partitioned journal the acknowledged prefix is bounded by the
-//! cross-group watermark ([`group::LsnAllocator::durable_lsn`]); a crash
+//! silently dropped: a torn *non-final* segment refuses to open. The
+//! acknowledged prefix is bounded by the cross-group watermark
+//! ([`group::LsnAllocator::durable_lsn`]); a crash
 //! may additionally preserve unacknowledged records above a gap, which
 //! recovery keeps (they are a superset of every acknowledged record).
 

@@ -5,12 +5,11 @@
 //! 1. load the newest snapshot that validates (a damaged snapshot falls
 //!    back to its predecessor, or to nothing — the WAL still holds every
 //!    record);
-//! 2. walk every log stream — the root's dense segments plus, in a
-//!    partitioned journal, each `group-NNN/` directory's tagged
-//!    segments — keeping each stream's valid prefix and stopping that
-//!    stream at its first torn frame (a crashed append's tail was never
-//!    acknowledged as durable, so dropping it cannot lose acknowledged
-//!    data);
+//! 2. walk every log stream — each `group-NNN/` directory's segments,
+//!    and the root's own if it holds a sealed single-directory log —
+//!    keeping each stream's valid prefix and stopping that stream at its
+//!    first torn frame (a crashed append's tail was never acknowledged
+//!    as durable, so dropping it cannot lose acknowledged data);
 //! 3. merge the surviving records by LSN, skip what the snapshot already
 //!    covers, and replay publish / deregister / feedback events in
 //!    global order.
@@ -57,16 +56,14 @@ pub struct Recovered {
     pub next_lsn: u64,
     /// The contiguous durable frontier: every LSN below this was
     /// recovered (or snapshot-covered). Equals `next_lsn` unless a crash
-    /// left cross-group gaps in the partitioned log.
+    /// left cross-group gaps in the log.
     pub durable_lsn: u64,
 }
 
 /// Rebuild registry state from the journal at `dir`.
 ///
 /// A missing or empty directory recovers to the empty state — a fresh
-/// boot and a recovery are the same code path. Handles single-log,
-/// partitioned, and migrated (root segments + group directories)
-/// layouts.
+/// boot and a recovery are the same code path.
 pub fn recover(dir: &Path) -> io::Result<Recovered> {
     recover_prefix(dir, u64::MAX)
 }
@@ -152,7 +149,7 @@ pub fn recover_prefix(dir: &Path, upto: u64) -> io::Result<Recovered> {
     }
 
     // Global replay order. Streams are individually sorted, so this is
-    // a nearly-sorted merge — cheap for the single-log layout.
+    // a nearly-sorted merge — cheap for a lone group.
     entries.sort_by_key(|(lsn, _)| *lsn);
 
     let mut frontier = covered_lsn;

@@ -1,7 +1,7 @@
 //! WAL segment files.
 //!
-//! A journal directory holds a sequence of segment files named by the
-//! **log sequence number (LSN)** of their first record:
+//! A log directory holds a sequence of segment files named by a **log
+//! sequence number (LSN)** no record inside lies below:
 //!
 //! ```text
 //! wal-0000000000000000.log      records [0, 181)
@@ -11,23 +11,18 @@
 //! ```
 //!
 //! Each segment starts with a 13-byte header (`WSRJ`, format version,
-//! start LSN) followed by CRC32 frames (see [`crate::frame`]). Two frame
-//! layouts exist:
+//! start LSN) followed by CRC32 frames (see [`crate::frame`]), one record
+//! per frame. **The frame rule** — how a frame gets its LSN — lives in
+//! [`LsnWalk`] and nowhere else: a frame's LSN is its predecessor's plus
+//! one (the first frame's, the header's start LSN) unless its payload
+//! opens with [`LSN_MARKER`] and the `u64` LSN it has instead. A log that
+//! shares its LSN space with other writer groups (see [`crate::group`])
+//! states an LSN exactly where one of its batches does not continue its
+//! own previous one; a log written alone never does.
 //!
-//! - **Version 1 (dense).** The frame payload is the record encoding and
-//!   LSNs are dense — record *n* of a segment has LSN `start_lsn + n` —
-//!   so a snapshot LSN alone decides which segments the compactor may
-//!   drop and which records recovery must replay.
-//! - **Version 2 (tagged).** Written by the per-group logs of a
-//!   partitioned journal (see [`crate::group`]): each frame payload
-//!   carries its record's global LSN as an 8-byte LE prefix, because a
-//!   group's log holds an increasing but *non-dense* subset of the global
-//!   LSN space. The header's start LSN is a lower bound on every record
-//!   in the segment, not necessarily the first record's LSN.
-//!
-//! A partitioned journal keeps each group's segments in a `group-NNN/`
-//! subdirectory of the journal root; the root itself may still hold
-//! dense segments from a pre-partition life, and recovery merges both.
+//! Every journal keeps its segments in `group-NNN/` subdirectories of the
+//! journal root, one per writer group; the root itself may hold the
+//! sealed log of a single-directory past life, and readers merge both.
 
 use crate::frame::{FrameEnd, FrameReader};
 use crate::record::JournalRecord;
@@ -37,16 +32,18 @@ use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"WSRJ";
-/// On-disk format version of dense segments (payload = record).
-pub const FORMAT_VERSION: u8 = 1;
-/// On-disk format version of LSN-tagged segments (payload = LSN ‖ record).
-pub const TAGGED_FORMAT_VERSION: u8 = 2;
+/// On-disk format version this build writes. Version 1 (no frame ever
+/// states its LSN) reads as the same format; version 2 (every payload is
+/// `LSN ‖ record`, no marker) is read through one branch of [`LsnWalk`]
+/// and never written.
+pub const FORMAT_VERSION: u8 = 3;
 /// Segment header bytes: magic + version + start LSN.
 pub const SEGMENT_HEADER_LEN: usize = 13;
-/// Bytes of the LSN prefix inside every tagged frame payload.
-pub const LSN_TAG_LEN: usize = 8;
+/// First payload byte of a frame that states its LSN (the `u64` LE that
+/// follows, then the record). No record tag uses it.
+pub const LSN_MARKER: u8 = 0;
 
-/// The file name of the segment whose first record has `start_lsn`.
+/// The file name of the segment whose header carries `start_lsn`.
 pub fn segment_file_name(start_lsn: u64) -> String {
     format!("wal-{start_lsn:016x}.log")
 }
@@ -60,17 +57,14 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Encode a dense (version-1) segment header.
+/// Encode a segment header in the format this build writes.
 pub fn segment_header(start_lsn: u64) -> [u8; SEGMENT_HEADER_LEN] {
     segment_header_versioned(start_lsn, FORMAT_VERSION)
 }
 
-/// Encode a tagged (version-2) segment header.
-pub fn tagged_segment_header(start_lsn: u64) -> [u8; SEGMENT_HEADER_LEN] {
-    segment_header_versioned(start_lsn, TAGGED_FORMAT_VERSION)
-}
-
-fn segment_header_versioned(start_lsn: u64, version: u8) -> [u8; SEGMENT_HEADER_LEN] {
+/// Encode a segment header of any version — for fixtures of the formats
+/// earlier builds wrote.
+pub fn segment_header_versioned(start_lsn: u64, version: u8) -> [u8; SEGMENT_HEADER_LEN] {
     let mut header = [0u8; SEGMENT_HEADER_LEN];
     header[..4].copy_from_slice(&SEGMENT_MAGIC);
     header[4] = version;
@@ -78,8 +72,75 @@ fn segment_header_versioned(start_lsn: u64, version: u8) -> [u8; SEGMENT_HEADER_
     header
 }
 
-/// The subdirectory name of writer group `group` in a partitioned
-/// journal root.
+/// The frame rule: walks one segment's frame payloads and labels each
+/// with its LSN.
+#[derive(Debug, Clone, Copy)]
+pub struct LsnWalk {
+    version: u8,
+    next: u64,
+}
+
+impl LsnWalk {
+    /// Read a segment header. `Ok(None)` when `bytes` does not open with
+    /// one (too short, wrong magic); a whole header of a version this
+    /// build cannot interpret is an error — the file *is* a segment, and
+    /// treating it as garbage would let `Journal::open` delete it.
+    pub fn from_header(bytes: &[u8], path: &Path) -> io::Result<Option<LsnWalk>> {
+        if bytes.len() < SEGMENT_HEADER_LEN || bytes[..4] != SEGMENT_MAGIC {
+            return Ok(None);
+        }
+        let version = bytes[4];
+        if !(1..=FORMAT_VERSION).contains(&version) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "segment {} has unknown format version {version}",
+                    path.display()
+                ),
+            ));
+        }
+        let next = u64::from_le_bytes(bytes[5..SEGMENT_HEADER_LEN].try_into().unwrap());
+        Ok(Some(LsnWalk { version, next }))
+    }
+
+    /// The header's format version.
+    pub fn version(&self) -> u8 {
+        self.version
+    }
+
+    /// The LSN the next frame has unless it states another: the header's
+    /// start LSN before the first frame, one past the last frame's after.
+    pub fn next_lsn(&self) -> u64 {
+        self.next
+    }
+
+    /// Label the next frame: its LSN and the record bytes inside
+    /// `payload`. `None` is damage no healthy writer leaves — a stated
+    /// LSN cut short, or one that goes backwards — and does not advance.
+    pub fn step<'a>(&mut self, payload: &'a [u8]) -> Option<(u64, &'a [u8])> {
+        let stated = |at: usize| {
+            let lsn = payload.get(at..at + 8)?;
+            Some((
+                u64::from_le_bytes(lsn.try_into().unwrap()),
+                &payload[at + 8..],
+            ))
+        };
+        let (lsn, record) = if self.version == 2 {
+            stated(0)? // every version-2 payload is `LSN ‖ record`
+        } else if payload.first() == Some(&LSN_MARKER) {
+            stated(1)?
+        } else {
+            (self.next, payload)
+        };
+        if lsn < self.next {
+            return None;
+        }
+        self.next = lsn + 1;
+        Some((lsn, record))
+    }
+}
+
+/// The subdirectory name of writer group `group` in a journal root.
 pub fn group_dir_name(group: usize) -> String {
     format!("group-{group:03}")
 }
@@ -94,7 +155,7 @@ pub fn parse_group_dir_name(name: &str) -> Option<usize> {
 }
 
 /// Writer-group directories under a journal root, ordered by group
-/// index. A missing or unpartitioned root yields an empty list.
+/// index. A missing root, or one that holds none, yields an empty list.
 pub fn list_group_dirs(root: &Path) -> io::Result<Vec<(usize, PathBuf)>> {
     let entries = match fs::read_dir(root) {
         Ok(entries) => entries,
@@ -127,135 +188,54 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// The decoded contents of one segment file.
-#[derive(Debug)]
-pub struct SegmentScan {
-    /// LSN of the segment's first record, from the header.
-    pub start_lsn: u64,
-    /// The valid record prefix, in LSN order.
-    pub records: Vec<JournalRecord>,
-    /// File offset just past the last valid frame (header included).
-    pub valid_len: u64,
-    /// Whether bytes after the valid prefix were torn/corrupt.
-    pub torn: bool,
-}
-
-/// Read and validate one dense (version-1) segment file.
-///
-/// A header that is missing or corrupt yields `Ok(None)` — the file is
-/// not a usable segment (e.g. a crash tore the very first write) and the
-/// caller decides whether that is fatal. A valid header carrying an
-/// unexpected format version is an error: the file *is* a segment, just
-/// not one this scanner may interpret (silently treating it as garbage
-/// would let `Journal::open` delete it). Frame-level damage is *not* an
-/// error: the valid prefix is returned with `torn = true`.
-pub fn scan_segment(path: &Path) -> io::Result<Option<SegmentScan>> {
-    let entries = match scan_segment_entries(path)? {
-        Some(entries) => entries,
-        None => return Ok(None),
-    };
-    if entries.tagged {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "segment {} is LSN-tagged (format v{TAGGED_FORMAT_VERSION}); \
-                 expected a dense v{FORMAT_VERSION} segment",
-                path.display()
-            ),
-        ));
-    }
-    Ok(Some(SegmentScan {
-        start_lsn: entries.start_lsn,
-        records: entries
-            .entries
-            .into_iter()
-            .map(|(_, record)| record)
-            .collect(),
-        valid_len: entries.valid_len,
-        torn: entries.torn,
-    }))
-}
-
 /// The decoded contents of one segment file, LSN attached to every
-/// record, in either on-disk format.
+/// record.
 #[derive(Debug)]
 pub struct SegmentEntries {
-    /// Start LSN from the header. For dense segments the first record's
-    /// LSN; for tagged segments a lower bound on every record.
+    /// Start LSN from the header: a lower bound on every record in the
+    /// segment, and the first record's LSN unless that frame states its
+    /// own.
     pub start_lsn: u64,
     /// The valid `(lsn, record)` prefix, in strictly increasing LSN
-    /// order. Dense segments get their LSNs synthesized from the start.
+    /// order.
     pub entries: Vec<(u64, JournalRecord)>,
     /// File offset just past the last valid frame (header included).
     pub valid_len: u64,
     /// Whether bytes after the valid prefix were torn/corrupt.
     pub torn: bool,
-    /// Whether the segment is LSN-tagged (format version 2).
-    pub tagged: bool,
+    /// The header's format version.
+    pub version: u8,
 }
 
-/// Read and validate one segment file of either format.
+/// Read and validate one segment file.
 ///
-/// Same contract as [`scan_segment`] — `Ok(None)` for a missing/corrupt
-/// header, torn frames keep the valid prefix — except both dense and
-/// tagged segments are accepted; only an unknown format version errors.
-/// A tagged frame whose payload is shorter than the LSN prefix, or whose
-/// LSN breaks the segment's strictly-increasing order, is treated as
-/// torn data.
+/// A header that is missing or corrupt yields `Ok(None)` — the file is
+/// not a usable segment (e.g. a crash tore the very first write) and the
+/// caller decides whether that is fatal; an unknown format version is an
+/// error (see [`LsnWalk::from_header`]). Frame-level damage is *not* an
+/// error: the valid prefix is returned with `torn = true`, and that
+/// covers a frame the [`LsnWalk`] refuses or whose record does not
+/// decode as much as one whose checksum fails.
 pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
     let bytes = fs::read(path)?;
-    if bytes.len() < SEGMENT_HEADER_LEN || bytes[..4] != SEGMENT_MAGIC {
+    let Some(mut walk) = LsnWalk::from_header(&bytes, path)? else {
         return Ok(None);
-    }
-    let tagged = match bytes[4] {
-        FORMAT_VERSION => false,
-        TAGGED_FORMAT_VERSION => true,
-        version => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "segment {} has unknown format version {version}",
-                    path.display()
-                ),
-            ))
-        }
     };
-    let start_lsn = u64::from_le_bytes(bytes[5..SEGMENT_HEADER_LEN].try_into().unwrap());
+    let start_lsn = walk.next_lsn();
     let mut reader = FrameReader::new(&bytes[SEGMENT_HEADER_LEN..]);
     let mut entries = Vec::new();
     let mut valid_len = SEGMENT_HEADER_LEN;
     let mut torn = false;
-    let mut floor = start_lsn;
     while let Some(payload) = reader.next() {
-        let (lsn, body) = if tagged {
-            if payload.len() < LSN_TAG_LEN {
-                torn = true;
-                break;
-            }
-            let lsn = u64::from_le_bytes(payload[..LSN_TAG_LEN].try_into().unwrap());
-            (lsn, &payload[LSN_TAG_LEN..])
-        } else {
-            (start_lsn + entries.len() as u64, payload)
-        };
-        if lsn < floor {
-            // An out-of-order LSN cannot come from a healthy writer;
-            // treat everything from here on as damage.
+        let decoded = walk
+            .step(payload)
+            .and_then(|(lsn, record)| Some((lsn, JournalRecord::decode(record).ok()?)));
+        let Some(entry) = decoded else {
             torn = true;
             break;
-        }
-        match JournalRecord::decode(body) {
-            Ok(record) => {
-                floor = lsn + 1;
-                entries.push((lsn, record));
-                valid_len = SEGMENT_HEADER_LEN + reader.valid_len();
-            }
-            // A frame whose checksum passes but whose payload does not
-            // decode is treated like torn data: keep the prefix, stop.
-            Err(_) => {
-                torn = true;
-                break;
-            }
-        }
+        };
+        entries.push(entry);
+        valid_len = SEGMENT_HEADER_LEN + reader.valid_len();
     }
     if reader.end() == Some(FrameEnd::Torn) {
         torn = true;
@@ -265,7 +245,7 @@ pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
         entries,
         valid_len: valid_len as u64,
         torn,
-        tagged,
+        version: walk.version(),
     }))
 }
 
@@ -318,11 +298,12 @@ mod tests {
         let dir = temp_dir("scan");
         let path = dir.join(segment_file_name(7));
         write_segment(&path, 7, 5);
-        let scan = scan_segment(&path).unwrap().expect("valid header");
+        let scan = scan_segment_entries(&path).unwrap().expect("valid header");
         assert_eq!(scan.start_lsn, 7);
-        assert_eq!(scan.records.len(), 5);
+        assert_eq!(scan.version, FORMAT_VERSION);
+        assert_eq!(scan.entries.len(), 5);
         assert!(!scan.torn);
-        assert_eq!(scan.records[2], record(9));
+        assert_eq!(scan.entries[2], (9, record(9)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -332,8 +313,8 @@ mod tests {
         let path = dir.join(segment_file_name(0));
         let bytes = write_segment(&path, 0, 4);
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let scan = scan_segment(&path).unwrap().unwrap();
-        assert_eq!(scan.records.len(), 3);
+        let scan = scan_segment_entries(&path).unwrap().unwrap();
+        assert_eq!(scan.entries.len(), 3);
         assert!(scan.torn);
         assert!(scan.valid_len < bytes.len() as u64);
         fs::remove_dir_all(&dir).unwrap();
@@ -344,45 +325,64 @@ mod tests {
         let dir = temp_dir("header");
         let path = dir.join(segment_file_name(0));
         fs::write(&path, b"WS").unwrap();
-        assert!(scan_segment(&path).unwrap().is_none());
+        assert!(scan_segment_entries(&path).unwrap().is_none());
         fs::write(&path, b"NOPE_________").unwrap();
-        assert!(scan_segment(&path).unwrap().is_none());
+        assert!(scan_segment_entries(&path).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn write_tagged_segment(path: &Path, start_lsn: u64, lsns: &[u64]) -> Vec<u8> {
-        let mut bytes = tagged_segment_header(start_lsn).to_vec();
-        for &lsn in lsns {
-            let mut payload = lsn.to_le_bytes().to_vec();
+    /// A segment of `version` whose frames are `(lsn, stated)`: a stated
+    /// frame carries its LSN the way that version spells it (every v2
+    /// frame does, marker-less).
+    fn write_frames(path: &Path, start_lsn: u64, version: u8, frames: &[(u64, bool)]) {
+        let mut bytes = segment_header_versioned(start_lsn, version).to_vec();
+        for &(lsn, stated) in frames {
+            let mut payload = Vec::new();
+            if version == 2 {
+                payload.extend_from_slice(&lsn.to_le_bytes());
+            } else if stated {
+                payload.push(LSN_MARKER);
+                payload.extend_from_slice(&lsn.to_le_bytes());
+            }
             payload.extend_from_slice(&record(lsn).to_bytes());
             write_frame(&mut bytes, &payload);
         }
         fs::write(path, &bytes).unwrap();
-        bytes
+    }
+
+    fn scanned_lsns(path: &Path) -> (Vec<u64>, bool) {
+        let scan = scan_segment_entries(path).unwrap().expect("valid header");
+        for (lsn, entry) in &scan.entries {
+            assert_eq!(*entry, record(*lsn), "lsn {lsn} labels its own record");
+        }
+        (scan.entries.iter().map(|(l, _)| *l).collect(), scan.torn)
+    }
+
+    #[test]
+    fn a_frame_continues_its_predecessor_unless_it_states_its_lsn() {
+        let dir = temp_dir("stated");
+        let path = dir.join(segment_file_name(3));
+        let frames = [(3, false), (4, false), (9, true), (10, false), (20, true)];
+        write_frames(&path, 3, FORMAT_VERSION, &frames);
+        assert_eq!(scanned_lsns(&path), (vec![3, 4, 9, 10, 20], false));
+        // A first frame may state its LSN too: the header is a lower bound.
+        write_frames(&path, 3, FORMAT_VERSION, &[(7, true), (8, false)]);
+        assert_eq!(scanned_lsns(&path), (vec![7, 8], false));
+        // Version 1 is the same format with no frame stating anything.
+        write_frames(&path, 3, 1, &[(3, false), (4, false)]);
+        assert_eq!(scanned_lsns(&path), (vec![3, 4], false));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn tagged_segments_round_trip_sparse_lsns() {
         let dir = temp_dir("tagged");
         let path = dir.join(segment_file_name(3));
-        write_tagged_segment(&path, 3, &[3, 7, 8, 20]);
+        write_frames(&path, 3, 2, &[(3, true), (7, true), (8, true), (20, true)]);
         let scan = scan_segment_entries(&path).unwrap().expect("valid header");
-        assert!(scan.tagged);
+        assert_eq!(scan.version, 2);
         assert_eq!(scan.start_lsn, 3);
-        let lsns: Vec<u64> = scan.entries.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, vec![3, 7, 8, 20]);
-        assert_eq!(scan.entries[1].1, record(7));
-        assert!(!scan.torn);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dense_scan_refuses_tagged_segment() {
-        let dir = temp_dir("tagged-refuse");
-        let path = dir.join(segment_file_name(0));
-        write_tagged_segment(&path, 0, &[0, 2]);
-        let err = scan_segment(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(scanned_lsns(&path), (vec![3, 7, 8, 20], false));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -390,22 +390,27 @@ mod tests {
     fn unknown_version_is_an_error_not_garbage() {
         let dir = temp_dir("version");
         let path = dir.join(segment_file_name(0));
-        let mut bytes = segment_header(0).to_vec();
-        bytes[4] = 9;
-        fs::write(&path, &bytes).unwrap();
-        assert!(scan_segment(&path).is_err());
+        fs::write(&path, segment_header_versioned(0, 9)).unwrap();
+        assert!(scan_segment_entries(&path).is_err());
+        fs::write(&path, segment_header_versioned(0, 0)).unwrap();
         assert!(scan_segment_entries(&path).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn out_of_order_tagged_lsn_is_torn() {
-        let dir = temp_dir("tagged-order");
+        let dir = temp_dir("order");
         let path = dir.join(segment_file_name(0));
-        write_tagged_segment(&path, 0, &[4, 9, 6]);
-        let scan = scan_segment_entries(&path).unwrap().unwrap();
-        assert_eq!(scan.entries.len(), 2);
-        assert!(scan.torn);
+        for version in [2, FORMAT_VERSION] {
+            write_frames(&path, 0, version, &[(4, true), (9, true), (6, true)]);
+            assert_eq!(scanned_lsns(&path), (vec![4, 9], true), "v{version}");
+        }
+        // A marker with fewer than eight bytes behind it.
+        let mut bytes = segment_header(0).to_vec();
+        write_frame(&mut bytes, &record(0).to_bytes());
+        write_frame(&mut bytes, &[LSN_MARKER, 5, 0, 0]);
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(scanned_lsns(&path), (vec![0], true));
         fs::remove_dir_all(&dir).unwrap();
     }
 

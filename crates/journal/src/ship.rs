@@ -7,21 +7,23 @@
 //! [`ShipCursor::next_batch`] call reads only the bytes appended since
 //! the last call — the read side of primary → replica replication.
 //!
-//! Over a **partitioned** journal (one with `group-NNN/` writer-group
-//! directories, see [`crate::group`]) the cursor opens one sub-cursor
-//! per log — each group's, plus the root's own dense segments if the
-//! directory was migrated from a single-log life — and merges their
-//! LSN-tagged streams back into one ordered stream. The root stream is
-//! *sealed*: once partitioned, no writer appends dense segments again,
-//! so exhausting it ends that stream rather than meaning "caught up".
+//! The cursor opens one sub-cursor per log under the journal root — each
+//! `group-NNN/` writer group's (see [`crate::group`]), plus the root's
+//! own segments if the directory had a single-directory past life — and
+//! merges their streams into one ordered by LSN. Beside group logs the
+//! root's is *sealed*: no writer appends to it again, so exhausting it
+//! ends that stream rather than meaning "caught up".
 //!
 //! Three conditions end or interrupt a walk:
 //!
 //! - **Live tail.** A segment ends mid-frame or exactly on a frame
 //!   boundary with no successor segment: the cursor has caught up with
 //!   that writer. `next_batch` returns what it has; call again later.
-//! - **Rotation.** The current segment ends cleanly and a successor
-//!   segment exists: the cursor follows the rotation and keeps reading.
+//! - **Rotation.** A successor segment exists and one more read of the
+//!   current segment, begun after the successor was seen, has been
+//!   consumed to its end: the cursor follows the rotation and keeps
+//!   reading. (A writer creates the successor only after its last write
+//!   to the segment it seals, so that read misses nothing.)
 //! - **Compaction.** The requested LSN lies below the oldest surviving
 //!   history: the cursor can never serve it. [`ShipCursor::open`] fails
 //!   with [`io::ErrorKind::NotFound`]; the follower must bootstrap from
@@ -35,26 +37,25 @@
 //!
 //! # Gaps in the merged stream
 //!
-//! While the partition is healthy the merged stream is dense — the
+//! While the journal is healthy the merged stream is dense — the
 //! allocator hands out contiguous LSNs and every claimed run lands in
 //! some group. A crash can leave permanent interior gaps (see
-//! [`crate::recovery`]). The merged cursor never guesses: an LSN `k` may
-//! be skipped only when *every* live stream's next visible record is
-//! above `k` — within one group LSNs strictly increase and writes land
-//! in file order, so a later visible record proves `k` will never
-//! appear there — and a skip only happens at the *start* of a batch, so
-//! every returned batch is dense (`first_lsn + i`). A follower that
-//! requires density (the replica pull loop does) sees the skip as
-//! `first_lsn != requested` and falls back to re-seeding. One edge is
-//! accepted: if a group stays idle forever after a crash, a gap can
-//! never be proven permanent and the cursor holds position rather than
-//! risk skipping an in-flight write.
+//! [`crate::recovery`]). The cursor never guesses: an LSN `k` may be
+//! skipped only when *every* live stream's next visible record is above
+//! `k` — within one group LSNs strictly increase and writes land in file
+//! order, so a later visible record proves `k` will never appear there —
+//! and a skip only happens at the *start* of a batch, so every returned
+//! batch is dense (`first_lsn + i`). A follower that requires density
+//! (the replica pull loop does) sees the skip as `first_lsn != requested`
+//! and falls back to re-seeding. One edge is accepted: if a group stays
+//! idle forever after a crash, a gap can never be proven permanent and
+//! the cursor holds position rather than risk skipping an in-flight
+//! write.
 
 use crate::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
 use crate::record::JournalRecord;
 use crate::segment::{
-    list_group_dirs, list_segments, segment_file_name, FORMAT_VERSION, LSN_TAG_LEN,
-    SEGMENT_HEADER_LEN, SEGMENT_MAGIC, TAGGED_FORMAT_VERSION,
+    list_group_dirs, list_segments, segment_file_name, LsnWalk, SEGMENT_HEADER_LEN,
 };
 use crate::snapshot::list_snapshots;
 use std::collections::VecDeque;
@@ -71,158 +72,12 @@ pub struct ShippedBatch {
     pub records: Vec<JournalRecord>,
 }
 
-/// A stateful reader positioned at an LSN inside a live journal —
-/// single-log or partitioned, decided by the directory's layout at open.
+/// A stateful reader positioned at an LSN inside a live journal: the
+/// merge of one [`DirCursor`] per log under the journal root.
 #[derive(Debug)]
 pub struct ShipCursor {
-    inner: Inner,
-}
-
-#[derive(Debug)]
-enum Inner {
-    Single(DirCursor),
-    Merged(Merged),
-}
-
-fn corrupt(message: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// Validate a segment header against the start LSN its file name claims;
-/// returns whether the segment is LSN-tagged.
-fn check_header(buf: &[u8], expect_start: u64, path: &Path) -> io::Result<bool> {
-    if buf.len() < SEGMENT_HEADER_LEN {
-        return Err(corrupt(format!(
-            "segment {} truncated header",
-            path.display()
-        )));
-    }
-    if buf[..4] != SEGMENT_MAGIC {
-        return Err(corrupt(format!("segment {} bad magic", path.display())));
-    }
-    let tagged = match buf[4] {
-        FORMAT_VERSION => false,
-        TAGGED_FORMAT_VERSION => true,
-        version => {
-            return Err(corrupt(format!(
-                "segment {} unknown format version {version}",
-                path.display()
-            )))
-        }
-    };
-    let start = u64::from_le_bytes(buf[5..SEGMENT_HEADER_LEN].try_into().unwrap());
-    if start != expect_start {
-        return Err(corrupt(format!(
-            "segment {} header start {start} != file name start {expect_start}",
-            path.display()
-        )));
-    }
-    Ok(tagged)
-}
-
-impl ShipCursor {
-    /// Position a cursor so its next record is `from_lsn`. A directory
-    /// with `group-NNN/` subdirectories opens in merged mode; otherwise
-    /// this is the classic single-log cursor.
-    ///
-    /// Errors with [`io::ErrorKind::NotFound`] when `from_lsn` precedes
-    /// the oldest surviving history (compacted away), and with
-    /// [`io::ErrorKind::InvalidData`] when `from_lsn` lies beyond a
-    /// single log's tail — a follower asking for history this log never
-    /// wrote has diverged.
-    pub fn open(dir: impl Into<PathBuf>, from_lsn: u64) -> io::Result<ShipCursor> {
-        let dir = dir.into();
-        let groups = list_group_dirs(&dir)?;
-        if groups.is_empty() {
-            let mut cursor = DirCursor::new(dir, from_lsn, true);
-            cursor.locate()?;
-            return Ok(ShipCursor {
-                inner: Inner::Single(cursor),
-            });
-        }
-
-        // Merged mode. A group log cannot tell "LSN below my oldest
-        // segment because it was compacted" from "…because another group
-        // owns it", so compaction is detected against the snapshot: a
-        // target below the newest snapshot is only servable if every
-        // stream still has segments reaching down to it.
-        let snapshot_lsn = list_snapshots(&dir)?
-            .last()
-            .map(|(lsn, _)| *lsn)
-            .unwrap_or(0);
-        let mut stream_dirs = Vec::new();
-        if !list_segments(&dir)?.is_empty() {
-            stream_dirs.push((dir.clone(), true)); // sealed pre-partition log
-        }
-        for (_, group_dir) in groups {
-            stream_dirs.push((group_dir, false));
-        }
-        if from_lsn < snapshot_lsn {
-            for (stream_dir, _) in &stream_dirs {
-                let oldest = list_segments(stream_dir)?.first().map(|(start, _)| *start);
-                if oldest.is_none_or(|start| start > from_lsn) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!(
-                            "lsn {from_lsn} precedes the snapshot at {snapshot_lsn} and \
-                             stream {} no longer reaches it; history was compacted",
-                            stream_dir.display()
-                        ),
-                    ));
-                }
-            }
-        }
-        let mut subs = Vec::with_capacity(stream_dirs.len());
-        for (stream_dir, sealed) in stream_dirs {
-            let mut cursor = DirCursor::new(stream_dir, from_lsn, false);
-            cursor.locate()?;
-            subs.push(SubCursor {
-                cursor,
-                buffer: VecDeque::new(),
-                sealed,
-            });
-        }
-        Ok(ShipCursor {
-            inner: Inner::Merged(Merged {
-                subs,
-                next_lsn: from_lsn,
-            }),
-        })
-    }
-
-    /// LSN of the next record `next_batch` will return.
-    pub fn next_lsn(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(cursor) => cursor.next_lsn,
-            Inner::Merged(merged) => merged.next_lsn,
-        }
-    }
-
-    /// Read up to `max_records` records appended at or after the cursor
-    /// position, following segment rotations. An empty batch means the
-    /// cursor is caught up with the writer's durable tail.
-    pub fn next_batch(&mut self, max_records: usize) -> io::Result<ShippedBatch> {
-        match &mut self.inner {
-            Inner::Single(cursor) => {
-                let mut entries = VecDeque::new();
-                cursor.next_entries(max_records, &mut entries)?;
-                let first_lsn = entries
-                    .front()
-                    .map(|(lsn, _)| *lsn)
-                    .unwrap_or(cursor.next_lsn);
-                Ok(ShippedBatch {
-                    first_lsn,
-                    records: entries.into_iter().map(|(_, record)| record).collect(),
-                })
-            }
-            Inner::Merged(merged) => merged.next_batch(max_records),
-        }
-    }
-}
-
-/// The N sub-cursors of a merged view over a partitioned journal.
-#[derive(Debug)]
-struct Merged {
+    root: PathBuf,
+    /// Empty until the journal's first segment appears under `root`.
     subs: Vec<SubCursor>,
     /// LSN of the next record the merged stream will return.
     next_lsn: u64,
@@ -238,30 +93,124 @@ struct SubCursor {
     sealed: bool,
 }
 
-impl Merged {
-    fn next_batch(&mut self, max_records: usize) -> io::Result<ShippedBatch> {
+fn corrupt(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+impl ShipCursor {
+    /// Position a cursor so its next record is `from_lsn`.
+    ///
+    /// Errors with [`io::ErrorKind::NotFound`] when `from_lsn` precedes
+    /// the oldest surviving history (compacted away): below some log's
+    /// oldest segment, or below the newest snapshot and no longer the
+    /// next record the logs hold. Errors with
+    /// [`io::ErrorKind::InvalidData`] when `from_lsn` lies beyond the
+    /// tail — above the newest snapshot, and no log holds a record at or
+    /// above it or ends exactly at it: a follower asking for history this
+    /// journal never wrote has diverged. A directory that holds no log
+    /// yet is waited on at LSN 0; open the cursor after the writer, which
+    /// creates every group's log before it returns.
+    pub fn open(dir: impl Into<PathBuf>, from_lsn: u64) -> io::Result<ShipCursor> {
+        let mut cursor = ShipCursor {
+            root: dir.into(),
+            subs: Vec::new(),
+            next_lsn: from_lsn,
+        };
+        cursor.attach()?;
+        let (head, _) = cursor.lowest_head(64)?;
+        let snapshot_lsn = list_snapshots(&cursor.root)?
+            .last()
+            .map_or(0, |(lsn, _)| *lsn);
+        if from_lsn < snapshot_lsn {
+            // Every record below a snapshot had been written when it was
+            // taken, so one the logs cannot show now is gone for good
+            // (a sealed root leaves no segment name behind to say so).
+            if head.map(|(_, lsn)| lsn) != Some(from_lsn) {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!(
+                        "lsn {from_lsn} precedes the snapshot at {snapshot_lsn} and no log \
+                         holds it any more; history was compacted"
+                    ),
+                ));
+            }
+        } else if from_lsn > snapshot_lsn
+            && !cursor.subs.iter().any(|sub| sub.cursor.tail() >= from_lsn)
+        {
+            return Err(corrupt(format!(
+                "lsn {from_lsn} is beyond the tail of every log in {}",
+                cursor.root.display()
+            )));
+        }
+        Ok(cursor)
+    }
+
+    /// Open a sub-cursor on every log under the root.
+    fn attach(&mut self) -> io::Result<()> {
+        let mut subs = Vec::new();
+        if !list_segments(&self.root)?.is_empty() {
+            subs.push((self.root.clone(), true));
+        }
+        for (_, group_dir) in list_group_dirs(&self.root)? {
+            subs.push((group_dir, false));
+        }
+        self.subs = subs
+            .into_iter()
+            .map(|(dir, sealed)| {
+                let mut cursor = DirCursor {
+                    dir,
+                    from_lsn: self.next_lsn,
+                    at: None,
+                };
+                cursor.locate()?;
+                Ok(SubCursor {
+                    cursor,
+                    buffer: VecDeque::new(),
+                    sealed,
+                })
+            })
+            .collect::<io::Result<_>>()?;
+        Ok(())
+    }
+
+    /// LSN of the next record `next_batch` will return.
+    pub fn next_lsn(&self) -> u64 {
+        self.next_lsn
+    }
+
+    /// Refill empty buffers (up to `want` entries each): the stream with
+    /// the lowest buffered head, and whether a live stream shows nothing
+    /// — any missing LSN may be its in-flight write.
+    fn lowest_head(&mut self, want: usize) -> io::Result<(Option<(usize, u64)>, bool)> {
+        let mut blocked = false;
+        let mut best: Option<(usize, u64)> = None;
+        for (i, sub) in self.subs.iter_mut().enumerate() {
+            if sub.buffer.is_empty() {
+                sub.cursor.next_entries(want, &mut sub.buffer)?;
+            }
+            match sub.buffer.front() {
+                Some(&(lsn, _)) => {
+                    if best.is_none_or(|(_, b)| lsn < b) {
+                        best = Some((i, lsn));
+                    }
+                }
+                None => blocked |= !sub.sealed,
+            }
+        }
+        Ok((best, blocked))
+    }
+
+    /// Read up to `max_records` records appended at or after the cursor
+    /// position, following segment rotations. An empty batch means the
+    /// cursor is caught up with the writers' tails.
+    pub fn next_batch(&mut self, max_records: usize) -> io::Result<ShippedBatch> {
+        if self.subs.is_empty() {
+            self.attach()?;
+        }
         let mut records = Vec::new();
         let mut first_lsn = self.next_lsn;
         while records.len() < max_records {
-            // Refill empty buffers, then find the lowest buffered head.
-            // A live stream with nothing visible blocks any gap skip:
-            // the missing LSN may be its in-flight write.
-            let mut blocked = false;
-            let mut best: Option<(usize, u64)> = None;
-            for (i, sub) in self.subs.iter_mut().enumerate() {
-                if sub.buffer.is_empty() {
-                    sub.cursor
-                        .next_entries(max_records.max(64), &mut sub.buffer)?;
-                }
-                match sub.buffer.front() {
-                    Some(&(lsn, _)) => {
-                        if best.is_none_or(|(_, b)| lsn < b) {
-                            best = Some((i, lsn));
-                        }
-                    }
-                    None => blocked |= !sub.sealed,
-                }
-            }
+            let (best, blocked) = self.lowest_head(max_records.max(64))?;
             let Some((best, head)) = best else { break };
             if head < self.next_lsn {
                 return Err(corrupt(format!(
@@ -297,132 +246,85 @@ impl Merged {
     }
 }
 
-/// A cursor over one directory's segment sequence — the whole journal in
-/// single-log mode, one stream of a partitioned journal in merged mode.
+/// A cursor over one directory's segment sequence: one log of the
+/// journal.
 #[derive(Debug)]
 struct DirCursor {
     dir: PathBuf,
-    /// For dense segments, the LSN of the frame at `offset`; for tagged
-    /// segments, a lower bound on the next emitted LSN.
-    next_lsn: u64,
-    /// Start LSN of the segment the cursor is currently reading, when
-    /// one has been located.
-    segment_start: Option<u64>,
-    /// Bytes consumed in the current segment, header included.
+    /// Records below this are not emitted: they are before the position
+    /// the cursor was opened at.
+    from_lsn: u64,
+    /// Where the cursor reads next, once a segment has been located.
+    at: Option<Position>,
+}
+
+#[derive(Debug)]
+struct Position {
+    /// Start LSN (the file name) of the segment being read.
+    segment_start: u64,
+    /// Bytes consumed in that segment, header included.
     offset: u64,
-    /// Whether the current segment is LSN-tagged (set from its header).
-    tagged: bool,
-    /// Single-log semantics: positioning beyond the tail or below the
-    /// oldest segment is an error. A merged stream is lenient — LSNs
-    /// absent here live in sibling streams.
-    strict: bool,
+    /// Labels the frame at `offset`.
+    walk: LsnWalk,
+}
+
+impl Position {
+    /// The first frame of segment `start` in `dir`; `None` while its
+    /// header is still in flight (a rotation under way, or crashed).
+    fn open(dir: &Path, start: u64) -> io::Result<Option<Position>> {
+        let path = dir.join(segment_file_name(start));
+        let mut header = [0u8; SEGMENT_HEADER_LEN];
+        if File::open(&path)?.read_exact(&mut header).is_err() {
+            return Ok(None);
+        }
+        let walk = LsnWalk::from_header(&header, &path)?;
+        match walk {
+            Some(walk) if walk.next_lsn() == start => Ok(Some(Position {
+                segment_start: start,
+                offset: SEGMENT_HEADER_LEN as u64,
+                walk,
+            })),
+            _ => Err(corrupt(format!(
+                "segment {} does not open with a header starting at {start}",
+                path.display()
+            ))),
+        }
+    }
 }
 
 impl DirCursor {
-    fn new(dir: PathBuf, from_lsn: u64, strict: bool) -> DirCursor {
-        DirCursor {
-            dir,
-            next_lsn: from_lsn,
-            segment_start: None,
-            offset: 0,
-            tagged: false,
-            strict,
-        }
+    /// One past the last LSN read so far, frames below `from_lsn`
+    /// included: where this log ends, once a read has hit its live tail.
+    fn tail(&self) -> u64 {
+        self.at.as_ref().map_or(0, |at| at.walk.next_lsn())
     }
 
-    /// Find the segment containing `next_lsn` and scan to its byte
-    /// offset. Leaves the cursor unlocated when the directory holds no
-    /// segments yet (strict mode additionally requires the cursor to
-    /// want LSN 0 — a journal about to be created).
+    /// Find the segment that would hold `from_lsn`; the cursor stays
+    /// unlocated while the directory holds no whole segment.
     fn locate(&mut self) -> io::Result<()> {
         let segments = list_segments(&self.dir)?;
-        let candidate = segments
-            .iter()
-            .rev()
-            .find(|(start, _)| *start <= self.next_lsn);
-        let (start, path) = match candidate {
-            Some(found) => found,
-            None if segments.is_empty() => {
-                if self.strict && self.next_lsn != 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!(
-                            "lsn {} precedes the oldest segment; history was compacted",
-                            self.next_lsn
-                        ),
-                    ));
-                }
-                return Ok(());
-            }
-            None => {
-                if self.strict {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!(
-                            "lsn {} precedes the oldest segment (starts at {}); \
-                             history was compacted",
-                            self.next_lsn, segments[0].0,
-                        ),
-                    ));
-                }
-                // Lenient: LSNs below the oldest segment live in sibling
-                // streams (or are a merged-level compaction concern the
-                // open checked already). Start at the front.
-                &segments[0]
-            }
+        let Some((oldest, _)) = segments.first() else {
+            return Ok(());
         };
-        let bytes = std::fs::read(path)?;
-        self.tagged = check_header(&bytes, *start, path)?;
-        let mut offset = SEGMENT_HEADER_LEN;
-        if self.tagged {
-            // Walk frames until one reaches the target LSN.
-            while let FrameSplit::Frame { frame_len } = split_frame(&bytes[offset..]) {
-                let payload = &bytes[offset + FRAME_HEADER_LEN..offset + frame_len];
-                if payload.len() < LSN_TAG_LEN {
-                    break; // torn tail; reads stop here too
-                }
-                let lsn = u64::from_le_bytes(payload[..LSN_TAG_LEN].try_into().unwrap());
-                if lsn >= self.next_lsn {
-                    break;
-                }
-                offset += frame_len;
-            }
-        } else {
-            // Dense LSNs: count frames up to the target.
-            let mut lsn = *start;
-            while lsn < self.next_lsn {
-                match split_frame(&bytes[offset..]) {
-                    FrameSplit::Frame { frame_len } => {
-                        offset += frame_len;
-                        lsn += 1;
-                    }
-                    // Dense LSNs guarantee the target lives in this
-                    // segment if it lives anywhere; running out of frames
-                    // means the follower is ahead of this log.
-                    FrameSplit::Incomplete | FrameSplit::Corrupt => {
-                        if self.strict {
-                            return Err(corrupt(format!(
-                                "lsn {} is beyond the tail of segment {} (reached {lsn})",
-                                self.next_lsn,
-                                path.display()
-                            )));
-                        }
-                        // Lenient: a sealed pre-partition log simply ends
-                        // here; rebase so later frames keep dense labels.
-                        self.next_lsn = lsn;
-                        break;
-                    }
-                }
-            }
-        }
-        self.segment_start = Some(*start);
-        self.offset = offset as u64;
+        let Some((start, _)) = segments.iter().rfind(|(start, _)| *start <= self.from_lsn) else {
+            // A log's first segment starts at 0 and only compaction
+            // removes one, whichever group the missing LSNs belonged to.
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!(
+                    "lsn {} precedes the oldest segment of {} (starts at {oldest}); \
+                     history was compacted",
+                    self.from_lsn,
+                    self.dir.display()
+                ),
+            ));
+        };
+        self.at = Position::open(&self.dir, *start)?;
         Ok(())
     }
 
-    /// Read up to `max` entries at or after the cursor position into
-    /// `out`, following segment rotations. For tagged streams, entries
-    /// below the cursor's lower bound are skipped, not emitted.
+    /// Read up to `max` entries at or after `from_lsn` and the cursor
+    /// position into `out`, following segment rotations.
     fn next_entries(
         &mut self,
         max: usize,
@@ -431,18 +333,21 @@ impl DirCursor {
         if max == 0 {
             return Ok(());
         }
-        if self.segment_start.is_none() {
+        if self.at.is_none() {
             self.locate()?;
-            if self.segment_start.is_none() {
-                return Ok(());
-            }
         }
+        let Some(at) = &mut self.at else {
+            return Ok(());
+        };
         let mut added = 0;
+        // The next segment by name, once seen: a read of the current
+        // segment begun after that sees everything it will ever hold.
+        let mut successor: Option<u64> = None;
         loop {
-            let segment_start = self.segment_start.expect("located above");
-            let path = self.dir.join(segment_file_name(segment_start));
+            let sealed_by = successor;
+            let path = self.dir.join(segment_file_name(at.segment_start));
             let mut file = File::open(&path)?;
-            file.seek(SeekFrom::Start(self.offset))?;
+            file.seek(SeekFrom::Start(at.offset))?;
             let mut buf = Vec::new();
             file.read_to_end(&mut buf)?;
 
@@ -454,22 +359,15 @@ impl DirCursor {
                 match split_frame(&buf[pos..]) {
                     FrameSplit::Frame { frame_len } => {
                         let payload = &buf[pos + FRAME_HEADER_LEN..pos + frame_len];
-                        let (lsn, body) = if self.tagged {
-                            if payload.len() < LSN_TAG_LEN {
-                                return Err(corrupt(format!(
-                                    "tagged frame shorter than its LSN prefix in {}",
-                                    path.display()
-                                )));
-                            }
-                            let lsn =
-                                u64::from_le_bytes(payload[..LSN_TAG_LEN].try_into().unwrap());
-                            (lsn, &payload[LSN_TAG_LEN..])
-                        } else {
-                            (self.next_lsn, payload)
-                        };
-                        if lsn < self.next_lsn {
-                            // Tagged stream positioned past this entry.
-                            pos += frame_len;
+                        let (lsn, body) = at.walk.step(payload).ok_or_else(|| {
+                            corrupt(format!(
+                                "frame after lsn {} in {} states a truncated or backward LSN",
+                                at.walk.next_lsn(),
+                                path.display()
+                            ))
+                        })?;
+                        pos += frame_len;
+                        if lsn < self.from_lsn {
                             continue;
                         }
                         let record = JournalRecord::decode(body).map_err(|err| {
@@ -480,58 +378,51 @@ impl DirCursor {
                         })?;
                         out.push_back((lsn, record));
                         added += 1;
-                        pos += frame_len;
-                        self.next_lsn = lsn + 1;
                     }
                     FrameSplit::Incomplete => break buf.len() - pos,
                     FrameSplit::Corrupt => {
                         return Err(corrupt(format!(
                             "corrupt frame at lsn {} in {}",
-                            self.next_lsn,
+                            at.walk.next_lsn(),
                             path.display()
                         )));
                     }
                 }
             };
-            self.offset += pos as u64;
+            at.offset += pos as u64;
             if added >= max {
                 break;
             }
 
-            // End of what this segment holds right now. For dense logs a
-            // successor must start exactly at our position; a tagged
-            // log's successor is simply the next segment (its name is a
-            // lower bound, not a position). Otherwise: live tail.
-            let successor = list_segments(&self.dir)?.into_iter().find(|(start, _)| {
-                *start > segment_start && (self.tagged || *start == self.next_lsn)
-            });
-            match successor {
-                Some((start, _)) => {
-                    if leftover > 0 {
-                        // Rotation seals segments on frame boundaries;
-                        // trailing garbage before a successor is damage.
-                        return Err(corrupt(format!(
-                            "{leftover} trailing bytes in sealed segment {}",
-                            path.display()
-                        )));
-                    }
-                    // Verify the successor's header before trusting it; a
-                    // header still in flight (crash mid-rotation) means
-                    // stay on the sealed segment and retry next call.
-                    let successor_path = self.dir.join(segment_file_name(start));
-                    let mut header = [0u8; SEGMENT_HEADER_LEN];
-                    let mut file = File::open(&successor_path)?;
-                    match file.read_exact(&mut header) {
-                        Ok(()) => {
-                            self.tagged = check_header(&header, start, &successor_path)?;
-                            self.segment_start = Some(start);
-                            self.offset = SEGMENT_HEADER_LEN as u64;
-                        }
-                        Err(_) => break,
-                    }
+            // End of what this segment holds right now. Only a read that
+            // began with the successor already in view proves the segment
+            // finished: a batch and the rotation after it may both land
+            // between an earlier read and the directory listing.
+            let Some(start) = sealed_by else {
+                successor = list_segments(&self.dir)?
+                    .into_iter()
+                    .map(|(start, _)| start)
+                    .find(|start| *start > at.segment_start);
+                if successor.is_none() {
+                    break; // live tail
                 }
-                None => break,
+                continue;
+            };
+            if leftover > 0 {
+                // Rotation seals segments on frame boundaries; trailing
+                // garbage before a successor is damage.
+                return Err(corrupt(format!(
+                    "{leftover} trailing bytes in sealed segment {}",
+                    path.display()
+                )));
             }
+            // A successor whose header is not whole yet: stay on the
+            // sealed segment and retry next call.
+            let Some(next) = Position::open(&self.dir, start)? else {
+                break;
+            };
+            *at = next;
+            successor = None;
         }
         Ok(())
     }
@@ -623,27 +514,37 @@ mod tests {
 
     #[test]
     fn cursor_opens_mid_log_and_mid_segment() {
-        let dir = temp_dir("mid");
         let config = JournalConfig {
             max_segment_bytes: 300,
         };
-        let mut journal = Journal::open(&dir, config).unwrap();
-        for i in 0..30 {
-            journal.append_batch(&[record(i)]).unwrap();
-        }
-        for from in [0u64, 1, 13, 29, 30] {
-            let mut cursor = ShipCursor::open(&dir, from).unwrap();
-            let batch = cursor.next_batch(1000).unwrap();
-            assert_eq!(batch.records.len() as u64, 30 - from, "from {from}");
-            if from < 30 {
-                assert_eq!(batch.first_lsn, from);
-                assert_eq!(batch.records[0], record(from));
+        // A log on its own, then one and three writer groups.
+        for groups in [0usize, 1, 3] {
+            let dir = temp_dir(&format!("mid-{groups}"));
+            if groups == 0 {
+                let mut journal = Journal::open(&dir, config).unwrap();
+                for i in 0..30 {
+                    journal.append_batch(&[record(i)]).unwrap();
+                }
+            } else {
+                let set = GroupSet::open(&dir, groups, config, 0).unwrap();
+                for i in 0..30 {
+                    set.append_batch(i as usize % groups, &[record(i)]).unwrap();
+                }
             }
+            for from in [0u64, 1, 13, 29, 30] {
+                let mut cursor = ShipCursor::open(&dir, from).unwrap();
+                let batch = cursor.next_batch(1000).unwrap();
+                assert_eq!(batch.records.len() as u64, 30 - from, "from {from}");
+                if from < 30 {
+                    assert_eq!(batch.first_lsn, from);
+                    assert_eq!(batch.records[0], record(from));
+                }
+            }
+            // Beyond the tail: divergence, whatever the layout.
+            let err = ShipCursor::open(&dir, 31).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{groups} groups");
+            fs::remove_dir_all(&dir).unwrap();
         }
-        // Beyond the tail: divergence.
-        let err = ShipCursor::open(&dir, 31).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

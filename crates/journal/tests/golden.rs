@@ -1,4 +1,4 @@
-//! Golden-file test pinning the version-1 on-disk layout.
+//! Golden-file test pinning the on-disk layout.
 //!
 //! The journal must stay readable across releases, so the exact bytes of
 //! the segment header and of framed records are part of the public
@@ -7,19 +7,37 @@
 //! `FORMAT_VERSION` and add an upgrade path; **never** regenerate the
 //! golden file to paper over an accidental layout change.
 //!
+//! Three formats are on disk somewhere. Version 1 (the first lines of
+//! the file) is no longer written but is the version-3 format in which no
+//! frame states its LSN, so its lines stay pinned as *readable*; version
+//! 3 adds the header byte and the LSN-stating frame; version 2
+//! (`LSN ‖ record` in every payload) was never golden and is assembled by
+//! hand below. Each is read back through recovery and a ship cursor.
+//!
 //! (Deliberate, version-bumped regeneration:
 //! `WSREP_UPDATE_GOLDEN=1 cargo test -p wsrep-journal --test golden`.)
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs;
+use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_journal::frame::write_frame;
-use wsrep_journal::segment::segment_header;
-use wsrep_journal::JournalRecord;
+use wsrep_journal::segment::{
+    group_dir_name, list_segments, scan_segment_entries, segment_file_name, segment_header,
+    segment_header_versioned, FORMAT_VERSION, LSN_MARKER,
+};
+use wsrep_journal::{recover, Journal, JournalConfig, JournalRecord, ShipCursor};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
 use wsrep_sim::registry::Listing;
+
+/// Start LSN of the golden headers.
+const START: u64 = 0x1122334455667788;
+/// The LSN the golden LSN-stating frame states.
+const STATED: u64 = START + 8;
 
 fn golden_records() -> Vec<JournalRecord> {
     vec![
@@ -71,14 +89,41 @@ fn render() -> String {
     out.push_str("# wsrep-journal on-disk format v1 — golden bytes, do not edit\n");
     out.push_str(&format!(
         "segment_header {}\n",
-        hex(&segment_header(0x1122334455667788))
+        hex(&segment_header_versioned(START, 1))
     ));
     for (i, record) in golden_records().iter().enumerate() {
         let mut framed = Vec::new();
         write_frame(&mut framed, &record.to_bytes());
         out.push_str(&format!("record_{i} {}\n", hex(&framed)));
     }
+    out.push_str("# format v3: the records above, and a frame may state its LSN\n");
+    out.push_str(&format!(
+        "segment_header_v3 {}\n",
+        hex(&segment_header(START))
+    ));
+    let mut payload = vec![LSN_MARKER];
+    payload.extend_from_slice(&STATED.to_le_bytes());
+    payload.extend_from_slice(&golden_records()[2].to_bytes());
+    let mut framed = Vec::new();
+    write_frame(&mut framed, &payload);
+    out.push_str(&format!("lsn_frame_2 {}\n", hex(&framed)));
     out
+}
+
+/// The golden file's lines, name → bytes.
+fn golden_bytes() -> BTreeMap<&'static str, Vec<u8>> {
+    include_str!("data/record_v1.hex")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let (name, hex_bytes) = line.split_once(' ').expect("name and hex column");
+            let bytes = (0..hex_bytes.len())
+                .step_by(2)
+                .map(|j| u8::from_str_radix(&hex_bytes[j..j + 2], 16).unwrap())
+                .collect();
+            (name, bytes)
+        })
+        .collect()
 }
 
 #[test]
@@ -92,7 +137,7 @@ fn on_disk_record_format_is_pinned() {
     let expected = include_str!("data/record_v1.hex");
     assert_eq!(
         rendered, expected,
-        "on-disk layout drifted from the version-1 golden bytes; \
+        "on-disk layout drifted from the golden bytes; \
          this breaks every journal already on disk"
     );
 }
@@ -101,19 +146,177 @@ fn on_disk_record_format_is_pinned() {
 fn golden_bytes_still_decode_to_the_same_records() {
     // The reverse direction: the pinned hex must decode to the same
     // logical records, so old journals stay readable.
-    let expected = golden_records();
-    for (i, line) in include_str!("data/record_v1.hex")
-        .lines()
-        .filter(|l| l.starts_with("record_"))
-        .enumerate()
-    {
-        let hex_bytes = line.split_whitespace().nth(1).expect("hex column");
-        let bytes: Vec<u8> = (0..hex_bytes.len())
-            .step_by(2)
-            .map(|j| u8::from_str_radix(&hex_bytes[j..j + 2], 16).unwrap())
-            .collect();
+    let golden = golden_bytes();
+    for (i, expected) in golden_records().iter().enumerate() {
         // Skip the 8-byte frame header (len + crc) to reach the payload.
-        let record = JournalRecord::decode(&bytes[8..]).expect("golden payload decodes");
-        assert_eq!(record, expected[i], "record_{i}");
+        let record = JournalRecord::decode(&golden[format!("record_{i}").as_str()][8..])
+            .expect("golden payload decodes");
+        assert_eq!(record, *expected, "record_{i}");
     }
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("wsrep-journal-golden-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `root` must read back as exactly `expected`, through recovery and
+/// through a ship cursor opened at the first LSN.
+fn assert_reads_back(root: &Path, expected: &[(u64, JournalRecord)]) {
+    let recovered = recover(root).unwrap();
+    let feedback: Vec<JournalRecord> = recovered
+        .feedback
+        .iter()
+        .cloned()
+        .map(JournalRecord::Feedback)
+        .collect();
+    let expected_feedback: Vec<JournalRecord> = expected
+        .iter()
+        .map(|(_, record)| record.clone())
+        .filter(|record| matches!(record, JournalRecord::Feedback(_)))
+        .collect();
+    assert_eq!(feedback, expected_feedback);
+    assert_eq!(recovered.records_recovered, expected.len() as u64);
+    assert_eq!(recovered.next_lsn, expected.last().unwrap().0 + 1);
+    assert!(!recovered.torn_tail);
+
+    let mut cursor = ShipCursor::open(root, expected[0].0).unwrap();
+    let mut shipped = Vec::new();
+    loop {
+        let batch = cursor.next_batch(16).unwrap();
+        if batch.records.is_empty() {
+            break;
+        }
+        let lsns = batch.first_lsn..;
+        shipped.extend(lsns.zip(batch.records));
+    }
+    assert_eq!(shipped, expected);
+}
+
+#[test]
+fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
+    let golden = golden_bytes();
+    let records = golden_records();
+    let frames: Vec<&[u8]> = (0..4)
+        .map(|i| golden[format!("record_{i}").as_str()].as_slice())
+        .collect();
+
+    // Version 1, where it lived: one log in the journal root.
+    let root = temp_dir("v1");
+    fs::create_dir_all(&root).unwrap();
+    let bytes = [&golden["segment_header"][..], &frames.concat()].concat();
+    fs::write(root.join(segment_file_name(START)), bytes).unwrap();
+    let expected: Vec<_> = (START..).zip(records.clone()).collect();
+    assert_reads_back(&root, &expected);
+    fs::remove_dir_all(&root).unwrap();
+
+    // Version 3: the third record's frame states its LSN, the fourth
+    // continues from it.
+    let root = temp_dir("v3");
+    let group = root.join(group_dir_name(0));
+    fs::create_dir_all(&group).unwrap();
+    let bytes = [
+        &golden["segment_header_v3"][..],
+        frames[0],
+        frames[1],
+        &golden["lsn_frame_2"][..],
+        frames[3],
+    ]
+    .concat();
+    fs::write(group.join(segment_file_name(START)), bytes).unwrap();
+    let lsns = [START, START + 1, STATED, STATED + 1];
+    let expected: Vec<_> = lsns.into_iter().zip(records.clone()).collect();
+    assert_reads_back(&root, &expected);
+    fs::remove_dir_all(&root).unwrap();
+
+    // Version 2, assembled by hand: every payload is `LSN ‖ record`.
+    let root = temp_dir("v2");
+    let group = root.join(group_dir_name(0));
+    fs::create_dir_all(&group).unwrap();
+    let lsns = [START, START + 3, START + 4, START + 9];
+    let mut bytes = segment_header_versioned(START, 2).to_vec();
+    for (lsn, record) in lsns.iter().zip(&records) {
+        let mut payload = lsn.to_le_bytes().to_vec();
+        payload.extend_from_slice(&record.to_bytes());
+        write_frame(&mut bytes, &payload);
+    }
+    let path = group.join(segment_file_name(START));
+    fs::write(&path, &bytes).unwrap();
+    let mut expected: Vec<_> = lsns.into_iter().zip(records.clone()).collect();
+    assert_reads_back(&root, &expected);
+
+    // A writer never extends it: the first append seals it untouched and
+    // opens a segment in the format written today.
+    let mut journal = Journal::open(&group, JournalConfig::default()).unwrap();
+    assert_eq!(journal.next_lsn(), START + 10);
+    journal.append_batch(&records[..1]).unwrap();
+    drop(journal);
+    assert_eq!(fs::read(&path).unwrap(), bytes);
+    let segments = list_segments(&group).unwrap();
+    assert_eq!(segments.len(), 2);
+    let scan = scan_segment_entries(&segments[1].1).unwrap().unwrap();
+    assert_eq!((scan.start_lsn, scan.version), (START + 10, FORMAT_VERSION));
+    expected.push((START + 10, records[0].clone()));
+    assert_reads_back(&root, &expected);
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn the_writer_produces_the_golden_bytes() {
+    let golden = golden_bytes();
+    let records = golden_records();
+    let dir = temp_dir("writer");
+    let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+    journal.append_batch(&records[..2]).unwrap();
+    journal.append_batch_at(STATED, &records[2..]).unwrap();
+    drop(journal);
+    let expected = [
+        &segment_header(0)[..],
+        &golden["record_0"][..],
+        &golden["record_1"][..],
+        &golden["lsn_frame_2"][..],
+        &golden["record_3"][..],
+    ]
+    .concat();
+    assert_eq!(fs::read(dir.join(segment_file_name(0))).unwrap(), expected);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A log whose active segment an earlier build wrote: still empty, its
+/// successor would take its name, so the header is rewritten where it
+/// lies; holding records (the version-2 case is above), it is kept byte
+/// for byte and the first append opens a segment.
+#[test]
+fn an_earlier_formats_active_segment_is_re_headed_or_sealed() {
+    let record = &golden_records()[3];
+    for version in [1u8, 2] {
+        let dir = temp_dir(&format!("stale-empty-v{version}"));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_file_name(5));
+        fs::write(&path, segment_header_versioned(5, version)).unwrap();
+        let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+        assert_eq!(journal.next_lsn(), 5);
+        journal.append_batch(std::slice::from_ref(record)).unwrap();
+        assert_eq!(journal.stats().segments, 1);
+        let scan = scan_segment_entries(&path).unwrap().unwrap();
+        assert_eq!(scan.version, FORMAT_VERSION);
+        assert_eq!(scan.entries, vec![(5, record.clone())]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    let dir = temp_dir("stale-v1");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(segment_file_name(0));
+    let mut bytes = segment_header_versioned(0, 1).to_vec();
+    write_frame(&mut bytes, &record.to_bytes());
+    fs::write(&path, &bytes).unwrap();
+    let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+    journal.append_batch(std::slice::from_ref(record)).unwrap();
+    assert_eq!(journal.active_segment_start(), 1);
+    assert_eq!(fs::read(&path).unwrap(), bytes);
+    drop(journal);
+    assert_reads_back(&dir, &[(0, record.clone()), (1, record.clone())]);
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -3,12 +3,11 @@
 //! Everything that must be journaled — ingested feedback batches, listing
 //! publishes and deregistrations — goes through [`JournalHandle`], which
 //! pairs each append with the in-memory apply **while a commit lock is
-//! held**. With one writer group that is the classic single mutex around
-//! the [`Journal`]; with several ([`GroupSet`]), each group has its own
+//! held**. The log is a [`GroupSet`]: each writer group has its own
 //! commit lock and fsyncs independently, and a shared allocator hands
-//! out LSNs so cross-group order is defined. Either way the invariant
-//! that makes checkpoints consistent holds: at an instant when *all*
-//! commit locks are held no batch is in flight, so the LSN read there
+//! out LSNs so cross-group order is defined. The invariant that makes
+//! checkpoints consistent: at an instant when *all* commit locks are
+//! held no batch is in flight, so the LSN read there
 //! ([`JournalHandle::frozen_lsn`]) names a prefix of the log that is
 //! entirely on disk — and a snapshot built from that prefix is, by
 //! construction, what its first `LSN` records rebuild.
@@ -36,11 +35,11 @@
 
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use wsrep_journal::faults::{Fault, IoOp, IoPolicy};
-use wsrep_journal::{CompactReport, GroupSet, Journal, JournalRecord, JournalStats};
+use wsrep_journal::{CompactReport, GroupSet, Journal, JournalRecord};
 
 /// How the service responds to a journal I/O failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,8 +139,7 @@ pub struct JournalHealth {
     /// across writer groups.
     pub commits: u64,
     /// The contiguous durable frontier — the watermark replication and
-    /// staleness are measured in. With one writer this is one past the
-    /// last record; with several it is the min over groups of each
+    /// staleness are measured in: the min over writer groups of each
     /// group's settled prefix.
     pub durable_lsn: u64,
     /// Entries replayed at startup (snapshot entries + WAL records).
@@ -162,21 +160,12 @@ pub struct JournalHealth {
     pub fenced: bool,
 }
 
-/// The write-ahead log behind the handle: one commit lock, or one per
-/// writer group.
-#[derive(Debug)]
-enum Wal {
-    Single(Mutex<Journal>),
-    Partitioned(GroupSet),
-}
-
 /// The commit-lock layer: serializes journal appends with their
 /// in-memory applies and with the checkpoint's LSN read, and enforces
 /// the configured [`DurabilityPolicy`] on append failure.
 #[derive(Debug)]
 pub(crate) struct JournalHandle {
-    wal: Wal,
-    dir: PathBuf,
+    wal: GroupSet,
     records_recovered: u64,
     policy: DurabilityPolicy,
     io_policy: Option<Arc<dyn IoPolicy>>,
@@ -211,14 +200,11 @@ impl CommitGuard<'_> {
             // a gap would make later records replay out of a hole.
             return Ok(());
         }
-        let result = match &handle.wal {
-            Wal::Single(_) => self.journal.append_batch(records).map(|_| ()),
-            Wal::Partitioned(set) => set
-                .append_locked(self.group, &mut self.journal, records)
-                .map(|_| ()),
-        };
-        match result {
-            Ok(()) => Ok(()),
+        match handle
+            .wal
+            .append_locked(self.group, &mut self.journal, records)
+        {
+            Ok(_) => Ok(()),
             Err(err) => {
                 handle.journal_errors.fetch_add(1, Ordering::SeqCst);
                 match handle.policy {
@@ -246,16 +232,14 @@ impl CommitGuard<'_> {
 }
 
 impl JournalHandle {
-    pub(crate) fn single(
-        journal: Journal,
+    pub(crate) fn new(
+        wal: GroupSet,
         records_recovered: u64,
         policy: DurabilityPolicy,
         io_policy: Option<Arc<dyn IoPolicy>>,
     ) -> Self {
-        let dir = journal.dir().to_path_buf();
         JournalHandle {
-            wal: Wal::Single(Mutex::new(journal)),
-            dir,
+            wal,
             records_recovered,
             policy,
             io_policy,
@@ -266,30 +250,10 @@ impl JournalHandle {
         }
     }
 
-    pub(crate) fn partitioned(
-        set: GroupSet,
-        records_recovered: u64,
-        policy: DurabilityPolicy,
-        io_policy: Option<Arc<dyn IoPolicy>>,
-    ) -> Self {
-        let dir = set.root().to_path_buf();
-        JournalHandle {
-            wal: Wal::Partitioned(set),
-            dir,
-            records_recovered,
-            policy,
-            io_policy,
-            journal_errors: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            fenced: AtomicBool::new(false),
-            checkpointing: Mutex::new(()),
-        }
-    }
-
-    /// The journal root directory (snapshots live here; a partitioned
-    /// log keeps its per-group segments in subdirectories).
+    /// The journal root directory (snapshots live here; each writer
+    /// group keeps its segments in a subdirectory).
     pub(crate) fn dir(&self) -> &Path {
-        &self.dir
+        self.wal.root()
     }
 
     /// The configured response to journal failure.
@@ -320,25 +284,15 @@ impl JournalHandle {
 
     /// Writer groups committing in parallel.
     pub(crate) fn writer_groups(&self) -> usize {
-        match &self.wal {
-            Wal::Single(_) => 1,
-            Wal::Partitioned(set) => set.group_count(),
-        }
+        self.wal.group_count()
     }
 
     /// Take one writer group's commit lock. Listing mutations use group
     /// 0; ingest writers use their own group.
     pub(crate) fn lock_group(&self, group: usize) -> CommitGuard<'_> {
-        let journal = match &self.wal {
-            Wal::Single(journal) => {
-                debug_assert_eq!(group, 0, "single-writer journal only has group 0");
-                journal.lock().unwrap_or_else(|e| e.into_inner())
-            }
-            Wal::Partitioned(set) => set.lock(group),
-        };
         CommitGuard {
             handle: self,
-            journal,
+            journal: self.wal.lock(group),
             group,
         }
     }
@@ -360,20 +314,16 @@ impl JournalHandle {
 
     /// Take **every** commit lock just long enough to read the
     /// checkpoint LSN. With all locks held no batch is in flight, so the
-    /// allocator's next LSN (or the single writer's position) is a
-    /// consistent cut: every record below it has been written to its
-    /// segment, and nothing the handle refused to journal is below it.
+    /// allocator's next LSN is a consistent cut: every record below it
+    /// has been written to its segment, and nothing the handle refused to
+    /// journal is below it.
     pub(crate) fn frozen_lsn(&self) -> u64 {
-        match &self.wal {
-            Wal::Single(journal) => journal.lock().unwrap_or_else(|e| e.into_inner()).next_lsn(),
-            Wal::Partitioned(set) => {
-                // Writers each hold at most one group lock and never
-                // acquire a second, so taking all of them in index order
-                // cannot deadlock.
-                let _guards: Vec<_> = (0..set.group_count()).map(|g| set.lock(g)).collect();
-                set.allocator().next_lsn()
-            }
-        }
+        // Writers each hold at most one group lock and never acquire a
+        // second, so taking all of them in index order cannot deadlock.
+        let _guards: Vec<_> = (0..self.wal.group_count())
+            .map(|group| self.wal.lock(group))
+            .collect();
+        self.wal.allocator().next_lsn()
     }
 
     /// Serializes checkpoints: one reads segments outside every commit
@@ -382,40 +332,25 @@ impl JournalHandle {
         self.checkpointing.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Compact segments (every group's, plus any pre-partition root
-    /// segments) and stale snapshots covered by `covered_lsn`.
+    /// Compact segments (every group's, plus the root's sealed log) and
+    /// stale snapshots covered by `covered_lsn`.
     pub(crate) fn compact(&self, covered_lsn: u64) -> io::Result<CompactReport> {
-        match &self.wal {
-            Wal::Single(journal) => journal
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .compact(covered_lsn),
-            Wal::Partitioned(set) => set.compact(covered_lsn),
-        }
+        self.wal.compact(covered_lsn)
     }
 
     /// The contiguous durable frontier.
     pub(crate) fn durable_lsn(&self) -> u64 {
-        match &self.wal {
-            Wal::Single(journal) => journal.lock().unwrap_or_else(|e| e.into_inner()).next_lsn(),
-            Wal::Partitioned(set) => set.durable_lsn(),
-        }
+        self.wal.durable_lsn()
     }
 
     pub(crate) fn health(&self) -> JournalHealth {
-        let (stats, durable_lsn): (JournalStats, u64) = match &self.wal {
-            Wal::Single(journal) => {
-                let journal = journal.lock().unwrap_or_else(|e| e.into_inner());
-                (journal.stats(), journal.next_lsn())
-            }
-            Wal::Partitioned(set) => (set.stats(), set.durable_lsn()),
-        };
+        let stats = self.wal.stats();
         JournalHealth {
             segments: stats.segments,
             bytes_appended: stats.bytes_appended,
             last_fsync_nanos: stats.last_fsync_nanos,
             commits: stats.commits,
-            durable_lsn,
+            durable_lsn: self.wal.durable_lsn(),
             records_recovered: self.records_recovered,
             writer_groups: self.writer_groups() as u64,
             journal_errors: self.journal_errors.load(Ordering::SeqCst),

@@ -29,8 +29,8 @@
 //!   [`ReputationMechanism`](wsrep_core::mechanism::ReputationMechanism);
 //! - [`durability`] — the optional [`wsrep_journal`] integration: batches
 //!   are group-committed to a write-ahead log before they are applied —
-//!   with `ServiceBuilder::writer_groups(n)`, to `n` partitioned logs
-//!   with independent fsync pipelines under a shared LSN space —
+//!   one log per `ServiceBuilder::writer_groups(n)` group, each with its
+//!   own fsync pipeline, under a shared LSN space —
 //!   `ServiceBuilder::recover_from` replays snapshot + WAL tail(s) on
 //!   boot, and a background checkpointer builds snapshots from the log
 //!   itself and compacts it.

@@ -50,8 +50,7 @@ use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::faults::IoPolicy;
 use wsrep_journal::snapshot::list_snapshots;
 use wsrep_journal::{
-    list_group_dirs, recover, recover_prefix, write_snapshot, GroupSet, Journal, JournalConfig,
-    JournalRecord,
+    recover, recover_prefix, write_snapshot, GroupSet, JournalConfig, JournalRecord,
 };
 use wsrep_qos::metric::Metric;
 use wsrep_qos::normalize::{NormalizationMatrix, OverallScore};
@@ -321,11 +320,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Ingest writer groups (clamped to at least 1). With `n > 1` the
-    /// ingest pipeline runs `n` writer threads, each owning a disjoint
-    /// set of store shards — and, with a journal attached, its own WAL
-    /// partition with its own group-commit fsync pipeline. A journal
-    /// directory that already holds `m > n` partitions reopens with `m`
+    /// Ingest writer groups (clamped to at least 1). The ingest pipeline
+    /// runs `n` writer threads, each owning a disjoint set of store
+    /// shards — and, with a journal attached, its own `group-NNN/` log
+    /// with its own commit lock and group-commit fsync. A journal
+    /// directory that already holds `m > n` group logs reopens with `m`
     /// writers; the layout never shrinks in place.
     pub fn writer_groups(mut self, groups: usize) -> Self {
         self.writer_groups = groups.max(1);
@@ -397,34 +396,12 @@ impl ServiceBuilder {
                 // only copy.
                 store.insert_batch_parallel(recovered.feedback);
             }
-            // A directory that already has writer-group partitions must
-            // reopen partitioned even if the builder asked for one
-            // writer; a fresh single-writer journal keeps the flat
-            // (root-level) layout bit-for-bit.
-            let on_disk_groups = list_group_dirs(&dir)?.len();
-            let handle = if self.writer_groups <= 1 && on_disk_groups == 0 {
-                let mut inner = Journal::open(&dir, self.journal_config)?;
-                if let Some(policy) = &self.io_policy {
-                    inner.set_io_policy(Arc::clone(policy));
-                }
-                JournalHandle::single(
-                    inner,
-                    records_recovered,
-                    self.durability,
-                    self.io_policy.clone(),
-                )
-            } else {
-                let set = GroupSet::open(&dir, self.writer_groups, self.journal_config, floor_lsn)?;
-                if let Some(policy) = &self.io_policy {
-                    set.set_io_policy(Arc::clone(policy));
-                }
-                JournalHandle::partitioned(
-                    set,
-                    records_recovered,
-                    self.durability,
-                    self.io_policy.clone(),
-                )
-            };
+            let set = GroupSet::open(&dir, self.writer_groups, self.journal_config, floor_lsn)?;
+            if let Some(policy) = &self.io_policy {
+                set.set_io_policy(Arc::clone(policy));
+            }
+            let handle =
+                JournalHandle::new(set, records_recovered, self.durability, self.io_policy);
             journal = Some(Arc::new(handle));
         }
 
@@ -726,17 +703,16 @@ impl ReputationService {
     }
 
     /// The attached journal's contiguous durable frontier — the
-    /// watermark replication lag is measured against. With one writer
-    /// this is one past the last record; with several writer groups it
-    /// is the min over groups of each group's settled prefix, so every
-    /// record below it is on disk. `None` without a journal.
+    /// watermark replication lag is measured against: the min over
+    /// writer groups of each group's settled prefix, so every record
+    /// below it is on disk. `None` without a journal.
     pub fn durable_lsn(&self) -> Option<u64> {
         self.journal.as_ref().map(|handle| handle.durable_lsn())
     }
 
     /// The attached journal's root directory, when one is attached —
-    /// where a [`wsrep_journal::ShipCursor`] reads records to replicate
-    /// (merging writer-group partitions when there are several).
+    /// where a [`wsrep_journal::ShipCursor`] reads records to replicate,
+    /// merging the writer groups' logs.
     pub fn journal_dir(&self) -> Option<PathBuf> {
         self.journal
             .as_ref()
@@ -1023,6 +999,7 @@ mod tests {
     use super::*;
     use wsrep_core::id::{AgentId, ProviderId};
     use wsrep_core::time::Time;
+    use wsrep_journal::Journal;
 
     fn listing(service: u64, category: u32, price: f64, accuracy: f64) -> Listing {
         Listing {
