@@ -19,6 +19,7 @@ use crate::time::Time;
 use crate::trust::{TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// The EigenTrust computation.
 #[derive(Debug, Clone)]
@@ -31,7 +32,7 @@ pub struct EigenTrustMechanism {
     sat: BTreeMap<SubjectId, BTreeMap<SubjectId, f64>>,
     nodes: BTreeSet<SubjectId>,
     pre_trusted: BTreeSet<SubjectId>,
-    cache: Option<BTreeMap<SubjectId, f64>>,
+    cache: OnceLock<BTreeMap<SubjectId, f64>>,
     submitted: usize,
 }
 
@@ -61,7 +62,7 @@ impl EigenTrustMechanism {
             sat: BTreeMap::new(),
             nodes: BTreeSet::new(),
             pre_trusted: BTreeSet::new(),
-            cache: None,
+            cache: OnceLock::new(),
             submitted: 0,
         }
     }
@@ -71,7 +72,7 @@ impl EigenTrustMechanism {
         let s = subject.into();
         self.nodes.insert(s);
         self.pre_trusted.insert(s);
-        self.cache = None;
+        self.cache.take();
     }
 
     /// Normalized local trust row of `i`: `c_ij` over all `j`.
@@ -92,23 +93,14 @@ impl EigenTrustMechanism {
     }
 
     /// Run (or reuse) the power iteration; the result sums to 1.
-    pub fn global_trust(&mut self) -> BTreeMap<SubjectId, f64> {
-        if let Some(c) = &self.cache {
-            return c.clone();
-        }
-        let computed = self.compute();
-        self.cache = Some(computed.clone());
-        computed
+    pub fn global_trust(&self) -> &BTreeMap<SubjectId, f64> {
+        self.cache.get_or_init(|| self.run_iteration().0)
     }
 
     /// Number of iterations the last computation would need (for the
     /// convergence benches): runs the iteration and returns the count.
     pub fn iterations_to_converge(&self) -> usize {
         self.run_iteration().1
-    }
-
-    fn compute(&self) -> BTreeMap<SubjectId, f64> {
-        self.run_iteration().0
     }
 
     fn run_iteration(&self) -> (BTreeMap<SubjectId, f64>, usize) {
@@ -201,7 +193,7 @@ impl ReputationMechanism for EigenTrustMechanism {
             .or_default()
             .entry(feedback.subject)
             .or_insert(0.0) += delta;
-        self.cache = None;
+        self.cache.take();
         self.submitted += 1;
     }
 
@@ -209,10 +201,7 @@ impl ReputationMechanism for EigenTrustMechanism {
         if !self.nodes.contains(&subject) {
             return None;
         }
-        let trust = match &self.cache {
-            Some(c) => c.clone(),
-            None => self.compute(),
-        };
+        let trust = self.global_trust();
         let max = trust.values().fold(f64::MIN, |a, &b| a.max(b));
         let v = trust.get(&subject).copied()?;
         let value = if max > 0.0 { v / max } else { 0.0 };
@@ -220,7 +209,7 @@ impl ReputationMechanism for EigenTrustMechanism {
     }
 
     fn refresh(&mut self, _now: Time) {
-        let _ = self.global_trust();
+        self.global_trust();
     }
 
     fn feedback_count(&self) -> usize {
@@ -263,7 +252,7 @@ mod tests {
 
     #[test]
     fn global_trust_sums_to_one() {
-        let mut m = small_network();
+        let m = small_network();
         let t = m.global_trust();
         let total: f64 = t.values().sum();
         assert!((total - 1.0).abs() < 1e-6, "total={total}");
@@ -271,7 +260,7 @@ mod tests {
 
     #[test]
     fn malicious_peer_gets_no_trust() {
-        let mut m = small_network();
+        let m = small_network();
         let t = m.global_trust();
         let bad = t[&a(5)];
         for i in 0..5 {
@@ -340,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_network_is_empty() {
-        let mut m = EigenTrustMechanism::new();
+        let m = EigenTrustMechanism::new();
         assert!(m.global_trust().is_empty());
         assert_eq!(m.global(a(0)), None);
     }

@@ -12,6 +12,52 @@ use crate::mechanism::ReputationMechanism;
 use crate::trust::{TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
+/// The damped power iteration over an out-edge map, shared with the
+/// NodeRanking of `social.rs`. Dangling nodes spread their rank
+/// uniformly, keeping the distribution stochastic; ranks sum to 1.
+pub(crate) fn damped_ranks(
+    nodes: &BTreeSet<SubjectId>,
+    out: &BTreeMap<SubjectId, BTreeSet<SubjectId>>,
+    damping: f64,
+    epsilon: f64,
+    max_iter: usize,
+) -> BTreeMap<SubjectId, f64> {
+    let nodes: Vec<SubjectId> = nodes.iter().copied().collect();
+    let n = nodes.len();
+    if n == 0 {
+        return BTreeMap::new();
+    }
+    let index: BTreeMap<SubjectId, usize> =
+        nodes.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+    let mut rank = vec![1.0 / n as f64; n];
+    for _ in 0..max_iter {
+        let mut next = vec![(1.0 - damping) / n as f64; n];
+        let mut dangling = 0.0;
+        for (i, node) in nodes.iter().enumerate() {
+            match out.get(node) {
+                Some(outs) if !outs.is_empty() => {
+                    let share = damping * rank[i] / outs.len() as f64;
+                    for o in outs {
+                        next[index[o]] += share;
+                    }
+                }
+                _ => dangling += damping * rank[i],
+            }
+        }
+        let spread = dangling / n as f64;
+        for v in next.iter_mut() {
+            *v += spread;
+        }
+        let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+        rank = next;
+        if delta < epsilon {
+            break;
+        }
+    }
+    nodes.into_iter().zip(rank).collect()
+}
 
 /// Damped PageRank over an endorsement graph.
 #[derive(Debug, Clone)]
@@ -26,8 +72,8 @@ pub struct PageRankMechanism {
     edges: BTreeMap<SubjectId, BTreeSet<SubjectId>>,
     /// All nodes ever seen (isolated nodes still get the base rank).
     nodes: BTreeSet<SubjectId>,
-    /// Cached ranks, invalidated on new edges.
-    cache: Option<BTreeMap<SubjectId, f64>>,
+    /// Ranks of the current graph, computed at most once per change.
+    cache: OnceLock<BTreeMap<SubjectId, f64>>,
     submitted: usize,
 }
 
@@ -56,7 +102,7 @@ impl PageRankMechanism {
             max_iter,
             edges: BTreeMap::new(),
             nodes: BTreeSet::new(),
-            cache: None,
+            cache: OnceLock::new(),
             submitted: 0,
         }
     }
@@ -68,56 +114,21 @@ impl PageRankMechanism {
         self.nodes.insert(from);
         self.nodes.insert(to);
         self.edges.entry(from).or_default().insert(to);
-        self.cache = None;
+        self.cache.take();
     }
 
     /// Run (or reuse) the power iteration and return all ranks. Ranks sum
     /// to 1 over all nodes.
-    pub fn ranks(&mut self) -> BTreeMap<SubjectId, f64> {
-        if let Some(c) = &self.cache {
-            return c.clone();
-        }
-        let computed = self.compute();
-        self.cache = Some(computed.clone());
-        computed
-    }
-
-    fn compute(&self) -> BTreeMap<SubjectId, f64> {
-        let nodes: Vec<SubjectId> = self.nodes.iter().copied().collect();
-        let n = nodes.len();
-        if n == 0 {
-            return BTreeMap::new();
-        }
-        let index: BTreeMap<SubjectId, usize> =
-            nodes.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut rank = vec![1.0 / n as f64; n];
-        for _ in 0..self.max_iter {
-            let mut next = vec![(1.0 - self.damping) / n as f64; n];
-            let mut dangling = 0.0;
-            for (i, node) in nodes.iter().enumerate() {
-                match self.edges.get(node) {
-                    Some(outs) if !outs.is_empty() => {
-                        let share = self.damping * rank[i] / outs.len() as f64;
-                        for out in outs {
-                            next[index[out]] += share;
-                        }
-                    }
-                    // Dangling nodes spread their rank uniformly, keeping
-                    // the distribution stochastic.
-                    _ => dangling += self.damping * rank[i],
-                }
-            }
-            let spread = dangling / n as f64;
-            for v in next.iter_mut() {
-                *v += spread;
-            }
-            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            rank = next;
-            if delta < self.epsilon {
-                break;
-            }
-        }
-        nodes.into_iter().zip(rank).collect()
+    pub fn ranks(&self) -> &BTreeMap<SubjectId, f64> {
+        self.cache.get_or_init(|| {
+            damped_ranks(
+                &self.nodes,
+                &self.edges,
+                self.damping,
+                self.epsilon,
+                self.max_iter,
+            )
+        })
     }
 }
 
@@ -145,7 +156,7 @@ impl ReputationMechanism for PageRankMechanism {
                 .or_default()
                 .insert(feedback.subject);
         }
-        self.cache = None;
+        self.cache.take();
         self.submitted += 1;
     }
 
@@ -153,11 +164,7 @@ impl ReputationMechanism for PageRankMechanism {
         if !self.nodes.contains(&subject) {
             return None;
         }
-        // Query without &mut self: use the cache when warm, else compute.
-        let ranks = match &self.cache {
-            Some(c) => c.clone(),
-            None => self.compute(),
-        };
+        let ranks = self.ranks();
         let max = ranks.values().fold(f64::MIN, |a, &b| a.max(b));
         let r = ranks.get(&subject).copied()?;
         // Normalize by the max rank so the best node maps to trust 1.
@@ -166,8 +173,7 @@ impl ReputationMechanism for PageRankMechanism {
     }
 
     fn refresh(&mut self, _now: crate::time::Time) {
-        // Recompute eagerly once per round so queries hit the cache.
-        let _ = self.ranks();
+        self.ranks();
     }
 
     fn feedback_count(&self) -> usize {
@@ -243,7 +249,7 @@ mod tests {
 
     #[test]
     fn unknown_subject_is_none_and_empty_graph_is_empty() {
-        let mut m = PageRankMechanism::new();
+        let m = PageRankMechanism::new();
         assert_eq!(m.global(s(7)), None);
         assert!(m.ranks().is_empty());
     }
@@ -267,7 +273,7 @@ mod tests {
         let mut m = PageRankMechanism::new();
         m.endorse(ServiceId::new(0), ServiceId::new(1));
         m.refresh(Time::ZERO);
-        assert!(m.cache.is_some());
+        assert!(m.cache.get().is_some());
         let est = m.global(s(1)).unwrap();
         assert!(est.value.get() > 0.0);
     }

@@ -16,6 +16,7 @@ use crate::time::Time;
 use crate::trust::{TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// NodeRanking over the interaction-derived social graph.
 #[derive(Debug, Clone)]
@@ -26,7 +27,7 @@ pub struct SocialMechanism {
     /// Directed social edges out of each node.
     out: BTreeMap<SubjectId, BTreeSet<SubjectId>>,
     nodes: BTreeSet<SubjectId>,
-    cache: Option<BTreeMap<SubjectId, f64>>,
+    cache: OnceLock<BTreeMap<SubjectId, f64>>,
     submitted: usize,
 }
 
@@ -45,7 +46,7 @@ impl SocialMechanism {
             epsilon: 1e-9,
             out: BTreeMap::new(),
             nodes: BTreeSet::new(),
-            cache: None,
+            cache: OnceLock::new(),
             submitted: 0,
         }
     }
@@ -56,7 +57,7 @@ impl SocialMechanism {
         self.nodes.insert(from);
         self.nodes.insert(to);
         self.out.entry(from).or_default().insert(to);
-        self.cache = None;
+        self.cache.take();
     }
 
     /// In-degree of a node (for the degree-baseline comparison).
@@ -67,40 +68,18 @@ impl SocialMechanism {
             .count()
     }
 
-    fn compute(&self) -> BTreeMap<SubjectId, f64> {
-        let nodes: Vec<SubjectId> = self.nodes.iter().copied().collect();
-        let n = nodes.len();
-        if n == 0 {
-            return BTreeMap::new();
-        }
-        let index: BTreeMap<SubjectId, usize> =
-            nodes.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut rank = vec![1.0 / n as f64; n];
-        for _ in 0..self.max_iter {
-            let mut next = vec![(1.0 - self.damping) / n as f64; n];
-            let mut dangling = 0.0;
-            for (i, node) in nodes.iter().enumerate() {
-                match self.out.get(node) {
-                    Some(outs) if !outs.is_empty() => {
-                        let share = self.damping * rank[i] / outs.len() as f64;
-                        for o in outs {
-                            next[index[o]] += share;
-                        }
-                    }
-                    _ => dangling += self.damping * rank[i],
-                }
-            }
-            let spread = dangling / n as f64;
-            for v in next.iter_mut() {
-                *v += spread;
-            }
-            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            rank = next;
-            if delta < self.epsilon {
-                break;
-            }
-        }
-        nodes.into_iter().zip(rank).collect()
+    /// PageRank's damped iteration over the social edges, run at most
+    /// once per change to the graph.
+    fn ranks(&self) -> &BTreeMap<SubjectId, f64> {
+        self.cache.get_or_init(|| {
+            super::pagerank::damped_ranks(
+                &self.nodes,
+                &self.out,
+                self.damping,
+                self.epsilon,
+                self.max_iter,
+            )
+        })
     }
 }
 
@@ -129,10 +108,7 @@ impl ReputationMechanism for SocialMechanism {
         if !self.nodes.contains(&subject) {
             return None;
         }
-        let ranks = match &self.cache {
-            Some(c) => c.clone(),
-            None => self.compute(),
-        };
+        let ranks = self.ranks();
         let max = ranks.values().fold(f64::MIN, |a, &b| a.max(b));
         let v = ranks.get(&subject).copied()?;
         Some(TrustEstimate::new(
@@ -142,9 +118,7 @@ impl ReputationMechanism for SocialMechanism {
     }
 
     fn refresh(&mut self, _now: Time) {
-        if self.cache.is_none() {
-            self.cache = Some(self.compute());
-        }
+        self.ranks();
     }
 
     fn feedback_count(&self) -> usize {
@@ -212,6 +186,6 @@ mod tests {
         let mut m = SocialMechanism::new();
         m.add_edge(AgentId::new(0), AgentId::new(1));
         m.refresh(Time::ZERO);
-        assert!(m.cache.is_some());
+        assert!(m.cache.get().is_some());
     }
 }

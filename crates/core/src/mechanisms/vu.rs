@@ -19,6 +19,7 @@ use crate::mechanism::ReputationMechanism;
 use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::normalize::NormalizationMatrix;
 use wsrep_qos::preference::Preferences;
@@ -46,6 +47,9 @@ pub struct VuMechanism {
     trusted: BTreeMap<SubjectId, Vec<QosVector>>,
     /// Per-consumer preference profiles for personalized ranking.
     profiles: BTreeMap<AgentId, Preferences>,
+    /// Every cross-checked reporter's credibility, computed at most once
+    /// per change to `reports` or `trusted`.
+    credibility: OnceLock<BTreeMap<AgentId, f64>>,
     submitted: usize,
 }
 
@@ -63,6 +67,7 @@ impl VuMechanism {
             reports: BTreeMap::new(),
             trusted: BTreeMap::new(),
             profiles: BTreeMap::new(),
+            credibility: OnceLock::new(),
             submitted: 0,
         }
     }
@@ -78,6 +83,7 @@ impl VuMechanism {
             .entry(subject.into())
             .or_default()
             .push(observed);
+        self.credibility.take();
     }
 
     /// Mean trusted observation per metric for a subject, if probed.
@@ -106,28 +112,33 @@ impl VuMechanism {
     /// on that were also probed. Reporters never cross-checked keep a
     /// neutral 0.5.
     pub fn reporter_credibility(&self, reporter: AgentId) -> f64 {
-        let mut dev_sum = 0.0;
-        let mut n = 0usize;
+        let all = self.credibility.get_or_init(|| self.credibilities());
+        all.get(&reporter).copied().unwrap_or(0.5)
+    }
+
+    /// One pass over every report of every probed subject, summing each
+    /// reporter's deviations in (subject, report, metric) order.
+    fn credibilities(&self) -> BTreeMap<AgentId, f64> {
+        let mut sums: BTreeMap<AgentId, (f64, usize)> = BTreeMap::new();
         for (subject, reports) in &self.reports {
             let Some(truth) = self.trusted_mean(*subject) else {
                 continue;
             };
-            for r in reports.iter().filter(|r| r.reporter == reporter) {
+            for r in reports {
                 for (m, claimed) in r.observed.iter() {
                     let Some(actual) = truth.get(m) else {
                         continue;
                     };
                     let scale = actual.abs().max(1e-9);
-                    dev_sum += ((claimed - actual).abs() / scale).min(1.0);
-                    n += 1;
+                    let e = sums.entry(r.reporter).or_insert((0.0, 0));
+                    e.0 += ((claimed - actual).abs() / scale).min(1.0);
+                    e.1 += 1;
                 }
             }
         }
-        if n == 0 {
-            0.5
-        } else {
-            (1.0 - dev_sum / n as f64).clamp(0.0, 1.0)
-        }
+        sums.into_iter()
+            .map(|(reporter, (dev, n))| (reporter, (1.0 - dev / n as f64).clamp(0.0, 1.0)))
+            .collect()
     }
 
     /// Credibility-weighted per-metric estimate of a subject's delivered
@@ -259,6 +270,7 @@ impl ReputationMechanism for VuMechanism {
                 observed: feedback.observed.clone(),
                 score: feedback.score,
             });
+        self.credibility.take();
         self.submitted += 1;
     }
 

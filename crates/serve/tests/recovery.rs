@@ -100,6 +100,9 @@ fn kill_and_recover_restores_every_acknowledged_score() {
     }
     // Durability barrier: everything above is now fdatasync'd.
     svc.flush();
+    // One writer group by default, and its log is group-000/, not the root.
+    let segments = |dir: &Path| wsrep_journal::segment::list_segments(dir).unwrap();
+    assert!(!segments(&live.join("group-000")).is_empty() && segments(&live).is_empty());
     let frozen = freeze(&live, "kill-frozen");
     let pre_crash: Vec<Option<TrustEstimate>> = (0..6)
         .map(|s| svc.score(ServiceId::new(s).into()))
@@ -299,6 +302,12 @@ fn partitioned_kill_and_recover_restores_every_acknowledged_score() {
     // Durability barrier: everything above is fsynced across all four
     // writer-group logs, so the cross-group watermark covers it.
     svc.flush();
+    // Four writer groups are four logs on disk, group-000/ … group-003/.
+    for group in 0..4 {
+        let dir = live.join(format!("group-{group:03}"));
+        let segments = wsrep_journal::segment::list_segments(&dir).unwrap();
+        assert!(!segments.is_empty(), "group {group} holds no wal-*.log");
+    }
     let frozen = freeze(&live, "part-kill-frozen");
     let pre_crash: Vec<Option<TrustEstimate>> = (0..6)
         .map(|s| svc.score(ServiceId::new(s).into()))

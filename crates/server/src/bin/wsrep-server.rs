@@ -2,11 +2,13 @@
 //!
 //! ```text
 //! wsrep-server [--listen ADDR] [--shards N] [--workers N]
-//!              [--journal=DIR] [--recover=DIR] [--durability MODE]
+//!              [--journal DIR] [--recover DIR] [--durability MODE]
 //!              [--fault-append-every N] [--fault-fsync-every N]
 //!              [--channel N] [--batch N] [--pipeline-depth N]
 //!              [--poller auto|epoll|spin]
 //! ```
+//!
+//! Every flag takes its value as `--flag V` or `--flag=V`.
 //!
 //! Defaults: listen on `127.0.0.1:7411`, 8 shards, 4 workers, no
 //! journal. `--listen 127.0.0.1:0` binds an ephemeral port; the actual
@@ -75,64 +77,60 @@ fn parse_args() -> Args {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut flag_value = |name: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        if let Some(value) = arg.strip_prefix("--listen=") {
-            parsed.listen = value.to_string();
-        } else if arg == "--listen" {
-            parsed.listen = flag_value("--listen");
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            parsed.shards = value.parse().expect("--shards expects a number");
-        } else if arg == "--shards" {
-            parsed.shards = flag_value("--shards").parse().expect("--shards: number");
-        } else if let Some(value) = arg.strip_prefix("--workers=") {
-            parsed.workers = value.parse().expect("--workers expects a number");
-        } else if arg == "--workers" {
-            parsed.workers = flag_value("--workers").parse().expect("--workers: number");
-        } else if let Some(dir) = arg.strip_prefix("--journal=") {
-            parsed.journal = Some(PathBuf::from(dir));
-        } else if let Some(dir) = arg.strip_prefix("--recover=") {
-            parsed.journal = Some(PathBuf::from(dir));
+        let mut value = |name: &str| flag_value(&arg, name, &mut args);
+        if let Some(v) = value("--listen") {
+            parsed.listen = v;
+        } else if let Some(v) = value("--shards") {
+            parsed.shards = number("--shards", &v);
+        } else if let Some(v) = value("--workers") {
+            parsed.workers = number("--workers", &v);
+        } else if let Some(v) = value("--journal") {
+            parsed.journal = Some(PathBuf::from(v));
+        } else if let Some(v) = value("--recover") {
+            parsed.journal = Some(PathBuf::from(v));
             parsed.recover = true;
-        } else if let Some(value) = arg.strip_prefix("--durability=") {
-            parsed.durability = DurabilityPolicy::parse(value).unwrap_or_else(|| {
-                panic!("--durability expects degrade|read-only|fail-stop, got {value:?}")
+        } else if let Some(v) = value("--durability") {
+            parsed.durability = DurabilityPolicy::parse(&v).unwrap_or_else(|| {
+                panic!("--durability expects degrade|read-only|fail-stop, got {v:?}")
             });
-        } else if arg == "--durability" {
-            let value = flag_value("--durability");
-            parsed.durability = DurabilityPolicy::parse(&value).unwrap_or_else(|| {
-                panic!("--durability expects degrade|read-only|fail-stop, got {value:?}")
-            });
-        } else if let Some(value) = arg.strip_prefix("--fault-append-every=") {
-            parsed.fault_append_every = Some(
-                value
-                    .parse()
-                    .expect("--fault-append-every expects a number"),
-            );
-        } else if let Some(value) = arg.strip_prefix("--fault-fsync-every=") {
-            parsed.fault_fsync_every =
-                Some(value.parse().expect("--fault-fsync-every expects a number"));
-        } else if let Some(value) = arg.strip_prefix("--channel=") {
-            parsed.channel_capacity = value.parse().expect("--channel expects a number");
-        } else if let Some(value) = arg.strip_prefix("--batch=") {
-            parsed.batch_size = value.parse().expect("--batch expects a number");
-        } else if let Some(value) = arg.strip_prefix("--pipeline-depth=") {
-            parsed.pipeline_depth = value.parse().expect("--pipeline-depth expects a number");
-        } else if let Some(value) = arg.strip_prefix("--poller=") {
-            parsed.poller = PollerChoice::parse(value)
-                .unwrap_or_else(|| panic!("--poller expects auto|epoll|spin, got {value:?}"));
-        } else if arg == "--poller" {
-            let value = flag_value("--poller");
-            parsed.poller = PollerChoice::parse(&value)
-                .unwrap_or_else(|| panic!("--poller expects auto|epoll|spin, got {value:?}"));
+        } else if let Some(v) = value("--fault-append-every") {
+            parsed.fault_append_every = Some(number("--fault-append-every", &v));
+        } else if let Some(v) = value("--fault-fsync-every") {
+            parsed.fault_fsync_every = Some(number("--fault-fsync-every", &v));
+        } else if let Some(v) = value("--channel") {
+            parsed.channel_capacity = number("--channel", &v);
+        } else if let Some(v) = value("--batch") {
+            parsed.batch_size = number("--batch", &v);
+        } else if let Some(v) = value("--pipeline-depth") {
+            parsed.pipeline_depth = number("--pipeline-depth", &v);
+        } else if let Some(v) = value("--poller") {
+            parsed.poller = PollerChoice::parse(&v)
+                .unwrap_or_else(|| panic!("--poller expects auto|epoll|spin, got {v:?}"));
         } else {
             eprintln!("unknown argument: {arg}");
             exit(2);
         }
     }
     parsed
+}
+
+/// The value of the valued flag `name` when `arg` is that flag, in either
+/// form: `--name=V`, or `--name` with `V` as the next argument.
+fn flag_value(arg: &str, name: &str, rest: &mut impl Iterator<Item = String>) -> Option<String> {
+    match arg.strip_prefix(name)? {
+        "" => Some(
+            rest.next()
+                .unwrap_or_else(|| panic!("{name} requires a value")),
+        ),
+        // `None` for a longer flag that only starts with `name`.
+        tail => tail.strip_prefix('=').map(str::to_string),
+    }
+}
+
+fn number<T: std::str::FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{name} expects a number, got {value:?}"))
 }
 
 fn main() {
