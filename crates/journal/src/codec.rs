@@ -2,15 +2,29 @@
 //!
 //! The on-disk format is a hand-rolled little-endian byte layout rather
 //! than a generic serializer: the journal must be readable by any future
-//! version of the code, so every discriminant below is part of the
-//! **format version 1 contract** and may never be renumbered — new
-//! variants get new tags. The golden-file test in `tests/golden.rs` pins
-//! these bytes.
+//! version of the code, so every discriminant below is part of the format
+//! contract and may never be renumbered — new variants get new tags. The
+//! golden-file test in `tests/golden.rs` pins these bytes.
+//!
+//! Two feedback encodings live here:
+//!
+//! - **The version-1 contract**, fixed width: [`put_feedback`] /
+//!   [`get_feedback`] and what they are built from ([`put_subject`],
+//!   [`put_qos_vector`], `u32` counts, `u64` ids). The wire `Ingest` body
+//!   and the snapshot body are written in it, and tag-1 feedback records
+//!   in segments of format 1–3 are read through it. It is not changed.
+//! - **What segment format 4 writes**, compact: [`put_feedback_compact`] /
+//!   [`get_feedback_compact`] over [`put_varint`] / [`get_varint`]. Ids and
+//!   the round are LEB128 varints, an empty collection costs a head bit
+//!   and not a `u32`; only the score keeps its eight bytes.
+//!
+//! [`put_metric`], [`put_listing`] and the primitives serve both.
 //!
 //! Layout primitives: `u8`/`u32`/`u64` little-endian, `f64` as the
-//! little-endian bytes of its IEEE-754 bit pattern. Collections are a
-//! `u32` count followed by the elements in order.
+//! little-endian bytes of its IEEE-754 bit pattern. Fixed-width
+//! collections are a `u32` count followed by the elements in order.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
@@ -19,18 +33,21 @@ use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
 use wsrep_sim::registry::Listing;
 
-/// Decoding failed: the bytes are not a valid version-1 record.
+/// Decoding failed: the bytes are not a valid record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// The buffer ended before the value was complete.
     UnexpectedEof,
-    /// A discriminant byte is outside the version-1 vocabulary.
+    /// A discriminant byte is outside the format's vocabulary.
     BadTag {
         /// Which kind of value was being decoded.
         what: &'static str,
         /// The offending byte.
         tag: u8,
     },
+    /// A varint is not the one encoding [`put_varint`] gives its value: it
+    /// ends in a zero group, runs past ten bytes or overflows 64 bits.
+    BadVarint,
 }
 
 impl fmt::Display for CodecError {
@@ -38,6 +55,7 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::UnexpectedEof => write!(f, "record truncated mid-value"),
             CodecError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag:#04x}"),
+            CodecError::BadVarint => write!(f, "varint is overlong or overflows 64 bits"),
         }
     }
 }
@@ -119,6 +137,39 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Append an `f64` as its little-endian bit pattern.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
+}
+
+/// Append a LEB128 varint: seven bits a byte, least significant group
+/// first, the top bit set on every byte but the last. 1 byte below 128,
+/// 2 below 16 384, 10 for `u64::MAX`.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read a LEB128 varint, accepting only what [`put_varint`] writes: one
+/// encoding per value, so a record re-encodes to the bytes it came from.
+pub fn get_varint(cur: &mut Cursor<'_>) -> Result<u64, CodecError> {
+    let mut value = 0u64;
+    for shift in (0..u64::BITS).step_by(7) {
+        let byte = cur.u8()?;
+        let group = u64::from(byte & 0x7F);
+        // The tenth group holds bit 63 alone.
+        if shift == 63 && group > 1 {
+            return Err(CodecError::BadVarint);
+        }
+        value |= group << shift;
+        if byte & 0x80 == 0 {
+            if group == 0 && shift != 0 {
+                return Err(CodecError::BadVarint);
+            }
+            return Ok(value);
+        }
+    }
+    Err(CodecError::BadVarint)
 }
 
 /// Append a `u32`-length-prefixed byte string.
@@ -277,6 +328,125 @@ pub fn get_feedback(cur: &mut Cursor<'_>) -> Result<Feedback, CodecError> {
         let metric = get_metric(cur)?;
         let rating = cur.f64()?;
         feedback = feedback.with_facet(metric, rating);
+    }
+    Ok(feedback)
+}
+
+/// Top bit of a record's first byte: the record is a compact feedback
+/// report and the byte is its head. No record tag sets it.
+pub const FEEDBACK_COMPACT: u8 = 0x80;
+const HEAD_KIND: u8 = 0b0000_0011;
+const HEAD_OBSERVED: u8 = 0b0000_0100;
+const HEAD_FACETS: u8 = 0b0000_1000;
+const HEAD_RESERVED: u8 = 0b0111_0000;
+
+fn put_pairs(out: &mut Vec<u8>, n: usize, pairs: impl Iterator<Item = (Metric, f64)>) {
+    put_varint(out, n as u64);
+    for (metric, value) in pairs {
+        put_metric(out, metric);
+        put_f64(out, value);
+    }
+}
+
+/// Read the `(metric, f64)` pairs a presence bit of `head` announced.
+fn get_pairs(
+    cur: &mut Cursor<'_>,
+    head: u8,
+    mut set: impl FnMut(Metric, f64),
+) -> Result<(), CodecError> {
+    let n = get_varint(cur)?;
+    if n == 0 {
+        // An empty collection is spelled by a clear bit, never by a count.
+        return Err(CodecError::BadTag {
+            what: "feedback head (presence bit over an empty collection)",
+            tag: head,
+        });
+    }
+    for _ in 0..n {
+        let metric = get_metric(cur)?;
+        set(metric, cur.f64()?);
+    }
+    Ok(())
+}
+
+/// Encode one feedback report in the compact form segment format 4
+/// writes:
+///
+/// ```text
+/// head    u8      0x80 | subject kind (bits 0–1) | observed≠∅ << 2 | facets≠∅ << 3
+/// rater   varint
+/// subject varint
+/// score   f64     bit-exact
+/// at      varint
+/// [observed  varint n ≥ 1, then n × (metric tag, f64)]   when bit 2 is set
+/// [facets    varint n ≥ 1, then n × (metric tag, f64)]   when bit 3 is set
+/// ```
+pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback) {
+    let (kind, subject) = match feedback.subject {
+        SubjectId::Agent(a) => (SUBJECT_AGENT, a.raw()),
+        SubjectId::Service(s) => (SUBJECT_SERVICE, s.raw()),
+        SubjectId::Provider(p) => (SUBJECT_PROVIDER, p.raw()),
+    };
+    let observed = !feedback.observed.is_empty();
+    let facets = !feedback.facet_ratings.is_empty();
+    out.push(
+        FEEDBACK_COMPACT
+            | kind
+            | if observed { HEAD_OBSERVED } else { 0 }
+            | if facets { HEAD_FACETS } else { 0 },
+    );
+    put_varint(out, feedback.rater.raw());
+    put_varint(out, subject);
+    put_f64(out, feedback.score);
+    put_varint(out, feedback.at.round());
+    if observed {
+        put_pairs(out, feedback.observed.len(), feedback.observed.iter());
+    }
+    if facets {
+        let ratings = feedback.facet_ratings.iter().map(|(&m, &r)| (m, r));
+        put_pairs(out, feedback.facet_ratings.len(), ratings);
+    }
+}
+
+/// Decode the compact feedback report that opened with `head`; `cur`
+/// stands just past that byte. The fields are restored as stored — no
+/// clamping, so decode ∘ encode is the identity on every `Feedback`, score
+/// bits included.
+pub fn get_feedback_compact(head: u8, cur: &mut Cursor<'_>) -> Result<Feedback, CodecError> {
+    let bad_head = CodecError::BadTag {
+        what: "feedback head",
+        tag: head,
+    };
+    if head & FEEDBACK_COMPACT == 0 || head & HEAD_RESERVED != 0 {
+        return Err(bad_head);
+    }
+    let rater = AgentId::new(get_varint(cur)?);
+    let raw = get_varint(cur)?;
+    let subject = match head & HEAD_KIND {
+        SUBJECT_AGENT => AgentId::new(raw).into(),
+        SUBJECT_SERVICE => ServiceId::new(raw).into(),
+        SUBJECT_PROVIDER => ProviderId::new(raw).into(),
+        _ => return Err(bad_head),
+    };
+    let score = cur.f64()?;
+    let at = Time::new(get_varint(cur)?);
+    let mut feedback = Feedback {
+        rater,
+        subject,
+        score,
+        observed: QosVector::new(),
+        facet_ratings: BTreeMap::new(),
+        at,
+    };
+    if head & HEAD_OBSERVED != 0 {
+        get_pairs(cur, head, |metric, value| {
+            feedback.observed.set(metric, value);
+        })?;
+    }
+    if head & HEAD_FACETS != 0 {
+        get_pairs(cur, head, |metric, rating| {
+            feedback.facet_ratings.insert(metric, rating);
+        })?;
     }
     Ok(feedback)
 }

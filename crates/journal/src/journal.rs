@@ -89,6 +89,8 @@ pub struct Journal {
     /// The active segment was written by an earlier build's format: seal
     /// it and rotate before appending, so no segment mixes two formats.
     stale: bool,
+    /// The batch being framed, kept between appends for its capacity.
+    buf: Vec<u8>,
     policy: Option<Arc<dyn IoPolicy>>,
 }
 
@@ -201,6 +203,7 @@ impl Journal {
             last_fsync_nanos: 0,
             commits: 0,
             stale,
+            buf: Vec::new(),
             policy: None,
         })
     }
@@ -305,25 +308,25 @@ impl Journal {
         // Records are framed in place: reserve the header, encode the
         // payload straight into the batch buffer, backfill len+CRC — no
         // per-record scratch Vec and no second copy.
-        let mut buf = Vec::new();
+        self.buf.clear();
         for (i, record) in records.iter().enumerate() {
-            let frame_start = begin_frame(&mut buf);
+            let frame_start = begin_frame(&mut self.buf);
             if i == 0 && first_lsn != self.next_lsn {
-                buf.push(LSN_MARKER);
-                buf.extend_from_slice(&first_lsn.to_le_bytes());
+                self.buf.push(LSN_MARKER);
+                self.buf.extend_from_slice(&first_lsn.to_le_bytes());
             }
-            record.encode(&mut buf);
-            end_frame(&mut buf, frame_start);
+            record.encode(&mut self.buf);
+            end_frame(&mut self.buf, frame_start);
         }
         if let Some(keep) = torn {
             // Land the partial bytes the way a crash mid-`write` would,
             // then fail: the tail garbage stays for reopen to repair.
-            let keep = keep.min(buf.len());
-            let _ = self.file.write_all(&buf[..keep]);
+            let keep = keep.min(self.buf.len());
+            let _ = self.file.write_all(&self.buf[..keep]);
             let _ = self.file.sync_data();
             return Err(Fault::Torn { keep }.into_error(IoOp::Append));
         }
-        if let Err(err) = self.file.write_all(&buf) {
+        if let Err(err) = self.file.write_all(&self.buf) {
             self.restore_segment_len();
             return Err(err);
         }
@@ -338,8 +341,8 @@ impl Journal {
         }
         let fsync_nanos = sync_started.elapsed().as_nanos() as u64;
 
-        self.segment_bytes += buf.len() as u64;
-        self.bytes_appended += buf.len() as u64;
+        self.segment_bytes += self.buf.len() as u64;
+        self.bytes_appended += self.buf.len() as u64;
         self.next_lsn = first_lsn + records.len() as u64;
         self.last_fsync_nanos = fsync_nanos;
         self.commits += 1;

@@ -7,9 +7,17 @@
 //! rebuilt by replay, never persisted. This is the log-then-derive
 //! architecture: the WAL is the source of truth, the in-memory store is a
 //! view.
+//!
+//! A record opens with one byte. Tags 1–3 are the version-1 contract: a
+//! fixed-width feedback report (read from segments of format 1–3, no
+//! longer written), a listing, a withdrawal. A byte with
+//! [`FEEDBACK_COMPACT`] set is the head of a compact feedback report,
+//! what [`JournalRecord::encode`] writes: to format-4 segments and, since
+//! `ReplBatch` carries these bytes, to replicas.
 
 use crate::codec::{
-    get_feedback, get_listing, put_feedback, put_listing, put_u64, CodecError, Cursor,
+    get_feedback, get_feedback_compact, get_listing, put_feedback_compact, put_listing, put_u64,
+    CodecError, Cursor, FEEDBACK_COMPACT,
 };
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::ServiceId;
@@ -39,13 +47,11 @@ impl JournalRecord {
         }
     }
 
-    /// Encode into `out` (version-1 layout: a tag byte plus the payload).
+    /// Encode into `out`: a compact feedback report behind its head byte,
+    /// or a tag byte plus the version-1 payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            JournalRecord::Feedback(feedback) => {
-                out.push(TAG_FEEDBACK);
-                put_feedback(out, feedback);
-            }
+            JournalRecord::Feedback(feedback) => put_feedback_compact(out, feedback),
             JournalRecord::Publish(listing) => {
                 out.push(TAG_PUBLISH);
                 put_listing(out, listing);
@@ -73,6 +79,9 @@ impl JournalRecord {
             TAG_FEEDBACK => JournalRecord::Feedback(get_feedback(&mut cur)?),
             TAG_PUBLISH => JournalRecord::Publish(get_listing(&mut cur)?),
             TAG_DEREGISTER => JournalRecord::Deregister(ServiceId::new(cur.u64()?)),
+            head if head & FEEDBACK_COMPACT != 0 => {
+                JournalRecord::Feedback(get_feedback_compact(head, &mut cur)?)
+            }
             tag => {
                 return Err(CodecError::BadTag {
                     what: "record",
@@ -119,6 +128,49 @@ mod tests {
             let bytes = record.to_bytes();
             assert_eq!(JournalRecord::decode(&bytes).unwrap(), record);
         }
+    }
+
+    /// What a report costs at the benchmark's shape (raters and services in
+    /// the low thousands, rounds below 128): the benchmark gates
+    /// `disk_bytes_per_report` per PR, this keeps it from drifting between
+    /// them.
+    #[test]
+    fn a_plain_report_fits_its_byte_budget() {
+        let report = |i: u64| {
+            JournalRecord::Feedback(Feedback::scored(
+                AgentId::new(16_383 - i % 2_000),
+                ServiceId::new(16_383 - i % 4_000),
+                i as f64 / 10_000.0,
+                Time::new(i % 128),
+            ))
+        };
+        let reports: Vec<JournalRecord> = (0..10_000).map(report).collect();
+        for record in &reports {
+            assert!(record.to_bytes().len() <= 14, "{record:?}");
+        }
+
+        let root =
+            std::env::temp_dir().join(format!("wsrep-journal-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let set = crate::GroupSet::open(&root, 1, crate::JournalConfig::default(), 0).unwrap();
+        let dir_bytes = || -> u64 {
+            std::fs::read_dir(root.join(crate::group_dir_name(0)))
+                .unwrap()
+                .map(|entry| entry.unwrap().metadata().unwrap().len())
+                .sum()
+        };
+        let before = dir_bytes();
+        for batch in reports.chunks(500) {
+            set.append_batch(0, batch).unwrap();
+        }
+        let grown = dir_bytes() - before;
+        assert!(
+            grown <= 23 * reports.len() as u64,
+            "{grown} bytes for {} reports",
+            reports.len()
+        );
+        drop(set);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

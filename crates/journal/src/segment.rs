@@ -32,11 +32,19 @@ use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"WSRJ";
-/// On-disk format version this build writes. Version 1 (no frame ever
-/// states its LSN) reads as the same format; version 2 (every payload is
-/// `LSN ‖ record`, no marker) is read through one branch of [`LsnWalk`]
-/// and never written.
-pub const FORMAT_VERSION: u8 = 3;
+/// On-disk format version this build writes: version 3's frame rule over
+/// records that may be compact (see [`crate::record`]). Versions 1–3 are
+/// read, never written. Version 1 (no frame ever states its LSN) walks as
+/// version 3 does; version 2 (every payload is `LSN ‖ record`, no marker)
+/// is one branch of [`LsnWalk`].
+///
+/// The record change alone earned the bump: a frame whose checksum holds
+/// and whose record does not decode scans as a torn tail, and
+/// `Journal::open` truncates a torn final segment — so a build that knows
+/// only fixed-width records, shown a compact one under a version it
+/// accepts, would cut acknowledged reports off the log. Under version 4
+/// it refuses the segment ([`LsnWalk::from_header`]).
+pub const FORMAT_VERSION: u8 = 4;
 /// Segment header bytes: magic + version + start LSN.
 pub const SEGMENT_HEADER_LEN: usize = 13;
 /// First payload byte of a frame that states its LSN (the `u64` LE that
@@ -371,6 +379,9 @@ mod tests {
         // Version 1 is the same format with no frame stating anything.
         write_frames(&path, 3, 1, &[(3, false), (4, false)]);
         assert_eq!(scanned_lsns(&path), (vec![3, 4], false));
+        // Version 3 is the same frame rule.
+        write_frames(&path, 3, 3, &[(3, false), (9, true)]);
+        assert_eq!(scanned_lsns(&path), (vec![3, 9], false));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -390,8 +401,22 @@ mod tests {
     fn unknown_version_is_an_error_not_garbage() {
         let dir = temp_dir("version");
         let path = dir.join(segment_file_name(0));
-        fs::write(&path, segment_header_versioned(0, 9)).unwrap();
-        assert!(scan_segment_entries(&path).is_err());
+        // The next version is refused, not scanned: its records may be
+        // ones this build would take for a torn tail and truncate.
+        for version in [FORMAT_VERSION + 1, 9] {
+            let mut bytes = segment_header_versioned(0, version).to_vec();
+            write_frame(&mut bytes, &record(0).to_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = scan_segment_entries(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown format version {version}")),
+                "{err}"
+            );
+            assert!(crate::Journal::open(&dir, Default::default()).is_err());
+            assert_eq!(fs::read(&path).unwrap(), bytes, "refused whole");
+        }
         fs::write(&path, segment_header_versioned(0, 0)).unwrap();
         assert!(scan_segment_entries(&path).is_err());
         fs::remove_dir_all(&dir).unwrap();
@@ -401,7 +426,7 @@ mod tests {
     fn out_of_order_tagged_lsn_is_torn() {
         let dir = temp_dir("order");
         let path = dir.join(segment_file_name(0));
-        for version in [2, FORMAT_VERSION] {
+        for version in [2, 3, FORMAT_VERSION] {
             write_frames(&path, 0, version, &[(4, true), (9, true), (6, true)]);
             assert_eq!(scanned_lsns(&path), (vec![4, 9], true), "v{version}");
         }

@@ -29,6 +29,12 @@ use wsrep_sim::registry::Listing;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"WSRS";
+/// The version byte this build writes. The body has had one layout since
+/// the first snapshot; builds up to segment format 3 stamped it with the
+/// segment format of the day, so 1–3 all name that layout and are read.
+/// It no longer follows [`crate::segment::FORMAT_VERSION`]: a segment
+/// bump must not make the snapshots beside it read as damaged.
+pub const SNAPSHOT_VERSION: u8 = 3;
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 
 /// The file name of the snapshot covering records `[0, lsn)`.
@@ -97,7 +103,7 @@ pub fn write_snapshot(
 
     let mut bytes = Vec::with_capacity(HEADER_LEN + body.len());
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.push(crate::segment::FORMAT_VERSION);
+    bytes.push(SNAPSHOT_VERSION);
     bytes.extend_from_slice(&lsn.to_le_bytes());
     bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -125,7 +131,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
     let bytes = fs::read(path)?;
     if bytes.len() < HEADER_LEN
         || bytes[..4] != SNAPSHOT_MAGIC
-        || bytes[4] != crate::segment::FORMAT_VERSION
+        || !(1..=SNAPSHOT_VERSION).contains(&bytes[4])
     {
         return Ok(None);
     }
@@ -212,6 +218,26 @@ mod tests {
         assert_eq!(snapshot.listings, listings);
         assert_eq!(snapshot.feedback, feedback);
         assert_eq!(snapshot.entries(), 13);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_format_bump_leaves_earlier_snapshots_readable() {
+        let dir = temp_dir("versions");
+        let path = write_snapshot(&dir, 7, &[listing(1)], &[feedback(0)]).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes[4], SNAPSHOT_VERSION);
+        for version in 1..=SNAPSHOT_VERSION {
+            bytes[4] = version;
+            fs::write(&path, &bytes).unwrap();
+            let snapshot = read_snapshot(&path).unwrap().expect("one body layout");
+            assert_eq!((snapshot.lsn, snapshot.entries()), (7, 2), "v{version}");
+        }
+        for version in [0, SNAPSHOT_VERSION + 1] {
+            bytes[4] = version;
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_snapshot(&path).unwrap(), None, "v{version}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

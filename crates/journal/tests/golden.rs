@@ -7,13 +7,18 @@
 //! `FORMAT_VERSION` and add an upgrade path; **never** regenerate the
 //! golden file to paper over an accidental layout change.
 //!
-//! Three formats are on disk somewhere. Version 1 (the first lines of
-//! the file) is no longer written but is the version-3 format in which no
-//! frame states its LSN, so its lines stay pinned as *readable*; version
-//! 3 adds the header byte and the LSN-stating frame; version 2
+//! Four formats are on disk somewhere. Version 1 (the first lines of
+//! the file) is the version-3 format in which no frame states its LSN;
+//! version 3 adds the header byte and the LSN-stating frame; version 2
 //! (`LSN ‖ record` in every payload) was never golden and is assembled by
-//! hand below. Each is read back through recovery and a ship cursor.
+//! hand below. All three carry feedback as fixed-width tag-1 records and
+//! are read, never written, so their lines stay pinned as *readable*.
+//! Version 4, the one written, is version 3's frames over compact
+//! feedback records (the last lines of the file). Each is read back
+//! through recovery and a ship cursor.
 //!
+//! The file is append-only: a format bump adds lines and edits none
+//! (`HISTORY` holds the earlier ones against an inline copy).
 //! (Deliberate, version-bumped regeneration:
 //! `WSREP_UPDATE_GOLDEN=1 cargo test -p wsrep-journal --test golden`.)
 
@@ -24,6 +29,7 @@ use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
+use wsrep_journal::codec::put_feedback;
 use wsrep_journal::frame::write_frame;
 use wsrep_journal::segment::{
     group_dir_name, list_segments, scan_segment_entries, segment_file_name, segment_header,
@@ -76,6 +82,40 @@ fn golden_records() -> Vec<JournalRecord> {
     ]
 }
 
+/// A record as builds up to format 3 wrote it: feedback is tag 1 and the
+/// fixed-width body, which this build reads and no longer writes.
+fn v1_bytes(record: &JournalRecord) -> Vec<u8> {
+    match record.as_feedback() {
+        Some(feedback) => {
+            let mut out = vec![1];
+            put_feedback(&mut out, feedback);
+            out
+        }
+        None => record.to_bytes(),
+    }
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, payload);
+    out
+}
+
+/// The golden file as format 3 left it. `WSREP_UPDATE_GOLDEN=1` rewrites
+/// the whole file, so these lines are also held here: a regeneration that
+/// edits history fails `the_golden_file_is_append_only`.
+const HISTORY: &str = "\
+# wsrep-journal on-disk format v1 — golden bytes, do not edit
+segment_header 5753524a018877665544332211
+record_0 4600000076d589a4010807060504030201012a00000000000000000000000000e83fe80300000000000002000000020000000000406f4016070000000000000c400100000006000000000000e03f
+record_1 2a000000dcfa1260010100000000000000020200000000000000000000000000f03f00000000000000000000000000000000
+record_2 2b0000008d9c885c0207000000000000000300000000000000adde000002000000042b8716d9cef7ef3f157b14ae47e1fa2340
+record_3 09000000722141d5030700000000000000
+# format v3: the records above, and a frame may state its LSN
+segment_header_v3 5753524a038877665544332211
+lsn_frame_2 34000000c7bfa6900090776655443322110207000000000000000300000000000000adde000002000000042b8716d9cef7ef3f157b14ae47e1fa2340
+";
+
 fn hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -85,28 +125,34 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn render() -> String {
+    let records = golden_records();
     let mut out = String::new();
     out.push_str("# wsrep-journal on-disk format v1 — golden bytes, do not edit\n");
     out.push_str(&format!(
         "segment_header {}\n",
         hex(&segment_header_versioned(START, 1))
     ));
-    for (i, record) in golden_records().iter().enumerate() {
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &record.to_bytes());
-        out.push_str(&format!("record_{i} {}\n", hex(&framed)));
+    for (i, record) in records.iter().enumerate() {
+        out.push_str(&format!("record_{i} {}\n", hex(&framed(&v1_bytes(record)))));
     }
     out.push_str("# format v3: the records above, and a frame may state its LSN\n");
     out.push_str(&format!(
         "segment_header_v3 {}\n",
-        hex(&segment_header(START))
+        hex(&segment_header_versioned(START, 3))
     ));
     let mut payload = vec![LSN_MARKER];
     payload.extend_from_slice(&STATED.to_le_bytes());
-    payload.extend_from_slice(&golden_records()[2].to_bytes());
-    let mut framed = Vec::new();
-    write_frame(&mut framed, &payload);
-    out.push_str(&format!("lsn_frame_2 {}\n", hex(&framed)));
+    payload.extend_from_slice(&records[2].to_bytes());
+    out.push_str(&format!("lsn_frame_2 {}\n", hex(&framed(&payload))));
+    out.push_str("# format v4: v3's frames; a feedback record is compact\n");
+    out.push_str(&format!(
+        "segment_header_v4 {}\n",
+        hex(&segment_header(START))
+    ));
+    for (i, record) in records[..2].iter().enumerate() {
+        let line = hex(&framed(&record.to_bytes()));
+        out.push_str(&format!("feedback_compact_{i} {line}\n"));
+    }
     out
 }
 
@@ -143,15 +189,26 @@ fn on_disk_record_format_is_pinned() {
 }
 
 #[test]
+fn the_golden_file_is_append_only() {
+    assert!(
+        include_str!("data/record_v1.hex").starts_with(HISTORY),
+        "a golden line an earlier format pinned was edited or dropped"
+    );
+}
+
+#[test]
 fn golden_bytes_still_decode_to_the_same_records() {
     // The reverse direction: the pinned hex must decode to the same
     // logical records, so old journals stay readable.
     let golden = golden_bytes();
-    for (i, expected) in golden_records().iter().enumerate() {
+    let records = golden_records();
+    let compact = (0..2).map(|i| (format!("feedback_compact_{i}"), &records[i]));
+    let fixed = (0..4).map(|i| (format!("record_{i}"), &records[i]));
+    for (line, expected) in fixed.chain(compact) {
         // Skip the 8-byte frame header (len + crc) to reach the payload.
-        let record = JournalRecord::decode(&golden[format!("record_{i}").as_str()][8..])
-            .expect("golden payload decodes");
-        assert_eq!(record, *expected, "record_{i}");
+        let record =
+            JournalRecord::decode(&golden[line.as_str()][8..]).expect("golden payload decodes");
+        assert_eq!(record, *expected, "{line}");
     }
 }
 
@@ -239,7 +296,7 @@ fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
     let mut bytes = segment_header_versioned(START, 2).to_vec();
     for (lsn, record) in lsns.iter().zip(&records) {
         let mut payload = lsn.to_le_bytes().to_vec();
-        payload.extend_from_slice(&record.to_bytes());
+        payload.extend_from_slice(&v1_bytes(record));
         write_frame(&mut bytes, &payload);
     }
     let path = group.join(segment_file_name(START));
@@ -272,16 +329,69 @@ fn the_writer_produces_the_golden_bytes() {
     journal.append_batch(&records[..2]).unwrap();
     journal.append_batch_at(STATED, &records[2..]).unwrap();
     drop(journal);
+    // The golden header with the writer's start LSN, 0, in place of START.
+    let mut header = golden["segment_header_v4"].clone();
+    header[5..].fill(0);
     let expected = [
-        &segment_header(0)[..],
-        &golden["record_0"][..],
-        &golden["record_1"][..],
+        &header[..],
+        &golden["feedback_compact_0"][..],
+        &golden["feedback_compact_1"][..],
         &golden["lsn_frame_2"][..],
         &golden["record_3"][..],
     ]
     .concat();
     assert_eq!(fs::read(dir.join(segment_file_name(0))).unwrap(), expected);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The upgrade: a log an earlier build left in format 3, fixed-width
+/// feedback inside, is sealed as it lies; what this build appends lands
+/// compact in a format-4 segment beside it, and the two read as one log.
+#[test]
+fn a_format_3_log_is_sealed_and_continued_in_format_4() {
+    let golden = golden_bytes();
+    let records = golden_records();
+    let root = temp_dir("upgrade");
+    let group = root.join(group_dir_name(0));
+    fs::create_dir_all(&group).unwrap();
+    let old = [
+        &golden["segment_header_v3"][..],
+        &golden["record_0"][..],
+        &golden["record_1"][..],
+        &golden["lsn_frame_2"][..],
+        &golden["record_3"][..],
+    ]
+    .concat();
+    let old_path = group.join(segment_file_name(START));
+    fs::write(&old_path, &old).unwrap();
+
+    let mut journal = Journal::open(&group, JournalConfig::default()).unwrap();
+    assert_eq!(journal.next_lsn(), STATED + 2);
+    journal.append_batch(&records[..2]).unwrap();
+    drop(journal);
+
+    assert_eq!(
+        fs::read(&old_path).unwrap(),
+        old,
+        "format 3 is never rewritten"
+    );
+    let segments = list_segments(&group).unwrap();
+    assert_eq!(segments.len(), 2);
+    let new = [
+        &segment_header(STATED + 2)[..],
+        &golden["feedback_compact_0"][..],
+        &golden["feedback_compact_1"][..],
+    ]
+    .concat();
+    assert_eq!(fs::read(&segments[1].1).unwrap(), new);
+    let scan = scan_segment_entries(&segments[1].1).unwrap().unwrap();
+    assert_eq!(scan.version, 4);
+
+    let lsns = [START, START + 1, STATED, STATED + 1, STATED + 2, STATED + 3];
+    let all = records.iter().chain(&records[..2]).cloned();
+    let expected: Vec<_> = lsns.into_iter().zip(all).collect();
+    assert_reads_back(&root, &expected);
+    fs::remove_dir_all(&root).unwrap();
 }
 
 /// A log whose active segment an earlier build wrote: still empty, its
@@ -291,7 +401,7 @@ fn the_writer_produces_the_golden_bytes() {
 #[test]
 fn an_earlier_formats_active_segment_is_re_headed_or_sealed() {
     let record = &golden_records()[3];
-    for version in [1u8, 2] {
+    for version in [1u8, 2, 3] {
         let dir = temp_dir(&format!("stale-empty-v{version}"));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(segment_file_name(5));

@@ -39,7 +39,7 @@ use wsrep_journal::JournalRecord;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
     /// Bounded channel capacity per writer group; a full channel blocks
-    /// producers.
+    /// producers. The buffer is allocated whole when the pipeline starts.
     pub channel_capacity: usize,
     /// Most reports applied per writer wake-up.
     pub batch_size: usize,
