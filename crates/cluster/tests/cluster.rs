@@ -174,14 +174,14 @@ fn replicas_catch_up_then_follow_the_live_tail() {
     primary.join();
 
     // A replica re-journals what it applied in the format written today:
-    // its own log holds every shipped record under header version 4.
+    // its own log holds every shipped record under header version 5.
     let group = dir_a.join(wsrep_journal::group_dir_name(0));
     let mut rejournaled = 0;
     for (_, path) in wsrep_journal::segment::list_segments(&group).expect("replica log") {
         let scan = wsrep_journal::segment::scan_segment_entries(&path)
             .expect("readable")
             .expect("headed");
-        assert_eq!(scan.version, 4, "{}", path.display());
+        assert_eq!(scan.version, 5, "{}", path.display());
         rejournaled += scan.entries.len() as u64;
     }
     assert_eq!(rejournaled, after_tail);

@@ -13,7 +13,7 @@
 //!   [`put_qos_vector`], `u32` counts, `u64` ids). The wire `Ingest` body
 //!   and the snapshot body are written in it, and tag-1 feedback records
 //!   in segments of format 1–3 are read through it. It is not changed.
-//! - **What segment format 4 writes**, compact: [`put_feedback_compact`] /
+//! - **What segment formats 4 and up write**, compact: [`put_feedback_compact`] /
 //!   [`get_feedback_compact`] over [`put_varint`] / [`get_varint`]. Ids and
 //!   the round are LEB128 varints, an empty collection costs a head bit
 //!   and not a `u32`; only the score keeps its eight bytes.
@@ -369,8 +369,8 @@ fn get_pairs(
     Ok(())
 }
 
-/// Encode one feedback report in the compact form segment format 4
-/// writes:
+/// Encode one feedback report in the compact form segment formats 4 and
+/// up write:
 ///
 /// ```text
 /// head    u8      0x80 | subject kind (bits 0–1) | observed≠∅ << 2 | facets≠∅ << 3

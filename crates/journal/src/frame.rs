@@ -1,6 +1,7 @@
-//! CRC32 record framing.
+//! CRC32 framing.
 //!
-//! Every journal record is wrapped in a fixed 8-byte frame header:
+//! Every journal commit (before segment format 5, every record) and every
+//! wire message is wrapped in a fixed 8-byte frame header:
 //!
 //! ```text
 //! ┌──────────────┬───────────────┬────────────────┐

@@ -1,10 +1,16 @@
 //! The append side: group-committed writes to the active segment.
 //!
 //! A [`Journal`] owns the active segment file. [`Journal::append_batch`]
-//! frames a whole batch of records into one buffer, issues a single
+//! encodes a whole batch of records into one frame, issues a single
 //! `write` and a single `fdatasync` — **group commit** — so durability
-//! costs one disk round-trip per batch, not per record. When the batch
-//! returns, every record in it is on stable storage.
+//! costs one disk round-trip and one 8-byte frame header per batch, not
+//! per record. When the batch returns, every record in it is on stable
+//! storage.
+//!
+//! The frame is the unit of tearing as well: a crash mid-append leaves
+//! none of the batch's records, never a prefix of them. Nothing
+//! acknowledged is lost by that, since a batch is acknowledged only after
+//! its `fdatasync` returned.
 //!
 //! Opening an existing journal repairs crash damage the same way
 //! recovery tolerates it: a torn tail on the *final* segment is truncated
@@ -14,13 +20,13 @@
 //! A journal may share its LSN space with others: a writer group's
 //! log takes each batch's first LSN from its partition's
 //! [`LsnAllocator`](crate::group::LsnAllocator) through
-//! [`Journal::append_batch_at`], and states it on the batch's first frame
-//! exactly when it is not the LSN this log would have reached by itself
-//! (the frame rule, [`crate::segment::LsnWalk`]). A log written alone
-//! ([`Journal::append_batch`]) never states one.
+//! [`Journal::append_batch_at`], and states it at the head of the batch's
+//! frame exactly when it is not the LSN this log would have reached by
+//! itself (the frame rule, [`crate::segment::LsnWalk`]). A log written
+//! alone ([`Journal::append_batch`]) never states one.
 
 use crate::faults::{Fault, IoOp, IoPolicy};
-use crate::frame::{begin_frame, end_frame};
+use crate::frame::{begin_frame, end_frame, FRAME_HEADER_LEN};
 use crate::record::JournalRecord;
 use crate::segment::{
     list_segments, scan_segment_entries, segment_file_name, segment_header, FORMAT_VERSION,
@@ -48,6 +54,12 @@ impl Default for JournalConfig {
         }
     }
 }
+
+/// A batch's open frame is closed, and another begun, once its payload
+/// has reached this size: far under [`crate::frame::MAX_PAYLOAD_LEN`]
+/// whatever one more record adds, and a bound on what a reader must hold
+/// to see one whole frame.
+pub const FRAME_SPLIT_BYTES: usize = 1 << 20;
 
 /// What one [`Journal::append_batch`] call made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,8 +290,11 @@ impl Journal {
     /// Group-commit a batch whose first record has LSN `first_lsn` (the
     /// batch occupies `[first_lsn, first_lsn + n)`) — for a log whose
     /// LSNs are allocated outside it. `first_lsn` must not go backwards;
-    /// where it skips ahead of this log, the batch's first frame states
-    /// it.
+    /// where it skips ahead of this log, the batch's frame states it.
+    ///
+    /// The batch is one frame, so a crash leaves all of it or none; one
+    /// that outgrows [`FRAME_SPLIT_BYTES`] continues in further frames of
+    /// the same write, and a crash may then keep a prefix of those.
     pub fn append_batch_at(
         &mut self,
         first_lsn: u64,
@@ -305,19 +320,23 @@ impl Journal {
             self.rotate_to(first_lsn)?;
         }
         let torn = self.consult(IoOp::Append)?;
-        // Records are framed in place: reserve the header, encode the
-        // payload straight into the batch buffer, backfill len+CRC — no
+        // The batch is framed in place: reserve the header, encode every
+        // record straight into the batch buffer, backfill len+CRC — no
         // per-record scratch Vec and no second copy.
         self.buf.clear();
-        for (i, record) in records.iter().enumerate() {
-            let frame_start = begin_frame(&mut self.buf);
-            if i == 0 && first_lsn != self.next_lsn {
-                self.buf.push(LSN_MARKER);
-                self.buf.extend_from_slice(&first_lsn.to_le_bytes());
+        let mut frame_start = begin_frame(&mut self.buf);
+        if first_lsn != self.next_lsn {
+            self.buf.push(LSN_MARKER);
+            self.buf.extend_from_slice(&first_lsn.to_le_bytes());
+        }
+        for record in records {
+            if self.buf.len() - frame_start >= FRAME_HEADER_LEN + FRAME_SPLIT_BYTES {
+                end_frame(&mut self.buf, frame_start);
+                frame_start = begin_frame(&mut self.buf);
             }
             record.encode(&mut self.buf);
-            end_frame(&mut self.buf, frame_start);
         }
+        end_frame(&mut self.buf, frame_start);
         if let Some(keep) = torn {
             // Land the partial bytes the way a crash mid-`write` would,
             // then fail: the tail garbage stays for reopen to repair.
@@ -465,27 +484,52 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Cut `cut` bytes off the end of the log's last segment.
+    fn tear_tail(dir: &Path, cut: u64) {
+        let (_, path) = list_segments(dir).unwrap().pop().unwrap();
+        let len = fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(len - cut).unwrap();
+    }
+
     #[test]
     fn torn_final_tail_is_truncated_on_open() {
+        // A commit is one frame: torn, none of its five records is left.
         let dir = temp_dir("torn-tail");
         {
             let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+            journal.append_batch(&[record(0), record(1)]).unwrap();
             journal
-                .append_batch(&(0..5).map(record).collect::<Vec<_>>())
+                .append_batch(&(2..7).map(record).collect::<Vec<_>>())
                 .unwrap();
         }
+        tear_tail(&dir, 4);
+        let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+        assert_eq!(journal.next_lsn(), 2, "torn commit dropped whole");
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let len = fs::metadata(&path).unwrap().len();
-        OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(len - 4)
-            .unwrap();
+        let whole_commit = 8 + 2 * record(0).to_bytes().len();
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            (SEGMENT_HEADER_LEN + whole_commit) as u64,
+            "truncated to the frame boundary"
+        );
+        journal.append_batch(&[record(2)]).unwrap();
+        assert_eq!(all_records(&dir), (0..3).map(record).collect::<Vec<_>>());
+        fs::remove_dir_all(&dir).unwrap();
+
+        // One record a commit: the same tear costs the last record alone.
+        let dir = temp_dir("torn-tail-single");
+        {
+            let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+            for i in 0..5 {
+                journal.append_batch(&[record(i)]).unwrap();
+            }
+        }
+        tear_tail(&dir, 4);
         let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
         assert_eq!(journal.next_lsn(), 4, "torn record dropped");
         journal.append_batch(&[record(4)]).unwrap();
-        assert_eq!(all_records(&dir).len(), 5);
+        assert_eq!(all_records(&dir), (0..5).map(record).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -590,24 +634,35 @@ mod tests {
 
     #[test]
     fn tagged_torn_tail_is_truncated_on_open() {
+        // A torn commit that stated its LSN is dropped whole, statement
+        // and all: the log resumes where the commit before it ended.
         let dir = temp_dir("tagged-torn");
         {
             let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+            journal.append_batch_at(3, &[record(3)]).unwrap();
             journal
                 .append_batch_at(10, &(10..15).map(record).collect::<Vec<_>>())
                 .unwrap();
         }
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let len = fs::metadata(&path).unwrap().len();
-        OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(len - 4)
-            .unwrap();
+        tear_tail(&dir, 4);
         let journal = Journal::open(&dir, JournalConfig::default()).unwrap();
-        assert_eq!(journal.next_lsn(), 14, "torn record dropped");
-        assert_eq!(tagged_lsns(&dir), vec![10, 11, 12, 13]);
+        assert_eq!(journal.next_lsn(), 4, "torn commit dropped whole");
+        assert_eq!(tagged_lsns(&dir), vec![3]);
+        drop(journal);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // One record a commit, each stating its LSN: four of five stay.
+        let dir = temp_dir("tagged-torn-single");
+        {
+            let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+            for lsn in [10, 12, 14, 16, 18] {
+                journal.append_batch_at(lsn, &[record(lsn)]).unwrap();
+            }
+        }
+        tear_tail(&dir, 4);
+        let journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+        assert_eq!(journal.next_lsn(), 17, "torn record dropped");
+        assert_eq!(tagged_lsns(&dir), vec![10, 12, 14, 16]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

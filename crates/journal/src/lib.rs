@@ -17,9 +17,9 @@
 //!   under disk failures, not just SIGKILL;
 //! - [`frame`] — CRC32 framing with torn-write detection;
 //! - [`segment`] — LSN-named segment files, their scanner, and the one
-//!   rule that gives a frame its LSN;
-//! - [`journal`] — the group-committing writer of one log (one fsync per
-//!   batch);
+//!   rule that gives a frame's records their LSNs;
+//! - [`journal`] — the group-committing writer of one log (one frame and
+//!   one fsync per batch);
 //! - [`group`] — the write-ahead log: one journal per writer group,
 //!   sharing one LSN space via a global allocator, with a cross-group
 //!   durable watermark;
@@ -35,8 +35,8 @@
 //! A record is *acknowledged* once the [`GroupSet::append_batch`] call
 //! that carried it returns `Ok`: it has been written and fdatasync'd.
 //! Recovery restores **at least the acknowledged prefix** of the log — a
-//! crash mid-append loses only unacknowledged records, which the framing
-//! detects and truncates per log stream. Acknowledged data is never
+//! crash mid-append loses only unacknowledged records, a whole batch at a
+//! time, which the framing detects and truncates per log stream. Acknowledged data is never
 //! silently dropped: a torn *non-final* segment refuses to open. The
 //! acknowledged prefix is bounded by the cross-group watermark
 //! ([`group::LsnAllocator::durable_lsn`]); a crash

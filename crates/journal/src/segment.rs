@@ -11,44 +11,52 @@
 //! ```
 //!
 //! Each segment starts with a 13-byte header (`WSRJ`, format version,
-//! start LSN) followed by CRC32 frames (see [`crate::frame`]), one record
-//! per frame. **The frame rule** — how a frame gets its LSN — lives in
-//! [`LsnWalk`] and nowhere else: a frame's LSN is its predecessor's plus
-//! one (the first frame's, the header's start LSN) unless its payload
-//! opens with [`LSN_MARKER`] and the `u64` LSN it has instead. A log that
-//! shares its LSN space with other writer groups (see [`crate::group`])
-//! states an LSN exactly where one of its batches does not continue its
-//! own previous one; a log written alone never does.
+//! start LSN) followed by CRC32 frames (see [`crate::frame`]): **one
+//! frame per commit**, its payload the commit's records back to back
+//! (before format 5, one frame per record). **The frame rule**, how a
+//! frame's records get their LSNs, lives in [`LsnWalk`] and nowhere else:
+//! a frame's first record has its predecessor's last LSN plus one (in the
+//! first frame, the header's start LSN) unless the payload opens with
+//! [`LSN_MARKER`] and the `u64` LSN it has instead; the records after it
+//! count up from there. A log that shares its LSN space with other writer
+//! groups (see [`crate::group`]) states an LSN exactly where one of its
+//! commits does not continue its own previous one; a log written alone
+//! never does. A frame is read whole or not at all: one that does not
+//! check, label and decode to its last byte is where the log ends.
 //!
 //! Every journal keeps its segments in `group-NNN/` subdirectories of the
 //! journal root, one per writer group; the root itself may hold the
 //! sealed log of a single-directory past life, and readers merge both.
 
+use crate::codec::{CodecError, Cursor};
 use crate::frame::{FrameEnd, FrameReader};
-use crate::record::JournalRecord;
+use crate::record::{JournalRecord, TRAILING_BYTES};
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"WSRJ";
-/// On-disk format version this build writes: version 3's frame rule over
-/// records that may be compact (see [`crate::record`]). Versions 1–3 are
-/// read, never written. Version 1 (no frame ever states its LSN) walks as
-/// version 3 does; version 2 (every payload is `LSN ‖ record`, no marker)
+/// On-disk format version this build writes: a frame is one commit, its
+/// payload `[LSN_MARKER ‖ lsn]? record record …`. Versions 1–4 are read,
+/// never written, and hold exactly one record in every frame: version 4
+/// is version 5 otherwise; version 3 carries feedback fixed-width (see
+/// [`crate::record`]); version 1 is version 3 in which no frame ever
+/// states its LSN; version 2 (every payload is `LSN ‖ record`, no marker)
 /// is one branch of [`LsnWalk`].
 ///
-/// The record change alone earned the bump: a frame whose checksum holds
-/// and whose record does not decode scans as a torn tail, and
-/// `Journal::open` truncates a torn final segment — so a build that knows
-/// only fixed-width records, shown a compact one under a version it
-/// accepts, would cut acknowledged reports off the log. Under version 4
-/// it refuses the segment ([`LsnWalk::from_header`]).
-pub const FORMAT_VERSION: u8 = 4;
+/// Each change of what a frame may hold earned its bump: a frame whose
+/// checksum holds and whose payload does not decode scans as a torn tail,
+/// and `Journal::open` truncates a torn final segment. A format-4 build
+/// shown a many-record payload would take it for a record with trailing
+/// bytes and cut acknowledged reports off the log; under version 5 it
+/// refuses the segment ([`LsnWalk::from_header`]).
+pub const FORMAT_VERSION: u8 = 5;
 /// Segment header bytes: magic + version + start LSN.
 pub const SEGMENT_HEADER_LEN: usize = 13;
 /// First payload byte of a frame that states its LSN (the `u64` LE that
-/// follows, then the record). No record tag uses it.
+/// follows, then the records). No record tag uses it.
 pub const LSN_MARKER: u8 = 0;
 
 /// The file name of the segment whose header carries `start_lsn`.
@@ -80,8 +88,33 @@ pub fn segment_header_versioned(start_lsn: u64, version: u8) -> [u8; SEGMENT_HEA
     header
 }
 
-/// The frame rule: walks one segment's frame payloads and labels each
-/// with its LSN.
+/// Why [`LsnWalk::step`] refused a frame: damage no healthy writer leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameDamage {
+    /// The stated LSN is cut short, goes backwards, or leaves no LSN for
+    /// the records behind it.
+    Lsn,
+    /// The record that would have had `lsn` does not decode; an empty
+    /// payload lacks its first.
+    Record {
+        /// The LSN the record would have had.
+        lsn: u64,
+        /// What its decoder met.
+        err: CodecError,
+    },
+}
+
+impl fmt::Display for FrameDamage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameDamage::Lsn => write!(f, "states a truncated or backward LSN"),
+            FrameDamage::Record { lsn, err } => write!(f, "undecodable record at lsn {lsn}: {err}"),
+        }
+    }
+}
+
+/// The frame rule: walks one segment's frame payloads and labels every
+/// record in them with its LSN.
 #[derive(Debug, Clone, Copy)]
 pub struct LsnWalk {
     version: u8,
@@ -116,35 +149,60 @@ impl LsnWalk {
         self.version
     }
 
-    /// The LSN the next frame has unless it states another: the header's
-    /// start LSN before the first frame, one past the last frame's after.
+    /// The LSN the next frame's first record has unless the frame states
+    /// another: the header's start LSN before the first frame, one past
+    /// the last record's after.
     pub fn next_lsn(&self) -> u64 {
         self.next
     }
 
-    /// Label the next frame: its LSN and the record bytes inside
-    /// `payload`. `None` is damage no healthy writer leaves — a stated
-    /// LSN cut short, or one that goes backwards — and does not advance.
-    pub fn step<'a>(&mut self, payload: &'a [u8]) -> Option<(u64, &'a [u8])> {
-        let stated = |at: usize| {
-            let lsn = payload.get(at..at + 8)?;
-            Some((
-                u64::from_le_bytes(lsn.try_into().unwrap()),
-                &payload[at + 8..],
-            ))
-        };
-        let (lsn, record) = if self.version == 2 {
-            stated(0)? // every version-2 payload is `LSN ‖ record`
-        } else if payload.first() == Some(&LSN_MARKER) {
-            stated(1)?
+    /// Label and decode the next frame, handing each record to `emit` as
+    /// it decodes: every record to the payload's last byte in a format-5
+    /// frame, exactly one in an earlier format's.
+    ///
+    /// A frame is all or nothing. On `Err` the walk has not advanced and
+    /// the frame's records are not part of the log, those already handed
+    /// to `emit` included: the caller takes them back.
+    pub fn step(
+        &mut self,
+        payload: &[u8],
+        mut emit: impl FnMut(u64, JournalRecord),
+    ) -> Result<(), FrameDamage> {
+        let mut cur = Cursor::new(payload);
+        let marked = self.version != 2 && payload.first() == Some(&LSN_MARKER);
+        if marked {
+            let _ = cur.u8();
+        }
+        // Every version-2 payload opens with its LSN, marker-less.
+        let mut lsn = if marked || self.version == 2 {
+            cur.u64().map_err(|_| FrameDamage::Lsn)?
         } else {
-            (self.next, payload)
+            self.next
         };
         if lsn < self.next {
-            return None;
+            return Err(FrameDamage::Lsn);
         }
-        self.next = lsn + 1;
-        Some((lsn, record))
+        // Before format 5 a frame is one record, to its last byte.
+        let lone = self.version < 5;
+        loop {
+            // Matched, not `map_err` + `?`: that moved every record once
+            // more, a fifth of what recovery spends scanning a long log.
+            match JournalRecord::decode_from(&mut cur) {
+                Ok(_) if lone && cur.remaining() != 0 => {
+                    return Err(FrameDamage::Record {
+                        lsn,
+                        err: TRAILING_BYTES,
+                    })
+                }
+                Ok(record) => emit(lsn, record),
+                Err(err) => return Err(FrameDamage::Record { lsn, err }),
+            }
+            lsn = lsn.checked_add(1).ok_or(FrameDamage::Lsn)?;
+            if cur.remaining() == 0 {
+                self.next = lsn;
+                return Ok(());
+            }
+        }
     }
 }
 
@@ -204,8 +262,8 @@ pub struct SegmentEntries {
     /// segment, and the first record's LSN unless that frame states its
     /// own.
     pub start_lsn: u64,
-    /// The valid `(lsn, record)` prefix, in strictly increasing LSN
-    /// order.
+    /// The records of the valid frame prefix, each with its LSN, in
+    /// strictly increasing LSN order.
     pub entries: Vec<(u64, JournalRecord)>,
     /// File offset just past the last valid frame (header included).
     pub valid_len: u64,
@@ -222,8 +280,9 @@ pub struct SegmentEntries {
 /// caller decides whether that is fatal; an unknown format version is an
 /// error (see [`LsnWalk::from_header`]). Frame-level damage is *not* an
 /// error: the valid prefix is returned with `torn = true`, and that
-/// covers a frame the [`LsnWalk`] refuses or whose record does not
-/// decode as much as one whose checksum fails.
+/// covers a frame the [`LsnWalk`] refuses as much as one whose checksum
+/// fails. The prefix ends on a frame boundary: a damaged frame
+/// contributes none of its records.
 pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
     let bytes = fs::read(path)?;
     let Some(mut walk) = LsnWalk::from_header(&bytes, path)? else {
@@ -235,14 +294,13 @@ pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
     let mut valid_len = SEGMENT_HEADER_LEN;
     let mut torn = false;
     while let Some(payload) = reader.next() {
-        let decoded = walk
-            .step(payload)
-            .and_then(|(lsn, record)| Some((lsn, JournalRecord::decode(record).ok()?)));
-        let Some(entry) = decoded else {
+        let whole_frames = entries.len();
+        let step = walk.step(payload, |lsn, record| entries.push((lsn, record)));
+        if step.is_err() {
+            entries.truncate(whole_frames);
             torn = true;
             break;
-        };
-        entries.push(entry);
+        }
         valid_len = SEGMENT_HEADER_LEN + reader.valid_len();
     }
     if reader.end() == Some(FrameEnd::Torn) {
@@ -436,6 +494,102 @@ mod tests {
         write_frame(&mut bytes, &[LSN_MARKER, 5, 0, 0]);
         fs::write(&path, &bytes).unwrap();
         assert_eq!(scanned_lsns(&path), (vec![0], true));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A frame of `lsns.len()` records, stating `lsns[0]` when asked to.
+    fn commit_frame(bytes: &mut Vec<u8>, lsns: std::ops::Range<u64>, stated: bool) {
+        let mut payload = Vec::new();
+        if stated {
+            payload.push(LSN_MARKER);
+            payload.extend_from_slice(&lsns.start.to_le_bytes());
+        }
+        for lsn in lsns {
+            record(lsn).encode(&mut payload);
+        }
+        write_frame(bytes, &payload);
+    }
+
+    #[test]
+    fn a_frame_numbers_its_records_from_its_lsn() {
+        let dir = temp_dir("commit");
+        let path = dir.join(segment_file_name(3));
+        let mut bytes = segment_header(3).to_vec();
+        commit_frame(&mut bytes, 3..6, false);
+        commit_frame(&mut bytes, 6..7, false);
+        commit_frame(&mut bytes, 20..24, true);
+        commit_frame(&mut bytes, 24..26, false);
+        fs::write(&path, &bytes).unwrap();
+        let expected = [3, 4, 5, 6, 20, 21, 22, 23, 24, 25];
+        assert_eq!(scanned_lsns(&path), (expected.to_vec(), false));
+        let scan = scan_segment_entries(&path).unwrap().unwrap();
+        assert_eq!(scan.valid_len, bytes.len() as u64);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_frame_yields_none_of_its_records() {
+        let dir = temp_dir("whole");
+        let path = dir.join(segment_file_name(0));
+        let mut head = segment_header(0).to_vec();
+        commit_frame(&mut head, 0..2, false);
+        let mut three = Vec::new();
+        for lsn in 2..5 {
+            record(lsn).encode(&mut three);
+        }
+        let stating = |lsn: u64, records: &[u8]| {
+            let mut payload = vec![LSN_MARKER];
+            payload.extend_from_slice(&lsn.to_le_bytes());
+            payload.extend_from_slice(records);
+            payload
+        };
+        let damaged: [(&str, Vec<u8>); 5] = [
+            ("a last record cut short", three[..three.len() - 1].to_vec()),
+            (
+                "an unknown tag after two records",
+                [&three[..], &[0x7F]].concat(),
+            ),
+            ("no record at all", Vec::new()),
+            ("a stated LSN and no record", stating(9, &[])),
+            ("a stated LSN that goes backwards", stating(1, &three)),
+        ];
+        for (what, payload) in damaged {
+            let mut bytes = head.clone();
+            write_frame(&mut bytes, &payload);
+            commit_frame(&mut bytes, 5..6, false);
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(scanned_lsns(&path), (vec![0, 1], true), "{what}");
+            let scan = scan_segment_entries(&path).unwrap().unwrap();
+            assert_eq!(scan.valid_len, head.len() as u64, "{what}");
+        }
+        // The walk itself: nothing advances, whatever was handed out.
+        let mut walk = LsnWalk::from_header(&head, &path).unwrap().unwrap();
+        let mut seen = Vec::new();
+        let damage = walk.step(&three[..three.len() - 1], |lsn, _| seen.push(lsn));
+        assert!(matches!(damage, Err(FrameDamage::Record { lsn: 2, .. })));
+        assert_eq!((walk.next_lsn(), seen), (0, vec![0, 1]));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn before_format_5_a_frame_is_exactly_one_record() {
+        let dir = temp_dir("lone");
+        let path = dir.join(segment_file_name(0));
+        for version in 1..FORMAT_VERSION {
+            let mut bytes = segment_header_versioned(0, version).to_vec();
+            let lsn = |l: u64| {
+                if version == 2 {
+                    l.to_le_bytes().to_vec()
+                } else {
+                    Vec::new()
+                }
+            };
+            write_frame(&mut bytes, &[lsn(0), record(0).to_bytes()].concat());
+            let two = [lsn(1), record(1).to_bytes(), record(2).to_bytes()].concat();
+            write_frame(&mut bytes, &two);
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(scanned_lsns(&path), (vec![0], true), "v{version}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

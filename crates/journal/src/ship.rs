@@ -3,9 +3,14 @@
 //! A [`ShipCursor`] walks the segment files of a journal that another
 //! writer (in the same process or another one) is still appending to,
 //! handing out decoded records in LSN order. It remembers the byte
-//! offset it has consumed inside each segment, so each
+//! offset it has consumed inside each segment and keeps what it has read
+//! beyond that, a bounded chunk at a time, so each segment is read once
+//! however small the batches asked for, and a caught-up
 //! [`ShipCursor::next_batch`] call reads only the bytes appended since
 //! the last call — the read side of primary → replica replication.
+//!
+//! A frame holds a whole commit and is shipped or refused whole; a
+//! position inside one is reached by dropping the records before it.
 //!
 //! The cursor opens one sub-cursor per log under the journal root — each
 //! `group-NNN/` writer group's (see [`crate::group`]), plus the root's
@@ -62,6 +67,12 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+
+/// How much of a segment one read takes, and about how much a cursor
+/// holds between calls: some ten thousand reports. A frame that is larger
+/// (the writer's go up to [`crate::journal::FRAME_SPLIT_BYTES`]) is read
+/// to its end in one further read.
+const READ_CHUNK: usize = 256 << 10;
 
 /// One `next_batch` result: records `first_lsn .. first_lsn + records.len()`.
 #[derive(Debug)]
@@ -161,6 +172,7 @@ impl ShipCursor {
                     dir,
                     from_lsn: self.next_lsn,
                     at: None,
+                    bytes_read: 0,
                 };
                 cursor.locate()?;
                 Ok(SubCursor {
@@ -176,6 +188,12 @@ impl ShipCursor {
     /// LSN of the next record `next_batch` will return.
     pub fn next_lsn(&self) -> u64 {
         self.next_lsn
+    }
+
+    /// Segment bytes read so far, over every log.
+    #[cfg(test)]
+    fn bytes_read(&self) -> u64 {
+        self.subs.iter().map(|sub| sub.cursor.bytes_read).sum()
     }
 
     /// Refill empty buffers (up to `want` entries each): the stream with
@@ -256,6 +274,8 @@ struct DirCursor {
     from_lsn: u64,
     /// Where the cursor reads next, once a segment has been located.
     at: Option<Position>,
+    /// Segment bytes read so far, frame data only.
+    bytes_read: u64,
 }
 
 #[derive(Debug)]
@@ -266,6 +286,10 @@ struct Position {
     offset: u64,
     /// Labels the frame at `offset`.
     walk: LsnWalk,
+    /// `ahead[taken..]` is the segment's bytes from `offset` on, as far
+    /// as they have been read.
+    ahead: Vec<u8>,
+    taken: usize,
 }
 
 impl Position {
@@ -283,12 +307,32 @@ impl Position {
                 segment_start: start,
                 offset: SEGMENT_HEADER_LEN as u64,
                 walk,
+                ahead: Vec::new(),
+                taken: 0,
             })),
             _ => Err(corrupt(format!(
                 "segment {} does not open with a header starting at {start}",
                 path.display()
             ))),
         }
+    }
+
+    /// Read on behind `ahead`, which holds no whole frame: a chunk, or
+    /// the rest of the front frame where its header (whose length
+    /// `split_frame` has found within the frame limit) promises more than
+    /// that. Returns the bytes gained; none means the segment holds no
+    /// more right now.
+    fn read_on(&mut self, path: &Path) -> io::Result<usize> {
+        self.ahead.drain(..self.taken);
+        self.taken = 0;
+        let mut want = READ_CHUNK;
+        if self.ahead.len() >= FRAME_HEADER_LEN {
+            let len = u32::from_le_bytes(self.ahead[..4].try_into().unwrap());
+            want = want.max(FRAME_HEADER_LEN + len as usize - self.ahead.len());
+        }
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(self.offset + self.ahead.len() as u64))?;
+        file.take(want as u64).read_to_end(&mut self.ahead)
     }
 }
 
@@ -323,63 +367,31 @@ impl DirCursor {
         Ok(())
     }
 
-    /// Read up to `max` entries at or after `from_lsn` and the cursor
-    /// position into `out`, following segment rotations.
+    /// Read entries at or after `from_lsn` and the cursor position into
+    /// `out`, following segment rotations, until `max` or more were added:
+    /// frames are taken whole, so the last may overshoot.
     fn next_entries(
         &mut self,
         max: usize,
         out: &mut VecDeque<(u64, JournalRecord)>,
     ) -> io::Result<()> {
-        if max == 0 {
-            return Ok(());
-        }
         if self.at.is_none() {
             self.locate()?;
         }
         let Some(at) = &mut self.at else {
             return Ok(());
         };
-        let mut added = 0;
+        let full = out.len() + max;
         // The next segment by name, once seen: a read of the current
         // segment begun after that sees everything it will ever hold.
         let mut successor: Option<u64> = None;
         loop {
-            let sealed_by = successor;
             let path = self.dir.join(segment_file_name(at.segment_start));
-            let mut file = File::open(&path)?;
-            file.seek(SeekFrom::Start(at.offset))?;
-            let mut buf = Vec::new();
-            file.read_to_end(&mut buf)?;
-
-            let mut pos = 0;
-            let leftover = loop {
-                if added >= max {
-                    break buf.len() - pos;
-                }
-                match split_frame(&buf[pos..]) {
-                    FrameSplit::Frame { frame_len } => {
-                        let payload = &buf[pos + FRAME_HEADER_LEN..pos + frame_len];
-                        let (lsn, body) = at.walk.step(payload).ok_or_else(|| {
-                            corrupt(format!(
-                                "frame after lsn {} in {} states a truncated or backward LSN",
-                                at.walk.next_lsn(),
-                                path.display()
-                            ))
-                        })?;
-                        pos += frame_len;
-                        if lsn < self.from_lsn {
-                            continue;
-                        }
-                        let record = JournalRecord::decode(body).map_err(|err| {
-                            corrupt(format!(
-                                "undecodable record at lsn {lsn} in {}: {err}",
-                                path.display()
-                            ))
-                        })?;
-                        out.push_back((lsn, record));
-                        added += 1;
-                    }
-                    FrameSplit::Incomplete => break buf.len() - pos,
+            while out.len() < full {
+                let unread = &at.ahead[at.taken..];
+                let frame_len = match split_frame(unread) {
+                    FrameSplit::Frame { frame_len } => frame_len,
+                    FrameSplit::Incomplete => break,
                     FrameSplit::Corrupt => {
                         return Err(corrupt(format!(
                             "corrupt frame at lsn {} in {}",
@@ -387,13 +399,37 @@ impl DirCursor {
                             path.display()
                         )));
                     }
+                };
+                let whole_frames = out.len();
+                let step = at
+                    .walk
+                    .step(&unread[FRAME_HEADER_LEN..frame_len], |lsn, record| {
+                        if lsn >= self.from_lsn {
+                            out.push_back((lsn, record));
+                        }
+                    });
+                if let Err(damage) = step {
+                    out.truncate(whole_frames);
+                    return Err(corrupt(format!(
+                        "frame after lsn {} in {} {damage}",
+                        at.walk.next_lsn(),
+                        path.display()
+                    )));
                 }
-            };
-            at.offset += pos as u64;
-            if added >= max {
+                at.taken += frame_len;
+                at.offset += frame_len as u64;
+            }
+            if out.len() >= full {
                 break;
             }
 
+            // What has been read holds no further whole frame.
+            let sealed_by = successor;
+            let gained = at.read_on(&path)?;
+            self.bytes_read += gained as u64;
+            if gained > 0 {
+                continue;
+            }
             // End of what this segment holds right now. Only a read that
             // began with the successor already in view proves the segment
             // finished: a batch and the rotation after it may both land
@@ -404,15 +440,21 @@ impl DirCursor {
                     .map(|(start, _)| start)
                     .find(|start| *start > at.segment_start);
                 if successor.is_none() {
-                    break; // live tail
+                    // Live tail. A frame half-read may be half-written:
+                    // a failed append is taken back and written over, so
+                    // read it anew next time.
+                    at.ahead.clear();
+                    at.taken = 0;
+                    break;
                 }
                 continue;
             };
-            if leftover > 0 {
+            if !at.ahead.is_empty() {
                 // Rotation seals segments on frame boundaries; trailing
                 // garbage before a successor is damage.
                 return Err(corrupt(format!(
-                    "{leftover} trailing bytes in sealed segment {}",
+                    "{} trailing bytes in sealed segment {}",
+                    at.ahead.len(),
                     path.display()
                 )));
             }
@@ -509,6 +551,85 @@ mod tests {
         for (i, r) in got.iter().enumerate() {
             assert_eq!(*r, record(i as u64), "lsn {i}");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A replica far behind pulls a long log in small batches: what one
+    /// call read and did not hand out is kept for the next, not read
+    /// again.
+    #[test]
+    fn a_catching_up_cursor_reads_each_segment_once() {
+        let dir = temp_dir("read-once");
+        let config = JournalConfig {
+            max_segment_bytes: 3 * READ_CHUNK as u64,
+        };
+        let mut journal = Journal::open(&dir, config).unwrap();
+        let mut lsn = 0;
+        // Commits of 400 records, and one frame larger than a read.
+        for commit in 0..320 {
+            let len = if commit == 20 { 30_000 } else { 400 };
+            let records: Vec<JournalRecord> = (lsn..lsn + len).map(record).collect();
+            journal.append_batch(&records).unwrap();
+            lsn += len;
+        }
+        assert!(journal.stats().segments >= 3, "several segments");
+        let log_bytes = journal.stats().bytes_appended;
+        assert!(log_bytes > 6 * READ_CHUNK as u64, "several reads a segment");
+
+        let mut cursor = ShipCursor::open(&dir, 0).unwrap();
+        let mut next = 0;
+        loop {
+            let batch = cursor.next_batch(100).unwrap();
+            if batch.records.is_empty() {
+                break;
+            }
+            assert_eq!(batch.first_lsn, next);
+            for (i, got) in batch.records.iter().enumerate() {
+                assert_eq!(*got, record(next + i as u64));
+            }
+            next += batch.records.len() as u64;
+        }
+        assert_eq!(next, lsn);
+        let read = cursor.bytes_read();
+        assert!(
+            (log_bytes..2 * log_bytes).contains(&read),
+            "read {read} bytes of a {log_bytes}-byte log"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_frame_ships_none_of_its_records() {
+        use crate::frame::write_frame;
+        let dir = temp_dir("damaged-frame");
+        let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+        journal.append_batch(&[record(0), record(1)]).unwrap();
+        drop(journal);
+        // A frame whose checksum holds and whose third record does not
+        // decode, the way no writer leaves one.
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let mut payload = [record(2).to_bytes(), record(3).to_bytes()].concat();
+        payload.push(0x7F);
+        write_frame(&mut bytes, &payload);
+        fs::write(&path, &bytes).unwrap();
+
+        let err = ShipCursor::open(&dir, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("undecodable record at lsn 4"));
+        // The two records handed out before the third failed are taken
+        // back: the buffer keeps the whole frames read before it, here
+        // what the commit of two holds from LSN 1 on.
+        let mut sub = DirCursor {
+            dir: dir.clone(),
+            from_lsn: 1,
+            at: None,
+            bytes_read: 0,
+        };
+        let mut out = VecDeque::new();
+        let err = sub.next_entries(64, &mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(out, VecDeque::from([(1, record(1))]));
         fs::remove_dir_all(&dir).unwrap();
     }
 

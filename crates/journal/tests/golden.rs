@@ -7,15 +7,17 @@
 //! `FORMAT_VERSION` and add an upgrade path; **never** regenerate the
 //! golden file to paper over an accidental layout change.
 //!
-//! Four formats are on disk somewhere. Version 1 (the first lines of
+//! Five formats are on disk somewhere. Version 1 (the first lines of
 //! the file) is the version-3 format in which no frame states its LSN;
 //! version 3 adds the header byte and the LSN-stating frame; version 2
 //! (`LSN ‖ record` in every payload) was never golden and is assembled by
-//! hand below. All three carry feedback as fixed-width tag-1 records and
-//! are read, never written, so their lines stay pinned as *readable*.
-//! Version 4, the one written, is version 3's frames over compact
-//! feedback records (the last lines of the file). Each is read back
-//! through recovery and a ship cursor.
+//! hand below. All three carry feedback as fixed-width tag-1 records.
+//! Version 4 is version 3's frames over compact feedback records. Those
+//! four hold one record a frame and are read, never written, so their
+//! lines stay pinned as *readable*. Version 5, the one written, frames a
+//! whole commit: the same records back to back behind one header (the
+//! last lines of the file). Each is read back through recovery and a ship
+//! cursor.
 //!
 //! The file is append-only: a format bump adds lines and edits none
 //! (`HISTORY` holds the earlier ones against an inline copy).
@@ -29,7 +31,7 @@ use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
-use wsrep_journal::codec::put_feedback;
+use wsrep_journal::codec::{put_feedback, Cursor};
 use wsrep_journal::frame::write_frame;
 use wsrep_journal::segment::{
     group_dir_name, list_segments, scan_segment_entries, segment_file_name, segment_header,
@@ -82,6 +84,17 @@ fn golden_records() -> Vec<JournalRecord> {
     ]
 }
 
+/// The two golden commits of format 5: a compact report, a listing and a
+/// withdrawal in one frame at the LSN the log has reached, then two
+/// records in a frame that states [`STATED`].
+fn golden_commits() -> (Vec<JournalRecord>, Vec<JournalRecord>) {
+    let records = golden_records();
+    (
+        records[1..].to_vec(),
+        vec![records[0].clone(), records[3].clone()],
+    )
+}
+
 /// A record as builds up to format 3 wrote it: feedback is tag 1 and the
 /// fixed-width body, which this build reads and no longer writes.
 fn v1_bytes(record: &JournalRecord) -> Vec<u8> {
@@ -101,7 +114,7 @@ fn framed(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The golden file as format 3 left it. `WSREP_UPDATE_GOLDEN=1` rewrites
+/// The golden file as format 4 left it. `WSREP_UPDATE_GOLDEN=1` rewrites
 /// the whole file, so these lines are also held here: a regeneration that
 /// edits history fails `the_golden_file_is_append_only`.
 const HISTORY: &str = "\
@@ -114,6 +127,10 @@ record_3 09000000722141d5030700000000000000
 # format v3: the records above, and a frame may state its LSN
 segment_header_v3 5753524a038877665544332211
 lsn_frame_2 34000000c7bfa6900090776655443322110207000000000000000300000000000000adde000002000000042b8716d9cef7ef3f157b14ae47e1fa2340
+# format v4: v3's frames; a feedback record is compact
+segment_header_v4 5753524a048877665544332211
+feedback_compact_0 330000008806c30d8d888e98a8c0e08081012a000000000000e83fe80702020000000000406f4016070000000000000c400106000000000000e03f
+feedback_compact_1 0c000000016148df820102000000000000f03f00
 ";
 
 fn hex(bytes: &[u8]) -> String {
@@ -147,12 +164,24 @@ fn render() -> String {
     out.push_str("# format v4: v3's frames; a feedback record is compact\n");
     out.push_str(&format!(
         "segment_header_v4 {}\n",
-        hex(&segment_header(START))
+        hex(&segment_header_versioned(START, 4))
     ));
     for (i, record) in records[..2].iter().enumerate() {
         let line = hex(&framed(&record.to_bytes()));
         out.push_str(&format!("feedback_compact_{i} {line}\n"));
     }
+    out.push_str("# format v5: v4's records; a frame is one commit, and may state its LSN\n");
+    out.push_str(&format!(
+        "segment_header_v5 {}\n",
+        hex(&segment_header(START))
+    ));
+    let (commit, stated) = golden_commits();
+    let payload: Vec<u8> = commit.iter().flat_map(JournalRecord::to_bytes).collect();
+    out.push_str(&format!("commit_3 {}\n", hex(&framed(&payload))));
+    let mut payload = vec![LSN_MARKER];
+    payload.extend_from_slice(&STATED.to_le_bytes());
+    payload.extend(stated.iter().flat_map(JournalRecord::to_bytes));
+    out.push_str(&format!("lsn_commit_2 {}\n", hex(&framed(&payload))));
     out
 }
 
@@ -210,6 +239,15 @@ fn golden_bytes_still_decode_to_the_same_records() {
             JournalRecord::decode(&golden[line.as_str()][8..]).expect("golden payload decodes");
         assert_eq!(record, *expected, "{line}");
     }
+    // A commit's frame: records back to back to the payload's last byte.
+    let (commit, stated) = golden_commits();
+    for (line, skip, expected) in [("commit_3", 8, commit), ("lsn_commit_2", 8 + 9, stated)] {
+        let mut cur = Cursor::new(&golden[line][skip..]);
+        for record in expected {
+            assert_eq!(JournalRecord::decode_from(&mut cur).unwrap(), record);
+        }
+        assert_eq!(cur.remaining(), 0, "{line}");
+    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -252,6 +290,39 @@ fn assert_reads_back(root: &Path, expected: &[(u64, JournalRecord)]) {
     assert_eq!(shipped, expected);
 }
 
+/// A journal root whose group 0 holds one segment at [`START`]: the named
+/// golden lines end to end. Returns the root and the segment's path.
+fn golden_log(tag: &str, lines: &[&str]) -> (PathBuf, PathBuf) {
+    let golden = golden_bytes();
+    let root = temp_dir(tag);
+    let group = root.join(group_dir_name(0));
+    fs::create_dir_all(&group).unwrap();
+    let bytes: Vec<u8> = lines.iter().flat_map(|line| golden[line].clone()).collect();
+    let path = group.join(segment_file_name(START));
+    fs::write(&path, bytes).unwrap();
+    (root, path)
+}
+
+/// Formats 3 and 4 as their writers left the golden records: a header,
+/// the two reports (fixed-width, then compact), the listing in a frame
+/// that states its LSN, the withdrawal continuing from it.
+const ONE_RECORD_FORMATS: [[&str; 5]; 2] = [
+    [
+        "segment_header_v3",
+        "record_0",
+        "record_1",
+        "lsn_frame_2",
+        "record_3",
+    ],
+    [
+        "segment_header_v4",
+        "feedback_compact_0",
+        "feedback_compact_1",
+        "lsn_frame_2",
+        "record_3",
+    ],
+];
+
 #[test]
 fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
     let golden = golden_bytes();
@@ -269,22 +340,23 @@ fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
     assert_reads_back(&root, &expected);
     fs::remove_dir_all(&root).unwrap();
 
-    // Version 3: the third record's frame states its LSN, the fourth
-    // continues from it.
-    let root = temp_dir("v3");
-    let group = root.join(group_dir_name(0));
-    fs::create_dir_all(&group).unwrap();
-    let bytes = [
-        &golden["segment_header_v3"][..],
-        frames[0],
-        frames[1],
-        &golden["lsn_frame_2"][..],
-        frames[3],
-    ]
-    .concat();
-    fs::write(group.join(segment_file_name(START)), bytes).unwrap();
+    // Versions 3 and 4: the third record's frame states its LSN, the
+    // fourth continues from it.
     let lsns = [START, START + 1, STATED, STATED + 1];
     let expected: Vec<_> = lsns.into_iter().zip(records.clone()).collect();
+    for lines in ONE_RECORD_FORMATS {
+        let (root, _) = golden_log(lines[0], &lines);
+        assert_reads_back(&root, &expected);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    // Version 5: a commit of three, then a commit of two that states its
+    // LSN.
+    let (root, _) = golden_log("v5", &["segment_header_v5", "commit_3", "lsn_commit_2"]);
+    let (commit, stated) = golden_commits();
+    let lsns = (START..START + 3).chain(STATED..);
+    let expected: Vec<_> = lsns.zip(commit.into_iter().chain(stated)).collect();
+    assert_eq!(expected.len(), 5);
     assert_reads_back(&root, &expected);
     fs::remove_dir_all(&root).unwrap();
 
@@ -323,75 +395,64 @@ fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
 #[test]
 fn the_writer_produces_the_golden_bytes() {
     let golden = golden_bytes();
-    let records = golden_records();
+    let (commit, stated) = golden_commits();
     let dir = temp_dir("writer");
     let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
-    journal.append_batch(&records[..2]).unwrap();
-    journal.append_batch_at(STATED, &records[2..]).unwrap();
+    journal.append_batch(&commit).unwrap();
+    journal.append_batch_at(STATED, &stated).unwrap();
     drop(journal);
     // The golden header with the writer's start LSN, 0, in place of START.
-    let mut header = golden["segment_header_v4"].clone();
+    let mut header = golden["segment_header_v5"].clone();
     header[5..].fill(0);
     let expected = [
         &header[..],
-        &golden["feedback_compact_0"][..],
-        &golden["feedback_compact_1"][..],
-        &golden["lsn_frame_2"][..],
-        &golden["record_3"][..],
+        &golden["commit_3"][..],
+        &golden["lsn_commit_2"][..],
     ]
     .concat();
     assert_eq!(fs::read(dir.join(segment_file_name(0))).unwrap(), expected);
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The upgrade: a log an earlier build left in format 3, fixed-width
-/// feedback inside, is sealed as it lies; what this build appends lands
-/// compact in a format-4 segment beside it, and the two read as one log.
+/// The upgrade: a log an earlier build left in format 3 (fixed-width
+/// feedback) or format 4 (compact, a frame a record) is sealed as it
+/// lies; what this build appends lands as one commit frame in a format-5
+/// segment beside it, and the two read as one log.
 #[test]
-fn a_format_3_log_is_sealed_and_continued_in_format_4() {
+fn an_earlier_formats_log_is_sealed_and_continued_in_format_5() {
     let golden = golden_bytes();
     let records = golden_records();
-    let root = temp_dir("upgrade");
-    let group = root.join(group_dir_name(0));
-    fs::create_dir_all(&group).unwrap();
-    let old = [
-        &golden["segment_header_v3"][..],
-        &golden["record_0"][..],
-        &golden["record_1"][..],
-        &golden["lsn_frame_2"][..],
-        &golden["record_3"][..],
-    ]
-    .concat();
-    let old_path = group.join(segment_file_name(START));
-    fs::write(&old_path, &old).unwrap();
+    let (commit, _) = golden_commits();
+    for lines in ONE_RECORD_FORMATS {
+        let header = lines[0];
+        let (root, old_path) = golden_log(&format!("upgrade-{header}"), &lines);
+        let group = root.join(group_dir_name(0));
+        let old = fs::read(&old_path).unwrap();
 
-    let mut journal = Journal::open(&group, JournalConfig::default()).unwrap();
-    assert_eq!(journal.next_lsn(), STATED + 2);
-    journal.append_batch(&records[..2]).unwrap();
-    drop(journal);
+        let mut journal = Journal::open(&group, JournalConfig::default()).unwrap();
+        assert_eq!(journal.next_lsn(), STATED + 2);
+        journal.append_batch(&commit).unwrap();
+        drop(journal);
 
-    assert_eq!(
-        fs::read(&old_path).unwrap(),
-        old,
-        "format 3 is never rewritten"
-    );
-    let segments = list_segments(&group).unwrap();
-    assert_eq!(segments.len(), 2);
-    let new = [
-        &segment_header(STATED + 2)[..],
-        &golden["feedback_compact_0"][..],
-        &golden["feedback_compact_1"][..],
-    ]
-    .concat();
-    assert_eq!(fs::read(&segments[1].1).unwrap(), new);
-    let scan = scan_segment_entries(&segments[1].1).unwrap().unwrap();
-    assert_eq!(scan.version, 4);
+        assert_eq!(
+            fs::read(&old_path).unwrap(),
+            old,
+            "{header} is never rewritten"
+        );
+        let segments = list_segments(&group).unwrap();
+        assert_eq!(segments.len(), 2);
+        let new = [&segment_header(STATED + 2)[..], &golden["commit_3"][..]].concat();
+        assert_eq!(fs::read(&segments[1].1).unwrap(), new);
+        let scan = scan_segment_entries(&segments[1].1).unwrap().unwrap();
+        assert_eq!(scan.version, 5);
 
-    let lsns = [START, START + 1, STATED, STATED + 1, STATED + 2, STATED + 3];
-    let all = records.iter().chain(&records[..2]).cloned();
-    let expected: Vec<_> = lsns.into_iter().zip(all).collect();
-    assert_reads_back(&root, &expected);
-    fs::remove_dir_all(&root).unwrap();
+        let lsns = [START, START + 1, STATED, STATED + 1].into_iter();
+        let all = records.iter().chain(&commit).cloned();
+        let expected: Vec<_> = lsns.chain(STATED + 2..).zip(all).collect();
+        assert_eq!(expected.len(), 7);
+        assert_reads_back(&root, &expected);
+        fs::remove_dir_all(&root).unwrap();
+    }
 }
 
 /// A log whose active segment an earlier build wrote: still empty, its
@@ -401,7 +462,7 @@ fn a_format_3_log_is_sealed_and_continued_in_format_4() {
 #[test]
 fn an_earlier_formats_active_segment_is_re_headed_or_sealed() {
     let record = &golden_records()[3];
-    for version in [1u8, 2, 3] {
+    for version in 1..FORMAT_VERSION {
         let dir = temp_dir(&format!("stale-empty-v{version}"));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(segment_file_name(5));

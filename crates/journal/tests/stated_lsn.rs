@@ -2,8 +2,9 @@
 //!
 //! A writer group's log states an LSN exactly on a batch that does not
 //! continue the log's own previous one. These tests pin the price (nine
-//! bytes, once per such batch, nothing for a group with no neighbour)
-//! and the crash shape that makes the statement necessary.
+//! bytes, once per such batch, nothing for a group with no neighbour),
+//! beside the eight-byte frame header every batch pays once, and the
+//! crash shape that makes the statement necessary.
 
 use proptest::prelude::*;
 use std::fs;
@@ -51,10 +52,10 @@ fn shipped(root: &Path) -> Vec<(u64, JournalRecord)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bytes appended = the dense frames, plus nine per batch that begins
-    /// off its own log's expected LSN — which a batch that opens a segment
-    /// never does — so exactly the dense frames for one group, whatever
-    /// the batching.
+    /// Bytes appended = the records, plus eight per batch (its one frame
+    /// header), plus nine per batch that begins off its own log's expected
+    /// LSN — which a batch that opens a segment never does — so exactly
+    /// records and headers for one group, whatever the batching.
     #[test]
     fn a_stated_lsn_costs_nine_bytes_per_batch_that_needs_one(
         groups in 1usize..=3,
@@ -73,7 +74,7 @@ proptest! {
         for (group, len) in batches {
             let group = group % groups;
             let records: Vec<JournalRecord> = (lsn..lsn + len).map(record).collect();
-            dense += records.iter().map(|r| 8 + r.to_bytes().len() as u64).sum::<u64>();
+            dense += 8 + records.iter().map(|r| r.to_bytes().len() as u64).sum::<u64>();
             let segments = set.lock(group).stats().segments;
             let receipt = set.append_batch(group, &records).unwrap();
             prop_assert_eq!(receipt.first_lsn, lsn);
@@ -124,8 +125,12 @@ fn the_first_batch_after_a_torn_tail_states_its_lsn() {
     let set = GroupSet::open(&dir, 2, JournalConfig::default(), floor).unwrap();
     let receipt = set.append_batch(1, &[record(3), record(4)]).unwrap();
     assert_eq!(receipt.first_lsn, 3, "LSN 1 is never handed out again");
-    let dense: u64 = (3..5).map(|l| 8 + record(l).to_bytes().len() as u64).sum();
-    assert_eq!(set.stats().bytes_appended, dense + 9, "stated once");
+    let records: u64 = (3..5).map(|l| record(l).to_bytes().len() as u64).sum();
+    assert_eq!(
+        set.stats().bytes_appended,
+        8 + 9 + records,
+        "one frame header, stated once"
+    );
     drop(set);
 
     // Group 1's log now reads 3, 4 from a header that says 0…

@@ -1,8 +1,9 @@
 //! Upgrade across a segment format bump: a journal an earlier build left
-//! in format 3 (fixed-width tag-1 feedback records) is recovered by this
-//! build to the estimates it held, stays untouched on disk when this
-//! build appends beside it in format 4, and recovers to the same
-//! estimates again from the two formats together.
+//! in format 3 (fixed-width tag-1 feedback records) or format 4 (compact
+//! ones), a frame a record in both, is recovered by this build to the
+//! estimates it held, stays untouched on disk when this build appends
+//! beside it in format 5, and recovers to the same estimates again from
+//! the two formats together.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,12 +50,14 @@ fn report(i: u64) -> Feedback {
     }
 }
 
-/// Write `root/group-000/wal-0.log` the way a format-3 build did: header
-/// version 3, a listing per service, then `reports` as tag-1 records.
-fn write_format_3_log(root: &Path, reports: &[Feedback]) -> PathBuf {
+/// Write `root/group-000/wal-0.log` the way a build of format `version`
+/// (3 or 4) did: its header, a listing per service, then `reports` as
+/// tag-1 records (3) or compact ones (4), every record in a frame of its
+/// own.
+fn write_old_log(root: &Path, version: u8, reports: &[Feedback]) -> PathBuf {
     let group = root.join(group_dir_name(0));
     fs::create_dir_all(&group).unwrap();
-    let mut bytes = segment_header_versioned(0, 3).to_vec();
+    let mut bytes = segment_header_versioned(0, version).to_vec();
     for service in 0..SERVICES {
         let listing = JournalRecord::Publish(Listing {
             service: ServiceId::new(service),
@@ -65,8 +68,13 @@ fn write_format_3_log(root: &Path, reports: &[Feedback]) -> PathBuf {
         write_frame(&mut bytes, &listing.to_bytes());
     }
     for feedback in reports {
-        let mut record = vec![1];
-        put_feedback(&mut record, feedback);
+        let record = if version == 3 {
+            let mut record = vec![1];
+            put_feedback(&mut record, feedback);
+            record
+        } else {
+            JournalRecord::Feedback(feedback.clone()).to_bytes()
+        };
         write_frame(&mut bytes, &record);
     }
     let path = group.join(segment_file_name(0));
@@ -79,11 +87,23 @@ fn estimates(service: &ReputationService) -> Vec<Option<TrustEstimate>> {
 }
 
 #[test]
-fn a_format_3_journal_recovers_the_same_before_and_after_a_format_4_append() {
-    let root = std::env::temp_dir().join(format!("wsrep-serve-upgrade-{}", std::process::id()));
+fn a_format_3_journal_recovers_the_same_before_and_after_a_format_5_append() {
+    recovers_the_same_before_and_after_an_append(3);
+}
+
+#[test]
+fn a_format_4_journal_recovers_the_same_before_and_after_a_format_5_append() {
+    recovers_the_same_before_and_after_an_append(4);
+}
+
+fn recovers_the_same_before_and_after_an_append(version: u8) {
+    let root = std::env::temp_dir().join(format!(
+        "wsrep-serve-upgrade-v{version}-{}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&root);
     let reports: Vec<Feedback> = (0..240).map(report).collect();
-    let old_path = write_format_3_log(&root, &reports);
+    let old_path = write_old_log(&root, version, &reports);
     let old_bytes = fs::read(&old_path).unwrap();
     let history = SERVICES + reports.len() as u64;
 
@@ -125,12 +145,12 @@ fn a_format_3_journal_recovers_the_same_before_and_after_a_format_4_append() {
     assert_eq!(
         fs::read(&old_path).unwrap(),
         old_bytes,
-        "the format-3 segment is sealed as it lies"
+        "the format-{version} segment is sealed as it lies"
     );
     let segments = list_segments(&root.join(group_dir_name(0))).unwrap();
     assert_eq!(segments.len(), 2, "the append opened a segment of its own");
     let appended = scan_segment_entries(&segments[1].1).unwrap().unwrap();
-    assert_eq!((appended.version, appended.start_lsn), (4, history));
+    assert_eq!((appended.version, appended.start_lsn), (5, history));
     assert_eq!(appended.entries.len(), 1);
 
     let revived = ReputationService::builder()
