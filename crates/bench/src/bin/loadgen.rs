@@ -43,7 +43,7 @@ use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
 use wsrep_server::{
-    ChaosConfig, Client, FlakyProxy, Request, Response, RetryPolicy, RetryingClient,
+    flag_value, ChaosConfig, Client, FlakyProxy, Request, Response, RetryPolicy, RetryingClient,
 };
 use wsrep_sim::registry::Listing;
 
@@ -63,19 +63,6 @@ struct Config {
     replicas: Vec<String>,
     shutdown: bool,
     chaos: bool,
-}
-
-/// The value of the valued flag `name` when `arg` is that flag, in either
-/// form: `--name=V`, or `--name` with `V` as the next argument.
-fn flag_value(arg: &str, name: &str, rest: &mut impl Iterator<Item = String>) -> Option<String> {
-    match arg.strip_prefix(name)? {
-        "" => Some(
-            rest.next()
-                .unwrap_or_else(|| panic!("{name} requires a value")),
-        ),
-        // `None` for a longer flag that only starts with `name`.
-        tail => tail.strip_prefix('=').map(str::to_string),
-    }
 }
 
 fn parse_args() -> Config {

@@ -8,6 +8,8 @@
 //!                       [--promote-on-disconnect SECS]
 //! ```
 //!
+//! Every flag takes its value as `--flag V` or `--flag=V`.
+//!
 //! Both roles print their bound address as the first (flushed) stdout
 //! line — `wsrep-cluster primary listening on 127.0.0.1:40519` — so
 //! callers binding port 0 can parse it.
@@ -33,7 +35,7 @@ use wsrep_cluster::{
     verify_against_sequential_replay, Primary, PrimaryConfig, Replica, ReplicaConfig,
 };
 use wsrep_serve::ReputationService;
-use wsrep_server::ServerConfig;
+use wsrep_server::{flag_value, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -66,44 +68,24 @@ fn parse_args(mut args: std::env::Args) -> Args {
         promote_after: None,
     };
     while let Some(arg) = args.next() {
-        let mut flag_value = |name: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        if let Some(value) = arg.strip_prefix("--listen=") {
-            parsed.listen = value.to_string();
-        } else if arg == "--listen" {
-            parsed.listen = flag_value("--listen");
-        } else if let Some(dir) = arg.strip_prefix("--journal=") {
-            parsed.journal = Some(PathBuf::from(dir));
-        } else if arg == "--journal" {
-            parsed.journal = Some(PathBuf::from(flag_value("--journal")));
-        } else if let Some(dir) = arg.strip_prefix("--recover=") {
-            parsed.journal = Some(PathBuf::from(dir));
+        let mut value = |name: &str| flag_value(&arg, name, &mut args);
+        if let Some(v) = value("--listen") {
+            parsed.listen = v;
+        } else if let Some(v) = value("--journal") {
+            parsed.journal = Some(PathBuf::from(v));
+        } else if let Some(v) = value("--recover") {
+            parsed.journal = Some(PathBuf::from(v));
             parsed.recover = true;
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            parsed.shards = value.parse().expect("--shards expects a number");
-        } else if arg == "--shards" {
-            parsed.shards = flag_value("--shards").parse().expect("--shards: number");
-        } else if let Some(value) = arg.strip_prefix("--workers=") {
-            parsed.workers = value.parse().expect("--workers expects a number");
-        } else if arg == "--workers" {
-            parsed.workers = flag_value("--workers").parse().expect("--workers: number");
-        } else if let Some(value) = arg.strip_prefix("--primary=") {
-            parsed.primary = Some(value.to_string());
-        } else if arg == "--primary" {
-            parsed.primary = Some(flag_value("--primary"));
-        } else if let Some(value) = arg.strip_prefix("--id=") {
-            parsed.replica_id = value.parse().expect("--id expects a number");
-        } else if arg == "--id" {
-            parsed.replica_id = flag_value("--id").parse().expect("--id: number");
-        } else if let Some(value) = arg.strip_prefix("--promote-on-disconnect=") {
-            let secs: f64 = value.parse().expect("--promote-on-disconnect: seconds");
-            parsed.promote_after = Some(Duration::from_secs_f64(secs));
-        } else if arg == "--promote-on-disconnect" {
-            let secs: f64 = flag_value("--promote-on-disconnect")
-                .parse()
-                .expect("--promote-on-disconnect: seconds");
+        } else if let Some(v) = value("--shards") {
+            parsed.shards = v.parse().expect("--shards expects a number");
+        } else if let Some(v) = value("--workers") {
+            parsed.workers = v.parse().expect("--workers expects a number");
+        } else if let Some(v) = value("--primary") {
+            parsed.primary = Some(v);
+        } else if let Some(v) = value("--id") {
+            parsed.replica_id = v.parse().expect("--id expects a number");
+        } else if let Some(v) = value("--promote-on-disconnect") {
+            let secs: f64 = v.parse().expect("--promote-on-disconnect: seconds");
             parsed.promote_after = Some(Duration::from_secs_f64(secs));
         } else {
             eprintln!("unknown argument: {arg}");

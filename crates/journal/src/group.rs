@@ -6,7 +6,7 @@
 //! group per batch. Record order across groups is preserved by a shared
 //! [`LsnAllocator`]: every batch takes a contiguous run of global LSNs
 //! before it is written, and readers (recovery, the ship cursor) merge
-//! the per-group logs back into one stream by sorting on LSN. One group
+//! the per-group logs back into one stream by LSN. One group
 //! is the same thing with nothing to merge: its log is dense and no
 //! frame in it ever states an LSN.
 //!

@@ -29,11 +29,11 @@ use crate::faults::{Fault, IoOp, IoPolicy};
 use crate::frame::{begin_frame, end_frame, FRAME_HEADER_LEN};
 use crate::record::JournalRecord;
 use crate::segment::{
-    list_segments, scan_segment_entries, segment_file_name, segment_header, FORMAT_VERSION,
+    list_segments, segment_file_name, segment_header, LsnWalk, SegmentReader, FORMAT_VERSION,
     LSN_MARKER, SEGMENT_HEADER_LEN,
 };
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -146,7 +146,11 @@ impl Journal {
         // A final segment whose header never hit the disk holds zero
         // acknowledged records; drop it and fall back to its predecessor.
         while let Some((_, path)) = segments.last() {
-            if scan_segment_entries(path)?.is_some() {
+            let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
+            File::open(path)?
+                .take(SEGMENT_HEADER_LEN as u64)
+                .read_to_end(&mut header)?;
+            if LsnWalk::from_header(&header, path)?.is_some() {
                 break;
             }
             fs::remove_file(path)?;
@@ -157,13 +161,16 @@ impl Journal {
         let mut stale = false;
         for (i, (start_lsn, path)) in segments.iter().enumerate() {
             let last = i + 1 == segments.len();
-            let scan = scan_segment_entries(path)?.ok_or_else(|| {
+            let mut scan = SegmentReader::open(path)?.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("segment {} has a corrupt header", path.display()),
                 )
             })?;
-            if scan.torn && !last {
+            // Every frame is checked; no record is kept.
+            while scan.next_frame().is_some() {}
+            let no_frame = scan.valid_len() == SEGMENT_HEADER_LEN as u64;
+            if scan.torn() && !last {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -172,14 +179,14 @@ impl Journal {
                     ),
                 ));
             }
-            if scan.torn {
+            if scan.torn() {
                 // Crashed append: the tail was never acknowledged.
                 let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(scan.valid_len)?;
+                file.set_len(scan.valid_len())?;
                 file.sync_data()?;
             }
-            if last && scan.version != FORMAT_VERSION {
-                if scan.entries.is_empty() {
+            if last && scan.version() != FORMAT_VERSION {
+                if no_frame {
                     let mut file = OpenOptions::new().write(true).open(path)?;
                     file.write_all(&segment_header(*start_lsn))?;
                     file.sync_data()?;
@@ -187,12 +194,12 @@ impl Journal {
                     stale = true;
                 }
             }
-            next_lsn = scan
-                .entries
-                .last()
-                .map(|(lsn, _)| lsn + 1)
-                .unwrap_or(*start_lsn)
-                .max(next_lsn);
+            let end = if no_frame {
+                *start_lsn
+            } else {
+                scan.next_lsn()
+            };
+            next_lsn = end.max(next_lsn);
         }
 
         let (segment_start, file, segment_bytes) = match segments.last() {
@@ -404,6 +411,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::scan_segment_entries;
     use wsrep_core::feedback::Feedback;
     use wsrep_core::id::{AgentId, ServiceId};
     use wsrep_core::time::Time;

@@ -16,7 +16,7 @@
 //!   append/fsync/rotate/snapshot, so durability claims are testable
 //!   under disk failures, not just SIGKILL;
 //! - [`frame`] — CRC32 framing with torn-write detection;
-//! - [`segment`] — LSN-named segment files, their scanner, and the one
+//! - [`segment`] — LSN-named segment files, their reader, and the one
 //!   rule that gives a frame's records their LSNs;
 //! - [`journal`] — the group-committing writer of one log (one frame and
 //!   one fsync per batch);
@@ -24,8 +24,8 @@
 //!   sharing one LSN space via a global allocator, with a cross-group
 //!   durable watermark;
 //! - [`snapshot`] — atomic point-in-time state captures;
-//! - [`recovery`] — snapshot + tail replay, merging all log streams by
-//!   LSN, tolerant of torn final records;
+//! - [`recovery`] — snapshot + tail replay in one streaming pass, merging
+//!   all log streams by LSN as it reads, tolerant of torn final records;
 //! - [`compact`] — deletion of segments fully covered by a snapshot;
 //! - [`ship`] — incremental reads of a live log, merged across writer
 //!   groups, for replication followers.
@@ -60,7 +60,7 @@ pub use faults::{Fault, FaultCounters, FaultScript, IoOp, IoPolicy, PeriodicFaul
 pub use group::{GroupSet, LsnAllocator};
 pub use journal::{AppendReceipt, Journal, JournalConfig, JournalStats};
 pub use record::JournalRecord;
-pub use recovery::{recover, recover_prefix, Recovered};
+pub use recovery::{recover, recover_prefix, replay_prefix, Recovered, Replayed};
 pub use segment::{group_dir_name, list_group_dirs};
 pub use ship::{ShipCursor, ShippedBatch};
 pub use snapshot::{latest_snapshot, write_snapshot, Snapshot};

@@ -1,18 +1,20 @@
 //! Crash recovery: snapshot + WAL tail → registry state.
 //!
-//! Recovery is a pure function of the journal directory:
+//! Recovery is a pure function of the journal directory, and one read of
+//! it:
 //!
 //! 1. load the newest snapshot that validates (a damaged snapshot falls
 //!    back to its predecessor, or to nothing — the WAL still holds every
 //!    record);
-//! 2. walk every log stream — each `group-NNN/` directory's segments,
-//!    and the root's own if it holds a sealed single-directory log —
-//!    keeping each stream's valid prefix and stopping that stream at its
-//!    first torn frame (a crashed append's tail was never acknowledged
-//!    as durable, so dropping it cannot lose acknowledged data);
-//! 3. merge the surviving records by LSN, skip what the snapshot already
-//!    covers, and replay publish / deregister / feedback events in
-//!    global order.
+//! 2. read every log stream — each `group-NNN/` directory's segments,
+//!    and the root's own if it holds a sealed single-directory log — a
+//!    whole frame at a time (`SegmentReader`), stopping that stream at
+//!    its first torn frame (a crashed append's tail was never
+//!    acknowledged as durable, so dropping it cannot lose acknowledged
+//!    data);
+//! 3. merge the streams lazily as they are read, lowest pending LSN
+//!    first, skip what the snapshot already covers, and hand publish /
+//!    deregister / feedback events on in global order.
 //!
 //! With several writer groups, a crash can leave *interior gaps* in the
 //! merged LSN sequence — one group's later batch hit the disk while
@@ -23,16 +25,19 @@
 //! reports both views: `next_lsn` (past the highest survivor — where
 //! allocation resumes) and `durable_lsn` (the contiguous frontier).
 //!
-//! The result carries everything a serving registry needs to resume:
-//! live listings, the feedback log in per-subject order (replaying it
-//! through a sharded store reproduces the exact pre-crash per-subject
-//! epochs, because an epoch is just the count of applied reports), and
-//! the LSN the journal writer should continue from.
+//! [`replay_prefix`] is that pass, record by record to a visitor: no more
+//! of the log is in memory at once than one segment per stream and
+//! whatever the visitor keeps. A serving registry folds each report into
+//! its store as it arrives — per-subject order is all a fold needs, so
+//! the pre-crash scores come back exactly. [`recover`] and
+//! [`recover_prefix`] collect the same pass into a [`Recovered`]: live
+//! listings, every report oldest first, and the LSN the journal writer
+//! should continue from.
 
 use crate::record::JournalRecord;
-use crate::segment::{list_group_dirs, list_segments, scan_segment_entries, SegmentEntries};
+use crate::segment::{list_group_dirs, list_segments, SegmentReader};
 use crate::snapshot::latest_snapshot;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
@@ -68,6 +73,21 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
     recover_prefix(dir, u64::MAX)
 }
 
+/// What a replay found, beside the records it handed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Replayed {
+    /// Entries restored: snapshot entries + WAL records replayed.
+    pub records_recovered: u64,
+    /// LSN of the snapshot used, if any.
+    pub snapshot_lsn: Option<u64>,
+    /// Whether a torn/truncated record was skipped at the tail.
+    pub torn_tail: bool,
+    /// LSN of the last record processed + 1 — where appends resume.
+    pub next_lsn: u64,
+    /// The contiguous durable frontier (see [`Recovered::durable_lsn`]).
+    pub durable_lsn: u64,
+}
+
 /// [`recover`], but only the records `[0, upto)`: exactly what a
 /// snapshot at LSN `upto` has to hold. This is how a checkpoint is built
 /// — from the log itself, not from the serving state — so it may run
@@ -79,11 +99,41 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
 /// Errors with [`io::ErrorKind::InvalidInput`] when the newest valid
 /// snapshot already lies beyond `upto`.
 pub fn recover_prefix(dir: &Path, upto: u64) -> io::Result<Recovered> {
-    if !dir.exists() {
-        return Ok(Recovered::default());
-    }
-    let mut recovered = Recovered::default();
     let mut listings: BTreeMap<ServiceId, Listing> = BTreeMap::new();
+    let mut feedback = Vec::new();
+    let replayed = replay_prefix(dir, upto, |record| match record {
+        JournalRecord::Feedback(report) => feedback.push(report),
+        JournalRecord::Publish(listing) => {
+            listings.insert(listing.service, listing);
+        }
+        JournalRecord::Deregister(service) => {
+            listings.remove(&service);
+        }
+    })?;
+    Ok(Recovered {
+        listings: listings.into_values().collect(),
+        feedback,
+        records_recovered: replayed.records_recovered,
+        snapshot_lsn: replayed.snapshot_lsn,
+        torn_tail: replayed.torn_tail,
+        next_lsn: replayed.next_lsn,
+        durable_lsn: replayed.durable_lsn,
+    })
+}
+
+/// The one recovery pass behind [`recover_prefix`]: hand every record of
+/// the prefix `[0, upto)` to `visit` in LSN order — the snapshot's
+/// listings (as publishes) and reports first, then the WAL records it
+/// does not cover — as each log is read.
+pub fn replay_prefix(
+    dir: &Path,
+    upto: u64,
+    mut visit: impl FnMut(JournalRecord),
+) -> io::Result<Replayed> {
+    let mut replayed = Replayed::default();
+    if !dir.exists() {
+        return Ok(replayed);
+    }
 
     let mut covered_lsn = 0;
     if let Some(snapshot) = latest_snapshot(dir)? {
@@ -97,119 +147,103 @@ pub fn recover_prefix(dir: &Path, upto: u64) -> io::Result<Recovered> {
             ));
         }
         covered_lsn = snapshot.lsn;
-        recovered.snapshot_lsn = Some(snapshot.lsn);
-        recovered.records_recovered += snapshot.entries();
-        recovered.next_lsn = snapshot.lsn;
-        for listing in snapshot.listings {
-            listings.insert(listing.service, listing);
-        }
-        recovered.feedback = snapshot.feedback;
+        replayed.snapshot_lsn = Some(snapshot.lsn);
+        replayed.records_recovered += snapshot.entries();
+        replayed.next_lsn = snapshot.lsn;
+        let listings = snapshot.listings.into_iter().map(JournalRecord::Publish);
+        let reports = snapshot.feedback.into_iter().map(JournalRecord::Feedback);
+        listings.chain(reports).for_each(&mut visit);
     }
 
-    // One stream per log: the root's own segments, then each group's.
-    // A segment's name is a lower bound on every LSN inside it, so one
-    // named at or past `upto` holds nothing of the prefix.
-    let prefix_segments = |dir: &Path| -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut segments = list_segments(dir)?;
-        segments.retain(|(start, _)| *start < upto);
-        Ok(segments)
-    };
-    let mut streams = vec![prefix_segments(dir)?];
+    // One stream per log: the root's own segments, then each group's; on
+    // a tie the earlier stream goes first.
+    let mut streams = vec![LogStream::open(dir, upto)?];
     for (_, group_dir) in list_group_dirs(dir)? {
-        streams.push(prefix_segments(&group_dir)?);
+        streams.push(LogStream::open(&group_dir, upto)?);
     }
-    let flat: Vec<&(u64, PathBuf)> = streams.iter().flatten().collect();
-    let mut scans = scan_segments_parallel(&flat).into_iter();
-
-    let mut entries: Vec<(u64, JournalRecord)> = Vec::new();
-    for stream in &streams {
-        let mut stream_stopped = false;
-        for _ in stream {
-            let scan = scans.next().expect("one scan per listed segment");
-            if stream_stopped {
-                continue; // past this stream's torn point; scan already done
-            }
-            let Some(scan) = scan? else {
-                // A header that never reached the disk: rotation crashed
-                // before any record was acknowledged in this segment.
-                recovered.torn_tail = true;
-                stream_stopped = true;
-                continue;
-            };
-            for (lsn, record) in scan.entries {
-                if (covered_lsn..upto).contains(&lsn) {
-                    entries.push((lsn, record));
+    let mut frontier = covered_lsn;
+    loop {
+        let mut lowest: Option<(u64, usize)> = None;
+        for (i, stream) in streams.iter_mut().enumerate() {
+            if let Some(lsn) = stream.peek(&mut replayed.torn_tail)? {
+                if lowest.is_none_or(|(least, _)| lsn < least) {
+                    lowest = Some((lsn, i));
                 }
             }
-            if scan.torn {
-                recovered.torn_tail = true;
-                stream_stopped = true;
-            }
         }
-    }
-
-    // Global replay order. Streams are individually sorted, so this is
-    // a nearly-sorted merge — cheap for a lone group.
-    entries.sort_by_key(|(lsn, _)| *lsn);
-
-    let mut frontier = covered_lsn;
-    for (lsn, record) in entries {
+        let Some((lsn, i)) = lowest else {
+            break;
+        };
+        let (_, record) = streams[i].frame.pop_front().expect("peeked");
+        if !(covered_lsn..upto).contains(&lsn) {
+            continue;
+        }
         if lsn == frontier {
             frontier = lsn + 1;
         }
-        match record {
-            JournalRecord::Feedback(feedback) => recovered.feedback.push(feedback),
-            JournalRecord::Publish(listing) => {
-                listings.insert(listing.service, listing);
-            }
-            JournalRecord::Deregister(service) => {
-                listings.remove(&service);
-            }
-        }
-        recovered.records_recovered += 1;
-        recovered.next_lsn = lsn + 1;
+        visit(record);
+        replayed.records_recovered += 1;
+        replayed.next_lsn = lsn + 1;
     }
-    recovered.durable_lsn = frontier;
-
-    recovered.listings = listings.into_values().collect();
-    Ok(recovered)
+    replayed.durable_lsn = frontier;
+    Ok(replayed)
 }
 
-/// Read and decode every segment concurrently, one contiguous chunk of
-/// the flattened segment list per worker. Decoding dominates recovery
-/// of a long WAL, and segments decode independently — ordering decisions
-/// (skip-below-snapshot, stop-at-torn-tail, cross-group merge) stay in
-/// the sequential merge above, so the result is byte-for-byte what
-/// per-segment sequential scanning produces.
-fn scan_segments_parallel(segments: &[&(u64, PathBuf)]) -> Vec<io::Result<Option<SegmentEntries>>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(segments.len());
-    if workers <= 1 {
-        return segments
-            .iter()
-            .map(|(_, path)| scan_segment_entries(path))
-            .collect();
+/// One log, read on demand: its segments named below `upto`, a whole
+/// frame at a time, up to its first damage.
+struct LogStream {
+    /// Segments not yet opened, the next one last.
+    segments: Vec<(u64, PathBuf)>,
+    reader: Option<SegmentReader>,
+    /// What is left of the frame read last.
+    frame: VecDeque<(u64, JournalRecord)>,
+}
+
+impl LogStream {
+    fn open(dir: &Path, upto: u64) -> io::Result<LogStream> {
+        // A segment's name is a lower bound on every LSN inside it, so
+        // one named at or past `upto` holds nothing of the prefix.
+        let mut segments = list_segments(dir)?;
+        segments.retain(|(start, _)| *start < upto);
+        segments.reverse();
+        Ok(LogStream {
+            segments,
+            reader: None,
+            frame: VecDeque::new(),
+        })
     }
-    let chunk = segments.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = segments
-            .chunks(chunk)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|(_, path)| scan_segment_entries(path))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("segment scan worker panicked"))
-            .collect()
-    })
+
+    /// The LSN of the stream's next record, reading on as far as that
+    /// takes; `None` once the log is done. Damage ends the log and sets
+    /// `torn`.
+    fn peek(&mut self, torn: &mut bool) -> io::Result<Option<u64>> {
+        loop {
+            if let Some((lsn, _)) = self.frame.front() {
+                return Ok(Some(*lsn));
+            }
+            if let Some(reader) = &mut self.reader {
+                if let Some(frame) = reader.next_frame() {
+                    self.frame.extend(frame);
+                    continue;
+                }
+                if reader.torn() {
+                    *torn = true;
+                    self.segments.clear();
+                }
+                self.reader = None;
+            }
+            let Some((_, path)) = self.segments.pop() else {
+                return Ok(None);
+            };
+            self.reader = SegmentReader::open(&path)?;
+            if self.reader.is_none() {
+                // A header that never reached the disk: rotation crashed
+                // before any record was acknowledged in this segment.
+                *torn = true;
+                self.segments.clear();
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -273,45 +273,129 @@ pub struct SegmentEntries {
     pub version: u8,
 }
 
-/// Read and validate one segment file.
+/// One segment file, read a whole frame at a time: the frame loop behind
+/// every reader of a log at rest ([`scan_segment_entries`], recovery's
+/// merge, `Journal::open`'s repair).
 ///
-/// A header that is missing or corrupt yields `Ok(None)` — the file is
-/// not a usable segment (e.g. a crash tore the very first write) and the
-/// caller decides whether that is fatal; an unknown format version is an
-/// error (see [`LsnWalk::from_header`]). Frame-level damage is *not* an
-/// error: the valid prefix is returned with `torn = true`, and that
-/// covers a frame the [`LsnWalk`] refuses as much as one whose checksum
-/// fails. The prefix ends on a frame boundary: a damaged frame
-/// contributes none of its records.
+/// A frame's records are staged as the [`LsnWalk`] decodes them and
+/// handed on only once it accepts the frame, so a caller never sees a
+/// record of a damaged frame. The first damage, a frame that fails its
+/// checksum or that the walk refuses, ends the segment; what the reader
+/// then reports ([`valid_len`](Self::valid_len), [`torn`](Self::torn),
+/// [`next_lsn`](Self::next_lsn)) describes the whole frames before it.
+#[derive(Debug)]
+pub(crate) struct SegmentReader {
+    bytes: Vec<u8>,
+    walk: LsnWalk,
+    start_lsn: u64,
+    /// File offset just past the last whole frame (header included).
+    valid_len: usize,
+    torn: bool,
+    done: bool,
+    /// The frame being decoded: one frame's records, at most
+    /// `FRAME_SPLIT_BYTES` of payload.
+    staged: Vec<(u64, JournalRecord)>,
+}
+
+impl SegmentReader {
+    /// Read the segment at `path`. A header that is missing or corrupt
+    /// yields `Ok(None)` — the file is not a usable segment (e.g. a crash
+    /// tore the very first write) and the caller decides whether that is
+    /// fatal; an unknown format version is an error (see
+    /// [`LsnWalk::from_header`]).
+    pub fn open(path: &Path) -> io::Result<Option<SegmentReader>> {
+        let bytes = fs::read(path)?;
+        let Some(walk) = LsnWalk::from_header(&bytes, path)? else {
+            return Ok(None);
+        };
+        Ok(Some(SegmentReader {
+            bytes,
+            start_lsn: walk.next_lsn(),
+            walk,
+            valid_len: SEGMENT_HEADER_LEN,
+            torn: false,
+            done: false,
+            staged: Vec::new(),
+        }))
+    }
+
+    /// The next whole frame's records, each with its LSN, or `None` at the
+    /// end of the valid prefix.
+    pub fn next_frame(&mut self) -> Option<std::vec::Drain<'_, (u64, JournalRecord)>> {
+        if self.done {
+            return None;
+        }
+        let mut frames = FrameReader::new(&self.bytes[self.valid_len..]);
+        let staged = &mut self.staged;
+        let whole = match frames.next() {
+            Some(payload) => self
+                .walk
+                .step(payload, |lsn, record| staged.push((lsn, record)))
+                .is_ok(),
+            None => false,
+        };
+        if !whole {
+            // A refused frame leaves `end()` unset: damage as much as a
+            // torn one.
+            self.torn = frames.end() != Some(FrameEnd::Clean);
+            self.done = true;
+            staged.clear();
+            return None;
+        }
+        self.valid_len += frames.valid_len();
+        Some(staged.drain(..))
+    }
+
+    /// Start LSN from the header.
+    pub fn start_lsn(&self) -> u64 {
+        self.start_lsn
+    }
+
+    /// The header's format version.
+    pub fn version(&self) -> u8 {
+        self.walk.version()
+    }
+
+    /// One past the last record read so far; the header's start LSN
+    /// before the first frame.
+    pub fn next_lsn(&self) -> u64 {
+        self.walk.next_lsn()
+    }
+
+    /// File offset just past the last whole frame read so far (header
+    /// included).
+    pub fn valid_len(&self) -> u64 {
+        self.valid_len as u64
+    }
+
+    /// Whether bytes after the valid prefix were torn or damaged; known
+    /// once [`next_frame`](Self::next_frame) has returned `None`.
+    pub fn torn(&self) -> bool {
+        self.torn
+    }
+}
+
+/// Read and validate one segment file: a `SegmentReader` read to its
+/// end and collected.
+///
+/// Frame-level damage is *not* an error: the valid prefix is returned
+/// with `torn = true`, and that covers a frame the [`LsnWalk`] refuses as
+/// much as one whose checksum fails. The prefix ends on a frame boundary:
+/// a damaged frame contributes none of its records.
 pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
-    let bytes = fs::read(path)?;
-    let Some(mut walk) = LsnWalk::from_header(&bytes, path)? else {
+    let Some(mut reader) = SegmentReader::open(path)? else {
         return Ok(None);
     };
-    let start_lsn = walk.next_lsn();
-    let mut reader = FrameReader::new(&bytes[SEGMENT_HEADER_LEN..]);
     let mut entries = Vec::new();
-    let mut valid_len = SEGMENT_HEADER_LEN;
-    let mut torn = false;
-    while let Some(payload) = reader.next() {
-        let whole_frames = entries.len();
-        let step = walk.step(payload, |lsn, record| entries.push((lsn, record)));
-        if step.is_err() {
-            entries.truncate(whole_frames);
-            torn = true;
-            break;
-        }
-        valid_len = SEGMENT_HEADER_LEN + reader.valid_len();
-    }
-    if reader.end() == Some(FrameEnd::Torn) {
-        torn = true;
+    while let Some(frame) = reader.next_frame() {
+        entries.extend(frame);
     }
     Ok(Some(SegmentEntries {
-        start_lsn,
+        start_lsn: reader.start_lsn(),
         entries,
-        valid_len: valid_len as u64,
-        torn,
-        version: walk.version(),
+        valid_len: reader.valid_len(),
+        torn: reader.torn(),
+        version: reader.version(),
     }))
 }
 

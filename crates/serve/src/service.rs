@@ -50,7 +50,7 @@ use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::faults::IoPolicy;
 use wsrep_journal::snapshot::list_snapshots;
 use wsrep_journal::{
-    recover, recover_prefix, write_snapshot, GroupSet, JournalConfig, JournalRecord,
+    recover_prefix, replay_prefix, write_snapshot, GroupSet, JournalConfig, JournalRecord,
 };
 use wsrep_qos::metric::Metric;
 use wsrep_qos::normalize::{NormalizationMatrix, OverallScore};
@@ -204,6 +204,11 @@ impl From<NotDurable> for ReplicateError {
         ReplicateError::NotDurable
     }
 }
+
+/// Reports recovery folds into the store at a time (about 1.4 MB of
+/// them): a bound on what it holds of the log, and enough of a batch that
+/// each shard's lock is taken once for many reports.
+const RECOVERY_CHUNK: usize = 16_384;
 
 /// Configures and builds a [`ReputationService`].
 pub struct ServiceBuilder {
@@ -374,27 +379,43 @@ impl ServiceBuilder {
                 // Replay BEFORE opening the writer: recovery tolerates a
                 // torn final record, and reopening the log then truncates
                 // the same tail, so both agree on the durable prefix.
-                let recovered = recover(&dir)?;
-                records_recovered = recovered.records_recovered;
-                floor_lsn = recovered.next_lsn;
+                //
+                // Reports are folded as the log is read, a chunk at a
+                // time through the ingest writers' own apply, publishing
+                // every score as they go: the journal stays the only
+                // copy of the log, and no more of it than one chunk is
+                // ever held here.
+                let mut table = BTreeMap::new();
+                let mut chunk = Vec::with_capacity(RECOVERY_CHUNK);
+                let replayed = replay_prefix(&dir, u64::MAX, |record| match record {
+                    JournalRecord::Feedback(report) => {
+                        chunk.push(report);
+                        if chunk.len() == RECOVERY_CHUNK {
+                            store.insert_batch(&chunk);
+                            chunk.clear();
+                        }
+                    }
+                    JournalRecord::Publish(listing) => {
+                        table.insert(listing.service, listing);
+                    }
+                    JournalRecord::Deregister(service) => {
+                        table.remove(&service);
+                    }
+                })?;
+                store.insert_batch(&chunk);
+                records_recovered = replayed.records_recovered;
+                floor_lsn = replayed.next_lsn;
                 // The recovered listing table's category memberships go
                 // in with one swap per shard, not one map copy per
                 // listing.
                 store.list(
-                    recovered
-                        .listings
-                        .iter()
+                    table
+                        .values()
                         .map(|listing| (listing.service.into(), listing.category)),
                 );
-                for listing in recovered.listings {
+                for listing in table.into_values() {
                     listings.publish(listing);
                 }
-                // The shard-owning workers fold the recovered log by
-                // reference on all cores — restart cost scales with
-                // cores, not history length — publishing every score as
-                // they go, and it is dropped here: the journal stays the
-                // only copy.
-                store.insert_batch_parallel(recovered.feedback);
             }
             let set = GroupSet::open(&dir, self.writer_groups, self.journal_config, floor_lsn)?;
             if let Some(policy) = &self.io_policy {

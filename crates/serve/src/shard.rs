@@ -412,52 +412,6 @@ impl ShardedStore {
         self.total.fetch_add(applied, Ordering::Relaxed);
     }
 
-    /// Apply a batch with one worker thread per core, each owning a
-    /// disjoint set of shards — the recovery path, where the WAL replay
-    /// hands us the whole history at once and restart cost should scale
-    /// with cores, not log length. In fold mode the workers absorb the
-    /// reports by reference: nothing is moved out of `batch`.
-    ///
-    /// Equivalent to [`ShardedStore::insert_batch`]: partitioning keeps
-    /// per-subject order (a subject lives in exactly one shard group),
-    /// and cross-shard apply order never mattered — shards share no
-    /// state. Published and resident state come out identical.
-    pub fn insert_batch_parallel(&self, batch: Vec<Feedback>) {
-        if self.incremental {
-            self.apply_parallel(self.partition(&batch, report_subject));
-        } else {
-            self.apply_parallel(self.partition(batch, report_subject));
-        }
-    }
-
-    fn apply_parallel<R: Report + Send>(&self, per_shard: Vec<Vec<R>>) {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.slots.len());
-        // Round-robin shard ownership: worker w applies shard groups
-        // w, w + workers, w + 2·workers, … No two workers touch the
-        // same shard, so there is no lock contention to speak of.
-        let mut per_worker: Vec<Vec<(usize, Vec<R>)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (idx, group) in per_shard.into_iter().enumerate() {
-            if !group.is_empty() {
-                per_worker[idx % workers].push((idx, group));
-            }
-        }
-        std::thread::scope(|scope| {
-            for mine in per_worker {
-                if mine.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    for (idx, group) in mine {
-                        self.apply_group(idx, group);
-                    }
-                });
-            }
-        });
-    }
-
     fn partition<T>(
         &self,
         items: impl IntoIterator<Item = T>,
@@ -690,31 +644,6 @@ mod tests {
             }
         }
         assert!(abstained > 0, "some Figure-4 mechanism abstains");
-    }
-
-    #[test]
-    fn parallel_batch_equals_sequential_batch() {
-        let batch: Vec<Feedback> = (0..500)
-            .map(|i| fb(i, i % 13, (i % 10) as f64 / 10.0))
-            .collect();
-        // Both modes: fold mode absorbs the batch by reference, log mode
-        // moves it into the shard logs.
-        for fold in [true, false] {
-            let parallel = ShardedStore::new(8, beta(), fold);
-            parallel.insert_batch_parallel(batch.clone());
-            let sequential = ShardedStore::new(8, beta(), fold);
-            sequential.insert_batch(&batch);
-            assert_eq!(parallel.len(), sequential.len());
-            for idx in 0..8 {
-                assert_eq!(parallel.shard_len(idx), sequential.shard_len(idx));
-            }
-            for service in 0..13 {
-                let s = subject(service);
-                assert!(parallel.score(s).is_some());
-                assert_eq!(parallel.score(s), sequential.score(s));
-                assert_eq!(parallel.about(s), sequential.about(s));
-            }
-        }
     }
 
     /// A batch full of first-seen subjects installs their entries with

@@ -568,3 +568,140 @@ proptest! {
         fs::remove_dir_all(&twin_dir).unwrap();
     }
 }
+
+/// Every file under `dir`, by path, with its bytes.
+fn tree(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            files.insert(path.clone(), fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// A one-group journal of `commits` commits of three reports each, in
+/// segments small enough that it spans several; returns the reports.
+fn small_segment_journal(dir: &Path, commits: u64) -> Vec<Feedback> {
+    let reports: Vec<Feedback> = (0..commits * 3)
+        .map(|i| feedback(i, i % 4, (i % 9) as f64 / 9.0, i))
+        .collect();
+    let config = JournalConfig {
+        max_segment_bytes: 200,
+    };
+    let set = GroupSet::open(dir, 1, config, 0).unwrap();
+    for commit in reports.chunks(3) {
+        let records: Vec<JournalRecord> = commit
+            .iter()
+            .cloned()
+            .map(JournalRecord::Feedback)
+            .collect();
+        set.append_batch(0, &records).unwrap();
+    }
+    reports
+}
+
+/// File offsets at which the frames of a segment end, its header first.
+fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    use wsrep_journal::frame::{split_frame, FrameSplit};
+    let mut ends = vec![13];
+    while let FrameSplit::Frame { frame_len } = split_frame(&bytes[*ends.last().unwrap()..]) {
+        ends.push(ends.last().unwrap() + frame_len);
+    }
+    ends
+}
+
+/// `recover_from` over a journal whose first segment, not its last, has
+/// its second frame replaced by `damaged(frame)`: refused as
+/// `InvalidData`, and not one byte of the journal changes.
+fn assert_damaged_history_is_refused(tag: &str, damaged: impl Fn(&[u8]) -> Vec<u8>) {
+    let live = temp_dir(tag);
+    small_segment_journal(&live, 12);
+    let segments = wsrep_journal::segment::list_segments(&live.join("group-000")).unwrap();
+    assert!(
+        segments.len() >= 3,
+        "the damage must sit in a non-final segment"
+    );
+    let (_, first) = &segments[0];
+    let bytes = fs::read(first).unwrap();
+    let ends = frame_ends(&bytes);
+    assert!(ends.len() >= 3, "two whole frames in the first segment");
+    let mut with_damage = bytes[..ends[1]].to_vec();
+    with_damage.extend(damaged(&bytes[ends[1]..ends[2]]));
+    with_damage.extend_from_slice(&bytes[ends[2]..]);
+    fs::write(first, &with_damage).unwrap();
+
+    let before = tree(&live);
+    let err = ReputationService::builder()
+        .recover_from(&live)
+        .try_build()
+        .expect_err("acknowledged history is damaged");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(tree(&live), before, "a refused journal is left as it lies");
+    fs::remove_dir_all(&live).unwrap();
+}
+
+#[test]
+fn a_frame_failing_its_checksum_in_a_non_final_segment_is_refused() {
+    assert_damaged_history_is_refused("refuse-crc", |frame| {
+        let mut frame = frame.to_vec();
+        let last = frame.len() - 1;
+        frame[last] ^= 0x20;
+        frame
+    });
+}
+
+#[test]
+fn a_frame_that_checks_and_does_not_decode_in_a_non_final_segment_is_refused() {
+    assert_damaged_history_is_refused("refuse-decode", |_| {
+        let mut frame = Vec::new();
+        wsrep_journal::frame::write_frame(&mut frame, &[0x7F]);
+        frame
+    });
+}
+
+#[test]
+fn a_torn_final_segment_recovers_its_whole_commits_and_is_cut_to_them() {
+    let live = temp_dir("torn-final-commit");
+    let reports = small_segment_journal(&live, 12);
+    let segments = wsrep_journal::segment::list_segments(&live.join("group-000")).unwrap();
+    let (_, last) = segments.last().unwrap();
+    let bytes = fs::read(last).unwrap();
+    let ends = frame_ends(&bytes);
+    let [.., kept, whole] = ends[..] else {
+        panic!("the final segment holds no frame");
+    };
+    assert_eq!(whole, bytes.len());
+    // Every commit but the last is whole: three reports each.
+    let survivors = &reports[..reports.len() - 3];
+    for cut in [kept + 1, kept + 8, (kept + whole) / 2, whole - 1] {
+        fs::write(last, &bytes[..cut]).unwrap();
+        let revived = ReputationService::builder()
+            .shards(3)
+            .recover_from(&live)
+            .build();
+        assert_eq!(
+            revived.stats().feedback,
+            survivors.len() as u64,
+            "cut at {cut}"
+        );
+        for service in 0..4u64 {
+            let subject: SubjectId = ServiceId::new(service).into();
+            assert_eq!(
+                revived.score(subject),
+                sequential_score(survivors, subject),
+                "subject {service}, cut at {cut}"
+            );
+        }
+        drop(revived);
+        assert_eq!(
+            fs::metadata(last).unwrap().len() as usize,
+            kept,
+            "cut to the frame boundary"
+        );
+    }
+    fs::remove_dir_all(&live).unwrap();
+}

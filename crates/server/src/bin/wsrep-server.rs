@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsrep_journal::{IoOp, IoPolicy, PeriodicFaults};
 use wsrep_serve::{DurabilityPolicy, ReputationService};
-use wsrep_server::{PollerChoice, Server, ServerConfig};
+use wsrep_server::{flag_value, PollerChoice, Server, ServerConfig};
 
 struct Args {
     listen: String,
@@ -112,19 +112,6 @@ fn parse_args() -> Args {
         }
     }
     parsed
-}
-
-/// The value of the valued flag `name` when `arg` is that flag, in either
-/// form: `--name=V`, or `--name` with `V` as the next argument.
-fn flag_value(arg: &str, name: &str, rest: &mut impl Iterator<Item = String>) -> Option<String> {
-    match arg.strip_prefix(name)? {
-        "" => Some(
-            rest.next()
-                .unwrap_or_else(|| panic!("{name} requires a value")),
-        ),
-        // `None` for a longer flag that only starts with `name`.
-        tail => tail.strip_prefix('=').map(str::to_string),
-    }
 }
 
 fn number<T: std::str::FromStr>(name: &str, value: &str) -> T {

@@ -55,3 +55,25 @@ pub use proto::{
 pub use repl::{ReplError, ReplicationGauge, Replicator};
 pub use retry::{Backoff, RetryPolicy, RetryingClient, Rng64};
 pub use server::{ReplicationHooks, Server, ServerConfig};
+
+/// The value of the valued flag `name` when `arg` is that flag, in either
+/// form: `--name=V`, or `--name` with `V` as the next argument. Every
+/// binary in the workspace parses its flags with this.
+///
+/// # Panics
+///
+/// Panics when the spaced form has no argument left to take.
+pub fn flag_value(
+    arg: &str,
+    name: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<String> {
+    match arg.strip_prefix(name)? {
+        "" => Some(
+            rest.next()
+                .unwrap_or_else(|| panic!("{name} requires a value")),
+        ),
+        // `None` for a longer flag that only starts with `name`.
+        tail => tail.strip_prefix('=').map(str::to_string),
+    }
+}
