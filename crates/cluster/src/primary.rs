@@ -1,10 +1,9 @@
 //! The primary: a journaled registry that also ships its log.
 //!
-//! [`Primary::start`] wraps a journaled
-//! [`ReputationService`](wsrep_serve::ReputationService) in a
-//! [`Server`](wsrep_server::Server) with a [`Replicator`] plugged in, so
-//! the same reactor that serves clients also serves
-//! `ReplPull`/`ReplHeartbeat` from replicas. Shipping is **pull-based**:
+//! [`Primary::start`] wraps a journaled [`ReputationService`] in a
+//! [`Server`] with a [`Replicator`] plugged in, so the same reactor that
+//! serves clients also serves `ReplPull`/`ReplHeartbeat` from replicas.
+//! Shipping is **pull-based**:
 //! the replica is just another pipelined client, which keeps the
 //! protocol's FIFO contract and costs the primary nothing when no
 //! replica is attached.

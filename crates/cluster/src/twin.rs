@@ -3,7 +3,7 @@
 //! A promoted replica claims its state equals "replay the log one record
 //! at a time, in order". This module checks that claim the blunt way: it
 //! re-reads the node's own journal from LSN 0 with a
-//! [`ShipCursor`](wsrep_journal::ShipCursor), folds every record into a
+//! [`ShipCursor`], folds every record into a
 //! **fresh, non-journaled, unsharded-pipeline** service using only the
 //! public one-at-a-time API, and compares scores subject by subject.
 //! Because the twin shares none of the replication machinery (no

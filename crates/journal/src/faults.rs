@@ -52,12 +52,7 @@ impl IoOp {
     pub const ALL: [IoOp; 4] = [IoOp::Append, IoOp::Fsync, IoOp::Rotate, IoOp::Snapshot];
 
     fn index(self) -> usize {
-        match self {
-            IoOp::Append => 0,
-            IoOp::Fsync => 1,
-            IoOp::Rotate => 2,
-            IoOp::Snapshot => 3,
-        }
+        self as usize
     }
 
     /// Lower-case operation name, for error messages and logs.

@@ -10,11 +10,11 @@
 //! ```
 //!
 //! `crc32` is the IEEE CRC-32 (the zlib/Ethernet polynomial, reflected
-//! 0xEDB88320) of the payload bytes alone. A reader walks frames front to
-//! back and stops at the first header that does not fit, length that
-//! overruns the buffer, or checksum that does not match — which is
-//! exactly the torn-write tolerance a crashed append needs: the valid
-//! prefix is kept, the torn tail is ignored.
+//! 0xEDB88320) of the payload bytes alone. [`split_frame`] is the one
+//! parser of a frame header. A journal reader walks frames front to back
+//! with it and stops at the first frame that is cut short or fails its
+//! checksum — which is exactly the torn-write tolerance a crashed append
+//! needs: the valid prefix is kept, the torn tail is ignored.
 
 /// Frame header bytes: `len` + `crc`.
 pub const FRAME_HEADER_LEN: usize = 8;
@@ -152,16 +152,10 @@ pub fn end_frame(out: &mut [u8], start: usize) {
     out[start + 4..payload_start].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// What the front of a byte buffer holds, for incremental stream
-/// parsers.
-///
-/// [`FrameReader`] folds every anomaly into "torn" because a journal
-/// tail is read once, after the fact. A network stream is different: an
-/// incomplete frame means *wait for more bytes*, while a corrupt one
-/// means the peer (or the wire) is broken and the connection must be
-/// torn down — no amount of further reading can resynchronize a
-/// length-prefixed stream after a bad header. [`split_frame`] makes that
-/// distinction.
+/// What the front of a byte buffer holds, for the incremental parsers of
+/// segments and of the wire alike: incomplete means *wait for more bytes*
+/// (at rest, a torn tail), corrupt that no further reading can
+/// resynchronize the length-prefixed stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameSplit {
     /// Not enough bytes yet for a complete frame; read more and retry.
@@ -199,74 +193,6 @@ pub fn split_frame(buf: &[u8]) -> FrameSplit {
     FrameSplit::Frame { frame_len }
 }
 
-/// Why frame iteration stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameEnd {
-    /// The buffer ended exactly on a frame boundary.
-    Clean,
-    /// Trailing bytes did not form a complete, checksummed frame — a torn
-    /// or truncated final record.
-    Torn,
-}
-
-/// Iterates the valid frame prefix of a byte buffer.
-pub struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    end: Option<FrameEnd>,
-}
-
-impl<'a> FrameReader<'a> {
-    /// Read frames from the front of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        FrameReader {
-            buf,
-            pos: 0,
-            end: None,
-        }
-    }
-
-    /// Byte offset of the end of the last *valid* frame returned so far.
-    pub fn valid_len(&self) -> usize {
-        self.pos
-    }
-
-    /// How iteration ended; `None` while frames remain.
-    pub fn end(&self) -> Option<FrameEnd> {
-        self.end
-    }
-
-    /// The next valid payload, or `None` at the end of the valid prefix.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<&'a [u8]> {
-        if self.end.is_some() {
-            return None;
-        }
-        let remaining = &self.buf[self.pos..];
-        if remaining.is_empty() {
-            self.end = Some(FrameEnd::Clean);
-            return None;
-        }
-        if remaining.len() < FRAME_HEADER_LEN {
-            self.end = Some(FrameEnd::Torn);
-            return None;
-        }
-        let len = u32::from_le_bytes(remaining[0..4].try_into().unwrap());
-        let expected_crc = u32::from_le_bytes(remaining[4..8].try_into().unwrap());
-        if len > MAX_PAYLOAD_LEN || remaining.len() - FRAME_HEADER_LEN < len as usize {
-            self.end = Some(FrameEnd::Torn);
-            return None;
-        }
-        let payload = &remaining[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len as usize];
-        if crc32(payload) != expected_crc {
-            self.end = Some(FrameEnd::Torn);
-            return None;
-        }
-        self.pos += FRAME_HEADER_LEN + len as usize;
-        Some(payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,67 +205,9 @@ mod tests {
         assert_eq!(crc32(b"hello"), 0x3610_A686);
     }
 
-    #[test]
-    fn frames_round_trip_in_order() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"alpha");
-        write_frame(&mut buf, b"");
-        write_frame(&mut buf, b"gamma");
-        let mut reader = FrameReader::new(&buf);
-        assert_eq!(reader.next(), Some(&b"alpha"[..]));
-        assert_eq!(reader.next(), Some(&b""[..]));
-        assert_eq!(reader.next(), Some(&b"gamma"[..]));
-        assert_eq!(reader.next(), None);
-        assert_eq!(reader.end(), Some(FrameEnd::Clean));
-        assert_eq!(reader.valid_len(), buf.len());
-    }
-
-    #[test]
-    fn any_truncation_yields_a_valid_prefix() {
-        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 3 + i as usize]).collect();
-        let mut buf = Vec::new();
-        for p in &payloads {
-            write_frame(&mut buf, p);
-        }
-        for cut in 0..buf.len() {
-            let mut reader = FrameReader::new(&buf[..cut]);
-            let mut got = 0;
-            while let Some(payload) = reader.next() {
-                assert_eq!(payload, payloads[got].as_slice(), "cut at {cut}");
-                got += 1;
-            }
-            assert!(got <= payloads.len());
-            if cut < buf.len() {
-                // The cut landed mid-frame unless it hit a boundary.
-                let boundary = reader.valid_len() == cut;
-                assert_eq!(
-                    reader.end(),
-                    Some(if boundary {
-                        FrameEnd::Clean
-                    } else {
-                        FrameEnd::Torn
-                    }),
-                    "cut at {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_byte_stops_iteration_at_the_damage() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"first");
-        let first_end = buf.len();
-        write_frame(&mut buf, b"second");
-        // Flip a payload byte of the second frame.
-        let target = first_end + FRAME_HEADER_LEN + 2;
-        buf[target] ^= 0x40;
-        let mut reader = FrameReader::new(&buf);
-        assert_eq!(reader.next(), Some(&b"first"[..]));
-        assert_eq!(reader.next(), None);
-        assert_eq!(reader.end(), Some(FrameEnd::Torn));
-        assert_eq!(reader.valid_len(), first_end);
-    }
+    // A run of frames as a journal reads it is held by segment.rs's
+    // `truncated_tail_keeps_the_prefix` and tests/commit_frames.rs's (a),
+    // (b) and `a_frame_header_promising_the_moon_is_a_torn_tail`.
 
     #[test]
     fn split_frame_distinguishes_incomplete_from_corrupt() {
@@ -377,16 +245,5 @@ mod tests {
                 frame_len: buf.len()
             }
         );
-    }
-
-    #[test]
-    fn absurd_length_field_is_torn_not_an_allocation() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&[0; 16]);
-        let mut reader = FrameReader::new(&buf);
-        assert_eq!(reader.next(), None);
-        assert_eq!(reader.end(), Some(FrameEnd::Torn));
     }
 }

@@ -41,7 +41,8 @@
 use crate::compact::{compact_log, CompactReport};
 use crate::journal::{AppendReceipt, Journal, JournalConfig, JournalStats};
 use crate::record::JournalRecord;
-use crate::segment::{group_dir_name, list_group_dirs, list_segments};
+use crate::recovery::{replay_logs, Replayed};
+use crate::segment::{group_dir_name, list_group_dirs};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -79,11 +80,6 @@ impl LsnAllocator {
             }),
             watermark: AtomicU64::new(next_lsn),
         }
-    }
-
-    /// Writer groups this allocator serves.
-    pub fn groups(&self) -> usize {
-        self.lock().in_flight.len()
     }
 
     /// Next unallocated LSN. With every group idle (e.g. all commit
@@ -157,52 +153,57 @@ pub struct GroupSet {
 }
 
 impl GroupSet {
-    /// Open (or create) a journal under `root` with at least
-    /// `writer_groups` groups — an on-disk layout with more groups wins,
-    /// so reopening with a smaller setting never strands a group's
-    /// records. The allocator resumes past `floor_lsn` (the recovered
-    /// `next_lsn`, when the caller ran recovery), every group's highest
-    /// LSN, and any sealed log still in the root.
+    /// [`Self::open_replaying`] with a visitor that keeps nothing.
     pub fn open(
         root: impl Into<PathBuf>,
         writer_groups: usize,
         config: JournalConfig,
         floor_lsn: u64,
     ) -> io::Result<GroupSet> {
+        Ok(Self::open_replaying(root, writer_groups, config, floor_lsn, |_| {})?.0)
+    }
+
+    /// Open (or create) a journal under `root` with at least
+    /// `writer_groups` groups — an on-disk layout with more groups wins,
+    /// so reopening with a smaller setting never strands a group's
+    /// records — in one read, the recovery pass, which hands each record
+    /// to `visit`. Each writer resumes at its log's end, repaired as
+    /// [`Journal::open`] says; the allocator past them and `floor_lsn`.
+    pub fn open_replaying(
+        root: impl Into<PathBuf>,
+        writer_groups: usize,
+        config: JournalConfig,
+        floor_lsn: u64,
+        visit: impl FnMut(JournalRecord),
+    ) -> io::Result<(GroupSet, Replayed)> {
         let root = root.into();
-        fs::create_dir_all(&root)?;
         let on_disk = list_group_dirs(&root)?
             .last()
-            .map(|(group, _)| group + 1)
-            .unwrap_or(0);
+            .map_or(0, |(group, _)| group + 1);
         let count = writer_groups.max(on_disk).max(1);
-
-        let mut next = floor_lsn;
-        // A root from a single-directory life still holds that log's
-        // segments; nothing appends to them again. Opening them as a
-        // journal repairs a torn tail left by that writer's crash
-        // (readers of the sealed root assume clean frames) and yields the
-        // LSN the allocator must clear even when the caller skipped
-        // recovery.
-        let mut sealed_end = None;
-        if !list_segments(&root)?.is_empty() {
-            let sealed = Journal::open(&root, config)?;
-            sealed_end = Some(sealed.next_lsn());
-            next = next.max(sealed.next_lsn());
-        }
-
-        let mut groups = Vec::with_capacity(count);
+        // Every group's directory first: the pass then reads `0..count`.
         for group in 0..count {
-            let journal = Journal::open(root.join(group_dir_name(group)), config)?;
-            next = next.max(journal.next_lsn());
-            groups.push(Mutex::new(journal));
+            fs::create_dir_all(root.join(group_dir_name(group)))?;
         }
-        Ok(GroupSet {
+        let (replayed, logs) = replay_logs(&root, u64::MAX, visit)?;
+        let mut logs = logs.into_iter();
+        // A root from a single-directory life still holds that log's
+        // segments: nothing appends to them again, but readers assume
+        // clean frames, and its end is an LSN the allocator must clear.
+        let sealed = logs.next().expect("the root's own log").finish()?;
+        let sealed_end = sealed.reader.map(|last| last.walk.next_lsn());
+        let groups: Vec<Journal> = logs
+            .map(|log| Journal::resume(log, config))
+            .collect::<io::Result<_>>()?;
+        let ends = groups.iter().map(Journal::next_lsn).chain(sealed_end);
+        let next = ends.fold(floor_lsn.max(replayed.next_lsn), u64::max);
+        let set = GroupSet {
             root,
-            groups,
+            groups: groups.into_iter().map(Mutex::new).collect(),
             allocator: LsnAllocator::new(next, count),
             sealed_end,
-        })
+        };
+        Ok((set, replayed))
     }
 
     /// The journal root (the directory holding the group subdirectories

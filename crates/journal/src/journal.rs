@@ -12,11 +12,6 @@
 //! acknowledged is lost by that, since a batch is acknowledged only after
 //! its `fdatasync` returned.
 //!
-//! Opening an existing journal repairs crash damage the same way
-//! recovery tolerates it: a torn tail on the *final* segment is truncated
-//! away (those records were never acknowledged durable), while damage to
-//! an earlier segment is real corruption and refuses to open.
-//!
 //! A journal may share its LSN space with others: a writer group's
 //! log takes each batch's first LSN from its partition's
 //! [`LsnAllocator`](crate::group::LsnAllocator) through
@@ -28,12 +23,13 @@
 use crate::faults::{Fault, IoOp, IoPolicy};
 use crate::frame::{begin_frame, end_frame, FRAME_HEADER_LEN};
 use crate::record::JournalRecord;
+use crate::recovery::LogStream;
 use crate::segment::{
-    list_segments, segment_file_name, segment_header, LsnWalk, SegmentReader, FORMAT_VERSION,
-    LSN_MARKER, SEGMENT_HEADER_LEN,
+    list_segments, segment_file_name, segment_header, FORMAT_VERSION, LSN_MARKER,
+    SEGMENT_HEADER_LEN,
 };
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,13 +102,12 @@ pub struct Journal {
     policy: Option<Arc<dyn IoPolicy>>,
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    // Directory fsync makes freshly created/renamed files durable; on
-    // platforms where directories cannot be fsynced this is best-effort.
+/// Make the files freshly created or renamed in `dir` durable; best
+/// effort where a directory cannot be fsynced.
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(handle) = File::open(dir) {
         let _ = handle.sync_all();
     }
-    Ok(())
 }
 
 fn create_segment(dir: &Path, start_lsn: u64) -> io::Result<File> {
@@ -123,101 +118,51 @@ fn create_segment(dir: &Path, start_lsn: u64) -> io::Result<File> {
         .open(&path)?;
     file.write_all(&segment_header(start_lsn))?;
     file.sync_data()?;
-    sync_dir(dir)?;
+    sync_dir(dir);
     Ok(file)
 }
 
 impl Journal {
     /// Open (or create) a journal in `dir` and position the writer after
-    /// the last durable record.
-    ///
-    /// A torn tail on the final segment — the signature of a crashed
-    /// append — is truncated. A torn or unreadable *non-final* segment is
-    /// an [`io::ErrorKind::InvalidData`] error: the log lost acknowledged
-    /// history and must not be silently extended. A final segment in an
-    /// earlier build's format is kept as it is and sealed by the first
-    /// append; one still empty is re-headed in place, since its successor
-    /// would take its file name.
+    /// the last durable record, in one read of the log. A crashed append's
+    /// torn tail is truncated and a crashed rotation's headerless final
+    /// segment deleted; any other damage is [`io::ErrorKind::InvalidData`]
+    /// and leaves the files as they lie, since the log may hold
+    /// acknowledged history.
     pub fn open(dir: impl Into<PathBuf>, config: JournalConfig) -> io::Result<Journal> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut segments = list_segments(&dir)?;
+        Journal::resume(LogStream::open(&dir, u64::MAX)?, config)
+    }
 
-        // A final segment whose header never hit the disk holds zero
-        // acknowledged records; drop it and fall back to its predecessor.
-        while let Some((_, path)) = segments.last() {
-            let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
-            File::open(path)?
-                .take(SEGMENT_HEADER_LEN as u64)
-                .read_to_end(&mut header)?;
-            if LsnWalk::from_header(&header, path)?.is_some() {
-                break;
-            }
-            fs::remove_file(path)?;
-            segments.pop();
-        }
-
-        let mut next_lsn = 0;
-        let mut stale = false;
-        for (i, (start_lsn, path)) in segments.iter().enumerate() {
-            let last = i + 1 == segments.len();
-            let mut scan = SegmentReader::open(path)?.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("segment {} has a corrupt header", path.display()),
-                )
-            })?;
-            // Every frame is checked; no record is kept.
-            while scan.next_frame().is_some() {}
-            let no_frame = scan.valid_len() == SEGMENT_HEADER_LEN as u64;
-            if scan.torn() && !last {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "non-final segment {} is torn; acknowledged history is damaged",
-                        path.display()
-                    ),
-                ));
-            }
-            if scan.torn() {
-                // Crashed append: the tail was never acknowledged.
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(scan.valid_len())?;
-                file.sync_data()?;
-            }
-            if last && scan.version() != FORMAT_VERSION {
-                if no_frame {
+    /// Position a writer at the end of a log the recovery pass has read,
+    /// once [`LogStream::finish`] has repaired it. A final segment in an
+    /// earlier build's format is sealed by the first append, or re-headed
+    /// while it holds no frame (its successor would take its name).
+    pub(crate) fn resume(log: LogStream, config: JournalConfig) -> io::Result<Journal> {
+        let log = log.finish()?;
+        let (file, stale) = match (log.segments.last(), &log.reader) {
+            (Some((start, path)), Some(last)) => {
+                let stale = last.walk.version() != FORMAT_VERSION;
+                let framed = last.valid_len > SEGMENT_HEADER_LEN as u64;
+                if stale && !framed {
                     let mut file = OpenOptions::new().write(true).open(path)?;
-                    file.write_all(&segment_header(*start_lsn))?;
+                    file.write_all(&segment_header(*start))?;
                     file.sync_data()?;
-                } else {
-                    stale = true;
                 }
+                (OpenOptions::new().append(true).open(path)?, stale && framed)
             }
-            let end = if no_frame {
-                *start_lsn
-            } else {
-                scan.next_lsn()
-            };
-            next_lsn = end.max(next_lsn);
-        }
-
-        let (segment_start, file, segment_bytes) = match segments.last() {
-            Some((start, path)) => (
-                *start,
-                OpenOptions::new().append(true).open(path)?,
-                fs::metadata(path)?.len(),
-            ),
-            None => (0, create_segment(&dir, 0)?, SEGMENT_HEADER_LEN as u64),
+            _ => (create_segment(&log.dir, 0)?, false),
         };
+        let last = log.reader.as_ref();
         Ok(Journal {
-            dir,
+            segment_start: log.segments.last().map_or(0, |(start, _)| *start),
+            segment_bytes: last.map_or(SEGMENT_HEADER_LEN as u64, |last| last.valid_len),
+            next_lsn: last.map_or(0, |last| last.walk.next_lsn()),
+            segments: log.segments.len().max(1) as u64,
+            dir: log.dir,
             config,
             file,
-            segment_start,
-            segment_bytes,
-            next_lsn,
-            segments: segments.len().max(1) as u64,
             bytes_appended: 0,
             last_fsync_nanos: 0,
             commits: 0,
@@ -258,11 +203,6 @@ impl Journal {
     fn restore_segment_len(&mut self) {
         let _ = self.file.set_len(self.segment_bytes);
         let _ = self.file.seek(io::SeekFrom::Start(self.segment_bytes));
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// LSN the next appended record will get.
@@ -377,11 +317,6 @@ impl Journal {
             count: records.len() as u64,
             fsync_nanos,
         })
-    }
-
-    /// Close the active segment and start a fresh one at the current LSN.
-    pub fn rotate(&mut self) -> io::Result<()> {
-        self.rotate_to(self.next_lsn)
     }
 
     /// Close the active segment and start a fresh one whose header says

@@ -15,14 +15,14 @@
 //! - [`faults`] — failpoint-style fault injection over
 //!   append/fsync/rotate/snapshot, so durability claims are testable
 //!   under disk failures, not just SIGKILL;
-//! - [`frame`] — CRC32 framing with torn-write detection;
-//! - [`segment`] — LSN-named segment files, their reader, and the one
-//!   rule that gives a frame's records their LSNs;
+//! - [`frame`] — CRC32 framing, and `split_frame`, its one parser;
+//! - [`segment`] — LSN-named segment files, the one reader of their
+//!   frames, and the one rule that gives a frame's records their LSNs;
 //! - [`journal`] — the group-committing writer of one log (one frame and
 //!   one fsync per batch);
 //! - [`group`] — the write-ahead log: one journal per writer group,
 //!   sharing one LSN space via a global allocator, with a cross-group
-//!   durable watermark;
+//!   durable watermark; opening it is the recovery pass;
 //! - [`snapshot`] — atomic point-in-time state captures;
 //! - [`recovery`] — snapshot + tail replay in one streaming pass, merging
 //!   all log streams by LSN as it reads, tolerant of torn final records;
@@ -36,10 +36,10 @@
 //! that carried it returns `Ok`: it has been written and fdatasync'd.
 //! Recovery restores **at least the acknowledged prefix** of the log — a
 //! crash mid-append loses only unacknowledged records, a whole batch at a
-//! time, which the framing detects and truncates per log stream. Acknowledged data is never
-//! silently dropped: a torn *non-final* segment refuses to open. The
-//! acknowledged prefix is bounded by the cross-group watermark
-//! ([`group::LsnAllocator::durable_lsn`]); a crash
+//! time, which the framing detects and truncates per log stream. Only
+//! what a crashed append or rotation leaves is cut away; any other damage
+//! refuses to open. The acknowledged prefix is bounded by the cross-group
+//! watermark ([`group::LsnAllocator::durable_lsn`]); a crash
 //! may additionally preserve unacknowledged records above a gap, which
 //! recovery keeps (they are a superset of every acknowledged record).
 

@@ -6,15 +6,14 @@
 //! 1. load the newest snapshot that validates (a damaged snapshot falls
 //!    back to its predecessor, or to nothing — the WAL still holds every
 //!    record);
-//! 2. read every log stream — each `group-NNN/` directory's segments,
-//!    and the root's own if it holds a sealed single-directory log — a
-//!    whole frame at a time (`SegmentReader`), stopping that stream at
-//!    its first torn frame (a crashed append's tail was never
-//!    acknowledged as durable, so dropping it cannot lose acknowledged
-//!    data);
-//! 3. merge the streams lazily as they are read, lowest pending LSN
-//!    first, skip what the snapshot already covers, and hand publish /
-//!    deregister / feedback events on in global order.
+//! 2. read every log — each `group-NNN/` directory's segments, and the
+//!    root's own if it holds a sealed single-directory log — a whole
+//!    frame at a time, stopping that log at its first torn frame (a
+//!    crashed append's tail was never acknowledged as durable, so dropping
+//!    it cannot lose acknowledged data);
+//! 3. merge the logs lazily as they are read, lowest pending LSN first,
+//!    skip what the snapshot already covers, and hand the records on in
+//!    global order.
 //!
 //! With several writer groups, a crash can leave *interior gaps* in the
 //! merged LSN sequence — one group's later batch hit the disk while
@@ -25,19 +24,18 @@
 //! reports both views: `next_lsn` (past the highest survivor — where
 //! allocation resumes) and `durable_lsn` (the contiguous frontier).
 //!
-//! [`replay_prefix`] is that pass, record by record to a visitor: no more
-//! of the log is in memory at once than one segment per stream and
-//! whatever the visitor keeps. A serving registry folds each report into
-//! its store as it arrives — per-subject order is all a fold needs, so
-//! the pre-crash scores come back exactly. [`recover`] and
-//! [`recover_prefix`] collect the same pass into a [`Recovered`]: live
-//! listings, every report oldest first, and the LSN the journal writer
-//! should continue from.
+//! [`replay_prefix`] is that pass, record by record to a visitor, holding
+//! one chunk per log and what the visitor keeps. Opening the journal *is*
+//! the pass ([`GroupSet::open`](crate::GroupSet::open)): each writer
+//! resumes where it found its log's end, and `LogStream::finish` alone
+//! decides what damage there means. [`recover`] and [`recover_prefix`]
+//! collect the pass into a [`Recovered`].
 
 use crate::record::JournalRecord;
-use crate::segment::{list_group_dirs, list_segments, SegmentReader};
+use crate::segment::{list_group_dirs, list_segments, SegmentReader, SEGMENT_HEADER_LEN};
 use crate::snapshot::latest_snapshot;
 use std::collections::{BTreeMap, VecDeque};
+use std::fs::{self, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
@@ -121,18 +119,29 @@ pub fn recover_prefix(dir: &Path, upto: u64) -> io::Result<Recovered> {
     })
 }
 
-/// The one recovery pass behind [`recover_prefix`]: hand every record of
-/// the prefix `[0, upto)` to `visit` in LSN order — the snapshot's
-/// listings (as publishes) and reports first, then the WAL records it
-/// does not cover — as each log is read.
+/// The one recovery pass behind [`recover_prefix`] and
+/// [`GroupSet::open`](crate::GroupSet::open): hand every record of the
+/// prefix `[0, upto)` to `visit` in LSN order — the snapshot's listings
+/// (as publishes) and reports first, then the WAL records it does not
+/// cover — as each log is read.
 pub fn replay_prefix(
     dir: &Path,
     upto: u64,
-    mut visit: impl FnMut(JournalRecord),
+    visit: impl FnMut(JournalRecord),
 ) -> io::Result<Replayed> {
+    Ok(replay_logs(dir, upto, visit)?.0)
+}
+
+/// [`replay_prefix`], handing back each log read to its end: the root's
+/// own first, then each group's in index order.
+pub(crate) fn replay_logs(
+    dir: &Path,
+    upto: u64,
+    mut visit: impl FnMut(JournalRecord),
+) -> io::Result<(Replayed, Vec<LogStream>)> {
     let mut replayed = Replayed::default();
     if !dir.exists() {
-        return Ok(replayed);
+        return Ok((replayed, Vec::new()));
     }
 
     let mut covered_lsn = 0;
@@ -165,7 +174,7 @@ pub fn replay_prefix(
     loop {
         let mut lowest: Option<(u64, usize)> = None;
         for (i, stream) in streams.iter_mut().enumerate() {
-            if let Some(lsn) = stream.peek(&mut replayed.torn_tail)? {
+            if let Some(lsn) = stream.peek()? {
                 if lowest.is_none_or(|(least, _)| lsn < least) {
                     lowest = Some((lsn, i));
                 }
@@ -186,63 +195,104 @@ pub fn replay_prefix(
         replayed.next_lsn = lsn + 1;
     }
     replayed.durable_lsn = frontier;
-    Ok(replayed)
+    replayed.torn_tail = streams.iter().any(LogStream::damaged);
+    Ok((replayed, streams))
 }
 
 /// One log, read on demand: its segments named below `upto`, a whole
 /// frame at a time, up to its first damage.
-struct LogStream {
-    /// Segments not yet opened, the next one last.
-    segments: Vec<(u64, PathBuf)>,
-    reader: Option<SegmentReader>,
+#[derive(Debug)]
+pub(crate) struct LogStream {
+    pub dir: PathBuf,
+    pub segments: Vec<(u64, PathBuf)>,
+    /// How many of `segments` have been opened.
+    opened: usize,
+    /// The last segment opened whose header holds: the final one, at last.
+    pub reader: Option<SegmentReader>,
+    /// The last segment opened has no header.
+    headerless: bool,
     /// What is left of the frame read last.
     frame: VecDeque<(u64, JournalRecord)>,
+    done: bool,
 }
 
 impl LogStream {
-    fn open(dir: &Path, upto: u64) -> io::Result<LogStream> {
+    pub fn open(dir: &Path, upto: u64) -> io::Result<LogStream> {
         // A segment's name is a lower bound on every LSN inside it, so
         // one named at or past `upto` holds nothing of the prefix.
         let mut segments = list_segments(dir)?;
         segments.retain(|(start, _)| *start < upto);
-        segments.reverse();
         Ok(LogStream {
+            dir: dir.to_path_buf(),
             segments,
+            opened: 0,
             reader: None,
+            headerless: false,
             frame: VecDeque::new(),
+            done: false,
         })
     }
 
+    /// Whether damage ended the log.
+    fn damaged(&self) -> bool {
+        self.headerless || self.reader.as_ref().is_some_and(SegmentReader::torn)
+    }
+
     /// The LSN of the stream's next record, reading on as far as that
-    /// takes; `None` once the log is done. Damage ends the log and sets
-    /// `torn`.
-    fn peek(&mut self, torn: &mut bool) -> io::Result<Option<u64>> {
-        loop {
-            if let Some((lsn, _)) = self.frame.front() {
-                return Ok(Some(*lsn));
-            }
+    /// takes; `None` once the log is done.
+    fn peek(&mut self) -> io::Result<Option<u64>> {
+        while self.frame.is_empty() && !self.done {
             if let Some(reader) = &mut self.reader {
-                if let Some(frame) = reader.next_frame() {
+                if let Some(frame) = reader.next_frame()? {
                     self.frame.extend(frame);
                     continue;
                 }
-                if reader.torn() {
-                    *torn = true;
-                    self.segments.clear();
-                }
-                self.reader = None;
             }
-            let Some((_, path)) = self.segments.pop() else {
-                return Ok(None);
+            // The segment is read to its end, or none is open yet.
+            let next = self.segments.get(self.opened).filter(|_| !self.damaged());
+            let Some((_, path)) = next else {
+                self.done = true;
+                continue;
             };
-            self.reader = SegmentReader::open(&path)?;
-            if self.reader.is_none() {
-                // A header that never reached the disk: rotation crashed
-                // before any record was acknowledged in this segment.
-                *torn = true;
-                self.segments.clear();
+            self.opened += 1;
+            match SegmentReader::open(path)? {
+                Some(reader) => self.reader = Some(reader),
+                None => (self.headerless, self.done) = (true, true),
             }
         }
+        Ok(self.frame.front().map(|(lsn, _)| *lsn))
+    }
+
+    /// Read the rest of the log, then decide what its damage means to a
+    /// writer: a crashed append's torn final segment is cut to its last
+    /// whole frame, and a crashed rotation's final segment, headerless and
+    /// no longer than a header (`create_segment` syncs one before any
+    /// append), is deleted. Anything else is `InvalidData`, files intact.
+    pub fn finish(mut self) -> io::Result<LogStream> {
+        while self.peek()?.is_some() {
+            self.frame.clear();
+        }
+        let refuse = |what: &str, path: &Path| {
+            let what = format!("segment {} {what}", path.display());
+            io::Error::new(io::ErrorKind::InvalidData, what)
+        };
+        if self.damaged() && self.opened < self.segments.len() {
+            let (_, path) = &self.segments[self.opened - 1];
+            return Err(refuse("is damaged and not the last", path));
+        }
+        if self.headerless {
+            let (_, path) = self.segments.pop().expect("a segment was opened");
+            if fs::metadata(&path)?.len() > SEGMENT_HEADER_LEN as u64 {
+                return Err(refuse("has a damaged header", &path));
+            }
+            fs::remove_file(&path)?;
+        } else if let Some(reader) = self.reader.as_ref().filter(|reader| reader.torn()) {
+            let (_, path) = &self.segments[self.opened - 1];
+            let file = OpenOptions::new().write(true).open(path)?;
+            file.set_len(reader.valid_len)?;
+            file.sync_data()?;
+        }
+        Ok(self)
     }
 }
 

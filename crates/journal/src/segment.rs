@@ -22,18 +22,19 @@
 //! groups (see [`crate::group`]) states an LSN exactly where one of its
 //! commits does not continue its own previous one; a log written alone
 //! never does. A frame is read whole or not at all: one that does not
-//! check, label and decode to its last byte is where the log ends.
+//! check, label and decode to its last byte is where the log ends. One
+//! frame loop reads them all, at rest or still growing: `SegmentReader`.
 //!
 //! Every journal keeps its segments in `group-NNN/` subdirectories of the
 //! journal root, one per writer group; the root itself may hold the
 //! sealed log of a single-directory past life, and readers merge both.
 
 use crate::codec::{CodecError, Cursor};
-use crate::frame::{FrameEnd, FrameReader};
+use crate::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
 use crate::record::{JournalRecord, TRAILING_BYTES};
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
@@ -66,11 +67,15 @@ pub fn segment_file_name(start_lsn: u64) -> String {
 
 /// Parse a segment file name back to its start LSN.
 pub fn parse_segment_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    parse_lsn_name(name, "wal-", ".log")
+}
+
+/// Parse `{prefix}{lsn:016x}{suffix}` back to the LSN.
+pub(crate) fn parse_lsn_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+    let hex = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+    u64::from_str_radix(hex, 16)
+        .ok()
+        .filter(|_| hex.len() == 16)
 }
 
 /// Encode a segment header in the format this build writes.
@@ -220,38 +225,35 @@ pub fn parse_group_dir_name(name: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
+/// The entries of `dir` whose names `parse` accepts, ordered by what it
+/// makes of them.
+pub(crate) fn list_named<K: Ord>(
+    dir: &Path,
+    parse: impl Fn(&str) -> Option<K>,
+) -> io::Result<Vec<(K, PathBuf)>> {
+    let mut named = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(key) = entry.file_name().to_str().and_then(&parse) {
+            named.push((key, entry.path()));
+        }
+    }
+    named.sort_by(|(a, _), (b, _)| a.cmp(b));
+    Ok(named)
+}
+
 /// Writer-group directories under a journal root, ordered by group
 /// index. A missing root, or one that holds none, yields an empty list.
 pub fn list_group_dirs(root: &Path) -> io::Result<Vec<(usize, PathBuf)>> {
-    let entries = match fs::read_dir(root) {
-        Ok(entries) => entries,
-        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(err) => return Err(err),
-    };
-    let mut dirs = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        if let Some(group) = entry.file_name().to_str().and_then(parse_group_dir_name) {
-            if entry.file_type()?.is_dir() {
-                dirs.push((group, entry.path()));
-            }
-        }
+    match list_named(root, parse_group_dir_name) {
+        Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        dirs => Ok(dirs?.into_iter().filter(|(_, dir)| dir.is_dir()).collect()),
     }
-    dirs.sort_by_key(|(group, _)| *group);
-    Ok(dirs)
 }
 
 /// Segment paths in the directory, ordered by start LSN.
 pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(start_lsn) = entry.file_name().to_str().and_then(parse_segment_name) {
-            segments.push((start_lsn, entry.path()));
-        }
-    }
-    segments.sort_by_key(|(lsn, _)| *lsn);
-    Ok(segments)
+    list_named(dir, parse_segment_name)
 }
 
 /// The decoded contents of one segment file, LSN attached to every
@@ -273,129 +275,154 @@ pub struct SegmentEntries {
     pub version: u8,
 }
 
-/// One segment file, read a whole frame at a time: the frame loop behind
-/// every reader of a log at rest ([`scan_segment_entries`], recovery's
-/// merge, `Journal::open`'s repair).
-///
-/// A frame's records are staged as the [`LsnWalk`] decodes them and
-/// handed on only once it accepts the frame, so a caller never sees a
-/// record of a damaged frame. The first damage, a frame that fails its
-/// checksum or that the walk refuses, ends the segment; what the reader
-/// then reports ([`valid_len`](Self::valid_len), [`torn`](Self::torn),
-/// [`next_lsn`](Self::next_lsn)) describes the whole frames before it.
+/// How much of a segment one read takes: some ten thousand reports. A
+/// larger frame (up to [`crate::journal::FRAME_SPLIT_BYTES`]) takes more.
+pub(crate) const READ_CHUNK: usize = 256 << 10;
+
+/// Why [`SegmentReader::next_frame`] last returned `None`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SegmentEnd {
+    /// End of file on a frame boundary.
+    Clean,
+    /// End of file inside a frame: a torn tail, or a write still landing.
+    Incomplete,
+    /// A frame that fails its checksum (`None`) or that the walk refuses.
+    Damaged(Option<FrameDamage>),
+}
+
+/// One segment file, read a whole frame at a time: the journal's one
+/// frame loop. The file is read [`READ_CHUNK`] bytes at a time and cut
+/// into frames by [`split_frame`]; a frame's records are staged as the
+/// [`LsnWalk`] decodes them and handed on only once it accepts the frame,
+/// so a caller never sees a record of a damaged frame. End of file is not
+/// final: a later [`next_frame`](Self::next_frame) reads on from the last
+/// whole frame, which is how a cursor tails a growing segment.
 #[derive(Debug)]
 pub(crate) struct SegmentReader {
-    bytes: Vec<u8>,
-    walk: LsnWalk,
-    start_lsn: u64,
+    file: File,
+    /// Labels the next frame: the version, and one past the last record.
+    pub walk: LsnWalk,
+    /// Start LSN from the header.
+    pub start_lsn: u64,
     /// File offset just past the last whole frame (header included).
-    valid_len: usize,
-    torn: bool,
-    done: bool,
-    /// The frame being decoded: one frame's records, at most
-    /// `FRAME_SPLIT_BYTES` of payload.
+    pub valid_len: u64,
+    /// `buf[taken..]` is the file from `valid_len` on, as far as read.
+    buf: Vec<u8>,
+    taken: usize,
+    /// Why [`next_frame`](Self::next_frame) last returned `None`.
+    pub end: SegmentEnd,
+    /// The records of the frame being decoded.
     staged: Vec<(u64, JournalRecord)>,
+    /// Bytes read from the file, header included.
+    pub bytes_read: u64,
 }
 
 impl SegmentReader {
-    /// Read the segment at `path`. A header that is missing or corrupt
-    /// yields `Ok(None)` — the file is not a usable segment (e.g. a crash
-    /// tore the very first write) and the caller decides whether that is
-    /// fatal; an unknown format version is an error (see
-    /// [`LsnWalk::from_header`]).
+    /// Open the segment at `path` and read its header. A header that is
+    /// missing or corrupt yields `Ok(None)` — the file is not a usable
+    /// segment (e.g. a crash tore the very first write) and the caller
+    /// decides whether that is fatal; an unknown format version is an
+    /// error (see [`LsnWalk::from_header`]).
     pub fn open(path: &Path) -> io::Result<Option<SegmentReader>> {
-        let bytes = fs::read(path)?;
-        let Some(walk) = LsnWalk::from_header(&bytes, path)? else {
+        let mut file = File::open(path)?;
+        // The header comes in with the first chunk.
+        let mut buf = Vec::with_capacity(READ_CHUNK);
+        let read = (&mut file).take(READ_CHUNK as u64).read_to_end(&mut buf)?;
+        let Some(walk) = LsnWalk::from_header(&buf, path)? else {
             return Ok(None);
         };
         Ok(Some(SegmentReader {
-            bytes,
+            file,
             start_lsn: walk.next_lsn(),
             walk,
-            valid_len: SEGMENT_HEADER_LEN,
-            torn: false,
-            done: false,
+            valid_len: SEGMENT_HEADER_LEN as u64,
+            buf,
+            taken: SEGMENT_HEADER_LEN,
+            end: SegmentEnd::Clean,
             staged: Vec::new(),
+            bytes_read: read as u64,
         }))
     }
 
-    /// The next whole frame's records, each with its LSN, or `None` at the
-    /// end of the valid prefix.
-    pub fn next_frame(&mut self) -> Option<std::vec::Drain<'_, (u64, JournalRecord)>> {
-        if self.done {
-            return None;
-        }
-        let mut frames = FrameReader::new(&self.bytes[self.valid_len..]);
-        let staged = &mut self.staged;
-        let whole = match frames.next() {
-            Some(payload) => self
-                .walk
-                .step(payload, |lsn, record| staged.push((lsn, record)))
-                .is_ok(),
-            None => false,
+    /// The next whole frame's records, each with its LSN, or `None` where
+    /// the frames stop for now ([`end`](Self::end) says why).
+    pub fn next_frame(&mut self) -> io::Result<Option<std::vec::Drain<'_, (u64, JournalRecord)>>> {
+        let mut fresh = false;
+        let frame_len = loop {
+            match split_frame(&self.buf[self.taken..]) {
+                FrameSplit::Frame { frame_len } => break frame_len,
+                // Bytes read before a failed append was taken back stitch
+                // two writes into one frame: judge it on a fresh read.
+                FrameSplit::Corrupt if !fresh => {
+                    (fresh, self.taken) = (true, 0);
+                    self.buf.clear();
+                    continue;
+                }
+                FrameSplit::Corrupt => self.end = SegmentEnd::Damaged(None),
+                FrameSplit::Incomplete if self.read_on()? > 0 => continue,
+                FrameSplit::Incomplete if self.buf.is_empty() => self.end = SegmentEnd::Clean,
+                FrameSplit::Incomplete => {
+                    // A frame half-written now is read anew next call.
+                    self.end = SegmentEnd::Incomplete;
+                    self.buf.clear();
+                }
+            }
+            return Ok(None);
         };
-        if !whole {
-            // A refused frame leaves `end()` unset: damage as much as a
-            // torn one.
-            self.torn = frames.end() != Some(FrameEnd::Clean);
-            self.done = true;
-            staged.clear();
-            return None;
+        let staged = &mut self.staged;
+        staged.clear();
+        let payload = &self.buf[self.taken + FRAME_HEADER_LEN..self.taken + frame_len];
+        if let Err(damage) = self
+            .walk
+            .step(payload, |lsn, record| staged.push((lsn, record)))
+        {
+            self.end = SegmentEnd::Damaged(Some(damage));
+            return Ok(None);
         }
-        self.valid_len += frames.valid_len();
-        Some(staged.drain(..))
+        self.taken += frame_len;
+        self.valid_len += frame_len as u64;
+        Ok(Some(staged.drain(..)))
     }
 
-    /// Start LSN from the header.
-    pub fn start_lsn(&self) -> u64 {
-        self.start_lsn
+    /// Read on behind the unconsumed bytes; returns the bytes gained.
+    fn read_on(&mut self) -> io::Result<usize> {
+        self.buf.drain(..self.taken);
+        self.taken = 0;
+        let at = self.valid_len + self.buf.len() as u64;
+        self.file.seek(SeekFrom::Start(at))?;
+        self.buf.reserve(READ_CHUNK);
+        let gained = (&mut self.file)
+            .take(READ_CHUNK as u64)
+            .read_to_end(&mut self.buf)?;
+        self.bytes_read += gained as u64;
+        Ok(gained)
     }
 
-    /// The header's format version.
-    pub fn version(&self) -> u8 {
-        self.walk.version()
-    }
-
-    /// One past the last record read so far; the header's start LSN
-    /// before the first frame.
-    pub fn next_lsn(&self) -> u64 {
-        self.walk.next_lsn()
-    }
-
-    /// File offset just past the last whole frame read so far (header
-    /// included).
-    pub fn valid_len(&self) -> u64 {
-        self.valid_len as u64
-    }
-
-    /// Whether bytes after the valid prefix were torn or damaged; known
-    /// once [`next_frame`](Self::next_frame) has returned `None`.
+    /// Whether bytes after the valid prefix were torn or damaged: a log
+    /// at rest ends there.
     pub fn torn(&self) -> bool {
-        self.torn
+        self.end != SegmentEnd::Clean
     }
 }
 
-/// Read and validate one segment file: a `SegmentReader` read to its
-/// end and collected.
-///
-/// Frame-level damage is *not* an error: the valid prefix is returned
-/// with `torn = true`, and that covers a frame the [`LsnWalk`] refuses as
-/// much as one whose checksum fails. The prefix ends on a frame boundary:
-/// a damaged frame contributes none of its records.
+/// Read and validate one segment file: a `SegmentReader` read to its end
+/// and collected. Damage is *not* an error: the whole frames before it
+/// are returned with `torn = true`, whether the checksum failed or the
+/// [`LsnWalk`] refused the frame.
 pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
     let Some(mut reader) = SegmentReader::open(path)? else {
         return Ok(None);
     };
     let mut entries = Vec::new();
-    while let Some(frame) = reader.next_frame() {
+    while let Some(frame) = reader.next_frame()? {
         entries.extend(frame);
     }
     Ok(Some(SegmentEntries {
-        start_lsn: reader.start_lsn(),
+        start_lsn: reader.start_lsn,
         entries,
-        valid_len: reader.valid_len(),
+        valid_len: reader.valid_len,
         torn: reader.torn(),
-        version: reader.version(),
+        version: reader.walk.version(),
     }))
 }
 

@@ -2,37 +2,32 @@
 //!
 //! A [`ShipCursor`] walks the segment files of a journal that another
 //! writer (in the same process or another one) is still appending to,
-//! handing out decoded records in LSN order. It remembers the byte
-//! offset it has consumed inside each segment and keeps what it has read
-//! beyond that, a bounded chunk at a time, so each segment is read once
-//! however small the batches asked for, and a caught-up
-//! [`ShipCursor::next_batch`] call reads only the bytes appended since
-//! the last call — the read side of primary → replica replication.
+//! handing out decoded records in LSN order — the read side of primary →
+//! replica replication. Each log is tailed through the segment reader
+//! recovery uses, which keeps what it has read past the last whole frame:
+//! each segment is read once however small the batches asked for, and a
+//! caught-up [`ShipCursor::next_batch`] reads only what was appended
+//! since. A frame still landing is the reader's *incomplete* end, read
+//! anew next call. A frame holds a whole commit and is shipped or refused
+//! whole; a position inside one is reached by dropping the records
+//! before it.
 //!
-//! A frame holds a whole commit and is shipped or refused whole; a
-//! position inside one is reached by dropping the records before it.
+//! The cursor merges one sub-cursor per log under the journal root: each
+//! `group-NNN/` writer group's (see [`crate::group`]), and the root's own
+//! if the directory had a single-directory past life. The root's log is
+//! *sealed*: no writer appends to it again, so its end means finished,
+//! not "caught up". A walk ends or pauses at:
 //!
-//! The cursor opens one sub-cursor per log under the journal root — each
-//! `group-NNN/` writer group's (see [`crate::group`]), plus the root's
-//! own segments if the directory had a single-directory past life — and
-//! merges their streams into one ordered by LSN. Beside group logs the
-//! root's is *sealed*: no writer appends to it again, so exhausting it
-//! ends that stream rather than meaning "caught up".
-//!
-//! Three conditions end or interrupt a walk:
-//!
-//! - **Live tail.** A segment ends mid-frame or exactly on a frame
-//!   boundary with no successor segment: the cursor has caught up with
-//!   that writer. `next_batch` returns what it has; call again later.
-//! - **Rotation.** A successor segment exists and one more read of the
-//!   current segment, begun after the successor was seen, has been
-//!   consumed to its end: the cursor follows the rotation and keeps
-//!   reading. (A writer creates the successor only after its last write
-//!   to the segment it seals, so that read misses nothing.)
-//! - **Compaction.** The requested LSN lies below the oldest surviving
-//!   history: the cursor can never serve it. [`ShipCursor::open`] fails
-//!   with [`io::ErrorKind::NotFound`]; the follower must bootstrap from
-//!   a snapshot instead.
+//! - **the live tail**: a segment ends with no successor; `next_batch`
+//!   returns what it has, call again later;
+//! - **a rotation**: a successor exists, and one more read of the current
+//!   segment, begun after the successor was seen, reached its end (a
+//!   writer creates the successor only after its last write to the
+//!   segment it seals, so that read misses nothing): the cursor moves on;
+//! - **compaction**: the requested LSN lies below the oldest surviving
+//!   history, and [`ShipCursor::open`] fails with
+//!   [`io::ErrorKind::NotFound`]; the follower must bootstrap from a
+//!   snapshot instead.
 //!
 //! The cursor reads bytes the writer has `write(2)`-ed but possibly not
 //! yet fsynced. Shipping such records is safe for replication: a record
@@ -57,22 +52,16 @@
 //! the cursor holds position rather than risk skipping an in-flight
 //! write.
 
-use crate::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
 use crate::record::JournalRecord;
 use crate::segment::{
-    list_group_dirs, list_segments, segment_file_name, LsnWalk, SEGMENT_HEADER_LEN,
+    list_group_dirs, list_segments, segment_file_name, SegmentEnd, SegmentReader,
+    SEGMENT_HEADER_LEN,
 };
 use crate::snapshot::list_snapshots;
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-
-/// How much of a segment one read takes, and about how much a cursor
-/// holds between calls: some ten thousand reports. A frame that is larger
-/// (the writer's go up to [`crate::journal::FRAME_SPLIT_BYTES`]) is read
-/// to its end in one further read.
-const READ_CHUNK: usize = 256 << 10;
 
 /// One `next_batch` result: records `first_lsn .. first_lsn + records.len()`.
 #[derive(Debug)]
@@ -84,7 +73,7 @@ pub struct ShippedBatch {
 }
 
 /// A stateful reader positioned at an LSN inside a live journal: the
-/// merge of one [`DirCursor`] per log under the journal root.
+/// merge of one sub-cursor per log under the journal root.
 #[derive(Debug)]
 pub struct ShipCursor {
     root: PathBuf,
@@ -94,9 +83,15 @@ pub struct ShipCursor {
     next_lsn: u64,
 }
 
+/// One log of the journal: its segment sequence, tailed in name order.
 #[derive(Debug)]
 struct SubCursor {
-    cursor: DirCursor,
+    dir: PathBuf,
+    /// Records below this are not emitted: they are before the position
+    /// the cursor was opened at.
+    from_lsn: u64,
+    /// The segment being read, once one has been located.
+    reader: Option<SegmentReader>,
     /// Entries read from this stream, not yet emitted by the merge.
     buffer: VecDeque<(u64, JournalRecord)>,
     /// A sealed stream never grows; exhausted means finished, not
@@ -128,10 +123,14 @@ impl ShipCursor {
             next_lsn: from_lsn,
         };
         cursor.attach()?;
-        let (head, _) = cursor.lowest_head(64)?;
+        let (head, _) = cursor.lowest_head(64, &mut vec![false; cursor.subs.len()])?;
         let snapshot_lsn = list_snapshots(&cursor.root)?
             .last()
             .map_or(0, |(lsn, _)| *lsn);
+        // Where each log ends, once a read has hit its live tail.
+        let mut tails = (cursor.subs.iter())
+            .filter_map(|sub| sub.reader.as_ref())
+            .map(|reader| reader.walk.next_lsn());
         if from_lsn < snapshot_lsn {
             // Every record below a snapshot had been written when it was
             // taken, so one the logs cannot show now is gone for good
@@ -145,9 +144,7 @@ impl ShipCursor {
                     ),
                 ));
             }
-        } else if from_lsn > snapshot_lsn
-            && !cursor.subs.iter().any(|sub| sub.cursor.tail() >= from_lsn)
-        {
+        } else if from_lsn > snapshot_lsn && !tails.any(|end| end >= from_lsn) {
             return Err(corrupt(format!(
                 "lsn {from_lsn} is beyond the tail of every log in {}",
                 cursor.root.display()
@@ -158,28 +155,20 @@ impl ShipCursor {
 
     /// Open a sub-cursor on every log under the root.
     fn attach(&mut self) -> io::Result<()> {
-        let mut subs = Vec::new();
-        if !list_segments(&self.root)?.is_empty() {
-            subs.push((self.root.clone(), true));
-        }
-        for (_, group_dir) in list_group_dirs(&self.root)? {
-            subs.push((group_dir, false));
-        }
-        self.subs = subs
-            .into_iter()
+        let root = (!list_segments(&self.root)?.is_empty()).then(|| (self.root.clone(), true));
+        let groups = list_group_dirs(&self.root)?.into_iter();
+        self.subs = (root.into_iter())
+            .chain(groups.map(|(_, dir)| (dir, false)))
             .map(|(dir, sealed)| {
-                let mut cursor = DirCursor {
+                let mut sub = SubCursor {
                     dir,
                     from_lsn: self.next_lsn,
-                    at: None,
-                    bytes_read: 0,
-                };
-                cursor.locate()?;
-                Ok(SubCursor {
-                    cursor,
+                    reader: None,
                     buffer: VecDeque::new(),
                     sealed,
-                })
+                };
+                sub.locate()?;
+                Ok(sub)
             })
             .collect::<io::Result<_>>()?;
         Ok(())
@@ -193,18 +182,24 @@ impl ShipCursor {
     /// Segment bytes read so far, over every log.
     #[cfg(test)]
     fn bytes_read(&self) -> u64 {
-        self.subs.iter().map(|sub| sub.cursor.bytes_read).sum()
+        let reader = |sub: &SubCursor| sub.reader.as_ref().map_or(0, |r| r.bytes_read);
+        self.subs.iter().map(reader).sum()
     }
 
-    /// Refill empty buffers (up to `want` entries each): the stream with
-    /// the lowest buffered head, and whether a live stream shows nothing
-    /// — any missing LSN may be its in-flight write.
-    fn lowest_head(&mut self, want: usize) -> io::Result<(Option<(usize, u64)>, bool)> {
+    /// Refill empty buffers (up to `want` entries each), but not one whose
+    /// log ran `dry` before: the stream with the lowest buffered head, and
+    /// whether a live stream shows nothing — any missing LSN may be its
+    /// in-flight write.
+    fn lowest_head(
+        &mut self,
+        want: usize,
+        dry: &mut [bool],
+    ) -> io::Result<(Option<(usize, u64)>, bool)> {
         let mut blocked = false;
         let mut best: Option<(usize, u64)> = None;
         for (i, sub) in self.subs.iter_mut().enumerate() {
-            if sub.buffer.is_empty() {
-                sub.cursor.next_entries(want, &mut sub.buffer)?;
+            if sub.buffer.is_empty() && !dry[i] {
+                dry[i] = sub.fill(want)?;
             }
             match sub.buffer.front() {
                 Some(&(lsn, _)) => {
@@ -227,13 +222,16 @@ impl ShipCursor {
         }
         let mut records = Vec::new();
         let mut first_lsn = self.next_lsn;
+        // A log found at its tail is not read again within the call: a
+        // frame still landing there would be read anew every time.
+        let mut dry = vec![false; self.subs.len()];
         while records.len() < max_records {
-            let (best, blocked) = self.lowest_head(max_records.max(64))?;
+            let (best, blocked) = self.lowest_head(max_records.max(64), &mut dry)?;
             let Some((best, head)) = best else { break };
             if head < self.next_lsn {
                 return Err(corrupt(format!(
                     "lsn {head} appeared twice across writer groups in {}",
-                    self.subs[best].cursor.dir.display()
+                    self.subs[best].dir.display()
                 )));
             }
             if head > self.next_lsn {
@@ -264,85 +262,23 @@ impl ShipCursor {
     }
 }
 
-/// A cursor over one directory's segment sequence: one log of the
-/// journal.
-#[derive(Debug)]
-struct DirCursor {
-    dir: PathBuf,
-    /// Records below this are not emitted: they are before the position
-    /// the cursor was opened at.
-    from_lsn: u64,
-    /// Where the cursor reads next, once a segment has been located.
-    at: Option<Position>,
-    /// Segment bytes read so far, frame data only.
-    bytes_read: u64,
-}
-
-#[derive(Debug)]
-struct Position {
-    /// Start LSN (the file name) of the segment being read.
-    segment_start: u64,
-    /// Bytes consumed in that segment, header included.
-    offset: u64,
-    /// Labels the frame at `offset`.
-    walk: LsnWalk,
-    /// `ahead[taken..]` is the segment's bytes from `offset` on, as far
-    /// as they have been read.
-    ahead: Vec<u8>,
-    taken: usize,
-}
-
-impl Position {
-    /// The first frame of segment `start` in `dir`; `None` while its
-    /// header is still in flight (a rotation under way, or crashed).
-    fn open(dir: &Path, start: u64) -> io::Result<Option<Position>> {
-        let path = dir.join(segment_file_name(start));
-        let mut header = [0u8; SEGMENT_HEADER_LEN];
-        if File::open(&path)?.read_exact(&mut header).is_err() {
-            return Ok(None);
-        }
-        let walk = LsnWalk::from_header(&header, &path)?;
-        match walk {
-            Some(walk) if walk.next_lsn() == start => Ok(Some(Position {
-                segment_start: start,
-                offset: SEGMENT_HEADER_LEN as u64,
-                walk,
-                ahead: Vec::new(),
-                taken: 0,
-            })),
-            _ => Err(corrupt(format!(
-                "segment {} does not open with a header starting at {start}",
-                path.display()
-            ))),
-        }
+/// The reader of segment `start` in `dir`; `None` while its header is
+/// still in flight (a rotation under way, or crashed).
+fn open_segment(dir: &Path, start: u64) -> io::Result<Option<SegmentReader>> {
+    let path = dir.join(segment_file_name(start));
+    if fs::metadata(&path)?.len() < SEGMENT_HEADER_LEN as u64 {
+        return Ok(None);
     }
-
-    /// Read on behind `ahead`, which holds no whole frame: a chunk, or
-    /// the rest of the front frame where its header (whose length
-    /// `split_frame` has found within the frame limit) promises more than
-    /// that. Returns the bytes gained; none means the segment holds no
-    /// more right now.
-    fn read_on(&mut self, path: &Path) -> io::Result<usize> {
-        self.ahead.drain(..self.taken);
-        self.taken = 0;
-        let mut want = READ_CHUNK;
-        if self.ahead.len() >= FRAME_HEADER_LEN {
-            let len = u32::from_le_bytes(self.ahead[..4].try_into().unwrap());
-            want = want.max(FRAME_HEADER_LEN + len as usize - self.ahead.len());
-        }
-        let mut file = File::open(path)?;
-        file.seek(SeekFrom::Start(self.offset + self.ahead.len() as u64))?;
-        file.take(want as u64).read_to_end(&mut self.ahead)
+    match SegmentReader::open(&path)? {
+        Some(reader) if reader.start_lsn == start => Ok(Some(reader)),
+        _ => Err(corrupt(format!(
+            "segment {} does not open with a header starting at {start}",
+            path.display()
+        ))),
     }
 }
 
-impl DirCursor {
-    /// One past the last LSN read so far, frames below `from_lsn`
-    /// included: where this log ends, once a read has hit its live tail.
-    fn tail(&self) -> u64 {
-        self.at.as_ref().map_or(0, |at| at.walk.next_lsn())
-    }
-
+impl SubCursor {
     /// Find the segment that would hold `from_lsn`; the cursor stays
     /// unlocated while the directory holds no whole segment.
     fn locate(&mut self) -> io::Result<()> {
@@ -363,120 +299,81 @@ impl DirCursor {
                 ),
             ));
         };
-        self.at = Position::open(&self.dir, *start)?;
+        self.reader = open_segment(&self.dir, *start)?;
         Ok(())
     }
 
-    /// Read entries at or after `from_lsn` and the cursor position into
-    /// `out`, following segment rotations, until `max` or more were added:
-    /// frames are taken whole, so the last may overshoot.
-    fn next_entries(
-        &mut self,
-        max: usize,
-        out: &mut VecDeque<(u64, JournalRecord)>,
-    ) -> io::Result<()> {
-        if self.at.is_none() {
+    /// Buffer entries at or after `from_lsn`, following rotations, until
+    /// `want` or more were added (whole frames: the last may overshoot) or
+    /// the log shows no more for now; returns whether it did the latter.
+    fn fill(&mut self, want: usize) -> io::Result<bool> {
+        if self.reader.is_none() {
             self.locate()?;
         }
-        let Some(at) = &mut self.at else {
-            return Ok(());
+        let Some(reader) = &mut self.reader else {
+            return Ok(true);
         };
-        let full = out.len() + max;
+        let full = self.buffer.len() + want;
         // The next segment by name, once seen: a read of the current
         // segment begun after that sees everything it will ever hold.
         let mut successor: Option<u64> = None;
-        loop {
-            let path = self.dir.join(segment_file_name(at.segment_start));
-            while out.len() < full {
-                let unread = &at.ahead[at.taken..];
-                let frame_len = match split_frame(unread) {
-                    FrameSplit::Frame { frame_len } => frame_len,
-                    FrameSplit::Incomplete => break,
-                    FrameSplit::Corrupt => {
-                        return Err(corrupt(format!(
-                            "corrupt frame at lsn {} in {}",
-                            at.walk.next_lsn(),
-                            path.display()
-                        )));
+        while self.buffer.len() < full {
+            if let Some(frame) = reader.next_frame()? {
+                let from_lsn = self.from_lsn;
+                self.buffer
+                    .extend(frame.filter(|(lsn, _)| *lsn >= from_lsn));
+                continue;
+            }
+            let path = self.dir.join(segment_file_name(reader.start_lsn));
+            let at = reader.walk.next_lsn();
+            match (reader.end, successor) {
+                (SegmentEnd::Damaged(damage), _) => {
+                    let what = damage.map_or("fails its checksum".into(), |d| d.to_string());
+                    let what = format!("frame after lsn {at} in {} {what}", path.display());
+                    return Err(corrupt(what));
+                }
+                // End of what this segment holds right now. Only a read
+                // begun with the successor already in view proves the
+                // segment finished: a batch and the rotation after it may
+                // both land between an earlier read and the listing.
+                (_, None) => {
+                    successor = list_segments(&self.dir)?
+                        .into_iter()
+                        .map(|(start, _)| start)
+                        .find(|start| *start > reader.start_lsn);
+                    if successor.is_none() {
+                        return Ok(true); // Live tail.
                     }
-                };
-                let whole_frames = out.len();
-                let step = at
-                    .walk
-                    .step(&unread[FRAME_HEADER_LEN..frame_len], |lsn, record| {
-                        if lsn >= self.from_lsn {
-                            out.push_back((lsn, record));
-                        }
-                    });
-                if let Err(damage) = step {
-                    out.truncate(whole_frames);
-                    return Err(corrupt(format!(
-                        "frame after lsn {} in {} {damage}",
-                        at.walk.next_lsn(),
-                        path.display()
-                    )));
                 }
-                at.taken += frame_len;
-                at.offset += frame_len as u64;
-            }
-            if out.len() >= full {
-                break;
-            }
-
-            // What has been read holds no further whole frame.
-            let sealed_by = successor;
-            let gained = at.read_on(&path)?;
-            self.bytes_read += gained as u64;
-            if gained > 0 {
-                continue;
-            }
-            // End of what this segment holds right now. Only a read that
-            // began with the successor already in view proves the segment
-            // finished: a batch and the rotation after it may both land
-            // between an earlier read and the directory listing.
-            let Some(start) = sealed_by else {
-                successor = list_segments(&self.dir)?
-                    .into_iter()
-                    .map(|(start, _)| start)
-                    .find(|start| *start > at.segment_start);
-                if successor.is_none() {
-                    // Live tail. A frame half-read may be half-written:
-                    // a failed append is taken back and written over, so
-                    // read it anew next time.
-                    at.ahead.clear();
-                    at.taken = 0;
-                    break;
+                // Rotation seals segments on frame boundaries.
+                (SegmentEnd::Incomplete, Some(_)) => {
+                    let what = format!("sealed segment {} ends inside a frame", path.display());
+                    return Err(corrupt(what));
                 }
-                continue;
-            };
-            if !at.ahead.is_empty() {
-                // Rotation seals segments on frame boundaries; trailing
-                // garbage before a successor is damage.
-                return Err(corrupt(format!(
-                    "{} trailing bytes in sealed segment {}",
-                    at.ahead.len(),
-                    path.display()
-                )));
+                // A successor whose header is not whole yet: stay on the
+                // sealed segment and retry next call.
+                (SegmentEnd::Clean, Some(start)) => {
+                    let Some(mut next) = open_segment(&self.dir, start)? else {
+                        return Ok(true);
+                    };
+                    next.bytes_read += reader.bytes_read;
+                    *reader = next;
+                    successor = None;
+                }
             }
-            // A successor whose header is not whole yet: stay on the
-            // sealed segment and retry next call.
-            let Some(next) = Position::open(&self.dir, start)? else {
-                break;
-            };
-            *at = next;
-            successor = None;
         }
-        Ok(())
+        Ok(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{split_frame, FrameSplit};
     use crate::group::GroupSet;
     use crate::journal::{Journal, JournalConfig};
+    use crate::segment::READ_CHUNK;
     use crate::snapshot::write_snapshot;
-    use std::fs;
     use wsrep_core::feedback::Feedback;
     use wsrep_core::id::{AgentId, ServiceId};
     use wsrep_core::time::Time;
@@ -617,19 +514,9 @@ mod tests {
         let err = ShipCursor::open(&dir, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("undecodable record at lsn 4"));
-        // The two records handed out before the third failed are taken
-        // back: the buffer keeps the whole frames read before it, here
-        // what the commit of two holds from LSN 1 on.
-        let mut sub = DirCursor {
-            dir: dir.clone(),
-            from_lsn: 1,
-            at: None,
-            bytes_read: 0,
-        };
-        let mut out = VecDeque::new();
-        let err = sub.next_entries(64, &mut out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(out, VecDeque::from([(1, record(1))]));
+        // Its records are never staged: segment.rs's
+        // `a_damaged_frame_yields_none_of_its_records`, and (a') in
+        // tests/commit_frames.rs through the cursor.
         fs::remove_dir_all(&dir).unwrap();
     }
 

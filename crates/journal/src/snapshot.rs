@@ -21,7 +21,9 @@
 
 use crate::codec::{get_feedback, get_listing, put_feedback, put_listing, put_u64, Cursor};
 use crate::frame::crc32;
-use std::fs::{self, File, OpenOptions};
+use crate::journal::sync_dir;
+use crate::segment::{list_named, parse_lsn_name};
+use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
@@ -44,11 +46,7 @@ pub fn snapshot_file_name(lsn: u64) -> String {
 
 /// Parse a snapshot file name back to its covered LSN.
 pub fn parse_snapshot_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("snap-")?.strip_suffix(".snap")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    parse_lsn_name(name, "snap-", ".snap")
 }
 
 /// A decoded snapshot.
@@ -72,15 +70,7 @@ impl Snapshot {
 
 /// Snapshot paths in the directory, ordered by covered LSN.
 pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut snapshots = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(lsn) = entry.file_name().to_str().and_then(parse_snapshot_name) {
-            snapshots.push((lsn, entry.path()));
-        }
-    }
-    snapshots.sort_by_key(|(lsn, _)| *lsn);
-    Ok(snapshots)
+    list_named(dir, parse_snapshot_name)
 }
 
 /// Write a snapshot atomically (temp file + fsync + rename) and return
@@ -120,13 +110,13 @@ pub fn write_snapshot(
     file.sync_data()?;
     drop(file);
     fs::rename(&tmp_path, &final_path)?;
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
-    }
+    sync_dir(dir);
     Ok(final_path)
 }
 
-/// Read and validate one snapshot file; `Ok(None)` if it is damaged.
+/// Read and validate one snapshot file; `Ok(None)` if it is damaged. The
+/// checksum covers the body alone, so a header whose LSN is not the one
+/// the file is named by is damage too.
 pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
     let bytes = fs::read(path)?;
     if bytes.len() < HEADER_LEN
@@ -139,7 +129,10 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
     let body_len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
     let body_crc = u32::from_le_bytes(bytes[21..25].try_into().unwrap());
     let body = &bytes[HEADER_LEN..];
-    if body.len() != body_len || crc32(body) != body_crc {
+    let named = path
+        .file_name()
+        .and_then(|name| parse_snapshot_name(name.to_str()?));
+    if named != Some(lsn) || body.len() != body_len || crc32(body) != body_crc {
         return Ok(None);
     }
     let mut cur = Cursor::new(body);
@@ -157,12 +150,13 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
         Ok((listings, feedback))
     };
     match decode() {
-        Ok((listings, feedback)) => Ok(Some(Snapshot {
+        // A body decodes to its last byte, as a frame does.
+        Ok((listings, feedback)) if cur.remaining() == 0 => Ok(Some(Snapshot {
             lsn,
             listings,
             feedback,
         })),
-        Err(_) => Ok(None),
+        _ => Ok(None),
     }
 }
 

@@ -9,19 +9,26 @@
 //! build did not write (a newer primary's, a damaged disk's): it answers
 //! every input with a record or a typed `CodecError`, never a panic.
 //!
-//! This is the first of ROADMAP item 2's "every total decoder fuzzed"
-//! corpora; the frame splitter, the segment scanner and the wire decoders
-//! are the others.
+//! The segment header and the snapshot file get the same treatment:
+//! every truncation, every single-byte flip and arbitrary bytes.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::fs;
+use std::path::Path;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
 use wsrep_core::time::Time;
 use wsrep_journal::codec::{get_varint, put_feedback, put_varint, CodecError, Cursor};
+use wsrep_journal::frame::crc32;
+use wsrep_journal::segment::{
+    segment_header_versioned, LsnWalk, FORMAT_VERSION, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+};
+use wsrep_journal::snapshot::{read_snapshot, write_snapshot, Snapshot};
 use wsrep_journal::JournalRecord;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_sim::registry::Listing;
 
 /// Where a varint changes length, and both ends of the range.
 const EDGES: [u64; 6] = [0, 127, 128, 16_383, 16_384, u64::MAX];
@@ -273,5 +280,108 @@ fn a_presence_bit_over_a_zero_count_is_rejected() {
         bytes[0] |= presence;
         bytes.push(0);
         rejected_head(&bytes);
+    }
+}
+
+/// What `LsnWalk::from_header` may say of any bytes: no header, a version
+/// this build cannot read, or the version and start LSN the bytes state.
+fn header_verdict(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match LsnWalk::from_header(bytes, Path::new("fuzz")) {
+        Ok(None) => prop_assert!(bytes.len() < SEGMENT_HEADER_LEN || bytes[..4] != SEGMENT_MAGIC),
+        Err(_) => prop_assert!(!(1..=FORMAT_VERSION).contains(&bytes[4])),
+        Ok(Some(walk)) => {
+            let start = u64::from_le_bytes(bytes[5..SEGMENT_HEADER_LEN].try_into().unwrap());
+            prop_assert_eq!((walk.version(), walk.next_lsn()), (bytes[4], start));
+        }
+    }
+    Ok(())
+}
+
+fn listing() -> impl Strategy<Value = Listing> {
+    (id(), 0u32..5, 0u32..1000).prop_map(|(service, category, price)| Listing {
+        service: ServiceId::new(service),
+        provider: ProviderId::new(service % 7),
+        category,
+        advertised: QosVector::from_pairs([(Metric::Price, f64::from(price))]),
+    })
+}
+
+/// A snapshot with every report as its bit pattern (see [`bits`]).
+fn snapshot_bits(snapshot: Option<Snapshot>) -> Option<(u64, Vec<Listing>, Vec<Bits>)> {
+    snapshot.map(|s| (s.lsn, s.listings, s.feedback.iter().map(bits).collect()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The segment header decoder is total over every truncation and
+    /// single-byte flip of a header, and arbitrary bytes (half magic-led).
+    #[test]
+    fn the_segment_header_decoder_is_total(
+        start in id(),
+        version in 1u8..=FORMAT_VERSION,
+        masks in collection::vec(1u8..=255, SEGMENT_HEADER_LEN),
+        mut noise in collection::vec(0u8..=255, 0..32),
+        magic in 0u8..2,
+    ) {
+        let header = segment_header_versioned(start, version);
+        for cut in 0..=SEGMENT_HEADER_LEN {
+            header_verdict(&header[..cut])?;
+        }
+        for (at, mask) in masks.iter().enumerate() {
+            let mut flipped = header;
+            flipped[at] ^= mask;
+            header_verdict(&flipped)?;
+        }
+        if magic == 1 {
+            noise.splice(..0, SEGMENT_MAGIC);
+        }
+        header_verdict(&noise)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A snapshot file cut anywhere, with any one byte flipped, or with a
+    /// checked body holding bytes past its last report reads as none or as
+    /// exactly the one written; a checked body of noise cannot panic it.
+    #[test]
+    fn the_snapshot_reader_returns_nothing_or_what_was_written(
+        lsn in id(),
+        listings in collection::vec(listing(), 0..4),
+        feedback in collection::vec(feedback(), 0..6),
+        masks in collection::vec(1u8..=255, 1..8),
+        noise in collection::vec(0u8..=255, 1..48),
+    ) {
+        // Reports as the fixed-width body carries them.
+        let feedback: Vec<_> = feedback.iter().map(|f| decode_feedback(&fixed_bytes(f))).collect();
+        let dir = std::env::temp_dir().join(format!("wsrep-codec-snapshot-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = write_snapshot(&dir, lsn, &listings, &feedback).unwrap();
+        let written = snapshot_bits(Some(Snapshot { lsn, listings, feedback }));
+        let bytes = fs::read(&path).unwrap();
+        let read = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            snapshot_bits(read_snapshot(&path).unwrap())
+        };
+        prop_assert_eq!(&read(&bytes), &written);
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(read(&bytes[..cut]), None, "cut at {}", cut);
+        }
+        for (at, mask) in masks.iter().cycle().take(bytes.len()).enumerate() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            let got = read(&flipped);
+            prop_assert!(got.is_none() || got == written, "flip at {}", at);
+        }
+        // The header as written, over a body whose length and checksum hold.
+        let sealed = |body: &[u8]| {
+            let (len, crc) = ((body.len() as u64).to_le_bytes(), crc32(body).to_le_bytes());
+            [&bytes[..13], &len, &crc, body].concat()
+        };
+        prop_assert_eq!(read(&sealed(&[&bytes[25..], &noise].concat())), None);
+        let _ = read(&sealed(&noise));
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

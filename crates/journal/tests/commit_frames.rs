@@ -16,6 +16,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
@@ -498,4 +500,124 @@ fn a_frame_header_promising_the_moon_is_a_torn_tail() {
     assert_is_twin_of(&recovered, &log.all());
     assert_eq!(shipped_from(&log.root, 0, 8), log.all());
     fs::remove_dir_all(&log.root).unwrap();
+}
+
+/// `f`'s result, and what it read through `read(2)` and its kin on this
+/// thread by the kernel's count (`rchar`); `None` where none is kept.
+fn bytes_read_by<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
+    let rchar = || -> Option<(u64, u64)> {
+        let io = fs::read_to_string("/proc/thread-self/io").ok()?;
+        let count = io.lines().find_map(|line| line.strip_prefix("rchar: "))?;
+        Some((count.parse().ok()?, io.len() as u64))
+    };
+    let before = rchar();
+    let out = f();
+    // The count after `f` holds the reading of the count before it.
+    let read = before
+        .zip(rchar())
+        .map(|((at, own), (to, _))| to - at - own);
+    (out, read)
+}
+
+/// Where a segment's bytes land, as `draws` pick for its header and each
+/// frame: cut once inside (flagged), whole, or merged into the next.
+fn landing(bytes: &[u8], draws: &[(u8, usize)]) -> Vec<(Range<usize>, bool)> {
+    let (mut chunks, mut from, mut start) = (Vec::new(), 0, 0);
+    for (i, end) in frame_ends(bytes).into_iter().enumerate() {
+        let (cut, inside) = match draws[i % draws.len()] {
+            (0, at) => (start + 1 + at % (end - start - 1), true),
+            (1, _) => (end, false),
+            _ => (from, false),
+        };
+        if cut > from {
+            chunks.push((from..cut, inside));
+            from = cut;
+        }
+        start = end;
+    }
+    if from < bytes.len() {
+        chunks.push((from..bytes.len(), false));
+    }
+    chunks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// (e) A log copied into a live directory as its writers would land
+    /// it, in chunks cut inside segment headers and inside frames, with a
+    /// cursor called after every chunk: the cursor ships only records of
+    /// whole frames, dense and in LSN order, with no error, and reads the
+    /// log less than twice over, however a failed append was taken back.
+    /// Opening the finished log, its recovery pass, reads it once.
+    #[test]
+    fn a_cursor_tailing_a_growing_log_ships_whole_frames_only(
+        groups in 1usize..=2,
+        rotating in 0usize..2,
+        commits in commits(12),
+        draws in collection::vec((0u8..3, 0usize..1 << 16), 1..16),
+        turns in collection::vec(0usize..2, 1..32),
+        step in 1usize..64,
+    ) {
+        let max_segment_bytes = if rotating == 1 { 700 } else { 8 << 20 };
+        let log = Log::write("growing", groups, max_segment_bytes, commits);
+        let live = temp_dir("growing-live");
+        let mut log_bytes = 0;
+        let mut chunks = vec![std::collections::VecDeque::new(); groups];
+        for (group, queue) in chunks.iter_mut().enumerate() {
+            let dir = live.join(group_dir_name(group));
+            fs::create_dir_all(&dir).unwrap();
+            for (_, path) in list_segments(&log.group_dir(group)).unwrap() {
+                let bytes = fs::read(&path).unwrap();
+                let target = dir.join(path.file_name().unwrap());
+                for (range, inside) in landing(&bytes, &draws) {
+                    queue.push_back((target.clone(), bytes[range].to_vec(), inside));
+                }
+                log_bytes += bytes.len() as u64;
+            }
+        }
+
+        let all = log.all();
+        let mut cursor = ShipCursor::open(&live, 0).unwrap();
+        let (mut shipped, mut read) = (Vec::new(), 0);
+        // A writer finishes the frame it is writing before another lands,
+        // and a chunk cut inside a frame may first land as a failed append
+        // would, a byte wrong, and be taken back.
+        let (mut writing, mut failed) = (None, None);
+        for turn in turns.iter().cycle() {
+            let mut landing = (0..groups).map(|g| (turn + g) % groups);
+            let group = writing.or_else(|| landing.find(|g| !chunks[*g].is_empty()));
+            if let Some(group) = group {
+                let (path, mut bytes, inside) = chunks[group].front().cloned().unwrap();
+                let mut file = fs::OpenOptions::new().create(true).append(true).open(&path).unwrap();
+                if let Some(len) = failed.take() {
+                    file.set_len(len).unwrap();
+                } else if inside && turn % 2 == 0 {
+                    failed = Some(file.metadata().unwrap().len());
+                    *bytes.last_mut().unwrap() ^= 1;
+                }
+                if failed.is_none() {
+                    chunks[group].pop_front();
+                }
+                file.write_all(&bytes).unwrap();
+                writing = inside.then_some(group);
+            }
+            let (batch, bytes) = bytes_read_by(|| cursor.next_batch(step).unwrap());
+            read += bytes.filter(|_| failed.is_none()).unwrap_or(0);
+            if group.is_none() && batch.records.is_empty() {
+                break;
+            }
+            shipped.extend((batch.first_lsn..).zip(batch.records));
+            prop_assert_eq!(&shipped[..], &all[..shipped.len()], "dense, in LSN order");
+            let whole = recover(&live).unwrap().durable_lsn;
+            prop_assert!(shipped.len() as u64 <= whole, "a record of a partial frame");
+        }
+        prop_assert_eq!(&shipped, &all);
+        prop_assert!(read < 2 * log_bytes, "read {} bytes of a {}-byte log", read, log_bytes);
+        let (opened, read) = bytes_read_by(|| GroupSet::open(&live, groups, Default::default(), 0));
+        prop_assert_eq!(opened.unwrap().allocator().next_lsn(), all.len() as u64);
+        prop_assert_eq!(read.unwrap_or(log_bytes), log_bytes, "a segment read twice");
+        fs::remove_dir_all(&live).unwrap();
+        fs::remove_dir_all(&log.root).unwrap();
+    }
 }

@@ -19,9 +19,7 @@ use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
-use wsrep_journal::frame::{
-    split_frame, write_frame, FrameEnd, FrameReader, FrameSplit, FRAME_HEADER_LEN,
-};
+use wsrep_journal::frame::{split_frame, write_frame, FrameSplit, FRAME_HEADER_LEN};
 use wsrep_journal::segment::{list_segments, LsnWalk, LSN_MARKER, SEGMENT_HEADER_LEN};
 use wsrep_journal::{
     compact_dir, latest_snapshot, list_group_dirs, recover_prefix, write_snapshot, GroupSet,
@@ -67,9 +65,10 @@ fn scan_whole(path: &Path) -> io::Result<Option<Scan>> {
     let Some(mut walk) = LsnWalk::from_header(&bytes, path)? else {
         return Ok(None);
     };
-    let mut reader = FrameReader::new(&bytes[SEGMENT_HEADER_LEN..]);
+    let mut at = SEGMENT_HEADER_LEN;
     let mut entries = Vec::new();
-    while let Some(payload) = reader.next() {
+    while let FrameSplit::Frame { frame_len } = split_frame(&bytes[at..]) {
+        let payload = &bytes[at + FRAME_HEADER_LEN..at + frame_len];
         let whole_frames = entries.len();
         if walk
             .step(payload, |lsn, record| entries.push((lsn, record)))
@@ -78,8 +77,9 @@ fn scan_whole(path: &Path) -> io::Result<Option<Scan>> {
             entries.truncate(whole_frames);
             return Ok(Some((entries, true)));
         }
+        at += frame_len;
     }
-    Ok(Some((entries, reader.end() == Some(FrameEnd::Torn))))
+    Ok(Some((entries, at != bytes.len())))
 }
 
 /// The parent's `recover_prefix`: every log scanned whole and stopped at

@@ -1,14 +1,14 @@
 //! The serve-side durability seam: commit locks around the journal.
 //!
 //! Everything that must be journaled — ingested feedback batches, listing
-//! publishes and deregistrations — goes through [`JournalHandle`], which
+//! publishes and deregistrations — goes through `JournalHandle`, which
 //! pairs each append with the in-memory apply **while a commit lock is
 //! held**. The log is a [`GroupSet`]: each writer group has its own
 //! commit lock and fsyncs independently, and a shared allocator hands
 //! out LSNs so cross-group order is defined. The invariant that makes
 //! checkpoints consistent: at an instant when *all* commit locks are
 //! held no batch is in flight, so the LSN read there
-//! ([`JournalHandle::frozen_lsn`]) names a prefix of the log that is
+//! (`JournalHandle::frozen_lsn`) names a prefix of the log that is
 //! entirely on disk — and a snapshot built from that prefix is, by
 //! construction, what its first `LSN` records rebuild.
 //!

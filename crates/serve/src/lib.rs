@@ -5,7 +5,7 @@
 //! threaded; this crate is the same registry grown into a production-shaped
 //! subsystem:
 //!
-//! - [`snapshot`] — the RCU-style [`SnapshotCell`](snapshot::SnapshotCell)
+//! - [`snapshot`] — the RCU-style [`SnapshotCell`]
 //!   every read-path map publishes through: readers pin + probe
 //!   (wait-free), writers swap whole immutable snapshots. The crate's
 //!   only `unsafe`, and the compiler holds it there;

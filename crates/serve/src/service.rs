@@ -49,9 +49,7 @@ use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::faults::IoPolicy;
 use wsrep_journal::snapshot::list_snapshots;
-use wsrep_journal::{
-    recover_prefix, replay_prefix, write_snapshot, GroupSet, JournalConfig, JournalRecord,
-};
+use wsrep_journal::{recover_prefix, write_snapshot, GroupSet, JournalConfig, JournalRecord};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::normalize::{NormalizationMatrix, OverallScore};
 use wsrep_qos::preference::Preferences;
@@ -373,21 +371,20 @@ impl ServiceBuilder {
 
         let mut journal = None;
         if let Some(dir) = self.journal_dir {
-            let mut records_recovered = 0;
-            let mut floor_lsn = 0;
-            if self.recover {
-                // Replay BEFORE opening the writer: recovery tolerates a
-                // torn final record, and reopening the log then truncates
-                // the same tail, so both agree on the durable prefix.
-                //
-                // Reports are folded as the log is read, a chunk at a
-                // time through the ingest writers' own apply, publishing
-                // every score as they go: the journal stays the only
-                // copy of the log, and no more of it than one chunk is
-                // ever held here.
-                let mut table = BTreeMap::new();
-                let mut chunk = Vec::with_capacity(RECOVERY_CHUNK);
-                let replayed = replay_prefix(&dir, u64::MAX, |record| match record {
+            // Opening the log is its recovery pass, one read of it. Reports
+            // are folded as it is read, a chunk at a time through the
+            // ingest writers' own apply: the journal stays the only copy
+            // of the log, and no more of it than one chunk is held here.
+            let recover = self.recover;
+            let mut table = BTreeMap::new();
+            let mut chunk = Vec::with_capacity(if recover { RECOVERY_CHUNK } else { 0 });
+            let (set, replayed) = GroupSet::open_replaying(
+                &dir,
+                self.writer_groups,
+                self.journal_config,
+                0,
+                |record| match record {
+                    _ if !recover => {}
                     JournalRecord::Feedback(report) => {
                         chunk.push(report);
                         if chunk.len() == RECOVERY_CHUNK {
@@ -401,10 +398,12 @@ impl ServiceBuilder {
                     JournalRecord::Deregister(service) => {
                         table.remove(&service);
                     }
-                })?;
+                },
+            )?;
+            let mut records_recovered = 0;
+            if recover {
                 store.insert_batch(&chunk);
                 records_recovered = replayed.records_recovered;
-                floor_lsn = replayed.next_lsn;
                 // The recovered listing table's category memberships go
                 // in with one swap per shard, not one map copy per
                 // listing.
@@ -417,7 +416,6 @@ impl ServiceBuilder {
                     listings.publish(listing);
                 }
             }
-            let set = GroupSet::open(&dir, self.writer_groups, self.journal_config, floor_lsn)?;
             if let Some(policy) = &self.io_policy {
                 set.set_io_policy(Arc::clone(policy));
             }
@@ -747,7 +745,7 @@ impl ReputationService {
     /// Flushes first, so the snapshot covers everything ingested before
     /// the call. Writers stall only while `L` is read; the snapshot is
     /// built from the log on disk with ingestion running (see
-    /// [`checkpoint_now`]). After a journal failure under
+    /// `checkpoint_now`). After a journal failure under
     /// [`DurabilityPolicy::Degrade`] that means it covers the journal's
     /// clean prefix — not the un-journaled state the service still
     /// serves from memory.

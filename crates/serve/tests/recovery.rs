@@ -705,3 +705,26 @@ fn a_torn_final_segment_recovers_its_whole_commits_and_is_cut_to_them() {
     }
     fs::remove_dir_all(&live).unwrap();
 }
+
+/// A final segment with a damaged header holds acknowledged commits: it
+/// is refused and left as it lies, not dropped (only a crashed rotation
+/// leaves one without a header, no longer than a header).
+#[test]
+fn a_final_segment_with_a_damaged_header_is_refused_not_dropped() {
+    let live = temp_dir("damaged-header");
+    small_segment_journal(&live, 12);
+    let segments = wsrep_journal::segment::list_segments(&live.join("group-000")).unwrap();
+    let (_, last) = segments.last().unwrap();
+    let mut bytes = fs::read(last).unwrap();
+    assert!(frame_ends(&bytes).len() > 1, "acknowledged commits in it");
+    bytes[0] ^= 0x01;
+    fs::write(last, &bytes).unwrap();
+    let before = tree(&live);
+    let opened = GroupSet::open(&live, 1, JournalConfig::default(), 0).map(drop);
+    let built = ReputationService::builder().recover_from(&live).try_build();
+    for err in [opened.unwrap_err(), built.map(drop).unwrap_err()] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+    assert_eq!(tree(&live), before);
+    fs::remove_dir_all(&live).unwrap();
+}

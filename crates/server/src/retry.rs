@@ -1,7 +1,7 @@
 //! Retry plumbing: jittered exponential backoff and the
 //! auto-reconnecting client.
 //!
-//! A bare [`Client`](crate::client::Client) fails fast: a dropped
+//! A bare [`Client`] fails fast: a dropped
 //! connection surfaces as [`ClientError::Disconnected`], a timeout
 //! poisons the stream, and the caller is left to reconnect. That is the
 //! right primitive, but every real caller wants the same loop around
