@@ -19,9 +19,12 @@
 //!   `fold: false`): a plain [`FeedbackStore`], replayed through
 //!   [`score_from_log`].
 //!
-//! The accessor that hands out the log ([`ShardedStore::about`]) returns
-//! `None` in fold mode rather than an empty log; report counts come from
-//! counters in both modes.
+//! Each subject a shard has seen has a dense **slot**, kept in its
+//! published entry: its accumulator's index in fold mode, and in both
+//! modes the index of a stamp naming the last group that touched it; a
+//! folding shard keys nothing else by subject. The accessor that hands out
+//! the log ([`ShardedStore::about`]) returns `None` in fold mode rather
+//! than an empty log; report counts come from counters in both modes.
 //!
 //! # The publish protocol
 //!
@@ -47,18 +50,20 @@
 //! even, so a reader pinned to it never retries), and such a reader
 //! linearizes before the swap.
 //!
-//! **Cost model.** A fold-mode publish is an O(1) read of the resident
-//! accumulator per touched subject. A log-mode publish replays the
-//! touched subject's whole log through a fresh mechanism — the replay a
-//! reader's miss used to do, moved to the one thread that knows when it
-//! is needed: a log-mode write is O(subject history) per touched subject
-//! per applied group (ROADMAP item 2 removes log mode).
+//! **Cost model.** Applying a report is one probe of the published map,
+//! which yields the slot, plus the fold; the slot's stamp collects the
+//! distinct touched subjects as they come, with no sort. A fold-mode
+//! publish is then an O(1) read of the resident accumulator per touched
+//! subject. A log-mode publish replays the touched subject's whole log
+//! through a fresh mechanism — the replay a reader's miss used to do,
+//! moved to the one thread that knows when it is needed: a log-mode write
+//! is O(subject history) per touched subject per applied group (ROADMAP
+//! item 1 removes log mode).
 
 use crate::fxhash::{self, FxHashMap};
 use crate::snapshot::SnapshotCell;
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
@@ -96,20 +101,20 @@ fn report_subject(report: &impl Report) -> SubjectId {
 }
 
 /// The word that encodes `None`, in `Published::confidence` (no estimate:
-/// a NaN payload no arithmetic produces) and in `Published::category`
-/// (not listed: above every `u32`).
+/// a NaN payload no arithmetic produces), in `Published::category` (not
+/// listed: above every `u32`) and in `Published::slot` (no report yet).
 const NONE: u64 = u64::MAX;
 
 /// Reads that found the writer mid-publish spin this many times before
 /// they start yielding the core to it.
 const SPINS_BEFORE_YIELD: u32 = 16;
 
-/// One subject's published state: its estimate behind a sequence counter
-/// and the category it is listed in.
+/// One subject's published state: its estimate behind a sequence counter,
+/// the category it is listed in, and its slot in the shard.
 ///
-/// Every access is `SeqCst`, so all of them sit in one total order
-/// consistent with each thread's program order. A publish is `seq` odd,
-/// `value`, `confidence`, `seq` even; a read is `seq`, `value`,
+/// Every access but the slot's is `SeqCst`, so all of them sit in one
+/// total order consistent with each thread's program order. A publish is
+/// `seq` odd, `value`, `confidence`, `seq` even; a read is `seq`, `value`,
 /// `confidence`, `seq`. A read whose two `seq` loads return the same even
 /// number lies, in that order, after the publish that stored it and before
 /// the next publish's first store — so both words it loaded are that one
@@ -120,6 +125,8 @@ struct Published {
     value: AtomicU64,
     confidence: AtomicU64,
     category: AtomicU64,
+    /// Only inside [`Slot::update`], whose lock orders it: relaxed.
+    slot: AtomicU64,
 }
 
 impl Published {
@@ -130,6 +137,7 @@ impl Published {
             value: AtomicU64::new(value),
             confidence: AtomicU64::new(confidence),
             category: AtomicU64::new(category.map_or(NONE, u64::from)),
+            slot: AtomicU64::new(NONE),
         }
     }
 
@@ -186,10 +194,13 @@ impl Published {
 }
 
 impl Clone for Published {
-    /// Copies the words into fresh atomics. Maps are cloned only inside
-    /// [`Slot::update`], where no publish can be in flight.
+    /// Copies the words, the slot too, into fresh atomics. Maps are cloned
+    /// only inside [`Slot::update`], where no publish can be in flight.
     fn clone(&self) -> Self {
-        Published::new(self.estimate(), self.category())
+        Published {
+            slot: AtomicU64::new(self.slot.load(Ordering::Relaxed)),
+            ..Published::new(self.estimate(), self.category())
+        }
     }
 }
 
@@ -198,8 +209,8 @@ type PublishedMap = FxHashMap<SubjectId, Published>;
 /// What a shard keeps of the reports it applied.
 enum ShardState {
     /// The mechanism folds: a report is absorbed into its subject's
-    /// accumulator and dropped.
-    Folded(BTreeMap<SubjectId, Box<dyn SubjectAccumulator>>),
+    /// accumulator, indexed by slot, and dropped.
+    Folded(Vec<Box<dyn SubjectAccumulator>>),
     /// No fold: the log itself, replayed once per touched subject per
     /// applied group.
     Logged(FeedbackStore),
@@ -209,8 +220,13 @@ enum ShardState {
 /// for a mechanism without a fold — their feedback log.
 struct Shard {
     state: ShardState,
+    /// Per slot, the last group that touched its subject.
+    stamps: Vec<u64>,
+    /// The group being applied, renewed per group; stamps start below it.
+    group: u64,
     /// Reports applied to this shard, whether or not they are held.
     applied: usize,
+    mechanism: MechanismFactory,
 }
 
 impl Shard {
@@ -221,19 +237,29 @@ impl Shard {
         }
     }
 
-    fn push(&mut self, report: impl Report, mechanism: &MechanismFactory) {
-        match &mut self.state {
-            ShardState::Folded(accumulators) => {
-                let feedback = report.borrow();
-                accumulators
-                    .entry(feedback.subject)
-                    .or_insert_with(|| {
-                        mechanism()
-                            .accumulator()
-                            .expect("accumulator availability must not vary per instance")
-                    })
-                    .absorb(feedback);
+    /// `entry`'s slot, handed out on its subject's first report (with a
+    /// fresh accumulator in fold mode). Only inside [`Slot::update`].
+    fn slot_of(&mut self, entry: &Published) -> usize {
+        if entry.slot.load(Ordering::Relaxed) == NONE {
+            if let ShardState::Folded(folds) = &mut self.state {
+                let fold = (self.mechanism)().accumulator();
+                folds.push(fold.expect("accumulator availability must not vary per instance"));
             }
+            let slot = self.stamps.len() as u64;
+            entry.slot.store(slot, Ordering::Relaxed);
+            self.stamps.push(0);
+        }
+        entry.slot.load(Ordering::Relaxed) as usize
+    }
+
+    /// Whether this is the current group's first report about `slot`.
+    fn first_touch(&mut self, slot: usize) -> bool {
+        std::mem::replace(&mut self.stamps[slot], self.group) != self.group
+    }
+
+    fn push(&mut self, report: impl Report, slot: usize) {
+        match &mut self.state {
+            ShardState::Folded(accumulators) => accumulators[slot].absorb(report.borrow()),
             ShardState::Logged(store) => store.push(report.into_feedback()),
         }
         self.applied += 1;
@@ -241,11 +267,11 @@ impl Shard {
 
     /// The shard's own estimate of `subject` from everything applied so
     /// far: the value the writer publishes.
-    fn estimate(&self, subject: SubjectId, mechanism: &MechanismFactory) -> Option<TrustEstimate> {
+    fn estimate(&self, subject: SubjectId, slot: usize) -> Option<TrustEstimate> {
         match &self.state {
-            ShardState::Folded(accumulators) => accumulators.get(&subject)?.estimate(),
+            ShardState::Folded(accumulators) => accumulators[slot].estimate(),
             ShardState::Logged(store) => {
-                score_from_log(mechanism().as_mut(), store.about(subject), subject)
+                score_from_log((self.mechanism)().as_mut(), store.about(subject), subject)
             }
         }
     }
@@ -263,7 +289,7 @@ impl Slot {
     /// are first-seen subjects, installed with one copy-on-write swap
     /// before the lock is released. The only place this lock is taken for
     /// writing, hence the only place entries or maps change.
-    fn update(&self, f: impl FnOnce(&mut Shard, &PublishedMap) -> Vec<(SubjectId, Published)>) {
+    fn update(&self, f: impl FnOnce(&mut Shard, &PublishedMap) -> PublishedMap) {
         let mut shard = self.shard.write();
         let current = self.published.load();
         let fresh = f(&mut shard, &current);
@@ -290,7 +316,6 @@ pub struct ShardedStore {
     category_write: Mutex<()>,
     /// Reports applied across all shards; relaxed, bumped per batch.
     total: AtomicU64,
-    mechanism: MechanismFactory,
     incremental: bool,
 }
 
@@ -317,11 +342,14 @@ impl ShardedStore {
         let slot = || Slot {
             shard: RwLock::new(Shard {
                 state: if incremental {
-                    ShardState::Folded(BTreeMap::new())
+                    ShardState::Folded(Vec::new())
                 } else {
                     ShardState::Logged(FeedbackStore::new())
                 },
+                stamps: Vec::new(),
+                group: 0,
                 applied: 0,
+                mechanism: Arc::clone(&mechanism),
             }),
             published: SnapshotCell::default(),
         };
@@ -330,7 +358,6 @@ impl ShardedStore {
             category_epochs: SnapshotCell::default(),
             category_write: Mutex::new(()),
             total: AtomicU64::new(0),
-            mechanism,
             incremental,
         }
     }
@@ -384,26 +411,29 @@ impl ShardedStore {
     /// this returns) behind, the applied state.
     fn apply_group<R: Report>(&self, idx: usize, group: Vec<R>) {
         let applied = group.len() as u64;
-        let mut touched: Vec<SubjectId> = group.iter().map(report_subject).collect();
-        touched.sort_unstable();
-        touched.dedup();
         self.slots[idx].update(|shard, published| {
+            shard.group += 1;
+            let (mut touched, mut fresh) = (Vec::new(), PublishedMap::default());
+            let unseen = || Published::new(None, None);
             for report in group {
-                shard.push(report, &self.mechanism);
+                let subject = report_subject(&report);
+                let known = published.get(&subject);
+                let slot = match known {
+                    Some(entry) => shard.slot_of(entry),
+                    None => shard.slot_of(fresh.entry(subject).or_insert_with(unseen)),
+                };
+                if shard.first_touch(slot) {
+                    touched.push((subject, slot, known));
+                }
+                shard.push(report, slot);
             }
-            let mut fresh = Vec::new();
             self.category_epochs.read(|epochs| {
-                for subject in touched {
-                    let estimate = shard.estimate(subject, &self.mechanism);
-                    match published.get(&subject) {
-                        Some(entry) => {
-                            entry.set_estimate(estimate);
-                            if let Some(epoch) = entry.category().and_then(|c| epochs.get(&c)) {
-                                epoch.fetch_add(1, Ordering::AcqRel);
-                            }
-                        }
-                        // First seen, so never listed: nothing to bump.
-                        None => fresh.push((subject, Published::new(estimate, None))),
+                for (subject, slot, known) in touched {
+                    // A first-seen subject is in `fresh`, and unlisted.
+                    let entry = known.unwrap_or_else(|| &fresh[&subject]);
+                    entry.set_estimate(shard.estimate(subject, slot));
+                    if let Some(epoch) = entry.category().and_then(|c| epochs.get(&c)) {
+                        epoch.fetch_add(1, Ordering::AcqRel);
                     }
                 }
             });
@@ -457,11 +487,11 @@ impl ShardedStore {
         let touched = self.slots.iter().zip(per_shard);
         for (slot, group) in touched.filter(|(_, group)| !group.is_empty()) {
             slot.update(|_, published| {
-                let mut fresh = Vec::new();
+                let mut fresh = PublishedMap::default();
                 for (subject, category) in group {
                     match published.get(&subject) {
                         Some(entry) => entry.set_category(Some(category)),
-                        None => fresh.push((subject, Published::new(None, Some(category)))),
+                        None => _ = fresh.insert(subject, Published::new(None, Some(category))),
                     }
                 }
                 fresh
@@ -496,7 +526,7 @@ impl ShardedStore {
             if let Some(entry) = published.get(&subject) {
                 entry.set_category(None);
             }
-            Vec::new()
+            PublishedMap::default()
         });
     }
 
@@ -544,7 +574,8 @@ impl ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
     use wsrep_core::id::{AgentId, ServiceId};
@@ -772,5 +803,178 @@ mod tests {
             done.store(true, Ordering::SeqCst);
         });
         assert_eq!(store.score(subject(5)), twin.estimate());
+    }
+
+    /// Subjects the random steps of the slot property draw from; the
+    /// scripted steps use the ids above them.
+    const RANDOM_SUBJECTS: u64 = 10;
+    const CATEGORIES: u32 = 3;
+
+    /// One step of the slot property.
+    #[derive(Debug)]
+    enum Step {
+        List(Vec<(SubjectId, u32)>),
+        Unlist(SubjectId),
+        Insert(Vec<Feedback>),
+    }
+
+    impl Step {
+        /// A random step: a kind, and items of (rater, service, score,
+        /// category, round) it takes what it needs from.
+        fn random(kind: u8, items: &[(u64, u64, f64, u32, u64)]) -> Step {
+            match kind {
+                0 => Step::List(
+                    items
+                        .iter()
+                        .map(|&(_, s, _, c, _)| (subject(s), c))
+                        .collect(),
+                ),
+                1 => Step::Unlist(subject(items[0].1)),
+                _ => Step::Insert(
+                    items
+                        .iter()
+                        .map(|&(rater, service, score, _, round)| {
+                            let mut report = fb(rater, service, score);
+                            report.at = Time::new(round);
+                            report
+                        })
+                        .collect(),
+                ),
+            }
+        }
+
+        /// The orders a slot must survive, on subjects no random step
+        /// uses: `a` is seen for the first time twice within one group and
+        /// reported before it is listed, as recovery applies them; `c` is
+        /// listed before its first report; `n`, first seen in `a`'s shard,
+        /// forces a published-map swap between two groups that touch `a`.
+        fn scripted(store: &ShardedStore) -> Vec<Step> {
+            let (a, b, c) = (RANDOM_SUBJECTS, RANDOM_SUBJECTS + 1, RANDOM_SUBJECTS + 2);
+            let n = (c + 1..)
+                .find(|&n| store.shard_of(subject(n)) == store.shard_of(subject(a)))
+                .expect("some id shares a's shard");
+            vec![
+                Step::Insert(vec![fb(0, a, 0.9), fb(1, a, 0.2), fb(2, b, 0.7)]),
+                Step::List(vec![(subject(a), 0), (subject(b), 1), (subject(c), 2)]),
+                Step::Insert(vec![fb(3, c, 0.4), fb(4, a, 0.6)]),
+                Step::Insert(vec![fb(5, n, 0.5)]),
+                Step::Insert(vec![fb(6, a, 0.1), fb(7, b, 0.3)]),
+            ]
+        }
+
+        fn subjects(&self) -> Vec<SubjectId> {
+            match self {
+                Step::List(memberships) => memberships.iter().map(|&(s, _)| s).collect(),
+                Step::Unlist(s) => vec![*s],
+                Step::Insert(batch) => batch.iter().map(|report| report.subject).collect(),
+            }
+        }
+    }
+
+    /// Per shard: accumulators held (fold mode) and slots handed out.
+    fn slot_counts(store: &ShardedStore) -> Vec<(usize, usize)> {
+        let count = |slot: &Slot| {
+            let shard = slot.shard.read();
+            let folds = match &shard.state {
+                ShardState::Folded(folds) => folds.len(),
+                ShardState::Logged(_) => 0,
+            };
+            (folds, shard.stamps.len())
+        };
+        store.slots.iter().map(count).collect()
+    }
+
+    proptest! {
+        /// The slot is the subject's only key into its shard, so every
+        /// order of listings and reports must keep it: after each step,
+        /// for every Figure-4 mechanism that folds, every score equals the
+        /// log-mode twin's and a replay of its log, each shard holds one
+        /// accumulator per distinct subject it has seen, and a category's
+        /// epoch has moved once per listed subject per group that touched
+        /// it.
+        #[test]
+        fn slots_survive_every_order_of_listings_and_reports(
+            shards in 1usize..=8,
+            raw in proptest::collection::vec(
+                (
+                    0u8..5,
+                    proptest::collection::vec(
+                        (0u64..6, 0u64..RANDOM_SUBJECTS, 0.0f64..=1.0, 0u32..CATEGORIES, 0u64..20),
+                        1..10,
+                    ),
+                ),
+                0..16,
+            ),
+        ) {
+            let mut folded = 0;
+            for prototype in all_figure4_mechanisms() {
+                if prototype.accumulator().is_none() {
+                    continue;
+                }
+                folded += 1;
+                let key = prototype.info().key;
+                let mechanism: MechanismFactory = Arc::new(move || {
+                    all_figure4_mechanisms()
+                        .into_iter()
+                        .find(|m| m.info().key == key)
+                        .expect("mechanism key is stable")
+                });
+                let folding = ShardedStore::new(shards, Arc::clone(&mechanism), true);
+                let twin = ShardedStore::new(shards, Arc::clone(&mechanism), false);
+                let mut steps = Step::scripted(&folding);
+                steps.extend(raw.iter().map(|(kind, items)| Step::random(*kind, items)));
+                let universe: HashSet<SubjectId> = steps.iter().flat_map(Step::subjects).collect();
+                let mut listed: HashMap<SubjectId, u32> = HashMap::new();
+                let mut seen: HashSet<SubjectId> = HashSet::new();
+                let mut epochs = [0u64; CATEGORIES as usize];
+                for (n, step) in steps.iter().enumerate() {
+                    match step {
+                        Step::List(memberships) => {
+                            folding.list(memberships.iter().copied());
+                            twin.list(memberships.iter().copied());
+                            listed.extend(memberships.iter().copied());
+                        }
+                        Step::Unlist(s) => {
+                            folding.unlist(*s);
+                            twin.unlist(*s);
+                            listed.remove(s);
+                        }
+                        Step::Insert(batch) => {
+                            folding.insert_batch(batch);
+                            twin.insert_batch(batch);
+                            // A subject lives in one shard, so it is in
+                            // one group of the batch.
+                            let touched: HashSet<SubjectId> = step.subjects().into_iter().collect();
+                            for s in touched {
+                                seen.insert(s);
+                                if let Some(&c) = listed.get(&s) {
+                                    epochs[c as usize] += 1;
+                                }
+                            }
+                        }
+                    }
+                    let at = format!("{key}, {shards} shards, after step {n} {step:?}");
+                    for &s in &universe {
+                        let expected = replayed(&mechanism, &twin, s);
+                        prop_assert_eq!(twin.score(s), expected, "{at}, {s:?}");
+                        prop_assert_eq!(folding.score(s), expected, "{at}, {s:?}");
+                    }
+                    let mut per_shard = vec![0; shards];
+                    for &s in &seen {
+                        per_shard[folding.shard_of(s)] += 1;
+                    }
+                    let held: Vec<(usize, usize)> = per_shard.iter().map(|&n| (n, n)).collect();
+                    prop_assert_eq!(slot_counts(&folding), held, "{at}");
+                    let slots: Vec<(usize, usize)> = per_shard.iter().map(|&n| (0, n)).collect();
+                    prop_assert_eq!(slot_counts(&twin), slots, "{at}");
+                    for c in 0..CATEGORIES {
+                        let expected = epochs[c as usize];
+                        prop_assert_eq!(folding.category_epoch(c), expected, "{at}, category {c}");
+                        prop_assert_eq!(twin.category_epoch(c), expected, "{at}, category {c}");
+                    }
+                }
+            }
+            prop_assert!(folded > 1, "several Figure-4 mechanisms fold");
+        }
     }
 }

@@ -205,11 +205,12 @@ proptest! {
         }
     }
 
-    /// Recovery rebuilds the resident accumulators in parallel across a
-    /// WAL forced into many small segments; the recovered incremental
-    /// service must score exactly like an un-crashed replay twin.
+    /// Recovery folds a WAL forced into many small segments back into the
+    /// resident accumulators, in one pass that merges the segments by
+    /// LSN; the recovered incremental service must score exactly like an
+    /// un-crashed replay twin.
     #[test]
-    fn parallel_recovery_equals_sequential_replay(
+    fn recovery_equals_sequential_replay(
         raw in proptest::collection::vec(
             (0u64..9, 0u64..SERVICES, 0.0f64..=1.0, 0u64..40),
             1..80,

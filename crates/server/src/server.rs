@@ -642,7 +642,10 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            rbuf: Vec::new(),
+            // One read chunk up front: a pipelined window of requests then
+            // lands without regrowing the buffer, so how the bytes happen
+            // to arrive does not decide what the worker's heap holds.
+            rbuf: Vec::with_capacity(READ_CHUNK),
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
