@@ -13,10 +13,10 @@
 //!   [`put_qos_vector`], `u32` counts, `u64` ids). The wire `Ingest` body
 //!   and the snapshot body are written in it, and tag-1 feedback records
 //!   in segments of format 1–3 are read through it. It is not changed.
-//! - **What segment formats 4 and up write**, compact: [`put_feedback_compact`] /
-//!   [`get_feedback_compact`] over [`put_varint`] / [`get_varint`]. Ids and
-//!   the round are LEB128 varints, an empty collection costs a head bit
-//!   and not a `u32`; only the score keeps its eight bytes.
+//! - **What segment formats 4 and up hold**, compact: [`put_feedback_compact`] /
+//!   [`get_feedback_compact`] over [`put_varint`] / [`get_varint`]: varint
+//!   ids and round, a head bit for an empty collection, and since format 6
+//!   no `0x3F` top score byte and no round its frame holds ([`CompactRules`]).
 //!
 //! [`put_metric`], [`put_listing`] and the primitives serve both.
 //!
@@ -338,7 +338,26 @@ pub const FEEDBACK_COMPACT: u8 = 0x80;
 const HEAD_KIND: u8 = 0b0000_0011;
 const HEAD_OBSERVED: u8 = 0b0000_0100;
 const HEAD_FACETS: u8 = 0b0000_1000;
-const HEAD_RESERVED: u8 = 0b0111_0000;
+const HEAD_SHORT_SCORE: u8 = 0b0001_0000;
+const HEAD_SAME_ROUND: u8 = 0b0010_0000;
+const HEAD_RESERVED: u8 = 0b0100_0000;
+/// The top byte a short score leaves out: that of every `f64` in [2⁻¹⁵, 2).
+const SCORE_TOP: u8 = 0x3F;
+
+/// Where a compact feedback report is read, which decides the head bits
+/// it may carry (see [`put_feedback_compact`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompactRules {
+    /// A frame of segment format 1–5: bits 4–6 clear.
+    Format5,
+    /// A frame of segment format 6 whose last feedback record so far had
+    /// this round, canonical both ways: bit 4 exactly when the score's top
+    /// byte is `0x3F`, bit 5 exactly when the round is the previous one.
+    Format6(Option<u64>),
+    /// A record on its own, a `ReplBatch` entry: either score width (a
+    /// format-5 primary sends eight bytes), never bit 5.
+    Alone,
+}
 
 fn put_pairs(out: &mut Vec<u8>, n: usize, pairs: impl Iterator<Item = (Metric, f64)>) {
     put_varint(out, n as u64);
@@ -369,19 +388,21 @@ fn get_pairs(
     Ok(())
 }
 
-/// Encode one feedback report in the compact form segment formats 4 and
-/// up write:
+/// Encode one feedback report in the compact form segment format 6
+/// writes, after a report of round `*round` in its frame (`None` at a
+/// frame's start, or alone), and move `*round` on to this report's:
 ///
 /// ```text
 /// head    u8      0x80 | subject kind (bits 0–1) | observed≠∅ << 2 | facets≠∅ << 3
+///                      | short score << 4 | same round << 5
 /// rater   varint
 /// subject varint
-/// score   f64     bit-exact
-/// at      varint
+/// score   f64     bit-exact; its 7 low bytes when bit 4 says the top one is 0x3F
+/// at      varint  absent when bit 5 says it is `*round`
 /// [observed  varint n ≥ 1, then n × (metric tag, f64)]   when bit 2 is set
 /// [facets    varint n ≥ 1, then n × (metric tag, f64)]   when bit 3 is set
 /// ```
-pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback) {
+pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback, round: &mut Option<u64>) {
     let (kind, subject) = match feedback.subject {
         SubjectId::Agent(a) => (SUBJECT_AGENT, a.raw()),
         SubjectId::Service(s) => (SUBJECT_SERVICE, s.raw()),
@@ -389,16 +410,24 @@ pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback) {
     };
     let observed = !feedback.observed.is_empty();
     let facets = !feedback.facet_ratings.is_empty();
+    let score = feedback.score.to_le_bytes();
+    let short = score[7] == SCORE_TOP;
+    let at = feedback.at.round();
+    let same = round.replace(at) == Some(at);
     out.push(
         FEEDBACK_COMPACT
             | kind
             | if observed { HEAD_OBSERVED } else { 0 }
-            | if facets { HEAD_FACETS } else { 0 },
+            | if facets { HEAD_FACETS } else { 0 }
+            | if short { HEAD_SHORT_SCORE } else { 0 }
+            | if same { HEAD_SAME_ROUND } else { 0 },
     );
     put_varint(out, feedback.rater.raw());
     put_varint(out, subject);
-    put_f64(out, feedback.score);
-    put_varint(out, feedback.at.round());
+    out.extend_from_slice(&score[..if short { 7 } else { 8 }]);
+    if !same {
+        put_varint(out, at);
+    }
     if observed {
         put_pairs(out, feedback.observed.len(), feedback.observed.iter());
     }
@@ -408,16 +437,25 @@ pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback) {
     }
 }
 
-/// Decode the compact feedback report that opened with `head`; `cur`
-/// stands just past that byte. The fields are restored as stored — no
-/// clamping, so decode ∘ encode is the identity on every `Feedback`, score
-/// bits included.
-pub fn get_feedback_compact(head: u8, cur: &mut Cursor<'_>) -> Result<Feedback, CodecError> {
+/// Decode the compact feedback report that opened with `head`, read
+/// under `rules`; `cur` stands just past that byte. The fields are
+/// restored as stored — no clamping, so decode ∘ encode is the identity on
+/// every `Feedback`, score bits included.
+pub fn get_feedback_compact(
+    head: u8,
+    cur: &mut Cursor<'_>,
+    rules: &mut CompactRules,
+) -> Result<Feedback, CodecError> {
     let bad_head = CodecError::BadTag {
         what: "feedback head",
         tag: head,
     };
-    if head & FEEDBACK_COMPACT == 0 || head & HEAD_RESERVED != 0 {
+    let (refused, prev) = match *rules {
+        CompactRules::Format5 => (HEAD_SHORT_SCORE | HEAD_SAME_ROUND, None),
+        CompactRules::Format6(Some(round)) => (0, Some(round)),
+        CompactRules::Format6(None) | CompactRules::Alone => (HEAD_SAME_ROUND, None),
+    };
+    if head & FEEDBACK_COMPACT == 0 || head & (refused | HEAD_RESERVED) != 0 {
         return Err(bad_head);
     }
     let rater = AgentId::new(get_varint(cur)?);
@@ -428,15 +466,33 @@ pub fn get_feedback_compact(head: u8, cur: &mut Cursor<'_>) -> Result<Feedback, 
         SUBJECT_PROVIDER => ProviderId::new(raw).into(),
         _ => return Err(bad_head),
     };
-    let score = cur.f64()?;
-    let at = Time::new(get_varint(cur)?);
+    let short = head & HEAD_SHORT_SCORE != 0;
+    let score = if short {
+        let mut bytes = [SCORE_TOP; 8];
+        bytes[..7].copy_from_slice(cur.take(7)?);
+        u64::from_le_bytes(bytes)
+    } else {
+        cur.u64()?
+    };
+    let same = head & HEAD_SAME_ROUND != 0;
+    let at = match prev {
+        Some(prev) if same => prev,
+        _ => get_varint(cur)?,
+    };
+    if let CompactRules::Format6(round) = rules {
+        // One spelling per report: what bits 4 and 5 can leave out is out.
+        if (!short && score >> 56 == u64::from(SCORE_TOP)) || (!same && prev == Some(at)) {
+            return Err(bad_head);
+        }
+        *round = Some(at);
+    }
     let mut feedback = Feedback {
         rater,
         subject,
-        score,
+        score: f64::from_bits(score),
         observed: QosVector::new(),
         facet_ratings: BTreeMap::new(),
-        at,
+        at: Time::new(at),
     };
     if head & HEAD_OBSERVED != 0 {
         get_pairs(cur, head, |metric, value| {

@@ -57,6 +57,27 @@ impl Default for JournalConfig {
 /// to see one whole frame.
 pub const FRAME_SPLIT_BYTES: usize = 1 << 20;
 
+/// Frame one commit's `records` onto `out`, behind `LSN_MARKER ‖ lsn` when
+/// `stated` is `Some(lsn)`, split past [`FRAME_SPLIT_BYTES`]. A report leaves
+/// out only a round its own frame holds: every frame decodes on its own.
+pub fn frame_commit(out: &mut Vec<u8>, stated: Option<u64>, records: &[JournalRecord]) {
+    let mut frame_start = begin_frame(out);
+    if let Some(lsn) = stated {
+        out.push(LSN_MARKER);
+        out.extend_from_slice(&lsn.to_le_bytes());
+    }
+    let mut round = None;
+    for record in records {
+        if out.len() - frame_start >= FRAME_HEADER_LEN + FRAME_SPLIT_BYTES {
+            end_frame(out, frame_start);
+            frame_start = begin_frame(out);
+            round = None;
+        }
+        record.encode_in_frame(out, &mut round);
+    }
+    end_frame(out, frame_start);
+}
+
 /// What one [`Journal::append_batch`] call made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendReceipt {
@@ -267,23 +288,10 @@ impl Journal {
             self.rotate_to(first_lsn)?;
         }
         let torn = self.consult(IoOp::Append)?;
-        // The batch is framed in place: reserve the header, encode every
-        // record straight into the batch buffer, backfill len+CRC — no
-        // per-record scratch Vec and no second copy.
+        // Framed in place: no per-record scratch Vec, no second copy.
         self.buf.clear();
-        let mut frame_start = begin_frame(&mut self.buf);
-        if first_lsn != self.next_lsn {
-            self.buf.push(LSN_MARKER);
-            self.buf.extend_from_slice(&first_lsn.to_le_bytes());
-        }
-        for record in records {
-            if self.buf.len() - frame_start >= FRAME_HEADER_LEN + FRAME_SPLIT_BYTES {
-                end_frame(&mut self.buf, frame_start);
-                frame_start = begin_frame(&mut self.buf);
-            }
-            record.encode(&mut self.buf);
-        }
-        end_frame(&mut self.buf, frame_start);
+        let stated = (first_lsn != self.next_lsn).then_some(first_lsn);
+        frame_commit(&mut self.buf, stated, records);
         if let Some(keep) = torn {
             // Land the partial bytes the way a crash mid-`write` would,
             // then fail: the tail garbage stays for reopen to repair.

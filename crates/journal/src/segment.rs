@@ -29,7 +29,7 @@
 //! journal root, one per writer group; the root itself may hold the
 //! sealed log of a single-directory past life, and readers merge both.
 
-use crate::codec::{CodecError, Cursor};
+use crate::codec::{CodecError, CompactRules, Cursor};
 use crate::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
 use crate::record::{JournalRecord, TRAILING_BYTES};
 use std::fmt;
@@ -40,20 +40,22 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"WSRJ";
 /// On-disk format version this build writes: a frame is one commit, its
-/// payload `[LSN_MARKER ‖ lsn]? record record …`. Versions 1–4 are read,
-/// never written, and hold exactly one record in every frame: version 4
-/// is version 5 otherwise; version 3 carries feedback fixed-width (see
+/// payload `[LSN_MARKER ‖ lsn]? record record …`. Versions 1–5 are read,
+/// never written: version 5 is version 6 with no report leaving out a
+/// score byte or a round ([`crate::codec::CompactRules`]); versions 1–4
+/// hold exactly one record in every frame: version 4 is version 5
+/// otherwise; version 3 carries feedback fixed-width (see
 /// [`crate::record`]); version 1 is version 3 in which no frame ever
 /// states its LSN; version 2 (every payload is `LSN ‖ record`, no marker)
 /// is one branch of [`LsnWalk`].
 ///
 /// Each change of what a frame may hold earned its bump: a frame whose
 /// checksum holds and whose payload does not decode scans as a torn tail,
-/// and `Journal::open` truncates a torn final segment. A format-4 build
-/// shown a many-record payload would take it for a record with trailing
-/// bytes and cut acknowledged reports off the log; under version 5 it
-/// refuses the segment ([`LsnWalk::from_header`]).
-pub const FORMAT_VERSION: u8 = 5;
+/// and `Journal::open` truncates a torn final segment. A format-5 build
+/// shown a short score would take it for damage and cut acknowledged
+/// reports off the log; under version 6 it refuses the segment
+/// ([`LsnWalk::from_header`]).
+pub const FORMAT_VERSION: u8 = 6;
 /// Segment header bytes: magic + version + start LSN.
 pub const SEGMENT_HEADER_LEN: usize = 13;
 /// First payload byte of a frame that states its LSN (the `u64` LE that
@@ -162,8 +164,8 @@ impl LsnWalk {
     }
 
     /// Label and decode the next frame, handing each record to `emit` as
-    /// it decodes: every record to the payload's last byte in a format-5
-    /// frame, exactly one in an earlier format's.
+    /// it decodes: every record to the payload's last byte in a frame of
+    /// format 5 and up, exactly one in an earlier format's.
     ///
     /// A frame is all or nothing. On `Err` the walk has not advanced and
     /// the frame's records are not part of the log, those already handed
@@ -189,10 +191,15 @@ impl LsnWalk {
         }
         // Before format 5 a frame is one record, to its last byte.
         let lone = self.version < 5;
+        let mut rules = if self.version < 6 {
+            CompactRules::Format5
+        } else {
+            CompactRules::Format6(None)
+        };
         loop {
             // Matched, not `map_err` + `?`: that moved every record once
             // more, a fifth of what recovery spends scanning a long log.
-            match JournalRecord::decode_from(&mut cur) {
+            match JournalRecord::decode_from(&mut cur, &mut rules) {
                 Ok(_) if lone && cur.remaining() != 0 => {
                     return Err(FrameDamage::Record {
                         lsn,
@@ -430,15 +437,18 @@ pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
 mod tests {
     use super::*;
     use crate::frame::write_frame;
+    use crate::journal::frame_commit;
     use wsrep_core::feedback::Feedback;
     use wsrep_core::id::{AgentId, ServiceId};
     use wsrep_core::time::Time;
 
+    /// A report whose bytes on their own are the same in every format
+    /// that holds compact records: no score of 0 is short.
     fn record(i: u64) -> JournalRecord {
         JournalRecord::Feedback(Feedback::scored(
             AgentId::new(i),
             ServiceId::new(1),
-            0.5,
+            0.0,
             Time::new(i),
         ))
     }
@@ -610,15 +620,8 @@ mod tests {
 
     /// A frame of `lsns.len()` records, stating `lsns[0]` when asked to.
     fn commit_frame(bytes: &mut Vec<u8>, lsns: std::ops::Range<u64>, stated: bool) {
-        let mut payload = Vec::new();
-        if stated {
-            payload.push(LSN_MARKER);
-            payload.extend_from_slice(&lsns.start.to_le_bytes());
-        }
-        for lsn in lsns {
-            record(lsn).encode(&mut payload);
-        }
-        write_frame(bytes, &payload);
+        let stated = stated.then_some(lsns.start);
+        frame_commit(bytes, stated, &lsns.map(record).collect::<Vec<_>>());
     }
 
     #[test]
@@ -686,7 +689,7 @@ mod tests {
     fn before_format_5_a_frame_is_exactly_one_record() {
         let dir = temp_dir("lone");
         let path = dir.join(segment_file_name(0));
-        for version in 1..FORMAT_VERSION {
+        for version in 1..5 {
             let mut bytes = segment_header_versioned(0, version).to_vec();
             let lsn = |l: u64| {
                 if version == 2 {

@@ -1,4 +1,4 @@
-//! Properties of segment format 5, where a frame is a whole commit.
+//! Properties of segment formats 5 and 6, where a frame is a whole commit.
 //!
 //! A commit of many records shares one header and one checksum, so the
 //! frame is the unit of everything that can go wrong with it: a torn
@@ -12,6 +12,11 @@
 //! (d) is the frame walker's corpus of ROADMAP item 2's "every total
 //! decoder fuzzed": arbitrary and nearly-valid payloads under every
 //! format version.
+//!
+//! A format-6 report may leave out the round its frame's previous report
+//! had, so a frame is also the unit of decoding: the last tests hold that
+//! every frame reads without the one before it, and that each format's
+//! frames are read by that format's rules alone.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -23,9 +28,10 @@ use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_journal::frame::{split_frame, write_frame, FrameSplit, FRAME_HEADER_LEN};
+use wsrep_journal::journal::{frame_commit, FRAME_SPLIT_BYTES};
 use wsrep_journal::segment::{
-    group_dir_name, list_segments, segment_header_versioned, LsnWalk, FORMAT_VERSION, LSN_MARKER,
-    SEGMENT_HEADER_LEN,
+    group_dir_name, list_segments, segment_file_name, segment_header, segment_header_versioned,
+    LsnWalk, FORMAT_VERSION, SEGMENT_HEADER_LEN,
 };
 use wsrep_journal::{recover, GroupSet, JournalConfig, JournalRecord, Recovered, ShipCursor};
 use wsrep_qos::metric::Metric;
@@ -283,9 +289,8 @@ proptest! {
         let hit = hit % log.commits.len();
         let (_, first_lsn, records) = &log.commits[hit];
         let mut payload = Vec::new();
-        for record in &records[..good % records.len()] {
-            record.encode(&mut payload);
-        }
+        frame_commit(&mut payload, None, &records[..good % records.len()]);
+        let mut payload = payload.split_off(FRAME_HEADER_LEN);
         payload.push(0x7F);
         let mut damaged = bytes[..ends[hit]].to_vec();
         write_frame(&mut damaged, &payload);
@@ -313,6 +318,8 @@ proptest! {
     /// lost is the commit the byte lies in and what its log holds behind
     /// it, nothing before it and nothing of another group's. (The header
     /// carries no checksum; a byte flipped there must not panic either.)
+    /// The cursor refuses the damage, unless the flip lengthened its log's
+    /// last frame past the end of the file: that is a write still landing.
     #[test]
     fn a_flipped_byte_costs_its_commit_and_what_follows_at_most(
         groups in 1usize..=2,
@@ -334,6 +341,10 @@ proptest! {
             let mut flipped = bytes.clone();
             flipped[at] ^= mask;
             fs::write(path, &flipped).unwrap();
+            let ends = frame_ends(&bytes);
+            let frame = ends.into_iter().filter(|end| *end <= at).max().unwrap_or(0);
+            let landing = segment + 1 == segments.len()
+                && split_frame(&flipped[frame..]) == FrameSplit::Incomplete;
 
             let recovered = recover(&log.root);
             let cursor = ShipCursor::open(&log.root, 0);
@@ -345,7 +356,10 @@ proptest! {
                 let mut shipped = Vec::new();
                 if let Ok(mut cursor) = cursor {
                     while let Ok(batch) = cursor.next_batch(32) {
-                        prop_assert!(!batch.records.is_empty(), "damage is not a live tail");
+                        if batch.records.is_empty() {
+                            prop_assert!(landing, "damage is not a live tail");
+                            break;
+                        }
                         shipped.extend((batch.first_lsn..).zip(batch.records));
                     }
                 }
@@ -427,13 +441,8 @@ fn payload() -> impl Strategy<Value = Vec<u8>> {
                 return noise;
             }
             let mut payload = Vec::new();
-            if lsn % 2 == 0 {
-                payload.push(LSN_MARKER);
-                payload.extend_from_slice(&lsn.to_le_bytes());
-            }
-            for record in &records {
-                record.encode(&mut payload);
-            }
+            frame_commit(&mut payload, (lsn % 2 == 0).then_some(lsn), &records);
+            let mut payload = payload.split_off(FRAME_HEADER_LEN);
             match shape {
                 1 => payload.truncate(at % (payload.len() + 1)),
                 2 => payload.extend_from_slice(&noise),
@@ -471,7 +480,7 @@ proptest! {
                     prop_assert!(lsns[0] >= before);
                     prop_assert!(lsns.windows(2).all(|pair| pair[1] == pair[0] + 1));
                     prop_assert_eq!(walk.next_lsn(), lsns[lsns.len() - 1] + 1);
-                    prop_assert!(version == FORMAT_VERSION || lsns.len() == 1);
+                    prop_assert!(version >= 5 || lsns.len() == 1);
                 }
                 Err(_) => prop_assert_eq!(walk.next_lsn(), before),
             }
@@ -620,4 +629,143 @@ proptest! {
         fs::remove_dir_all(&live).unwrap();
         fs::remove_dir_all(&log.root).unwrap();
     }
+}
+
+/// A report of round `round` scored 0.5, which a format-6 frame stores in
+/// seven bytes.
+fn report_of_round(i: u64, round: u64) -> JournalRecord {
+    let at = Time::new(round);
+    JournalRecord::Feedback(Feedback::scored(
+        AgentId::new(i),
+        ServiceId::new(i % 5),
+        0.5,
+        at,
+    ))
+}
+
+/// A batch past `FRAME_SPLIT_BYTES` continues in a frame that holds its
+/// own context: the second frame's first report stores the round the
+/// first frame's reports all left out, as a report on its own does.
+#[test]
+fn a_split_batchs_second_frame_stores_its_first_round() {
+    let reports: Vec<JournalRecord> = (0..100_000).map(|i| report_of_round(i, 9)).collect();
+    let log = Log::write("split-round", 1, 8 << 20, vec![(0, reports.clone())]);
+    let (_, path) = list_segments(&log.group_dir(0)).unwrap().pop().unwrap();
+    let bytes = fs::read(&path).unwrap();
+    let ends = frame_ends(&bytes);
+    assert_eq!(ends.len(), 3, "two frames");
+    assert!(ends[1] - ends[0] > FRAME_SPLIT_BYTES);
+
+    let mut walk = LsnWalk::from_header(&bytes, &path).unwrap().unwrap();
+    let payload = |k: usize| &bytes[ends[k] + FRAME_HEADER_LEN..ends[k + 1]];
+    walk.step(payload(0), |_, _| ()).unwrap();
+    let first = walk.next_lsn() as usize;
+    assert!(payload(1).starts_with(&reports[first].to_bytes()));
+    // Within a frame the round is left out: a report is 11 bytes here.
+    let alone = reports[first].to_bytes().len();
+    assert_eq!(
+        payload(1).len(),
+        alone + (reports.len() - first - 1) * (alone - 1)
+    );
+    assert_is_twin_of(&recover(&log.root).unwrap(), &log.all());
+    fs::remove_dir_all(&log.root).unwrap();
+}
+
+/// Every frame decodes without the frames before it: the log cut to a
+/// segment that begins at any frame, the split frame of a large batch
+/// included, recovers and ships what the log holds from there on.
+#[test]
+fn a_log_read_from_any_frame_start_decodes() {
+    let sizes = [3u64, 1, 7, 2, 5, 1, 100_000, 4];
+    let mut next = 0;
+    let commits = sizes
+        .iter()
+        .map(|size| {
+            // Rounds run on across commits, as the benchmark's do.
+            let records = (next..next + size)
+                .map(|i| report_of_round(i, i / 4))
+                .collect();
+            next += size;
+            (0, records)
+        })
+        .collect();
+    let log = Log::write("frame-starts", 1, 8 << 20, commits);
+    let all = log.all();
+    let (_, path) = list_segments(&log.group_dir(0)).unwrap().pop().unwrap();
+    let bytes = fs::read(&path).unwrap();
+    let ends = frame_ends(&bytes);
+    assert_eq!(ends.len(), sizes.len() + 2, "the large batch is two frames");
+
+    let mut walk = LsnWalk::from_header(&bytes, &path).unwrap().unwrap();
+    let cut = temp_dir("frame-starts-cut");
+    let dir = cut.join(group_dir_name(0));
+    for frame in ends.windows(2) {
+        let from = walk.next_lsn();
+        fs::create_dir_all(&dir).unwrap();
+        let tail = [&segment_header(from)[..], &bytes[frame[0]..]].concat();
+        fs::write(dir.join(segment_file_name(from)), tail).unwrap();
+        let rest = &all[from as usize..];
+        assert_is_twin_of(&recover(&cut).unwrap(), rest);
+        assert_eq!(shipped_from(&cut, from, 4_096), rest, "from lsn {from}");
+        fs::remove_dir_all(&cut).unwrap();
+        walk.step(&bytes[frame[0] + FRAME_HEADER_LEN..frame[1]], |_, _| ())
+            .unwrap();
+    }
+    fs::remove_dir_all(&log.root).unwrap();
+}
+
+/// Each format's frames are read by that format's rules alone. In a
+/// format-6 frame a report has one spelling: a round the frame already
+/// holds, or a score's `0x3F` top byte, is refused where it is stored. In
+/// a format-5 frame neither may be left out.
+#[test]
+fn each_format_reads_its_frames_by_its_own_rules() {
+    let walks = |version: u8, payload: &[u8]| {
+        let header = segment_header_versioned(0, version);
+        let mut walk = LsnWalk::from_header(&header, Path::new("rules"))
+            .unwrap()
+            .unwrap();
+        walk.step(payload, |_, _| ()).is_ok()
+    };
+    let report = |score: f64, round: u64| {
+        let at = Time::new(round);
+        JournalRecord::Feedback(Feedback::scored(
+            AgentId::new(1),
+            ServiceId::new(2),
+            score,
+            at,
+        ))
+    };
+    let in_a_frame = |records: &[JournalRecord]| {
+        let mut frame = Vec::new();
+        frame_commit(&mut frame, None, records);
+        frame.split_off(FRAME_HEADER_LEN)
+    };
+    let each_alone = |records: &[JournalRecord]| -> Vec<u8> {
+        records.iter().flat_map(JournalRecord::to_bytes).collect()
+    };
+
+    // Two reports of one round scored 0, a score no format shortens: the
+    // second leaves its round out (bit 5), or stores it.
+    let same_round = [report(0.0, 3), report(0.0, 3)];
+    assert!(walks(6, &in_a_frame(&same_round)));
+    assert!(!walks(6, &each_alone(&same_round)), "a stored round held");
+    assert!(!walks(5, &in_a_frame(&same_round)), "bit 5 in format 5");
+    assert!(walks(5, &each_alone(&same_round)));
+
+    // A score of 0.5 stores seven bytes (bit 4), or all eight.
+    let short = [report(0.5, 3)];
+    assert!(walks(6, &in_a_frame(&short)));
+    assert!(!walks(5, &in_a_frame(&short)), "bit 4 in format 5");
+    let mut eight = vec![0x81, 1, 2];
+    eight.extend_from_slice(&0.5f64.to_le_bytes());
+    eight.push(3);
+    assert!(walks(5, &eight));
+    assert!(!walks(6, &eight), "a 0x3F top byte stored");
+    // Format 6 writes no fixed-width report: it would not re-encode to
+    // its bytes.
+    let mut fixed = vec![1];
+    wsrep_journal::codec::put_feedback(&mut fixed, short[0].as_feedback().unwrap());
+    assert!(walks(5, &fixed));
+    assert!(!walks(6, &fixed), "a tag-1 report in format 6");
 }

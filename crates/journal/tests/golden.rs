@@ -7,20 +7,23 @@
 //! `FORMAT_VERSION` and add an upgrade path; **never** regenerate the
 //! golden file to paper over an accidental layout change.
 //!
-//! Five formats are on disk somewhere. Version 1 (the first lines of
+//! Six formats are on disk somewhere. Version 1 (the first lines of
 //! the file) is the version-3 format in which no frame states its LSN;
 //! version 3 adds the header byte and the LSN-stating frame; version 2
 //! (`LSN ‖ record` in every payload) was never golden and is assembled by
 //! hand below. All three carry feedback as fixed-width tag-1 records.
 //! Version 4 is version 3's frames over compact feedback records. Those
-//! four hold one record a frame and are read, never written, so their
-//! lines stay pinned as *readable*. Version 5, the one written, frames a
-//! whole commit: the same records back to back behind one header (the
-//! last lines of the file). Each is read back through recovery and a ship
-//! cursor.
+//! four hold one record a frame. Version 5 frames a whole commit: the
+//! same records back to back behind one header. Versions 1–5 are read,
+//! never written, so their lines stay pinned as *readable*. Version 6,
+//! the one written, is version 5 with a report's score in seven bytes
+//! where its top byte is `0x3F`, and with no round where the frame's
+//! previous report had it (the last lines of the file). Each is read back
+//! through recovery and a ship cursor.
 //!
 //! The file is append-only: a format bump adds lines and edits none
-//! (`HISTORY` holds the earlier ones against an inline copy).
+//! (`HISTORY` holds the earlier ones against an inline copy, and is where
+//! rendering the file starts: this build no longer writes them).
 //! (Deliberate, version-bumped regeneration:
 //! `WSREP_UPDATE_GOLDEN=1 cargo test -p wsrep-journal --test golden`.)
 
@@ -31,11 +34,12 @@ use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
-use wsrep_journal::codec::{put_feedback, Cursor};
+use wsrep_journal::codec::{put_feedback, CompactRules, Cursor};
 use wsrep_journal::frame::write_frame;
+use wsrep_journal::journal::frame_commit;
 use wsrep_journal::segment::{
     group_dir_name, list_segments, scan_segment_entries, segment_file_name, segment_header,
-    segment_header_versioned, FORMAT_VERSION, LSN_MARKER,
+    segment_header_versioned, FORMAT_VERSION,
 };
 use wsrep_journal::{recover, Journal, JournalConfig, JournalRecord, ShipCursor};
 use wsrep_qos::metric::Metric;
@@ -84,8 +88,8 @@ fn golden_records() -> Vec<JournalRecord> {
     ]
 }
 
-/// The two golden commits of format 5: a compact report, a listing and a
-/// withdrawal in one frame at the LSN the log has reached, then two
+/// The two golden commits of formats 5 and 6: a compact report, a listing
+/// and a withdrawal in one frame at the LSN the log has reached, then two
 /// records in a frame that states [`STATED`].
 fn golden_commits() -> (Vec<JournalRecord>, Vec<JournalRecord>) {
     let records = golden_records();
@@ -93,6 +97,28 @@ fn golden_commits() -> (Vec<JournalRecord>, Vec<JournalRecord>) {
         records[1..].to_vec(),
         vec![records[0].clone(), records[3].clone()],
     )
+}
+
+/// A format-6 commit of what bits 4 and 5 leave out and what they cannot:
+/// reports of one round around a withdrawal, one of them scored 0 (no
+/// short form), then a report of the next round.
+fn rounds_commit() -> Vec<JournalRecord> {
+    let report = |rater, score, round| {
+        let at = Time::new(round);
+        JournalRecord::Feedback(Feedback::scored(
+            AgentId::new(rater),
+            ServiceId::new(42),
+            score,
+            at,
+        ))
+    };
+    vec![
+        report(1, 0.5, 7),
+        report(2, 0.0, 7),
+        JournalRecord::Deregister(ServiceId::new(7)),
+        report(3, 0.25, 7),
+        report(4, 0.25, 8),
+    ]
 }
 
 /// A record as builds up to format 3 wrote it: feedback is tag 1 and the
@@ -108,13 +134,7 @@ fn v1_bytes(record: &JournalRecord) -> Vec<u8> {
     }
 }
 
-fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_frame(&mut out, payload);
-    out
-}
-
-/// The golden file as format 4 left it. `WSREP_UPDATE_GOLDEN=1` rewrites
+/// The golden file as format 5 left it. `WSREP_UPDATE_GOLDEN=1` rewrites
 /// the whole file, so these lines are also held here: a regeneration that
 /// edits history fails `the_golden_file_is_append_only`.
 const HISTORY: &str = "\
@@ -131,6 +151,10 @@ lsn_frame_2 34000000c7bfa6900090776655443322110207000000000000000300000000000000
 segment_header_v4 5753524a048877665544332211
 feedback_compact_0 330000008806c30d8d888e98a8c0e08081012a000000000000e83fe80702020000000000406f4016070000000000000c400106000000000000e03f
 feedback_compact_1 0c000000016148df820102000000000000f03f00
+# format v5: v4's records; a frame is one commit, and may state its LSN
+segment_header_v5 5753524a058877665544332211
+commit_3 40000000f2ee9155820102000000000000f03f000207000000000000000300000000000000adde000002000000042b8716d9cef7ef3f157b14ae47e1fa2340030700000000000000
+lsn_commit_2 450000009dc6dc530090776655443322118d888e98a8c0e08081012a000000000000e83fe80702020000000000406f4016070000000000000c400106000000000000e03f030700000000000000
 ";
 
 fn hex(bytes: &[u8]) -> String {
@@ -141,47 +165,26 @@ fn hex(bytes: &[u8]) -> String {
     out
 }
 
+/// The file: [`HISTORY`], then the lines of the format this build writes.
 fn render() -> String {
-    let records = golden_records();
-    let mut out = String::new();
-    out.push_str("# wsrep-journal on-disk format v1 — golden bytes, do not edit\n");
+    let mut out = HISTORY.to_string();
+    out.push_str(
+        "# format v6: v5's frames; a report may leave out its score's top byte and its round\n",
+    );
     out.push_str(&format!(
-        "segment_header {}\n",
-        hex(&segment_header_versioned(START, 1))
-    ));
-    for (i, record) in records.iter().enumerate() {
-        out.push_str(&format!("record_{i} {}\n", hex(&framed(&v1_bytes(record)))));
-    }
-    out.push_str("# format v3: the records above, and a frame may state its LSN\n");
-    out.push_str(&format!(
-        "segment_header_v3 {}\n",
-        hex(&segment_header_versioned(START, 3))
-    ));
-    let mut payload = vec![LSN_MARKER];
-    payload.extend_from_slice(&STATED.to_le_bytes());
-    payload.extend_from_slice(&records[2].to_bytes());
-    out.push_str(&format!("lsn_frame_2 {}\n", hex(&framed(&payload))));
-    out.push_str("# format v4: v3's frames; a feedback record is compact\n");
-    out.push_str(&format!(
-        "segment_header_v4 {}\n",
-        hex(&segment_header_versioned(START, 4))
-    ));
-    for (i, record) in records[..2].iter().enumerate() {
-        let line = hex(&framed(&record.to_bytes()));
-        out.push_str(&format!("feedback_compact_{i} {line}\n"));
-    }
-    out.push_str("# format v5: v4's records; a frame is one commit, and may state its LSN\n");
-    out.push_str(&format!(
-        "segment_header_v5 {}\n",
+        "segment_header_v6 {}\n",
         hex(&segment_header(START))
     ));
     let (commit, stated) = golden_commits();
-    let payload: Vec<u8> = commit.iter().flat_map(JournalRecord::to_bytes).collect();
-    out.push_str(&format!("commit_3 {}\n", hex(&framed(&payload))));
-    let mut payload = vec![LSN_MARKER];
-    payload.extend_from_slice(&STATED.to_le_bytes());
-    payload.extend(stated.iter().flat_map(JournalRecord::to_bytes));
-    out.push_str(&format!("lsn_commit_2 {}\n", hex(&framed(&payload))));
+    for (line, lsn, records) in [
+        ("commit_v6_3", None, commit),
+        ("lsn_commit_v6_2", Some(STATED), stated),
+        ("rounds_commit_v6_5", None, rounds_commit()),
+    ] {
+        let mut frame = Vec::new();
+        frame_commit(&mut frame, lsn, &records);
+        out.push_str(&format!("{line} {}\n", hex(&frame)));
+    }
     out
 }
 
@@ -235,16 +238,29 @@ fn golden_bytes_still_decode_to_the_same_records() {
     let fixed = (0..4).map(|i| (format!("record_{i}"), &records[i]));
     for (line, expected) in fixed.chain(compact) {
         // Skip the 8-byte frame header (len + crc) to reach the payload.
-        let record =
-            JournalRecord::decode(&golden[line.as_str()][8..]).expect("golden payload decodes");
+        let payload = &golden[line.as_str()][8..];
+        let record = JournalRecord::decode(payload).expect("golden payload decodes");
         assert_eq!(record, *expected, "{line}");
+        // The fixed-width layout is still written: by `Ingest` and snapshots.
+        if line.starts_with("record_") {
+            assert_eq!(v1_bytes(expected), payload, "{line}");
+        }
     }
-    // A commit's frame: records back to back to the payload's last byte.
+    // A commit's frame: records back to back to the payload's last byte,
+    // each read against the ones before it under its format's rules.
     let (commit, stated) = golden_commits();
-    for (line, skip, expected) in [("commit_3", 8, commit), ("lsn_commit_2", 8 + 9, stated)] {
+    let v6 = CompactRules::Format6(None);
+    for (line, skip, rules, expected) in [
+        ("commit_3", 8, CompactRules::Format5, commit.clone()),
+        ("lsn_commit_2", 8 + 9, CompactRules::Format5, stated.clone()),
+        ("commit_v6_3", 8, v6, commit),
+        ("lsn_commit_v6_2", 8 + 9, v6, stated),
+        ("rounds_commit_v6_5", 8, v6, rounds_commit()),
+    ] {
         let mut cur = Cursor::new(&golden[line][skip..]);
+        let mut rules = rules;
         for record in expected {
-            assert_eq!(JournalRecord::decode_from(&mut cur).unwrap(), record);
+            assert_eq!(JournalRecord::decode_from(&mut cur, &mut rules), Ok(record));
         }
         assert_eq!(cur.remaining(), 0, "{line}");
     }
@@ -303,25 +319,51 @@ fn golden_log(tag: &str, lines: &[&str]) -> (PathBuf, PathBuf) {
     (root, path)
 }
 
-/// Formats 3 and 4 as their writers left the golden records: a header,
-/// the two reports (fixed-width, then compact), the listing in a frame
-/// that states its LSN, the withdrawal continuing from it.
-const ONE_RECORD_FORMATS: [[&str; 5]; 2] = [
+/// A log's golden lines, and the records it holds with their LSNs.
+type GoldenLog = (&'static [&'static str], Vec<(u64, JournalRecord)>);
+
+/// The golden commits as logs of formats 5 and 6 hold them: three
+/// records from [`START`], two from [`STATED`].
+fn commit_entries() -> Vec<(u64, JournalRecord)> {
+    let (commit, stated) = golden_commits();
+    let lsns = (START..START + 3).chain(STATED..);
+    lsns.zip(commit.into_iter().chain(stated)).collect()
+}
+
+/// Formats 3–5 as their writers left the golden records, and what each
+/// log holds. Formats 3 and 4: a header, the two reports (fixed-width,
+/// then compact), the listing in a frame that states its LSN, the
+/// withdrawal continuing from it. Format 5: the golden commits.
+fn earlier_logs() -> [GoldenLog; 3] {
+    let lsns = [START, START + 1, STATED, STATED + 1];
+    let one_a_frame: Vec<_> = lsns.into_iter().zip(golden_records()).collect();
     [
-        "segment_header_v3",
-        "record_0",
-        "record_1",
-        "lsn_frame_2",
-        "record_3",
-    ],
-    [
-        "segment_header_v4",
-        "feedback_compact_0",
-        "feedback_compact_1",
-        "lsn_frame_2",
-        "record_3",
-    ],
-];
+        (
+            &[
+                "segment_header_v3",
+                "record_0",
+                "record_1",
+                "lsn_frame_2",
+                "record_3",
+            ],
+            one_a_frame.clone(),
+        ),
+        (
+            &[
+                "segment_header_v4",
+                "feedback_compact_0",
+                "feedback_compact_1",
+                "lsn_frame_2",
+                "record_3",
+            ],
+            one_a_frame,
+        ),
+        (
+            &["segment_header_v5", "commit_3", "lsn_commit_2"],
+            commit_entries(),
+        ),
+    ]
+}
 
 #[test]
 fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
@@ -341,22 +383,24 @@ fn every_format_on_disk_reads_back_through_recovery_and_the_cursor() {
     fs::remove_dir_all(&root).unwrap();
 
     // Versions 3 and 4: the third record's frame states its LSN, the
-    // fourth continues from it.
-    let lsns = [START, START + 1, STATED, STATED + 1];
-    let expected: Vec<_> = lsns.into_iter().zip(records.clone()).collect();
-    for lines in ONE_RECORD_FORMATS {
-        let (root, _) = golden_log(lines[0], &lines);
+    // fourth continues from it. Version 5: a commit of three, then a
+    // commit of two that states its LSN.
+    for (lines, expected) in earlier_logs() {
+        let (root, _) = golden_log(lines[0], lines);
         assert_reads_back(&root, &expected);
         fs::remove_dir_all(&root).unwrap();
     }
 
-    // Version 5: a commit of three, then a commit of two that states its
-    // LSN.
-    let (root, _) = golden_log("v5", &["segment_header_v5", "commit_3", "lsn_commit_2"]);
-    let (commit, stated) = golden_commits();
-    let lsns = (START..START + 3).chain(STATED..);
-    let expected: Vec<_> = lsns.zip(commit.into_iter().chain(stated)).collect();
-    assert_eq!(expected.len(), 5);
+    // Version 6, the one written: version 5's commits, then the rounds.
+    let lines = [
+        "segment_header_v6",
+        "commit_v6_3",
+        "lsn_commit_v6_2",
+        "rounds_commit_v6_5",
+    ];
+    let (root, _) = golden_log("v6", &lines);
+    let mut expected = commit_entries();
+    expected.extend((STATED + 2..).zip(rounds_commit()));
     assert_reads_back(&root, &expected);
     fs::remove_dir_all(&root).unwrap();
 
@@ -400,14 +444,16 @@ fn the_writer_produces_the_golden_bytes() {
     let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
     journal.append_batch(&commit).unwrap();
     journal.append_batch_at(STATED, &stated).unwrap();
+    journal.append_batch(&rounds_commit()).unwrap();
     drop(journal);
     // The golden header with the writer's start LSN, 0, in place of START.
-    let mut header = golden["segment_header_v5"].clone();
+    let mut header = golden["segment_header_v6"].clone();
     header[5..].fill(0);
     let expected = [
         &header[..],
-        &golden["commit_3"][..],
-        &golden["lsn_commit_2"][..],
+        &golden["commit_v6_3"][..],
+        &golden["lsn_commit_v6_2"][..],
+        &golden["rounds_commit_v6_5"][..],
     ]
     .concat();
     assert_eq!(fs::read(dir.join(segment_file_name(0))).unwrap(), expected);
@@ -415,17 +461,17 @@ fn the_writer_produces_the_golden_bytes() {
 }
 
 /// The upgrade: a log an earlier build left in format 3 (fixed-width
-/// feedback) or format 4 (compact, a frame a record) is sealed as it
-/// lies; what this build appends lands as one commit frame in a format-5
-/// segment beside it, and the two read as one log.
+/// feedback), format 4 (compact, a frame a record) or format 5 (a frame a
+/// commit, every score in eight bytes) is sealed as it lies; what this
+/// build appends lands as one commit frame in a format-6 segment beside
+/// it, and the two read as one log.
 #[test]
-fn an_earlier_formats_log_is_sealed_and_continued_in_format_5() {
+fn an_earlier_formats_log_is_sealed_and_continued_in_format_6() {
     let golden = golden_bytes();
-    let records = golden_records();
     let (commit, _) = golden_commits();
-    for lines in ONE_RECORD_FORMATS {
+    for (lines, mut expected) in earlier_logs() {
         let header = lines[0];
-        let (root, old_path) = golden_log(&format!("upgrade-{header}"), &lines);
+        let (root, old_path) = golden_log(&format!("upgrade-{header}"), lines);
         let group = root.join(group_dir_name(0));
         let old = fs::read(&old_path).unwrap();
 
@@ -441,15 +487,12 @@ fn an_earlier_formats_log_is_sealed_and_continued_in_format_5() {
         );
         let segments = list_segments(&group).unwrap();
         assert_eq!(segments.len(), 2);
-        let new = [&segment_header(STATED + 2)[..], &golden["commit_3"][..]].concat();
+        let new = [&segment_header(STATED + 2)[..], &golden["commit_v6_3"][..]].concat();
         assert_eq!(fs::read(&segments[1].1).unwrap(), new);
         let scan = scan_segment_entries(&segments[1].1).unwrap().unwrap();
-        assert_eq!(scan.version, 5);
+        assert_eq!(scan.version, FORMAT_VERSION);
 
-        let lsns = [START, START + 1, STATED, STATED + 1].into_iter();
-        let all = records.iter().chain(&commit).cloned();
-        let expected: Vec<_> = lsns.chain(STATED + 2..).zip(all).collect();
-        assert_eq!(expected.len(), 7);
+        expected.extend((STATED + 2..).zip(commit.iter().cloned()));
         assert_reads_back(&root, &expected);
         fs::remove_dir_all(&root).unwrap();
     }
