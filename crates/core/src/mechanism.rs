@@ -101,6 +101,11 @@ pub trait SubjectAccumulator: fmt::Debug + Send + Sync {
     /// through a fresh mechanism would answer. `None` until evidence
     /// exists or while the mechanism abstains.
     fn estimate(&self) -> Option<TrustEstimate>;
+
+    /// Reports held in RAM: none for a fold, which keeps statistics only.
+    fn reports_held(&self) -> usize {
+        0
+    }
 }
 
 /// Replay a feedback log through `mechanism` and answer with the global
@@ -132,6 +137,38 @@ where
         mechanism.refresh(now);
     }
     mechanism.global(subject)
+}
+
+/// `M` with its fold withheld: every call delegates and `accumulator()`
+/// is `None`, so a served registry scores it by [`score_from_log`] replay
+/// — the reference twin a fold is tested against.
+#[derive(Debug)]
+pub struct Unfolded<M: ?Sized>(pub Box<M>);
+
+impl<M: ReputationMechanism + ?Sized> ReputationMechanism for Unfolded<M> {
+    fn info(&self) -> MechanismInfo {
+        self.0.info()
+    }
+
+    fn submit(&mut self, feedback: &Feedback) {
+        self.0.submit(feedback);
+    }
+
+    fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
+        self.0.global(subject)
+    }
+
+    fn personalized(&self, observer: AgentId, subject: SubjectId) -> Option<TrustEstimate> {
+        self.0.personalized(observer, subject)
+    }
+
+    fn refresh(&mut self, now: Time) {
+        self.0.refresh(now);
+    }
+
+    fn feedback_count(&self) -> usize {
+        self.0.feedback_count()
+    }
 }
 
 /// Convenience: rank `candidates` by a mechanism's estimate for `observer`,

@@ -62,8 +62,9 @@ static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC-32 of `bytes` (the zlib `crc32` function), slicing-by-8:
 /// eight bytes per step through eight precomputed tables. Bit-identical
-/// to [`crc32_bytewise`] (proptest-enforced in `tests/crc.rs`); both the
-/// wire frames and the WAL/group-commit path go through this.
+/// to the bit-at-a-time reference loop in `tests/crc.rs` (proptest-
+/// enforced); both the wire frames and the WAL/group-commit path go
+/// through this.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
@@ -80,16 +81,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ CRC32_TABLES[0][(hi >> 24) as usize];
     }
     for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// The one-byte-at-a-time reference CRC-32. The format contract is
-/// defined by this loop; [`crc32`] is the fast path proven equal to it.
-pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
         crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc

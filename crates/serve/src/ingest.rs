@@ -193,8 +193,9 @@ impl IngestPipeline {
     /// loop, but the `submitted` counter moves once — a `flush` racing a
     /// batch waits either for none of it or for everything enqueued so
     /// far, never for a torn count. Returns the number of reports
-    /// accepted; on a closed pipeline mid-batch, the already-sent prefix
-    /// stays accepted and the error reports how many made it.
+    /// accepted. On a pipeline closed mid-batch the already-sent prefix
+    /// stays accepted, and the call returns [`IngestClosed`], which
+    /// carries no count: the server answers such a request `IngestClosed`.
     pub fn submit_batch(
         &self,
         batch: impl IntoIterator<Item = Feedback>,
@@ -301,13 +302,19 @@ fn drain(
 mod tests {
     use super::*;
     use wsrep_core::id::{AgentId, ServiceId, SubjectId};
+    use wsrep_core::mechanism::{score_from_log, ReputationMechanism, Unfolded};
     use wsrep_core::mechanisms::beta::BetaMechanism;
+    use wsrep_core::mechanisms::sporas::SporasMechanism;
     use wsrep_core::time::Time;
 
-    /// A log-mode store, so tests can read back what was applied.
+    /// A store that scores `M` by replay, so it holds what it applied.
+    fn unfolded<M: ReputationMechanism + Default + 'static>(shards: usize) -> Arc<ShardedStore> {
+        let replay = Arc::new(|| Box::new(Unfolded(Box::<M>::default())) as _);
+        Arc::new(ShardedStore::new(shards, replay))
+    }
+
     fn store(shards: usize) -> Arc<ShardedStore> {
-        let beta = Arc::new(|| Box::new(BetaMechanism::new()) as _);
-        Arc::new(ShardedStore::new(shards, beta, false))
+        unfolded::<BetaMechanism>(shards)
     }
 
     fn fb(rater: u64, service: u64) -> Feedback {
@@ -341,8 +348,11 @@ mod tests {
             }
         } // drop: disconnect + join
         assert_eq!(store.len(), 100);
+        assert_eq!(store.resident_reports(), 100);
         let subject: SubjectId = ServiceId::new(3).into();
-        assert_eq!(store.about(subject).expect("log mode").len(), 100);
+        let log: Vec<Feedback> = (0..100).map(|i| fb(i, 3)).collect();
+        let expected = score_from_log(&mut BetaMechanism::new(), &log, subject);
+        assert_eq!(store.score(subject), expected);
     }
 
     #[test]
@@ -375,7 +385,9 @@ mod tests {
 
     #[test]
     fn multiple_writer_groups_preserve_per_subject_order() {
-        let store = store(8);
+        // Sporas folds each rating into a damped running reputation, so
+        // the same reports in another order score differently.
+        let store = unfolded::<SporasMechanism>(8);
         let pipeline = IngestPipeline::start_with_journal(
             Arc::clone(&store),
             IngestConfig::default(),
@@ -384,31 +396,31 @@ mod tests {
         );
         // Interleave subjects; each subject's reports must stay in
         // submission order even though four writers apply them.
+        let mut submitted = Vec::new();
         for round in 0..200u64 {
             for service in 0..12u64 {
-                pipeline
-                    .submit(Feedback::scored(
-                        AgentId::new(round),
-                        ServiceId::new(service),
-                        0.5,
-                        Time::new(round),
-                    ))
-                    .unwrap();
+                let score = ((round * 7 + service) % 10) as f64 / 10.0;
+                let report = Feedback::scored(
+                    AgentId::new(round),
+                    ServiceId::new(service),
+                    score,
+                    Time::new(round),
+                );
+                pipeline.submit(report.clone()).unwrap();
+                submitted.push(report);
             }
         }
         pipeline.flush();
         assert_eq!(store.len(), 200 * 12);
         for service in 0..12u64 {
             let subject: SubjectId = ServiceId::new(service).into();
-            let log = store.about(subject).expect("log mode keeps the log");
-            assert_eq!(log.len(), 200);
-            let times: Vec<u64> = log.iter().map(|f| f.at.round()).collect();
-            let sorted = {
-                let mut s = times.clone();
-                s.sort_unstable();
-                s
-            };
-            assert_eq!(times, sorted, "subject {service} order preserved");
+            let log = submitted.iter().filter(|f| f.subject == subject);
+            let expected = score_from_log(&mut SporasMechanism::new(), log, subject);
+            assert_eq!(
+                store.score(subject),
+                expected,
+                "subject {service} order preserved"
+            );
         }
     }
 }

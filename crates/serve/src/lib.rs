@@ -10,11 +10,12 @@
 //!   (wait-free), writers swap whole immutable snapshots. The crate's
 //!   only `unsafe`, and the compiler holds it there;
 //! - [`fxhash`] — the multiply-xor hasher the hot maps key with;
-//! - [`shard`] — per-subject scoring state split over independently
-//!   locked shards — resident accumulators when the mechanism folds (no
-//!   log is held: the journal owns it), the feedback log when it does not
-//!   — and the one published estimate per subject that the writer stores
-//!   to before it releases the shard, so a score read is one probe;
+//! - [`shard`] — one accumulator per subject, split over independently
+//!   locked shards — the mechanism's fold when it has one (no log is
+//!   held: the journal owns it), a replay of the subject's reports when
+//!   it does not — and the one published estimate per subject that the
+//!   writer stores to before it releases the shard, so a score read is
+//!   one probe;
 //! - [`ingest`] — bounded channels + one writer thread per **writer
 //!   group** (subjects route by shard, groups own disjoint shard sets),
 //!   applying feedback in per-shard batches;

@@ -5,17 +5,16 @@
 //! consumers `ingest` feedback (batched, through the bounded pipeline) and
 //! ask for `score`s and `top_k` rankings.
 //!
-//! Scoring is **incremental** whenever the configured
-//! [`ReputationMechanism`] offers a fold
-//! ([`ReputationMechanism::accumulator`]): the ingest writer folds each
-//! applied report into shard-resident per-subject state and drops it. The
-//! service then holds **no feedback log in RAM**: the journal is the only
-//! copy, recovery folds it back in, and a checkpoint is built from the
-//! journal itself, outside every commit lock. Mechanisms without a fold
-//! keep each shard's log, and the writer replays a touched subject's part
-//! of it once per applied group (also selectable explicitly with
-//! [`ServiceBuilder::replay_scoring`], the twin the fold is tested
-//! against).
+//! The ingest writer applies each report to its subject's accumulator in
+//! the shard. When the configured [`ReputationMechanism`] offers a fold
+//! ([`ReputationMechanism::accumulator`]) that is the fold, which drops the
+//! report: the service then holds **no feedback log in RAM**, the journal
+//! is the only copy, recovery folds it back in, and a checkpoint is built
+//! from the journal itself, outside every commit lock. A mechanism
+//! without a fold gets an accumulator that keeps the subject's reports
+//! and replays them once per applied group; wrapping a folding mechanism
+//! in [`Unfolded`](wsrep_core::mechanism::Unfolded) makes the replay twin
+//! a fold is tested against.
 //!
 //! Either way the writer that applies a report **publishes the subject's
 //! new score** before it moves on, so the query path computes nothing and
@@ -149,7 +148,8 @@ pub struct ServiceStats {
     /// `top_k` rebuilds that reused a warm thread-local scratch buffer
     /// instead of allocating.
     pub scratch_reuse: u64,
-    /// Whether scoring folds incrementally (vs replaying the log).
+    /// Whether the mechanism offers a fold (else each subject's reports
+    /// are kept and replayed).
     pub incremental: bool,
     /// Journal health, when a write-ahead log is attached.
     pub journal: Option<JournalHealth>,
@@ -218,7 +218,6 @@ pub struct ServiceBuilder {
     recover: bool,
     journal_config: JournalConfig,
     checkpoint_every: Option<Duration>,
-    incremental: bool,
     writer_groups: usize,
     durability: DurabilityPolicy,
     io_policy: Option<Arc<dyn IoPolicy>>,
@@ -235,7 +234,6 @@ impl Default for ServiceBuilder {
             recover: false,
             journal_config: JournalConfig::default(),
             checkpoint_every: None,
-            incremental: true,
             writer_groups: 1,
             durability: DurabilityPolicy::default(),
             io_policy: None,
@@ -283,14 +281,6 @@ impl ServiceBuilder {
     /// form directly — for callers that pick the mechanism at runtime.
     pub fn mechanism_factory(mut self, factory: MechanismFactory) -> Self {
         self.factory = factory;
-        self
-    }
-
-    /// Keep each shard's log and score by replaying it even when the
-    /// mechanism offers an incremental fold — the reference semantics the
-    /// fold is tested against.
-    pub fn replay_scoring(mut self) -> Self {
-        self.incremental = false;
         self
     }
 
@@ -362,11 +352,7 @@ impl ServiceBuilder {
 
     /// Start the service, surfacing journal open/recovery errors.
     pub fn try_build(self) -> io::Result<ReputationService> {
-        let store = Arc::new(ShardedStore::new(
-            self.shards,
-            self.factory,
-            self.incremental,
-        ));
+        let store = Arc::new(ShardedStore::new(self.shards, self.factory));
         let listings = Arc::new(Listings::default());
 
         let mut journal = None;

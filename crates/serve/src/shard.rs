@@ -6,25 +6,17 @@
 //! parallel. Every report about one subject lands in exactly one shard,
 //! which keeps per-subject scoring local.
 //!
-//! What a shard keeps of the reports it applied is a property of the
-//! mechanism, fixed when the store is built:
-//!
-//! - **Fold mode** (a mechanism that offers
-//!   [`ReputationMechanism::accumulator`]): one [`SubjectAccumulator`] per
-//!   subject, folded forward as reports are applied. A report is absorbed
-//!   **by reference and dropped** — the shard holds no log, the journal is
-//!   the only copy of it, and what one more report costs in RAM is nothing
-//!   once its subject is resident.
-//! - **Log mode** (the mechanism has no fold, or the store was built with
-//!   `fold: false`): a plain [`FeedbackStore`], replayed through
-//!   [`score_from_log`].
-//!
 //! Each subject a shard has seen has a dense **slot**, kept in its
-//! published entry: its accumulator's index in fold mode, and in both
-//! modes the index of a stamp naming the last group that touched it; a
-//! folding shard keys nothing else by subject. The accessor that hands out
-//! the log ([`ShardedStore::about`]) returns `None` in fold mode rather
-//! than an empty log; report counts come from counters in both modes.
+//! published entry: the index of its [`SubjectAccumulator`] and of a stamp
+//! naming the last group that touched it. A shard keys nothing else by
+//! subject. The accumulator is the mechanism's own fold
+//! ([`ReputationMechanism::accumulator`]), which absorbs a report **by
+//! reference and drops it**: the journal is the only copy of the log, and
+//! one more report costs nothing in RAM once its subject is resident. A
+//! mechanism without a fold gets a `LogReplay` per subject instead: the
+//! subject's reports in arrival order, replayed through a fresh instance
+//! by [`score_from_log`]. [`ShardedStore::resident_reports`] counts what
+//! those hold.
 //!
 //! # The publish protocol
 //!
@@ -36,9 +28,8 @@
 //! stores, **before it releases the shard's write lock**, the shard's own
 //! estimate of every distinct subject the group touched, and bumps the
 //! score epoch of each touched subject's category. [`ShardedStore::score`]
-//! is then one pin, one probe and one sequence-checked read: no lock and
-//! no computation in either mode, and never older than the last applied
-//! group.
+//! is then one pin, one probe and one sequence-checked read: no lock, no
+//! computation, and never older than the last applied group.
 //!
 //! **One lock, one rule.** Entries are stored to, and a map is cloned and
 //! swapped (first-seen subjects only: one swap per applied group or
@@ -51,53 +42,57 @@
 //! linearizes before the swap.
 //!
 //! **Cost model.** Applying a report is one probe of the published map,
-//! which yields the slot, plus the fold; the slot's stamp collects the
-//! distinct touched subjects as they come, with no sort. A fold-mode
-//! publish is then an O(1) read of the resident accumulator per touched
-//! subject. A log-mode publish replays the touched subject's whole log
-//! through a fresh mechanism — the replay a reader's miss used to do,
-//! moved to the one thread that knows when it is needed: a log-mode write
-//! is O(subject history) per touched subject per applied group (ROADMAP
-//! item 1 removes log mode).
+//! which yields the slot, plus the absorb; the slot's stamp collects the
+//! distinct touched subjects as they come, with no sort. A publish then
+//! asks each touched subject's accumulator for its estimate once: an O(1)
+//! read for a fold, and for a `LogReplay` a replay of the subject's whole
+//! log, so a write under a mechanism without a fold is O(subject history)
+//! per touched subject per applied group.
 
 use crate::fxhash::{self, FxHashMap};
 use crate::snapshot::SnapshotCell;
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Borrow;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::SubjectId;
 use wsrep_core::mechanism::{score_from_log, ReputationMechanism, SubjectAccumulator};
-use wsrep_core::store::FeedbackStore;
 use wsrep_core::trust::{TrustEstimate, TrustValue};
 
 /// Builds a fresh mechanism instance: the recipe for a shard's
-/// per-subject accumulators in fold mode, and for one replay pass in log
-/// mode.
+/// per-subject accumulators, and for one `LogReplay` pass.
 pub type MechanismFactory = Arc<dyn Fn() -> Box<dyn ReputationMechanism> + Send + Sync>;
 
-/// A report handed to the store: borrowed or owned. Fold mode only ever
-/// looks at it; log mode needs to own it, and clones a borrowed one.
-pub trait Report: Borrow<Feedback> {
-    /// The owned report, for the shard log.
-    fn into_feedback(self) -> Feedback;
+/// The accumulator of a mechanism without a fold: one subject's reports
+/// in arrival order, replayed through a fresh instance per estimate.
+struct LogReplay {
+    subject: SubjectId,
+    log: Vec<Feedback>,
+    mechanism: MechanismFactory,
 }
 
-impl Report for Feedback {
-    fn into_feedback(self) -> Feedback {
-        self
+impl fmt::Debug for LogReplay {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LogReplay")
+            .field("subject", &self.subject)
+            .field("reports", &self.log.len())
+            .finish_non_exhaustive()
     }
 }
 
-impl Report for &Feedback {
-    fn into_feedback(self) -> Feedback {
-        self.clone()
+impl SubjectAccumulator for LogReplay {
+    fn absorb(&mut self, feedback: &Feedback) {
+        self.log.push(feedback.clone());
     }
-}
 
-fn report_subject(report: &impl Report) -> SubjectId {
-    report.borrow().subject
+    fn estimate(&self) -> Option<TrustEstimate> {
+        score_from_log((self.mechanism)().as_mut(), &self.log, self.subject)
+    }
+
+    fn reports_held(&self) -> usize {
+        self.log.len()
+    }
 }
 
 /// The word that encodes `None`, in `Published::confidence` (no estimate:
@@ -206,20 +201,9 @@ impl Clone for Published {
 
 type PublishedMap = FxHashMap<SubjectId, Published>;
 
-/// What a shard keeps of the reports it applied.
-enum ShardState {
-    /// The mechanism folds: a report is absorbed into its subject's
-    /// accumulator, indexed by slot, and dropped.
-    Folded(Vec<Box<dyn SubjectAccumulator>>),
-    /// No fold: the log itself, replayed once per touched subject per
-    /// applied group.
-    Logged(FeedbackStore),
-}
-
-/// One shard: the resident accumulators of the subjects it owns, or —
-/// for a mechanism without a fold — their feedback log.
+/// One shard: the accumulators of the subjects it owns, indexed by slot.
 struct Shard {
-    state: ShardState,
+    accumulators: Vec<Box<dyn SubjectAccumulator>>,
     /// Per slot, the last group that touched its subject.
     stamps: Vec<u64>,
     /// The group being applied, renewed per group; stamps start below it.
@@ -230,23 +214,21 @@ struct Shard {
 }
 
 impl Shard {
-    fn log(&self) -> Option<&FeedbackStore> {
-        match &self.state {
-            ShardState::Folded(_) => None,
-            ShardState::Logged(store) => Some(store),
-        }
-    }
-
-    /// `entry`'s slot, handed out on its subject's first report (with a
-    /// fresh accumulator in fold mode). Only inside [`Slot::update`].
-    fn slot_of(&mut self, entry: &Published) -> usize {
+    /// `entry`'s slot, handed out with a fresh accumulator on `subject`'s
+    /// first report. Only inside [`Slot::update`].
+    fn slot_of(&mut self, entry: &Published, subject: SubjectId) -> usize {
         if entry.slot.load(Ordering::Relaxed) == NONE {
-            if let ShardState::Folded(folds) = &mut self.state {
-                let fold = (self.mechanism)().accumulator();
-                folds.push(fold.expect("accumulator availability must not vary per instance"));
-            }
-            let slot = self.stamps.len() as u64;
-            entry.slot.store(slot, Ordering::Relaxed);
+            let accumulator = (self.mechanism)().accumulator().unwrap_or_else(|| {
+                Box::new(LogReplay {
+                    subject,
+                    log: Vec::new(),
+                    mechanism: Arc::clone(&self.mechanism),
+                })
+            });
+            entry
+                .slot
+                .store(self.stamps.len() as u64, Ordering::Relaxed);
+            self.accumulators.push(accumulator);
             self.stamps.push(0);
         }
         entry.slot.load(Ordering::Relaxed) as usize
@@ -255,25 +237,6 @@ impl Shard {
     /// Whether this is the current group's first report about `slot`.
     fn first_touch(&mut self, slot: usize) -> bool {
         std::mem::replace(&mut self.stamps[slot], self.group) != self.group
-    }
-
-    fn push(&mut self, report: impl Report, slot: usize) {
-        match &mut self.state {
-            ShardState::Folded(accumulators) => accumulators[slot].absorb(report.borrow()),
-            ShardState::Logged(store) => store.push(report.into_feedback()),
-        }
-        self.applied += 1;
-    }
-
-    /// The shard's own estimate of `subject` from everything applied so
-    /// far: the value the writer publishes.
-    fn estimate(&self, subject: SubjectId, slot: usize) -> Option<TrustEstimate> {
-        match &self.state {
-            ShardState::Folded(accumulators) => accumulators[slot].estimate(),
-            ShardState::Logged(store) => {
-                score_from_log((self.mechanism)().as_mut(), store.about(subject), subject)
-            }
-        }
     }
 }
 
@@ -330,22 +293,13 @@ impl std::fmt::Debug for ShardedStore {
 
 impl ShardedStore {
     /// A store with `shards` independent locks (at least one) scoring
-    /// through `mechanism`. With `fold`, and a mechanism that offers one,
-    /// shards fold into resident per-subject accumulators and hold no
-    /// log; otherwise they keep the log and score by replay — which
-    /// `fold: false` forces even on a folding mechanism, as the reference
-    /// the fold is tested against.
-    pub fn new(shards: usize, mechanism: MechanismFactory, fold: bool) -> Self {
-        // Availability is a property of the mechanism type, not of any
-        // one instance: probe once.
-        let incremental = fold && mechanism().accumulator().is_some();
+    /// through `mechanism`: by its fold where it offers one, and by a
+    /// per-subject `LogReplay` where it does not.
+    pub fn new(shards: usize, mechanism: MechanismFactory) -> Self {
+        let incremental = mechanism().accumulator().is_some();
         let slot = || Slot {
             shard: RwLock::new(Shard {
-                state: if incremental {
-                    ShardState::Folded(Vec::new())
-                } else {
-                    ShardState::Logged(FeedbackStore::new())
-                },
+                accumulators: Vec::new(),
                 stamps: Vec::new(),
                 group: 0,
                 applied: 0,
@@ -362,8 +316,8 @@ impl ShardedStore {
         }
     }
 
-    /// Whether shards fold reports into resident scoring state (and so
-    /// hold no log).
+    /// Whether the mechanism offers a fold, so that shards hold no report
+    /// (probed once, when the store is built).
     pub fn is_incremental(&self) -> bool {
         self.incremental
     }
@@ -379,24 +333,19 @@ impl ShardedStore {
     }
 
     /// Apply one report.
-    pub fn insert(&self, report: impl Report) {
-        let idx = self.shard_of(report_subject(&report));
-        self.apply_group(idx, vec![report]);
+    pub fn insert(&self, report: &Feedback) {
+        self.apply_group(self.shard_of(report.subject), vec![report]);
     }
 
-    /// Apply a batch — owned reports or references — taking each shard's
-    /// write lock once.
+    /// Apply a batch, taking each shard's write lock once.
     ///
     /// This is what makes batched ingestion pay: a batch of B reports
     /// spread over S shards costs at most `min(B, S)` lock acquisitions
-    /// instead of B. In fold mode a borrowed batch is never copied. When
-    /// it returns, [`ShardedStore::score`] reflects every report in it.
-    pub fn insert_batch<R: Report>(&self, batch: impl IntoIterator<Item = R>) {
-        for (idx, group) in self
-            .partition(batch, report_subject)
-            .into_iter()
-            .enumerate()
-        {
+    /// instead of B. A fold copies no report. When it returns,
+    /// [`ShardedStore::score`] reflects every report in it.
+    pub fn insert_batch<'a>(&self, batch: impl IntoIterator<Item = &'a Feedback>) {
+        let groups = self.partition(batch, |report| report.subject);
+        for (idx, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
                 self.apply_group(idx, group);
             }
@@ -409,29 +358,30 @@ impl ShardedStore {
     /// after the apply and before the lock is released, so neither a
     /// score nor an epoch a reader observes can be ahead of, or (once
     /// this returns) behind, the applied state.
-    fn apply_group<R: Report>(&self, idx: usize, group: Vec<R>) {
-        let applied = group.len() as u64;
+    fn apply_group(&self, idx: usize, group: Vec<&Feedback>) {
+        let applied = group.len();
         self.slots[idx].update(|shard, published| {
             shard.group += 1;
             let (mut touched, mut fresh) = (Vec::new(), PublishedMap::default());
             let unseen = || Published::new(None, None);
             for report in group {
-                let subject = report_subject(&report);
+                let subject = report.subject;
                 let known = published.get(&subject);
                 let slot = match known {
-                    Some(entry) => shard.slot_of(entry),
-                    None => shard.slot_of(fresh.entry(subject).or_insert_with(unseen)),
+                    Some(entry) => shard.slot_of(entry, subject),
+                    None => shard.slot_of(fresh.entry(subject).or_insert_with(unseen), subject),
                 };
                 if shard.first_touch(slot) {
                     touched.push((subject, slot, known));
                 }
-                shard.push(report, slot);
+                shard.accumulators[slot].absorb(report);
             }
+            shard.applied += applied;
             self.category_epochs.read(|epochs| {
                 for (subject, slot, known) in touched {
                     // A first-seen subject is in `fresh`, and unlisted.
                     let entry = known.unwrap_or_else(|| &fresh[&subject]);
-                    entry.set_estimate(shard.estimate(subject, slot));
+                    entry.set_estimate(shard.accumulators[slot].estimate());
                     if let Some(epoch) = entry.category().and_then(|c| epochs.get(&c)) {
                         epoch.fetch_add(1, Ordering::AcqRel);
                     }
@@ -439,7 +389,7 @@ impl ShardedStore {
             });
             fresh
         });
-        self.total.fetch_add(applied, Ordering::Relaxed);
+        self.total.fetch_add(applied as u64, Ordering::Relaxed);
     }
 
     fn partition<T>(
@@ -537,25 +487,19 @@ impl ShardedStore {
         published + self.category_epochs.swaps()
     }
 
-    /// Every report about `subject`, oldest first — `None` in fold mode,
-    /// where the store holds no log to copy from.
-    pub fn about(&self, subject: SubjectId) -> Option<Vec<Feedback>> {
-        let shard = self.slots[self.shard_of(subject)].shard.read();
-        shard.log().map(|log| log.about(subject).cloned().collect())
-    }
-
-    /// Reports applied to shard `idx` (a counter: fold mode holds none).
+    /// Reports applied to shard `idx` (a counter: a fold holds none).
     pub fn shard_len(&self, idx: usize) -> usize {
         self.slots[idx].shard.read().applied
     }
 
-    /// Reports held in RAM across all shards: every applied report in
-    /// log mode, zero in fold mode.
+    /// Reports held in RAM across all shards: none under a mechanism that
+    /// folds, every applied report under one that does not.
     pub fn resident_reports(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|slot| slot.shard.read().log().map_or(0, FeedbackStore::len))
-            .sum()
+        let held = |slot: &Slot| -> usize {
+            let shard = slot.shard.read();
+            shard.accumulators.iter().map(|a| a.reports_held()).sum()
+        };
+        self.slots.iter().map(held).sum()
     }
 
     /// Total reports across all shards, from a relaxed counter bumped as
@@ -579,6 +523,7 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
     use wsrep_core::id::{AgentId, ServiceId};
+    use wsrep_core::mechanism::Unfolded;
     use wsrep_core::mechanisms::all_figure4_mechanisms;
     use wsrep_core::mechanisms::beta::BetaMechanism;
     use wsrep_core::time::Time;
@@ -600,20 +545,26 @@ mod tests {
         Arc::new(|| Box::new(BetaMechanism::new()))
     }
 
-    /// What a fresh `mechanism` makes of `twin`'s log of `subject`: the
-    /// reference every published score is held to.
+    /// `mechanism` with its fold withheld: the replay twin.
+    fn unfolded(mechanism: &MechanismFactory) -> MechanismFactory {
+        let mechanism = Arc::clone(mechanism);
+        Arc::new(move || Box::new(Unfolded(mechanism())))
+    }
+
+    /// What a fresh `mechanism` makes of `log`'s reports about `subject`:
+    /// the reference every published score is held to.
     fn replayed(
         mechanism: &MechanismFactory,
-        twin: &ShardedStore,
+        log: &[Feedback],
         subject: SubjectId,
     ) -> Option<TrustEstimate> {
-        let log = twin.about(subject).expect("log mode keeps the log");
-        score_from_log(mechanism().as_mut(), &log, subject)
+        let about = log.iter().filter(|report| report.subject == subject);
+        score_from_log(mechanism().as_mut(), about, subject)
     }
 
     #[test]
     fn subject_always_maps_to_the_same_shard() {
-        let store = ShardedStore::new(8, beta(), true);
+        let store = ShardedStore::new(8, beta());
         let first = store.shard_of(subject(42));
         for _ in 0..10 {
             assert_eq!(store.shard_of(subject(42)), first);
@@ -623,21 +574,22 @@ mod tests {
     #[test]
     fn batch_equals_sequential_inserts() {
         let batch: Vec<Feedback> = (0..40).map(|i| fb(i, i % 7, 0.5)).collect();
-        let batched = ShardedStore::new(4, beta(), false);
-        batched.insert_batch(batch.clone());
-        let sequential = ShardedStore::new(4, beta(), false);
-        for f in batch {
+        let batched = ShardedStore::new(4, unfolded(&beta()));
+        batched.insert_batch(&batch);
+        let sequential = ShardedStore::new(4, unfolded(&beta()));
+        for f in &batch {
             sequential.insert(f);
         }
         assert_eq!(batched.len(), sequential.len());
+        assert_eq!(batched.resident_reports(), sequential.resident_reports());
         for service in 0..7 {
             let s = subject(service);
             assert_eq!(batched.score(s), sequential.score(s));
-            assert_eq!(batched.about(s), sequential.about(s));
+            assert_eq!(batched.score(s), replayed(&beta(), &batch, s));
         }
     }
 
-    /// Store-level never-stale, both modes, every Figure-4 mechanism:
+    /// Store-level never-stale, fold and replay twin, every Figure-4 mechanism:
     /// the moment `insert_batch` returns, every published score equals a
     /// replay of the log so far — `None` included, for a mechanism that
     /// abstains on evidence it has.
@@ -659,15 +611,16 @@ mod tests {
                     .find(|m| m.info().key == key)
                     .expect("mechanism key is stable")
             });
-            let folding = ShardedStore::new(3, Arc::clone(&mechanism), true);
+            let folding = ShardedStore::new(3, Arc::clone(&mechanism));
             assert_eq!(folding.is_incremental(), prototype.accumulator().is_some());
-            let twin = ShardedStore::new(3, Arc::clone(&mechanism), false);
-            for chunk in reports.chunks(17) {
+            let twin = ShardedStore::new(3, unfolded(&mechanism));
+            for (n, chunk) in reports.chunks(17).enumerate() {
                 folding.insert_batch(chunk);
                 twin.insert_batch(chunk);
+                let log = &reports[..17 * n + chunk.len()];
                 for service in 0..5 {
                     let s = subject(service);
-                    let expected = replayed(&mechanism, &twin, s);
+                    let expected = replayed(&mechanism, log, s);
                     assert_eq!(folding.score(s), expected, "{key}, service {service}");
                     assert_eq!(twin.score(s), expected, "{key}, service {service}");
                     abstained += usize::from(expected.is_none());
@@ -681,15 +634,13 @@ mod tests {
     /// one snapshot swap per shard, not one per subject.
     #[test]
     fn first_seen_subjects_of_a_batch_share_one_published_swap() {
-        let store = ShardedStore::new(2, beta(), true);
+        let store = ShardedStore::new(2, beta());
         let batch: Vec<Feedback> = (0..600).map(|i| fb(i, i % 300, 0.5)).collect();
         store.insert_batch(&batch);
         assert_eq!(store.swaps(), 2, "one swap per touched shard");
-        let twin = ShardedStore::new(2, beta(), false);
-        twin.insert_batch(&batch);
         for service in 0..300 {
             let s = subject(service);
-            assert_eq!(store.score(s), replayed(&beta(), &twin, s));
+            assert_eq!(store.score(s), replayed(&beta(), &batch, s));
         }
     }
 
@@ -699,12 +650,17 @@ mod tests {
     #[test]
     fn known_subjects_never_swap_a_published_map() {
         const SUBJECTS: u64 = 400;
-        let store = ShardedStore::new(8, beta(), true);
+        let store = ShardedStore::new(8, beta());
         store.list((0..SUBJECTS).map(|s| (subject(s), (s % 5) as u32)));
-        store.insert_batch((0..SUBJECTS).map(|s| fb(0, s, 0.5)));
+        let batch = |round, score| {
+            (0..SUBJECTS)
+                .map(|s| fb(round, s, score))
+                .collect::<Vec<_>>()
+        };
+        store.insert_batch(&batch(0, 0.5));
         let warm = store.swaps();
         for round in 0..25 {
-            store.insert_batch((0..SUBJECTS).map(|s| fb(round, s, 0.9)));
+            store.insert_batch(&batch(round, 0.9));
         }
         assert_eq!(store.len() as u64, SUBJECTS + 10_000);
         for s in 0..SUBJECTS {
@@ -716,42 +672,42 @@ mod tests {
 
     #[test]
     fn zero_shards_is_clamped_to_one() {
-        let store = ShardedStore::new(0, beta(), true);
+        let store = ShardedStore::new(0, beta());
         assert_eq!(store.num_shards(), 1);
         assert_eq!(store.score(subject(1)), None);
-        store.insert(fb(0, 1, 0.5));
+        store.insert(&fb(0, 1, 0.5));
         assert_eq!(store.len(), 1);
         assert!(store.score(subject(1)).is_some());
     }
 
     #[test]
     fn category_epochs_follow_memberships() {
-        let store = ShardedStore::new(4, beta(), true);
+        let store = ShardedStore::new(4, beta());
         assert_eq!(store.category_epoch(7), 0);
         // Feedback about a never-listed subject counts against nothing.
-        store.insert(fb(0, 1, 0.5));
+        store.insert(&fb(0, 1, 0.5));
         assert_eq!(store.category_epoch(7), 0);
         // Listed: one bump per applied group that touched it, however
         // many reports the group carried.
         store.list([(subject(1), 7)]);
-        store.insert(fb(1, 1, 0.5));
-        store.insert_batch([fb(2, 1, 0.5), fb(3, 1, 0.5), fb(4, 1, 0.5)]);
+        store.insert(&fb(1, 1, 0.5));
+        store.insert_batch(&[fb(2, 1, 0.5), fb(3, 1, 0.5), fb(4, 1, 0.5)]);
         assert_eq!(store.category_epoch(7), 2);
         // Listed elsewhere: the membership is repointed.
         store.list([(subject(1), 9)]);
-        store.insert(fb(5, 1, 0.5));
+        store.insert(&fb(5, 1, 0.5));
         assert_eq!(store.category_epoch(7), 2);
         assert_eq!(store.category_epoch(9), 1);
         // Unlisted: silent again, and the score keeps moving.
         store.unlist(subject(1));
         let before = store.score(subject(1));
-        store.insert(fb(6, 1, 1.0));
+        store.insert(&fb(6, 1, 1.0));
         assert_eq!(store.category_epoch(9), 1);
         assert_ne!(store.score(subject(1)), before);
         // An entry a listing creates before any feedback reads as `None`.
         store.list([(subject(2), 7)]);
         assert_eq!(store.score(subject(2)), None);
-        store.insert(fb(0, 2, 0.5));
+        store.insert(&fb(0, 2, 0.5));
         assert!(store.score(subject(2)).is_some());
         assert_eq!(store.category_epoch(7), 3);
     }
@@ -773,7 +729,7 @@ mod tests {
             let pair = (e.value.get().to_bits(), e.confidence.to_bits());
             assert_eq!(nth.insert(pair, n), None, "estimates must be distinct");
         }
-        let store = ShardedStore::new(1, beta(), true);
+        let store = ShardedStore::new(1, beta());
         let start = Barrier::new(READERS + 1);
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -795,9 +751,9 @@ mod tests {
             }
             start.wait();
             for n in 1..=REPORTS {
-                store.insert(fb(n, 5, 1.0));
+                store.insert(&fb(n, 5, 1.0));
                 if n % 100 == 0 {
-                    store.insert(fb(0, 1_000 + n, 0.5));
+                    store.insert(&fb(0, 1_000 + n, 0.5));
                 }
             }
             done.store(true, Ordering::SeqCst);
@@ -871,15 +827,11 @@ mod tests {
         }
     }
 
-    /// Per shard: accumulators held (fold mode) and slots handed out.
+    /// Per shard: accumulators held and slots handed out.
     fn slot_counts(store: &ShardedStore) -> Vec<(usize, usize)> {
         let count = |slot: &Slot| {
             let shard = slot.shard.read();
-            let folds = match &shard.state {
-                ShardState::Folded(folds) => folds.len(),
-                ShardState::Logged(_) => 0,
-            };
-            (folds, shard.stamps.len())
+            (shard.accumulators.len(), shard.stamps.len())
         };
         store.slots.iter().map(count).collect()
     }
@@ -888,10 +840,10 @@ mod tests {
         /// The slot is the subject's only key into its shard, so every
         /// order of listings and reports must keep it: after each step,
         /// for every Figure-4 mechanism that folds, every score equals the
-        /// log-mode twin's and a replay of its log, each shard holds one
-        /// accumulator per distinct subject it has seen, and a category's
-        /// epoch has moved once per listed subject per group that touched
-        /// it.
+        /// replay twin's and a replay of the reports so far, each shard of
+        /// either holds one accumulator per distinct subject it has seen,
+        /// and a category's epoch has moved once per listed subject per
+        /// group that touched it.
         #[test]
         fn slots_survive_every_order_of_listings_and_reports(
             shards in 1usize..=8,
@@ -919,11 +871,12 @@ mod tests {
                         .find(|m| m.info().key == key)
                         .expect("mechanism key is stable")
                 });
-                let folding = ShardedStore::new(shards, Arc::clone(&mechanism), true);
-                let twin = ShardedStore::new(shards, Arc::clone(&mechanism), false);
+                let folding = ShardedStore::new(shards, Arc::clone(&mechanism));
+                let twin = ShardedStore::new(shards, unfolded(&mechanism));
                 let mut steps = Step::scripted(&folding);
                 steps.extend(raw.iter().map(|(kind, items)| Step::random(*kind, items)));
                 let universe: HashSet<SubjectId> = steps.iter().flat_map(Step::subjects).collect();
+                let mut log: Vec<Feedback> = Vec::new();
                 let mut listed: HashMap<SubjectId, u32> = HashMap::new();
                 let mut seen: HashSet<SubjectId> = HashSet::new();
                 let mut epochs = [0u64; CATEGORIES as usize];
@@ -942,6 +895,7 @@ mod tests {
                         Step::Insert(batch) => {
                             folding.insert_batch(batch);
                             twin.insert_batch(batch);
+                            log.extend(batch.iter().cloned());
                             // A subject lives in one shard, so it is in
                             // one group of the batch.
                             let touched: HashSet<SubjectId> = step.subjects().into_iter().collect();
@@ -955,7 +909,7 @@ mod tests {
                     }
                     let at = format!("{key}, {shards} shards, after step {n} {step:?}");
                     for &s in &universe {
-                        let expected = replayed(&mechanism, &twin, s);
+                        let expected = replayed(&mechanism, &log, s);
                         prop_assert_eq!(twin.score(s), expected, "{at}, {s:?}");
                         prop_assert_eq!(folding.score(s), expected, "{at}, {s:?}");
                     }
@@ -964,9 +918,8 @@ mod tests {
                         per_shard[folding.shard_of(s)] += 1;
                     }
                     let held: Vec<(usize, usize)> = per_shard.iter().map(|&n| (n, n)).collect();
-                    prop_assert_eq!(slot_counts(&folding), held, "{at}");
-                    let slots: Vec<(usize, usize)> = per_shard.iter().map(|&n| (0, n)).collect();
-                    prop_assert_eq!(slot_counts(&twin), slots, "{at}");
+                    prop_assert_eq!(slot_counts(&folding), held.clone(), "{at}");
+                    prop_assert_eq!(slot_counts(&twin), held, "{at}");
                     for c in 0..CATEGORIES {
                         let expected = epochs[c as usize];
                         prop_assert_eq!(folding.category_epoch(c), expected, "{at}, category {c}");

@@ -7,14 +7,17 @@
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
+use wsrep_core::mechanism::Unfolded;
 use wsrep_core::mechanisms::all_figure4_mechanisms;
+use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
-use wsrep_serve::{ReputationService, ServiceBuilder};
+use wsrep_serve::{MechanismFactory, ReputationService, ServiceBuilder};
 use wsrep_sim::registry::Listing;
 
 const SERVICES: u64 = 8;
@@ -40,6 +43,11 @@ fn listing(service: u64, category: u32) -> Listing {
     }
 }
 
+/// The default mechanism, Beta, with its fold withheld: the replay twin.
+fn replay_twin() -> ServiceBuilder {
+    ReputationService::builder().mechanism(|| Unfolded(Box::new(BetaMechanism::new())))
+}
+
 fn ingest_all(svc: &ReputationService, reports: &[Feedback]) {
     for report in reports {
         svc.ingest(report.clone()).unwrap();
@@ -47,13 +55,20 @@ fn ingest_all(svc: &ReputationService, reports: &[Feedback]) {
     svc.flush();
 }
 
-/// Build incremental and replay twins from the same configuration, feed
-/// both the same reports, and demand identical answers everywhere.
-/// `has_fold` says whether the mechanism offers an accumulator at all —
-/// without one, the "incremental" twin quietly replays too.
-fn assert_twins_agree(builder: impl Fn() -> ServiceBuilder, reports: &[Feedback], has_fold: bool) {
-    let incremental = builder().build();
-    let replay = builder().replay_scoring().build();
+/// Build incremental and replay twins from the same configuration, the
+/// replay twin's `mechanism` wrapped in [`Unfolded`], feed both the same
+/// reports, and demand identical answers everywhere. `has_fold` says
+/// whether the mechanism offers an accumulator at all — without one, the
+/// "incremental" twin quietly replays too.
+fn assert_twins_agree(
+    builder: impl Fn() -> ServiceBuilder,
+    mechanism: MechanismFactory,
+    reports: &[Feedback],
+    has_fold: bool,
+) {
+    let incremental = builder().mechanism_factory(Arc::clone(&mechanism)).build();
+    let unfolded: MechanismFactory = Arc::new(move || Box::new(Unfolded(mechanism())));
+    let replay = builder().mechanism_factory(unfolded).build();
     assert_eq!(incremental.stats().incremental, has_fold);
     assert!(!replay.stats().incremental);
     for svc in [&incremental, &replay] {
@@ -88,17 +103,14 @@ fn every_figure4_mechanism_scores_identically_incremental_and_replay() {
     for prototype in all_figure4_mechanisms() {
         let key = prototype.info().key;
         let has_fold = prototype.accumulator().is_some();
-        let make = move || {
-            ReputationService::builder()
-                .shards(4)
-                .mechanism_factory(std::sync::Arc::new(move || {
-                    all_figure4_mechanisms()
-                        .into_iter()
-                        .find(|m| m.info().key == key)
-                        .expect("mechanism key is stable")
-                }))
-        };
-        assert_twins_agree(make, &reports, has_fold);
+        let mechanism: MechanismFactory = Arc::new(move || {
+            all_figure4_mechanisms()
+                .into_iter()
+                .find(|m| m.info().key == key)
+                .expect("mechanism key is stable")
+        });
+        let builder = || ReputationService::builder().shards(4);
+        assert_twins_agree(builder, mechanism, &reports, has_fold);
     }
 }
 
@@ -196,7 +208,7 @@ proptest! {
             .map(|&(rater, service, score, at)| feedback(rater, service, score, at))
             .collect();
         let incremental = ReputationService::builder().shards(shards).build();
-        let replay = ReputationService::builder().shards(shards).replay_scoring().build();
+        let replay = replay_twin().shards(shards).build();
         ingest_all(&incremental, &reports);
         ingest_all(&replay, &reports);
         for s in 0..SERVICES {
@@ -236,10 +248,7 @@ proptest! {
             .recover_from(&live)
             .build();
         prop_assert!(revived.stats().incremental);
-        let reference = ReputationService::builder()
-            .shards(4)
-            .replay_scoring()
-            .build();
+        let reference = replay_twin().shards(4).build();
         ingest_all(&reference, &reports);
         for s in 0..SERVICES {
             let subject: SubjectId = ServiceId::new(s).into();

@@ -19,11 +19,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
+use wsrep_core::mechanism::Unfolded;
+use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
-use wsrep_serve::ReputationService;
+use wsrep_serve::{ReputationService, ServiceBuilder};
 use wsrep_sim::registry::Listing;
 
 const SERVICES: u64 = 6;
@@ -35,6 +37,11 @@ fn feedback(rater: u64, service: u64, score: f64, at: u64) -> Feedback {
         score,
         Time::new(at),
     )
+}
+
+/// The default mechanism, Beta, with its fold withheld: the replay twin.
+fn replay_twin() -> ServiceBuilder {
+    ReputationService::builder().mechanism(|| Unfolded(Box::new(BetaMechanism::new())))
 }
 
 fn listing(service: u64, category: u32) -> Listing {
@@ -83,7 +90,7 @@ proptest! {
             // Twin rebuilt from scratch on the same applied prefix: no
             // caches carried over, so it cannot be stale by construction.
             let applied = cached.store().len();
-            let twin = ReputationService::builder().shards(4).replay_scoring().build();
+            let twin = replay_twin().shards(4).build();
             for s in 0..SERVICES {
                 twin.publish(listing(s, (s % 2) as u32)).unwrap();
             }
@@ -188,10 +195,7 @@ fn preranked_top_k_stays_consistent_under_concurrent_writes() {
     // Quiesced: the concurrent run must land in exactly the state a
     // sequential twin reaches.
     svc.flush();
-    let twin = ReputationService::builder()
-        .shards(4)
-        .replay_scoring()
-        .build();
+    let twin = replay_twin().shards(4).build();
     for s in 0..SERVICES {
         twin.publish(listing(s, 0)).unwrap();
     }

@@ -50,7 +50,7 @@ pub use client::{Client, ClientError};
 pub use poll::PollerChoice;
 pub use proto::{
     ErrorCode, IngestKey, ReplBatch, ReplRole, ReplWatermark, ReplicationStats, Request, Response,
-    ServerStats, WireRanked, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
+    ServerStats, WireRanked, WireStats, PROTO_VERSION,
 };
 pub use repl::{ReplError, ReplicationGauge, Replicator};
 pub use retry::{Backoff, RetryPolicy, RetryingClient, Rng64};

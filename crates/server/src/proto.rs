@@ -21,10 +21,8 @@
 //! - **Pipelining**: a client may send any number of requests before
 //!   reading; the server answers strictly in request order on each
 //!   connection. No request ids are needed — FIFO is the contract.
-//! - **Versioning**: every payload carries its protocol version. A peer
-//!   accepts any version in `[MIN_PROTO_VERSION, PROTO_VERSION]` and
-//!   **answers at the request's version**, so old clients keep working
-//!   against new servers; anything outside the range gets
+//! - **Versioning**: every payload carries its protocol version, and a
+//!   peer speaks exactly one, [`PROTO_VERSION`]. Any other version gets
 //!   [`Response::Error`] with [`ErrorCode::BadVersion`] and the
 //!   connection survives (framing is still sound). New fields are only
 //!   ever *appended* to existing payloads under a version bump.
@@ -56,14 +54,8 @@ use wsrep_sim::registry::{Listing, PublishStatus};
 /// v3: `Ingest` carries an optional `(producer, seq)` idempotency key
 /// (exactly-once retries); the stats journal block gained
 /// `journal_errors`, the durability `policy`, and the `fenced` flag;
-/// [`ErrorCode::NotDurable`] was added (encoded as `ReadOnly` to v2
-/// peers).
+/// [`ErrorCode::NotDurable`] was added. A peer speaks this version only.
 pub const PROTO_VERSION: u8 = 3;
-
-/// Oldest protocol version this peer still speaks. Requests at any
-/// version in `[MIN_PROTO_VERSION, PROTO_VERSION]` are served, answered
-/// at the request's version.
-pub const MIN_PROTO_VERSION: u8 = 2;
 
 // Request opcodes — wire contract, never renumber.
 const OP_PING: u8 = 0x01;
@@ -113,12 +105,12 @@ pub enum ErrorCode {
     ReadOnly,
     /// This node cannot make the write durable and its durability policy
     /// fenced writes rather than lie about it. Not retryable here —
-    /// clients should fail over. v2 peers see [`ErrorCode::ReadOnly`].
+    /// clients should fail over.
     NotDurable,
 }
 
 impl ErrorCode {
-    fn to_wire(self, version: u8) -> u8 {
+    fn to_wire(self) -> u8 {
         match self {
             ErrorCode::BadVersion => 1,
             ErrorCode::BadRequest => 2,
@@ -126,10 +118,6 @@ impl ErrorCode {
             ErrorCode::IngestClosed => 4,
             ErrorCode::ReplUnavailable => 5,
             ErrorCode::ReadOnly => 6,
-            // v2 predates the code; ReadOnly carries the same client
-            // contract (stop writing here), so old clients still act
-            // sensibly.
-            ErrorCode::NotDurable if version < 3 => 6,
             ErrorCode::NotDurable => 7,
         }
     }
@@ -165,8 +153,7 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// The `(producer, seq)` idempotency key a retried ingest batch carries
-/// (v3+). The server keeps a per-producer window of recently applied
+/// The `(producer, seq)` idempotency key a retried ingest batch carries. The server keeps a per-producer window of recently applied
 /// sequence numbers and replays the original acknowledgement for a
 /// duplicate, so a retry after a lost response applies **exactly once**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,8 +178,8 @@ pub enum Request {
     Ingest {
         /// The reports.
         batch: Vec<Feedback>,
-        /// Idempotency key for exactly-once retries (v3+; `None` from
-        /// old clients or fire-and-forget producers).
+        /// Idempotency key for exactly-once retries (`None` from
+        /// fire-and-forget producers).
         key: Option<IngestKey>,
     },
     /// One subject's reputation.
@@ -445,14 +432,14 @@ fn get_opt_estimate(cur: &mut Cursor<'_>) -> Result<Option<TrustEstimate>, Codec
     }
 }
 
-fn put_service_stats(out: &mut Vec<u8>, version: u8, stats: &ServiceStats) {
+fn put_service_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
     put_u64(out, stats.shards as u64);
     put_u64(out, stats.listings as u64);
     put_u64(out, stats.feedback);
     put_u64(out, stats.submitted);
     // Two reserved slots, once `cache_hits`/`cache_misses` of a score
     // cache that no longer exists: written as zero, skipped on decode,
-    // and gone when `MIN_PROTO_VERSION` next rises.
+    // and gone at the next `PROTO_VERSION` bump.
     put_u64(out, 0);
     put_u64(out, 0);
     put_u64(out, stats.topk_plan_hits);
@@ -473,19 +460,15 @@ fn put_service_stats(out: &mut Vec<u8>, version: u8, stats: &ServiceStats) {
             put_u64(out, health.records_recovered);
             put_u64(out, health.writer_groups);
             put_bool(out, health.degraded);
-            // v3 appended the failure-policy triple; a v2 payload simply
-            // ends the block here.
-            if version >= 3 {
-                put_u64(out, health.journal_errors);
-                out.push(health.policy.as_u8());
-                put_bool(out, health.fenced);
-            }
+            put_u64(out, health.journal_errors);
+            out.push(health.policy.as_u8());
+            put_bool(out, health.fenced);
         }
         None => put_bool(out, false),
     }
 }
 
-fn get_service_stats(cur: &mut Cursor<'_>, version: u8) -> Result<ServiceStats, CodecError> {
+fn get_service_stats(cur: &mut Cursor<'_>) -> Result<ServiceStats, CodecError> {
     Ok(ServiceStats {
         shards: cur.u64()? as usize,
         listings: cur.u64()? as usize,
@@ -504,7 +487,7 @@ fn get_service_stats(cur: &mut Cursor<'_>, version: u8) -> Result<ServiceStats, 
         scratch_reuse: cur.u64()?,
         incremental: cur.bool()?,
         journal: if cur.bool()? {
-            let mut health = JournalHealth {
+            Some(JournalHealth {
                 segments: cur.u64()?,
                 bytes_appended: cur.u64()?,
                 last_fsync_nanos: cur.u64()?,
@@ -513,18 +496,16 @@ fn get_service_stats(cur: &mut Cursor<'_>, version: u8) -> Result<ServiceStats, 
                 records_recovered: cur.u64()?,
                 writer_groups: cur.u64()?,
                 degraded: cur.bool()?,
-                ..JournalHealth::default()
-            };
-            if version >= 3 {
-                health.journal_errors = cur.u64()?;
-                let tag = cur.u8()?;
-                health.policy = DurabilityPolicy::from_u8(tag).ok_or(CodecError::BadTag {
-                    what: "durability policy",
-                    tag,
-                })?;
-                health.fenced = cur.bool()?;
-            }
-            Some(health)
+                journal_errors: cur.u64()?,
+                policy: {
+                    let tag = cur.u8()?;
+                    DurabilityPolicy::from_u8(tag).ok_or(CodecError::BadTag {
+                        what: "durability policy",
+                        tag,
+                    })?
+                },
+                fenced: cur.bool()?,
+            })
         } else {
             None
         },
@@ -625,26 +606,19 @@ impl Request {
         }
     }
 
-    /// Encode as one complete frame appended to `out`, at
-    /// [`PROTO_VERSION`].
-    pub fn encode_frame(&self, out: &mut Vec<u8>) {
-        self.encode_frame_v(PROTO_VERSION, out);
-    }
-
-    /// Encode at an explicit protocol version — how a peer talks to an
-    /// older server (fields the version predates are dropped).
+    /// Encode as one complete frame appended to `out`.
     ///
     /// The payload is encoded **in place**: the frame header is reserved
     /// in `out`, the body appended directly after it, and length + CRC
     /// backfilled — no intermediate payload buffer, no second copy.
-    pub fn encode_frame_v(&self, version: u8, out: &mut Vec<u8>) {
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
         let frame_start = begin_frame(out);
-        self.encode_payload(version, out);
+        self.encode_payload(out);
         end_frame(out, frame_start);
     }
 
-    fn encode_payload(&self, version: u8, payload: &mut Vec<u8>) {
-        payload.push(version);
+    fn encode_payload(&self, payload: &mut Vec<u8>) {
+        payload.push(PROTO_VERSION);
         match self {
             Request::Ping => payload.push(OP_PING),
             Request::Publish(listing) => {
@@ -661,15 +635,13 @@ impl Request {
                 for feedback in batch {
                     put_feedback(payload, feedback);
                 }
-                if version >= 3 {
-                    match key {
-                        Some(key) => {
-                            put_bool(payload, true);
-                            put_u64(payload, key.producer);
-                            put_u64(payload, key.seq);
-                        }
-                        None => put_bool(payload, false),
+                match key {
+                    Some(key) => {
+                        put_bool(payload, true);
+                        put_u64(payload, key.producer);
+                        put_u64(payload, key.seq);
                     }
+                    None => put_bool(payload, false),
                 }
             }
             Request::Score(subject) => {
@@ -706,15 +678,9 @@ impl Request {
 
     /// Decode one request from a frame payload (version byte included).
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
-        Self::decode_versioned(payload).map(|(request, _)| request)
-    }
-
-    /// [`Request::decode`], also returning the request's protocol
-    /// version — servers answer at the version the client spoke.
-    pub fn decode_versioned(payload: &[u8]) -> Result<(Self, u8), DecodeError> {
         let mut cur = Cursor::new(payload);
         let version = cur.u8().map_err(DecodeError::Codec)?;
-        if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+        if version != PROTO_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
         let opcode = cur.u8().map_err(DecodeError::Codec)?;
@@ -730,7 +696,7 @@ impl Request {
                 for _ in 0..n {
                     batch.push(get_feedback(&mut cur).map_err(DecodeError::Codec)?);
                 }
-                let key = if version >= 3 && cur.bool().map_err(DecodeError::Codec)? {
+                let key = if cur.bool().map_err(DecodeError::Codec)? {
                     Some(IngestKey {
                         producer: cur.u64().map_err(DecodeError::Codec)?,
                         seq: cur.u64().map_err(DecodeError::Codec)?,
@@ -768,31 +734,23 @@ impl Request {
         if cur.remaining() != 0 {
             return Err(DecodeError::TrailingBytes);
         }
-        Ok((request, version))
+        Ok(request)
     }
 }
 
 impl Response {
-    /// Encode as one complete frame appended to `out`, at
-    /// [`PROTO_VERSION`].
-    pub fn encode_frame(&self, out: &mut Vec<u8>) {
-        self.encode_frame_v(PROTO_VERSION, out);
-    }
-
-    /// Encode at an explicit protocol version — the server answers each
-    /// request at the version it arrived with, so a v2 client never
-    /// sees v3-only fields.
+    /// Encode as one complete frame appended to `out`.
     ///
     /// In-place like the request encoder: header reserved, payload
     /// appended directly to `out`, length + CRC backfilled.
-    pub fn encode_frame_v(&self, version: u8, out: &mut Vec<u8>) {
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
         let frame_start = begin_frame(out);
-        self.encode_payload(version, out);
+        self.encode_payload(out);
         end_frame(out, frame_start);
     }
 
-    fn encode_payload(&self, version: u8, payload: &mut Vec<u8>) {
-        payload.push(version);
+    fn encode_payload(&self, payload: &mut Vec<u8>) {
+        payload.push(PROTO_VERSION);
         match self {
             Response::Pong => payload.push(OP_PONG),
             Response::Published(status) => {
@@ -827,7 +785,7 @@ impl Response {
             }
             Response::StatsResult(stats) => {
                 payload.push(OP_STATS_RESULT);
-                put_service_stats(payload, version, &stats.service);
+                put_service_stats(payload, &stats.service);
                 put_server_stats(payload, &stats.server);
                 put_replication_stats(payload, &stats.replication);
             }
@@ -857,20 +815,17 @@ impl Response {
             }
             Response::Error { code, message } => {
                 payload.push(OP_ERROR);
-                payload.push(code.to_wire(version));
+                payload.push(code.to_wire());
                 put_bytes(payload, message.as_bytes());
             }
         }
     }
 
-    /// Decode one response from a frame payload. Accepts any version in
-    /// `[MIN_PROTO_VERSION, PROTO_VERSION]` — the server answers at the
-    /// request's version, and fields that version predates keep their
-    /// defaults.
+    /// Decode one response from a frame payload (version byte included).
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut cur = Cursor::new(payload);
         let version = cur.u8().map_err(DecodeError::Codec)?;
-        if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+        if version != PROTO_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
         let opcode = cur.u8().map_err(DecodeError::Codec)?;
@@ -904,7 +859,7 @@ impl Response {
                 Response::TopKResult(ranked)
             }
             OP_STATS_RESULT => {
-                let service = get_service_stats(&mut cur, version).map_err(DecodeError::Codec)?;
+                let service = get_service_stats(&mut cur).map_err(DecodeError::Codec)?;
                 let server = get_server_stats(&mut cur).map_err(DecodeError::Codec)?;
                 let replication = get_replication_stats(&mut cur).map_err(DecodeError::Codec)?;
                 Response::StatsResult(Box::new(WireStats {
@@ -1179,115 +1134,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_requests_still_decode_on_a_v3_server() {
-        // A v2 client's ingest carries no key; the v3 decoder must read
-        // it as None, and the versioned decode must report v2 so the
-        // response comes back at v2.
-        let request = Request::Ingest {
-            batch: vec![Feedback::scored(
-                AgentId::new(1),
-                ServiceId::new(2),
-                0.5,
-                Time::new(3),
-            )],
-            key: None,
-        };
+    fn a_v2_request_is_refused_like_any_other_version() {
         let mut buf = Vec::new();
-        request.encode_frame_v(2, &mut buf);
-        let FrameSplit::Frame { frame_len } = split_frame(&buf) else {
-            panic!("v2 frame splits");
-        };
-        let (decoded, version) =
-            Request::decode_versioned(&buf[FRAME_HEADER_LEN..frame_len]).expect("v2 decodes");
-        assert_eq!(version, 2);
-        assert_eq!(decoded, request);
-        // Encoding at v2 drops the key rather than confusing an old
-        // server with trailing bytes.
-        let keyed = Request::Ingest {
-            batch: Vec::new(),
-            key: Some(IngestKey {
-                producer: 1,
-                seq: 2,
-            }),
-        };
-        let mut buf = Vec::new();
-        keyed.encode_frame_v(2, &mut buf);
-        let FrameSplit::Frame { frame_len } = split_frame(&buf) else {
-            panic!("v2 frame splits");
-        };
-        assert_eq!(
-            Request::decode(&buf[FRAME_HEADER_LEN..frame_len]),
-            Ok(Request::Ingest {
-                batch: Vec::new(),
-                key: None
-            })
-        );
-    }
-
-    #[test]
-    fn v2_responses_default_the_v3_stats_fields() {
-        let stats = WireStats {
-            service: ServiceStats {
-                shards: 1,
-                listings: 0,
-                feedback: 0,
-                submitted: 0,
-                topk_plan_hits: 0,
-                topk_plan_misses: 0,
-                preranked_hits: 0,
-                preranked_misses: 0,
-                snapshot_swaps: 0,
-                scratch_reuse: 0,
-                incremental: true,
-                journal: Some(JournalHealth {
-                    segments: 1,
-                    durable_lsn: 7,
-                    journal_errors: 42,
-                    policy: DurabilityPolicy::FailStop,
-                    fenced: true,
-                    ..JournalHealth::default()
-                }),
-            },
-            server: ServerStats::default(),
-            replication: None,
-        };
-        let mut buf = Vec::new();
-        Response::StatsResult(Box::new(stats)).encode_frame_v(2, &mut buf);
-        let FrameSplit::Frame { frame_len } = split_frame(&buf) else {
-            panic!("v2 frame splits");
-        };
-        let decoded = Response::decode(&buf[FRAME_HEADER_LEN..frame_len]).expect("v2 decodes");
-        let Response::StatsResult(wire) = decoded else {
-            panic!("stats response expected");
-        };
-        let health = wire.service.journal.expect("journal block survives");
-        assert_eq!(health.durable_lsn, 7, "v2 fields intact");
-        assert_eq!(health.journal_errors, 0, "v3-only field defaulted");
-        assert_eq!(health.policy, DurabilityPolicy::Degrade);
-        assert!(!health.fenced);
-    }
-
-    #[test]
-    fn not_durable_degrades_to_read_only_for_v2_peers() {
-        let error = Response::Error {
-            code: ErrorCode::NotDurable,
-            message: "fenced".to_string(),
-        };
-        let mut buf = Vec::new();
-        error.encode_frame_v(2, &mut buf);
-        let FrameSplit::Frame { frame_len } = split_frame(&buf) else {
-            panic!("v2 frame splits");
-        };
-        let decoded = Response::decode(&buf[FRAME_HEADER_LEN..frame_len]).expect("v2 decodes");
-        assert_eq!(
-            decoded,
-            Response::Error {
-                code: ErrorCode::ReadOnly,
-                message: "fenced".to_string(),
-            }
-        );
-        // At v3 the code travels unmapped.
-        assert_eq!(roundtrip_response(&error), error);
+        Request::Ping.encode_frame(&mut buf);
+        let mut payload = buf[FRAME_HEADER_LEN..].to_vec();
+        payload[0] = 2;
+        assert_eq!(Request::decode(&payload), Err(DecodeError::BadVersion(2)));
     }
 
     #[test]

@@ -46,9 +46,7 @@
 //! is durable before the process exits.
 
 use crate::poll::{make_poller, Event, Interest, Poller, PollerChoice, Waker};
-use crate::proto::{
-    ErrorCode, IngestKey, Request, Response, ServerStats, WireRanked, WireStats, PROTO_VERSION,
-};
+use crate::proto::{ErrorCode, IngestKey, Request, Response, ServerStats, WireRanked, WireStats};
 use crate::repl::{ReplicationGauge, Replicator};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -780,11 +778,10 @@ impl Conn {
                 FrameSplit::Frame { frame_len } => {
                     let start = self.rpos + wsrep_journal::frame::FRAME_HEADER_LEN;
                     let end = self.rpos + frame_len;
-                    let (response, version) =
-                        serve_payload(shared, &self.rbuf[start..end], draining);
+                    let response = serve_payload(shared, &self.rbuf[start..end], draining);
                     self.rpos = end;
                     let shutting_down = matches!(response, Response::ShuttingDown);
-                    response.encode_frame_v(version, &mut self.wbuf);
+                    response.encode_frame(&mut self.wbuf);
                     if shutting_down {
                         self.close_after_flush = true;
                     }
@@ -912,13 +909,10 @@ fn ingest_now(shared: &Shared, batch: Vec<Feedback>) -> Response {
     }
 }
 
-/// Decode one frame payload and serve it against the service. Returns
-/// the response plus the protocol version to encode it at — always the
-/// version the request arrived with, so old clients get answers they
-/// can decode.
-fn serve_payload(shared: &Shared, payload: &[u8], draining: bool) -> (Response, u8) {
-    let (request, version) = match Request::decode_versioned(payload) {
-        Ok(decoded) => decoded,
+/// Decode one frame payload and serve it against the service.
+fn serve_payload(shared: &Shared, payload: &[u8], draining: bool) -> Response {
+    let request = match Request::decode(payload) {
+        Ok(request) => request,
         Err(err) => {
             shared
                 .counters
@@ -928,16 +922,13 @@ fn serve_payload(shared: &Shared, payload: &[u8], draining: bool) -> (Response, 
                 crate::proto::DecodeError::BadVersion(_) => ErrorCode::BadVersion,
                 _ => ErrorCode::BadRequest,
             };
-            return (
-                Response::Error {
-                    code,
-                    message: err.to_string(),
-                },
-                PROTO_VERSION,
-            );
+            return Response::Error {
+                code,
+                message: err.to_string(),
+            };
         }
     };
-    (serve_request(shared, request, draining), version)
+    serve_request(shared, request, draining)
 }
 
 fn serve_request(shared: &Shared, request: Request, draining: bool) -> Response {

@@ -1,12 +1,11 @@
 //! In-place frame encoding equivalence.
 //!
-//! PR 9 rewrote `Request::encode_frame_v` / `Response::encode_frame_v`
-//! to reserve the frame header with `begin_frame`, encode the payload
-//! directly into the destination buffer, and backfill length + CRC with
-//! `end_frame` — replacing the old encode-to-a-temporary-then-
-//! `write_frame` two-step. That is an allocation optimization, not a
-//! format change: for every message variant, at every protocol version
-//! a peer may speak, the bytes must be exactly what the two-step
+//! `Request::encode_frame` / `Response::encode_frame` reserve the frame
+//! header with `begin_frame`, encode the payload directly into the
+//! destination buffer, and backfill length + CRC with `end_frame` —
+//! replacing the old encode-to-a-temporary-then-`write_frame` two-step.
+//! That is an allocation optimization, not a format change: for every
+//! message variant the bytes must be exactly what the two-step
 //! produced. These tests prove it by rebuilding each frame the old way
 //! (its payload re-framed through `write_frame`) and demanding byte
 //! equality — including when the destination already holds earlier
@@ -25,7 +24,7 @@ use wsrep_qos::value::QosVector;
 use wsrep_serve::{DurabilityPolicy, JournalHealth, ServiceStats};
 use wsrep_server::{
     ErrorCode, IngestKey, ReplBatch, ReplRole, ReplWatermark, ReplicationStats, Request, Response,
-    ServerStats, WireRanked, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
+    ServerStats, WireRanked, WireStats,
 };
 use wsrep_sim::registry::{Listing, PublishStatus};
 
@@ -52,47 +51,21 @@ fn assert_matches_two_step(frame: &[u8], prefix_len: usize, what: &str) {
     assert_eq!(frame_len, body.len(), "{what}: one message, one frame");
 }
 
-/// Every version a peer is allowed to speak on this wire.
-fn versions() -> std::ops::RangeInclusive<u8> {
-    MIN_PROTO_VERSION..=PROTO_VERSION
-}
-
 fn check_request(request: &Request) {
-    for version in versions() {
-        // Fresh buffer, and a buffer already carrying pipelined bytes.
-        for prefix in [&b""[..], &b"\xAA\xBB\xCC"[..]] {
-            let mut frame = prefix.to_vec();
-            request.encode_frame_v(version, &mut frame);
-            assert_matches_two_step(&frame, prefix.len(), &format!("{request:?} v{version}"));
-        }
+    // Fresh buffer, and a buffer already carrying pipelined bytes.
+    for prefix in [&b""[..], &b"\xAA\xBB\xCC"[..]] {
+        let mut frame = prefix.to_vec();
+        request.encode_frame(&mut frame);
+        assert_matches_two_step(&frame, prefix.len(), &format!("{request:?}"));
     }
-    // The default-version entry point must be v-latest, byte for byte.
-    let mut default_frame = Vec::new();
-    request.encode_frame(&mut default_frame);
-    let mut latest_frame = Vec::new();
-    request.encode_frame_v(PROTO_VERSION, &mut latest_frame);
-    assert_eq!(
-        default_frame, latest_frame,
-        "{request:?}: encode_frame != v-latest"
-    );
 }
 
 fn check_response(response: &Response) {
-    for version in versions() {
-        for prefix in [&b""[..], &b"\xAA\xBB\xCC"[..]] {
-            let mut frame = prefix.to_vec();
-            response.encode_frame_v(version, &mut frame);
-            assert_matches_two_step(&frame, prefix.len(), &format!("{response:?} v{version}"));
-        }
+    for prefix in [&b""[..], &b"\xAA\xBB\xCC"[..]] {
+        let mut frame = prefix.to_vec();
+        response.encode_frame(&mut frame);
+        assert_matches_two_step(&frame, prefix.len(), &format!("{response:?}"));
     }
-    let mut default_frame = Vec::new();
-    response.encode_frame(&mut default_frame);
-    let mut latest_frame = Vec::new();
-    response.encode_frame_v(PROTO_VERSION, &mut latest_frame);
-    assert_eq!(
-        default_frame, latest_frame,
-        "{response:?}: encode_frame != v-latest"
-    );
 }
 
 fn sample_listing() -> Listing {
@@ -164,7 +137,7 @@ fn sample_stats() -> WireStats {
 }
 
 /// The exhaustive sweep: every request variant (keyed and keyless
-/// ingest included) at every version, against the two-step reference.
+/// ingest included), against the two-step reference.
 #[test]
 fn every_request_variant_encodes_identically_in_place() {
     let requests = [
@@ -206,7 +179,7 @@ fn every_request_variant_encodes_identically_in_place() {
 }
 
 /// Every response variant — including the deep stats and replication
-/// payloads whose encoders do version-conditional work.
+/// payloads.
 #[test]
 fn every_response_variant_encodes_identically_in_place() {
     let responses = [

@@ -274,7 +274,7 @@ fn batch_payload(first_lsn: u64, records: Vec<JournalRecord>) -> Vec<u8> {
 fn err_or_same_bytes(payload: &[u8]) -> Result<(), TestCaseError> {
     if let Ok(response) = Response::decode(payload) {
         let mut again = Vec::new();
-        response.encode_frame_v(payload[0], &mut again);
+        response.encode_frame(&mut again);
         prop_assert_eq!(&again[FRAME_HEADER_LEN..], payload);
     }
     Ok(())
