@@ -236,19 +236,20 @@ impl GroupSet {
         self.groups[group].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Allocate LSNs for `records` and group-commit them to `group`,
+    /// Allocate LSNs for the records of `parts` and group-commit them, in
+    /// order and as one batch (`Journal::append_parts_at`), to `group`,
     /// whose lock the caller already holds. The in-flight claim is
     /// always settled, even when the append fails — otherwise one I/O
     /// error would freeze the watermark for the whole partition.
-    pub fn append_locked(
+    pub fn append_locked<P: AsRef<[JournalRecord]>>(
         &self,
         group: usize,
         journal: &mut Journal,
-        records: &[JournalRecord],
+        parts: &[P],
     ) -> io::Result<AppendReceipt> {
-        let count = records.len() as u64;
+        let count = parts.iter().map(|part| part.as_ref().len() as u64).sum();
         let first_lsn = self.allocator.allocate(group, count);
-        let result = journal.append_batch_at(first_lsn, records);
+        let result = journal.append_parts_at(first_lsn, parts);
         match &result {
             Ok(_) => self.allocator.complete(group),
             Err(_) => self.allocator.release(group, first_lsn, count),
@@ -263,7 +264,7 @@ impl GroupSet {
         records: &[JournalRecord],
     ) -> io::Result<AppendReceipt> {
         let mut journal = self.lock(group);
-        self.append_locked(group, &mut journal, records)
+        self.append_locked(group, &mut journal, &[records])
     }
 
     /// The cross-group contiguous durable frontier.

@@ -60,7 +60,11 @@ pub const FRAME_SPLIT_BYTES: usize = 1 << 20;
 /// Frame one commit's `records` onto `out`, behind `LSN_MARKER ‖ lsn` when
 /// `stated` is `Some(lsn)`, split past [`FRAME_SPLIT_BYTES`]. A report leaves
 /// out only a round its own frame holds: every frame decodes on its own.
-pub fn frame_commit(out: &mut Vec<u8>, stated: Option<u64>, records: &[JournalRecord]) {
+pub fn frame_commit<'a>(
+    out: &mut Vec<u8>,
+    stated: Option<u64>,
+    records: impl IntoIterator<Item = &'a JournalRecord>,
+) {
     let mut frame_start = begin_frame(out);
     if let Some(lsn) = stated {
         out.push(LSN_MARKER);
@@ -268,12 +272,25 @@ impl Journal {
         first_lsn: u64,
         records: &[JournalRecord],
     ) -> io::Result<AppendReceipt> {
+        self.append_parts_at(first_lsn, &[records])
+    }
+
+    /// [`Journal::append_batch_at`] for a batch held in parts, such as the
+    /// submissions a writer took off its queue at once: their records, in
+    /// order, are one commit, framed and synced as one, and never copied
+    /// into one buffer first.
+    pub(crate) fn append_parts_at<P: AsRef<[JournalRecord]>>(
+        &mut self,
+        first_lsn: u64,
+        parts: &[P],
+    ) -> io::Result<AppendReceipt> {
         assert!(
             first_lsn >= self.next_lsn,
             "LSN {first_lsn} would rewind a journal already at {}",
             self.next_lsn
         );
-        if records.is_empty() {
+        let count = parts.iter().map(|part| part.as_ref().len() as u64).sum();
+        if count == 0 {
             return Ok(AppendReceipt {
                 first_lsn,
                 count: 0,
@@ -291,7 +308,7 @@ impl Journal {
         // Framed in place: no per-record scratch Vec, no second copy.
         self.buf.clear();
         let stated = (first_lsn != self.next_lsn).then_some(first_lsn);
-        frame_commit(&mut self.buf, stated, records);
+        frame_commit(&mut self.buf, stated, parts.iter().flat_map(AsRef::as_ref));
         if let Some(keep) = torn {
             // Land the partial bytes the way a crash mid-`write` would,
             // then fail: the tail garbage stays for reopen to repair.
@@ -317,12 +334,12 @@ impl Journal {
 
         self.segment_bytes += self.buf.len() as u64;
         self.bytes_appended += self.buf.len() as u64;
-        self.next_lsn = first_lsn + records.len() as u64;
+        self.next_lsn = first_lsn + count;
         self.last_fsync_nanos = fsync_nanos;
         self.commits += 1;
         Ok(AppendReceipt {
             first_lsn,
-            count: records.len() as u64,
+            count,
             fsync_nanos,
         })
     }

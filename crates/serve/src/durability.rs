@@ -184,12 +184,15 @@ pub(crate) struct CommitGuard<'a> {
 }
 
 impl CommitGuard<'_> {
-    /// Append under this held commit lock, subject to the durability
-    /// policy: `Err(NotDurable)` means the batch was **not** journaled
-    /// and must not be applied; `Ok` means it was journaled — or that
-    /// the policy is [`DurabilityPolicy::Degrade`] and durability was
+    /// Append `parts` as one batch under this held commit lock, subject to
+    /// the durability policy: `Err(NotDurable)` means the batch was **not**
+    /// journaled and must not be applied; `Ok` means it was journaled — or
+    /// that the policy is [`DurabilityPolicy::Degrade`] and durability was
     /// (already) visibly given up.
-    pub(crate) fn append(&mut self, records: &[JournalRecord]) -> Result<(), NotDurable> {
+    pub(crate) fn append<P: AsRef<[JournalRecord]>>(
+        &mut self,
+        parts: &[P],
+    ) -> Result<(), NotDurable> {
         let handle = self.handle;
         if handle.fenced.load(Ordering::SeqCst) {
             return Err(NotDurable);
@@ -202,7 +205,7 @@ impl CommitGuard<'_> {
         }
         match handle
             .wal
-            .append_locked(self.group, &mut self.journal, records)
+            .append_locked(self.group, &mut self.journal, parts)
         {
             Ok(_) => Ok(()),
             Err(err) => {
@@ -297,18 +300,18 @@ impl JournalHandle {
         }
     }
 
-    /// Group-commit `records` to `group`, then run `apply` — both under
-    /// that group's commit lock, so the log order of one group's batches
-    /// is their apply order. When the durability policy rejects the append
-    /// (`Err(NotDurable)`), `apply` is **not** run.
-    pub(crate) fn commit<R>(
+    /// Group-commit `parts` to `group` as one batch, then run `apply` —
+    /// both under that group's commit lock, so the log order of one group's
+    /// batches is their apply order. When the durability policy rejects the
+    /// append (`Err(NotDurable)`), `apply` is **not** run.
+    pub(crate) fn commit<P: AsRef<[JournalRecord]>, R>(
         &self,
         group: usize,
-        records: &[JournalRecord],
+        parts: &[P],
         apply: impl FnOnce() -> R,
     ) -> Result<R, NotDurable> {
         let mut guard = self.lock_group(group);
-        guard.append(records)?;
+        guard.append(parts)?;
         Ok(apply())
     }
 

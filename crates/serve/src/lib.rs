@@ -16,9 +16,10 @@
 //!   it does not — and the one published estimate per subject that the
 //!   writer stores to before it releases the shard, so a score read is
 //!   one probe;
-//! - [`ingest`] — bounded channels + one writer thread per **writer
-//!   group** (subjects route by shard, groups own disjoint shard sets),
-//!   applying feedback in per-shard batches;
+//! - [`ingest`] — one bounded queue of whole submissions + one writer
+//!   thread per **writer group** (subjects route by shard, groups own
+//!   disjoint shard sets), committing everything queued at once and
+//!   applying it batch by batch;
 //! - [`topk`] — per-category ranking plans *and* fully pre-ranked result
 //!   lists, validated against the listings epoch and the store's
 //!   per-category score epochs, so a repeat `top_k` is a probe plus a
@@ -49,7 +50,7 @@ pub mod topk;
 
 pub use durability::{DurabilityPolicy, JournalHealth, NotDurable};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use ingest::{IngestClosed, IngestConfig, IngestPipeline};
+pub use ingest::{IngestClosed, IngestPipeline};
 pub use service::{
     CheckpointReport, ReplicateError, ReputationService, ServiceBuilder, ServiceStats,
 };

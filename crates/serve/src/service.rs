@@ -28,7 +28,7 @@
 //! Call [`ReputationService::flush`] for a consistency point.
 
 use crate::durability::{DurabilityPolicy, JournalHandle, JournalHealth, NotDurable};
-use crate::ingest::{IngestClosed, IngestConfig, IngestPipeline};
+use crate::ingest::{IngestClosed, IngestPipeline};
 use crate::shard::{MechanismFactory, ShardedStore};
 use crate::topk::{CategoryPlan, PlanCache, RankCache, RankedList};
 use parking_lot::RwLock;
@@ -211,7 +211,6 @@ const RECOVERY_CHUNK: usize = 16_384;
 /// Configures and builds a [`ReputationService`].
 pub struct ServiceBuilder {
     shards: usize,
-    ingest: IngestConfig,
     reputation_weight: f64,
     factory: MechanismFactory,
     journal_dir: Option<PathBuf>,
@@ -227,7 +226,6 @@ impl Default for ServiceBuilder {
     fn default() -> Self {
         ServiceBuilder {
             shards: 8,
-            ingest: IngestConfig::default(),
             reputation_weight: 0.5,
             factory: Arc::new(|| Box::new(BetaMechanism::new())),
             journal_dir: None,
@@ -245,18 +243,6 @@ impl ServiceBuilder {
     /// Number of store shards (clamped to at least 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Bounded ingest channel capacity.
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.ingest.channel_capacity = capacity;
-        self
-    }
-
-    /// Most reports the writer applies per wake-up.
-    pub fn batch_size(mut self, batch: usize) -> Self {
-        self.ingest.batch_size = batch;
         self
     }
 
@@ -419,7 +405,6 @@ impl ServiceBuilder {
             .unwrap_or(self.writer_groups);
         let ingest = IngestPipeline::start_with_journal(
             Arc::clone(&store),
-            self.ingest,
             journal.clone(),
             pipeline_groups,
         );
@@ -508,9 +493,7 @@ impl ReputationService {
                 // feedback writers run.
                 let record = JournalRecord::Publish(listing.clone());
                 handle
-                    .commit(0, std::slice::from_ref(&record), || {
-                        self.apply_publish(listing)
-                    })
+                    .commit(0, &[[record]], || self.apply_publish(listing))
                     .map_err(|NotDurable| RegistryError::NotDurable)
             }
             None => Ok(self.apply_publish(listing)),
@@ -543,7 +526,7 @@ impl ReputationService {
                     return Err(RegistryError::NotFound);
                 }
                 guard
-                    .append(&[JournalRecord::Deregister(service)])
+                    .append(&[[JournalRecord::Deregister(service)]])
                     .map_err(|NotDurable| RegistryError::NotDurable)?;
                 self.apply_deregister(service);
                 Ok(())
@@ -582,16 +565,16 @@ impl ReputationService {
             .collect()
     }
 
-    /// Enqueue one feedback report (blocks while the channel is full).
+    /// Enqueue one feedback report: a one-report
+    /// [`ReputationService::ingest_batch`].
     pub fn ingest(&self, feedback: Feedback) -> Result<(), IngestClosed> {
-        self.ingest.submit(feedback)
+        self.ingest_batch([feedback]).map(drop)
     }
 
-    /// Enqueue a whole batch of reports (blocks while the channel is
-    /// full), returning how many were accepted. This is the entry point
-    /// for batched ingest RPCs: one call moves the submitted counter once,
-    /// so a concurrent [`ReputationService::flush`] waits for the entire
-    /// accepted batch or none of it.
+    /// Enqueue a whole batch of reports (blocks while a writer group's
+    /// queue is full), returning how many were accepted. This is the entry
+    /// point for batched ingest RPCs: the batch is queued whole, as one
+    /// batch per writer group it touches, and journaled and applied whole.
     pub fn ingest_batch(
         &self,
         batch: impl IntoIterator<Item = Feedback>,
@@ -603,7 +586,7 @@ impl ReputationService {
     ///
     /// With a journal attached this is also a **durability barrier**: the
     /// ingest writer group-commits each batch to the WAL before applying
-    /// it and only then advances the counter this waits on. When `flush`
+    /// it and only then counts it applied, which this waits on. When `flush`
     /// returns, every previously ingested report is fdatasync'd on disk
     /// and will survive a crash — [`ServiceBuilder::recover_from`] gets
     /// it back.
@@ -619,9 +602,8 @@ impl ReputationService {
     /// as the ack barrier so a fenced node refuses instead of lying.
     pub fn try_flush(&self) -> Result<(), NotDurable> {
         self.ingest.flush();
-        // The writer sets the fence before advancing the progress
-        // counter, so after the wait above any rejected prior batch is
-        // visible here.
+        // The writer sets the fence before it counts a batch applied, so
+        // after the wait above any rejected prior batch is visible here.
         if self.durability_fenced() {
             return Err(NotDurable);
         }
@@ -919,7 +901,7 @@ impl ReputationService {
 /// and every record below `L` is in its segment. The snapshot is then
 /// *by construction* what the first `L` records rebuild — the same
 /// [`recover_prefix`] code recovery itself runs — whatever the serving
-/// state holds: reports still queued in the ingest channels get LSNs at
+/// state holds: reports still queued in the ingest queues get LSNs at
 /// or above `L` and survive compaction in the WAL tails, and state a
 /// degraded handle applied without journaling is never persisted under
 /// a journal LSN.

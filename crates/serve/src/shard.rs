@@ -332,11 +332,6 @@ impl ShardedStore {
         (fxhash::hash_one(&subject) % self.slots.len() as u64) as usize
     }
 
-    /// Apply one report.
-    pub fn insert(&self, report: &Feedback) {
-        self.apply_group(self.shard_of(report.subject), vec![report]);
-    }
-
     /// Apply a batch, taking each shard's write lock once.
     ///
     /// This is what makes batched ingestion pay: a batch of B reports
@@ -578,7 +573,7 @@ mod tests {
         batched.insert_batch(&batch);
         let sequential = ShardedStore::new(4, unfolded(&beta()));
         for f in &batch {
-            sequential.insert(f);
+            sequential.insert_batch([f]);
         }
         assert_eq!(batched.len(), sequential.len());
         assert_eq!(batched.resident_reports(), sequential.resident_reports());
@@ -675,7 +670,7 @@ mod tests {
         let store = ShardedStore::new(0, beta());
         assert_eq!(store.num_shards(), 1);
         assert_eq!(store.score(subject(1)), None);
-        store.insert(&fb(0, 1, 0.5));
+        store.insert_batch([&fb(0, 1, 0.5)]);
         assert_eq!(store.len(), 1);
         assert!(store.score(subject(1)).is_some());
     }
@@ -685,29 +680,29 @@ mod tests {
         let store = ShardedStore::new(4, beta());
         assert_eq!(store.category_epoch(7), 0);
         // Feedback about a never-listed subject counts against nothing.
-        store.insert(&fb(0, 1, 0.5));
+        store.insert_batch([&fb(0, 1, 0.5)]);
         assert_eq!(store.category_epoch(7), 0);
         // Listed: one bump per applied group that touched it, however
         // many reports the group carried.
         store.list([(subject(1), 7)]);
-        store.insert(&fb(1, 1, 0.5));
+        store.insert_batch([&fb(1, 1, 0.5)]);
         store.insert_batch(&[fb(2, 1, 0.5), fb(3, 1, 0.5), fb(4, 1, 0.5)]);
         assert_eq!(store.category_epoch(7), 2);
         // Listed elsewhere: the membership is repointed.
         store.list([(subject(1), 9)]);
-        store.insert(&fb(5, 1, 0.5));
+        store.insert_batch([&fb(5, 1, 0.5)]);
         assert_eq!(store.category_epoch(7), 2);
         assert_eq!(store.category_epoch(9), 1);
         // Unlisted: silent again, and the score keeps moving.
         store.unlist(subject(1));
         let before = store.score(subject(1));
-        store.insert(&fb(6, 1, 1.0));
+        store.insert_batch([&fb(6, 1, 1.0)]);
         assert_eq!(store.category_epoch(9), 1);
         assert_ne!(store.score(subject(1)), before);
         // An entry a listing creates before any feedback reads as `None`.
         store.list([(subject(2), 7)]);
         assert_eq!(store.score(subject(2)), None);
-        store.insert(&fb(0, 2, 0.5));
+        store.insert_batch([&fb(0, 2, 0.5)]);
         assert!(store.score(subject(2)).is_some());
         assert_eq!(store.category_epoch(7), 3);
     }
@@ -751,9 +746,9 @@ mod tests {
             }
             start.wait();
             for n in 1..=REPORTS {
-                store.insert(&fb(n, 5, 1.0));
+                store.insert_batch([&fb(n, 5, 1.0)]);
                 if n % 100 == 0 {
-                    store.insert(&fb(0, 1_000 + n, 0.5));
+                    store.insert_batch([&fb(0, 1_000 + n, 0.5)]);
                 }
             }
             done.store(true, Ordering::SeqCst);

@@ -286,12 +286,12 @@ fn ship_cursor_refuses_history_below_a_journal_sourced_snapshot() {
 fn checkpoint_after_a_degrade_trip_covers_exactly_the_clean_prefix() {
     let live = temp_dir("degrade");
     let script = Arc::new(FaultScript::new());
-    // One append per publish and — at batch size 1 — per report: let the
-    // publish and ten reports through, fail the twelfth append.
+    // One append per publish and — flushing after each ingest — per
+    // report: let the publish and ten reports through, fail the twelfth
+    // append.
     script.push_after(IoOp::Append, 11, Fault::enospc());
     let svc = ReputationService::builder()
         .shards(2)
-        .batch_size(1)
         .journal(&live)
         .durability_policy(DurabilityPolicy::Degrade)
         .io_policy(Arc::clone(&script) as Arc<dyn IoPolicy>)
@@ -300,13 +300,13 @@ fn checkpoint_after_a_degrade_trip_covers_exactly_the_clean_prefix() {
     let reports: Vec<Feedback> = (0..15).map(feedback).collect();
     for report in &reports[..10] {
         svc.ingest(report.clone()).unwrap();
+        svc.flush();
     }
-    svc.flush();
     assert!(!svc.stats().journal.unwrap().degraded);
     for report in &reports[10..] {
         svc.ingest(report.clone()).unwrap();
+        svc.flush();
     }
-    svc.flush();
     svc.publish(listing(1, 0)).unwrap();
     let health = svc.stats().journal.unwrap();
     assert!(health.degraded, "the scripted fault must have fired");

@@ -47,13 +47,7 @@ fn concurrent_ingest_and_query_loses_nothing() {
     const PER_THREAD: u64 = 500;
     const SERVICES: u64 = 16;
 
-    let service = Arc::new(
-        ReputationService::builder()
-            .shards(8)
-            .channel_capacity(64)
-            .batch_size(32)
-            .build(),
-    );
+    let service = Arc::new(ReputationService::builder().shards(8).build());
     for s in 0..SERVICES {
         service.publish(listing(s)).unwrap();
     }
@@ -145,7 +139,6 @@ proptest! {
     ) {
         let service = ReputationService::builder()
             .shards(shards)
-            .batch_size(7)
             .mechanism(BetaMechanism::new)
             .build();
         let mut reference = FeedbackStore::new();

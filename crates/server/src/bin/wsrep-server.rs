@@ -4,8 +4,7 @@
 //! wsrep-server [--listen ADDR] [--shards N] [--workers N]
 //!              [--journal DIR] [--recover DIR] [--durability MODE]
 //!              [--fault-append-every N] [--fault-fsync-every N]
-//!              [--channel N] [--batch N] [--pipeline-depth N]
-//!              [--poller auto|epoll|spin]
+//!              [--pipeline-depth N] [--poller auto|epoll|spin]
 //! ```
 //!
 //! Every flag takes its value as `--flag V` or `--flag=V`.
@@ -54,8 +53,6 @@ struct Args {
     durability: DurabilityPolicy,
     fault_append_every: Option<u64>,
     fault_fsync_every: Option<u64>,
-    channel_capacity: usize,
-    batch_size: usize,
     pipeline_depth: usize,
     poller: PollerChoice,
 }
@@ -70,8 +67,6 @@ fn parse_args() -> Args {
         durability: DurabilityPolicy::Degrade,
         fault_append_every: None,
         fault_fsync_every: None,
-        channel_capacity: 4096,
-        batch_size: 128,
         pipeline_depth: 128,
         poller: PollerChoice::Auto,
     };
@@ -97,10 +92,6 @@ fn parse_args() -> Args {
             parsed.fault_append_every = Some(number("--fault-append-every", &v));
         } else if let Some(v) = value("--fault-fsync-every") {
             parsed.fault_fsync_every = Some(number("--fault-fsync-every", &v));
-        } else if let Some(v) = value("--channel") {
-            parsed.channel_capacity = number("--channel", &v);
-        } else if let Some(v) = value("--batch") {
-            parsed.batch_size = number("--batch", &v);
         } else if let Some(v) = value("--pipeline-depth") {
             parsed.pipeline_depth = number("--pipeline-depth", &v);
         } else if let Some(v) = value("--poller") {
@@ -122,10 +113,7 @@ fn number<T: std::str::FromStr>(name: &str, value: &str) -> T {
 
 fn main() {
     let args = parse_args();
-    let mut builder = ReputationService::builder()
-        .shards(args.shards)
-        .channel_capacity(args.channel_capacity)
-        .batch_size(args.batch_size);
+    let mut builder = ReputationService::builder().shards(args.shards);
     if let Some(dir) = &args.journal {
         builder = if args.recover {
             builder.recover_from(dir)

@@ -1,6 +1,7 @@
 //! `wsrep-server` accepts every valued flag in both forms its usage
 //! documents, `--flag V` and `--flag=V`: the real binary is started once
-//! per flag and form and must get as far as its `listening on` line.
+//! per flag and form and must get as far as its `listening on` line. A
+//! flag it does not know is refused before it binds anything.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -36,8 +37,6 @@ fn every_valued_flag_is_accepted_in_both_forms() {
         ("--durability", "read-only"),
         ("--fault-append-every", "40"),
         ("--fault-fsync-every", "40"),
-        ("--channel", "4096"),
-        ("--batch", "64"),
         ("--pipeline-depth", "32"),
         ("--poller", "auto"),
     ];
@@ -58,4 +57,20 @@ fn every_valued_flag_is_accepted_in_both_forms() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_flag_exits_with_status_2() {
+    let output = Command::new(env!("CARGO_BIN_EXE_wsrep-server"))
+        .args(["--batch", "64", "--listen", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run wsrep-server");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown argument: --batch"),
+        "stderr {stderr:?}"
+    );
+    assert!(output.stdout.is_empty(), "it must not start listening");
 }

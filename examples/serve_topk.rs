@@ -18,7 +18,6 @@ use wsrep::sim::registry::Listing;
 fn main() {
     let service = ReputationService::builder()
         .shards(4)
-        .batch_size(32)
         .reputation_weight(0.5)
         .build();
 
