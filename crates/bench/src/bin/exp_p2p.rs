@@ -12,8 +12,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use wsrep_bench::{base_config, collect_feedback, qos_reports, ranks_best_over_worst};
+use wsrep_core::feedback::Feedback;
 use wsrep_core::id::AgentId;
 use wsrep_core::mechanisms::beta::BetaMechanism;
+use wsrep_core::mechanisms::eigentrust::EigenTrustMechanism;
+use wsrep_core::time::Time;
 use wsrep_core::ReputationMechanism;
 use wsrep_net::churn::ChurnModel;
 use wsrep_net::overlay::flood::flood;
@@ -147,6 +150,24 @@ fn main() {
     print!("{}", table.render());
 
     // ---------------------------------------------------------------
+    section("EigenTrust power iteration vs network size and pre-trust mass a");
+    let mut t = Table::new(["peers", "pre-trust mass a", "iterations to converge"]);
+    for (n, alpha) in [
+        (50, 0.15),
+        (100, 0.15),
+        (200, 0.15),
+        (100, 0.05),
+        (100, 0.5),
+    ] {
+        t.row([
+            format!("{n}"),
+            format!("{alpha}"),
+            format!("{}", seeded_network(n, alpha).iterations_to_converge()),
+        ]);
+    }
+    print!("{}", t.render());
+
+    // ---------------------------------------------------------------
     section("unstructured dissemination cost (XRep flooding, gossip)");
     let mut rng = StdRng::seed_from_u64(SEED);
     let nodes: Vec<AgentId> = (0..100).map(AgentId::new).collect();
@@ -177,4 +198,27 @@ fn main() {
          flooding duplicates (XRep) — and moderate churn does not break\n\
          the rankings, which is the survey's case for P2P web services."
     );
+}
+
+/// `n` peers, one of them pre-trusted, each rating 8 random others (80%
+/// good); the network depends on `n` alone, so an `a` sweep at one size
+/// iterates over the same ratings.
+fn seeded_network(n: u64, alpha: f64) -> EigenTrustMechanism {
+    let mut m = EigenTrustMechanism::with_params(alpha, 1e-9, 500);
+    m.pre_trust(AgentId::new(0));
+    let mut rng = StdRng::seed_from_u64(n);
+    for i in 0..n {
+        for _ in 0..8 {
+            let j = rng.gen_range(0..n);
+            if i != j {
+                m.submit(&Feedback::scored(
+                    AgentId::new(i),
+                    AgentId::new(j),
+                    if rng.gen::<f64>() < 0.8 { 0.9 } else { 0.1 },
+                    Time::ZERO,
+                ));
+            }
+        }
+    }
+    m
 }

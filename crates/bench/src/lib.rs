@@ -1,8 +1,8 @@
 //! # wsrep-bench — experiment drivers
 //!
 //! One binary per figure/claim of the paper (see DESIGN.md §4 for the
-//! index) plus Criterion micro-benchmarks. This library holds the shared
-//! experiment plumbing; run the binaries with e.g.
+//! index). This library holds the shared experiment plumbing; run the
+//! binaries with e.g.
 //! `cargo run --release -p wsrep-bench --bin exp_fig2`.
 
 use wsrep_core::feedback::Feedback;

@@ -8,7 +8,8 @@
 //!                       [--promote-on-disconnect SECS]
 //! ```
 //!
-//! Every flag takes its value as `--flag V` or `--flag=V`.
+//! Every flag takes its value as `--flag V` or `--flag=V`. A malformed
+//! value is a usage error: one line on stderr, exit status 2.
 //!
 //! Both roles print their bound address as the first (flushed) stdout
 //! line — `wsrep-cluster primary listening on 127.0.0.1:40519` — so
@@ -35,7 +36,7 @@ use wsrep_cluster::{
     verify_against_sequential_replay, Primary, PrimaryConfig, Replica, ReplicaConfig,
 };
 use wsrep_serve::ReputationService;
-use wsrep_server::{flag_value, ServerConfig};
+use wsrep_server::{flag_number, flag_value, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -77,15 +78,15 @@ fn parse_args(mut args: std::env::Args) -> Args {
             parsed.journal = Some(PathBuf::from(v));
             parsed.recover = true;
         } else if let Some(v) = value("--shards") {
-            parsed.shards = v.parse().expect("--shards expects a number");
+            parsed.shards = flag_number("--shards", &v);
         } else if let Some(v) = value("--workers") {
-            parsed.workers = v.parse().expect("--workers expects a number");
+            parsed.workers = flag_number("--workers", &v);
         } else if let Some(v) = value("--primary") {
             parsed.primary = Some(v);
         } else if let Some(v) = value("--id") {
-            parsed.replica_id = v.parse().expect("--id expects a number");
+            parsed.replica_id = flag_number("--id", &v);
         } else if let Some(v) = value("--promote-on-disconnect") {
-            let secs: f64 = v.parse().expect("--promote-on-disconnect: seconds");
+            let secs: f64 = flag_number("--promote-on-disconnect", &v);
             parsed.promote_after = Some(Duration::from_secs_f64(secs));
         } else {
             eprintln!("unknown argument: {arg}");
@@ -131,7 +132,7 @@ fn run_primary(args: Args) -> i32 {
         Ok(primary) => primary,
         Err(err) => {
             eprintln!(
-                "wsrep-cluster primary: failed to bind {}: {err}",
+                "wsrep-cluster primary: failed to start on {}: {err}",
                 args.listen
             );
             return 1;

@@ -1,7 +1,8 @@
 //! `wsrep-cluster` accepts every valued flag in both forms its usage
 //! documents, `--flag V` and `--flag=V`: a primary is started once per
 //! flag and form and must get as far as its `listening on` line. (Replica
-//! flags are parsed by either role; a primary ignores them.)
+//! flags are parsed by either role; a primary ignores them.) A value it
+//! cannot parse is refused with status 2 and one stderr line.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -59,4 +60,20 @@ fn every_valued_flag_is_accepted_in_both_forms() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_value_exits_with_status_2() {
+    let dir = std::env::temp_dir().join(format!("wsrep-cluster-usage-{}", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_wsrep-cluster"))
+        .args(["primary", "--shards", "abc", "--listen", "127.0.0.1:0"])
+        .arg(format!("--journal={}", dir.display()))
+        .stdin(Stdio::null())
+        .output()
+        .expect("run wsrep-cluster");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(stderr, "--shards expects a number, got \"abc\"\n");
+    assert!(output.stdout.is_empty(), "it must not start listening");
+    assert!(!dir.exists(), "it must not open a journal");
 }

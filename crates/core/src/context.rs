@@ -13,14 +13,11 @@ use crate::decay::DecayModel;
 use crate::id::SubjectId;
 use crate::time::Time;
 use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A trust context: the function category of the interaction.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Context(pub u32);
 
 impl fmt::Display for Context {

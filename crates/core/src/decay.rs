@@ -7,10 +7,9 @@
 //! oscillating and degrading providers.
 
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 
 /// How the weight of an experience falls off with age.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecayModel {
     /// All experiences weigh the same forever (the degenerate baseline).
     None,

@@ -13,13 +13,12 @@
 
 use crate::id::{AgentId, SubjectId};
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
 
 /// One feedback report from a rater about a subject.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feedback {
     /// Who reports.
     pub rater: AgentId,

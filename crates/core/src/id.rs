@@ -6,15 +6,12 @@
 //! them) statically distinct, and unify them only at the
 //! [`SubjectId`] level where a mechanism scores "an entity".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(u64);
 
         impl $name {
@@ -65,7 +62,7 @@ id_newtype!(
 );
 
 /// Anything a trust/reputation mechanism can score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SubjectId {
     /// A person or agent (eBay sellers, P2P peers, raters).
     Agent(AgentId),

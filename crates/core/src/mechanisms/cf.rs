@@ -12,11 +12,10 @@ use crate::id::{AgentId, SubjectId};
 use crate::mechanism::ReputationMechanism;
 use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The user–user similarity measure, Karta's design question.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Similarity {
     /// Pearson correlation over co-rated items (mean-centered).
     Pearson,

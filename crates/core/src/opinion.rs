@@ -6,12 +6,10 @@
 //! (references \[35, 36\]) rates witnesses with Dempster–Shafer belief
 //! functions over `{trustworthy, untrustworthy}`. Both calculi live here.
 
-use serde::{Deserialize, Serialize};
-
 /// A binomial subjective-logic opinion `(belief, disbelief, uncertainty)`
 /// with `b + d + u = 1`, plus a base rate `a` used for the probability
 /// expectation `E = b + a·u`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Opinion {
     /// Belief mass.
     pub b: f64,
@@ -103,7 +101,7 @@ impl Opinion {
 /// Yu & Singh assign `m({T})` from the fraction of recent interactions
 /// above an upper satisfaction threshold, `m({¬T})` from those below a
 /// lower threshold, and put the rest on the whole frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeliefMass {
     /// Mass on "trustworthy".
     pub trust: f64,

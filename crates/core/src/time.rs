@@ -6,14 +6,11 @@
 //! logical [`Time`] in simulation rounds; decay models (see
 //! [`crate::decay`]) interpret the distance between timestamps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A logical instant, counted in simulation rounds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Time(u64);
 
 impl Time {

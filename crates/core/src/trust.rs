@@ -6,7 +6,6 @@
 //! trustworthiness and both are reported here as a [`TrustValue`] in
 //! `\[0, 1\]`, optionally paired with a confidence, as a [`TrustEstimate`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A trustworthiness score normalized to `\[0, 1\]`.
@@ -14,7 +13,7 @@ use std::fmt;
 /// `0.5` is the conventional neutral prior (total ignorance in the beta
 /// model); `1` is full trust, `0` full distrust. Construction clamps, so a
 /// `TrustValue` is always in range.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TrustValue(f64);
 
 impl TrustValue {
@@ -59,7 +58,7 @@ impl fmt::Display for TrustValue {
 }
 
 /// A trust value together with how much evidence backs it.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrustEstimate {
     /// The trustworthiness score.
     pub value: TrustValue,

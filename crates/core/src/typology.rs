@@ -14,11 +14,10 @@
 //! those reports — experiment `exp_fig4_tree` asserts the output matches
 //! the published figure.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First axis: where reputation state lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Centralization {
     /// "A central node will take all the responsibilities of managing
     /// reputations for all the members."
@@ -29,7 +28,7 @@ pub enum Centralization {
 }
 
 /// Second axis: what kind of entity is scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Subject {
     /// People or agents acting on behalf of people (eBay sellers, peers).
     PersonAgent,
@@ -41,7 +40,7 @@ pub enum Subject {
 }
 
 /// Third axis: whose opinion the reputation reflects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scope {
     /// One public value computed from the whole population.
     Global,
@@ -78,7 +77,7 @@ impl fmt::Display for Scope {
 }
 
 /// A mechanism's coordinates in the typology, plus provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MechanismInfo {
     /// Short stable identifier (`"eigentrust"`, `"sporas"`, …).
     pub key: &'static str,

@@ -7,7 +7,6 @@
 //! [`Monotonicity`] (is a larger raw value better or worse?) and its
 //! [`Category`] in the taxonomy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Direction in which a raw metric value improves.
@@ -16,7 +15,7 @@ use std::fmt;
 /// *increases*. Normalization (see [`crate::normalize`]) uses this to map
 /// every metric onto a common "higher is better" `\[0, 1\]` scale, exactly as
 /// the Liu–Ngu–Zeng QoS computation does with its two normalization rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Monotonicity {
     /// Larger raw values are better (e.g. throughput, availability).
     HigherBetter,
@@ -25,7 +24,7 @@ pub enum Monotonicity {
 }
 
 /// Top-level category of the Figure 3 taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Speed-of-service metrics: processing time, throughput, latency, …
     Performance,
@@ -62,7 +61,7 @@ impl fmt::Display for Category {
 /// the "application-specific metrics" branch: the mediated-selection
 /// scenario needs per-domain qualities that cannot be enumerated in advance,
 /// which is exactly the point the paper makes about general services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Metric {
     // -- performance -------------------------------------------------------
     /// Time the service spends processing a request (excludes queueing).

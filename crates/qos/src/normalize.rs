@@ -11,11 +11,10 @@
 use crate::metric::{Metric, Monotonicity};
 use crate::preference::Preferences;
 use crate::value::QosVector;
-use serde::{Deserialize, Serialize};
 
 /// The overall rating of one candidate produced by the normalization
 /// pipeline, paired with the candidate's index in the input slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverallScore {
     /// Index of the candidate in the slice passed to [`NormalizationMatrix::new`].
     pub candidate: usize,

@@ -11,11 +11,10 @@
 use crate::metric::Metric;
 use crate::value::QosVector;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A normalized weighting over QoS metrics; weights sum to 1.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Preferences {
     weights: BTreeMap<Metric, f64>,
 }

@@ -10,11 +10,10 @@
 use crate::metric::{Metric, Monotonicity};
 use crate::value::QosVector;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-metric latent quality: mean and jitter of what is really delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricQuality {
     /// Mean delivered raw value.
     pub mean: f64,
@@ -23,7 +22,7 @@ pub struct MetricQuality {
 }
 
 /// The true, hidden quality of a service: what invocations actually yield.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QualityProfile {
     qualities: BTreeMap<Metric, MetricQuality>,
 }

@@ -11,11 +11,10 @@
 
 use crate::metric::{Metric, Monotonicity};
 use crate::value::QosVector;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One obligation: the delivered value must be at least as good as `bound`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obligation {
     /// The guaranteed bound in the metric's raw unit.
     pub bound: f64,
@@ -24,7 +23,7 @@ pub struct Obligation {
 }
 
 /// A negotiated service-level agreement.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Sla {
     obligations: BTreeMap<Metric, Obligation>,
     /// One-off cost of negotiating this agreement (time, legal expenses),
@@ -33,7 +32,7 @@ pub struct Sla {
 }
 
 /// The outcome of checking one invocation against an SLA.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SlaOutcome {
     /// Metrics whose obligation was violated by the observation.
     pub violations: Vec<Metric>,

@@ -2,7 +2,6 @@
 //! observations and feedback.
 
 use crate::metric::Metric;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A sparse vector of raw metric values.
@@ -10,7 +9,7 @@ use std::collections::BTreeMap;
 /// Raw values live in each metric's natural unit (milliseconds, fraction,
 /// requests/s, currency). Mapping onto a comparable `\[0, 1\]` scale is the
 /// job of [`crate::normalize`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QosVector {
     values: BTreeMap<Metric, f64>,
 }

@@ -268,8 +268,8 @@ pub fn analyst() -> AgentId {
     AgentId::new(u64::MAX)
 }
 
-/// Run one market per seed on worker threads (scoped via crossbeam, so the
-/// closures may borrow), returning the reports in seed order. The
+/// Run one market per seed on scoped worker threads (so the closures may
+/// borrow), returning the reports in seed order. The
 /// experiment binaries average over seeds; markets are independent, so
 /// this is embarrassingly parallel.
 ///
@@ -280,16 +280,15 @@ where
     F: Fn(u64) -> (World, MarketConfig, Box<dyn SelectionStrategy + Send>) + Sync,
 {
     let mut out: Vec<Option<MarketReport>> = seeds.iter().map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &seed) in out.iter_mut().zip(seeds) {
             let build = &build;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let (world, config, mut strategy) = build(seed);
                 *slot = Some(Market::new(world, config).run(strategy.as_mut()));
             });
         }
-    })
-    .expect("market worker panicked");
+    });
     out.into_iter()
         .map(|r| r.expect("worker filled slot"))
         .collect()

@@ -4,10 +4,12 @@
 //! wsrep-server [--listen ADDR] [--shards N] [--workers N]
 //!              [--journal DIR] [--recover DIR] [--durability MODE]
 //!              [--fault-append-every N] [--fault-fsync-every N]
-//!              [--pipeline-depth N] [--poller auto|epoll|spin]
+//!              [--pipeline-depth N]
 //! ```
 //!
-//! Every flag takes its value as `--flag V` or `--flag=V`.
+//! Every flag takes its value as `--flag V` or `--flag=V`. An unknown
+//! flag or a malformed value is a usage error: one line on stderr, exit
+//! status 2.
 //!
 //! Defaults: listen on `127.0.0.1:7411`, 8 shards, 4 workers, no
 //! journal. `--listen 127.0.0.1:0` binds an ephemeral port; the actual
@@ -42,7 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsrep_journal::{IoOp, IoPolicy, PeriodicFaults};
 use wsrep_serve::{DurabilityPolicy, ReputationService};
-use wsrep_server::{flag_value, PollerChoice, Server, ServerConfig};
+use wsrep_server::{flag_number, flag_value, usage_error, Server, ServerConfig};
 
 struct Args {
     listen: String,
@@ -54,7 +56,6 @@ struct Args {
     fault_append_every: Option<u64>,
     fault_fsync_every: Option<u64>,
     pipeline_depth: usize,
-    poller: PollerChoice,
 }
 
 fn parse_args() -> Args {
@@ -68,7 +69,6 @@ fn parse_args() -> Args {
         fault_append_every: None,
         fault_fsync_every: None,
         pipeline_depth: 128,
-        poller: PollerChoice::Auto,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -76,9 +76,9 @@ fn parse_args() -> Args {
         if let Some(v) = value("--listen") {
             parsed.listen = v;
         } else if let Some(v) = value("--shards") {
-            parsed.shards = number("--shards", &v);
+            parsed.shards = flag_number("--shards", &v);
         } else if let Some(v) = value("--workers") {
-            parsed.workers = number("--workers", &v);
+            parsed.workers = flag_number("--workers", &v);
         } else if let Some(v) = value("--journal") {
             parsed.journal = Some(PathBuf::from(v));
         } else if let Some(v) = value("--recover") {
@@ -86,29 +86,21 @@ fn parse_args() -> Args {
             parsed.recover = true;
         } else if let Some(v) = value("--durability") {
             parsed.durability = DurabilityPolicy::parse(&v).unwrap_or_else(|| {
-                panic!("--durability expects degrade|read-only|fail-stop, got {v:?}")
+                usage_error(&format!(
+                    "--durability expects degrade|read-only|fail-stop, got {v:?}"
+                ))
             });
         } else if let Some(v) = value("--fault-append-every") {
-            parsed.fault_append_every = Some(number("--fault-append-every", &v));
+            parsed.fault_append_every = Some(flag_number("--fault-append-every", &v));
         } else if let Some(v) = value("--fault-fsync-every") {
-            parsed.fault_fsync_every = Some(number("--fault-fsync-every", &v));
+            parsed.fault_fsync_every = Some(flag_number("--fault-fsync-every", &v));
         } else if let Some(v) = value("--pipeline-depth") {
-            parsed.pipeline_depth = number("--pipeline-depth", &v);
-        } else if let Some(v) = value("--poller") {
-            parsed.poller = PollerChoice::parse(&v)
-                .unwrap_or_else(|| panic!("--poller expects auto|epoll|spin, got {v:?}"));
+            parsed.pipeline_depth = flag_number("--pipeline-depth", &v);
         } else {
-            eprintln!("unknown argument: {arg}");
-            exit(2);
+            usage_error(&format!("unknown argument: {arg}"));
         }
     }
     parsed
-}
-
-fn number<T: std::str::FromStr>(name: &str, value: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| panic!("{name} expects a number, got {value:?}"))
 }
 
 fn main() {
@@ -147,13 +139,12 @@ fn main() {
     let config = ServerConfig {
         workers: args.workers.max(1),
         max_pipeline_depth: args.pipeline_depth.max(1),
-        poller: args.poller,
         ..ServerConfig::default()
     };
     let server = match Server::start(Arc::clone(&service), &args.listen[..], config) {
         Ok(server) => server,
         Err(err) => {
-            eprintln!("wsrep-server: failed to bind {}: {err}", args.listen);
+            eprintln!("wsrep-server: failed to start on {}: {err}", args.listen);
             exit(1);
         }
     };
@@ -175,7 +166,6 @@ fn main() {
     }
     let wire = server.server_stats();
     let fenced = server.durability_fenced();
-    let poller_kind = server.poller_kind();
     server.join();
     let stats = service.stats();
     let health = stats.journal.unwrap_or_default();
@@ -186,9 +176,8 @@ fn main() {
     let mut out = stdout.lock();
     let _ = writeln!(
         out,
-        "{{\"shutdown\":\"{}\",\"poller\":\"{}\",\"requests\":{},\"reports_ingested\":{},\"connections_opened\":{},\"malformed_frames\":{},\"bytes_in\":{},\"bytes_out\":{},\"feedback_applied\":{},\"durability\":\"{}\",\"journal_errors\":{},\"degraded\":{},\"fenced\":{},\"injected_disk_faults\":{}}}",
+        "{{\"shutdown\":\"{}\",\"requests\":{},\"reports_ingested\":{},\"connections_opened\":{},\"malformed_frames\":{},\"bytes_in\":{},\"bytes_out\":{},\"feedback_applied\":{},\"durability\":\"{}\",\"journal_errors\":{},\"degraded\":{},\"fenced\":{},\"injected_disk_faults\":{}}}",
         if fenced { "fenced" } else { "clean" },
-        poller_kind,
         wire.total_requests(),
         wire.reports_ingested,
         wire.connections_opened,

@@ -11,9 +11,8 @@
 //!   version-pinned binary layout (reusing the journal codec's layout
 //!   primitives and the WAL's frame discipline), and the pipelining /
 //!   error contract;
-//! - [`poll`] — readiness behind a trait: raw epoll on Linux (no `libc`
-//!   crate, hand-declared syscall prototypes), a portable
-//!   poll-everything fallback elsewhere, both with thread-safe wakers;
+//! - [`poll`] — readiness behind a trait: raw epoll (no `libc` crate,
+//!   hand-declared syscall prototypes) with an `eventfd` waker;
 //! - [`server`] — the readiness-driven reactor: an acceptor thread
 //!   dealing sockets to worker threads that own their connections and
 //!   block on a [`poll::Poller`], with bounded pipeline depth,
@@ -36,6 +35,11 @@
 //! [`ReputationService`](wsrep_serve::ReputationService) built from CLI
 //! flags — shards, journal directory, recovery — and serves until a
 //! `Shutdown` request drains it.
+//!
+//! The crate is Linux-only: its reactor blocks in `epoll_wait`.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("wsrep-server is Linux-only: its reactor blocks in epoll");
 
 pub mod chaos;
 pub mod client;
@@ -47,7 +51,6 @@ pub mod server;
 
 pub use chaos::{ChaosConfig, ChaosCounters, FlakyProxy};
 pub use client::{Client, ClientError};
-pub use poll::PollerChoice;
 pub use proto::{
     ErrorCode, IngestKey, ReplBatch, ReplRole, ReplWatermark, ReplicationStats, Request, Response,
     ServerStats, WireRanked, WireStats, PROTO_VERSION,
@@ -60,9 +63,8 @@ pub use server::{ReplicationHooks, Server, ServerConfig};
 /// form: `--name=V`, or `--name` with `V` as the next argument. Every
 /// binary in the workspace parses its flags with this.
 ///
-/// # Panics
-///
-/// Panics when the spaced form has no argument left to take.
+/// When the spaced form has no argument left to take, this is a
+/// [`usage_error`].
 pub fn flag_value(
     arg: &str,
     name: &str,
@@ -71,9 +73,24 @@ pub fn flag_value(
     match arg.strip_prefix(name)? {
         "" => Some(
             rest.next()
-                .unwrap_or_else(|| panic!("{name} requires a value")),
+                .unwrap_or_else(|| usage_error(&format!("{name} requires a value"))),
         ),
         // `None` for a longer flag that only starts with `name`.
         tail => tail.strip_prefix('=').map(str::to_string),
     }
+}
+
+/// `value`, the value of the flag `name`, as a number; anything else is a
+/// [`usage_error`].
+pub fn flag_number<T: std::str::FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{name} expects a number, got {value:?}")))
+}
+
+/// Refuse the command line: `message` as one line on stderr, then exit
+/// the process with status 2.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }

@@ -1,37 +1,30 @@
 //! Readiness polling behind a small [`Poller`] trait.
 //!
 //! The reactor in [`crate::server`] asks one question per pass: *which
-//! of my file descriptors can make progress?* This module answers it two
-//! ways, behind one trait, picked at [`Server::start`] time:
+//! of my file descriptors can make progress?* [`EpollPoller`] answers it
+//! over raw `epoll`: the reactor **blocks** in `epoll_wait` until a
+//! socket is actually readable/writable (or a [`Waker`] fires), so an
+//! idle server consumes ~zero CPU and a busy one wakes exactly when the
+//! kernel has bytes for it. The bindings are hand-rolled `extern "C"`
+//! declarations against the C library the Rust standard library already
+//! links — no `libc` crate, no epoll crate, the same "vendored stub over
+//! a fancy dependency" trade the workspace makes everywhere else.
 //!
-//! - [`EpollPoller`] (Linux): a readiness-driven backend over raw
-//!   `epoll` — the reactor **blocks** in `epoll_wait` until a socket is
-//!   actually readable/writable (or a [`Waker`] fires), so an idle
-//!   server consumes ~zero CPU and a busy one wakes exactly when the
-//!   kernel has bytes for it. The bindings are hand-rolled `extern "C"`
-//!   declarations against the C library the Rust standard library
-//!   already links — no `libc` crate, no epoll crate, the same
-//!   "vendored stub over a fancy dependency" trade the workspace makes
-//!   everywhere else.
-//! - [`SpinPoller`] (portable fallback): the original polling loop's
-//!   contract — every registered descriptor is reported ready on every
-//!   wait, with a short parked sleep when the reactor saw no progress.
-//!   Correct on any platform `std` supports (readiness is a *hint*; the
-//!   nonblocking I/O in the pump is what's authoritative), at the cost
-//!   of the idle wakeups epoll eliminates.
+//! The [`Waker`] is a cheap, clonable, thread-safe handle that makes a
+//! concurrent (or future) `wait` return immediately: an `eventfd`
+//! registered alongside the sockets. The acceptor wakes a worker after
+//! dealing it a socket; [`Server::shutdown`] wakes everyone.
 //!
-//! Both backends share the [`Waker`] contract: a cheap, clonable,
-//! thread-safe handle that makes a concurrent (or future) `wait` return
-//! immediately. The acceptor wakes a worker after dealing it a socket;
-//! [`Server::shutdown`] wakes everyone. Under epoll the waker is an
-//! `eventfd` registered alongside the sockets; under the fallback it is
-//! a mutex+condvar park.
+//! The trait is the reactor's seam: [`Server::start`] builds an
+//! [`EpollPoller`] per reactor thread, and a simulated poller could
+//! stand in for it.
 //!
 //! [`Server::start`]: crate::server::Server::start
 //! [`Server::shutdown`]: crate::server::Server::shutdown
 
 use std::io;
 use std::os::unix::io::RawFd;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which readiness a descriptor is registered for.
@@ -69,32 +62,20 @@ pub struct Event {
 /// before a wait collapse into one immediate return. Safe to call from
 /// any thread at any time, including after the poller is gone.
 #[derive(Clone)]
-pub struct Waker(WakerImpl);
-
-#[derive(Clone)]
-enum WakerImpl {
-    #[cfg(target_os = "linux")]
-    Fd(std::sync::Arc<sys::EventFd>),
-    Park(std::sync::Arc<ParkWaker>),
-}
+pub struct Waker(Arc<sys::EventFd>);
 
 impl Waker {
     /// Make the poller's current (or next) `wait` return immediately.
     pub fn wake(&self) {
-        match &self.0 {
-            #[cfg(target_os = "linux")]
-            WakerImpl::Fd(event_fd) => event_fd.signal(),
-            WakerImpl::Park(park) => park.wake(),
-        }
+        self.0.signal();
     }
 }
 
 /// A readiness source the reactor blocks on.
 ///
 /// Registered descriptors must be nonblocking: readiness is permission
-/// to *try*, and `WouldBlock` from the actual I/O is normal (the spin
-/// fallback reports everything ready, spurious wakeups are part of the
-/// contract).
+/// to *try*, and `WouldBlock` from the actual I/O is normal (spurious
+/// wakeups are part of the contract).
 pub trait Poller: Send {
     /// Start watching `fd` under `token`.
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
@@ -114,188 +95,14 @@ pub trait Poller: Send {
     fn waker(&self) -> Waker;
 
     /// The longest `wait` this backend should be asked to block for —
-    /// how stale its readiness picture may grow. Epoll can sleep long
-    /// (wakes are event-driven); the spin fallback must stay short
-    /// because sleeping *is* its only readiness mechanism.
+    /// how stale its readiness picture may grow.
     fn max_idle(&self) -> Duration;
-
-    /// Backend name for logs and stats (`"epoll"` or `"spin"`).
-    fn kind(&self) -> &'static str;
-}
-
-/// Which polling backend [`Server::start`] should use.
-///
-/// [`Server::start`]: crate::server::Server::start
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerChoice {
-    /// Epoll where the platform has it, the spin fallback elsewhere (or
-    /// if epoll setup fails).
-    #[default]
-    Auto,
-    /// Require epoll; [`make_poller`] returns the setup error if the
-    /// platform refuses (or lacks it).
-    Epoll,
-    /// Force the portable polling loop.
-    Spin,
-}
-
-impl PollerChoice {
-    /// Parse a `--poller` flag value.
-    pub fn parse(value: &str) -> Option<PollerChoice> {
-        match value {
-            "auto" => Some(PollerChoice::Auto),
-            "epoll" => Some(PollerChoice::Epoll),
-            "spin" => Some(PollerChoice::Spin),
-            _ => None,
-        }
-    }
-}
-
-/// Build the chosen backend. `Auto` silently falls back to
-/// [`SpinPoller`] when epoll is unavailable; `Epoll` propagates the
-/// failure instead.
-pub fn make_poller(choice: PollerChoice) -> io::Result<Box<dyn Poller>> {
-    match choice {
-        PollerChoice::Spin => Ok(Box::new(SpinPoller::new())),
-        #[cfg(target_os = "linux")]
-        PollerChoice::Epoll => Ok(Box::new(EpollPoller::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        PollerChoice::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use --poller auto or spin",
-        )),
-        #[cfg(target_os = "linux")]
-        PollerChoice::Auto => match EpollPoller::new() {
-            Ok(poller) => Ok(Box::new(poller)),
-            Err(_) => Ok(Box::new(SpinPoller::new())),
-        },
-        #[cfg(not(target_os = "linux"))]
-        PollerChoice::Auto => Ok(Box::new(SpinPoller::new())),
-    }
 }
 
 // ---------------------------------------------------------------------
-// Portable fallback: everything is always ready, sleep when idle.
+// Raw epoll + eventfd, no libc crate.
 // ---------------------------------------------------------------------
 
-struct ParkWaker {
-    woken: std::sync::Mutex<bool>,
-    condvar: std::sync::Condvar,
-}
-
-impl ParkWaker {
-    fn new() -> ParkWaker {
-        ParkWaker {
-            woken: std::sync::Mutex::new(false),
-            condvar: std::sync::Condvar::new(),
-        }
-    }
-
-    fn wake(&self) {
-        let mut woken = self.woken.lock().unwrap_or_else(|e| e.into_inner());
-        *woken = true;
-        self.condvar.notify_all();
-    }
-
-    /// Park for up to `timeout`, returning early if woken; consumes the
-    /// wake flag.
-    fn park(&self, timeout: Duration) {
-        let mut woken = self.woken.lock().unwrap_or_else(|e| e.into_inner());
-        if !*woken && !timeout.is_zero() {
-            let (guard, _) = self
-                .condvar
-                .wait_timeout(woken, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            woken = guard;
-        }
-        *woken = false;
-    }
-}
-
-/// The portable fallback: [`Poller::wait`] parks briefly (interruptibly)
-/// and then reports **every** registered descriptor ready for its full
-/// interest — exactly the original reactor's poll-everything pass, now
-/// wearing the trait the epoll backend slots into.
-pub struct SpinPoller {
-    /// `(fd, token, interest)` per registered descriptor.
-    registered: Vec<(RawFd, usize, Interest)>,
-    waker: std::sync::Arc<ParkWaker>,
-}
-
-impl SpinPoller {
-    /// A fallback poller with nothing registered.
-    pub fn new() -> SpinPoller {
-        SpinPoller {
-            registered: Vec::new(),
-            waker: std::sync::Arc::new(ParkWaker::new()),
-        }
-    }
-}
-
-impl Default for SpinPoller {
-    fn default() -> Self {
-        SpinPoller::new()
-    }
-}
-
-impl Poller for SpinPoller {
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        self.registered.push((fd, token, interest));
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        for slot in &mut self.registered {
-            if slot.0 == fd && slot.1 == token {
-                slot.2 = interest;
-                return Ok(());
-            }
-        }
-        self.registered.push((fd, token, interest));
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
-        self.registered
-            .retain(|&(slot_fd, slot_token, _)| !(slot_fd == fd && slot_token == token));
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-        events.clear();
-        self.waker.park(timeout.min(self.max_idle()));
-        for &(_, token, interest) in &self.registered {
-            if interest.readable || interest.writable {
-                events.push(Event {
-                    token,
-                    readable: interest.readable,
-                    writable: interest.writable,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn waker(&self) -> Waker {
-        Waker(WakerImpl::Park(std::sync::Arc::clone(&self.waker)))
-    }
-
-    fn max_idle(&self) -> Duration {
-        // The sleep *is* the readiness mechanism: long enough to not
-        // burn a core, short enough to bound added latency.
-        Duration::from_micros(200)
-    }
-
-    fn kind(&self) -> &'static str {
-        "spin"
-    }
-}
-
-// ---------------------------------------------------------------------
-// Linux: raw epoll + eventfd, no libc crate.
-// ---------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
 mod sys {
     //! Hand-rolled declarations of the handful of C-library symbols the
     //! epoll backend needs. The Rust standard library already links the
@@ -379,22 +186,19 @@ mod sys {
 
 /// Token the waker eventfd is registered under — reserved; connection
 /// slabs must never hand it out.
-#[cfg(target_os = "linux")]
 const WAKER_TOKEN: u64 = u64::MAX;
 
 /// The Linux readiness backend: level-triggered epoll plus an `eventfd`
 /// waker. `wait` blocks in the kernel until a registered descriptor is
 /// actually ready, so idle connections cost nothing and wakeups carry
 /// exactly the set of sockets worth pumping.
-#[cfg(target_os = "linux")]
 pub struct EpollPoller {
     epfd: RawFd,
-    waker_fd: std::sync::Arc<sys::EventFd>,
+    waker_fd: Arc<sys::EventFd>,
     /// Kernel-filled event buffer, reused across waits.
     buf: Vec<sys::EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
 impl EpollPoller {
     /// An epoll instance with its waker eventfd already registered.
     pub fn new() -> io::Result<EpollPoller> {
@@ -403,7 +207,7 @@ impl EpollPoller {
             return Err(io::Error::last_os_error());
         }
         let waker_fd = match sys::EventFd::new() {
-            Ok(event_fd) => std::sync::Arc::new(event_fd),
+            Ok(event_fd) => Arc::new(event_fd),
             Err(err) => {
                 unsafe { sys::close(epfd) };
                 return Err(err);
@@ -444,14 +248,12 @@ impl EpollPoller {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for EpollPoller {
     fn drop(&mut self) {
         unsafe { sys::close(self.epfd) };
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Poller for EpollPoller {
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
@@ -520,17 +322,13 @@ impl Poller for EpollPoller {
     }
 
     fn waker(&self) -> Waker {
-        Waker(WakerImpl::Fd(std::sync::Arc::clone(&self.waker_fd)))
+        Waker(Arc::clone(&self.waker_fd))
     }
 
     fn max_idle(&self) -> Duration {
         // Purely a staleness bound for time-based bookkeeping (write
         // stall deadlines); readiness itself is event-driven.
         Duration::from_millis(500)
-    }
-
-    fn kind(&self) -> &'static str {
-        "epoll"
     }
 }
 
@@ -541,7 +339,9 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
-    fn backend_reports_socket_readiness(mut poller: Box<dyn Poller>) {
+    #[test]
+    fn epoll_backend_reports_readiness() {
+        let mut poller = EpollPoller::new().expect("epoll");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let mut client = TcpStream::connect(addr).expect("connect");
@@ -551,8 +351,8 @@ mod tests {
             .register(server.as_raw_fd(), 7, Interest::READ)
             .expect("register");
 
-        // Nothing to read yet: a short wait may time out (epoll) or
-        // spuriously report readiness (spin); both are within contract.
+        // Nothing to read yet: a short wait may time out or report a
+        // spurious readiness; both are within contract.
         let mut events = Vec::new();
         poller
             .wait(&mut events, Duration::from_millis(1))
@@ -569,8 +369,7 @@ mod tests {
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "{} backend never reported the socket readable",
-                poller.kind()
+                "epoll never reported the socket readable"
             );
         }
         let mut buf = [0u8; 16];
@@ -581,18 +380,6 @@ mod tests {
             .expect("deregister");
     }
 
-    #[test]
-    fn spin_backend_reports_readiness() {
-        backend_reports_socket_readiness(Box::new(SpinPoller::new()));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_readiness() {
-        backend_reports_socket_readiness(Box::new(EpollPoller::new().expect("epoll")));
-    }
-
-    #[cfg(target_os = "linux")]
     #[test]
     fn epoll_waker_interrupts_a_long_wait() {
         let mut poller = EpollPoller::new().expect("epoll");
@@ -612,33 +399,5 @@ mod tests {
         );
         assert!(events.is_empty(), "waker wakeups carry no events");
         handle.join().expect("join");
-    }
-
-    #[test]
-    fn spin_waker_interrupts_the_park() {
-        let mut poller = SpinPoller::new();
-        let waker = poller.waker();
-        waker.wake();
-        let started = std::time::Instant::now();
-        let mut events = Vec::new();
-        // A pre-fired wake makes even a long park return immediately.
-        poller
-            .wait(&mut events, Duration::from_secs(30))
-            .expect("wait");
-        assert!(started.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn auto_choice_always_builds() {
-        let poller = make_poller(PollerChoice::Auto).expect("auto");
-        if cfg!(target_os = "linux") {
-            assert_eq!(poller.kind(), "epoll");
-        } else {
-            assert_eq!(poller.kind(), "spin");
-        }
-        assert_eq!(
-            make_poller(PollerChoice::Spin).expect("spin").kind(),
-            "spin"
-        );
     }
 }

@@ -3,8 +3,7 @@
 //! One **acceptor** thread owns the listener and deals accepted sockets
 //! round-robin to N **worker** threads. Each worker owns its connections
 //! outright (no cross-thread connection state, no locks on the data
-//! path) and blocks on a [`Poller`] — raw epoll on Linux, the portable
-//! poll-everything fallback elsewhere (see [`crate::poll`]) — waking
+//! path) and blocks on a [`Poller`] — raw epoll (see [`crate::poll`]) — waking
 //! only when a socket is actually readable/writable, a new connection is
 //! dealt to it, or shutdown is requested. Per wakeup it pumps exactly
 //! the ready connections: nonblocking writes first, then nonblocking
@@ -45,7 +44,7 @@
 //! final group-commit fsync, so everything acknowledged over the wire
 //! is durable before the process exits.
 
-use crate::poll::{make_poller, Event, Interest, Poller, PollerChoice, Waker};
+use crate::poll::{EpollPoller, Event, Interest, Poller, Waker};
 use crate::proto::{ErrorCode, IngestKey, Request, Response, ServerStats, WireRanked, WireStats};
 use crate::repl::{ReplicationGauge, Replicator};
 use std::collections::{HashMap, VecDeque};
@@ -73,9 +72,6 @@ pub struct ServerConfig {
     pub write_buffer_limit: usize,
     /// Close a connection write-blocked over the limit for this long.
     pub write_stall_timeout: Duration,
-    /// Readiness backend: epoll where available, or the portable
-    /// poll-everything fallback.
-    pub poller: PollerChoice,
 }
 
 impl Default for ServerConfig {
@@ -85,7 +81,6 @@ impl Default for ServerConfig {
             max_pipeline_depth: 128,
             write_buffer_limit: 1 << 20,
             write_stall_timeout: Duration::from_secs(10),
-            poller: PollerChoice::Auto,
         }
     }
 }
@@ -206,8 +201,6 @@ struct Shared {
     /// One waker per reactor thread (workers + acceptor): shutdown must
     /// interrupt a blocked `Poller::wait`, not wait out its timeout.
     wakers: Vec<Waker>,
-    /// Backend the pollers were built with, for logs and stats.
-    poller_kind: &'static str,
 }
 
 impl Shared {
@@ -256,16 +249,15 @@ impl Server {
         // live in `Shared` — anyone holding the shared state can wake
         // every reactor thread (shutdown, the acceptor dealing a socket).
         let workers_n = config.workers.max(1);
-        let acceptor_poller = make_poller(config.poller)?;
-        let mut worker_pollers = Vec::with_capacity(workers_n);
+        let acceptor_poller: Box<dyn Poller> = Box::new(EpollPoller::new()?);
+        let mut worker_pollers: Vec<Box<dyn Poller>> = Vec::with_capacity(workers_n);
         for _ in 0..workers_n {
-            worker_pollers.push(make_poller(config.poller)?);
+            worker_pollers.push(Box::new(EpollPoller::new()?));
         }
         let worker_wakers: Vec<Waker> =
             worker_pollers.iter().map(|poller| poller.waker()).collect();
         let mut wakers = worker_wakers.clone();
         wakers.push(acceptor_poller.waker());
-        let poller_kind = acceptor_poller.kind();
         let shared = Arc::new(Shared {
             service,
             counters: Counters::default(),
@@ -276,7 +268,6 @@ impl Server {
             repl_gauge: hooks.gauge,
             config,
             wakers,
-            poller_kind,
         });
         let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers_n);
         let mut workers = Vec::with_capacity(workers_n);
@@ -320,11 +311,6 @@ impl Server {
     /// Current wire counters.
     pub fn server_stats(&self) -> ServerStats {
         self.shared.counters.snapshot()
-    }
-
-    /// Which readiness backend the reactor runs on (`"epoll"`/`"spin"`).
-    pub fn poller_kind(&self) -> &'static str {
-        self.shared.poller_kind
     }
 
     /// Whether shutdown has been requested (locally or over the wire).

@@ -1,7 +1,8 @@
 //! `wsrep-server` accepts every valued flag in both forms its usage
 //! documents, `--flag V` and `--flag=V`: the real binary is started once
 //! per flag and form and must get as far as its `listening on` line. A
-//! flag it does not know is refused before it binds anything.
+//! flag it does not know, or a value it cannot parse, is refused with
+//! status 2 and one stderr line before it binds anything.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -38,7 +39,6 @@ fn every_valued_flag_is_accepted_in_both_forms() {
         ("--fault-append-every", "40"),
         ("--fault-fsync-every", "40"),
         ("--pipeline-depth", "32"),
-        ("--poller", "auto"),
     ];
     for (flag, value) in flags {
         for form in [
@@ -60,17 +60,33 @@ fn every_valued_flag_is_accepted_in_both_forms() {
 }
 
 #[test]
-fn an_unknown_flag_exits_with_status_2() {
-    let output = Command::new(env!("CARGO_BIN_EXE_wsrep-server"))
-        .args(["--batch", "64", "--listen", "127.0.0.1:0"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run wsrep-server");
-    assert_eq!(output.status.code(), Some(2), "{output:?}");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("unknown argument: --batch"),
-        "stderr {stderr:?}"
-    );
-    assert!(output.stdout.is_empty(), "it must not start listening");
+fn a_usage_error_exits_with_status_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--batch", "64"], "unknown argument: --batch"),
+        (&["--poller", "epoll"], "unknown argument: --poller"),
+        (
+            &["--workers", "abc"],
+            "--workers expects a number, got \"abc\"",
+        ),
+        (
+            &["--durability", "bogus"],
+            "--durability expects degrade|read-only|fail-stop, got \"bogus\"",
+        ),
+        (&["--workers"], "--workers requires a value"),
+    ];
+    for (args, line) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_wsrep-server"))
+            .args(["--listen", "127.0.0.1:0"])
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run wsrep-server");
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr, format!("{line}\n"), "{args:?}");
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} must not start listening"
+        );
+    }
 }

@@ -15,9 +15,7 @@ use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
 use wsrep_serve::ReputationService;
-use wsrep_server::{
-    Client, ErrorCode, PollerChoice, Request, Response, Server, ServerConfig, PROTO_VERSION,
-};
+use wsrep_server::{Client, ErrorCode, Request, Response, Server, ServerConfig, PROTO_VERSION};
 use wsrep_sim::registry::{Listing, PublishStatus};
 
 fn start_server(config: ServerConfig) -> (Server, Arc<ReputationService>) {
@@ -94,30 +92,7 @@ fn full_request_vocabulary_round_trips_over_tcp() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let server = pipelined_requests_on(ServerConfig::default());
-    if cfg!(target_os = "linux") {
-        assert_eq!(server.poller_kind(), "epoll", "Auto must pick epoll here");
-    }
-    server.shutdown();
-    server.join();
-}
-
-/// The same pipeline against the portable fallback backend: readiness is
-/// a backend detail, the ordering and framing contract must not move.
-#[test]
-fn pipelined_requests_are_answered_in_order_on_the_spin_fallback() {
-    let config = ServerConfig {
-        poller: PollerChoice::Spin,
-        ..ServerConfig::default()
-    };
-    let server = pipelined_requests_on(config);
-    assert_eq!(server.poller_kind(), "spin");
-    server.shutdown();
-    server.join();
-}
-
-fn pipelined_requests_on(config: ServerConfig) -> Server {
-    let (server, _service) = start_server(config);
+    let (server, _service) = start_server(ServerConfig::default());
     let mut setup = Client::connect(server.local_addr()).expect("connect");
     setup.publish(listing(7, 3, 1.0)).expect("publish");
     setup
@@ -151,7 +126,8 @@ fn pipelined_requests_on(config: ServerConfig) -> Server {
         }
     }
     assert_eq!(client.in_flight(), 0);
-    server
+    server.shutdown();
+    server.join();
 }
 
 #[test]
@@ -327,7 +303,6 @@ fn slow_client_is_evicted_instead_of_wedging_the_reactor() {
         max_pipeline_depth: 64,
         write_buffer_limit: 4 * 1024,
         write_stall_timeout: Duration::from_millis(300),
-        ..ServerConfig::default()
     };
     let (server, _service) = start_server(config);
     let addr = server.local_addr();

@@ -6,7 +6,6 @@
 //! defenses live in `wsrep-robust`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
@@ -16,7 +15,7 @@ use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
 
 /// How a consumer reports after an interaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RaterBehavior {
     /// Reports its true satisfaction and measurements.
     Honest,

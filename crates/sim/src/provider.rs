@@ -7,7 +7,6 @@
 //! advertisement exaggeration factor and the [`Behavior`] that drifts the
 //! latent quality over time.
 
-use serde::{Deserialize, Serialize};
 use wsrep_core::id::{ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
@@ -15,7 +14,7 @@ use wsrep_qos::profile::QualityProfile;
 use wsrep_qos::value::QosVector;
 
 /// How a provider's delivered quality evolves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Behavior {
     /// Quality stays where it started.
     Stable,

@@ -14,7 +14,6 @@
 //! does.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wsrep_core::id::ServiceId;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::profile::QualityProfile;
@@ -45,7 +44,7 @@ pub struct MediatedOffer {
 /// How strongly the general service dominates composite satisfaction in
 /// scenario B. The paper's claim is that the intermediary "only plays a
 /// small part"; 0.8 means 80% of the utility is the general service's.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediationWeights {
     /// Share of composite utility attributed to the general service.
     pub general_share: f64,
