@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Defaults: 4 ingesters, 4 queriers, 50 000 reports and 50 000 queries
-//! per thread, seed 42. Valued flags take `--flag V` or `--flag=V`. The
-//! last stdout line is a JSON object; the exit status is the gate: every
-//! check below is an `assert!`.
+//! per thread, seed 42. Valued flags take `--flag V` or `--flag=V`; a
+//! malformed value or a missing `--socket` is a usage error (one stderr
+//! line, exit status 2). The last stdout line is a JSON object; the exit
+//! status is the gate: every check below panics when it fails.
 //!
 //! `--socket ADDR` names a running `wsrep-server` (or `wsrep-cluster`
 //! node). Every ingester and querier opens its own connection and
@@ -42,8 +43,10 @@ use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::exactly_once;
 use wsrep_server::{
-    flag_value, ChaosConfig, Client, FlakyProxy, Request, Response, RetryPolicy, RetryingClient,
+    flag_number, flag_value, usage_error, ChaosConfig, Client, FlakyProxy, Request, Response,
+    RetryPolicy, RetryingClient,
 };
 use wsrep_sim::registry::Listing;
 
@@ -80,19 +83,14 @@ fn parse_args() -> Config {
         } else if let Some(addr) = value("--replica") {
             replicas.push(addr);
         } else if let Some(v) = value("--batch") {
-            batch_size = v
-                .parse()
-                .unwrap_or_else(|_| panic!("--batch expects a number, got {v:?}"));
+            batch_size = flag_number("--batch", &v);
         } else if arg == "--shutdown" {
             shutdown = true;
         } else if arg == "--chaos" {
             chaos = true;
         } else {
-            numbers.push(arg.parse::<u64>().unwrap_or_else(|_| {
-                panic!(
-                    "expected a number or --socket ADDR / --replica ADDR / --batch N / --shutdown / --chaos, got {arg:?}"
-                )
-            }));
+            let positional = "an argument not --socket/--replica/--batch/--shutdown/--chaos";
+            numbers.push(flag_number(positional, &arg));
         }
     }
     let get = |i: usize, default: u64| numbers.get(i).copied().unwrap_or(default);
@@ -103,7 +101,8 @@ fn parse_args() -> Config {
         queries_per_querier: get(3, 50_000),
         seed: get(4, 42),
         batch_size: batch_size.max(1),
-        socket: socket.expect("--socket ADDR is required: the server to drive"),
+        socket: socket
+            .unwrap_or_else(|| usage_error("--socket ADDR is required: the server to drive")),
         replicas,
         shutdown,
         chaos,
@@ -416,10 +415,11 @@ fn run_socket(config: Config) {
 /// only through an in-process [`FlakyProxy`] that keeps dropping,
 /// splitting and delaying the stream, and retries each keyed batch
 /// until it is acked — then the run verifies over a clean connection
-/// that the server applied exactly the acked count (no losses, no
-/// double-applies), and reports the injected-fault counters so the CI
-/// gate can prove the chaos actually happened. Composes with a server
-/// started under `--fault-append-every` for the disk half.
+/// that the server applied exactly the acked count (`exactly_once`:
+/// `acked_survive`, no losses, then `applied_once`, no double-applies),
+/// and reports the injected-fault counters so the CI gate can prove the
+/// chaos actually happened. Composes with a server started under
+/// `--fault-append-every` for the disk half.
 fn run_chaos(config: Config) {
     use std::net::ToSocketAddrs as _;
     let addr = &config.socket;
@@ -502,8 +502,12 @@ fn run_chaos(config: Config) {
         direct.shutdown_server().expect("shutdown");
     }
     let counters = proxy.counters();
-    let lost = acked.saturating_sub(applied);
-    let extra = applied.saturating_sub(acked);
+    // Only counts cross the wire.
+    let verdict = exactly_once(acked as usize, applied as usize);
+    let violation = verdict
+        .as_ref()
+        .err()
+        .map(|v| format!("{:?}", v.to_string()));
 
     println!(
         "chaos ingest       {:>12} acked / {} applied",
@@ -516,7 +520,7 @@ fn run_chaos(config: Config) {
         counters.delayed_chunks
     );
     println!(
-        "{{\"mode\":\"chaos\",\"ingest_threads\":{},\"reports_per_ingester\":{},\"batch\":{},\"seed\":{},\"wall_seconds\":{:.3},\"acked\":{},\"applied\":{},\"lost_acked_writes\":{},\"double_applied\":{},\"injected_link_faults\":{},\"dropped_conns\":{},\"delayed_chunks\":{},\"proxy_conns\":{},\"journal_errors\":{},\"degraded\":{},\"fenced\":{}}}",
+        "{{\"mode\":\"chaos\",\"ingest_threads\":{},\"reports_per_ingester\":{},\"batch\":{},\"seed\":{},\"wall_seconds\":{:.3},\"acked\":{},\"applied\":{},\"violation\":{},\"injected_link_faults\":{},\"dropped_conns\":{},\"delayed_chunks\":{},\"proxy_conns\":{},\"journal_errors\":{},\"degraded\":{},\"fenced\":{}}}",
         config.ingest_threads,
         config.reports_per_ingester,
         config.batch_size,
@@ -524,8 +528,7 @@ fn run_chaos(config: Config) {
         wall,
         acked,
         applied,
-        lost,
-        extra,
+        violation.as_deref().unwrap_or("null"),
         counters.injected(),
         counters.dropped_conns,
         counters.delayed_chunks,
@@ -534,8 +537,9 @@ fn run_chaos(config: Config) {
         degraded,
         fenced,
     );
-    assert_eq!(lost, 0, "acked writes were lost under chaos");
-    assert_eq!(extra, 0, "retried batches were double-applied under chaos");
+    if let Err(found) = verdict {
+        panic!("under chaos: {found}");
+    }
     assert!(
         counters.injected() > 0,
         "the chaos schedule never fired; this smoke proved nothing"
@@ -543,7 +547,9 @@ fn run_chaos(config: Config) {
 }
 fn main() {
     let config = parse_args();
-    assert!(config.ingest_threads >= 1 && config.query_threads >= 1);
+    if config.ingest_threads == 0 || config.query_threads == 0 {
+        usage_error("ingest_threads and query_threads must be at least 1");
+    }
     if config.chaos {
         run_chaos(config);
     } else {

@@ -18,23 +18,27 @@
 //! A replica started with `--promote-on-disconnect SECS` watches the
 //! replication link; once the primary has been silent that long, the
 //! replica promotes itself, verifies its state against a sequential
-//! replay of its own journal (the twin check), prints one JSON line —
+//! replay of its own journal (`wsrep_serve::check::twin_equal`), prints
+//! one JSON line, which names the first difference as `"twin_violation"`
+//! when there is one —
 //!
 //! ```text
 //! {"promoted":true,"twin_equal":true,"durable_lsn":64,...}
 //! ```
 //!
-//! — and keeps serving, now accepting writes. Either role exits 0 after
-//! a `Shutdown` request drains it.
+//! — and keeps serving, now accepting writes. The check holds every
+//! report of the journal in memory while it runs (about 120 bytes each,
+//! against about 13 on disk), so a promotion needs headroom that grows
+//! with the journal's length, not with its subjects. Either role exits 0
+//! after a `Shutdown` request drains it.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
-use wsrep_cluster::{
-    verify_against_sequential_replay, Primary, PrimaryConfig, Replica, ReplicaConfig,
-};
+use wsrep_cluster::{Primary, PrimaryConfig, Replica, ReplicaConfig};
+use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::ReputationService;
 use wsrep_server::{flag_number, flag_value, ServerConfig};
 
@@ -191,18 +195,21 @@ fn run_replica(args: Args) -> i32 {
                 if !stats.connected && replica.primary_silence() >= after {
                     let durable_lsn = replica.promote();
                     promoted = true;
-                    let twin = verify_against_sequential_replay(replica.service(), &dir);
                     let stdout = std::io::stdout();
                     let mut out = stdout.lock();
-                    match twin {
-                        Ok(report) => {
+                    match Twin::read(&dir) {
+                        Ok(twin) => {
+                            let verdict = twin_equal(replica.service(), &twin);
+                            let violation = verdict.as_ref().err().map_or(String::new(), |v| {
+                                format!(",\"twin_violation\":{:?}", v.to_string())
+                            });
                             let _ = writeln!(
                                 out,
-                                "{{\"promoted\":true,\"twin_equal\":{},\"durable_lsn\":{},\"records\":{},\"subjects\":{}}}",
-                                report.equal(),
+                                "{{\"promoted\":true,\"twin_equal\":{},\"durable_lsn\":{},\"records\":{},\"subjects\":{}{violation}}}",
+                                verdict.is_ok(),
                                 durable_lsn,
-                                report.records,
-                                report.subjects,
+                                twin.records,
+                                twin.reports.len(),
                             );
                         }
                         Err(err) => {

@@ -20,8 +20,9 @@
 //! - failover is [`Replica::promote`]: stop pulling, flush, lift
 //!   read-only. The replica journals the shipped stream at the
 //!   primary's own LSNs, so the promoted node's log is a prefix-equal
-//!   stand-in for the dead primary's — checked, not assumed, by the
-//!   [`twin`] module's sequential replay.
+//!   stand-in for the dead primary's — checked, not assumed, by
+//!   [`log_prefix`](wsrep_serve::check::log_prefix) and, on promotion, by
+//!   [`twin_equal`](wsrep_serve::check::twin_equal)'s sequential replay.
 //!
 //! Replication is asynchronous: the primary never waits for a replica,
 //! and a record is only *guaranteed* replicated once a replica's
@@ -32,10 +33,8 @@
 
 pub mod primary;
 pub mod replica;
-pub mod twin;
 pub mod watermark;
 
 pub use primary::{Primary, PrimaryConfig};
 pub use replica::{Replica, ReplicaConfig};
-pub use twin::{verify_against_sequential_replay, TwinReport};
 pub use watermark::WatermarkTable;

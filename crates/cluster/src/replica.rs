@@ -10,8 +10,10 @@
 //! Because `apply_replicated` journals the stream in exactly shipped
 //! order, the replica's **local LSNs equal the primary's** — which is
 //! what makes [`Replica::promote`] sound: the promoted node's own log
-//! is byte-for-byte a prefix-equal stand-in for the primary's, verified
-//! by the sequential-replay twin in [`crate::twin`].
+//! is, record for record, a prefix of the primary's
+//! ([`log_prefix`](wsrep_serve::check::log_prefix)), and its state equals
+//! that log's sequential-replay twin
+//! ([`twin_equal`](wsrep_serve::check::twin_equal)).
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};

@@ -31,6 +31,7 @@ use wsrep_core::time::Time;
 use wsrep_journal::{Fault, FaultScript, IoOp, IoPolicy};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{acked_survive, applied_once, exactly_once, log_prefix, twin_equal, Twin};
 use wsrep_serve::{DurabilityPolicy, ReputationService};
 use wsrep_server::{
     ChaosConfig, Client, ClientError, ErrorCode, FlakyProxy, RetryPolicy, RetryingClient,
@@ -130,9 +131,9 @@ proptest! {
         // The ack barrier: after this, every batch above is durable.
         client.flush().expect("flush");
 
-        let expected = batches * batch_size;
-        prop_assert_eq!(service.store().len() as u64, expected,
-            "retried batches must apply exactly once");
+        // Every batch was acked; no retry applied twice, none was lost.
+        let acked = (batches * batch_size) as usize;
+        exactly_once(acked, service.store().len()).unwrap();
         let counters = proxy.counters();
         prop_assert!(counters.dropped_conns > 0,
             "chaos schedule never dropped a connection — nothing was proved");
@@ -148,8 +149,7 @@ proptest! {
             .try_build()
             .expect("recover");
         recovered.flush();
-        prop_assert_eq!(recovered.store().len() as u64, expected,
-            "acked writes lost across recovery");
+        exactly_once(acked, recovered.store().len()).unwrap();
         prop_assert!(recovered.listing(ServiceId::new(1)).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -209,7 +209,7 @@ proptest! {
         }
         client.flush().expect("flush");
 
-        prop_assert_eq!(service.store().len() as u64, batches * BATCH);
+        exactly_once((batches * BATCH) as usize, service.store().len()).unwrap();
         prop_assert!(script.counters().total() > 0, "disk fault never fired");
         let health = service.stats().journal.expect("journaled");
         prop_assert!(health.degraded, "degrade latch not set after a fault");
@@ -271,11 +271,11 @@ proptest! {
         // final, not transport noise). The first `fault_after` commits
         // land; everything after the fault must be refused.
         let mut client = Client::connect(proxy.addr()).expect("connect");
-        let mut acked: u64 = 0;
+        let mut acked = Vec::new();
         let mut refused: u64 = 0;
         for s in 0..6u64 {
             match client.publish(listing(s, 0)) {
-                Ok(_) => acked += 1,
+                Ok(_) => acked.push(ServiceId::new(s)),
                 Err(ClientError::Server { code, .. }) => {
                     prop_assert_eq!(code, ErrorCode::NotDurable);
                     refused += 1;
@@ -283,7 +283,7 @@ proptest! {
                 Err(other) => return Err(TestCaseError::fail(format!("unexpected: {other}"))),
             }
         }
-        prop_assert_eq!(acked, fault_after, "exactly the pre-fault writes ack");
+        prop_assert_eq!(acked.len() as u64, fault_after, "exactly the pre-fault writes ack");
         prop_assert_eq!(refused, 6 - fault_after);
         prop_assert!(service.durability_fenced());
         let health = service.stats().journal.expect("journaled");
@@ -302,10 +302,12 @@ proptest! {
             .recover_from(&dir)
             .try_build()
             .expect("recover");
-        let listed = (0..6u64)
-            .filter(|&s| recovered.listing(ServiceId::new(s)).is_some())
-            .count() as u64;
-        prop_assert_eq!(listed, acked, "recovered state must equal the acked prefix");
+        let listed: Vec<ServiceId> = (0..6u64)
+            .map(ServiceId::new)
+            .filter(|&s| recovered.listing(s).is_some())
+            .collect();
+        acked_survive(&acked, &listed).unwrap();
+        applied_once(&acked, &listed).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -394,20 +396,10 @@ fn replica_recovers_from_replication_link_corruption() {
         "the corruption schedule never fired — nothing was proved"
     );
 
-    // The replicated state matches the primary exactly: no partial
-    // batch was ever applied.
-    let subject = ServiceId::new(1).into();
-    let primary_score = service.score(subject).expect("primary evidence");
-    let replica_score = replica.service().score(subject).expect("replica evidence");
-    assert!(
-        (primary_score.value.get() - replica_score.value.get()).abs() < 1e-9,
-        "replica diverged from primary through the corrupting link"
-    );
-    assert_eq!(
-        replica.service().store().len(),
-        service.store().len(),
-        "replica applied a partial batch"
-    );
+    // The replica's log is the primary's and its state is what that log
+    // defines: no partial batch was ever applied.
+    assert_eq!(log_prefix(&primary_dir, &replica_dir), Ok(durable));
+    twin_equal(replica.service(), &Twin::read(&primary_dir).unwrap()).unwrap();
 
     replica.join();
     proxy.stop();

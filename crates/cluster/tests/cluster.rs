@@ -13,6 +13,7 @@ use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{log_prefix, never_stale, twin_equal, Twin};
 use wsrep_serve::ReputationService;
 use wsrep_server::{Client, ClientError, ErrorCode, ReplRole, RetryPolicy};
 use wsrep_sim::registry::Listing;
@@ -127,28 +128,11 @@ fn replicas_catch_up_then_follow_the_live_tail() {
     await_catch_up(&replica_a, after_tail, 10);
     await_catch_up(&replica_b, after_tail, 10);
 
-    // Every replica's read surface answers exactly like the primary.
-    let prefs = Preferences::default();
+    // Every replica's read surface answers exactly what the primary's
+    // log defines: the primary's sequential-replay twin.
+    let twin = Twin::read(&primary_dir).expect("primary journal");
     for replica in [&replica_a, &replica_b] {
-        for subject in [ServiceId::new(1), ServiceId::new(2)] {
-            let ours = service.score(subject.into()).expect("primary score");
-            let theirs = replica
-                .service()
-                .score(subject.into())
-                .expect("replica score");
-            assert!(
-                (ours.value.get() - theirs.value.get()).abs() < 1e-9,
-                "replica diverged on {subject:?}: {} vs {}",
-                ours.value.get(),
-                theirs.value.get()
-            );
-        }
-        let ours = service.top_k(0, &prefs, 2);
-        let theirs = replica.service().top_k(0, &prefs, 2);
-        assert_eq!(ours.len(), theirs.len());
-        for (a, b) in ours.iter().zip(theirs.iter()) {
-            assert_eq!(a.service, b.service, "top-k order diverged");
-        }
+        never_stale(replica.service(), &twin, &Preferences::default()).unwrap();
     }
 
     // Staleness is visible over the wire: the replica's Stats response
@@ -173,19 +157,19 @@ fn replicas_catch_up_then_follow_the_live_tail() {
     primary.shutdown();
     primary.join();
 
-    // A replica re-journals what it applied in the format written today:
-    // its own log holds every shipped record under this build's header.
+    // A replica re-journals what it applied in the format written today,
+    // and its log is the primary's, record for record, to the tail.
     let group = dir_a.join(wsrep_journal::group_dir_name(0));
-    let mut rejournaled = 0;
     for (_, path) in wsrep_journal::segment::list_segments(&group).expect("replica log") {
         let scan = wsrep_journal::segment::scan_segment_entries(&path)
             .expect("readable")
             .expect("headed");
         let written = wsrep_journal::segment::FORMAT_VERSION;
         assert_eq!(scan.version, written, "{}", path.display());
-        rejournaled += scan.entries.len() as u64;
     }
-    assert_eq!(rejournaled, after_tail);
+    for dir in [&dir_a, &dir_b] {
+        assert_eq!(log_prefix(&primary_dir, dir), Ok(after_tail));
+    }
 
     for dir in [primary_dir, dir_a, dir_b] {
         let _ = std::fs::remove_dir_all(&dir);
@@ -242,20 +226,10 @@ fn a_partitioned_primary_ships_a_dense_merged_stream() {
     let after_tail = service.durable_lsn().expect("journaled");
     await_catch_up(&replica, after_tail, 10);
 
-    for subject in [ServiceId::new(1), ServiceId::new(2)] {
-        let ours = service.score(subject.into()).expect("primary score");
-        let theirs = replica
-            .service()
-            .score(subject.into())
-            .expect("replica score");
-        assert!(
-            (ours.value.get() - theirs.value.get()).abs() < 1e-9,
-            "replica diverged on {subject:?}"
-        );
-    }
+    twin_equal(replica.service(), &Twin::read(&primary_dir).unwrap()).unwrap();
     assert_eq!(
-        replica.replication_stats().local_durable_lsn,
-        after_tail,
+        log_prefix(&primary_dir, &dir),
+        Ok(after_tail),
         "replica LSNs equal primary LSNs across the merged stream"
     );
 
@@ -354,11 +328,8 @@ fn a_restarted_replica_recovers_its_own_journal_before_reconnecting() {
         stats.local_durable_lsn, durable,
         "own journal carries the applied prefix across restarts"
     );
-    let recovered = reborn
-        .service()
-        .score(ServiceId::new(5).into())
-        .expect("score after restart");
-    assert!((expected.value.get() - recovered.value.get()).abs() < 1e-9);
+    let recovered = reborn.service().score(ServiceId::new(5).into());
+    assert_eq!(recovered, Some(expected));
     assert!(!stats.connected);
 
     reborn.join();

@@ -1,19 +1,21 @@
 //! Kill-the-primary failover: SIGKILL the real `wsrep-cluster primary`
 //! binary mid-ingest, promote the in-process replica that was trailing
-//! it, and prove the promoted node's state equals a sequential replay of
-//! its own journal — the twin check — at (at least) the last LSN the
-//! primary ever acknowledged to a client.
+//! it, and prove through `wsrep_serve::check` that its log is a prefix of
+//! the dead primary's, that it holds every report the primary ever
+//! acknowledged, and that its state equals a sequential replay of its own
+//! journal — the twin check.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-use wsrep_cluster::{verify_against_sequential_replay, Replica, ReplicaConfig};
+use wsrep_cluster::{Replica, ReplicaConfig};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{acked_survive, log_prefix, twin_equal, Twin};
 use wsrep_server::{Client, RetryPolicy};
 use wsrep_sim::registry::Listing;
 
@@ -67,7 +69,7 @@ fn feedback(rater: u64, service: u64, score: f64, at: u64) -> Feedback {
 }
 
 #[test]
-fn sigkilled_primary_fails_over_to_a_promoted_replica_equal_to_sequential_replay() {
+fn sigkilled_primary_fails_over_to_a_promoted_replica_equal_to_its_twin() {
     let primary_dir = temp_dir("primary");
     let (mut child, primary_addr) = spawn_primary(&primary_dir);
 
@@ -98,6 +100,7 @@ fn sigkilled_primary_fails_over_to_a_promoted_replica_equal_to_sequential_replay
     client.publish(listing(1, 0)).expect("publish");
     client.publish(listing(2, 0)).expect("publish");
     let mut acked_lsn = 0u64;
+    let mut acked = Vec::new();
     for wave in 0..6u64 {
         let batch: Vec<Feedback> = (0..32)
             .map(|i| {
@@ -105,6 +108,7 @@ fn sigkilled_primary_fails_over_to_a_promoted_replica_equal_to_sequential_replay
                 feedback(n, 1 + (n % 2), 0.2 + ((n % 8) as f64) / 10.0, n)
             })
             .collect();
+        acked.extend(batch.iter().map(|report| report.rater));
         client.ingest(batch).expect("ingest wave");
         client.flush().expect("flush wave");
         let stats = client.stats().expect("stats");
@@ -146,25 +150,16 @@ fn sigkilled_primary_fails_over_to_a_promoted_replica_equal_to_sequential_replay
         std::thread::sleep(Duration::from_millis(10));
     }
     let promoted_lsn = replica.promote();
-    assert!(
-        promoted_lsn >= acked_lsn,
-        "promoted at LSN {promoted_lsn}, but the primary acked {acked_lsn}"
-    );
 
-    // The twin check: promoted state == one-record-at-a-time replay of
-    // the promoted node's own journal.
-    let report =
-        verify_against_sequential_replay(replica.service(), &replica_dir).expect("twin replay");
-    assert_eq!(
-        report.replayed_lsn, promoted_lsn,
-        "twin replays the whole log"
-    );
-    assert!(report.subjects >= 2, "both subjects have evidence");
-    assert!(
-        report.equal(),
-        "promoted replica diverged from sequential replay: {:?}",
-        report.mismatched
-    );
+    // Before any post-promotion write: the promoted log is a prefix of
+    // the dead primary's, as far as both reach, and holds every report
+    // the primary acked. The twin check: promoted state == a sequential
+    // replay of the promoted node's own journal.
+    log_prefix(&primary_dir, &replica_dir).unwrap();
+    let twin = Twin::read(&replica_dir).expect("promoted journal");
+    assert_eq!(twin.lsn, promoted_lsn, "twin replays the whole log");
+    acked_survive(acked, twin.feedback().map(|report| report.rater)).unwrap();
+    twin_equal(replica.service(), &twin).unwrap();
 
     // The promoted node is a writable primary-role node now.
     let stats = replica.replication_stats();

@@ -139,6 +139,71 @@ where
     mechanism.global(subject)
 }
 
+/// A broken invariant and its first counterexample: which check failed,
+/// where, what it expected there and what it found. `Debug` prints the
+/// `Display` line, so an unwrapped check fails with the counterexample.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// The check that failed, by its function name (`"twin_equal"`).
+    pub invariant: &'static str,
+    /// The log position of the counterexample, when it has one.
+    pub lsn: Option<u64>,
+    /// What the counterexample is about: a subject, a service, an ack key.
+    pub subject: Option<String>,
+    /// What the invariant demands there.
+    pub expected: String,
+    /// What the check found instead.
+    pub got: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} violated", self.invariant)?;
+        if let Some(lsn) = self.lsn {
+            write!(f, " at lsn {lsn}")?;
+        }
+        if let Some(subject) = &self.subject {
+            write!(f, " for {subject}")?;
+        }
+        write!(f, ": expected {}, got {}", self.expected, self.got)
+    }
+}
+
+impl fmt::Debug for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
+    }
+}
+
+impl std::error::Error for Violation {}
+
+/// Incremental fold == log replay: `mechanism`'s accumulator, absorbing
+/// `log` (every report about `subject`) in order, must estimate exactly
+/// what [`score_from_log`] answers over the same log. `mechanism` must be
+/// fresh: it hands out the accumulator, then replays. Answers the replayed
+/// estimate; a mechanism without a fold holds by construction.
+pub fn fold_matches_replay<M: ReputationMechanism + ?Sized>(
+    mechanism: &mut M,
+    log: &[Feedback],
+    subject: SubjectId,
+) -> Result<Option<TrustEstimate>, Violation> {
+    let folded = mechanism.accumulator().map(|mut accumulator| {
+        log.iter().for_each(|feedback| accumulator.absorb(feedback));
+        accumulator.estimate()
+    });
+    let replayed = score_from_log(mechanism, log, subject);
+    match folded {
+        Some(folded) if folded != replayed => Err(Violation {
+            invariant: "fold_matches_replay",
+            lsn: None,
+            subject: Some(subject.to_string()),
+            expected: format!("{replayed:?}, as `{}` replays it", mechanism.info().key),
+            got: format!("{folded:?}"),
+        }),
+        _ => Ok(replayed),
+    }
+}
+
 /// `M` with its fold withheld: every call delegates and `accumulator()`
 /// is `None`, so a served registry scores it by [`score_from_log`] replay
 /// — the reference twin a fold is tested against.

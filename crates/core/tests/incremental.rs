@@ -1,15 +1,14 @@
 //! The incremental-fold contract, property-tested for every concrete
-//! mechanism: absorbing a subject's feedback log through
-//! [`ReputationMechanism::accumulator`] must answer exactly what
-//! [`score_from_log`] answers after replaying the same log through a
-//! fresh instance — including out-of-order timestamps and the trailing
-//! decay refresh. Mechanisms without a fold fall back to replay in the
+//! mechanism through [`fold_matches_replay`]: absorbing a subject's
+//! feedback log through [`ReputationMechanism::accumulator`] must answer
+//! exactly what a fresh instance answers after replaying the same log —
+//! including out-of-order timestamps and the trailing decay refresh. Mechanisms without a fold fall back to replay in the
 //! served registry, so they satisfy the contract by construction.
 
 use proptest::prelude::*;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ServiceId, SubjectId};
-use wsrep_core::mechanism::{score_from_log, ReputationMechanism};
+use wsrep_core::mechanism::{fold_matches_replay, ReputationMechanism};
 use wsrep_core::mechanisms::all_figure4_mechanisms;
 use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::time::Time;
@@ -22,25 +21,11 @@ fn mechanisms() -> Vec<Box<dyn ReputationMechanism>> {
     all
 }
 
-/// Fold `log` through each mechanism's accumulator and compare with a
-/// fresh-instance replay. `log` must contain only reports about
-/// `subject`.
-fn assert_fold_matches_replay(log: &[Feedback], subject: SubjectId) {
-    for (i, prototype) in mechanisms().into_iter().enumerate() {
-        let Some(mut acc) = prototype.accumulator() else {
-            continue; // replay fallback: equal by construction
-        };
-        for feedback in log {
-            acc.absorb(feedback);
-        }
-        let mut fresh = mechanisms().remove(i);
-        let replayed = score_from_log(fresh.as_mut(), log, subject);
-        assert_eq!(
-            acc.estimate(),
-            replayed,
-            "fold != replay for `{}` over {log:?}",
-            prototype.info().key
-        );
+/// Hold every mechanism to `fold_matches_replay` over `log`, which must
+/// contain only reports about `subject`.
+fn fold_matches_replay_for_all(log: &[Feedback], subject: SubjectId) {
+    for mut mechanism in mechanisms() {
+        fold_matches_replay(mechanism.as_mut(), log, subject).unwrap();
     }
 }
 
@@ -83,7 +68,7 @@ proptest! {
                 Feedback::scored(AgentId::new(rater), subject, score, Time::new(at))
             })
             .collect();
-        assert_fold_matches_replay(&log, subject.into());
+        fold_matches_replay_for_all(&log, subject.into());
     }
 
     /// Agent subjects can appear as their own raters (self-ratings),
@@ -102,7 +87,7 @@ proptest! {
                 Feedback::scored(AgentId::new(rater), subject, score, Time::new(at))
             })
             .collect();
-        assert_fold_matches_replay(&log, subject.into());
+        fold_matches_replay_for_all(&log, subject.into());
     }
 
     /// Decay refresh: long idle gaps between bursts, so time-decayed
@@ -127,6 +112,6 @@ proptest! {
                 Time::new(resume + i as u64),
             ));
         }
-        assert_fold_matches_replay(&log, subject.into());
+        fold_matches_replay_for_all(&log, subject.into());
     }
 }

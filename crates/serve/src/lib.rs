@@ -35,10 +35,14 @@
 //!   own fsync pipeline, under a shared LSN space —
 //!   `ServiceBuilder::recover_from` replays snapshot + WAL tail(s) on
 //!   boot, and a background checkpointer builds snapshots from the log
-//!   itself and compacts it.
+//!   itself and compacts it;
+//! - [`check`] — one checker per invariant the registry promises, each
+//!   answering its first counterexample: the suites' and the cluster's
+//!   shared definition of "correct".
 
 #![deny(unsafe_code)]
 
+pub mod check;
 pub mod durability;
 pub mod fxhash;
 pub mod ingest;

@@ -66,8 +66,8 @@ pub use crate::topk::RankedService;
 /// it could affect — and the read path checks it with one atomic load.
 /// The count feeds stats without touching the lock.
 #[derive(Debug, Default)]
-struct Listings {
-    table: RwLock<BTreeMap<ServiceId, Listing>>,
+pub(crate) struct Listings {
+    pub(crate) table: RwLock<BTreeMap<ServiceId, Listing>>,
     epoch: AtomicU64,
     count: AtomicU64,
 }
@@ -447,8 +447,8 @@ pub struct ReputationService {
     store: Arc<ShardedStore>,
     plans: PlanCache,
     ranks: RankCache,
-    listings: Arc<Listings>,
-    reputation_weight: f64,
+    pub(crate) listings: Arc<Listings>,
+    pub(crate) reputation_weight: f64,
     scratch_reuse: AtomicU64,
     journal: Option<Arc<JournalHandle>>,
     // Held only for its Drop. Declared before `ingest`: drop stops the

@@ -280,6 +280,8 @@ pub struct ShardedStore {
     /// Reports applied across all shards; relaxed, bumped per batch.
     total: AtomicU64,
     incremental: bool,
+    /// The recipe every shard's accumulators come from, and a twin's.
+    pub(crate) mechanism: MechanismFactory,
 }
 
 impl std::fmt::Debug for ShardedStore {
@@ -313,6 +315,7 @@ impl ShardedStore {
             category_write: Mutex::new(()),
             total: AtomicU64::new(0),
             incremental,
+            mechanism,
         }
     }
 

@@ -3,23 +3,21 @@
 //! rebuild — under concurrent ingest, for one writer group and several,
 //! on top of an earlier snapshot or none, and after a journal failure.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
-use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
+use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
-use wsrep_core::trust::TrustEstimate;
-use wsrep_journal::segment::{list_segments, scan_segment_entries};
 use wsrep_journal::{
-    latest_snapshot, list_group_dirs, recover, Fault, FaultScript, IoOp, IoPolicy, JournalRecord,
-    ShipCursor, Snapshot,
+    latest_snapshot, recover, Fault, FaultScript, IoOp, IoPolicy, JournalRecord, ShipCursor,
+    Snapshot,
 };
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{shipped, twin_equal, Twin};
 use wsrep_serve::{CheckpointReport, DurabilityPolicy, ReputationService};
 use wsrep_sim::registry::Listing;
 
@@ -52,51 +50,6 @@ fn listing(service: u64, category: u32) -> Listing {
     }
 }
 
-/// Every record in the journal's segment files — root and writer-group
-/// streams — in LSN order.
-fn wal_records(dir: &Path) -> Vec<(u64, JournalRecord)> {
-    let mut streams = vec![dir.to_path_buf()];
-    streams.extend(list_group_dirs(dir).unwrap().into_iter().map(|(_, d)| d));
-    let mut records = Vec::new();
-    for stream in streams {
-        for (_, path) in list_segments(&stream).unwrap() {
-            let scan = scan_segment_entries(&path).unwrap().expect("valid header");
-            records.extend(scan.entries);
-        }
-    }
-    records.sort_by_key(|(lsn, _)| *lsn);
-    records
-}
-
-fn per_subject(log: &[Feedback]) -> BTreeMap<SubjectId, Vec<Feedback>> {
-    let mut by_subject: BTreeMap<SubjectId, Vec<Feedback>> = BTreeMap::new();
-    for report in log {
-        by_subject
-            .entry(report.subject)
-            .or_default()
-            .push(report.clone());
-    }
-    by_subject
-}
-
-/// The reference: apply records `[0, lsn)` one by one, in LSN order.
-fn sequential_replay(wal: &[(u64, JournalRecord)], lsn: u64) -> (Vec<Listing>, Vec<Feedback>) {
-    let mut listings: BTreeMap<ServiceId, Listing> = BTreeMap::new();
-    let mut log = Vec::new();
-    for (_, record) in wal.iter().filter(|(at, _)| *at < lsn) {
-        match record {
-            JournalRecord::Feedback(report) => log.push(report.clone()),
-            JournalRecord::Publish(listing) => {
-                listings.insert(listing.service, listing.clone());
-            }
-            JournalRecord::Deregister(service) => {
-                listings.remove(service);
-            }
-        }
-    }
-    (listings.into_values().collect(), log)
-}
-
 fn assert_snapshot_is_the_wal_prefix(
     report: &CheckpointReport,
     snapshot: &Snapshot,
@@ -104,38 +57,22 @@ fn assert_snapshot_is_the_wal_prefix(
 ) {
     assert_eq!(snapshot.lsn, report.lsn);
     assert_eq!(snapshot.entries(), report.entries);
-    let (listings, log) = sequential_replay(wal, report.lsn);
+    let prefix = wal.iter().filter(|(at, _)| *at < report.lsn);
+    let prefix = Twin::replay(prefix.map(|(_, record)| record.clone()));
+    let held = Twin::published(&snapshot.listings, &snapshot.feedback);
     assert_eq!(
-        snapshot.listings, listings,
-        "listings at lsn {}",
+        (held.listings, held.reports),
+        (prefix.listings, prefix.reports),
+        "listings and per-subject feedback order at lsn {}",
         report.lsn
     );
-    assert_eq!(
-        per_subject(&snapshot.feedback),
-        per_subject(&log),
-        "per-subject feedback order at lsn {}",
-        report.lsn
-    );
-}
-
-fn copy_tree(from: &Path, to: &Path, keep: &dyn Fn(&Path) -> bool) {
-    fs::create_dir_all(to).unwrap();
-    for entry in fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let target = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_tree(&entry.path(), &target, keep);
-        } else if keep(&entry.path()) {
-            fs::copy(entry.path(), target).unwrap();
-        }
-    }
 }
 
 /// Two checkpoints under a live ingester (the first with no snapshot to
 /// build on, the second on top of the first), with segments large enough
 /// that compaction deletes none: the whole WAL stays readable, so each
-/// snapshot can be held against a sequential replay of its prefix, and
-/// the directory minus its snapshot is the never-checkpointed twin.
+/// snapshot can be held against the twin of its prefix, and the whole
+/// WAL's twin is the never-checkpointed history.
 #[test]
 fn snapshot_under_concurrent_ingest_equals_a_replay_of_its_wal_prefix() {
     const BODY: u64 = 3000;
@@ -195,7 +132,7 @@ fn snapshot_under_concurrent_ingest_equals_a_replay_of_its_wal_prefix() {
         });
         svc.flush();
 
-        let wal = wal_records(&live);
+        let wal = shipped(&live).unwrap();
         assert_eq!(
             wal.len() as u64,
             wal.last().unwrap().0 + 1,
@@ -209,36 +146,21 @@ fn snapshot_under_concurrent_ingest_equals_a_replay_of_its_wal_prefix() {
         assert!(second.lsn > first.lsn);
         assert_eq!(second.snapshots_removed, 1, "built on, then superseded");
 
-        // Recovery from snapshot + tail equals the never-checkpointed twin.
-        let scores: Vec<Option<TrustEstimate>> = (0..SERVICES)
-            .map(|s| svc.score(ServiceId::new(s).into()))
-            .collect();
+        // The live node, and its recovery from snapshot + tail, equal the
+        // twin of the whole WAL: the never-checkpointed history.
+        let never = Twin::replay(wal.into_iter().map(|(_, record)| record));
+        assert_eq!(never.feedback().count() as u64, BODY + TAIL);
+        twin_equal(&svc, &never).unwrap();
         drop(svc);
-        let twin = temp_dir(&format!("concurrent-{groups}-twin"));
-        copy_tree(&live, &twin, &|path| {
-            path.extension().is_none_or(|ext| ext != "snap")
-        });
-        let checkpointed = recover(&live).unwrap();
-        let never = recover(&twin).unwrap();
-        assert_eq!(checkpointed.snapshot_lsn, Some(second.lsn));
-        assert_eq!(never.snapshot_lsn, None);
-        assert_eq!(checkpointed.listings, never.listings);
-        assert_eq!(checkpointed.feedback.len() as u64, BODY + TAIL);
-        assert_eq!(
-            per_subject(&checkpointed.feedback),
-            per_subject(&never.feedback)
-        );
-        assert_eq!(checkpointed.next_lsn, never.next_lsn);
+        assert_eq!(recover(&live).unwrap().snapshot_lsn, Some(second.lsn));
         let revived = ReputationService::builder()
             .shards(4)
             .recover_from(&live)
             .build();
-        for (s, expected) in scores.iter().enumerate() {
-            assert_eq!(revived.score(ServiceId::new(s as u64).into()), *expected);
-        }
+        twin_equal(&revived, &never).unwrap();
+        assert_eq!(revived.durable_lsn(), Some(never.lsn));
         drop(revived);
         fs::remove_dir_all(&live).unwrap();
-        fs::remove_dir_all(&twin).unwrap();
     }
 }
 

@@ -3,20 +3,19 @@
 //! Two claims are load-bearing: (1) no feedback is ever lost between a
 //! successful `ingest` and the sharded store, whatever the thread
 //! interleaving; (2) sharding + batching + caching are pure plumbing —
-//! the score a subject gets from the service is exactly the score a
-//! single-threaded [`FeedbackStore`] replay produces.
+//! the service equals its sequential-replay twin (`twin_equal`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ServiceId, SubjectId};
-use wsrep_core::mechanism::score_from_log;
 use wsrep_core::mechanisms::beta::BetaMechanism;
-use wsrep_core::store::FeedbackStore;
 use wsrep_core::time::Time;
+use wsrep_journal::JournalRecord;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{exactly_once, twin_equal, Twin};
 use wsrep_serve::ReputationService;
 use wsrep_sim::registry::Listing;
 
@@ -88,17 +87,10 @@ fn concurrent_ingest_and_query_loses_nothing() {
     });
 
     service.flush();
-    let total = INGESTERS * PER_THREAD;
     let store = service.store();
-    let per_shard: Vec<usize> = (0..store.num_shards())
-        .map(|i| store.shard_len(i))
-        .collect();
-    assert_eq!(
-        per_shard.iter().sum::<usize>() as u64,
-        total,
-        "shard totals {per_shard:?} must add up to every accepted report"
-    );
-    assert_eq!(service.stats().feedback, total);
+    let in_shards = (0..store.num_shards()).map(|i| store.shard_len(i)).sum();
+    exactly_once((INGESTERS * PER_THREAD) as usize, in_shards).unwrap();
+    assert_eq!(service.stats().feedback as usize, in_shards);
 }
 
 /// After the dust settles, polarized feedback must separate good from bad
@@ -127,8 +119,8 @@ fn ranking_after_concurrent_ingestion_reflects_feedback() {
 }
 
 proptest! {
-    /// The served score equals a single-threaded replay of the same log
-    /// through the same mechanism over a plain `FeedbackStore`.
+    /// The served scores equal a single-threaded replay of the same log
+    /// through the same mechanism.
     #[test]
     fn sharded_score_matches_sequential_store(
         reports in proptest::collection::vec(
@@ -141,30 +133,13 @@ proptest! {
             .shards(shards)
             .mechanism(BetaMechanism::new)
             .build();
-        let mut reference = FeedbackStore::new();
+        let mut log = Vec::new();
         for &(rater, svc, score, at) in &reports {
             let f = feedback(rater, svc, score, at);
             service.ingest(f.clone()).unwrap();
-            reference.push(f);
+            log.push(JournalRecord::Feedback(f));
         }
         service.flush();
-
-        for svc in 0..6u64 {
-            let subject: SubjectId = ServiceId::new(svc).into();
-            let mut mech = BetaMechanism::new();
-            let expected = score_from_log(&mut mech, reference.about(subject), subject);
-            let served = service.score(subject);
-            match (expected, served) {
-                (None, None) => {}
-                (Some(e), Some(s)) => {
-                    prop_assert!(
-                        (e.value.get() - s.value.get()).abs() < 1e-12
-                            && (e.confidence - s.confidence).abs() < 1e-12,
-                        "subject {subject}: served {s:?} != sequential {e:?}"
-                    );
-                }
-                other => prop_assert!(false, "evidence mismatch for {subject}: {other:?}"),
-            }
-        }
+        twin_equal(&service, &Twin::replay(log)).unwrap();
     }
 }

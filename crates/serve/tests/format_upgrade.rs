@@ -14,11 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
-use wsrep_core::mechanism::score_from_log;
-use wsrep_core::mechanisms::beta::BetaMechanism;
-use wsrep_core::store::FeedbackStore;
 use wsrep_core::time::Time;
-use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::codec::{put_f64, put_feedback, put_metric, put_varint};
 use wsrep_journal::frame::write_frame;
 use wsrep_journal::segment::{
@@ -28,14 +24,11 @@ use wsrep_journal::segment::{
 use wsrep_journal::{group_dir_name, JournalRecord};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::ReputationService;
 use wsrep_sim::registry::Listing;
 
 const SERVICES: u64 = 5;
-
-fn subject(service: u64) -> SubjectId {
-    ServiceId::new(service).into()
-}
 
 fn report(i: u64) -> Feedback {
     let plain = Feedback::scored(
@@ -90,13 +83,8 @@ fn compact_v5_bytes(feedback: &Feedback) -> Vec<u8> {
     out
 }
 
-/// Write `root/group-000/wal-0.log` the way a build of format `version`
-/// (3, 4 or 5) did: its header, a listing per service, then `reports` as
-/// tag-1 records (3) or compact ones (4 and 5), every record in a frame
-/// of its own (3 and 4) or 40 records a frame (5).
-fn write_old_log(root: &Path, version: u8, reports: &[Feedback]) -> PathBuf {
-    let group = root.join(group_dir_name(0));
-    fs::create_dir_all(&group).unwrap();
+/// A listing per service, then `reports`: the history of every old log.
+fn old_records(reports: &[Feedback]) -> impl Iterator<Item = JournalRecord> + '_ {
     let listings = (0..SERVICES).map(|service| {
         JournalRecord::Publish(Listing {
             service: ServiceId::new(service),
@@ -104,8 +92,18 @@ fn write_old_log(root: &Path, version: u8, reports: &[Feedback]) -> PathBuf {
             category: 0,
             advertised: QosVector::from_pairs([(Metric::Price, 1.0 + service as f64)]),
         })
-        .to_bytes()
     });
+    listings.chain(reports.iter().cloned().map(JournalRecord::Feedback))
+}
+
+/// Write `root/group-000/wal-0.log` the way a build of format `version`
+/// (3, 4 or 5) did: its header, then the [`old_records`] of `reports`, the
+/// reports as tag-1 records (3) or compact ones (4 and 5), every record
+/// in a frame of its own (3 and 4) or 40 records a frame (5).
+fn write_old_log(root: &Path, version: u8, reports: &[Feedback]) -> PathBuf {
+    let group = root.join(group_dir_name(0));
+    fs::create_dir_all(&group).unwrap();
+    let listings = old_records(&[]).map(|listing| listing.to_bytes());
     let reports = reports.iter().map(|feedback| {
         if version == 3 {
             let mut record = vec![1];
@@ -123,10 +121,6 @@ fn write_old_log(root: &Path, version: u8, reports: &[Feedback]) -> PathBuf {
     let path = group.join(segment_file_name(0));
     fs::write(&path, &bytes).unwrap();
     path
-}
-
-fn estimates(service: &ReputationService) -> Vec<Option<TrustEstimate>> {
-    (0..SERVICES).map(|s| service.score(subject(s))).collect()
 }
 
 #[test]
@@ -155,40 +149,23 @@ fn recovers_the_same_before_and_after_an_append(version: u8) {
     let old_bytes = fs::read(&old_path).unwrap();
     let history = SERVICES + reports.len() as u64;
 
-    let newcomer = ServiceId::new(SERVICES + 4);
-    let before = {
+    // This build's first append: a report about a subject the old log
+    // never mentions, so every old estimate must come back unchanged.
+    let newcomer = Feedback::scored(AgentId::new(1), ServiceId::new(9), 0.9, Time::new(999));
+    let appended = [JournalRecord::Feedback(newcomer.clone())];
+    let after_append = Twin::replay(old_records(&reports).chain(appended));
+    {
         let service = ReputationService::builder()
             .shards(4)
             .recover_from(&root)
             .build();
         let health = service.stats().journal.expect("journal attached");
         assert_eq!(health.records_recovered, history);
-        let before = estimates(&service);
-        let mut store = FeedbackStore::new();
-        reports.iter().for_each(|r| store.push(r.clone()));
-        for (s, estimate) in before.iter().enumerate() {
-            let subject = subject(s as u64);
-            let replayed = score_from_log(&mut BetaMechanism::new(), store.about(subject), subject);
-            assert_eq!(
-                *estimate, replayed,
-                "service {s} against a sequential replay"
-            );
-            assert!(estimate.is_some());
-        }
-        // This build's first append: a report about a subject the old log
-        // never mentions, so every old estimate must come back unchanged.
-        service
-            .ingest(Feedback::scored(
-                AgentId::new(1),
-                newcomer,
-                0.9,
-                Time::new(999),
-            ))
-            .unwrap();
+        twin_equal(&service, &Twin::replay(old_records(&reports))).unwrap();
+        service.ingest(newcomer).unwrap();
         service.flush();
-        assert_eq!(estimates(&service), before);
-        before
-    };
+        twin_equal(&service, &after_append).unwrap();
+    }
 
     assert_eq!(
         fs::read(&old_path).unwrap(),
@@ -210,8 +187,7 @@ fn recovers_the_same_before_and_after_an_append(version: u8) {
         .build();
     let health = revived.stats().journal.expect("journal attached");
     assert_eq!(health.records_recovered, history + 1);
-    assert_eq!(estimates(&revived), before);
-    assert!(revived.score(newcomer.into()).is_some());
+    twin_equal(&revived, &after_append).unwrap();
     drop(revived);
     fs::remove_dir_all(&root).unwrap();
 }

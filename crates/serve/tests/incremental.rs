@@ -1,23 +1,23 @@
 //! Service-level equivalence tests for the incremental scoring engine:
-//! a service folding reports into shard-resident accumulators must be
-//! observably identical to one replaying the log on every miss, across
-//! every mechanism, after recovery, and through `top_k` — incrementality
-//! is an optimization, never a semantic.
+//! a service folding reports into shard-resident accumulators must equal
+//! its sequential-replay twin (`twin_equal`), across every mechanism, in
+//! `top_k` too (`never_stale`), and after recovery — incrementality is an
+//! optimization, never a semantic.
 
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
-use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
-use wsrep_core::mechanism::Unfolded;
+use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::mechanisms::all_figure4_mechanisms;
-use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::time::Time;
+use wsrep_journal::JournalRecord;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
-use wsrep_serve::{MechanismFactory, ReputationService, ServiceBuilder};
+use wsrep_serve::check::{never_stale, twin_equal, Twin};
+use wsrep_serve::{MechanismFactory, ReputationService};
 use wsrep_sim::registry::Listing;
 
 const SERVICES: u64 = 8;
@@ -43,56 +43,11 @@ fn listing(service: u64, category: u32) -> Listing {
     }
 }
 
-/// The default mechanism, Beta, with its fold withheld: the replay twin.
-fn replay_twin() -> ServiceBuilder {
-    ReputationService::builder().mechanism(|| Unfolded(Box::new(BetaMechanism::new())))
-}
-
 fn ingest_all(svc: &ReputationService, reports: &[Feedback]) {
     for report in reports {
         svc.ingest(report.clone()).unwrap();
     }
     svc.flush();
-}
-
-/// Build incremental and replay twins from the same configuration, the
-/// replay twin's `mechanism` wrapped in [`Unfolded`], feed both the same
-/// reports, and demand identical answers everywhere. `has_fold` says
-/// whether the mechanism offers an accumulator at all — without one, the
-/// "incremental" twin quietly replays too.
-fn assert_twins_agree(
-    builder: impl Fn() -> ServiceBuilder,
-    mechanism: MechanismFactory,
-    reports: &[Feedback],
-    has_fold: bool,
-) {
-    let incremental = builder().mechanism_factory(Arc::clone(&mechanism)).build();
-    let unfolded: MechanismFactory = Arc::new(move || Box::new(Unfolded(mechanism())));
-    let replay = builder().mechanism_factory(unfolded).build();
-    assert_eq!(incremental.stats().incremental, has_fold);
-    assert!(!replay.stats().incremental);
-    for svc in [&incremental, &replay] {
-        for s in 0..SERVICES {
-            svc.publish(listing(s, (s % 2) as u32)).unwrap();
-        }
-        ingest_all(svc, reports);
-    }
-    for s in 0..SERVICES {
-        let subject: SubjectId = ServiceId::new(s).into();
-        assert_eq!(
-            incremental.score(subject),
-            replay.score(subject),
-            "service {s}"
-        );
-    }
-    let prefs = Preferences::uniform([Metric::Price, Metric::Accuracy]);
-    for category in 0..2 {
-        assert_eq!(
-            incremental.top_k(category, &prefs, 5),
-            replay.top_k(category, &prefs, 5),
-            "category {category}"
-        );
-    }
 }
 
 #[test]
@@ -109,8 +64,19 @@ fn every_figure4_mechanism_scores_identically_incremental_and_replay() {
                 .find(|m| m.info().key == key)
                 .expect("mechanism key is stable")
         });
-        let builder = || ReputationService::builder().shards(4);
-        assert_twins_agree(builder, mechanism, &reports, has_fold);
+        let svc = ReputationService::builder()
+            .shards(4)
+            .mechanism_factory(mechanism)
+            .build();
+        assert_eq!(svc.stats().incremental, has_fold, "{key}");
+        let listings = (0..SERVICES).map(|s| JournalRecord::Publish(listing(s, (s % 2) as u32)));
+        let log: Vec<JournalRecord> = listings
+            .chain(reports.iter().cloned().map(JournalRecord::Feedback))
+            .collect();
+        svc.apply_replicated(log.clone()).unwrap();
+        // Scores equal the replay's, and so does every ranking.
+        let prefs = Preferences::uniform([Metric::Price, Metric::Accuracy]);
+        never_stale(&svc, &Twin::replay(log), &prefs).unwrap_or_else(|v| panic!("{key}: {v}"));
     }
 }
 
@@ -196,7 +162,7 @@ proptest! {
     /// reports (out-of-order timestamps included) score identically
     /// whether folded incrementally or replayed from the log.
     #[test]
-    fn incremental_twin_equals_replay_twin(
+    fn an_incremental_service_equals_its_twin(
         raw in proptest::collection::vec(
             (0u64..9, 0u64..SERVICES, 0.0f64..=1.0, 0u64..40),
             1..120,
@@ -208,21 +174,16 @@ proptest! {
             .map(|&(rater, service, score, at)| feedback(rater, service, score, at))
             .collect();
         let incremental = ReputationService::builder().shards(shards).build();
-        let replay = replay_twin().shards(shards).build();
         ingest_all(&incremental, &reports);
-        ingest_all(&replay, &reports);
-        for s in 0..SERVICES {
-            let subject: SubjectId = ServiceId::new(s).into();
-            prop_assert_eq!(incremental.score(subject), replay.score(subject));
-        }
+        twin_equal(&incremental, &Twin::published(&[], &reports)).unwrap();
     }
 
     /// Recovery folds a WAL forced into many small segments back into the
     /// resident accumulators, in one pass that merges the segments by
-    /// LSN; the recovered incremental service must score exactly like an
-    /// un-crashed replay twin.
+    /// LSN; the recovered incremental service must equal the twin of the
+    /// reports it acknowledged.
     #[test]
-    fn recovery_equals_sequential_replay(
+    fn a_recovered_incremental_service_equals_its_twin(
         raw in proptest::collection::vec(
             (0u64..9, 0u64..SERVICES, 0.0f64..=1.0, 0u64..40),
             1..80,
@@ -248,16 +209,8 @@ proptest! {
             .recover_from(&live)
             .build();
         prop_assert!(revived.stats().incremental);
-        let reference = replay_twin().shards(4).build();
-        ingest_all(&reference, &reports);
-        for s in 0..SERVICES {
-            let subject: SubjectId = ServiceId::new(s).into();
-            prop_assert_eq!(
-                revived.score(subject),
-                reference.score(subject),
-                "service {} after recovery over {} byte segments", s, segment_bytes
-            );
-        }
+        twin_equal(&revived, &Twin::published(&[], &reports))
+            .unwrap_or_else(|v| panic!("after recovery over {segment_bytes} byte segments: {v}"));
         drop(revived);
         fs::remove_dir_all(&live).unwrap();
     }

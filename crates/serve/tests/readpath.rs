@@ -2,30 +2,30 @@
 //!
 //! Two families of guarantees:
 //!
-//! 1. **Never stale** — a score served through the snapshot-swapped cache
-//!    at store epoch `E` equals what a twin service replaying exactly the
-//!    same applied prefix computes. Invalidations (per-subject epochs,
-//!    per-category score epochs) can only over-invalidate, never serve a
-//!    value that silently ignores applied feedback.
+//! 1. **Never stale** (`never_stale`) — after a flush, every score and
+//!    ranking served through the snapshot-swapped caches equals what a
+//!    service built fresh from exactly the same applied prefix answers.
+//!    Invalidations (per-subject epochs, per-category score epochs) can
+//!    only over-invalidate, never serve a value that silently ignores
+//!    applied feedback.
 //! 2. **Consistency under concurrency** — many readers hammering `score`
 //!    and the pre-ranked `top_k` while one writer publishes, deregisters,
 //!    and ingests must always observe internally consistent answers
 //!    (sorted, deduplicated, drawn from the live candidate set at *some*
-//!    point), and the final quiesced answer must equal a from-scratch
-//!    recomputation.
+//!    point), and the final quiesced answers must be never stale too.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
-use wsrep_core::mechanism::Unfolded;
-use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::time::Time;
+use wsrep_journal::JournalRecord;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
-use wsrep_serve::{ReputationService, ServiceBuilder};
+use wsrep_serve::check::{never_stale, Twin};
+use wsrep_serve::ReputationService;
 use wsrep_sim::registry::Listing;
 
 const SERVICES: u64 = 6;
@@ -37,11 +37,6 @@ fn feedback(rater: u64, service: u64, score: f64, at: u64) -> Feedback {
         score,
         Time::new(at),
     )
-}
-
-/// The default mechanism, Beta, with its fold withheld: the replay twin.
-fn replay_twin() -> ServiceBuilder {
-    ReputationService::builder().mechanism(|| Unfolded(Box::new(BetaMechanism::new())))
 }
 
 fn listing(service: u64, category: u32) -> Listing {
@@ -61,7 +56,7 @@ proptest! {
 
     /// Never-stale, checked at every flush point: after each applied
     /// chunk, every subject's cached score and every category's
-    /// pre-ranked `top_k` equal what a replay twin fed exactly the same
+    /// pre-ranked `top_k` equal what a service fed exactly the same
     /// prefix computes from scratch. A stale snapshot surviving an epoch
     /// bump anywhere — subject epoch, score epoch, listings epoch —
     /// would diverge here.
@@ -78,49 +73,41 @@ proptest! {
             .map(|&(rater, service, score, at)| feedback(rater, service, score, at))
             .collect();
         let cached = ReputationService::builder().shards(4).build();
-        for s in 0..SERVICES {
-            cached.publish(listing(s, (s % 2) as u32)).unwrap();
-        }
+        let mut log: Vec<JournalRecord> = (0..SERVICES)
+            .map(|s| JournalRecord::Publish(listing(s, (s % 2) as u32)))
+            .collect();
+        cached.apply_replicated(log.clone()).unwrap();
         let prefs = Preferences::uniform([Metric::Price, Metric::Accuracy]);
         for prefix in reports.chunks(chunk) {
             for report in prefix {
                 cached.ingest(report.clone()).unwrap();
+                log.push(JournalRecord::Feedback(report.clone()));
             }
             cached.flush();
-            // Twin rebuilt from scratch on the same applied prefix: no
-            // caches carried over, so it cannot be stale by construction.
-            let applied = cached.store().len();
-            let twin = replay_twin().shards(4).build();
-            for s in 0..SERVICES {
-                twin.publish(listing(s, (s % 2) as u32)).unwrap();
-            }
-            for report in &reports[..applied] {
-                twin.ingest(report.clone()).unwrap();
-            }
-            twin.flush();
-            for s in 0..SERVICES {
-                let subject: SubjectId = ServiceId::new(s).into();
-                prop_assert_eq!(
-                    cached.score(subject),
-                    twin.score(subject),
-                    "service {} after {} applied reports", s, applied
-                );
-            }
-            for category in 0..2u32 {
-                prop_assert_eq!(
-                    cached.top_k(category, &prefs, SERVICES as usize),
-                    twin.top_k(category, &prefs, SERVICES as usize),
-                    "category {} after {} applied reports", category, applied
-                );
-            }
+            never_stale(&cached, &Twin::replay(log.clone()), &prefs)
+                .unwrap_or_else(|v| panic!("after {} applied reports: {v}", cached.store().len()));
         }
     }
+}
+
+/// One round of the writer below: churn a rotating guest listing in and
+/// out of the category readers are ranking, and rate one service.
+fn churn(round: u64) -> Vec<JournalRecord> {
+    let guest = SERVICES + (round % 5);
+    let mut records = vec![JournalRecord::Publish(listing(guest, 0))];
+    records.extend(
+        (0..3).map(|rater| JournalRecord::Feedback(feedback(rater, round % SERVICES, 0.5, round))),
+    );
+    if round % 2 == 1 {
+        records.push(JournalRecord::Deregister(ServiceId::new(guest)));
+    }
+    records
 }
 
 /// Many readers hammer the pre-ranked `top_k` and `score` while one
 /// writer churns listings (publish + deregister) and feedback. Readers
 /// assert every answer is internally consistent; afterwards the quiesced
-/// service must agree with a from-scratch twin.
+/// service must be never stale.
 #[test]
 fn preranked_top_k_stays_consistent_under_concurrent_writes() {
     const READERS: usize = 3;
@@ -174,17 +161,13 @@ fn preranked_top_k_stays_consistent_under_concurrent_writes() {
         let svc = Arc::clone(&svc);
         let done = Arc::clone(&done);
         scope.spawn(move || {
-            for round in 0..WRITER_ROUNDS {
-                // Churn a rotating extra listing in and out of the
-                // category readers are ranking.
-                let extra = SERVICES + (round % 5);
-                svc.publish(listing(extra, 0)).unwrap();
-                for rater in 0..3 {
-                    svc.ingest(feedback(rater, round % SERVICES, 0.5, round))
-                        .unwrap();
-                }
-                if round % 2 == 1 {
-                    let _ = svc.deregister(ServiceId::new(extra));
+            // Each record goes out on its own, with no flush, so reports
+            // are still being applied while the listing table changes.
+            for record in (0..WRITER_ROUNDS).flat_map(churn) {
+                match record {
+                    JournalRecord::Publish(listing) => _ = svc.publish(listing).unwrap(),
+                    JournalRecord::Feedback(report) => svc.ingest(report).unwrap(),
+                    JournalRecord::Deregister(service) => _ = svc.deregister(service),
                 }
             }
             svc.flush();
@@ -192,34 +175,12 @@ fn preranked_top_k_stays_consistent_under_concurrent_writes() {
         });
     });
 
-    // Quiesced: the concurrent run must land in exactly the state a
-    // sequential twin reaches.
+    // Quiesced: the concurrent run must serve exactly the state its
+    // writes define.
     svc.flush();
-    let twin = replay_twin().shards(4).build();
-    for s in 0..SERVICES {
-        twin.publish(listing(s, 0)).unwrap();
-    }
-    for round in 0..WRITER_ROUNDS {
-        let extra = SERVICES + (round % 5);
-        twin.publish(listing(extra, 0)).unwrap();
-        for rater in 0..3 {
-            twin.ingest(feedback(rater, round % SERVICES, 0.5, round))
-                .unwrap();
-        }
-        if round % 2 == 1 {
-            let _ = twin.deregister(ServiceId::new(extra));
-        }
-    }
-    twin.flush();
-    assert_eq!(
-        svc.top_k(0, &prefs, SERVICES as usize + 5),
-        twin.top_k(0, &prefs, SERVICES as usize + 5),
-        "quiesced concurrent state must equal the sequential twin"
-    );
-    for s in 0..SERVICES {
-        let subject: SubjectId = ServiceId::new(s).into();
-        assert_eq!(svc.score(subject), twin.score(subject), "service {s}");
-    }
+    let listings = (0..SERVICES).map(|s| JournalRecord::Publish(listing(s, 0)));
+    let log = listings.chain((0..WRITER_ROUNDS).flat_map(churn));
+    never_stale(&svc, &Twin::replay(log), &prefs).unwrap();
 }
 
 /// The wait-free accessors (`len`, `stats`) racing writers never see

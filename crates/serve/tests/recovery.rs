@@ -13,14 +13,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
-use wsrep_core::mechanism::score_from_log;
-use wsrep_core::mechanisms::beta::BetaMechanism;
-use wsrep_core::store::FeedbackStore;
 use wsrep_core::time::Time;
-use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::{recover, GroupSet, Journal, JournalConfig, JournalRecord};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::ReputationService;
 use wsrep_sim::registry::Listing;
 
@@ -70,15 +67,13 @@ fn listing(service: u64, category: u32) -> Listing {
     }
 }
 
-/// The reference answer: replay a plain sequential [`FeedbackStore`]
-/// through the same mechanism the service scores with.
-fn sequential_score(reports: &[Feedback], subject: SubjectId) -> Option<TrustEstimate> {
-    let mut store = FeedbackStore::new();
-    for report in reports {
-        store.push(report.clone());
-    }
-    let mut mechanism = BetaMechanism::new();
-    score_from_log(&mut mechanism, store.about(subject), subject)
+/// Six publishes, a deregister of the last, then `reports`: what the
+/// kill-and-recover tests acknowledge, as a journal would hold it.
+fn published_then(reports: &[Feedback]) -> Twin {
+    let listings = (0..6).map(|s| JournalRecord::Publish(listing(s, s as u32 % 2)));
+    let deregister = JournalRecord::Deregister(ServiceId::new(5));
+    let reports = reports.iter().cloned().map(JournalRecord::Feedback);
+    Twin::replay(listings.chain([deregister]).chain(reports))
 }
 
 #[test]
@@ -104,31 +99,17 @@ fn kill_and_recover_restores_every_acknowledged_score() {
     let segments = |dir: &Path| wsrep_journal::segment::list_segments(dir).unwrap();
     assert!(!segments(&live.join("group-000")).is_empty() && segments(&live).is_empty());
     let frozen = freeze(&live, "kill-frozen");
-    let pre_crash: Vec<Option<TrustEstimate>> = (0..6)
-        .map(|s| svc.score(ServiceId::new(s).into()))
-        .collect();
+    // The live node and the revived one both equal the twin of what was
+    // acked: every report and listing survives, the deregistration too.
+    let acked = published_then(&reports);
+    twin_equal(&svc, &acked).unwrap();
     drop(svc); // the "crashed" process; its directory is never reused
 
     let revived = ReputationService::builder()
         .shards(4)
         .recover_from(&frozen)
         .build();
-    for (s, expected) in pre_crash.iter().enumerate() {
-        let subject: SubjectId = ServiceId::new(s as u64).into();
-        assert_eq!(
-            revived.score(subject),
-            *expected,
-            "service {s} must score identically after recovery"
-        );
-        assert_eq!(
-            revived.score(subject),
-            sequential_score(&reports, subject),
-            "recovered score must equal a sequential replay"
-        );
-    }
-    // Listings survive, including the deregistration.
-    assert_eq!(revived.stats().listings, 5);
-    assert!(revived.listing(ServiceId::new(5)).is_none());
+    twin_equal(&revived, &acked).unwrap();
     let health = revived.stats().journal.expect("journal attached");
     // 6 publishes + 1 deregister + 300 reports.
     assert_eq!(health.records_recovered, 307);
@@ -190,12 +171,7 @@ fn torn_final_record_is_skipped_without_error() {
         .unwrap();
 
     let revived = ReputationService::builder().recover_from(&live).build();
-    let prefix = &reports[..24];
-    for s in 0..3u64 {
-        let subject: SubjectId = ServiceId::new(s).into();
-        assert_eq!(revived.score(subject), sequential_score(prefix, subject));
-    }
-    assert_eq!(revived.stats().feedback, 24);
+    twin_equal(&revived, &Twin::published(&[], &reports[..24])).unwrap();
     // The revived journal truncated the torn tail and appends cleanly.
     revived.ingest(reports[24].clone()).unwrap();
     revived.flush();
@@ -230,21 +206,15 @@ fn checkpoint_plus_tail_recovers_and_reclaims_segments() {
     }
     svc.flush();
     let frozen = freeze(&live, "checkpoint-frozen");
-    let pre_crash: Vec<Option<TrustEstimate>> = (0..2)
-        .map(|s| svc.score(ServiceId::new(s).into()))
-        .collect();
+    let acked = Twin::published(&[listing(0, 0), listing(1, 0)], &reports);
+    twin_equal(&svc, &acked).unwrap();
     drop(svc);
 
     let revived = ReputationService::builder()
         .shards(4)
         .recover_from(&frozen)
         .build();
-    for (s, expected) in pre_crash.iter().enumerate() {
-        let subject: SubjectId = ServiceId::new(s as u64).into();
-        assert_eq!(revived.score(subject), *expected);
-        assert_eq!(revived.score(subject), sequential_score(&reports, subject));
-    }
-    assert_eq!(revived.stats().feedback, 200);
+    twin_equal(&revived, &acked).unwrap();
     fs::remove_dir_all(&live).unwrap();
     fs::remove_dir_all(&frozen).unwrap();
 }
@@ -309,9 +279,8 @@ fn partitioned_kill_and_recover_restores_every_acknowledged_score() {
         assert!(!segments.is_empty(), "group {group} holds no wal-*.log");
     }
     let frozen = freeze(&live, "part-kill-frozen");
-    let pre_crash: Vec<Option<TrustEstimate>> = (0..6)
-        .map(|s| svc.score(ServiceId::new(s).into()))
-        .collect();
+    let acked = published_then(&reports);
+    twin_equal(&svc, &acked).unwrap();
     drop(svc);
 
     // No writer_groups setting: the on-disk partitioned layout decides.
@@ -319,21 +288,7 @@ fn partitioned_kill_and_recover_restores_every_acknowledged_score() {
         .shards(4)
         .recover_from(&frozen)
         .build();
-    for (s, expected) in pre_crash.iter().enumerate() {
-        let subject: SubjectId = ServiceId::new(s as u64).into();
-        assert_eq!(
-            revived.score(subject),
-            *expected,
-            "service {s} must score identically after partitioned recovery"
-        );
-        assert_eq!(
-            revived.score(subject),
-            sequential_score(&reports, subject),
-            "recovered score must equal a sequential replay"
-        );
-    }
-    assert_eq!(revived.stats().listings, 5);
-    assert!(revived.listing(ServiceId::new(5)).is_none());
+    twin_equal(&revived, &acked).unwrap();
     let health = revived.stats().journal.expect("journal attached");
     assert_eq!(health.records_recovered, 307);
     assert_eq!(health.writer_groups, 4, "on-disk layout reopens wide");
@@ -430,25 +385,18 @@ proptest! {
             .shards(3)
             .recover_from(&live)
             .build();
-        for service in 0..6u64 {
-            let subject: SubjectId = ServiceId::new(service).into();
-            prop_assert_eq!(
-                revived.score(subject),
-                sequential_score(&reports[..k], subject),
-                "subject {} after cut at byte {}", service, cut
-            );
-        }
+        twin_equal(&revived, &Twin::published(&[], &reports[..k])).unwrap();
         drop(revived);
         fs::remove_dir_all(&live).unwrap();
     }
 
     /// Partition the log over several writer groups, tear every group's
     /// tail at an arbitrary byte, and recovery must (a) keep exactly a
-    /// prefix of each group's log, (b) equal a sequential single-log
-    /// replay of the surviving records, and (c) report a durable
+    /// prefix of each group's log, (b) merge the survivors in LSN order
+    /// into a service equal to their twin, and (c) report a durable
     /// watermark that never exceeds any group's torn frontier.
     #[test]
-    fn partitioned_truncate_anywhere_matches_a_sequential_replay_twin(
+    fn partitioned_truncate_anywhere_recovers_the_twin_of_the_survivors(
         n in 1usize..60,
         groups in 2usize..5,
         chunk in 1usize..6,
@@ -514,23 +462,9 @@ proptest! {
             torn_frontiers.push(lsns.get(kept).copied().unwrap_or(u64::MAX));
         }
 
-        // (b) The merged replay equals a sequential single-log twin fed
-        // the same surviving records in LSN order.
-        let twin_dir = temp_dir(&format!("{tag}-twin"));
-        {
-            let mut twin = Journal::open(&twin_dir, JournalConfig::default()).unwrap();
-            let records: Vec<JournalRecord> = recovered
-                .feedback
-                .iter()
-                .cloned()
-                .map(JournalRecord::Feedback)
-                .collect();
-            if !records.is_empty() {
-                twin.append_batch(&records).unwrap();
-            }
-        }
-        let twin = recover(&twin_dir).unwrap();
-        prop_assert_eq!(&twin.feedback, &recovered.feedback);
+        // (b) The merge hands the survivors on in LSN order; the revived
+        // service below equals their twin.
+        prop_assert!(survivors.windows(2).all(|pair| pair[0] < pair[1]));
 
         // (c) The reported frontier is the first hole in the survivor
         // set and never exceeds any group's torn frontier.
@@ -549,23 +483,14 @@ proptest! {
             survivors.iter().max().map(|lsn| lsn + 1).unwrap_or(0)
         );
 
-        // The revived service scores every subject like a sequential
-        // replay of the surviving stream.
+        // The revived service equals the twin of the surviving stream.
         let revived = ReputationService::builder()
             .shards(3)
             .recover_from(&live)
             .build();
-        for service in 0..6u64 {
-            let subject: SubjectId = ServiceId::new(service).into();
-            prop_assert_eq!(
-                revived.score(subject),
-                sequential_score(&recovered.feedback, subject),
-                "subject {} over {} groups", service, groups
-            );
-        }
+        twin_equal(&revived, &Twin::published(&[], &recovered.feedback)).unwrap();
         drop(revived);
         fs::remove_dir_all(&live).unwrap();
-        fs::remove_dir_all(&twin_dir).unwrap();
     }
 }
 
@@ -683,19 +608,8 @@ fn a_torn_final_segment_recovers_its_whole_commits_and_is_cut_to_them() {
             .shards(3)
             .recover_from(&live)
             .build();
-        assert_eq!(
-            revived.stats().feedback,
-            survivors.len() as u64,
-            "cut at {cut}"
-        );
-        for service in 0..4u64 {
-            let subject: SubjectId = ServiceId::new(service).into();
-            assert_eq!(
-                revived.score(subject),
-                sequential_score(survivors, subject),
-                "subject {service}, cut at {cut}"
-            );
-        }
+        twin_equal(&revived, &Twin::published(&[], survivors))
+            .unwrap_or_else(|v| panic!("cut at {cut}: {v}"));
         drop(revived);
         assert_eq!(
             fs::metadata(last).unwrap().len() as usize,

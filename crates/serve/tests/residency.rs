@@ -8,10 +8,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
-use wsrep_core::id::{AgentId, ServiceId, SubjectId};
-use wsrep_core::mechanism::score_from_log;
+use wsrep_core::id::{AgentId, ServiceId};
 use wsrep_core::mechanisms::all_figure4_mechanisms;
 use wsrep_core::time::Time;
+use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::{MechanismFactory, ReputationService};
 
 const REPORTS: u64 = 500;
@@ -47,6 +47,7 @@ fn applied_per_shard(service: &ReputationService) -> usize {
 #[test]
 fn every_mechanism_holds_its_log_exactly_when_it_has_no_fold() {
     let reports = reports();
+    let twin = Twin::published(&[], &reports);
     let mut checked = 0;
     for prototype in all_figure4_mechanisms() {
         let key = prototype.info().key;
@@ -71,15 +72,7 @@ fn every_mechanism_holds_its_log_exactly_when_it_has_no_fold() {
             assert_eq!(applied_per_shard(service), reports.len(), "{key}, {when}");
             let held = if has_fold { 0 } else { reports.len() };
             assert_eq!(service.store().resident_reports(), held, "{key}, {when}");
-            for s in 0..SERVICES {
-                let subject: SubjectId = ServiceId::new(s).into();
-                let log = reports.iter().filter(|report| report.subject == subject);
-                assert_eq!(
-                    service.score(subject),
-                    score_from_log(mechanism().as_mut(), log, subject),
-                    "{key}, service {s}, {when}"
-                );
-            }
+            twin_equal(service, &twin).unwrap_or_else(|v| panic!("{key}, {when}: {v}"));
         };
 
         let service = builder().journal(&dir).build();

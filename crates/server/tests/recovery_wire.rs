@@ -13,6 +13,7 @@ use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::ReputationService;
 use wsrep_server::Client;
 use wsrep_sim::registry::Listing;
@@ -83,20 +84,15 @@ fn killing_the_server_mid_ingest_loses_nothing_acknowledged_by_flush() {
     // Publish a listing, ingest two waves of reports, and pin the
     // durability line with a Flush RPC (group-commit fsync) after each.
     let mut client = Client::connect(&addr[..]).expect("connect");
+    let wave_1: Vec<Feedback> = (0..48).map(|i| feedback(i, 11, 0.9, i)).collect();
+    let wave_2: Vec<Feedback> = (100..116).map(|i| feedback(i, 11, 0.2, i)).collect();
     client.publish(listing(11, 0)).expect("publish");
-    let accepted = client
-        .ingest((0..48).map(|i| feedback(i, 11, 0.9, i)).collect())
-        .expect("ingest wave 1");
+    let accepted = client.ingest(wave_1.clone()).expect("ingest wave 1");
     assert_eq!(accepted, 48);
     client.flush().expect("flush wave 1");
-    client
-        .ingest(
-            (0..16)
-                .map(|i| feedback(100 + i, 11, 0.2, 100 + i))
-                .collect(),
-        )
-        .expect("ingest wave 2");
+    client.ingest(wave_2.clone()).expect("ingest wave 2");
     client.flush().expect("flush wave 2");
+    let acked = Twin::published(&[listing(11, 0)], wave_1.iter().chain(&wave_2));
     let live_estimate = client
         .score(ServiceId::new(11).into())
         .expect("score")
@@ -114,16 +110,9 @@ fn killing_the_server_mid_ingest_loses_nothing_acknowledged_by_flush() {
         .recover_from(&dir)
         .try_build()
         .expect("recover in-process");
-    assert_eq!(recovered.stats().feedback, 64, "both flushed waves replay");
-    let estimate = recovered
-        .score(ServiceId::new(11).into())
-        .expect("evidence survives the crash");
-    assert!(
-        (estimate.value.get() - live_estimate.value.get()).abs() < 1e-9,
-        "recovered score {} must match the pre-crash score {}",
-        estimate.value.get(),
-        live_estimate.value.get(),
-    );
+    twin_equal(&recovered, &acked).unwrap();
+    let estimate = recovered.score(ServiceId::new(11).into());
+    assert_eq!(estimate, Some(live_estimate), "the pre-crash score");
     drop(recovered);
 
     // Recovery path 2: restart the *binary* with --recover and ask over
@@ -135,9 +124,8 @@ fn killing_the_server_mid_ingest_loses_nothing_acknowledged_by_flush() {
     assert_eq!(stats.service.listings, 1, "the published listing replays");
     let estimate = client
         .score(ServiceId::new(11).into())
-        .expect("score over the wire")
-        .expect("evidence");
-    assert!((estimate.value.get() - live_estimate.value.get()).abs() < 1e-9);
+        .expect("score over the wire");
+    assert_eq!(estimate, Some(live_estimate));
     client.shutdown_server().expect("graceful shutdown RPC");
 
     let status = restarted.wait().expect("wait for clean exit");

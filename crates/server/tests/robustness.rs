@@ -12,6 +12,7 @@ use wsrep_core::time::Time;
 use wsrep_journal::{Fault, FaultScript, IoOp, IoPolicy};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::check::exactly_once;
 use wsrep_serve::{DurabilityPolicy, ReputationService};
 use wsrep_server::{
     ChaosConfig, Client, ClientError, ErrorCode, FlakyProxy, IngestKey, RetryPolicy,
@@ -82,11 +83,8 @@ fn replayed_ingest_key_applies_exactly_once() {
         .expect("next seq");
     assert_eq!(next, 16);
     client.flush().expect("flush");
-    assert_eq!(
-        service.store().len(),
-        32,
-        "two distinct keys applied, one replay suppressed"
-    );
+    // Two distinct keys applied, one replay suppressed.
+    exactly_once(32, service.store().len()).unwrap();
     server.shutdown();
     server.join();
 }
@@ -188,14 +186,9 @@ fn retried_batches_through_a_flaky_link_apply_exactly_once() {
 
     // Verify through a clean connection — the proxy stays chaotic.
     let mut direct = Client::connect(server.local_addr()).expect("direct");
-    let stats = direct.stats().expect("stats");
-    assert_eq!(
-        stats.service.feedback,
-        BATCHES * BATCH_SIZE,
-        "every batch applied exactly once despite {} dropped connections",
-        proxy.counters().dropped_conns
-    );
-    assert_eq!(service.store().len() as u64, BATCHES * BATCH_SIZE);
+    let applied = direct.stats().expect("stats").service.feedback as usize;
+    exactly_once((BATCHES * BATCH_SIZE) as usize, applied).unwrap();
+    assert_eq!(service.store().len(), applied);
     assert!(
         proxy.counters().dropped_conns > 0,
         "the chaos schedule never fired — this test proved nothing"
