@@ -11,9 +11,9 @@
 //!    frame at a time, stopping that log at its first torn frame (a
 //!    crashed append's tail was never acknowledged as durable, so dropping
 //!    it cannot lose acknowledged data);
-//! 3. merge the logs lazily as they are read, lowest pending LSN first,
-//!    skip what the snapshot already covers, and hand the records on in
-//!    global order.
+//! 3. merge the logs lazily as they are read, lowest pending LSN first
+//!    and a run at a time (see `replay_logs`), skip what the snapshot
+//!    already covers, and hand the records on in global order.
 //!
 //! With several writer groups, a crash can leave *interior gaps* in the
 //! merged LSN sequence — one group's later batch hit the disk while
@@ -25,7 +25,8 @@
 //! allocation resumes) and `durable_lsn` (the contiguous frontier).
 //!
 //! [`replay_prefix`] is that pass, record by record to a visitor, holding
-//! one chunk per log and what the visitor keeps. Opening the journal *is*
+//! one read chunk and one decoded frame per log, and what the visitor
+//! keeps. Opening the journal *is*
 //! the pass ([`GroupSet::open`](crate::GroupSet::open)): each writer
 //! resumes where it found its log's end, and `LogStream::finish` alone
 //! decides what damage there means. [`recover`] and [`recover_prefix`]
@@ -34,7 +35,7 @@
 use crate::record::JournalRecord;
 use crate::segment::{list_group_dirs, list_segments, SegmentReader, SEGMENT_HEADER_LEN};
 use crate::snapshot::latest_snapshot;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -164,35 +165,51 @@ pub(crate) fn replay_logs(
         listings.chain(reports).for_each(&mut visit);
     }
 
-    // One stream per log: the root's own segments, then each group's; on
-    // a tie the earlier stream goes first.
+    // One stream per log: the root's own segments, then each group's. The
+    // merge is the record-at-a-time one, lowest head first and the earlier
+    // stream on a tie, taken a run at a time: while only the chosen stream
+    // moves, the other heads stand still, so the record-at-a-time merge
+    // keeps choosing it exactly while its next record lies below every
+    // earlier stream's head and at or below every later one's. A frame is
+    // one contiguous LSN run (`LsnWalk`), and two logs' frames never share
+    // an LSN, so a run is a whole frame or more, and the other heads are
+    // peeked once per run, not once per record.
     let mut streams = vec![LogStream::open(dir, upto)?];
     for (_, group_dir) in list_group_dirs(dir)? {
         streams.push(LogStream::open(&group_dir, upto)?);
     }
     let mut frontier = covered_lsn;
+    let mut heads = Vec::with_capacity(streams.len());
     loop {
-        let mut lowest: Option<(u64, usize)> = None;
-        for (i, stream) in streams.iter_mut().enumerate() {
-            if let Some(lsn) = stream.peek()? {
-                if lowest.is_none_or(|(least, _)| lsn < least) {
-                    lowest = Some((lsn, i));
-                }
-            }
+        heads.clear();
+        for stream in &mut streams {
+            heads.push(stream.peek()?);
         }
-        let Some((lsn, i)) = lowest else {
+        let lowest = heads.iter().enumerate();
+        let lowest = lowest.filter_map(|(i, head)| Some((i, (*head)?)));
+        let Some((i, _)) = lowest.min_by_key(|&(i, lsn)| (lsn, i)) else {
             break;
         };
-        let (_, record) = streams[i].frame.pop_front().expect("peeked");
-        if !(covered_lsn..upto).contains(&lsn) {
-            continue;
+        let below = heads[..i].iter().flatten().min().copied();
+        let through = heads[i + 1..].iter().flatten().min().copied();
+        // Holds for the chosen head itself, so every run moves.
+        let in_run = |lsn: u64| below.is_none_or(|b| lsn < b) && through.is_none_or(|t| lsn <= t);
+        let stream = &mut streams[i];
+        while stream.peek()?.is_some_and(in_run) {
+            let run = stream.frame.iter().take_while(|(lsn, _)| in_run(*lsn));
+            let run = run.count();
+            for (lsn, record) in stream.frame.drain(..run) {
+                if !(covered_lsn..upto).contains(&lsn) {
+                    continue;
+                }
+                if lsn == frontier {
+                    frontier = lsn + 1;
+                }
+                visit(record);
+                replayed.records_recovered += 1;
+                replayed.next_lsn = lsn + 1;
+            }
         }
-        if lsn == frontier {
-            frontier = lsn + 1;
-        }
-        visit(record);
-        replayed.records_recovered += 1;
-        replayed.next_lsn = lsn + 1;
     }
     replayed.durable_lsn = frontier;
     replayed.torn_tail = streams.iter().any(LogStream::damaged);
@@ -211,8 +228,9 @@ pub(crate) struct LogStream {
     pub reader: Option<SegmentReader>,
     /// The last segment opened has no header.
     headerless: bool,
-    /// What is left of the frame read last.
-    frame: VecDeque<(u64, JournalRecord)>,
+    /// What is left of the frame read last, next record first: the
+    /// reader decodes into it, and the merge drains it.
+    frame: Vec<(u64, JournalRecord)>,
     done: bool,
 }
 
@@ -228,7 +246,7 @@ impl LogStream {
             opened: 0,
             reader: None,
             headerless: false,
-            frame: VecDeque::new(),
+            frame: Vec::new(),
             done: false,
         })
     }
@@ -243,8 +261,7 @@ impl LogStream {
     fn peek(&mut self) -> io::Result<Option<u64>> {
         while self.frame.is_empty() && !self.done {
             if let Some(reader) = &mut self.reader {
-                if let Some(frame) = reader.next_frame()? {
-                    self.frame.extend(frame);
+                if reader.next_frame(&mut self.frame)? {
                     continue;
                 }
             }
@@ -260,7 +277,7 @@ impl LogStream {
                 None => (self.headerless, self.done) = (true, true),
             }
         }
-        Ok(self.frame.front().map(|(lsn, _)| *lsn))
+        Ok(self.frame.first().map(|(lsn, _)| *lsn))
     }
 
     /// Read the rest of the log, then decide what its damage means to a
@@ -301,6 +318,7 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalConfig};
     use crate::snapshot::write_snapshot;
+    use std::collections::VecDeque;
     use std::fs;
     use std::path::PathBuf;
     use wsrep_core::id::{AgentId, ProviderId};
@@ -522,6 +540,131 @@ mod tests {
         );
         assert_eq!(recovered.durable_lsn, 1, "frontier stops at the gap");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log's frames, `(first_lsn, records)` apiece.
+    type Frames = [(u64, u64)];
+
+    /// A log written by hand into `dir`: one segment whose frames each
+    /// state their first LSN, so two logs may hold the same LSN, which no
+    /// writer does. Each report names its log (`rater`) and LSN (`at`);
+    /// returns the log's records.
+    fn hand_log(dir: &Path, log: u64, frames: &Frames) -> VecDeque<(u64, JournalRecord)> {
+        fs::create_dir_all(dir).unwrap();
+        let mut bytes = crate::segment::segment_header(frames[0].0).to_vec();
+        let mut records = VecDeque::new();
+        for &(first, count) in frames {
+            let frame: Vec<(u64, JournalRecord)> = (first..first + count)
+                .map(|lsn| {
+                    let report = Feedback::scored(
+                        AgentId::new(log),
+                        ServiceId::new(lsn % 3),
+                        0.5,
+                        Time::new(lsn),
+                    );
+                    (lsn, JournalRecord::Feedback(report))
+                })
+                .collect();
+            let frame_records = frame.iter().map(|(_, record)| record);
+            crate::journal::frame_commit(&mut bytes, Some(first), frame_records);
+            records.extend(frame);
+        }
+        fs::write(
+            dir.join(crate::segment::segment_file_name(frames[0].0)),
+            bytes,
+        )
+        .unwrap();
+        records
+    }
+
+    /// The record-at-a-time merge: lowest head first, the earlier log on
+    /// a tie.
+    fn record_merge(mut logs: Vec<VecDeque<(u64, JournalRecord)>>) -> Vec<JournalRecord> {
+        let mut merged = Vec::new();
+        let lowest = |logs: &[VecDeque<(u64, JournalRecord)>]| {
+            let heads = logs.iter().enumerate();
+            let heads = heads.filter_map(|(i, log)| Some((i, log.front()?.0)));
+            heads.min_by_key(|&(i, lsn)| (lsn, i)).map(|(i, _)| i)
+        };
+        while let Some(i) = lowest(&logs) {
+            merged.push(logs[i].pop_front().unwrap().1);
+        }
+        merged
+    }
+
+    /// The root's own log, then `group-000`'s: the run merge hands their
+    /// records on in exactly the record merge's order, and ends.
+    fn assert_run_merge_is_record_merge(tag: &str, root: &Frames, group: &Frames) {
+        let dir = temp_dir(tag);
+        let logs = vec![
+            hand_log(&dir, 0, root),
+            hand_log(&dir.join(crate::segment::group_dir_name(0)), 1, group),
+        ];
+        let expected = record_merge(logs);
+        let mut merged = Vec::new();
+        let replayed = replay_prefix(&dir, u64::MAX, |record| merged.push(record)).unwrap();
+        assert_eq!(merged, expected, "{root:?} beside {group:?}");
+        assert_eq!(replayed.records_recovered, expected.len() as u64);
+        assert!(!replayed.torn_tail);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_earlier_log_and_the_merge_ends() {
+        // Both logs hold LSN 3: the root's goes first, then the group's,
+        // then the group's 4 and 5 past the root's end.
+        let dir = temp_dir("tie-order");
+        hand_log(&dir, 0, &[(0, 4)]);
+        hand_log(&dir.join(crate::segment::group_dir_name(0)), 1, &[(3, 3)]);
+        let mut order = Vec::new();
+        replay_prefix(&dir, u64::MAX, |record| {
+            let report = record.as_feedback().unwrap();
+            order.push((report.rater.raw(), report.at.round()));
+        })
+        .unwrap();
+        let expected = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (1, 5)];
+        assert_eq!(order, expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_run_merge_is_the_record_merge_on_overlapping_logs() {
+        // Frames that tie, interleave, overlap, tie on several LSNs at
+        // once, or lie wholly inside the other log's frame.
+        let cases: [(&Frames, &Frames); 6] = [
+            (&[(0, 4)], &[(3, 3)]),
+            (&[(0, 5), (10, 2)], &[(2, 4), (11, 3)]),
+            (&[(4, 2)], &[(0, 10)]),
+            (&[(0, 10)], &[(4, 2), (7, 1)]),
+            (&[(0, 1), (2, 1), (4, 1)], &[(1, 1), (3, 1), (5, 1)]),
+            (&[(5, 3), (8, 3)], &[(5, 3), (8, 3)]),
+        ];
+        for (n, (root, group)) in cases.into_iter().enumerate() {
+            assert_run_merge_is_record_merge(&format!("overlap-{n}"), root, group);
+        }
+        // And seeded random frame layouts, runs of 1–4 records.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        for seed in 0..40 {
+            let mut log = || {
+                let mut at = next(4);
+                let frames: Vec<(u64, u64)> = (0..1 + next(5))
+                    .map(|_| {
+                        let frame = (at, 1 + next(4));
+                        at += frame.1 + next(3);
+                        frame
+                    })
+                    .collect();
+                frames
+            };
+            let (root, group) = (log(), log());
+            assert_run_merge_is_record_merge(&format!("random-{seed}"), &root, &group);
+        }
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub struct SegmentEntries {
 /// larger frame (up to [`crate::journal::FRAME_SPLIT_BYTES`]) takes more.
 pub(crate) const READ_CHUNK: usize = 256 << 10;
 
-/// Why [`SegmentReader::next_frame`] last returned `None`.
+/// Why [`SegmentReader::next_frame`] last returned `false`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SegmentEnd {
     /// End of file on a frame boundary.
@@ -299,11 +299,12 @@ pub(crate) enum SegmentEnd {
 
 /// One segment file, read a whole frame at a time: the journal's one
 /// frame loop. The file is read [`READ_CHUNK`] bytes at a time and cut
-/// into frames by [`split_frame`]; a frame's records are staged as the
-/// [`LsnWalk`] decodes them and handed on only once it accepts the frame,
-/// so a caller never sees a record of a damaged frame. End of file is not
-/// final: a later [`next_frame`](Self::next_frame) reads on from the last
-/// whole frame, which is how a cursor tails a growing segment.
+/// into frames by [`split_frame`]; the [`LsnWalk`] decodes a frame's
+/// records straight into the caller's buffer, with no staging copy, and a
+/// frame it refuses is taken back out, so a caller never sees a record of
+/// a damaged frame. End of file is not final: a later
+/// [`next_frame`](Self::next_frame) reads on from the last whole frame,
+/// which is how a cursor tails a growing segment.
 #[derive(Debug)]
 pub(crate) struct SegmentReader {
     file: File,
@@ -316,10 +317,8 @@ pub(crate) struct SegmentReader {
     /// `buf[taken..]` is the file from `valid_len` on, as far as read.
     buf: Vec<u8>,
     taken: usize,
-    /// Why [`next_frame`](Self::next_frame) last returned `None`.
+    /// Why [`next_frame`](Self::next_frame) last returned `false`.
     pub end: SegmentEnd,
-    /// The records of the frame being decoded.
-    staged: Vec<(u64, JournalRecord)>,
     /// Bytes read from the file, header included.
     pub bytes_read: u64,
 }
@@ -346,14 +345,14 @@ impl SegmentReader {
             buf,
             taken: SEGMENT_HEADER_LEN,
             end: SegmentEnd::Clean,
-            staged: Vec::new(),
             bytes_read: read as u64,
         }))
     }
 
-    /// The next whole frame's records, each with its LSN, or `None` where
-    /// the frames stop for now ([`end`](Self::end) says why).
-    pub fn next_frame(&mut self) -> io::Result<Option<std::vec::Drain<'_, (u64, JournalRecord)>>> {
+    /// Append the next whole frame's records, each with its LSN, to
+    /// `into`: `true` if there was one, `false` where the frames stop for
+    /// now ([`end`](Self::end) says why) and `into` is as it was.
+    pub fn next_frame(&mut self, into: &mut Vec<(u64, JournalRecord)>) -> io::Result<bool> {
         let mut fresh = false;
         let frame_len = loop {
             match split_frame(&self.buf[self.taken..]) {
@@ -374,21 +373,21 @@ impl SegmentReader {
                     self.buf.clear();
                 }
             }
-            return Ok(None);
+            return Ok(false);
         };
-        let staged = &mut self.staged;
-        staged.clear();
+        let kept = into.len();
         let payload = &self.buf[self.taken + FRAME_HEADER_LEN..self.taken + frame_len];
         if let Err(damage) = self
             .walk
-            .step(payload, |lsn, record| staged.push((lsn, record)))
+            .step(payload, |lsn, record| into.push((lsn, record)))
         {
+            into.truncate(kept);
             self.end = SegmentEnd::Damaged(Some(damage));
-            return Ok(None);
+            return Ok(false);
         }
         self.taken += frame_len;
         self.valid_len += frame_len as u64;
-        Ok(Some(staged.drain(..)))
+        Ok(true)
     }
 
     /// Read on behind the unconsumed bytes; returns the bytes gained.
@@ -421,9 +420,7 @@ pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
         return Ok(None);
     };
     let mut entries = Vec::new();
-    while let Some(frame) = reader.next_frame()? {
-        entries.extend(frame);
-    }
+    while reader.next_frame(&mut entries)? {}
     Ok(Some(SegmentEntries {
         start_lsn: reader.start_lsn,
         entries,

@@ -94,6 +94,8 @@ struct SubCursor {
     reader: Option<SegmentReader>,
     /// Entries read from this stream, not yet emitted by the merge.
     buffer: VecDeque<(u64, JournalRecord)>,
+    /// The frame read last, on its way into `buffer`.
+    frame: Vec<(u64, JournalRecord)>,
     /// A sealed stream never grows; exhausted means finished, not
     /// "caught up", so it stops vetoing gap skips.
     sealed: bool,
@@ -165,6 +167,7 @@ impl ShipCursor {
                     from_lsn: self.next_lsn,
                     reader: None,
                     buffer: VecDeque::new(),
+                    frame: Vec::new(),
                     sealed,
                 };
                 sub.locate()?;
@@ -318,8 +321,9 @@ impl SubCursor {
         // segment begun after that sees everything it will ever hold.
         let mut successor: Option<u64> = None;
         while self.buffer.len() < full {
-            if let Some(frame) = reader.next_frame()? {
+            if reader.next_frame(&mut self.frame)? {
                 let from_lsn = self.from_lsn;
+                let frame = self.frame.drain(..);
                 self.buffer
                     .extend(frame.filter(|(lsn, _)| *lsn >= from_lsn));
                 continue;

@@ -36,9 +36,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
 use std::thread;
 use std::time::Duration;
 use wsrep_core::feedback::Feedback;
@@ -203,10 +203,84 @@ impl From<NotDurable> for ReplicateError {
     }
 }
 
-/// Reports recovery folds into the store at a time (about 1.4 MB of
-/// them): a bound on what it holds of the log, and enough of a batch that
-/// each shard's lock is taken once for many reports.
-const RECOVERY_CHUNK: usize = 16_384;
+/// Reports recovery hands its fold thread at a time. Two chunks exist,
+/// one filling while the other folds, and both are recycled, so recovery
+/// holds at most 8 192 reports of the log (720 KB). Every page of
+/// them is a fault in a fresh process, which is why a chunk is small;
+/// it is still enough of a batch that each shard's lock is taken once
+/// for hundreds of reports.
+const RECOVERY_CHUNK: usize = 4_096;
+
+/// Open the journal at `dir` and replay it into `store` and `listings`
+/// as it is read, in two stages: this thread reads, checks, decodes and
+/// fills [`RECOVERY_CHUNK`]s of reports, and one fold thread applies each
+/// chunk, in LSN order, through the ingest writers' own `insert_batch`,
+/// then hands it back. The journal stays the only copy of the log. The
+/// listing table stays on this thread, and goes in after the join with
+/// one swap per shard, not one map copy per listing. Returns the journal
+/// and how many records it restored.
+fn recover_into(
+    store: &ShardedStore,
+    listings: &Listings,
+    dir: &Path,
+    writer_groups: usize,
+    config: JournalConfig,
+) -> io::Result<(GroupSet, u64)> {
+    let mut table = BTreeMap::new();
+    let (full, to_fold) = mpsc::channel::<Vec<Feedback>>();
+    let (emptied, from_fold) = mpsc::channel();
+    let _ = emptied.send(Vec::with_capacity(RECOVERY_CHUNK));
+    let opened = thread::scope(|scope| {
+        let fold = scope.spawn(move || {
+            for mut chunk in to_fold {
+                store.insert_batch(&chunk);
+                chunk.clear();
+                let _ = emptied.send(chunk);
+            }
+        });
+        let mut filling = Vec::with_capacity(RECOVERY_CHUNK);
+        let opened =
+            GroupSet::open_replaying(dir, writer_groups, config, 0, |record| match record {
+                JournalRecord::Feedback(report) => {
+                    filling.push(report);
+                    if filling.len() == RECOVERY_CHUNK {
+                        // Waits for the fold of the chunk handed over
+                        // before. An error means the fold thread panicked,
+                        // and its join says so.
+                        match from_fold.recv() {
+                            Ok(next) => _ = full.send(std::mem::replace(&mut filling, next)),
+                            Err(_) => filling.clear(),
+                        }
+                    }
+                }
+                JournalRecord::Publish(listing) => {
+                    table.insert(listing.service, listing);
+                }
+                JournalRecord::Deregister(service) => {
+                    table.remove(&service);
+                }
+            });
+        // The rest, on an error too (the service is then not built, and
+        // what was folded goes with it); then the hand-off ends, and so
+        // does the fold thread.
+        let _ = full.send(filling);
+        drop(full);
+        if let Err(panic) = fold.join() {
+            std::panic::resume_unwind(panic);
+        }
+        opened
+    })?;
+    store.list(
+        table
+            .values()
+            .map(|listing| (listing.service.into(), listing.category)),
+    );
+    for listing in table.into_values() {
+        listings.publish(listing);
+    }
+    let (set, replayed) = opened;
+    Ok((set, replayed.records_recovered))
+}
 
 /// Configures and builds a [`ReputationService`].
 pub struct ServiceBuilder {
@@ -343,51 +417,13 @@ impl ServiceBuilder {
 
         let mut journal = None;
         if let Some(dir) = self.journal_dir {
-            // Opening the log is its recovery pass, one read of it. Reports
-            // are folded as it is read, a chunk at a time through the
-            // ingest writers' own apply: the journal stays the only copy
-            // of the log, and no more of it than one chunk is held here.
-            let recover = self.recover;
-            let mut table = BTreeMap::new();
-            let mut chunk = Vec::with_capacity(if recover { RECOVERY_CHUNK } else { 0 });
-            let (set, replayed) = GroupSet::open_replaying(
-                &dir,
-                self.writer_groups,
-                self.journal_config,
-                0,
-                |record| match record {
-                    _ if !recover => {}
-                    JournalRecord::Feedback(report) => {
-                        chunk.push(report);
-                        if chunk.len() == RECOVERY_CHUNK {
-                            store.insert_batch(&chunk);
-                            chunk.clear();
-                        }
-                    }
-                    JournalRecord::Publish(listing) => {
-                        table.insert(listing.service, listing);
-                    }
-                    JournalRecord::Deregister(service) => {
-                        table.remove(&service);
-                    }
-                },
-            )?;
-            let mut records_recovered = 0;
-            if recover {
-                store.insert_batch(&chunk);
-                records_recovered = replayed.records_recovered;
-                // The recovered listing table's category memberships go
-                // in with one swap per shard, not one map copy per
-                // listing.
-                store.list(
-                    table
-                        .values()
-                        .map(|listing| (listing.service.into(), listing.category)),
-                );
-                for listing in table.into_values() {
-                    listings.publish(listing);
-                }
-            }
+            // Opening the log is its recovery pass, one read of it.
+            let (groups, config) = (self.writer_groups, self.journal_config);
+            let (set, records_recovered) = if self.recover {
+                recover_into(&store, &listings, &dir, groups, config)?
+            } else {
+                (GroupSet::open(&dir, groups, config, 0)?, 0)
+            };
             if let Some(policy) = &self.io_policy {
                 set.set_io_policy(Arc::clone(policy));
             }

@@ -642,3 +642,81 @@ fn a_final_segment_with_a_damaged_header_is_refused_not_dropped() {
     assert_eq!(tree(&live), before);
     fs::remove_dir_all(&live).unwrap();
 }
+
+/// A two-group journal of 60 000 reports, several recovery chunks' worth
+/// however large a chunk is, in segments of 32 KiB: commits of 250
+/// reports alternate between the groups, and every 3 000 reports a
+/// publish and a deregister go in between. Returns the records in LSN
+/// order.
+fn many_chunk_journal(dir: &Path) -> Vec<JournalRecord> {
+    let config = JournalConfig {
+        max_segment_bytes: 32 << 10,
+    };
+    let set = GroupSet::open(dir, 2, config, 0).unwrap();
+    let mut log = Vec::new();
+    let mut append = |commit: usize, records: Vec<JournalRecord>| {
+        set.append_batch(commit % 2, &records).unwrap();
+        log.extend(records);
+    };
+    for s in 0..8 {
+        append(
+            s as usize,
+            vec![JournalRecord::Publish(listing(s, s as u32 % 3))],
+        );
+    }
+    for commit in 0..240u64 {
+        if commit % 12 == 11 {
+            let round = commit / 12;
+            let churn = vec![
+                JournalRecord::Publish(listing(8 + round, round as u32 % 3)),
+                JournalRecord::Deregister(ServiceId::new(round % 8)),
+            ];
+            append(commit as usize, churn);
+        }
+        let reports = (commit * 250..(commit + 1) * 250)
+            .map(|i| feedback(i % 97, i % 29, (i % 11) as f64 / 10.0, i))
+            .map(JournalRecord::Feedback)
+            .collect();
+        append(commit as usize, reports);
+    }
+    log
+}
+
+/// Recovery folds on a second thread, a chunk at a time: many chunks over
+/// two writer groups, listings churned between them, recover to their
+/// twin. Then damage in a non-final segment of the same journal is
+/// refused while chunks are folding, and the build returns, so the fold
+/// thread was joined.
+#[test]
+fn many_chunks_over_two_groups_recover_to_the_twin_and_damage_is_refused() {
+    let live = temp_dir("many-chunks");
+    let log = many_chunk_journal(&live);
+    let acked = Twin::replay(log);
+    assert_eq!(acked.feedback().count(), 60_000);
+    let revived = ReputationService::builder()
+        .shards(4)
+        .recover_from(&live)
+        .build();
+    twin_equal(&revived, &acked).unwrap();
+    let health = revived.stats().journal.expect("journal attached");
+    assert_eq!(health.records_recovered, acked.records);
+    assert_eq!(health.writer_groups, 2);
+    drop(revived);
+
+    let segments = wsrep_journal::segment::list_segments(&live.join("group-000")).unwrap();
+    assert!(segments.len() >= 5, "{} segments", segments.len());
+    let (_, middle) = &segments[segments.len() / 2];
+    let mut bytes = fs::read(middle).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x40;
+    fs::write(middle, &bytes).unwrap();
+    let before = tree(&live);
+    let err = ReputationService::builder()
+        .recover_from(&live)
+        .try_build()
+        .map(drop)
+        .expect_err("acknowledged history is damaged");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(tree(&live), before, "a refused journal is left as it lies");
+    fs::remove_dir_all(&live).unwrap();
+}
