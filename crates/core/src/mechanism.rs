@@ -6,6 +6,15 @@
 //! estimates come out — either one **global** value per subject or a
 //! **personalized** value per `(observer, subject)` pair, matching the
 //! third axis of the typology.
+//!
+//! A mechanism that can score one subject from that subject's reports alone
+//! offers an **incremental fold** ([`ReputationMechanism::accumulator`]):
+//! a small [`SubjectAccumulator`] that absorbs each report once and answers
+//! in O(1). A store that keeps many subjects resident holds their
+//! accumulators as the rows of one [`AccumulatorTable`]: a [`Rows`] of the
+//! fold's accumulator, whose rows sit inline in fixed blocks of
+//! [`ROWS_PER_BLOCK`], or a [`LogReplay`] of each subject's reports for a
+//! mechanism without a fold. [`accumulator_table`] picks between them.
 
 use crate::feedback::Feedback;
 use crate::id::{AgentId, SubjectId};
@@ -13,6 +22,7 @@ use crate::time::Time;
 use crate::trust::TrustEstimate;
 use crate::typology::MechanismInfo;
 use std::fmt;
+use std::sync::Arc;
 
 /// A trust/reputation mechanism.
 ///
@@ -92,7 +102,11 @@ pub trait ReputationMechanism: fmt::Debug + Send {
 /// decay (from the last absorbed update to the newest absorbed
 /// timestamp) on the fly without mutating the resident state, mirroring
 /// the `refresh(latest)` that [`score_from_log`] issues after replay.
-pub trait SubjectAccumulator: fmt::Debug + Send + Sync {
+///
+/// Every `Clone` accumulator is also a table's fresh row
+/// ([`IntoRows`]), so `mechanism.accumulator().map(|fresh| fresh.rows())`
+/// builds the table a store keeps a mechanism's subjects in.
+pub trait SubjectAccumulator: fmt::Debug + Send + Sync + IntoRows {
     /// Fold one report about this accumulator's subject into the
     /// resident statistics.
     fn absorb(&mut self, feedback: &Feedback);
@@ -101,10 +115,186 @@ pub trait SubjectAccumulator: fmt::Debug + Send + Sync {
     /// through a fresh mechanism would answer. `None` until evidence
     /// exists or while the mechanism abstains.
     fn estimate(&self) -> Option<TrustEstimate>;
+}
 
-    /// Reports held in RAM: none for a fold, which keeps statistics only.
+/// The table half of [`SubjectAccumulator`], implemented for every `Clone`
+/// accumulator: a boxed accumulator can build a table of its own type
+/// (the dyn-clone idiom), so no mechanism names its table.
+pub trait IntoRows {
+    /// An empty table whose every new row is a clone of `self`.
+    fn rows(&self) -> Box<dyn AccumulatorTable>;
+}
+
+impl<A: SubjectAccumulator + Clone + 'static> IntoRows for A {
+    fn rows(&self) -> Box<dyn AccumulatorTable> {
+        Box::new(Rows::new(self.clone()))
+    }
+}
+
+/// One mechanism's per-subject state for many subjects: one row per
+/// subject, addressed by the index [`AccumulatorTable::push`] answered.
+/// Each row is a [`SubjectAccumulator`] of its own, and keeps that
+/// trait's contract.
+pub trait AccumulatorTable: fmt::Debug + Send + Sync {
+    /// A new, empty row; answers its index, which is the table's length
+    /// before the call.
+    fn push(&mut self) -> usize;
+
+    /// Fold one report into `row`, which every report it absorbs is about.
+    fn absorb(&mut self, row: usize, feedback: &Feedback);
+
+    /// `row`'s current estimate, as [`SubjectAccumulator::estimate`].
+    fn estimate(&self, row: usize) -> Option<TrustEstimate>;
+
+    /// Reports held in RAM across every row.
+    fn reports_held(&self) -> usize;
+}
+
+/// Rows per block of a [`Rows`] table: 64 beta accumulators of 48 bytes
+/// make a 3 KiB block.
+pub const ROWS_PER_BLOCK: usize = 64;
+
+/// Rows of one type held inline, in blocks of [`ROWS_PER_BLOCK`]. A new
+/// row is a clone of the table's fresh value. A block is allocated when
+/// the previous one is full, at exactly its final size, and is never
+/// grown, moved or freed while the table lives; so a row's neighbours are
+/// the rows pushed beside it, and a table of `n` rows holds
+/// `⌈n / ROWS_PER_BLOCK⌉` blocks and the block index. Nothing is
+/// allocated before the first push.
+#[derive(Debug)]
+pub struct Rows<A> {
+    fresh: A,
+    blocks: Vec<Vec<A>>,
+}
+
+impl<A: Clone> Rows<A> {
+    /// An empty table whose rows start as clones of `fresh`.
+    pub fn new(fresh: A) -> Self {
+        Rows {
+            fresh,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Rows pushed so far.
+    pub fn len(&self) -> usize {
+        self.blocks.last().map_or(0, |last| {
+            (self.blocks.len() - 1) * ROWS_PER_BLOCK + last.len()
+        })
+    }
+
+    /// Whether no row was pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// Append a clone of the fresh value; answers its index.
+    pub fn push(&mut self) -> usize {
+        let row = self.len();
+        if row.is_multiple_of(ROWS_PER_BLOCK) {
+            self.blocks.push(Vec::with_capacity(ROWS_PER_BLOCK));
+        }
+        let fresh = self.fresh.clone();
+        self.blocks
+            .last_mut()
+            .expect("a block has room")
+            .push(fresh);
+        row
+    }
+
+    /// The row at `row`. Panics past the end.
+    pub fn get(&self, row: usize) -> &A {
+        &self.blocks[row / ROWS_PER_BLOCK][row % ROWS_PER_BLOCK]
+    }
+
+    /// The row at `row`, to update. Panics past the end.
+    pub fn get_mut(&mut self, row: usize) -> &mut A {
+        &mut self.blocks[row / ROWS_PER_BLOCK][row % ROWS_PER_BLOCK]
+    }
+
+    /// Every row, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = &A> {
+        self.blocks.iter().flatten()
+    }
+}
+
+impl<A: SubjectAccumulator + Clone> AccumulatorTable for Rows<A> {
+    fn push(&mut self) -> usize {
+        Rows::push(self)
+    }
+
+    fn absorb(&mut self, row: usize, feedback: &Feedback) {
+        self.get_mut(row).absorb(feedback);
+    }
+
+    fn estimate(&self, row: usize) -> Option<TrustEstimate> {
+        self.get(row).estimate()
+    }
+
+    /// None: a fold keeps statistics only.
     fn reports_held(&self) -> usize {
         0
+    }
+}
+
+/// Builds a fresh mechanism instance: the recipe for a store's table and
+/// for each [`LogReplay`] pass.
+pub type MechanismFactory = Arc<dyn Fn() -> Box<dyn ReputationMechanism> + Send + Sync>;
+
+/// The table of a mechanism without a fold: per row, one subject's
+/// reports in arrival order, replayed by [`score_from_log`] through a
+/// fresh instance per estimate. The factory is held once for the table;
+/// a row takes its subject from its first report.
+pub struct LogReplay {
+    mechanism: MechanismFactory,
+    logs: Rows<Vec<Feedback>>,
+}
+
+impl LogReplay {
+    /// An empty table replaying through `mechanism`.
+    pub fn new(mechanism: MechanismFactory) -> Self {
+        LogReplay {
+            mechanism,
+            logs: Rows::new(Vec::new()),
+        }
+    }
+}
+
+impl fmt::Debug for LogReplay {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LogReplay")
+            .field("rows", &self.logs.len())
+            .field("reports", &self.reports_held())
+            .finish_non_exhaustive()
+    }
+}
+
+impl AccumulatorTable for LogReplay {
+    fn push(&mut self) -> usize {
+        self.logs.push()
+    }
+
+    fn absorb(&mut self, row: usize, feedback: &Feedback) {
+        self.logs.get_mut(row).push(feedback.clone());
+    }
+
+    fn estimate(&self, row: usize) -> Option<TrustEstimate> {
+        let log = self.logs.get(row);
+        let subject = log.first()?.subject;
+        score_from_log((self.mechanism)().as_mut(), log, subject)
+    }
+
+    fn reports_held(&self) -> usize {
+        self.logs.iter().map(Vec::len).sum()
+    }
+}
+
+/// The table `mechanism`'s subjects are kept in: its fold's [`Rows`] when
+/// it offers one, a [`LogReplay`] when it does not.
+pub fn accumulator_table(mechanism: &MechanismFactory) -> Box<dyn AccumulatorTable> {
+    match mechanism().accumulator() {
+        Some(fresh) => fresh.rows(),
+        None => Box::new(LogReplay::new(Arc::clone(mechanism))),
     }
 }
 

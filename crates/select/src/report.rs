@@ -80,6 +80,26 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
+/// `text` broken into lines of at most 70 columns, at spaces (a longer
+/// word gets a line of its own): an experiment's closing paragraph.
+pub fn wrap(text: &str) -> String {
+    let mut out = String::new();
+    let mut line = 0;
+    for word in text.split_whitespace() {
+        let width = word.chars().count();
+        if line > 0 && line + 1 + width > 70 {
+            out.push('\n');
+            line = 0;
+        } else if line > 0 {
+            out.push(' ');
+            line += 1;
+        }
+        out.push_str(word);
+        line += width;
+    }
+    out
+}
+
 /// Print an experiment section header.
 pub fn section(title: &str) {
     println!("\n## {title}\n");
@@ -113,5 +133,15 @@ mod tests {
     fn formatters_behave() {
         assert_eq!(f3(0.12345), "0.123");
         assert_eq!(pct(0.5), "50.0%");
+    }
+
+    #[test]
+    fn wrap_breaks_at_spaces_within_seventy_columns() {
+        let text = "word ".repeat(40);
+        let wrapped = wrap(&text);
+        assert!(wrapped.lines().all(|line| line.len() <= 70));
+        assert_eq!(wrapped.split_whitespace().count(), 40);
+        assert_eq!(wrap(&"x".repeat(90)), "x".repeat(90));
+        assert_eq!(wrap("a  b\nc"), "a b c");
     }
 }

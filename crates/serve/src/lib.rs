@@ -10,10 +10,11 @@
 //!   (wait-free), writers swap whole immutable snapshots. The crate's
 //!   only `unsafe`, and the compiler holds it there;
 //! - [`fxhash`] — the multiply-xor hasher the hot maps key with;
-//! - [`shard`] — one accumulator per subject, split over independently
-//!   locked shards — the mechanism's fold when it has one (no log is
-//!   held: the journal owns it), a replay of the subject's reports when
-//!   it does not — and the one published estimate per subject that the
+//! - [`shard`] — one accumulator table per independently locked shard,
+//!   a row per subject held inline in fixed blocks — the mechanism's fold
+//!   when it has one (no log is held: the journal owns it), a replay of
+//!   the subject's reports when it does not — and the one published
+//!   estimate per subject that the
 //!   writer stores to before it releases the shard, so a score read is
 //!   one probe;
 //! - [`ingest`] — one bounded queue of whole submissions + one writer

@@ -5,14 +5,15 @@
 //! consumers `ingest` feedback (batched, through the bounded pipeline) and
 //! ask for `score`s and `top_k` rankings.
 //!
-//! The ingest writer applies each report to its subject's accumulator in
-//! the shard. When the configured [`ReputationMechanism`] offers a fold
-//! ([`ReputationMechanism::accumulator`]) that is the fold, which drops the
-//! report: the service then holds **no feedback log in RAM**, the journal
-//! is the only copy, recovery folds it back in, and a checkpoint is built
-//! from the journal itself, outside every commit lock. A mechanism
-//! without a fold gets an accumulator that keeps the subject's reports
-//! and replays them once per applied group; wrapping a folding mechanism
+//! The ingest writer applies each report to its subject's row of the
+//! shard's accumulator table. When the configured [`ReputationMechanism`]
+//! offers a fold ([`ReputationMechanism::accumulator`]) each row is that
+//! fold, which drops the report: the service then holds **no feedback log
+//! in RAM**, the journal is the only copy, recovery folds it back in, and
+//! a checkpoint is built from the journal itself, outside every commit
+//! lock. A mechanism without a fold gets a table whose rows keep the
+//! subject's reports and replay them once per applied group; wrapping a
+//! folding mechanism
 //! in [`Unfolded`](wsrep_core::mechanism::Unfolded) makes the replay twin
 //! a fold is tested against.
 //!

@@ -6,17 +6,28 @@
 //! parallel. Every report about one subject lands in exactly one shard,
 //! which keeps per-subject scoring local.
 //!
+//! Each shard holds its subjects' state as the rows of one
+//! [`AccumulatorTable`], built once per shard by [`accumulator_table`].
+//! When the mechanism offers a fold ([`ReputationMechanism::accumulator`]),
+//! the table is a [`Rows`] of that fold: its rows sit inline in blocks of
+//! [`ROWS_PER_BLOCK`], allocated as the last one fills and never grown or
+//! moved. A row absorbs a report **by reference and drops it**: the
+//! journal is the only copy of the log, and one more report costs nothing
+//! in RAM once its subject is resident. A mechanism without a fold gets a
+//! [`LogReplay`] table instead: per row, the subject's reports in arrival
+//! order, replayed through a fresh instance by [`score_from_log`].
+//! [`ShardedStore::resident_reports`] counts what those hold.
+//!
+//! [`ReputationMechanism::accumulator`]: wsrep_core::mechanism::ReputationMechanism::accumulator
+//! [`Rows`]: wsrep_core::mechanism::Rows
+//! [`ROWS_PER_BLOCK`]: wsrep_core::mechanism::ROWS_PER_BLOCK
+//! [`LogReplay`]: wsrep_core::mechanism::LogReplay
+//! [`score_from_log`]: wsrep_core::mechanism::score_from_log
+//!
 //! Each subject a shard has seen has a dense **slot**, kept in its
-//! published entry: the index of its [`SubjectAccumulator`] and of a stamp
+//! published entry: its row in the table, which also indexes a stamp
 //! naming the last group that touched it. A shard keys nothing else by
-//! subject. The accumulator is the mechanism's own fold
-//! ([`ReputationMechanism::accumulator`]), which absorbs a report **by
-//! reference and drops it**: the journal is the only copy of the log, and
-//! one more report costs nothing in RAM once its subject is resident. A
-//! mechanism without a fold gets a `LogReplay` per subject instead: the
-//! subject's reports in arrival order, replayed through a fresh instance
-//! by [`score_from_log`]. [`ShardedStore::resident_reports`] counts what
-//! those hold.
+//! subject.
 //!
 //! # The publish protocol
 //!
@@ -42,58 +53,26 @@
 //! linearizes before the swap.
 //!
 //! **Cost model.** Applying a report is one probe of the published map,
-//! which yields the slot, plus the absorb; the slot's stamp collects the
-//! distinct touched subjects as they come, with no sort. A publish then
-//! asks each touched subject's accumulator for its estimate once: an O(1)
-//! read for a fold, and for a `LogReplay` a replay of the subject's whole
-//! log, so a write under a mechanism without a fold is O(subject history)
-//! per touched subject per applied group.
+//! which yields the slot, plus one dynamic call that absorbs it into the
+//! slot's row, found beside its neighbours in a block rather than behind
+//! a pointer of its own; the slot's stamp collects the distinct touched
+//! subjects as they come, with no sort. A publish then asks the table for
+//! each touched subject's estimate once: an O(1) read for a fold, and for
+//! a `LogReplay` a replay of the subject's whole log, so a write under a
+//! mechanism without a fold is O(subject history) per touched subject per
+//! applied group.
 
 use crate::fxhash::{self, FxHashMap};
 use crate::snapshot::SnapshotCell;
 use parking_lot::{Mutex, RwLock};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::SubjectId;
-use wsrep_core::mechanism::{score_from_log, ReputationMechanism, SubjectAccumulator};
+use wsrep_core::mechanism::{accumulator_table, AccumulatorTable};
 use wsrep_core::trust::{TrustEstimate, TrustValue};
 
-/// Builds a fresh mechanism instance: the recipe for a shard's
-/// per-subject accumulators, and for one `LogReplay` pass.
-pub type MechanismFactory = Arc<dyn Fn() -> Box<dyn ReputationMechanism> + Send + Sync>;
-
-/// The accumulator of a mechanism without a fold: one subject's reports
-/// in arrival order, replayed through a fresh instance per estimate.
-struct LogReplay {
-    subject: SubjectId,
-    log: Vec<Feedback>,
-    mechanism: MechanismFactory,
-}
-
-impl fmt::Debug for LogReplay {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LogReplay")
-            .field("subject", &self.subject)
-            .field("reports", &self.log.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SubjectAccumulator for LogReplay {
-    fn absorb(&mut self, feedback: &Feedback) {
-        self.log.push(feedback.clone());
-    }
-
-    fn estimate(&self) -> Option<TrustEstimate> {
-        score_from_log((self.mechanism)().as_mut(), &self.log, self.subject)
-    }
-
-    fn reports_held(&self) -> usize {
-        self.log.len()
-    }
-}
+pub use wsrep_core::mechanism::MechanismFactory;
 
 /// The word that encodes `None`, in `Published::confidence` (no estimate:
 /// a NaN payload no arithmetic produces), in `Published::category` (not
@@ -201,34 +180,25 @@ impl Clone for Published {
 
 type PublishedMap = FxHashMap<SubjectId, Published>;
 
-/// One shard: the accumulators of the subjects it owns, indexed by slot.
+/// One shard: the accumulator table of the subjects it owns, whose row
+/// index is the slot.
 struct Shard {
-    accumulators: Vec<Box<dyn SubjectAccumulator>>,
+    table: Box<dyn AccumulatorTable>,
     /// Per slot, the last group that touched its subject.
     stamps: Vec<u64>,
     /// The group being applied, renewed per group; stamps start below it.
     group: u64,
     /// Reports applied to this shard, whether or not they are held.
     applied: usize,
-    mechanism: MechanismFactory,
 }
 
 impl Shard {
-    /// `entry`'s slot, handed out with a fresh accumulator on `subject`'s
-    /// first report. Only inside [`Slot::update`].
-    fn slot_of(&mut self, entry: &Published, subject: SubjectId) -> usize {
+    /// `entry`'s slot, handed out with a fresh row on its subject's first
+    /// report. Only inside [`Slot::update`].
+    fn slot_of(&mut self, entry: &Published) -> usize {
         if entry.slot.load(Ordering::Relaxed) == NONE {
-            let accumulator = (self.mechanism)().accumulator().unwrap_or_else(|| {
-                Box::new(LogReplay {
-                    subject,
-                    log: Vec::new(),
-                    mechanism: Arc::clone(&self.mechanism),
-                })
-            });
-            entry
-                .slot
-                .store(self.stamps.len() as u64, Ordering::Relaxed);
-            self.accumulators.push(accumulator);
+            let row = self.table.push();
+            entry.slot.store(row as u64, Ordering::Relaxed);
             self.stamps.push(0);
         }
         entry.slot.load(Ordering::Relaxed) as usize
@@ -295,17 +265,16 @@ impl std::fmt::Debug for ShardedStore {
 
 impl ShardedStore {
     /// A store with `shards` independent locks (at least one) scoring
-    /// through `mechanism`: by its fold where it offers one, and by a
-    /// per-subject `LogReplay` where it does not.
+    /// through `mechanism`: by its fold's rows where it offers one, and by
+    /// a `LogReplay` table where it does not.
     pub fn new(shards: usize, mechanism: MechanismFactory) -> Self {
         let incremental = mechanism().accumulator().is_some();
         let slot = || Slot {
             shard: RwLock::new(Shard {
-                accumulators: Vec::new(),
+                table: accumulator_table(&mechanism),
                 stamps: Vec::new(),
                 group: 0,
                 applied: 0,
-                mechanism: Arc::clone(&mechanism),
             }),
             published: SnapshotCell::default(),
         };
@@ -366,20 +335,20 @@ impl ShardedStore {
                 let subject = report.subject;
                 let known = published.get(&subject);
                 let slot = match known {
-                    Some(entry) => shard.slot_of(entry, subject),
-                    None => shard.slot_of(fresh.entry(subject).or_insert_with(unseen), subject),
+                    Some(entry) => shard.slot_of(entry),
+                    None => shard.slot_of(fresh.entry(subject).or_insert_with(unseen)),
                 };
                 if shard.first_touch(slot) {
                     touched.push((subject, slot, known));
                 }
-                shard.accumulators[slot].absorb(report);
+                shard.table.absorb(slot, report);
             }
             shard.applied += applied;
             self.category_epochs.read(|epochs| {
                 for (subject, slot, known) in touched {
                     // A first-seen subject is in `fresh`, and unlisted.
                     let entry = known.unwrap_or_else(|| &fresh[&subject]);
-                    entry.set_estimate(shard.accumulators[slot].estimate());
+                    entry.set_estimate(shard.table.estimate(slot));
                     if let Some(epoch) = entry.category().and_then(|c| epochs.get(&c)) {
                         epoch.fetch_add(1, Ordering::AcqRel);
                     }
@@ -493,10 +462,7 @@ impl ShardedStore {
     /// Reports held in RAM across all shards: none under a mechanism that
     /// folds, every applied report under one that does not.
     pub fn resident_reports(&self) -> usize {
-        let held = |slot: &Slot| -> usize {
-            let shard = slot.shard.read();
-            shard.accumulators.iter().map(|a| a.reports_held()).sum()
-        };
+        let held = |slot: &Slot| slot.shard.read().table.reports_held();
         self.slots.iter().map(held).sum()
     }
 
@@ -521,7 +487,7 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
     use wsrep_core::id::{AgentId, ServiceId};
-    use wsrep_core::mechanism::Unfolded;
+    use wsrep_core::mechanism::{score_from_log, ReputationMechanism, Unfolded};
     use wsrep_core::mechanisms::all_figure4_mechanisms;
     use wsrep_core::mechanisms::beta::BetaMechanism;
     use wsrep_core::time::Time;
@@ -825,12 +791,9 @@ mod tests {
         }
     }
 
-    /// Per shard: accumulators held and slots handed out.
-    fn slot_counts(store: &ShardedStore) -> Vec<(usize, usize)> {
-        let count = |slot: &Slot| {
-            let shard = slot.shard.read();
-            (shard.accumulators.len(), shard.stamps.len())
-        };
+    /// Per shard: slots handed out, each with the table row it indexes.
+    fn slot_counts(store: &ShardedStore) -> Vec<usize> {
+        let count = |slot: &Slot| slot.shard.read().stamps.len();
         store.slots.iter().map(count).collect()
     }
 
@@ -915,9 +878,8 @@ mod tests {
                     for &s in &seen {
                         per_shard[folding.shard_of(s)] += 1;
                     }
-                    let held: Vec<(usize, usize)> = per_shard.iter().map(|&n| (n, n)).collect();
-                    prop_assert_eq!(slot_counts(&folding), held.clone(), "{at}");
-                    prop_assert_eq!(slot_counts(&twin), held, "{at}");
+                    prop_assert_eq!(slot_counts(&folding), per_shard.clone(), "{at}");
+                    prop_assert_eq!(slot_counts(&twin), per_shard, "{at}");
                     for c in 0..CATEGORIES {
                         let expected = epochs[c as usize];
                         prop_assert_eq!(folding.category_epoch(c), expected, "{at}, category {c}");
