@@ -337,6 +337,13 @@ fn run_socket(config: Config) {
         );
     }
 
+    // With replicas, read the primary's counters again once they caught
+    // up, so its `bytes_out` holds every batch it shipped them.
+    let stats = match config.replicas.is_empty() {
+        true => stats,
+        false => setup.stats().expect("stats RPC after catch-up"),
+    };
+
     if config.shutdown {
         setup.shutdown_server().expect("shutdown RPC");
     }

@@ -11,6 +11,10 @@
 //! Every flag takes its value as `--flag V` or `--flag=V`. A malformed
 //! value is a usage error: one line on stderr, exit status 2.
 //!
+//! Opening `--journal=DIR` replays whatever the directory already holds,
+//! so a killed primary restarts on its own directory; `--recover=DIR` is
+//! the same flag by the name a restart uses.
+//!
 //! Both roles print their bound address as the first (flushed) stdout
 //! line — `wsrep-cluster primary listening on 127.0.0.1:40519` — so
 //! callers binding port 0 can parse it.
@@ -53,7 +57,6 @@ fn usage() -> ! {
 struct Args {
     listen: String,
     journal: Option<PathBuf>,
-    recover: bool,
     shards: usize,
     workers: usize,
     primary: Option<String>,
@@ -65,7 +68,6 @@ fn parse_args(mut args: std::env::Args) -> Args {
     let mut parsed = Args {
         listen: "127.0.0.1:0".to_string(),
         journal: None,
-        recover: false,
         shards: 8,
         workers: 4,
         primary: None,
@@ -76,11 +78,8 @@ fn parse_args(mut args: std::env::Args) -> Args {
         let mut value = |name: &str| flag_value(&arg, name, &mut args);
         if let Some(v) = value("--listen") {
             parsed.listen = v;
-        } else if let Some(v) = value("--journal") {
+        } else if let Some(v) = value("--journal").or_else(|| value("--recover")) {
             parsed.journal = Some(PathBuf::from(v));
-        } else if let Some(v) = value("--recover") {
-            parsed.journal = Some(PathBuf::from(v));
-            parsed.recover = true;
         } else if let Some(v) = value("--shards") {
             parsed.shards = flag_number("--shards", &v);
         } else if let Some(v) = value("--workers") {
@@ -112,12 +111,9 @@ fn run_primary(args: Args) -> i32 {
         eprintln!("wsrep-cluster primary: --journal=DIR (or --recover=DIR) is required");
         return 2;
     };
-    let mut builder = ReputationService::builder().shards(args.shards);
-    builder = if args.recover {
-        builder.recover_from(dir)
-    } else {
-        builder.journal(dir)
-    };
+    let builder = ReputationService::builder()
+        .shards(args.shards)
+        .journal(dir);
     let service = Arc::new(match builder.try_build() {
         Ok(service) => service,
         Err(err) => {

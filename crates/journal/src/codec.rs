@@ -10,13 +10,14 @@
 //!
 //! - **The version-1 contract**, fixed width: [`put_feedback`] /
 //!   [`get_feedback`] and what they are built from ([`put_subject`],
-//!   [`put_qos_vector`], `u32` counts, `u64` ids). The wire `Ingest` body
-//!   and the snapshot body are written in it, and tag-1 feedback records
-//!   in segments of format 1–3 are read through it. It is not changed.
-//! - **What segment formats 4 and up hold**, compact: [`put_feedback_compact`] /
+//!   [`put_qos_vector`], `u32` counts, `u64` ids). It is only read now:
+//!   tag-1 feedback records in segments of format 1–3 and the bodies of
+//!   snapshots of version 1–3. It is not changed.
+//! - **The compact form**, what segment formats 4 and up hold and every
+//!   commit payload carries ([`crate::record`]): [`put_feedback_compact`] /
 //!   [`get_feedback_compact`] over [`put_varint`] / [`get_varint`]: varint
 //!   ids and round, a head bit for an empty collection, and since format 6
-//!   no `0x3F` top score byte and no round its frame holds ([`CompactRules`]).
+//!   no `0x3F` top score byte and no round its payload holds ([`CompactRules`]).
 //!
 //! [`put_metric`], [`put_listing`] and the primitives serve both.
 //!
@@ -48,6 +49,8 @@ pub enum CodecError {
     /// A varint is not the one encoding [`put_varint`] gives its value: it
     /// ends in a zero group, runs past ten bytes or overflows 64 bits.
     BadVarint,
+    /// A payload holds another number of records than its count says.
+    BadCount,
 }
 
 impl fmt::Display for CodecError {
@@ -56,6 +59,7 @@ impl fmt::Display for CodecError {
             CodecError::UnexpectedEof => write!(f, "record truncated mid-value"),
             CodecError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag:#04x}"),
             CodecError::BadVarint => write!(f, "varint is overlong or overflows 64 bits"),
+            CodecError::BadCount => write!(f, "record count does not match the payload"),
         }
     }
 }
@@ -350,13 +354,10 @@ const SCORE_TOP: u8 = 0x3F;
 pub enum CompactRules {
     /// A frame of segment format 1–5: bits 4–6 clear.
     Format5,
-    /// A frame of segment format 6 whose last feedback record so far had
+    /// A commit payload as written today whose last report so far had
     /// this round, canonical both ways: bit 4 exactly when the score's top
     /// byte is `0x3F`, bit 5 exactly when the round is the previous one.
     Format6(Option<u64>),
-    /// A record on its own, a `ReplBatch` entry: either score width (a
-    /// format-5 primary sends eight bytes), never bit 5.
-    Alone,
 }
 
 fn put_pairs(out: &mut Vec<u8>, n: usize, pairs: impl Iterator<Item = (Metric, f64)>) {
@@ -388,9 +389,9 @@ fn get_pairs(
     Ok(())
 }
 
-/// Encode one feedback report in the compact form segment format 6
-/// writes, after a report of round `*round` in its frame (`None` at a
-/// frame's start, or alone), and move `*round` on to this report's:
+/// Encode one feedback report in the compact form a commit payload
+/// holds, after a report of round `*round` in its payload (`None` at a
+/// payload's start), and move `*round` on to this report's:
 ///
 /// ```text
 /// head    u8      0x80 | subject kind (bits 0–1) | observed≠∅ << 2 | facets≠∅ << 3
@@ -453,7 +454,7 @@ pub fn get_feedback_compact(
     let (refused, prev) = match *rules {
         CompactRules::Format5 => (HEAD_SHORT_SCORE | HEAD_SAME_ROUND, None),
         CompactRules::Format6(Some(round)) => (0, Some(round)),
-        CompactRules::Format6(None) | CompactRules::Alone => (HEAD_SAME_ROUND, None),
+        CompactRules::Format6(None) => (HEAD_SAME_ROUND, None),
     };
     if head & FEEDBACK_COMPACT == 0 || head & (refused | HEAD_RESERVED) != 0 {
         return Err(bad_head);

@@ -437,7 +437,9 @@ mod tests {
         assert_eq!(set.durable_lsn(), 1);
         let receipt = set.append_batch(0, &[record(1)]).unwrap();
         assert_eq!(receipt.first_lsn, 1, "the rejected run was handed back");
-        let dense: usize = (0..2).map(|i| 8 + record(i).to_bytes().len()).sum();
+        let dense: usize = (0..2)
+            .map(|i| 8 + crate::record::tests::payload(&[record(i)]).len())
+            .sum();
         assert_eq!(set.stats().bytes_appended, dense as u64, "no LSN stated");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -22,7 +22,7 @@
 
 use crate::faults::{Fault, IoOp, IoPolicy};
 use crate::frame::{begin_frame, end_frame, FRAME_HEADER_LEN};
-use crate::record::JournalRecord;
+use crate::record::{put_payload, JournalRecord};
 use crate::recovery::LogStream;
 use crate::segment::{
     list_segments, segment_file_name, segment_header, FORMAT_VERSION, LSN_MARKER,
@@ -58,28 +58,28 @@ impl Default for JournalConfig {
 pub const FRAME_SPLIT_BYTES: usize = 1 << 20;
 
 /// Frame one commit's `records` onto `out`, behind `LSN_MARKER ‖ lsn` when
-/// `stated` is `Some(lsn)`, split past [`FRAME_SPLIT_BYTES`]. A report leaves
-/// out only a round its own frame holds: every frame decodes on its own.
+/// `stated` is `Some(lsn)`, split past [`FRAME_SPLIT_BYTES`]: each frame's
+/// payload is one [`put_payload`], so every frame decodes on its own.
 pub fn frame_commit<'a>(
     out: &mut Vec<u8>,
     stated: Option<u64>,
     records: impl IntoIterator<Item = &'a JournalRecord>,
 ) {
+    let mut records = records.into_iter().peekable();
     let mut frame_start = begin_frame(out);
     if let Some(lsn) = stated {
         out.push(LSN_MARKER);
         out.extend_from_slice(&lsn.to_le_bytes());
     }
-    let mut round = None;
-    for record in records {
-        if out.len() - frame_start >= FRAME_HEADER_LEN + FRAME_SPLIT_BYTES {
-            end_frame(out, frame_start);
-            frame_start = begin_frame(out);
-            round = None;
+    loop {
+        let full = frame_start + FRAME_HEADER_LEN + FRAME_SPLIT_BYTES;
+        put_payload(out, &mut records, full);
+        end_frame(out, frame_start);
+        if records.peek().is_none() {
+            return;
         }
-        record.encode_in_frame(out, &mut round);
+        frame_start = begin_frame(out);
     }
-    end_frame(out, frame_start);
 }
 
 /// What one [`Journal::append_batch`] call made durable.
@@ -371,6 +371,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::payload;
     use crate::segment::scan_segment_entries;
     use wsrep_core::feedback::Feedback;
     use wsrep_core::id::{AgentId, ServiceId};
@@ -475,7 +476,7 @@ mod tests {
         let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
         assert_eq!(journal.next_lsn(), 2, "torn commit dropped whole");
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let whole_commit = 8 + 2 * record(0).to_bytes().len();
+        let whole_commit = 8 + 2 * payload(&[record(0)]).len();
         assert_eq!(
             fs::metadata(&path).unwrap().len(),
             (SEGMENT_HEADER_LEN + whole_commit) as u64,

@@ -10,7 +10,7 @@
 //! log-then-derive architecture rs-eigentrust uses for its attestation
 //! log.
 //!
-//! - [`record`] — the event vocabulary: feedback, publish, deregister;
+//! - [`record`] — the event vocabulary, and the payload that spells it;
 //! - [`codec`] — the hand-rolled, version-pinned binary layout;
 //! - [`faults`] — failpoint-style fault injection over
 //!   append/fsync/rotate/snapshot, so durability claims are testable

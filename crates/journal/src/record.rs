@@ -1,4 +1,4 @@
-//! The journal's event vocabulary.
+//! The journal's event vocabulary, and the one way new bytes spell it.
 //!
 //! The registry's durable state is fully determined by three event kinds:
 //! consumer feedback (the reputation evidence), listing publication and
@@ -11,14 +11,12 @@
 //! A record opens with one byte. Tags 1–3 are the version-1 contract: a
 //! fixed-width feedback report (read from segments of format 1–5, no
 //! longer written), a listing, a withdrawal. A byte with
-//! [`FEEDBACK_COMPACT`] set is the head of a compact feedback report,
-//! what segments of format 4 and up hold and `ReplBatch` carries to
-//! replicas ([`JournalRecord::encode`]).
+//! [`FEEDBACK_COMPACT`] set is the head of a compact feedback report.
 //!
-//! Every record says where it ends ([`JournalRecord::decode_from`]), so a
-//! frame of format 5 and up holds one commit's records back to back with
-//! no count and no lengths between them; a frame of an earlier format,
-//! and a `ReplBatch` entry, holds exactly one ([`JournalRecord::decode`]).
+//! Every record says where it ends, so **the commit payload** is records
+//! back to back, each report leaving out a round the one before it held:
+//! a format-6 frame's, an `Ingest`'s, a `ReplBatch`'s and a snapshot's
+//! body. [`put_payload`] writes it and [`decode_payload`] reads it.
 
 use crate::codec::{
     get_feedback, get_feedback_compact, get_listing, put_feedback_compact, put_listing, put_u64,
@@ -32,11 +30,9 @@ const TAG_FEEDBACK: u8 = 1;
 const TAG_PUBLISH: u8 = 2;
 const TAG_DEREGISTER: u8 = 3;
 
-/// Bytes follow a record where exactly one was due.
-pub(crate) const TRAILING_BYTES: CodecError = CodecError::BadTag {
-    what: "record trailing bytes",
-    tag: 0,
-};
+/// No record is shorter (a withdrawal: its tag and a `u64`), so a count
+/// of more records than a payload's bytes over this is refused unread.
+pub const MIN_RECORD_LEN: usize = 9;
 
 /// One durable registry event.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,79 +53,119 @@ impl JournalRecord {
             _ => None,
         }
     }
+}
 
-    /// Encode on its own, as a `ReplBatch` entry carries it: a compact
-    /// report, or a tag byte plus the version-1 payload.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_in_frame(out, &mut None);
+/// A record, or what one carries (a report for an `Ingest`, a listing for
+/// a snapshot), as a commit payload spells it.
+pub trait PayloadRecord {
+    /// Append as the next record of a payload whose last report so far
+    /// had round `*round` (see [`put_feedback_compact`]).
+    fn put(&self, out: &mut Vec<u8>, round: &mut Option<u64>);
+}
+
+impl PayloadRecord for Feedback {
+    fn put(&self, out: &mut Vec<u8>, round: &mut Option<u64>) {
+        put_feedback_compact(out, self, round);
     }
+}
 
-    /// Encode as the next record of a format-6 frame whose last report so
-    /// far had round `*round` (see [`put_feedback_compact`]).
-    pub fn encode_in_frame(&self, out: &mut Vec<u8>, round: &mut Option<u64>) {
+impl PayloadRecord for Listing {
+    fn put(&self, out: &mut Vec<u8>, _round: &mut Option<u64>) {
+        out.push(TAG_PUBLISH);
+        put_listing(out, self);
+    }
+}
+
+impl PayloadRecord for JournalRecord {
+    fn put(&self, out: &mut Vec<u8>, round: &mut Option<u64>) {
         match self {
-            JournalRecord::Feedback(feedback) => put_feedback_compact(out, feedback, round),
-            JournalRecord::Publish(listing) => {
-                out.push(TAG_PUBLISH);
-                put_listing(out, listing);
-            }
+            JournalRecord::Feedback(feedback) => feedback.put(out, round),
+            JournalRecord::Publish(listing) => listing.put(out, round),
             JournalRecord::Deregister(service) => {
                 out.push(TAG_DEREGISTER);
                 put_u64(out, service.raw());
             }
         }
     }
+}
 
-    /// Encode into a fresh buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out
-    }
-
-    /// Decode the record at the cursor under `rules`, leaving the cursor past
-    /// it. A format-6 frame holds no tag-1 report: it would not re-encode.
-    pub fn decode_from(cur: &mut Cursor<'_>, rules: &mut CompactRules) -> Result<Self, CodecError> {
-        match cur.u8()? {
-            TAG_FEEDBACK if !matches!(rules, CompactRules::Format6(_)) => {
-                Ok(JournalRecord::Feedback(get_feedback(cur)?))
-            }
-            TAG_PUBLISH => Ok(JournalRecord::Publish(get_listing(cur)?)),
-            TAG_DEREGISTER => Ok(JournalRecord::Deregister(ServiceId::new(cur.u64()?))),
-            head if head & FEEDBACK_COMPACT != 0 => Ok(JournalRecord::Feedback(
-                get_feedback_compact(head, cur, rules)?,
-            )),
-            tag => Err(CodecError::BadTag {
-                what: "record",
-                tag,
-            }),
+/// Append records from `records` to `out` as one commit payload, until
+/// they run out or `out` holds `until_len` bytes (`usize::MAX`: never).
+/// It leaves out only rounds it holds, so it decodes on its own.
+pub fn put_payload<'a, R: PayloadRecord + 'a>(
+    out: &mut Vec<u8>,
+    records: &mut impl Iterator<Item = &'a R>,
+    until_len: usize,
+) {
+    let mut round = None;
+    while out.len() < until_len {
+        match records.next() {
+            Some(record) => record.put(out, &mut round),
+            None => return,
         }
-    }
-
-    /// Decode one record on its own ([`CompactRules::Alone`]) from
-    /// `bytes`, requiring the buffer to be exactly one record long (where
-    /// the container delimits records, trailing garbage means corruption).
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut cur = Cursor::new(bytes);
-        let record = Self::decode_from(&mut cur, &mut CompactRules::Alone)?;
-        if cur.remaining() != 0 {
-            return Err(TRAILING_BYTES);
-        }
-        Ok(record)
     }
 }
 
+/// Decode the commit payload at the cursor to its last byte under `rules`
+/// (`Format6` for all written today), handing each record to `keep`. An
+/// empty payload holds none. The first record that does not decode, or
+/// that `keep` refuses, ends it with its error.
+pub fn decode_payload(
+    cur: &mut Cursor<'_>,
+    mut rules: CompactRules,
+    mut keep: impl FnMut(JournalRecord) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    while cur.remaining() != 0 {
+        let record = match cur.u8()? {
+            TAG_FEEDBACK if rules == CompactRules::Format5 => {
+                JournalRecord::Feedback(get_feedback(cur)?)
+            }
+            TAG_PUBLISH => JournalRecord::Publish(get_listing(cur)?),
+            TAG_DEREGISTER => JournalRecord::Deregister(ServiceId::new(cur.u64()?)),
+            head if head & FEEDBACK_COMPACT != 0 => {
+                JournalRecord::Feedback(get_feedback_compact(head, cur, &mut rules)?)
+            }
+            tag => Err(CodecError::BadTag {
+                what: "record",
+                tag,
+            })?,
+        };
+        keep(record)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use wsrep_core::id::{AgentId, ProviderId};
     use wsrep_core::time::Time;
     use wsrep_qos::metric::Metric;
     use wsrep_qos::value::QosVector;
 
+    /// `records` as one commit payload.
+    pub(crate) fn payload(records: &[JournalRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_payload(&mut out, &mut records.iter(), usize::MAX);
+        out
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<Vec<JournalRecord>, CodecError> {
+        let mut records = Vec::new();
+        decode_payload(
+            &mut Cursor::new(bytes),
+            CompactRules::Format6(None),
+            |record| {
+                records.push(record);
+                Ok(())
+            },
+        )?;
+        Ok(records)
+    }
+
     #[test]
     fn every_variant_round_trips() {
-        let records = [
+        let records = vec![
             JournalRecord::Feedback(Feedback::scored(
                 AgentId::new(1),
                 ServiceId::new(2),
@@ -144,10 +180,12 @@ mod tests {
             }),
             JournalRecord::Deregister(ServiceId::new(7)),
         ];
+        assert_eq!(decoded(&payload(&records)), Ok(records.clone()));
         for record in records {
-            let bytes = record.to_bytes();
-            assert_eq!(JournalRecord::decode(&bytes).unwrap(), record);
+            let one = std::slice::from_ref(&record);
+            assert_eq!(decoded(&payload(one)), Ok(one.to_vec()));
         }
+        assert_eq!(decoded(&[]), Ok(Vec::new()), "an empty payload");
     }
 
     /// What a report costs at the benchmark's shape (raters and services in
@@ -168,7 +206,10 @@ mod tests {
         };
         let reports: Vec<JournalRecord> = (0..10_000).map(report).collect();
         for record in &reports {
-            assert!(record.to_bytes().len() <= 13, "{record:?}");
+            assert!(
+                payload(std::slice::from_ref(record)).len() <= 13,
+                "{record:?}"
+            );
         }
         let round_changes = 2;
 
@@ -202,21 +243,47 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert!(matches!(
-            JournalRecord::decode(&[0x7F]),
-            Err(CodecError::BadTag { .. })
-        ));
+        assert!(matches!(decoded(&[0x7F]), Err(CodecError::BadTag { .. })));
     }
 
     #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = JournalRecord::Deregister(ServiceId::new(1)).to_bytes();
+    fn a_payload_decodes_to_its_last_byte() {
+        let mut bytes = payload(&[JournalRecord::Deregister(ServiceId::new(1))]);
         bytes.push(0);
-        assert!(JournalRecord::decode(&bytes).is_err());
-        // `decode_from` is where a record says how long it is.
+        let mut seen = Vec::new();
         let mut cur = Cursor::new(&bytes);
-        let first = JournalRecord::decode_from(&mut cur, &mut CompactRules::Alone).unwrap();
-        assert_eq!(first, JournalRecord::Deregister(ServiceId::new(1)));
-        assert_eq!(cur.remaining(), 1);
+        let refused = decode_payload(&mut cur, CompactRules::Format6(None), |record| {
+            seen.push(record);
+            Ok(())
+        });
+        assert_eq!(
+            refused,
+            Err(CodecError::BadTag {
+                what: "record",
+                tag: 0
+            })
+        );
+        // A record says where it ends: the one before the stray byte decoded.
+        assert_eq!(seen, vec![JournalRecord::Deregister(ServiceId::new(1))]);
+        assert_eq!(cur.remaining(), 0);
+    }
+
+    /// The first round a payload holds is stored; a report of the same
+    /// round after it leaves its round out, and stands for nothing alone.
+    #[test]
+    fn a_payload_carries_the_round_from_report_to_report() {
+        let report = |rater| {
+            JournalRecord::Feedback(Feedback::scored(
+                AgentId::new(rater),
+                ServiceId::new(2),
+                0.5,
+                Time::new(9),
+            ))
+        };
+        let records = [report(1), report(2)];
+        let both = payload(&records);
+        let first = payload(&records[..1]);
+        assert_eq!(both.len(), 2 * first.len() - 1, "the second round left out");
+        assert!(decoded(&both[first.len()..]).is_err(), "no round to carry");
     }
 }

@@ -31,7 +31,7 @@
 
 use crate::codec::{CodecError, CompactRules, Cursor};
 use crate::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
-use crate::record::{JournalRecord, TRAILING_BYTES};
+use crate::record::{decode_payload, JournalRecord};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom};
@@ -191,30 +191,31 @@ impl LsnWalk {
         }
         // Before format 5 a frame is one record, to its last byte.
         let lone = self.version < 5;
-        let mut rules = if self.version < 6 {
+        let rules = if self.version < 6 {
             CompactRules::Format5
         } else {
             CompactRules::Format6(None)
         };
-        loop {
-            // Matched, not `map_err` + `?`: that moved every record once
-            // more, a fifth of what recovery spends scanning a long log.
-            match JournalRecord::decode_from(&mut cur, &mut rules) {
-                Ok(_) if lone && cur.remaining() != 0 => {
-                    return Err(FrameDamage::Record {
-                        lsn,
-                        err: TRAILING_BYTES,
-                    })
-                }
-                Ok(record) => emit(lsn, record),
-                Err(err) => return Err(FrameDamage::Record { lsn, err }),
+        let first = lsn;
+        let decoded = decode_payload(&mut cur, rules, |record| {
+            if lone && lsn != first {
+                return Err(CodecError::BadCount);
             }
-            lsn = lsn.checked_add(1).ok_or(FrameDamage::Lsn)?;
-            if cur.remaining() == 0 {
-                self.next = lsn;
-                return Ok(());
-            }
+            emit(lsn, record);
+            lsn = lsn.wrapping_add(1);
+            Ok(())
+        });
+        // An empty payload lacks its first record.
+        let empty = (lsn == first).then_some(CodecError::UnexpectedEof);
+        if let Some(err) = decoded.err().or(empty) {
+            return Err(FrameDamage::Record { lsn, err });
         }
+        // The last record took the last LSN there is.
+        if lsn < first {
+            return Err(FrameDamage::Lsn);
+        }
+        self.next = lsn;
+        Ok(())
     }
 }
 
@@ -435,6 +436,7 @@ mod tests {
     use super::*;
     use crate::frame::write_frame;
     use crate::journal::frame_commit;
+    use crate::record::tests::payload as encoded;
     use wsrep_core::feedback::Feedback;
     use wsrep_core::id::{AgentId, ServiceId};
     use wsrep_core::time::Time;
@@ -453,7 +455,7 @@ mod tests {
     fn write_segment(path: &Path, start_lsn: u64, n: u64) -> Vec<u8> {
         let mut bytes = segment_header(start_lsn).to_vec();
         for i in 0..n {
-            write_frame(&mut bytes, &record(start_lsn + i).to_bytes());
+            write_frame(&mut bytes, &encoded(&[record(start_lsn + i)]));
         }
         fs::write(path, &bytes).unwrap();
         bytes
@@ -528,7 +530,7 @@ mod tests {
                 payload.push(LSN_MARKER);
                 payload.extend_from_slice(&lsn.to_le_bytes());
             }
-            payload.extend_from_slice(&record(lsn).to_bytes());
+            payload.extend_from_slice(&encoded(&[record(lsn)]));
             write_frame(&mut bytes, &payload);
         }
         fs::write(path, &bytes).unwrap();
@@ -581,7 +583,7 @@ mod tests {
         // ones this build would take for a torn tail and truncate.
         for version in [FORMAT_VERSION + 1, 9] {
             let mut bytes = segment_header_versioned(0, version).to_vec();
-            write_frame(&mut bytes, &record(0).to_bytes());
+            write_frame(&mut bytes, &encoded(&[record(0)]));
             fs::write(&path, &bytes).unwrap();
             let err = scan_segment_entries(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -608,7 +610,7 @@ mod tests {
         }
         // A marker with fewer than eight bytes behind it.
         let mut bytes = segment_header(0).to_vec();
-        write_frame(&mut bytes, &record(0).to_bytes());
+        write_frame(&mut bytes, &encoded(&[record(0)]));
         write_frame(&mut bytes, &[LSN_MARKER, 5, 0, 0]);
         fs::write(&path, &bytes).unwrap();
         assert_eq!(scanned_lsns(&path), (vec![0], true));
@@ -644,10 +646,7 @@ mod tests {
         let path = dir.join(segment_file_name(0));
         let mut head = segment_header(0).to_vec();
         commit_frame(&mut head, 0..2, false);
-        let mut three = Vec::new();
-        for lsn in 2..5 {
-            record(lsn).encode(&mut three);
-        }
+        let three = encoded(&(2..5).map(record).collect::<Vec<_>>());
         let stating = |lsn: u64, records: &[u8]| {
             let mut payload = vec![LSN_MARKER];
             payload.extend_from_slice(&lsn.to_le_bytes());
@@ -695,8 +694,8 @@ mod tests {
                     Vec::new()
                 }
             };
-            write_frame(&mut bytes, &[lsn(0), record(0).to_bytes()].concat());
-            let two = [lsn(1), record(1).to_bytes(), record(2).to_bytes()].concat();
+            write_frame(&mut bytes, &[lsn(0), encoded(&[record(0)])].concat());
+            let two = [lsn(1), encoded(&[record(1)]), encoded(&[record(2)])].concat();
             write_frame(&mut bytes, &two);
             fs::write(&path, &bytes).unwrap();
             assert_eq!(scanned_lsns(&path), (vec![0], true), "v{version}");

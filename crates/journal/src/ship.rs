@@ -510,7 +510,7 @@ mod tests {
         // decode, the way no writer leaves one.
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        let mut payload = [record(2).to_bytes(), record(3).to_bytes()].concat();
+        let mut payload = crate::record::tests::payload(&[record(2), record(3)]);
         payload.push(0x7F);
         write_frame(&mut bytes, &payload);
         fs::write(&path, &bytes).unwrap();

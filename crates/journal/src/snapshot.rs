@@ -10,8 +10,13 @@
 //!
 //! ```text
 //! magic "WSRS" | version u8 | lsn u64 | body_len u64 | body_crc u32 | body
-//! body = n_listings u64, listings…, n_feedback u64, feedback…
+//! body (v4)   = n_listings u64, n_feedback u64, payload
+//!               (one commit payload: a Publish per listing, then reports)
+//! body (v1–3) = n_listings u64, listings…, n_feedback u64, feedback…
 //! ```
+//!
+//! Version 4 spells records as the WAL does, so a checkpoint costs about
+//! the WAL bytes it replaces; versions 1–3 (fixed-width) are only read.
 //!
 //! Snapshots are written to a temp file, fsynced, then renamed into
 //! place, so a crash mid-snapshot leaves either the old snapshot or the
@@ -19,9 +24,10 @@
 //! rename-visible content anyway; an invalid snapshot is skipped and the
 //! previous one is used.
 
-use crate::codec::{get_feedback, get_listing, put_feedback, put_listing, put_u64, Cursor};
+use crate::codec::{get_feedback, get_listing, put_u64, CodecError, CompactRules, Cursor};
 use crate::frame::crc32;
 use crate::journal::sync_dir;
+use crate::record::{decode_payload, put_payload, JournalRecord, MIN_RECORD_LEN};
 use crate::segment::{list_named, parse_lsn_name};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -31,12 +37,12 @@ use wsrep_sim::registry::Listing;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"WSRS";
-/// The version byte this build writes. The body has had one layout since
-/// the first snapshot; builds up to segment format 3 stamped it with the
-/// segment format of the day, so 1–3 all name that layout and are read.
-/// It no longer follows [`crate::segment::FORMAT_VERSION`]: a segment
-/// bump must not make the snapshots beside it read as damaged.
-pub const SNAPSHOT_VERSION: u8 = 3;
+/// The version byte this build writes. Versions 1–3 all name the first
+/// snapshot's fixed-width body (builds up to segment format 3 stamped it
+/// with the segment format of the day). It does not follow
+/// [`crate::segment::FORMAT_VERSION`]: a segment bump must not make the
+/// snapshots beside it read as damaged.
+pub const SNAPSHOT_VERSION: u8 = 4;
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 
 /// The file name of the snapshot covering records `[0, lsn)`.
@@ -81,15 +87,12 @@ pub fn write_snapshot(
     listings: &[Listing],
     feedback: &[Feedback],
 ) -> io::Result<PathBuf> {
+    // Listings leave the round alone: the two runs are one payload.
     let mut body = Vec::new();
     put_u64(&mut body, listings.len() as u64);
-    for listing in listings {
-        put_listing(&mut body, listing);
-    }
     put_u64(&mut body, feedback.len() as u64);
-    for report in feedback {
-        put_feedback(&mut body, report);
-    }
+    put_payload(&mut body, &mut listings.iter(), usize::MAX);
+    put_payload(&mut body, &mut feedback.iter(), usize::MAX);
 
     let mut bytes = Vec::with_capacity(HEADER_LEN + body.len());
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -136,20 +139,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
         return Ok(None);
     }
     let mut cur = Cursor::new(body);
-    let mut decode = || -> Result<(Vec<Listing>, Vec<Feedback>), crate::codec::CodecError> {
-        let n_listings = cur.u64()?;
-        let mut listings = Vec::with_capacity(n_listings.min(1 << 20) as usize);
-        for _ in 0..n_listings {
-            listings.push(get_listing(&mut cur)?);
-        }
-        let n_feedback = cur.u64()?;
-        let mut feedback = Vec::with_capacity(n_feedback.min(1 << 20) as usize);
-        for _ in 0..n_feedback {
-            feedback.push(get_feedback(&mut cur)?);
-        }
-        Ok((listings, feedback))
-    };
-    match decode() {
+    match decode_body(bytes[4], &mut cur) {
         // A body decodes to its last byte, as a frame does.
         Ok((listings, feedback)) if cur.remaining() == 0 => Ok(Some(Snapshot {
             lsn,
@@ -158,6 +148,50 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
         })),
         _ => Ok(None),
     }
+}
+
+/// The listings and reports of a body of `version`. A version-4 body is
+/// refused unless its payload holds exactly the listings, then exactly
+/// the reports, its counts name; a count its bytes cannot hold is
+/// refused before anything is allocated.
+fn decode_body(
+    version: u8,
+    cur: &mut Cursor<'_>,
+) -> Result<(Vec<Listing>, Vec<Feedback>), CodecError> {
+    let (mut listings, mut feedback) = (Vec::new(), Vec::new());
+    if version < SNAPSHOT_VERSION {
+        for _ in 0..cur.u64()? {
+            listings.push(get_listing(cur)?);
+        }
+        for _ in 0..cur.u64()? {
+            feedback.push(get_feedback(cur)?);
+        }
+        return Ok((listings, feedback));
+    }
+    let (n_listings, n_feedback) = (cur.u64()? as usize, cur.u64()? as usize);
+    if n_listings.saturating_add(n_feedback) > cur.remaining() / MIN_RECORD_LEN {
+        return Err(CodecError::BadCount);
+    }
+    listings.reserve_exact(n_listings);
+    feedback.reserve_exact(n_feedback);
+    decode_payload(cur, CompactRules::Format6(None), |record| {
+        match record {
+            JournalRecord::Publish(listing) if listings.len() < n_listings => {
+                listings.push(listing)
+            }
+            JournalRecord::Feedback(report)
+                if listings.len() == n_listings && feedback.len() < n_feedback =>
+            {
+                feedback.push(report)
+            }
+            _ => return Err(CodecError::BadCount),
+        }
+        Ok(())
+    })?;
+    if feedback.len() != n_feedback || listings.len() != n_listings {
+        return Err(CodecError::BadCount);
+    }
+    Ok((listings, feedback))
 }
 
 /// The newest snapshot that validates, if any.
@@ -215,23 +249,96 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A snapshot file as builds before version 4 wrote it: the counted,
+    /// fixed-width body.
+    fn fixed_width_file(
+        lsn: u64,
+        version: u8,
+        listings: &[Listing],
+        feedback: &[Feedback],
+    ) -> Vec<u8> {
+        use crate::codec::{put_feedback, put_listing, put_u64};
+        let mut body = Vec::new();
+        put_u64(&mut body, listings.len() as u64);
+        listings.iter().for_each(|l| put_listing(&mut body, l));
+        put_u64(&mut body, feedback.len() as u64);
+        feedback.iter().for_each(|f| put_feedback(&mut body, f));
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.push(version);
+        bytes.extend_from_slice(&lsn.to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        [bytes, body].concat()
+    }
+
     #[test]
-    fn a_segment_format_bump_leaves_earlier_snapshots_readable() {
+    fn versions_1_to_3_are_read_and_version_4_is_written() {
         let dir = temp_dir("versions");
-        let path = write_snapshot(&dir, 7, &[listing(1)], &[feedback(0)]).unwrap();
+        let (listings, feedback) = (vec![listing(1)], vec![feedback(0), feedback(1)]);
+        let path = write_snapshot(&dir, 7, &listings, &feedback).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         assert_eq!(bytes[4], SNAPSHOT_VERSION);
-        for version in 1..=SNAPSHOT_VERSION {
-            bytes[4] = version;
-            fs::write(&path, &bytes).unwrap();
-            let snapshot = read_snapshot(&path).unwrap().expect("one body layout");
-            assert_eq!((snapshot.lsn, snapshot.entries()), (7, 2), "v{version}");
+        let written = read_snapshot(&path).unwrap().expect("a v4 body");
+        assert_eq!(
+            (written.listings, written.feedback),
+            (listings.clone(), feedback.clone())
+        );
+        for version in 1..SNAPSHOT_VERSION {
+            fs::write(&path, fixed_width_file(7, version, &listings, &feedback)).unwrap();
+            let snapshot = read_snapshot(&path).unwrap().expect("the fixed-width body");
+            assert_eq!(
+                (snapshot.listings, snapshot.feedback),
+                (listings.clone(), feedback.clone())
+            );
         }
+        // Each body under the other's version byte is damage, not data.
+        let fixed = fixed_width_file(7, SNAPSHOT_VERSION, &listings, &feedback);
+        fs::write(&path, fixed).unwrap();
+        assert_eq!(read_snapshot(&path).unwrap(), None, "a v3 body stamped v4");
+        bytes[4] = 3;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_snapshot(&path).unwrap(), None, "a v4 body stamped v3");
         for version in [0, SNAPSHOT_VERSION + 1] {
             bytes[4] = version;
             fs::write(&path, &bytes).unwrap();
             assert_eq!(read_snapshot(&path).unwrap(), None, "v{version}");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version-4 body holds exactly its counted listings, then exactly
+    /// its counted reports: anything else is damage, and a count the bytes
+    /// cannot hold is refused before it is allocated for.
+    #[test]
+    fn a_v4_body_holds_its_counted_listings_then_reports() {
+        let dir = temp_dir("order");
+        let path = dir.join(snapshot_file_name(3));
+        let body = |n_listings: u64, n_feedback: u64, records: &[JournalRecord]| {
+            let mut body = n_listings.to_le_bytes().to_vec();
+            body.extend_from_slice(&n_feedback.to_le_bytes());
+            body.extend_from_slice(&crate::record::tests::payload(records));
+            let mut bytes = SNAPSHOT_MAGIC.to_vec();
+            bytes.push(SNAPSHOT_VERSION);
+            bytes.extend_from_slice(&3u64.to_le_bytes());
+            bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            fs::write(&path, [bytes, body].concat()).unwrap();
+            read_snapshot(&path).unwrap().map(|s| s.entries())
+        };
+        let (publish, report) = (
+            JournalRecord::Publish(listing(1)),
+            JournalRecord::Feedback(feedback(0)),
+        );
+        let withdrawal = JournalRecord::Deregister(ServiceId::new(1));
+        assert_eq!(body(1, 1, &[publish.clone(), report.clone()]), Some(2));
+        assert_eq!(body(0, 0, &[]), Some(0));
+        assert_eq!(body(1, 1, &[report.clone(), publish.clone()]), None);
+        assert_eq!(body(0, 2, &[report.clone(), withdrawal]), None);
+        assert_eq!(body(1, 2, &[publish.clone(), report.clone()]), None);
+        assert_eq!(body(0, 1, &[publish.clone(), report.clone()]), None);
+        assert_eq!(body(1, 0, &[publish.clone(), report.clone()]), None);
+        assert_eq!(body(u64::MAX, 1, &[publish.clone(), report.clone()]), None);
+        assert_eq!(body(1, u64::MAX, &[publish, report]), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,13 +1,15 @@
-//! Properties of the compact feedback record (segment formats 4 and up)
-//! and of `JournalRecord::decode` as a total function.
+//! Properties of the compact feedback record (segment formats 4 and up),
+//! of the commit payload that carries it everywhere today, and of
+//! `decode_payload` as a total function.
 //!
 //! The compact pair must be the identity on every `Feedback` — ids over
 //! the whole `u64` range, every subject kind, any score *bits* — and must
 //! agree with the fixed-width pair on everything that pair can yield, or
 //! a log upgraded from format 3 would recover to different reports than
-//! it held. The decoder sits behind a CRC and still reads bytes this
+//! it held. A payload of any records must decode to them and re-encode to
+//! its bytes. The decoder sits behind a CRC and still reads bytes this
 //! build did not write (a newer primary's, a damaged disk's): it answers
-//! every input with a record or a typed `CodecError`, never a panic.
+//! every input with records or a typed `CodecError`, never a panic.
 //!
 //! The segment header and the snapshot file get the same treatment:
 //! every truncation, every single-byte flip and arbitrary bytes.
@@ -19,8 +21,11 @@ use std::path::Path;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
 use wsrep_core::time::Time;
-use wsrep_journal::codec::{get_varint, put_feedback, put_varint, CodecError, Cursor};
+use wsrep_journal::codec::{
+    get_feedback, get_varint, put_feedback, put_varint, CodecError, CompactRules, Cursor,
+};
 use wsrep_journal::frame::crc32;
+use wsrep_journal::record::{decode_payload, put_payload};
 use wsrep_journal::segment::{
     segment_header_versioned, LsnWalk, FORMAT_VERSION, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
 };
@@ -106,22 +111,76 @@ fn bits(feedback: &Feedback) -> Bits {
     )
 }
 
+/// `records` as one commit payload.
+fn payload<R: wsrep_journal::record::PayloadRecord>(records: &[R]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_payload(&mut out, &mut records.iter(), usize::MAX);
+    out
+}
+
 fn compact_bytes(feedback: &Feedback) -> Vec<u8> {
-    JournalRecord::Feedback(feedback.clone()).to_bytes()
+    payload(std::slice::from_ref(feedback))
+}
+
+/// The records of a payload read under `rules`.
+fn decoded_under(bytes: &[u8], rules: CompactRules) -> Result<Vec<JournalRecord>, CodecError> {
+    let mut records = Vec::new();
+    decode_payload(&mut Cursor::new(bytes), rules, |record| {
+        records.push(record);
+        Ok(())
+    })?;
+    Ok(records)
+}
+
+/// The records of a payload as written today.
+fn decoded(bytes: &[u8]) -> Result<Vec<JournalRecord>, CodecError> {
+    decoded_under(bytes, CompactRules::Format6(None))
+}
+
+/// A payload's one record: none is an EOF, two a bad count.
+fn decode(bytes: &[u8]) -> Result<JournalRecord, CodecError> {
+    match decoded(bytes)?.as_slice() {
+        [] => Err(CodecError::UnexpectedEof),
+        [record] => Ok(record.clone()),
+        _ => Err(CodecError::BadCount),
+    }
 }
 
 fn decode_feedback(bytes: &[u8]) -> Feedback {
-    match JournalRecord::decode(bytes) {
+    match decode(bytes) {
         Ok(JournalRecord::Feedback(feedback)) => feedback,
         other => panic!("not a feedback record: {other:?}"),
     }
 }
 
-/// The record builds up to format 3 wrote: tag 1, fixed-width body.
+/// The fixed-width body builds up to format 3 wrote behind tag 1, and
+/// snapshots up to version 3 hold.
 fn fixed_bytes(feedback: &Feedback) -> Vec<u8> {
-    let mut bytes = vec![1];
+    let mut bytes = Vec::new();
     put_feedback(&mut bytes, feedback);
     bytes
+}
+
+fn decode_fixed(bytes: &[u8]) -> Feedback {
+    let mut cur = Cursor::new(bytes);
+    let feedback = get_feedback(&mut cur).expect("a fixed-width report");
+    assert_eq!(cur.remaining(), 0);
+    feedback
+}
+
+/// Any record: a report, a listing or a withdrawal.
+fn any_record() -> impl Strategy<Value = JournalRecord> {
+    (0u8..6, feedback(), listing(), id()).prop_map(|(kind, report, listing, service)| match kind {
+        0 => JournalRecord::Publish(listing),
+        1 => JournalRecord::Deregister(ServiceId::new(service)),
+        _ => JournalRecord::Feedback(report),
+    })
+}
+
+/// Records by their bits (see [`bits`]).
+fn record_bits(records: &[JournalRecord]) -> Vec<Result<Bits, JournalRecord>> {
+    let bits_of = |r: &JournalRecord| r.as_feedback().map(bits).ok_or_else(|| r.clone());
+    records.iter().map(bits_of).collect()
 }
 
 proptest! {
@@ -137,12 +196,11 @@ proptest! {
     }
 
     /// The fixed-width decoder rebuilds a report through the constructors,
-    /// which clamp; on whatever it yields the two encodings must agree,
-    /// through `JournalRecord::decode` as recovery calls it.
+    /// which clamp; on whatever it yields the two encodings must agree.
     #[test]
     fn compact_agrees_with_the_fixed_width_pair(original in feedback()) {
-        let fixed = decode_feedback(&fixed_bytes(&original));
-        prop_assert_eq!(bits(&decode_feedback(&fixed_bytes(&fixed))), bits(&fixed));
+        let fixed = decode_fixed(&fixed_bytes(&original));
+        prop_assert_eq!(bits(&decode_fixed(&fixed_bytes(&fixed))), bits(&fixed));
         prop_assert_eq!(bits(&decode_feedback(&compact_bytes(&fixed))), bits(&fixed));
         prop_assert!(compact_bytes(&fixed).len() < fixed_bytes(&fixed).len());
     }
@@ -152,10 +210,38 @@ proptest! {
         let bytes = compact_bytes(&original);
         for cut in 0..bytes.len() {
             prop_assert_eq!(
-                JournalRecord::decode(&bytes[..cut]),
+                decode(&bytes[..cut]),
                 Err(CodecError::UnexpectedEof),
                 "cut at {} of {}", cut, bytes.len()
             );
+        }
+    }
+
+    /// Any records, rounds carried from report to report, decode to
+    /// themselves and re-encode to the payload's bytes; no strict prefix
+    /// decodes to all of them.
+    #[test]
+    fn payload_decode_after_encode_is_the_identity(
+        records in collection::vec(any_record(), 0..8),
+        same_round in 0u8..2,
+    ) {
+        let mut records = records;
+        if same_round == 1 {
+            // One round for every report: each after the first leaves it out.
+            for record in &mut records {
+                if let JournalRecord::Feedback(report) = record {
+                    report.at = Time::new(7);
+                }
+            }
+        }
+        let bytes = payload(&records);
+        let back = decoded(&bytes).unwrap();
+        prop_assert_eq!(record_bits(&back), record_bits(&records));
+        prop_assert_eq!(payload(&back), bytes.clone());
+        for cut in 0..bytes.len() {
+            if let Ok(some) = decoded(&bytes[..cut]) {
+                prop_assert!(some.len() < records.len(), "cut at {}", cut);
+            }
         }
     }
 
@@ -169,7 +255,8 @@ proptest! {
         if let (1, Some(first)) = (compact, bytes.first_mut()) {
             *first |= 0x80;
         }
-        let _ = JournalRecord::decode(&bytes);
+        let _ = decoded(&bytes);
+        let _ = decoded_under(&bytes, CompactRules::Format5);
     }
 
     /// Damage that lands *inside* a well-formed record reaches branches
@@ -181,10 +268,15 @@ proptest! {
         with in 0u8..=255,
         fixed in 0u8..2,
     ) {
-        let mut bytes = if fixed == 1 { fixed_bytes(&original) } else { compact_bytes(&original) };
+        let mut bytes = if fixed == 1 {
+            [&[1], &fixed_bytes(&original)[..]].concat()
+        } else {
+            compact_bytes(&original)
+        };
         let at = at % bytes.len();
         bytes[at] = with;
-        let _ = JournalRecord::decode(&bytes);
+        let _ = decoded(&bytes);
+        let _ = decoded_under(&bytes, CompactRules::Format5);
     }
 
     #[test]
@@ -200,12 +292,13 @@ proptest! {
 }
 
 /// A plain service-subject report whose rater varint is `rater`, spelled
-/// out by hand: head, rater, subject 1, score 0.5, round 0.
+/// out by hand: head (bit 4: a short score), rater, subject 1, score 0.5
+/// in seven bytes, round 0.
 fn record_with_rater(rater: &[u8]) -> Vec<u8> {
-    let mut bytes = vec![0x81];
+    let mut bytes = vec![0x91];
     bytes.extend_from_slice(rater);
     bytes.push(1);
-    bytes.extend_from_slice(&0.5f64.to_le_bytes());
+    bytes.extend_from_slice(&0.5f64.to_le_bytes()[..7]);
     bytes.push(0);
     bytes
 }
@@ -217,7 +310,7 @@ fn rejected_varint(varint: &[u8]) {
         "{varint:02x?}"
     );
     assert_eq!(
-        JournalRecord::decode(&record_with_rater(varint)),
+        decode(&record_with_rater(varint)),
         Err(CodecError::BadVarint),
         "{varint:02x?} as a rater"
     );
@@ -255,7 +348,7 @@ fn a_varint_past_bit_64_is_rejected() {
 }
 
 fn rejected_head(bytes: &[u8]) {
-    match JournalRecord::decode(bytes) {
+    match decode(bytes) {
         Err(CodecError::BadTag { tag, .. }) => assert_eq!(tag, bytes[0]),
         other => panic!("head {:#04x} was not refused: {other:?}", bytes[0]),
     }
@@ -265,10 +358,35 @@ fn rejected_head(bytes: &[u8]) {
 fn reserved_head_bits_and_subject_kind_3_are_rejected() {
     // Bit 6 is the one reserved bit left; bits 4 and 5 are format 6's.
     let mut bytes = record_with_rater(&[7]);
-    bytes[0] = 0x81 | 0x40;
+    bytes[0] |= 0x40;
     rejected_head(&bytes);
-    bytes[0] = 0x83;
+    bytes[0] = 0x93;
     rejected_head(&bytes);
+}
+
+/// A payload has one spelling of a report: the score 0.5 in all eight
+/// bytes, its `0x3F` top byte included (what a format-5 log holds, and
+/// what a `ReplBatch` entry of PROTO 3 could carry), is refused, and so
+/// is a round the report before it already stored.
+#[test]
+fn a_payload_refuses_what_its_reports_leave_out() {
+    let mut eight = vec![0x81, 7, 1];
+    eight.extend_from_slice(&0.5f64.to_le_bytes());
+    eight.push(0);
+    rejected_head(&eight);
+    let expected = Feedback::scored(AgentId::new(7), ServiceId::new(1), 0.5, Time::ZERO);
+    assert_eq!(
+        decoded_under(&eight, CompactRules::Format5),
+        Ok(vec![JournalRecord::Feedback(expected)]),
+        "a format-5 frame holds it"
+    );
+    let two = [record_with_rater(&[7]), record_with_rater(&[8])].concat();
+    let second = record_with_rater(&[7]).len();
+    assert!(matches!(
+        decoded(&two),
+        Err(CodecError::BadTag { tag: 0x91, .. })
+    ));
+    assert_eq!(two[second], 0x91, "the second stores round 0 again");
 }
 
 #[test]
@@ -353,8 +471,6 @@ proptest! {
         masks in collection::vec(1u8..=255, 1..8),
         noise in collection::vec(0u8..=255, 1..48),
     ) {
-        // Reports as the fixed-width body carries them.
-        let feedback: Vec<_> = feedback.iter().map(|f| decode_feedback(&fixed_bytes(f))).collect();
         let dir = std::env::temp_dir().join(format!("wsrep-codec-snapshot-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = write_snapshot(&dir, lsn, &listings, &feedback).unwrap();

@@ -29,6 +29,7 @@ use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_journal::frame::{split_frame, write_frame, FrameSplit, FRAME_HEADER_LEN};
 use wsrep_journal::journal::{frame_commit, FRAME_SPLIT_BYTES};
+use wsrep_journal::record::put_payload;
 use wsrep_journal::segment::{
     group_dir_name, list_segments, segment_file_name, segment_header, segment_header_versioned,
     LsnWalk, FORMAT_VERSION, SEGMENT_HEADER_LEN,
@@ -643,6 +644,13 @@ fn report_of_round(i: u64, round: u64) -> JournalRecord {
     ))
 }
 
+/// `records` as one commit payload.
+fn as_payload(records: &[JournalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_payload(&mut out, &mut records.iter(), usize::MAX);
+    out
+}
+
 /// A batch past `FRAME_SPLIT_BYTES` continues in a frame that holds its
 /// own context: the second frame's first report stores the round the
 /// first frame's reports all left out, as a report on its own does.
@@ -660,9 +668,10 @@ fn a_split_batchs_second_frame_stores_its_first_round() {
     let payload = |k: usize| &bytes[ends[k] + FRAME_HEADER_LEN..ends[k + 1]];
     walk.step(payload(0), |_, _| ()).unwrap();
     let first = walk.next_lsn() as usize;
-    assert!(payload(1).starts_with(&reports[first].to_bytes()));
+    let alone = as_payload(&reports[first..=first]);
+    assert!(payload(1).starts_with(&alone));
     // Within a frame the round is left out: a report is 11 bytes here.
-    let alone = reports[first].to_bytes().len();
+    let alone = alone.len();
     assert_eq!(
         payload(1).len(),
         alone + (reports.len() - first - 1) * (alone - 1)
@@ -741,9 +750,8 @@ fn each_format_reads_its_frames_by_its_own_rules() {
         frame_commit(&mut frame, None, records);
         frame.split_off(FRAME_HEADER_LEN)
     };
-    let each_alone = |records: &[JournalRecord]| -> Vec<u8> {
-        records.iter().flat_map(JournalRecord::to_bytes).collect()
-    };
+    let each_alone =
+        |records: &[JournalRecord]| -> Vec<u8> { records.chunks(1).flat_map(as_payload).collect() };
 
     // Two reports of one round scored 0, a score no format shortens: the
     // second leaves its round out (bit 5), or stores it.

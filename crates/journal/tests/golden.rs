@@ -34,9 +34,10 @@ use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
-use wsrep_journal::codec::{put_feedback, CompactRules, Cursor};
+use wsrep_journal::codec::{put_feedback, CodecError, CompactRules, Cursor};
 use wsrep_journal::frame::write_frame;
 use wsrep_journal::journal::frame_commit;
+use wsrep_journal::record::{decode_payload, put_payload};
 use wsrep_journal::segment::{
     group_dir_name, list_segments, scan_segment_entries, segment_file_name, segment_header,
     segment_header_versioned, FORMAT_VERSION,
@@ -130,8 +131,25 @@ fn v1_bytes(record: &JournalRecord) -> Vec<u8> {
             put_feedback(&mut out, feedback);
             out
         }
-        None => record.to_bytes(),
+        None => payload(std::slice::from_ref(record)),
     }
+}
+
+/// `records` as one commit payload.
+fn payload(records: &[JournalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_payload(&mut out, &mut records.iter(), usize::MAX);
+    out
+}
+
+/// The records of a payload read under `rules`.
+fn decoded(payload: &[u8], rules: CompactRules) -> Result<Vec<JournalRecord>, CodecError> {
+    let mut records = Vec::new();
+    decode_payload(&mut Cursor::new(payload), rules, |record| {
+        records.push(record);
+        Ok(())
+    })?;
+    Ok(records)
 }
 
 /// The golden file as format 5 left it. `WSREP_UPDATE_GOLDEN=1` rewrites
@@ -239,9 +257,8 @@ fn golden_bytes_still_decode_to_the_same_records() {
     for (line, expected) in fixed.chain(compact) {
         // Skip the 8-byte frame header (len + crc) to reach the payload.
         let payload = &golden[line.as_str()][8..];
-        let record = JournalRecord::decode(payload).expect("golden payload decodes");
-        assert_eq!(record, *expected, "{line}");
-        // The fixed-width layout is still written: by `Ingest` and snapshots.
+        let records = decoded(payload, CompactRules::Format5);
+        assert_eq!(records, Ok(vec![expected.clone()]), "{line}");
         if line.starts_with("record_") {
             assert_eq!(v1_bytes(expected), payload, "{line}");
         }
@@ -257,12 +274,11 @@ fn golden_bytes_still_decode_to_the_same_records() {
         ("lsn_commit_v6_2", 8 + 9, v6, stated),
         ("rounds_commit_v6_5", 8, v6, rounds_commit()),
     ] {
-        let mut cur = Cursor::new(&golden[line][skip..]);
-        let mut rules = rules;
-        for record in expected {
-            assert_eq!(JournalRecord::decode_from(&mut cur, &mut rules), Ok(record));
-        }
-        assert_eq!(cur.remaining(), 0, "{line}");
+        assert_eq!(
+            decoded(&golden[line][skip..], rules),
+            Ok(expected),
+            "{line}"
+        );
     }
 }
 
@@ -524,7 +540,7 @@ fn an_earlier_formats_active_segment_is_re_headed_or_sealed() {
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join(segment_file_name(0));
     let mut bytes = segment_header_versioned(0, 1).to_vec();
-    write_frame(&mut bytes, &record.to_bytes());
+    write_frame(&mut bytes, &payload(std::slice::from_ref(record)));
     fs::write(&path, &bytes).unwrap();
     let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
     journal.append_batch(std::slice::from_ref(record)).unwrap();
@@ -532,5 +548,121 @@ fn an_earlier_formats_active_segment_is_re_headed_or_sealed() {
     assert_eq!(fs::read(&path).unwrap(), bytes);
     drop(journal);
     assert_reads_back(&dir, &[(0, record.clone()), (1, record.clone())]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The golden snapshot's content: the golden listing, then the golden
+/// reports and two of one round, so the body leaves a round out.
+fn golden_snapshot() -> (Vec<Listing>, Vec<Feedback>) {
+    let records = golden_records();
+    let listing = match &records[2] {
+        JournalRecord::Publish(listing) => listing.clone(),
+        other => panic!("{other:?}"),
+    };
+    let mut feedback: Vec<Feedback> = records
+        .iter()
+        .filter_map(JournalRecord::as_feedback)
+        .cloned()
+        .collect();
+    feedback.extend(
+        rounds_commit()
+            .iter()
+            .filter_map(JournalRecord::as_feedback)
+            .cloned(),
+    );
+    (vec![listing], feedback)
+}
+
+/// A snapshot file at [`STATED`] with `version` and `body`.
+fn snapshot_file(version: u8, body: &[u8]) -> Vec<u8> {
+    let mut bytes = b"WSRS".to_vec();
+    bytes.push(version);
+    bytes.extend_from_slice(&STATED.to_le_bytes());
+    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&wsrep_journal::frame::crc32(body).to_le_bytes());
+    [bytes, body.to_vec()].concat()
+}
+
+/// The golden snapshots, file bytes: version 3 (the counted, fixed-width
+/// body versions 1–3 share, read and no longer written) and version 4
+/// (one commit payload), as this build writes it.
+fn golden_snapshots() -> Vec<(&'static str, Vec<u8>)> {
+    use wsrep_journal::codec::{put_listing, put_u64};
+    let (listings, feedback) = golden_snapshot();
+    let mut v3 = Vec::new();
+    put_u64(&mut v3, listings.len() as u64);
+    listings.iter().for_each(|l| put_listing(&mut v3, l));
+    put_u64(&mut v3, feedback.len() as u64);
+    feedback.iter().for_each(|f| put_feedback(&mut v3, f));
+    let dir = temp_dir("snapshot-writer");
+    fs::create_dir_all(&dir).unwrap();
+    let path = wsrep_journal::write_snapshot(&dir, STATED, &listings, &feedback).unwrap();
+    let v4 = fs::read(&path).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    vec![("snapshot_v3", snapshot_file(3, &v3)), ("snapshot_v4", v4)]
+}
+
+/// The snapshot file layout is pinned like the segments', in its own
+/// append-only file: a later version adds lines and edits none.
+/// (Deliberate, version-bumped regeneration:
+/// `WSREP_UPDATE_GOLDEN=1 cargo test -p wsrep-journal --test golden`.)
+#[test]
+fn snapshot_files_are_pinned_and_every_version_reads_back() {
+    let mut rendered = String::from("# wsrep-journal snapshot files — golden bytes, do not edit\n");
+    for (name, bytes) in golden_snapshots() {
+        if name == "snapshot_v4" {
+            rendered.push_str("# version 4: the body is two counts and one commit payload\n");
+        }
+        rendered.push_str(&format!("{name} {}\n", hex(&bytes)));
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/snapshot.hex");
+    if std::env::var_os("WSREP_UPDATE_GOLDEN").is_some() {
+        fs::write(path, &rendered).expect("write golden file");
+        return;
+    }
+    assert_eq!(
+        rendered,
+        include_str!("data/snapshot.hex"),
+        "snapshot layout drifted"
+    );
+
+    let (listings, feedback) = golden_snapshot();
+    let dir = temp_dir("snapshot-reader");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(wsrep_journal::snapshot::snapshot_file_name(STATED));
+    for line in include_str!("data/snapshot.hex")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+    {
+        let (name, hex_bytes) = line.split_once(' ').unwrap();
+        let bytes: Vec<u8> = (0..hex_bytes.len())
+            .step_by(2)
+            .map(|j| u8::from_str_radix(&hex_bytes[j..j + 2], 16).unwrap())
+            .collect();
+        fs::write(&path, &bytes).unwrap();
+        let snapshot = wsrep_journal::snapshot::read_snapshot(&path)
+            .unwrap()
+            .expect(name);
+        assert_eq!(snapshot.lsn, STATED, "{name}");
+        assert_eq!(
+            (&snapshot.listings, &snapshot.feedback),
+            (&listings, &feedback),
+            "{name}"
+        );
+        if name == "snapshot_v3" {
+            // Versions 1 and 2 name the same body.
+            for version in 1..3 {
+                let mut older = bytes.clone();
+                older[4] = version;
+                fs::write(&path, &older).unwrap();
+                let snapshot = wsrep_journal::snapshot::read_snapshot(&path).unwrap();
+                assert_eq!(
+                    snapshot.map(|s| s.feedback),
+                    Some(feedback.clone()),
+                    "v{version}"
+                );
+            }
+        }
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,11 +10,19 @@ use wsrep_core::id::{AgentId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_journal::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
 use wsrep_journal::journal::FRAME_SPLIT_BYTES;
+use wsrep_journal::record::put_payload;
 use wsrep_journal::segment::{group_dir_name, list_segments, SEGMENT_HEADER_LEN};
 use wsrep_journal::{
     recover, recover_prefix, write_snapshot, GroupSet, Journal, JournalConfig, JournalRecord,
     ShipCursor,
 };
+
+/// `records` as one commit payload.
+fn payload(records: &[JournalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_payload(&mut out, &mut records.iter(), usize::MAX);
+    out
+}
 
 fn record(i: u64) -> JournalRecord {
     JournalRecord::Feedback(Feedback::scored(
@@ -143,7 +151,7 @@ fn a_batch_beyond_the_frame_cap_is_several_frames_of_one_commit() {
     }
     assert_eq!(at, bytes.len());
     assert!(frames.len() >= 2, "{} frames", frames.len());
-    let encoded: usize = records.iter().map(|r| r.to_bytes().len()).sum();
+    let encoded: usize = payload(&records).len();
     assert_eq!(
         stats.bytes_appended as usize,
         encoded + FRAME_HEADER_LEN * frames.len(),
@@ -174,10 +182,7 @@ fn a_batch_beyond_the_frame_cap_is_several_frames_of_one_commit() {
     let kept = feedback(recovered);
     assert!(!kept.is_empty() && kept.len() < records.len());
     assert_eq!(kept, records[..kept.len()]);
-    let first_frame: usize = records[..kept.len()]
-        .iter()
-        .map(|r| r.to_bytes().len())
-        .sum();
+    let first_frame = payload(&records[..kept.len()]).len();
     assert_eq!(
         SEGMENT_HEADER_LEN + FRAME_HEADER_LEN + first_frame,
         frames[0]

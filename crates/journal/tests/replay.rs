@@ -20,6 +20,7 @@ use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
 use wsrep_core::time::Time;
 use wsrep_journal::frame::{split_frame, write_frame, FrameSplit, FRAME_HEADER_LEN};
+use wsrep_journal::record::put_payload;
 use wsrep_journal::segment::{list_segments, LsnWalk, LSN_MARKER, SEGMENT_HEADER_LEN};
 use wsrep_journal::{
     compact_dir, latest_snapshot, list_group_dirs, recover_prefix, write_snapshot, GroupSet,
@@ -223,9 +224,8 @@ fn damage(log: &Path, (mode, segment, at, good): (u8, usize, usize, usize)) {
     if original[0] == LSN_MARKER {
         payload.extend_from_slice(&original[..9]);
     }
-    for record in &records[..good % (records.len() + 1)] {
-        record.encode(&mut payload);
-    }
+    let kept = &records[..good % (records.len() + 1)];
+    put_payload(&mut payload, &mut kept.iter(), usize::MAX);
     payload.push(0x7F);
     let mut damaged = bytes[..frame.start].to_vec();
     write_frame(&mut damaged, &payload);

@@ -34,9 +34,9 @@
 //!   are group-committed to a write-ahead log before they are applied —
 //!   one log per `ServiceBuilder::writer_groups(n)` group, each with its
 //!   own fsync pipeline, under a shared LSN space —
-//!   `ServiceBuilder::recover_from` replays snapshot + WAL tail(s) on
-//!   boot, and a background checkpointer builds snapshots from the log
-//!   itself and compacts it;
+//!   opening a journal (`ServiceBuilder::journal`) replays whatever it
+//!   holds, snapshot + WAL tail(s), on boot, and a background
+//!   checkpointer builds snapshots from the log itself and compacts it;
 //! - [`check`] — one checker per invariant the registry promises, each
 //!   answering its first counterexample: the suites' and the cluster's
 //!   shared definition of "correct".

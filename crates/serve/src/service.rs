@@ -207,7 +207,8 @@ impl From<NotDurable> for ReplicateError {
 /// Reports recovery hands its fold thread at a time. Two chunks exist,
 /// one filling while the other folds, and both are recycled, so recovery
 /// holds at most 8 192 reports of the log (720 KB). Every page of
-/// them is a fault in a fresh process, which is why a chunk is small;
+/// them is a fault in a fresh process, which is why a chunk is small and
+/// grows only as reports arrive (a log with none allocates neither);
 /// it is still enough of a batch that each shard's lock is taken once
 /// for hundreds of reports.
 const RECOVERY_CHUNK: usize = 4_096;
@@ -230,7 +231,7 @@ fn recover_into(
     let mut table = BTreeMap::new();
     let (full, to_fold) = mpsc::channel::<Vec<Feedback>>();
     let (emptied, from_fold) = mpsc::channel();
-    let _ = emptied.send(Vec::with_capacity(RECOVERY_CHUNK));
+    let _ = emptied.send(Vec::new());
     let opened = thread::scope(|scope| {
         let fold = scope.spawn(move || {
             for mut chunk in to_fold {
@@ -239,7 +240,7 @@ fn recover_into(
                 let _ = emptied.send(chunk);
             }
         });
-        let mut filling = Vec::with_capacity(RECOVERY_CHUNK);
+        let mut filling = Vec::new();
         let opened =
             GroupSet::open_replaying(dir, writer_groups, config, 0, |record| match record {
                 JournalRecord::Feedback(report) => {
@@ -289,7 +290,6 @@ pub struct ServiceBuilder {
     reputation_weight: f64,
     factory: MechanismFactory,
     journal_dir: Option<PathBuf>,
-    recover: bool,
     journal_config: JournalConfig,
     checkpoint_every: Option<Duration>,
     writer_groups: usize,
@@ -304,7 +304,6 @@ impl Default for ServiceBuilder {
             reputation_weight: 0.5,
             factory: Arc::new(|| Box::new(BetaMechanism::new())),
             journal_dir: None,
-            recover: false,
             journal_config: JournalConfig::default(),
             checkpoint_every: None,
             writer_groups: 1,
@@ -347,18 +346,17 @@ impl ServiceBuilder {
 
     /// Attach a write-ahead journal at `dir` (created if missing): every
     /// ingested batch and every publish/deregister is group-committed to
-    /// the log before it is applied.
+    /// the log before it is applied. Whatever `dir` already holds, snapshot
+    /// plus WAL tail(s), is replayed into the service before it serves.
     pub fn journal(mut self, dir: impl Into<PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
         self
     }
 
-    /// Attach the journal at `dir` **and** replay its latest snapshot
-    /// plus WAL tail into the fresh service before it starts serving.
-    pub fn recover_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        self.recover = true;
-        self
+    /// [`ServiceBuilder::journal`], by the name callers that restart a
+    /// service use.
+    pub fn recover_from(self, dir: impl Into<PathBuf>) -> Self {
+        self.journal(dir)
     }
 
     /// Rotate the active WAL segment once it exceeds this many bytes.
@@ -418,13 +416,10 @@ impl ServiceBuilder {
 
         let mut journal = None;
         if let Some(dir) = self.journal_dir {
-            // Opening the log is its recovery pass, one read of it.
+            // Opening the log is its recovery pass, one read of it, and
+            // what it replays is whatever the directory holds.
             let (groups, config) = (self.writer_groups, self.journal_config);
-            let (set, records_recovered) = if self.recover {
-                recover_into(&store, &listings, &dir, groups, config)?
-            } else {
-                (GroupSet::open(&dir, groups, config, 0)?, 0)
-            };
+            let (set, records_recovered) = recover_into(&store, &listings, &dir, groups, config)?;
             if let Some(policy) = &self.io_policy {
                 set.set_io_policy(Arc::clone(policy));
             }
@@ -625,7 +620,7 @@ impl ReputationService {
     /// ingest writer group-commits each batch to the WAL before applying
     /// it and only then counts it applied, which this waits on. When `flush`
     /// returns, every previously ingested report is fdatasync'd on disk
-    /// and will survive a crash — [`ServiceBuilder::recover_from`] gets
+    /// and will survive a crash — [`ServiceBuilder::journal`] gets
     /// it back.
     pub fn flush(&self) {
         self.ingest.flush();

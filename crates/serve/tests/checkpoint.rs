@@ -288,3 +288,56 @@ fn checkpoint_refuses_to_build_on_a_damaged_newest_snapshot() {
     drop(svc);
     fs::remove_dir_all(&live).unwrap();
 }
+
+/// A checkpoint spells the reports it replaces the way the WAL does, so
+/// its snapshot costs about what their segments did: at most 1.25x, for
+/// benchmark-shaped reports (raters and services in the low thousands,
+/// scores in [0, 1), a round held for 4 096 reports). A snapshot body of
+/// fixed-width reports cost ~3.4x.
+#[test]
+fn a_snapshot_costs_about_the_wal_bytes_it_replaces() {
+    const REPORTS: u64 = 20_000;
+    let live = temp_dir("snapshot-bytes");
+    let service = ReputationService::builder()
+        .journal(&live)
+        .max_segment_bytes(64 << 20)
+        .build();
+    let report = |i: u64| {
+        Feedback::scored(
+            AgentId::new(16_383 - i % 2_000),
+            ServiceId::new(16_383 - i % 4_000),
+            (i % 10_000) as f64 / 10_000.0,
+            Time::new(i / 4_096),
+        )
+    };
+    let reports: Vec<Feedback> = (0..REPORTS).map(report).collect();
+    for batch in reports.chunks(128) {
+        service.ingest_batch(batch.to_vec()).unwrap();
+    }
+    service.flush();
+    let files = |suffix: &str| -> u64 {
+        let mut bytes = 0;
+        let mut dirs = vec![live.clone()];
+        while let Some(dir) = dirs.pop() {
+            for entry in fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.to_string_lossy().ends_with(suffix) {
+                    bytes += fs::metadata(&path).unwrap().len();
+                }
+            }
+        }
+        bytes
+    };
+    let wal = files(".log");
+    let checkpoint = service.checkpoint().unwrap().expect("a journal");
+    assert_eq!(checkpoint.entries, REPORTS);
+    let snapshot = files(".snap");
+    assert!(
+        snapshot as f64 <= 1.25 * wal as f64,
+        "snapshot {snapshot} B for {REPORTS} reports the WAL held in {wal} B"
+    );
+    drop(service);
+    fs::remove_dir_all(&live).unwrap();
+}

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
 use wsrep_core::time::Time;
-use wsrep_journal::codec::{put_f64, put_feedback, put_metric, put_varint};
+use wsrep_journal::codec::{put_f64, put_feedback, put_listing, put_metric, put_varint};
 use wsrep_journal::frame::write_frame;
 use wsrep_journal::segment::{
     list_segments, scan_segment_entries, segment_file_name, segment_header_versioned,
@@ -103,7 +103,15 @@ fn old_records(reports: &[Feedback]) -> impl Iterator<Item = JournalRecord> + '_
 fn write_old_log(root: &Path, version: u8, reports: &[Feedback]) -> PathBuf {
     let group = root.join(group_dir_name(0));
     fs::create_dir_all(&group).unwrap();
-    let listings = old_records(&[]).map(|listing| listing.to_bytes());
+    // A listing is tag 2 and the version-1 body in every format.
+    let listings = old_records(&[]).map(|record| match record {
+        JournalRecord::Publish(listing) => {
+            let mut record = vec![2];
+            put_listing(&mut record, &listing);
+            record
+        }
+        other => panic!("{other:?}"),
+    });
     let reports = reports.iter().map(|feedback| {
         if version == 3 {
             let mut record = vec![1];

@@ -118,6 +118,29 @@ fn kill_and_recover_restores_every_acknowledged_score() {
     fs::remove_dir_all(&frozen).unwrap();
 }
 
+/// Opening a journal replays it: a service built with `journal(dir)` on
+/// a directory that already holds a log serves that log's state, as
+/// `recover_from` always did, not empty state over its history.
+#[test]
+fn reopening_a_journal_serves_what_it_holds() {
+    let live = temp_dir("reopen");
+    {
+        let svc = ReputationService::builder().journal(&live).build();
+        for s in 0..3 {
+            svc.publish(listing(s, 0)).unwrap();
+        }
+        svc.ingest_batch((0..60).map(|i| feedback(i, i % 3, 0.8, i)))
+            .unwrap();
+        svc.flush();
+    }
+    let reopened = ReputationService::builder().journal(&live).build();
+    let twin = Twin::read(&live).unwrap();
+    assert_eq!(twin.reports.values().map(Vec::len).sum::<usize>(), 60);
+    assert_eq!(twin_equal(&reopened, &twin), Ok(()));
+    drop(reopened);
+    fs::remove_dir_all(&live).unwrap();
+}
+
 #[test]
 fn feedback_after_recovery_still_moves_the_score() {
     let live = temp_dir("epoch-live");

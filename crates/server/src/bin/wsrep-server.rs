@@ -19,10 +19,11 @@
 //! wsrep-server listening on 127.0.0.1:40519
 //! ```
 //!
-//! `--journal=DIR` attaches the write-ahead log; `--recover=DIR` attaches
-//! it *and* replays snapshot + WAL tail before serving — restart a killed
-//! server with `--recover` pointing at the same directory and every
-//! report acknowledged by a `Flush` RPC is back.
+//! `--journal=DIR` attaches the write-ahead log and replays whatever it
+//! already holds, snapshot + WAL tail, before serving — restart a killed
+//! server on the same directory and every report acknowledged by a
+//! `Flush` RPC is back. `--recover=DIR` is the same flag by the name a
+//! restart uses.
 //!
 //! `--durability MODE` picks what a journal failure means (requires a
 //! journal): `degrade` (default) keeps serving and counts errors,
@@ -51,7 +52,6 @@ struct Args {
     shards: usize,
     workers: usize,
     journal: Option<PathBuf>,
-    recover: bool,
     durability: DurabilityPolicy,
     fault_append_every: Option<u64>,
     fault_fsync_every: Option<u64>,
@@ -64,7 +64,6 @@ fn parse_args() -> Args {
         shards: 8,
         workers: 4,
         journal: None,
-        recover: false,
         durability: DurabilityPolicy::Degrade,
         fault_append_every: None,
         fault_fsync_every: None,
@@ -79,11 +78,8 @@ fn parse_args() -> Args {
             parsed.shards = flag_number("--shards", &v);
         } else if let Some(v) = value("--workers") {
             parsed.workers = flag_number("--workers", &v);
-        } else if let Some(v) = value("--journal") {
+        } else if let Some(v) = value("--journal").or_else(|| value("--recover")) {
             parsed.journal = Some(PathBuf::from(v));
-        } else if let Some(v) = value("--recover") {
-            parsed.journal = Some(PathBuf::from(v));
-            parsed.recover = true;
         } else if let Some(v) = value("--durability") {
             parsed.durability = DurabilityPolicy::parse(&v).unwrap_or_else(|| {
                 usage_error(&format!(
@@ -107,12 +103,7 @@ fn main() {
     let args = parse_args();
     let mut builder = ReputationService::builder().shards(args.shards);
     if let Some(dir) = &args.journal {
-        builder = if args.recover {
-            builder.recover_from(dir)
-        } else {
-            builder.journal(dir)
-        };
-        builder = builder.durability_policy(args.durability);
+        builder = builder.journal(dir).durability_policy(args.durability);
     }
     let faults = if args.fault_append_every.is_some() || args.fault_fsync_every.is_some() {
         let mut policy = PeriodicFaults::new();

@@ -10,6 +10,11 @@
 //! are encoded by the exact routines the durability path pins with golden
 //! files.
 //!
+//! Records travel as the WAL writes them: `Ingest` and `ReplBatch` end in
+//! `count u32` and a commit payload
+//! ([`wsrep_journal::record::put_payload`]), so any change to the
+//! payload's rules is a [`PROTO_VERSION`] bump.
+//!
 //! ```text
 //! ┌──────────────┬───────────────┬─────────────────────────────────┐
 //! │ len: u32 LE  │ crc32: u32 LE │ ver: u8 | opcode: u8 | body ... │
@@ -39,10 +44,11 @@ use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{ServiceId, SubjectId};
 use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::codec::{
-    get_feedback, get_listing, get_metric, get_subject, put_bool, put_bytes, put_f64, put_feedback,
-    put_listing, put_metric, put_subject, put_u32, put_u64, CodecError, Cursor,
+    get_listing, get_metric, get_subject, put_bool, put_bytes, put_f64, put_listing, put_metric,
+    put_subject, put_u32, put_u64, CodecError, CompactRules, Cursor,
 };
 use wsrep_journal::frame::{begin_frame, end_frame};
+use wsrep_journal::record::{decode_payload, put_payload, MIN_RECORD_LEN};
 use wsrep_journal::JournalRecord;
 use wsrep_qos::preference::Preferences;
 use wsrep_serve::{DurabilityPolicy, JournalHealth, RankedService, ServiceStats};
@@ -54,8 +60,11 @@ use wsrep_sim::registry::{Listing, PublishStatus};
 /// v3: `Ingest` carries an optional `(producer, seq)` idempotency key
 /// (exactly-once retries); the stats journal block gained
 /// `journal_errors`, the durability `policy`, and the `fenced` flag;
-/// [`ErrorCode::NotDurable`] was added. A peer speaks this version only.
-pub const PROTO_VERSION: u8 = 3;
+/// [`ErrorCode::NotDurable`] was added.
+/// v4: `Ingest` is `key?, count u32, payload`, `ReplBatch` is
+/// `first_lsn, durable_lsn, count u32, payload`; the stats body lost its
+/// two reserved `cache_*` slots. A peer speaks this version only.
+pub const PROTO_VERSION: u8 = 4;
 
 // Request opcodes — wire contract, never renumber.
 const OP_PING: u8 = 0x01;
@@ -437,11 +446,6 @@ fn put_service_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
     put_u64(out, stats.listings as u64);
     put_u64(out, stats.feedback);
     put_u64(out, stats.submitted);
-    // Two reserved slots, once `cache_hits`/`cache_misses` of a score
-    // cache that no longer exists: written as zero, skipped on decode,
-    // and gone at the next `PROTO_VERSION` bump.
-    put_u64(out, 0);
-    put_u64(out, 0);
     put_u64(out, stats.topk_plan_hits);
     put_u64(out, stats.topk_plan_misses);
     put_u64(out, stats.preranked_hits);
@@ -474,12 +478,7 @@ fn get_service_stats(cur: &mut Cursor<'_>) -> Result<ServiceStats, CodecError> {
         listings: cur.u64()? as usize,
         feedback: cur.u64()?,
         submitted: cur.u64()?,
-        topk_plan_hits: {
-            // After the two reserved slots (see `put_service_stats`).
-            cur.u64()?;
-            cur.u64()?;
-            cur.u64()?
-        },
+        topk_plan_hits: cur.u64()?,
         topk_plan_misses: cur.u64()?,
         preranked_hits: cur.u64()?,
         preranked_misses: cur.u64()?,
@@ -510,6 +509,42 @@ fn get_service_stats(cur: &mut Cursor<'_>) -> Result<ServiceStats, CodecError> {
             None
         },
     })
+}
+
+/// Read `count u32` and a payload of that many records to the end of the
+/// body, each mapped through `keep`, into a `Vec` sized to the count. A
+/// count the bytes left cannot hold is refused before any allocation.
+fn get_records<T>(
+    cur: &mut Cursor<'_>,
+    mut keep: impl FnMut(JournalRecord) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let count = cur.u32()? as usize;
+    if count > cur.remaining() / MIN_RECORD_LEN {
+        return Err(CodecError::BadCount);
+    }
+    let mut records = Vec::with_capacity(count);
+    decode_payload(cur, CompactRules::Format6(None), |record| {
+        if records.len() == count {
+            return Err(CodecError::BadCount);
+        }
+        records.push(keep(record)?);
+        Ok(())
+    })?;
+    if records.len() != count {
+        return Err(CodecError::BadCount);
+    }
+    Ok(records)
+}
+
+/// An `Ingest` payload holds reports and nothing else.
+fn report(record: JournalRecord) -> Result<Feedback, CodecError> {
+    match record {
+        JournalRecord::Feedback(report) => Ok(report),
+        _ => Err(CodecError::BadTag {
+            what: "ingest record (not a report)",
+            tag: 0,
+        }),
+    }
 }
 
 fn put_replication_stats(out: &mut Vec<u8>, stats: &Option<ReplicationStats>) {
@@ -631,10 +666,6 @@ impl Request {
             }
             Request::Ingest { batch, key } => {
                 payload.push(OP_INGEST);
-                put_u32(payload, batch.len() as u32);
-                for feedback in batch {
-                    put_feedback(payload, feedback);
-                }
                 match key {
                     Some(key) => {
                         put_bool(payload, true);
@@ -643,6 +674,8 @@ impl Request {
                     }
                     None => put_bool(payload, false),
                 }
+                put_u32(payload, batch.len() as u32);
+                put_payload(payload, &mut batch.iter(), usize::MAX);
             }
             Request::Score(subject) => {
                 payload.push(OP_SCORE);
@@ -691,11 +724,6 @@ impl Request {
                 Request::Deregister(ServiceId::new(cur.u64().map_err(DecodeError::Codec)?))
             }
             OP_INGEST => {
-                let n = cur.u32().map_err(DecodeError::Codec)?;
-                let mut batch = Vec::with_capacity(n.min(65_536) as usize);
-                for _ in 0..n {
-                    batch.push(get_feedback(&mut cur).map_err(DecodeError::Codec)?);
-                }
                 let key = if cur.bool().map_err(DecodeError::Codec)? {
                     Some(IngestKey {
                         producer: cur.u64().map_err(DecodeError::Codec)?,
@@ -704,6 +732,7 @@ impl Request {
                 } else {
                     None
                 };
+                let batch = get_records(&mut cur, report).map_err(DecodeError::Codec)?;
                 Request::Ingest { batch, key }
             }
             OP_SCORE => Request::Score(get_subject(&mut cur).map_err(DecodeError::Codec)?),
@@ -796,16 +825,7 @@ impl Response {
                 put_u64(payload, batch.first_lsn);
                 put_u64(payload, batch.durable_lsn);
                 put_u32(payload, batch.records.len() as u32);
-                // Each record is length-prefixed (`JournalRecord::decode`
-                // wants exactly one record's bytes) with the length
-                // backfilled after encoding in place — no record scratch.
-                for record in &batch.records {
-                    let len_at = payload.len();
-                    put_u32(payload, 0);
-                    record.encode(payload);
-                    let record_len = (payload.len() - len_at - 4) as u32;
-                    payload[len_at..len_at + 4].copy_from_slice(&record_len.to_le_bytes());
-                }
+                put_payload(payload, &mut batch.records.iter(), usize::MAX);
             }
             Response::ReplWatermark(mark) => {
                 payload.push(OP_REPL_WATERMARK);
@@ -873,12 +893,7 @@ impl Response {
             OP_REPL_BATCH => {
                 let first_lsn = cur.u64().map_err(DecodeError::Codec)?;
                 let durable_lsn = cur.u64().map_err(DecodeError::Codec)?;
-                let n = cur.u32().map_err(DecodeError::Codec)?;
-                let mut records = Vec::with_capacity(n.min(65_536) as usize);
-                for _ in 0..n {
-                    let bytes = cur.bytes().map_err(DecodeError::Codec)?;
-                    records.push(JournalRecord::decode(bytes).map_err(DecodeError::Codec)?);
-                }
+                let records = get_records(&mut cur, Ok).map_err(DecodeError::Codec)?;
                 Response::ReplBatch(ReplBatch {
                     first_lsn,
                     records,

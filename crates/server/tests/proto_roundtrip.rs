@@ -6,15 +6,24 @@
 //! decoders: every truncation, every single-byte flip and arbitrary bytes
 //! of an encoded batch decode to an error or to a batch that re-encodes to
 //! the same bytes.
+//!
+//! PROTO 4 carries records as a WAL commit does, and the bytes are
+//! pinned: an `Ingest` of benchmark-shaped reports costs what the log
+//! does, a `ReplBatch` of one commit carries that commit's frame payload,
+//! and `tests/data/proto_v4.hex` holds both bodies (append-only).
 
 use proptest::prelude::*;
+use std::fmt::Write as _;
+use std::fs;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
 use wsrep_core::time::Time;
 use wsrep_core::trust::TrustEstimate;
 use wsrep_journal::codec::CodecError;
 use wsrep_journal::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
-use wsrep_journal::JournalRecord;
+use wsrep_journal::record::put_payload;
+use wsrep_journal::segment::{group_dir_name, list_segments, SEGMENT_HEADER_LEN};
+use wsrep_journal::{GroupSet, JournalConfig, JournalRecord};
 use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
@@ -101,7 +110,7 @@ proptest! {
     ) {
         let batch: Vec<Feedback> = seeds.iter().map(|&s| feedback(s, &pairs)).collect();
         // Roughly half the cases carry an idempotency key, so both the
-        // keyed and keyless v3 encodings are exercised.
+        // keyed and keyless encodings are exercised.
         let key = seeds.first().filter(|s| s.0 % 2 == 1).map(|s| IngestKey {
             producer: s.0.wrapping_mul(0x9E37),
             seq: s.2,
@@ -235,13 +244,11 @@ proptest! {
 }
 
 /// A shipped record: mostly reports, scored in [0, 1] (0 is the one score
-/// a record keeps in eight bytes), the odd one with a QoS pair.
+/// a record keeps in eight bytes), the odd one with a QoS pair, rounds
+/// often shared with the report before.
 fn shipped_record() -> impl Strategy<Value = JournalRecord> {
     (0u8..8, 0u64..5_000, 0u32..=100, 0u64..1 << 20).prop_map(|(kind, id, score, round)| {
-        // A cleared bit 4 would read a round of 63's one byte as a 0x3F
-        // top byte: the format-5 spelling, which decodes and re-encodes
-        // short (`an_eight_byte_entry_decodes`), not to its own bytes.
-        let round = if round == 63 { 64 } else { round };
+        let round = if round % 2 == 0 { 7 } else { round };
         let report = Feedback::scored(
             AgentId::new(id),
             ServiceId::new(id % 7),
@@ -311,14 +318,13 @@ proptest! {
     }
 }
 
-/// A batch of one entry spelled by hand: the batch head, then `entry`
-/// behind its length.
-fn one_entry(entry: &[u8]) -> Vec<u8> {
+/// A batch of one record spelled by hand: the batch head, a count of
+/// one, then `record`.
+fn one_record(record: &[u8]) -> Vec<u8> {
     let mut payload = batch_payload(7, Vec::new());
     payload.truncate(payload.len() - 4);
     payload.extend_from_slice(&1u32.to_le_bytes());
-    payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-    payload.extend_from_slice(entry);
+    payload.extend_from_slice(record);
     payload
 }
 
@@ -329,49 +335,294 @@ fn shipped(payload: &[u8]) -> Result<Vec<JournalRecord>, DecodeError> {
     }
 }
 
-/// An entry stands alone: no round of a record before it to leave out.
+/// `records` as one commit payload.
+fn payload_of(records: &[JournalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_payload(&mut out, &mut records.iter(), usize::MAX);
+    out
+}
+
+/// A batch's first report stores its round: there is none before it to
+/// leave out.
 #[test]
-fn an_entry_that_leaves_out_its_round_is_refused() {
+fn a_first_report_that_leaves_out_its_round_is_refused() {
     let report = Feedback::scored(AgentId::new(1), ServiceId::new(2), 0.0, Time::new(3));
-    let mut entry = JournalRecord::Feedback(report).to_bytes();
-    assert_eq!(entry.pop(), Some(3), "the round closes the entry");
-    entry[0] |= 0x20;
+    let mut record = payload_of(&[JournalRecord::Feedback(report)]);
+    assert_eq!(record.pop(), Some(3), "the round closes the record");
+    record[0] |= 0x20;
     assert_eq!(
-        shipped(&one_entry(&entry)),
+        shipped(&one_record(&record)),
         Err(DecodeError::Codec(CodecError::BadTag {
             what: "feedback head",
-            tag: entry[0],
+            tag: record[0],
         }))
     );
 }
 
-/// What a format-5 primary ships: the score in eight bytes, its top byte
-/// `0x3F` included. It decodes, and this build would send it shorter.
+/// A batch carries one spelling of a report, the one the WAL writes. A
+/// PROTO 3 entry could hold a score's `0x3F` top byte in all eight
+/// bytes, as a format-5 primary sent it; a PROTO 4 payload refuses it.
 #[test]
-fn an_eight_byte_entry_decodes() {
-    let mut entry = vec![0x81, 1, 2];
-    entry.extend_from_slice(&0.5f64.to_le_bytes());
-    entry.push(3);
+fn an_eight_byte_score_with_a_0x3f_top_byte_is_refused() {
+    let mut record = vec![0x81, 1, 2];
+    record.extend_from_slice(&0.5f64.to_le_bytes());
+    record.push(3);
+    assert_eq!(
+        shipped(&one_record(&record)),
+        Err(DecodeError::Codec(CodecError::BadTag {
+            what: "feedback head",
+            tag: 0x81,
+        }))
+    );
+    // Seven bytes and bit 4 is how it goes.
     let report = JournalRecord::Feedback(Feedback::scored(
         AgentId::new(1),
         ServiceId::new(2),
         0.5,
         Time::new(3),
     ));
-    assert_eq!(shipped(&one_entry(&entry)), Ok(vec![report.clone()]));
-    assert_eq!(report.to_bytes().len(), entry.len() - 1);
+    let short = payload_of(std::slice::from_ref(&report));
+    assert_eq!((short[0], short.len()), (0x91, record.len() - 1));
+    assert_eq!(shipped(&one_record(&short)), Ok(vec![report]));
 }
 
 /// A short score restores the top byte it left out, every other bit as
 /// sent.
 #[test]
-fn an_entry_with_a_short_score_decodes_to_the_same_bits() {
+fn a_record_with_a_short_score_decodes_to_the_same_bits() {
     let score = f64::from_bits(0x3FAB_CDEF_0123_4567);
     let report = Feedback::scored(AgentId::new(1), ServiceId::new(2), score, Time::new(3));
-    let entry = JournalRecord::Feedback(report.clone()).to_bytes();
-    assert_ne!(entry[0] & 0x10, 0, "bit 4 is set");
-    let records = shipped(&one_entry(&entry)).unwrap();
+    let record = payload_of(&[JournalRecord::Feedback(report.clone())]);
+    assert_ne!(record[0] & 0x10, 0, "bit 4 is set");
+    let records = shipped(&one_record(&record)).unwrap();
     let decoded = records[0].as_feedback().unwrap();
     assert_eq!(decoded.score.to_bits(), score.to_bits());
     assert_eq!(decoded, &report);
+}
+
+/// A count promising more records than the bytes behind it can hold is
+/// refused before anything is sized by it, and a payload holding another
+/// number of records than its count is refused too.
+#[test]
+fn a_count_the_payload_cannot_hold_is_refused() {
+    let report = JournalRecord::Feedback(Feedback::scored(
+        AgentId::new(1),
+        ServiceId::new(2),
+        0.5,
+        Time::new(3),
+    ));
+    let record = payload_of(std::slice::from_ref(&report));
+    for count in [u32::MAX, 2, 0] {
+        let mut payload = one_record(&record);
+        let at = payload.len() - record.len() - 4;
+        payload[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        assert_eq!(
+            shipped(&payload),
+            Err(DecodeError::Codec(CodecError::BadCount)),
+            "count {count}"
+        );
+    }
+    let mut ingest = Vec::new();
+    Request::Ingest {
+        batch: vec![report.as_feedback().unwrap().clone()],
+        key: None,
+    }
+    .encode_frame(&mut ingest);
+    let mut ingest = ingest.split_off(FRAME_HEADER_LEN);
+    ingest[3..7].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        Request::decode(&ingest),
+        Err(DecodeError::Codec(CodecError::BadCount))
+    );
+}
+
+/// An `Ingest` carries reports: a listing in its payload does not decode
+/// (the server answers it `BadRequest`, see `tests/wire.rs`).
+#[test]
+fn an_ingest_payload_holding_a_publish_record_does_not_decode() {
+    let listing = listing((4, 5, 6), &[(0, 1.5)]);
+    let mut payload = vec![wsrep_server::proto::PROTO_VERSION, 0x04, 0];
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&payload_of(&[JournalRecord::Publish(listing)]));
+    assert!(matches!(
+        Request::decode(&payload),
+        Err(DecodeError::Codec(CodecError::BadTag { .. }))
+    ));
+}
+
+/// A report as the benchmark sends them: raters and services in the low
+/// thousands, scores in [0, 1), one round for the batch.
+fn benchmark_report(i: u64) -> Feedback {
+    Feedback::scored(
+        AgentId::new(16_383 - i % 2_000),
+        ServiceId::new(16_383 - i % 4_000),
+        (i * 7_919 % 10_000) as f64 / 10_000.0,
+        Time::new(3),
+    )
+}
+
+/// An `Ingest` frame of 64 benchmark-shaped reports costs what the WAL
+/// spends on them: at most 16 B a report, frame header, version, opcode,
+/// key and count included. The fixed-width body of PROTO 3 cost ~41.
+#[test]
+fn an_ingest_of_benchmark_reports_costs_at_most_16_bytes_a_report() {
+    let batch: Vec<Feedback> = (0..64).map(benchmark_report).collect();
+    let mut frame = Vec::new();
+    let key = Some(IngestKey {
+        producer: 1,
+        seq: 1,
+    });
+    Request::Ingest { batch, key }.encode_frame(&mut frame);
+    assert!(
+        frame.len() <= 16 * 64,
+        "{} bytes for 64 reports",
+        frame.len()
+    );
+}
+
+/// Item 7's "bytes on the wire == bytes on disk", one commit at a time: a
+/// `ReplBatch` holding exactly one commit's records ends in that commit's
+/// WAL frame payload, byte for byte.
+#[test]
+fn a_repl_batch_of_one_commit_carries_its_frame_payload() {
+    let dir = std::env::temp_dir().join(format!("wsrep-proto-one-commit-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let set = GroupSet::open(&dir, 1, JournalConfig::default(), 0).unwrap();
+    let mut records: Vec<JournalRecord> = (0..40)
+        .map(|i| JournalRecord::Feedback(benchmark_report(i)))
+        .collect();
+    records.insert(7, JournalRecord::Publish(listing((4, 5, 6), &[(0, 1.5)])));
+    records.insert(20, JournalRecord::Deregister(ServiceId::new(4)));
+    set.append_batch(0, &records).unwrap();
+    drop(set);
+    let (_, path) = list_segments(&dir.join(group_dir_name(0)))
+        .unwrap()
+        .pop()
+        .unwrap();
+    let segment = fs::read(&path).unwrap();
+    let frame = &segment[SEGMENT_HEADER_LEN..];
+    assert_eq!(
+        split_frame(frame),
+        FrameSplit::Frame {
+            frame_len: frame.len()
+        }
+    );
+    let on_disk = &frame[FRAME_HEADER_LEN..];
+
+    let on_wire = batch_payload(0, records.clone());
+    assert!(
+        on_wire.ends_with(on_disk),
+        "the commit's payload, byte for byte"
+    );
+    // What precedes it: version, opcode, two LSNs and the count.
+    assert_eq!(on_wire.len(), on_disk.len() + 1 + 1 + 8 + 8 + 4);
+    assert_eq!(shipped(&on_wire), Ok(records));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().fold(String::new(), |mut out, b| {
+        write!(out, "{b:02x}").unwrap();
+        out
+    })
+}
+
+/// The golden PROTO 4 bodies: an `Ingest` with its key and an unkeyed
+/// one, and a `ReplBatch` of every record kind with the round carried.
+fn golden_messages() -> Vec<(&'static str, Vec<u8>)> {
+    let report = |rater, round| {
+        Feedback::scored(
+            AgentId::new(rater),
+            ServiceId::new(42),
+            0.75,
+            Time::new(round),
+        )
+        .with_observed(QosVector::from_pairs([(Metric::ResponseTime, 250.0)]))
+    };
+    let batch = vec![report(1, 9), report(300, 9), report(2, 10)];
+    let mut records: Vec<JournalRecord> =
+        batch.iter().cloned().map(JournalRecord::Feedback).collect();
+    records.insert(
+        1,
+        JournalRecord::Publish(listing((7, 3, 0xDEAD), &[(21, 9.99)])),
+    );
+    records.push(JournalRecord::Deregister(ServiceId::new(7)));
+    let request = |request: Request| {
+        let mut frame = Vec::new();
+        request.encode_frame(&mut frame);
+        frame.split_off(FRAME_HEADER_LEN)
+    };
+    let keyed = Request::Ingest {
+        batch: batch.clone(),
+        key: Some(IngestKey {
+            producer: 0xFEED,
+            seq: 41,
+        }),
+    };
+    vec![
+        ("ingest_keyed", request(keyed)),
+        ("ingest", request(Request::Ingest { batch, key: None })),
+        ("repl_batch", batch_payload(0x1122_3344, records)),
+    ]
+}
+
+/// The golden file pins the PROTO 4 bodies (frame payloads, version byte
+/// first). It is append-only: a later version adds lines and edits none.
+/// (Deliberate, version-bumped regeneration:
+/// `WSREP_UPDATE_GOLDEN=1 cargo test -p wsrep-server --test proto_roundtrip`.)
+#[test]
+fn proto_v4_bodies_are_pinned() {
+    let mut rendered =
+        String::from("# wsrep wire protocol v4 — golden frame payloads, do not edit\n");
+    for (name, payload) in golden_messages() {
+        writeln!(rendered, "{name} {}", hex(&payload)).unwrap();
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/proto_v4.hex");
+    if std::env::var_os("WSREP_UPDATE_GOLDEN").is_some() {
+        fs::write(path, &rendered).unwrap();
+        return;
+    }
+    assert_eq!(
+        rendered,
+        include_str!("data/proto_v4.hex"),
+        "the v4 wire drifted"
+    );
+    // The reverse direction: the pinned bytes decode to the messages.
+    for (line, (name, payload)) in include_str!("data/proto_v4.hex")
+        .lines()
+        .skip(1)
+        .zip(golden_messages())
+    {
+        let bytes: Vec<u8> = (0..line.len() - name.len() - 1)
+            .step_by(2)
+            .map(|j| u8::from_str_radix(&line[name.len() + 1 + j..][..2], 16).unwrap())
+            .collect();
+        assert_eq!(bytes, payload, "{name}");
+        let decoded_again = match name {
+            "repl_batch" => {
+                let mut frame = Vec::new();
+                Response::decode(&bytes).unwrap().encode_frame(&mut frame);
+                frame.split_off(FRAME_HEADER_LEN)
+            }
+            _ => {
+                let mut frame = Vec::new();
+                Request::decode(&bytes).unwrap().encode_frame(&mut frame);
+                frame.split_off(FRAME_HEADER_LEN)
+            }
+        };
+        assert_eq!(decoded_again, bytes, "{name}");
+    }
+}
+
+/// A PROTO 3 payload is another version, refused as one.
+#[test]
+fn a_v3_payload_gets_bad_version() {
+    for (name, mut payload) in golden_messages() {
+        payload[0] = 3;
+        let refused = match name {
+            "repl_batch" => Response::decode(&payload).err(),
+            _ => Request::decode(&payload).err(),
+        };
+        assert_eq!(refused, Some(DecodeError::BadVersion(3)), "{name}");
+    }
 }

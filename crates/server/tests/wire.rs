@@ -202,6 +202,60 @@ fn truncated_frame_then_close_is_handled_without_panic() {
     server.join();
 }
 
+/// An `Ingest` whose payload holds a listing is a `BadRequest`: the
+/// payload is the WAL's, but an `Ingest` carries reports alone. Nothing
+/// of it is applied, and the connection serves on.
+#[test]
+fn an_ingest_holding_a_publish_record_is_a_bad_request() {
+    let (server, service) = start_server(ServerConfig::default());
+    let listing = Listing {
+        service: ServiceId::new(4),
+        provider: ProviderId::new(5),
+        category: 6,
+        advertised: QosVector::from_pairs([(Metric::Price, 1.5)]),
+    };
+    let mut payload = vec![PROTO_VERSION, 0x04, 0];
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    let record = wsrep_journal::JournalRecord::Publish(listing);
+    wsrep_journal::record::put_payload(&mut payload, &mut [record].iter(), usize::MAX);
+    let mut frames = Vec::new();
+    write_frame(&mut frames, &payload);
+    Request::Ping.encode_frame(&mut frames);
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.write_all(&frames).expect("write");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut bytes = Vec::new();
+    let mut replies = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while replies.len() < 2 {
+        let n = raw.read(&mut chunk).expect("two replies");
+        assert_ne!(n, 0, "closed after {replies:?}");
+        bytes.extend_from_slice(&chunk[..n]);
+        while let wsrep_journal::frame::FrameSplit::Frame { frame_len } =
+            wsrep_journal::frame::split_frame(&bytes)
+        {
+            let payload = &bytes[wsrep_journal::frame::FRAME_HEADER_LEN..frame_len];
+            replies.push(Response::decode(payload).expect("decodes"));
+            bytes.drain(..frame_len);
+        }
+    }
+    assert!(
+        matches!(
+            &replies[0],
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ),
+        "got {:?}",
+        replies[0]
+    );
+    assert_eq!(replies[1], Response::Pong);
+    assert_eq!(service.listing(ServiceId::new(4)), None);
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn undecodable_payload_keeps_the_connection_alive() {
     let (server, _service) = start_server(ServerConfig::default());
