@@ -22,7 +22,9 @@ use wsrep_core::feedback::Feedback;
 use wsrep_core::id::AgentId;
 use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_select::report::{f3, section, Table};
-use wsrep_select::strategy::{Candidate, ReputationSelect, SelectionContext, SelectionStrategy};
+use wsrep_select::strategy::{
+    Candidate, EstimateSource, ReputationSelect, SelectionContext, SelectionStrategy,
+};
 use wsrep_sim::monitor::explorer_targets;
 use wsrep_sim::world::World;
 
@@ -136,7 +138,7 @@ fn run(epsilon: f64, explorers: usize, seed: u64) -> (f64, u64, u64) {
                 .map(|s| {
                     (
                         s.id,
-                        strat.mechanism().global(s.id.into()).map(|e| e.value.get()),
+                        strat.source().global(s.id.into()).map(|e| e.value.get()),
                     )
                 })
                 .collect();

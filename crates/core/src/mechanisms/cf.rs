@@ -152,11 +152,6 @@ impl CfMechanism {
         let den: f64 = neighbors.iter().map(|&(w, _, _)| w).sum();
         Some((observer_mean + num / den).clamp(0.0, 1.0))
     }
-
-    /// Number of distinct users with ratings.
-    pub fn user_count(&self) -> usize {
-        self.ratings.len()
-    }
 }
 
 impl ReputationMechanism for CfMechanism {

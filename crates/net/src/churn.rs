@@ -37,11 +37,6 @@ impl ChurnModel {
         Self::new(0.0, 0.0)
     }
 
-    /// Whether a node is currently offline.
-    pub fn is_offline(&self, node: AgentId) -> bool {
-        self.offline.contains(&node)
-    }
-
     /// Currently offline nodes.
     pub fn offline(&self) -> impl Iterator<Item = AgentId> + '_ {
         self.offline.iter().copied()

@@ -6,23 +6,21 @@
 //!
 //! * [`strategy`] — interchangeable selection strategies: random (the
 //!   paper's "blind choice"), advertised-QoS (gameable), SLA-backed, and
-//!   reputation-backed strategies wrapping any
-//!   [`wsrep_core::ReputationMechanism`];
+//!   one reputation-backed choice rule over an
+//!   [`EstimateSource`](strategy::EstimateSource): any in-process
+//!   [`wsrep_core::ReputationMechanism`] or the served
+//!   [`wsrep_serve::ReputationService`] registry, so the same market runs
+//!   on either;
 //! * [`bootstrap`] — Section 5's provider-level reputation: new services
 //!   seeded from their provider's track record;
 //! * [`eval`] — the market loop: consumers select, invoke, experience,
 //!   report; outputs utility / regret / hit-rate / cost metrics;
-//! * [`report`] — markdown table rendering for the experiment binaries;
-//! * [`served`] — a strategy backed by the concurrent
-//!   [`wsrep_serve::ReputationService`] registry, so the served stack is
-//!   raceable against the in-process strategies in the same market.
+//! * [`report`] — markdown table rendering for the experiment binaries.
 
 pub mod bootstrap;
 pub mod eval;
 pub mod report;
-pub mod served;
 pub mod strategy;
 
 pub use eval::{Market, MarketConfig, MarketReport};
-pub use served::ServedSelect;
 pub use strategy::SelectionStrategy;

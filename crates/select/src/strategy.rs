@@ -10,14 +10,17 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
-use wsrep_core::id::{AgentId, ProviderId, ServiceId};
+use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
 use wsrep_core::mechanism::ReputationMechanism;
 use wsrep_core::time::Time;
+use wsrep_core::trust::TrustEstimate;
 use wsrep_core::typology::Centralization;
 use wsrep_qos::normalize::NormalizationMatrix;
 use wsrep_qos::sla::Sla;
 use wsrep_qos::value::QosVector;
+use wsrep_serve::ReputationService;
 use wsrep_sim::consumer::Consumer;
 
 /// A candidate offer in a selection round.
@@ -238,39 +241,110 @@ impl SelectionStrategy for SlaSelect {
     }
 }
 
-/// A reputation-backed strategy wrapping any mechanism: ε-greedy over the
-/// mechanism's personalized estimates, learning from all filed feedback.
-pub struct ReputationSelect {
-    mechanism: Box<dyn ReputationMechanism>,
+/// Where [`ReputationSelect`]'s choice rule reads its estimates and files
+/// its reports: an in-process [`ReputationMechanism`] or the served
+/// [`ReputationService`] registry.
+pub trait EstimateSource: fmt::Debug {
+    /// Short stable key for experiment tables.
+    fn key(&self) -> &'static str;
+
+    /// Where the estimates live: a centralized source is unreachable while
+    /// the registry is down.
+    fn centralization(&self) -> Centralization;
+
+    /// The subject's reputation as the community sees it.
+    fn global(&self, subject: SubjectId) -> Option<TrustEstimate>;
+
+    /// The subject's reputation from `observer`'s point of view.
+    fn personalized(&self, observer: AgentId, subject: SubjectId) -> Option<TrustEstimate> {
+        let _ = observer;
+        self.global(subject)
+    }
+
+    /// File one feedback report.
+    fn file(&mut self, feedback: &Feedback);
+
+    /// Round boundary: advance clocks and fixed points.
+    fn refresh(&mut self, now: Time);
+}
+
+impl<M: ReputationMechanism + ?Sized> EstimateSource for Box<M> {
+    fn key(&self) -> &'static str {
+        self.info().key
+    }
+
+    fn centralization(&self) -> Centralization {
+        self.info().centralization
+    }
+
+    fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
+        (**self).global(subject)
+    }
+
+    fn personalized(&self, observer: AgentId, subject: SubjectId) -> Option<TrustEstimate> {
+        (**self).personalized(observer, subject)
+    }
+
+    fn file(&mut self, feedback: &Feedback) {
+        (**self).submit(feedback);
+    }
+
+    fn refresh(&mut self, now: Time) {
+        (**self).refresh(now);
+    }
+}
+
+/// The served registry. Its `personalized` is `global`: it serves no
+/// observer-relative scores.
+impl EstimateSource for Arc<ReputationService> {
+    fn key(&self) -> &'static str {
+        "served"
+    }
+
+    fn centralization(&self) -> Centralization {
+        Centralization::Centralized
+    }
+
+    fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
+        // Read-your-own-writes: every filed report is applied first, so a
+        // choice never depends on how far the writer thread happened to get.
+        self.flush();
+        self.score(subject)
+    }
+
+    fn file(&mut self, feedback: &Feedback) {
+        self.ingest(feedback.clone())
+            .expect("the ingest pipeline closes only when the service drops");
+    }
+
+    fn refresh(&mut self, _now: Time) {
+        // A served score is as of its subject's newest report: the
+        // registry keeps no round clock.
+    }
+}
+
+/// A reputation-backed strategy over any [`EstimateSource`]: ε-greedy over
+/// the source's personalized estimates, learning from all filed feedback.
+#[derive(Debug)]
+pub struct ReputationSelect<S> {
+    source: S,
     /// Exploration rate.
     epsilon: f64,
-    /// Prior trust assigned to candidates the mechanism knows nothing
+    /// Prior trust assigned to candidates the source knows nothing
     /// about. The neutral 0.5 is newcomer-friendly but makes identity
     /// switching (whitewashing) profitable; a skeptical prior below the
     /// market's typical reputation removes that profit at the price of
     /// slower discovery of genuinely new services.
     default_trust: f64,
-    label: String,
 }
 
-impl fmt::Debug for ReputationSelect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReputationSelect")
-            .field("mechanism", &self.label)
-            .field("epsilon", &self.epsilon)
-            .finish()
-    }
-}
-
-impl ReputationSelect {
-    /// Wrap a mechanism with 10% exploration.
-    pub fn new(mechanism: Box<dyn ReputationMechanism>) -> Self {
-        let label = mechanism.info().key.to_string();
+impl<S: EstimateSource> ReputationSelect<S> {
+    /// Choose over `source` with 10% exploration.
+    pub fn new(source: S) -> Self {
         ReputationSelect {
-            mechanism,
+            source,
             epsilon: 0.1,
             default_trust: 0.5,
-            label,
         }
     }
 
@@ -288,26 +362,26 @@ impl ReputationSelect {
         self
     }
 
-    /// Access the wrapped mechanism.
-    pub fn mechanism(&self) -> &dyn ReputationMechanism {
-        self.mechanism.as_ref()
+    /// The estimate source the rule reads.
+    pub fn source(&self) -> &S {
+        &self.source
     }
 }
 
-impl SelectionStrategy for ReputationSelect {
+impl<S: EstimateSource> SelectionStrategy for ReputationSelect<S> {
     fn name(&self) -> String {
-        format!("rep:{}", self.label)
+        format!("rep:{}", self.source.key())
     }
 
     fn centralization(&self) -> Centralization {
-        self.mechanism.info().centralization
+        self.source.centralization()
     }
 
     fn choose(&mut self, ctx: &SelectionContext<'_>, rng: &mut StdRng) -> Option<usize> {
         if ctx.candidates.is_empty() {
             return None;
         }
-        // A centralized mechanism is unreachable while the registry is
+        // A centralized source is unreachable while the registry is
         // down: blind choice (the single point of failure).
         if !ctx.registry_up && self.centralization() == Centralization::Centralized {
             return Some(rng.gen_range(0..ctx.candidates.len()));
@@ -321,7 +395,7 @@ impl SelectionStrategy for ReputationSelect {
         for i in order {
             let c = &ctx.candidates[i];
             let est = self
-                .mechanism
+                .source
                 .personalized(ctx.consumer.id, c.service.into())
                 .map(|e| e.value.get())
                 .unwrap_or(self.default_trust);
@@ -333,11 +407,11 @@ impl SelectionStrategy for ReputationSelect {
     }
 
     fn observe(&mut self, feedback: &Feedback) {
-        self.mechanism.submit(feedback);
+        self.source.file(feedback);
     }
 
     fn refresh(&mut self, now: Time) {
-        self.mechanism.refresh(now);
+        self.source.refresh(now);
     }
 }
 
@@ -507,30 +581,72 @@ mod tests {
         assert_eq!(strat.negotiation_paid, 1.0, "agreement reused");
     }
 
+    /// One choice rule over both estimate sources, each one row of a test:
+    /// an in-process Beta and the served registry (whose default mechanism
+    /// is Beta).
+    fn both_sources(epsilon: f64, prior: f64) -> [Box<dyn SelectionStrategy>; 2] {
+        let served = Arc::new(ReputationService::builder().shards(4).build());
+        [
+            Box::new(
+                ReputationSelect::new(Box::new(BetaMechanism::new()))
+                    .with_epsilon(epsilon)
+                    .with_default_trust(prior),
+            ),
+            Box::new(
+                ReputationSelect::new(served)
+                    .with_epsilon(epsilon)
+                    .with_default_trust(prior),
+            ),
+        ]
+    }
+
     #[test]
     fn reputation_strategy_learns_and_exploits() {
         let c = consumer();
         let cands = candidates();
-        let mut strat = ReputationSelect::new(Box::new(BetaMechanism::new())).with_epsilon(0.0);
-        // Service 1 earns good feedback, service 0 bad.
-        for t in 0..10 {
-            strat.observe(&Feedback::scored(
+        let mut names = Vec::new();
+        for mut strat in both_sources(0.0, 0.5) {
+            // Service 1 earns good feedback, service 0 bad.
+            for t in 0..10 {
+                strat.observe(&Feedback::scored(
+                    AgentId::new(5),
+                    ServiceId::new(1),
+                    0.95,
+                    Time::new(t),
+                ));
+                strat.observe(&Feedback::scored(
+                    AgentId::new(5),
+                    ServiceId::new(0),
+                    0.05,
+                    Time::new(t),
+                ));
+            }
+            let mut rng = StdRng::seed_from_u64(5);
+            let idx = strat.choose(&ctx(&c, &cands, true), &mut rng).unwrap();
+            assert_eq!(idx, 1, "{}", strat.name());
+            names.push(strat.name());
+        }
+        assert_eq!(names, ["rep:beta", "rep:served"]);
+    }
+
+    #[test]
+    fn served_personalized_is_global() {
+        let mut served = Arc::new(ReputationService::builder().shards(4).build());
+        for t in 0..5 {
+            served.file(&Feedback::scored(
                 AgentId::new(5),
                 ServiceId::new(1),
-                0.95,
-                Time::new(t),
-            ));
-            strat.observe(&Feedback::scored(
-                AgentId::new(5),
-                ServiceId::new(0),
-                0.05,
+                0.8,
                 Time::new(t),
             ));
         }
-        let mut rng = StdRng::seed_from_u64(5);
-        let idx = strat.choose(&ctx(&c, &cands, true), &mut rng).unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(strat.name(), "rep:beta");
+        assert!(served.global(ServiceId::new(1).into()).is_some());
+        for service in [ServiceId::new(0), ServiceId::new(1)] {
+            assert_eq!(
+                served.personalized(AgentId::new(5), service.into()),
+                served.global(service.into())
+            );
+        }
     }
 
     #[test]
@@ -570,45 +686,54 @@ mod tests {
     fn skeptical_prior_ignores_unknown_candidates() {
         let c = consumer();
         let cands = candidates();
-        let mut strat = ReputationSelect::new(Box::new(BetaMechanism::new()))
-            .with_epsilon(0.0)
-            .with_default_trust(0.1);
-        // Service 1 has a known, mediocre record; service 0 is unknown.
-        for t in 0..5 {
-            strat.observe(&Feedback::scored(
-                AgentId::new(5),
-                ServiceId::new(1),
-                0.4,
-                Time::new(t),
-            ));
+        for mut strat in both_sources(0.0, 0.1) {
+            // Service 1 has a known, mediocre record; service 0 is unknown.
+            for t in 0..5 {
+                strat.observe(&Feedback::scored(
+                    AgentId::new(5),
+                    ServiceId::new(1),
+                    0.4,
+                    Time::new(t),
+                ));
+            }
+            let mut rng = StdRng::seed_from_u64(10);
+            let idx = strat.choose(&ctx(&c, &cands, true), &mut rng).unwrap();
+            assert_eq!(
+                idx,
+                1,
+                "{}: known 0.4 beats unknown 0.1 prior",
+                strat.name()
+            );
         }
-        let mut rng = StdRng::seed_from_u64(10);
-        let idx = strat.choose(&ctx(&c, &cands, true), &mut rng).unwrap();
-        assert_eq!(idx, 1, "known 0.4 beats unknown 0.1 prior");
     }
 
     #[test]
     fn centralized_reputation_goes_blind_when_registry_fails() {
         let c = consumer();
         let cands = candidates();
-        let mut strat = ReputationSelect::new(Box::new(BetaMechanism::new())).with_epsilon(0.0);
-        for t in 0..20 {
-            strat.observe(&Feedback::scored(
-                AgentId::new(5),
-                ServiceId::new(1),
-                0.95,
-                Time::new(t),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(6);
-        // Registry down: choices become uniform, so service 0 gets picked
-        // sometimes despite service 1's great reputation.
-        let mut picked0 = 0;
-        for _ in 0..100 {
-            if strat.choose(&ctx(&c, &cands, false), &mut rng) == Some(0) {
-                picked0 += 1;
+        for mut strat in both_sources(0.0, 0.5) {
+            for t in 0..20 {
+                strat.observe(&Feedback::scored(
+                    AgentId::new(5),
+                    ServiceId::new(1),
+                    0.95,
+                    Time::new(t),
+                ));
             }
+            let mut rng = StdRng::seed_from_u64(6);
+            // Registry down: choices become uniform, so service 0 gets
+            // picked sometimes despite service 1's great reputation.
+            let mut picked0 = 0;
+            for _ in 0..100 {
+                if strat.choose(&ctx(&c, &cands, false), &mut rng) == Some(0) {
+                    picked0 += 1;
+                }
+            }
+            assert!(
+                picked0 > 20,
+                "{}: blind choice is roughly uniform: {picked0}",
+                strat.name()
+            );
         }
-        assert!(picked0 > 20, "blind choice is roughly uniform: {picked0}");
     }
 }

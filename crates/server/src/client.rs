@@ -73,12 +73,6 @@ impl ClientError {
             _ => ClientError::Io(err),
         }
     }
-
-    /// True when the failure means the server is gone (as opposed to a
-    /// protocol-level refusal or a slow response).
-    pub fn is_disconnected(&self) -> bool {
-        matches!(self, ClientError::Disconnected(_))
-    }
 }
 
 impl std::fmt::Display for ClientError {

@@ -248,11 +248,6 @@ impl RetryingClient {
         self
     }
 
-    /// The producer id stamped on every keyed ingest.
-    pub fn producer_id(&self) -> u64 {
-        self.producer
-    }
-
     /// Bound how long each receive may block. Applied to the current
     /// connection and every reconnect.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) {

@@ -324,11 +324,6 @@ impl Server {
         self.shared.read_only.store(read_only, Ordering::Release);
     }
 
-    /// Whether writes are currently rejected with [`ErrorCode::ReadOnly`].
-    pub fn is_read_only(&self) -> bool {
-        self.shared.read_only.load(Ordering::Acquire)
-    }
-
     /// True once the service's durability policy fenced writes after a
     /// journal failure. Under [`DurabilityPolicy::FailStop`] the server
     /// also flips into shutdown by itself; hosts poll this to decide
