@@ -1,31 +1,36 @@
 //! paired — runs the benchmark on two commits, alternating, and says per
-//! end-to-end metric whether the second is better, worse or unresolved.
+//! metric whether the second is better, worse or unresolved.
 //!
 //! ```text
-//! paired --parent REV --change REV --workload NAME [--seed N] [--dir DIR]
+//! paired --parent REV --change REV --workload NAME [--seed N] [--trace 0|1] [--dir DIR]
 //! ```
 //!
-//! Defaults: seed 42, work directory `.paired`. Run it from inside the
-//! repository. Each commit is exported with `git archive` into
+//! Defaults: seed 42, untraced, work directory `.paired`. Run it from
+//! inside the repository. Each commit is exported with `git archive` into
 //! `DIR/tree-SHA` and built (offline, release: `wsrep-server` and the
 //! benchmark package) into its own `DIR/target-SHA`, so the two builds
 //! share nothing. Then pair `i` of [`PAIRS`] runs
-//! `wsrep-benchmark --workload NAME --seed N --seconds S --trace 0` once
+//! `wsrep-benchmark --workload NAME --seed N --seconds S --trace T` once
 //! on each tree, the parent first in even pairs and the change first in
 //! odd ones; `S` is the change's `BENCHMARK.json` `run_seconds`, the
 //! length the benchmark sets. Every run's JSON result line is appended raw
-//! to `DIR/runs-NAME.txt` as `PAIR parent|change SHA LINE` (`null` for a
-//! run that failed: a nonzero exit, or a result that is not correct).
+//! to `DIR/runs-NAME.txt` (`DIR/runs-NAME-traced.txt` under `--trace 1`)
+//! as `PAIR parent|change SHA LINE` (`null` for a run that failed: a
+//! nonzero exit, or a result that is not correct), behind one manifest
+//! line per set: both commits, the seed, `nproc`, the kernel and
+//! `run_seconds`.
 //!
-//! The end-to-end metrics, their direction and their bound come from the
-//! change's `BENCHMARK.json`. Every pair run counts: a pair whose change
-//! run failed is a loss, one whose parent run alone failed is a tie. A
-//! metric is **better** when the change wins at least nine pairs in ten,
-//! its median beats the parent's by more than the parent's interquartile
-//! range, and it failed no more runs than the parent; **worse** when it
-//! loses nine in ten and its median trails by more than that range;
-//! otherwise **unresolved**. To compare uncommitted work, stage it and
-//! pass the commit `git stash create` prints as `--change`.
+//! The metrics, their direction and their bound come from the change's
+//! `BENCHMARK.json`: its `end_to_end` list for untraced runs, its
+//! `per_layer` list (no bounds) under `--trace 1`. Every pair run counts:
+//! a pair whose change run failed is a loss, one whose parent run alone
+//! failed is a tie. A metric is **better** when the change wins at least
+//! nine pairs in ten, its median beats the parent's by more than the
+//! parent's interquartile range, and it failed no more runs than the
+//! parent; **worse** when it loses nine in ten and its median trails by
+//! more than that range; otherwise **unresolved** (so is a metric a run
+//! does not report). To compare uncommitted work, stage it and pass the
+//! commit `git stash create` prints as `--change`.
 //!
 //! Nothing gates on this: the exit status is 0 whatever the verdicts and
 //! however many runs failed. A commit that does not resolve or build
@@ -45,18 +50,19 @@ struct Config {
     change: String,
     workload: String,
     seed: u64,
+    traced: bool,
     dir: PathBuf,
 }
 
 fn usage(message: &str) -> ! {
-    eprintln!("paired: {message}; usage: paired --parent REV --change REV --workload NAME [--seed N] [--dir DIR]");
+    eprintln!("paired: {message}; usage: paired --parent REV --change REV --workload NAME [--seed N] [--trace 0|1] [--dir DIR]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Config {
     let mut args = std::env::args().skip(1);
     let (mut parent, mut change, mut workload) = (None, None, None);
-    let mut seed = 42;
+    let (mut seed, mut traced) = (42, false);
     let mut dir = PathBuf::from(".paired");
     while let Some(flag) = args.next() {
         let (name, inline) = match flag.split_once('=') {
@@ -75,6 +81,13 @@ fn parse_args() -> Config {
                     .parse()
                     .unwrap_or_else(|_| usage(&format!("--seed: not a number: {value}")))
             }
+            "--trace" => {
+                traced = match value.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    _ => usage(&format!("--trace: not 0 or 1: {value}")),
+                }
+            }
             "--dir" => dir = PathBuf::from(value),
             _ => usage(&format!("unknown flag {name}")),
         }
@@ -84,6 +97,7 @@ fn parse_args() -> Config {
         change: change.unwrap_or_else(|| usage("--change is required")),
         workload: workload.unwrap_or_else(|| usage("--workload is required")),
         seed,
+        traced,
         dir,
     }
 }
@@ -151,8 +165,8 @@ impl Build {
         Build { sha, tree, target }
     }
 
-    /// One untraced run of `seconds`; its JSON result line, or `None` if
-    /// it failed.
+    /// One run of `seconds`, traced or not as `config` says; its JSON
+    /// result line, or `None` if it failed.
     fn bench(&self, config: &Config, seconds: &str) -> Option<String> {
         let release = self.target.join("release");
         let seed = config.seed.to_string();
@@ -162,7 +176,8 @@ impl Build {
             .arg("--server-bin")
             .arg(release.join("wsrep-server"))
             .args(["--workload", &config.workload, "--seed", &seed])
-            .args(["--seconds", seconds, "--trace", "0"])
+            .args(["--seconds", seconds])
+            .args(["--trace", if config.traced { "1" } else { "0" }])
             .arg("--tmp")
             .arg(&scratch)
             .arg("--out")
@@ -202,19 +217,22 @@ fn value(line: &str, name: &str) -> Option<f64> {
     number(&line[line.find(&format!("\"{name}\": {{"))?..], "value")
 }
 
-/// An end-to-end metric as `BENCHMARK.json` declares it.
+/// A metric as `BENCHMARK.json` declares it; a per-layer one has no
+/// bound (0).
 struct Metric {
     name: String,
     lower_is_better: bool,
     bound: f64,
 }
 
-fn end_to_end(benchmark: &str) -> Vec<Metric> {
+/// The metrics of `BENCHMARK.json`'s list `list`: `end_to_end` or
+/// `per_layer`.
+fn declared(benchmark: &str, list: &str) -> Vec<Metric> {
     let start = benchmark
-        .find("\"end_to_end\"")
-        .expect("BENCHMARK.json has an end_to_end list");
+        .find(&format!("\"{list}\""))
+        .unwrap_or_else(|| panic!("BENCHMARK.json has a {list} list"));
     let body = &benchmark[start..];
-    let body = &body[..body.find(']').expect("the end_to_end list closes")];
+    let body = &body[..body.find(']').expect("the list closes")];
     body.split('{')
         .skip(1)
         .map(|object| Metric {
@@ -338,12 +356,26 @@ fn main() {
     let seconds = number(&benchmark, "run_seconds")
         .expect("BENCHMARK.json sets run_seconds")
         .to_string();
-    let raw = config.dir.join(format!("runs-{}.txt", config.workload));
+    let traced = if config.traced { "-traced" } else { "" };
+    let raw = config
+        .dir
+        .join(format!("runs-{}{traced}.txt", config.workload));
     let mut log = OpenOptions::new()
         .create(true)
         .append(true)
         .open(&raw)
         .expect("open the raw result file");
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let kernel = fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
+    writeln!(
+        log,
+        "# manifest parent {} change {} seed {} nproc {nproc} kernel {} run_seconds {seconds}",
+        parent.sha,
+        change.sha,
+        config.seed,
+        kernel.trim(),
+    )
+    .expect("write the raw result file");
 
     // Per pair, the parent's and the change's result line.
     let mut results: Vec<[Option<String>; 2]> = Vec::new();
@@ -372,7 +404,7 @@ fn main() {
         .filter(|[p, c]| p.is_some() && c.is_some())
         .count();
     println!(
-        "{} ({}) vs {} ({}): {} --seed {} --seconds {} (BENCHMARK.json run_seconds), {} of {} pairs complete; raw lines in {}",
+        "{} ({}) vs {} ({}): {} --seed {} --seconds {} (BENCHMARK.json run_seconds) --trace {}, {} of {} pairs complete; raw lines in {}",
         config.parent,
         parent.sha,
         config.change,
@@ -380,11 +412,17 @@ fn main() {
         config.workload,
         config.seed,
         seconds,
+        u8::from(config.traced),
         complete,
         PAIRS,
         raw.display()
     );
-    for metric in end_to_end(&benchmark) {
+    let list = if config.traced {
+        "per_layer"
+    } else {
+        "end_to_end"
+    };
+    for metric in declared(&benchmark, list) {
         let of = |line: &Option<String>| value(line.as_deref()?, &metric.name);
         let pairs: Vec<Pair> = results.iter().map(|[p, c]| (of(p), of(c))).collect();
         let judged = judge(&pairs, metric.lower_is_better);
@@ -419,7 +457,7 @@ mod tests {
 
     #[test]
     fn scans_the_benchmark_declaration_and_a_result_line() {
-        let declared = end_to_end(include_str!("../../../../BENCHMARK.json"));
+        let declared = declared(include_str!("../../../../BENCHMARK.json"), "end_to_end");
         let names: Vec<&str> = declared.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
@@ -442,6 +480,39 @@ mod tests {
         assert_eq!(value(line, "setup_s"), Some(0.025));
         assert_eq!(value(line, "answered_share"), Some(1.0));
         assert_eq!(value(line, "disk_bytes_per_report"), None);
+    }
+
+    #[test]
+    fn scans_the_per_layer_declaration_and_a_traced_result_line() {
+        let benchmark = include_str!("../../../../BENCHMARK.json");
+        let per_layer = declared(benchmark, "per_layer");
+        assert_eq!(per_layer.len(), 36);
+        let find = |name: &str| per_layer.iter().find(|m| m.name == name).unwrap();
+        for (name, lower) in [
+            ("query_qps", false),
+            ("recover_s", true),
+            ("journal.recover_records_per_s", false),
+            ("core.fold_ns_per_report", true),
+            ("serve.score_ns", true),
+            ("loadgen.trace_overhead_share", true),
+        ] {
+            assert_eq!(find(name).lower_is_better, lower, "{name}");
+            assert_eq!(find(name).bound, 0.0, "{name} has no bound");
+        }
+        // The end-to-end list is not read into it, nor it into that one.
+        assert!(per_layer.iter().all(|m| m.name != "setup_s"));
+        let e2e = declared(benchmark, "end_to_end");
+        assert!(e2e.iter().all(|m| m.name != "recover_s"));
+
+        let line = r#"{"correct": true, "attempted": 9, "failed": 0, "metrics": {"recover_s": {"value": 0.051, "unit": "s"}, "journal.recover_records_per_s": {"value": 8415513.4, "unit": "records/s"}, "serve.score_ns": {"value": 26.17, "unit": "ns"}}}"#;
+        assert_eq!(value(line, "recover_s"), Some(0.051));
+        assert_eq!(
+            value(line, "journal.recover_records_per_s"),
+            Some(8415513.4)
+        );
+        assert_eq!(value(line, "serve.score_ns"), Some(26.17));
+        // `recover_s` is no prefix match for a longer name.
+        assert_eq!(value(line, "recover"), None);
     }
 
     #[test]

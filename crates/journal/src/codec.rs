@@ -15,7 +15,7 @@
 //!   snapshots of version 1–3. It is not changed.
 //! - **The compact form**, what segment formats 4 and up hold and every
 //!   commit payload carries ([`crate::record`]): [`put_feedback_compact`] /
-//!   [`get_feedback_compact`] over [`put_varint`] / [`get_varint`]: varint
+//!   [`crate::record::decode_payload`] over [`put_varint`] / [`get_varint`]: varint
 //!   ids and round, a head bit for an empty collection, and since format 6
 //!   no `0x3F` top score byte and no round its payload holds ([`CompactRules`]).
 //!
@@ -25,7 +25,6 @@
 //! little-endian bytes of its IEEE-754 bit pattern. Fixed-width
 //! collections are a `u32` count followed by the elements in order.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
@@ -83,7 +82,8 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);
         }
@@ -93,6 +93,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
@@ -156,6 +157,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Read a LEB128 varint, accepting only what [`put_varint`] writes: one
 /// encoding per value, so a record re-encodes to the bytes it came from.
+#[inline(always)]
 pub fn get_varint(cur: &mut Cursor<'_>) -> Result<u64, CodecError> {
     let mut value = 0u64;
     for shift in (0..u64::BITS).step_by(7) {
@@ -270,16 +272,22 @@ pub fn put_subject(out: &mut Vec<u8>, subject: SubjectId) {
 
 /// Decode a subject tag + id.
 pub fn get_subject(cur: &mut Cursor<'_>) -> Result<SubjectId, CodecError> {
-    let tag = cur.u8()?;
-    let raw = cur.u64()?;
-    match tag {
-        SUBJECT_AGENT => Ok(AgentId::new(raw).into()),
-        SUBJECT_SERVICE => Ok(ServiceId::new(raw).into()),
-        SUBJECT_PROVIDER => Ok(ProviderId::new(raw).into()),
-        _ => Err(CodecError::BadTag {
-            what: "subject",
-            tag,
-        }),
+    let (tag, raw) = (cur.u8()?, cur.u64()?);
+    let bad = CodecError::BadTag {
+        what: "subject",
+        tag,
+    };
+    subject_of(tag, raw).ok_or(bad)
+}
+
+/// The subject of kind `kind` (its tag, or a compact head's bits 0–1).
+#[inline]
+pub(crate) fn subject_of(kind: u8, raw: u64) -> Option<SubjectId> {
+    match kind {
+        SUBJECT_AGENT => Some(AgentId::new(raw).into()),
+        SUBJECT_SERVICE => Some(ServiceId::new(raw).into()),
+        SUBJECT_PROVIDER => Some(ProviderId::new(raw).into()),
+        _ => None,
     }
 }
 
@@ -339,14 +347,14 @@ pub fn get_feedback(cur: &mut Cursor<'_>) -> Result<Feedback, CodecError> {
 /// Top bit of a record's first byte: the record is a compact feedback
 /// report and the byte is its head. No record tag sets it.
 pub const FEEDBACK_COMPACT: u8 = 0x80;
-const HEAD_KIND: u8 = 0b0000_0011;
-const HEAD_OBSERVED: u8 = 0b0000_0100;
-const HEAD_FACETS: u8 = 0b0000_1000;
-const HEAD_SHORT_SCORE: u8 = 0b0001_0000;
-const HEAD_SAME_ROUND: u8 = 0b0010_0000;
-const HEAD_RESERVED: u8 = 0b0100_0000;
+pub(crate) const HEAD_KIND: u8 = 0b0000_0011;
+pub(crate) const HEAD_OBSERVED: u8 = 0b0000_0100;
+pub(crate) const HEAD_FACETS: u8 = 0b0000_1000;
+pub(crate) const HEAD_SHORT_SCORE: u8 = 0b0001_0000;
+pub(crate) const HEAD_SAME_ROUND: u8 = 0b0010_0000;
+pub(crate) const HEAD_RESERVED: u8 = 0b0100_0000;
 /// The top byte a short score leaves out: that of every `f64` in [2⁻¹⁵, 2).
-const SCORE_TOP: u8 = 0x3F;
+pub(crate) const SCORE_TOP: u8 = 0x3F;
 
 /// Where a compact feedback report is read, which decides the head bits
 /// it may carry (see [`put_feedback_compact`]).
@@ -369,7 +377,7 @@ fn put_pairs(out: &mut Vec<u8>, n: usize, pairs: impl Iterator<Item = (Metric, f
 }
 
 /// Read the `(metric, f64)` pairs a presence bit of `head` announced.
-fn get_pairs(
+pub(crate) fn get_pairs(
     cur: &mut Cursor<'_>,
     head: u8,
     mut set: impl FnMut(Metric, f64),
@@ -436,76 +444,6 @@ pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback, round: &mut 
         let ratings = feedback.facet_ratings.iter().map(|(&m, &r)| (m, r));
         put_pairs(out, feedback.facet_ratings.len(), ratings);
     }
-}
-
-/// Decode the compact feedback report that opened with `head`, read
-/// under `rules`; `cur` stands just past that byte. The fields are
-/// restored as stored — no clamping, so decode ∘ encode is the identity on
-/// every `Feedback`, score bits included.
-pub fn get_feedback_compact(
-    head: u8,
-    cur: &mut Cursor<'_>,
-    rules: &mut CompactRules,
-) -> Result<Feedback, CodecError> {
-    let bad_head = CodecError::BadTag {
-        what: "feedback head",
-        tag: head,
-    };
-    let (refused, prev) = match *rules {
-        CompactRules::Format5 => (HEAD_SHORT_SCORE | HEAD_SAME_ROUND, None),
-        CompactRules::Format6(Some(round)) => (0, Some(round)),
-        CompactRules::Format6(None) => (HEAD_SAME_ROUND, None),
-    };
-    if head & FEEDBACK_COMPACT == 0 || head & (refused | HEAD_RESERVED) != 0 {
-        return Err(bad_head);
-    }
-    let rater = AgentId::new(get_varint(cur)?);
-    let raw = get_varint(cur)?;
-    let subject = match head & HEAD_KIND {
-        SUBJECT_AGENT => AgentId::new(raw).into(),
-        SUBJECT_SERVICE => ServiceId::new(raw).into(),
-        SUBJECT_PROVIDER => ProviderId::new(raw).into(),
-        _ => return Err(bad_head),
-    };
-    let short = head & HEAD_SHORT_SCORE != 0;
-    let score = if short {
-        let mut bytes = [SCORE_TOP; 8];
-        bytes[..7].copy_from_slice(cur.take(7)?);
-        u64::from_le_bytes(bytes)
-    } else {
-        cur.u64()?
-    };
-    let same = head & HEAD_SAME_ROUND != 0;
-    let at = match prev {
-        Some(prev) if same => prev,
-        _ => get_varint(cur)?,
-    };
-    if let CompactRules::Format6(round) = rules {
-        // One spelling per report: what bits 4 and 5 can leave out is out.
-        if (!short && score >> 56 == u64::from(SCORE_TOP)) || (!same && prev == Some(at)) {
-            return Err(bad_head);
-        }
-        *round = Some(at);
-    }
-    let mut feedback = Feedback {
-        rater,
-        subject,
-        score: f64::from_bits(score),
-        observed: QosVector::new(),
-        facet_ratings: BTreeMap::new(),
-        at: Time::new(at),
-    };
-    if head & HEAD_OBSERVED != 0 {
-        get_pairs(cur, head, |metric, value| {
-            feedback.observed.set(metric, value);
-        })?;
-    }
-    if head & HEAD_FACETS != 0 {
-        get_pairs(cur, head, |metric, rating| {
-            feedback.facet_ratings.insert(metric, rating);
-        })?;
-    }
-    Ok(feedback)
 }
 
 /// Encode one registry listing.

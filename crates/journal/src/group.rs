@@ -166,15 +166,16 @@ impl GroupSet {
     /// Open (or create) a journal under `root` with at least
     /// `writer_groups` groups — an on-disk layout with more groups wins,
     /// so reopening with a smaller setting never strands a group's
-    /// records — in one read, the recovery pass, which hands each record
-    /// to `visit`. Each writer resumes at its log's end, repaired as
-    /// [`Journal::open`] says; the allocator past them and `floor_lsn`.
+    /// records — in one read, the recovery pass, which hands `visit` runs
+    /// of records to take out, as [`crate::replay_prefix`] orders them. Each
+    /// writer resumes at its log's end, repaired as [`Journal::open`] says;
+    /// the allocator past them and `floor_lsn`.
     pub fn open_replaying(
         root: impl Into<PathBuf>,
         writer_groups: usize,
         config: JournalConfig,
         floor_lsn: u64,
-        visit: impl FnMut(JournalRecord),
+        visit: impl FnMut(&mut Vec<JournalRecord>),
     ) -> io::Result<(GroupSet, Replayed)> {
         let root = root.into();
         let on_disk = list_group_dirs(&root)?

@@ -19,11 +19,13 @@
 //! body. [`put_payload`] writes it and [`decode_payload`] reads it.
 
 use crate::codec::{
-    get_feedback, get_feedback_compact, get_listing, put_feedback_compact, put_listing, put_u64,
-    CodecError, CompactRules, Cursor, FEEDBACK_COMPACT,
+    get_feedback, get_listing, get_pairs, get_varint, put_feedback_compact, put_listing, put_u64,
+    subject_of, CodecError, CompactRules, Cursor, FEEDBACK_COMPACT, HEAD_FACETS, HEAD_KIND,
+    HEAD_OBSERVED, HEAD_RESERVED, HEAD_SAME_ROUND, HEAD_SHORT_SCORE, SCORE_TOP,
 };
 use wsrep_core::feedback::Feedback;
-use wsrep_core::id::ServiceId;
+use wsrep_core::id::{AgentId, ServiceId};
+use wsrep_core::time::Time;
 use wsrep_sim::registry::Listing;
 
 const TAG_FEEDBACK: u8 = 1;
@@ -109,26 +111,77 @@ pub fn put_payload<'a, R: PayloadRecord + 'a>(
 /// Decode the commit payload at the cursor to its last byte under `rules`
 /// (`Format6` for all written today), handing each record to `keep`. An
 /// empty payload holds none. The first record that does not decode, or
-/// that `keep` refuses, ends it with its error.
+/// that `keep` refuses, ends it with its error. It is the one compact-report
+/// reader: decode ∘ [`put_feedback_compact`] is the identity, score bits too.
 pub fn decode_payload(
     cur: &mut Cursor<'_>,
     mut rules: CompactRules,
     mut keep: impl FnMut(JournalRecord) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
     while cur.remaining() != 0 {
-        let record = match cur.u8()? {
-            TAG_FEEDBACK if rules == CompactRules::Format5 => {
-                JournalRecord::Feedback(get_feedback(cur)?)
+        let head = cur.u8()?;
+        let record = if head & FEEDBACK_COMPACT == 0 {
+            match head {
+                TAG_FEEDBACK if rules == CompactRules::Format5 => {
+                    JournalRecord::Feedback(get_feedback(cur)?)
+                }
+                TAG_PUBLISH => JournalRecord::Publish(get_listing(cur)?),
+                TAG_DEREGISTER => JournalRecord::Deregister(ServiceId::new(cur.u64()?)),
+                tag => Err(CodecError::BadTag {
+                    what: "record",
+                    tag,
+                })?,
             }
-            TAG_PUBLISH => JournalRecord::Publish(get_listing(cur)?),
-            TAG_DEREGISTER => JournalRecord::Deregister(ServiceId::new(cur.u64()?)),
-            head if head & FEEDBACK_COMPACT != 0 => {
-                JournalRecord::Feedback(get_feedback_compact(head, cur, &mut rules)?)
+        } else {
+            let bad_head = CodecError::BadTag {
+                what: "feedback head",
+                tag: head,
+            };
+            let (refused, prev) = match rules {
+                CompactRules::Format5 => (HEAD_SHORT_SCORE | HEAD_SAME_ROUND, None),
+                CompactRules::Format6(Some(round)) => (0, Some(round)),
+                CompactRules::Format6(None) => (HEAD_SAME_ROUND, None),
+            };
+            if head & (refused | HEAD_RESERVED) != 0 {
+                return Err(bad_head);
             }
-            tag => Err(CodecError::BadTag {
-                what: "record",
-                tag,
-            })?,
+            let rater = AgentId::new(get_varint(cur)?);
+            let subject = subject_of(head & HEAD_KIND, get_varint(cur)?).ok_or(bad_head)?;
+            let short = head & HEAD_SHORT_SCORE != 0;
+            let score = if short {
+                let mut bytes = [SCORE_TOP; 8];
+                bytes[..7].copy_from_slice(cur.take(7)?);
+                u64::from_le_bytes(bytes)
+            } else {
+                cur.u64()?
+            };
+            let same = head & HEAD_SAME_ROUND != 0;
+            let at = match prev {
+                Some(prev) if same => prev,
+                _ => get_varint(cur)?,
+            };
+            if let CompactRules::Format6(round) = &mut rules {
+                // One spelling per report: what bits 4 and 5 can leave out is out.
+                if (!short && score >> 56 == u64::from(SCORE_TOP)) || (!same && prev == Some(at)) {
+                    return Err(bad_head);
+                }
+                *round = Some(at);
+            }
+            let mut feedback = Feedback {
+                rater,
+                subject,
+                score: f64::from_bits(score),
+                observed: Default::default(),
+                facet_ratings: Default::default(),
+                at: Time::new(at),
+            };
+            if head & HEAD_OBSERVED != 0 {
+                get_pairs(cur, head, |m, v| _ = feedback.observed.set(m, v))?;
+            }
+            if head & HEAD_FACETS != 0 {
+                get_pairs(cur, head, |m, r| _ = feedback.facet_ratings.insert(m, r))?;
+            }
+            JournalRecord::Feedback(feedback)
         };
         keep(record)?;
     }
@@ -138,8 +191,6 @@ pub fn decode_payload(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use wsrep_core::id::{AgentId, ProviderId};
-    use wsrep_core::time::Time;
     use wsrep_qos::metric::Metric;
     use wsrep_qos::value::QosVector;
 
@@ -174,7 +225,7 @@ pub(crate) mod tests {
             )),
             JournalRecord::Publish(Listing {
                 service: ServiceId::new(4),
-                provider: ProviderId::new(5),
+                provider: wsrep_core::id::ProviderId::new(5),
                 category: 6,
                 advertised: QosVector::from_pairs([(Metric::Accuracy, 0.9)]),
             }),

@@ -128,17 +128,17 @@ pub fn recover_prefix(dir: &Path, upto: u64) -> io::Result<Recovered> {
 pub fn replay_prefix(
     dir: &Path,
     upto: u64,
-    visit: impl FnMut(JournalRecord),
+    mut visit: impl FnMut(JournalRecord),
 ) -> io::Result<Replayed> {
-    Ok(replay_logs(dir, upto, visit)?.0)
+    Ok(replay_logs(dir, upto, |run| run.drain(..).for_each(&mut visit))?.0)
 }
 
-/// [`replay_prefix`], handing back each log read to its end: the root's
-/// own first, then each group's in index order.
+/// [`replay_prefix`] a run of consecutive LSNs (a frame) to take out at a
+/// time, handing back each log read to its end: the root's first.
 pub(crate) fn replay_logs(
     dir: &Path,
     upto: u64,
-    mut visit: impl FnMut(JournalRecord),
+    mut visit: impl FnMut(&mut Vec<JournalRecord>),
 ) -> io::Result<(Replayed, Vec<LogStream>)> {
     let mut replayed = Replayed::default();
     if !dir.exists() {
@@ -162,18 +162,22 @@ pub(crate) fn replay_logs(
         replayed.next_lsn = snapshot.lsn;
         let listings = snapshot.listings.into_iter().map(JournalRecord::Publish);
         let reports = snapshot.feedback.into_iter().map(JournalRecord::Feedback);
-        listings.chain(reports).for_each(&mut visit);
+        // In runs of 4 096 at most: no second copy of the snapshot is made.
+        let (mut records, mut run) = (listings.chain(reports).peekable(), Vec::new());
+        while records.peek().is_some() {
+            run.extend(records.by_ref().take(4_096));
+            visit(&mut run);
+            run.clear();
+        }
     }
 
     // One stream per log: the root's own segments, then each group's. The
-    // merge is the record-at-a-time one, lowest head first and the earlier
-    // stream on a tie, taken a run at a time: while only the chosen stream
-    // moves, the other heads stand still, so the record-at-a-time merge
-    // keeps choosing it exactly while its next record lies below every
-    // earlier stream's head and at or below every later one's. A frame is
-    // one contiguous LSN run (`LsnWalk`), and two logs' frames never share
-    // an LSN, so a run is a whole frame or more, and the other heads are
-    // peeked once per run, not once per record.
+    // merge is the record-at-a-time one (lowest head first, the earlier
+    // stream on a tie) taken a run at a time: while only the chosen stream
+    // moves, that merge keeps choosing it exactly while its next record
+    // lies below every earlier stream's head and at or below every later
+    // one's. A frame is one LSN run (`LsnWalk`) that no other log's shares,
+    // so a run is a whole frame or more, and heads are compared per run.
     let mut streams = vec![LogStream::open(dir, upto)?];
     for (_, group_dir) in list_group_dirs(dir)? {
         streams.push(LogStream::open(&group_dir, upto)?);
@@ -185,30 +189,33 @@ pub(crate) fn replay_logs(
         for stream in &mut streams {
             heads.push(stream.peek()?);
         }
-        let lowest = heads.iter().enumerate();
-        let lowest = lowest.filter_map(|(i, head)| Some((i, (*head)?)));
-        let Some((i, _)) = lowest.min_by_key(|&(i, lsn)| (lsn, i)) else {
+        let live = (0..heads.len()).filter(|&i| heads[i].is_some());
+        let Some(i) = live.min_by_key(|&i| heads[i]) else {
             break;
         };
         let below = heads[..i].iter().flatten().min().copied();
-        let through = heads[i + 1..].iter().flatten().min().copied();
-        // Holds for the chosen head itself, so every run moves.
-        let in_run = |lsn: u64| below.is_none_or(|b| lsn < b) && through.is_none_or(|t| lsn <= t);
+        let through = heads[i + 1..].iter().flatten().min().map(|t| t + 1);
+        let end = below.unwrap_or(u64::MAX).min(through.unwrap_or(u64::MAX));
         let stream = &mut streams[i];
-        while stream.peek()?.is_some_and(in_run) {
-            let run = stream.frame.iter().take_while(|(lsn, _)| in_run(*lsn));
-            let run = run.count();
-            for (lsn, record) in stream.frame.drain(..run) {
-                if !(covered_lsn..upto).contains(&lsn) {
-                    continue;
+        while let Some(first) = stream.peek()?.filter(|&lsn| lsn < end) {
+            let run = (stream.frame.len() as u64).min(end - first);
+            // What `[covered_lsn, upto)` holds of the run goes on; the rest waits.
+            let from = first.max(covered_lsn).min(first + run);
+            let to = (first + run).min(upto).max(from);
+            let rest = stream.frame.split_off(run as usize);
+            stream.frame.truncate((to - first) as usize);
+            stream.frame.drain(..(from - first) as usize);
+            if from < to {
+                visit(&mut stream.frame);
+                if (from..to).contains(&frontier) {
+                    frontier = to;
                 }
-                if lsn == frontier {
-                    frontier = lsn + 1;
-                }
-                visit(record);
-                replayed.records_recovered += 1;
-                replayed.next_lsn = lsn + 1;
+                replayed.records_recovered += to - from;
+                replayed.next_lsn = to;
             }
+            stream.frame.clear();
+            stream.frame.extend(rest);
+            stream.first += run;
         }
     }
     replayed.durable_lsn = frontier;
@@ -228,9 +235,10 @@ pub(crate) struct LogStream {
     pub reader: Option<SegmentReader>,
     /// The last segment opened has no header.
     headerless: bool,
-    /// What is left of the frame read last, next record first: the
+    /// What is left of the frame read last, an LSN run from `first`: the
     /// reader decodes into it, and the merge drains it.
-    frame: Vec<(u64, JournalRecord)>,
+    frame: Vec<JournalRecord>,
+    first: u64,
     done: bool,
 }
 
@@ -247,6 +255,7 @@ impl LogStream {
             reader: None,
             headerless: false,
             frame: Vec::new(),
+            first: 0,
             done: false,
         })
     }
@@ -261,7 +270,8 @@ impl LogStream {
     fn peek(&mut self) -> io::Result<Option<u64>> {
         while self.frame.is_empty() && !self.done {
             if let Some(reader) = &mut self.reader {
-                if reader.next_frame(&mut self.frame)? {
+                if let Some(first) = reader.next_frame(&mut self.frame)? {
+                    self.first = first;
                     continue;
                 }
             }
@@ -277,7 +287,7 @@ impl LogStream {
                 None => (self.headerless, self.done) = (true, true),
             }
         }
-        Ok(self.frame.first().map(|(lsn, _)| *lsn))
+        Ok((!self.frame.is_empty()).then_some(self.first))
     }
 
     /// Read the rest of the log, then decide what its damage means to a

@@ -350,10 +350,10 @@ impl SegmentReader {
         }))
     }
 
-    /// Append the next whole frame's records, each with its LSN, to
-    /// `into`: `true` if there was one, `false` where the frames stop for
+    /// Append the next whole frame's records to `into`, an LSN run: `Some`
+    /// LSN of its first if there was one, `None` where the frames stop for
     /// now ([`end`](Self::end) says why) and `into` is as it was.
-    pub fn next_frame(&mut self, into: &mut Vec<(u64, JournalRecord)>) -> io::Result<bool> {
+    pub fn next_frame(&mut self, into: &mut Vec<JournalRecord>) -> io::Result<Option<u64>> {
         let mut fresh = false;
         let frame_len = loop {
             match split_frame(&self.buf[self.taken..]) {
@@ -374,21 +374,18 @@ impl SegmentReader {
                     self.buf.clear();
                 }
             }
-            return Ok(false);
+            return Ok(None);
         };
         let kept = into.len();
         let payload = &self.buf[self.taken + FRAME_HEADER_LEN..self.taken + frame_len];
-        if let Err(damage) = self
-            .walk
-            .step(payload, |lsn, record| into.push((lsn, record)))
-        {
+        if let Err(damage) = self.walk.step(payload, |_, record| into.push(record)) {
             into.truncate(kept);
             self.end = SegmentEnd::Damaged(Some(damage));
-            return Ok(false);
+            return Ok(None);
         }
         self.taken += frame_len;
         self.valid_len += frame_len as u64;
-        Ok(true)
+        Ok(Some(self.walk.next_lsn() - (into.len() - kept) as u64))
     }
 
     /// Read on behind the unconsumed bytes; returns the bytes gained.
@@ -420,8 +417,10 @@ pub fn scan_segment_entries(path: &Path) -> io::Result<Option<SegmentEntries>> {
     let Some(mut reader) = SegmentReader::open(path)? else {
         return Ok(None);
     };
-    let mut entries = Vec::new();
-    while reader.next_frame(&mut entries)? {}
+    let (mut entries, mut run) = (Vec::new(), Vec::new());
+    while let Some(first) = reader.next_frame(&mut run)? {
+        entries.extend((first..).zip(run.drain(..)));
+    }
     Ok(Some(SegmentEntries {
         start_lsn: reader.start_lsn,
         entries,

@@ -94,8 +94,8 @@ struct SubCursor {
     reader: Option<SegmentReader>,
     /// Entries read from this stream, not yet emitted by the merge.
     buffer: VecDeque<(u64, JournalRecord)>,
-    /// The frame read last, on its way into `buffer`.
-    frame: Vec<(u64, JournalRecord)>,
+    /// The frame read last, an LSN run on its way into `buffer`.
+    frame: Vec<JournalRecord>,
     /// A sealed stream never grows; exhausted means finished, not
     /// "caught up", so it stops vetoing gap skips.
     sealed: bool,
@@ -321,9 +321,9 @@ impl SubCursor {
         // segment begun after that sees everything it will ever hold.
         let mut successor: Option<u64> = None;
         while self.buffer.len() < full {
-            if reader.next_frame(&mut self.frame)? {
+            if let Some(first) = reader.next_frame(&mut self.frame)? {
                 let from_lsn = self.from_lsn;
-                let frame = self.frame.drain(..);
+                let frame = (first..).zip(self.frame.drain(..));
                 self.buffer
                     .extend(frame.filter(|(lsn, _)| *lsn >= from_lsn));
                 continue;

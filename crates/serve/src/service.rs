@@ -30,7 +30,7 @@
 
 use crate::durability::{DurabilityPolicy, JournalHandle, JournalHealth, NotDurable};
 use crate::ingest::{IngestClosed, IngestPipeline};
-use crate::shard::{MechanismFactory, ShardedStore};
+use crate::shard::{MechanismFactory, Routed, ShardedStore};
 use crate::topk::{CategoryPlan, PlanCache, RankCache, RankedList};
 use parking_lot::RwLock;
 use std::cell::RefCell;
@@ -100,6 +100,16 @@ impl Listings {
         };
         self.epoch.fetch_add(1, Ordering::Release);
         status
+    }
+
+    /// Take a recovered table whole, in place of an empty one: one swap
+    /// and one bump for what a publish each would pay per listing.
+    fn install(&self, recovered: BTreeMap<ServiceId, Listing>) {
+        let mut table = self.table.write();
+        debug_assert!(table.is_empty(), "a table is installed into a new service");
+        self.count.store(recovered.len() as u64, Ordering::Relaxed);
+        *table = recovered;
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     fn deregister(&self, service: ServiceId) -> bool {
@@ -206,21 +216,26 @@ impl From<NotDurable> for ReplicateError {
 
 /// Reports recovery hands its fold thread at a time. Two chunks exist,
 /// one filling while the other folds, and both are recycled, so recovery
-/// holds at most 8 192 reports of the log (720 KB). Every page of
-/// them is a fault in a fresh process, which is why a chunk is small and
-/// grows only as reports arrive (a log with none allocates neither);
-/// it is still enough of a batch that each shard's lock is taken once
-/// for hundreds of reports.
+/// holds at most 8 192 reports of the log (720 KB) beside the frame each
+/// log is reading. Every page of them is a fault in a fresh process,
+/// which is why a chunk is small and grows only as reports arrive (a log
+/// with none allocates neither); it is still enough of a batch that each
+/// shard's lock is taken once for hundreds of reports.
 const RECOVERY_CHUNK: usize = 4_096;
 
 /// Open the journal at `dir` and replay it into `store` and `listings`
-/// as it is read, in two stages: this thread reads, checks, decodes and
-/// fills [`RECOVERY_CHUNK`]s of reports, and one fold thread applies each
-/// chunk, in LSN order, through the ingest writers' own `insert_batch`,
-/// then hands it back. The journal stays the only copy of the log. The
-/// listing table stays on this thread, and goes in after the join with
-/// one swap per shard, not one map copy per listing. Returns the journal
-/// and how many records it restored.
+/// as it is read, in two stages: this thread reads, checks and decodes
+/// the log and routes each report to its shard ([`ShardedStore::route`])
+/// as it fills [`RECOVERY_CHUNK`]s, and one fold thread applies each
+/// chunk, in LSN order, a shard's group at a time, then hands it back.
+/// That is the ingest writers' own apply without their per-group publish
+/// ([`ShardedStore::recover_routed`]): once the log is read the fold
+/// thread publishes every estimate once ([`ShardedStore::publish_all`]),
+/// which may wait because no reader can reach the store before the build
+/// returns. The journal stays the only copy of the log. The listing
+/// table stays on this thread, and goes in while the fold thread
+/// finishes: one swap per shard and one of the table, not a map copy per
+/// listing. Returns the journal and how many records it restored.
 fn recover_into(
     store: &ShardedStore,
     listings: &Listings,
@@ -229,57 +244,64 @@ fn recover_into(
     config: JournalConfig,
 ) -> io::Result<(GroupSet, u64)> {
     let mut table = BTreeMap::new();
-    let (full, to_fold) = mpsc::channel::<Vec<Feedback>>();
+    let (full, to_fold) = mpsc::channel::<(Vec<Feedback>, Routed)>();
     let (emptied, from_fold) = mpsc::channel();
-    let _ = emptied.send(Vec::new());
     let opened = thread::scope(|scope| {
         let fold = scope.spawn(move || {
-            for mut chunk in to_fold {
-                store.insert_batch(&chunk);
+            // The spare chunk.
+            let _ = emptied.send((Vec::new(), store.routes()));
+            for (mut chunk, mut routed) in to_fold {
+                store.recover_routed(&mut routed, &chunk);
                 chunk.clear();
-                let _ = emptied.send(chunk);
+                let _ = emptied.send((chunk, routed));
             }
+            store.publish_all();
         });
-        let mut filling = Vec::new();
-        let opened =
-            GroupSet::open_replaying(dir, writer_groups, config, 0, |record| match record {
-                JournalRecord::Feedback(report) => {
-                    filling.push(report);
-                    if filling.len() == RECOVERY_CHUNK {
-                        // Waits for the fold of the chunk handed over
-                        // before. An error means the fold thread panicked,
-                        // and its join says so.
-                        match from_fold.recv() {
-                            Ok(next) => _ = full.send(std::mem::replace(&mut filling, next)),
-                            Err(_) => filling.clear(),
-                        }
+        let mut filling = (Vec::new(), store.routes());
+        let opened = GroupSet::open_replaying(dir, writer_groups, config, 0, |run| {
+            for record in run.drain(..) {
+                let report = match record {
+                    JournalRecord::Feedback(report) => report,
+                    JournalRecord::Publish(listing) => {
+                        table.insert(listing.service, listing);
+                        continue;
+                    }
+                    JournalRecord::Deregister(service) => {
+                        table.remove(&service);
+                        continue;
+                    }
+                };
+                let (chunk, routed) = &mut filling;
+                store.route(routed, &report, chunk.len());
+                chunk.push(report);
+                if chunk.len() == RECOVERY_CHUNK {
+                    // Waits for the fold of the chunk handed over before.
+                    // An error means the fold thread panicked, and its join
+                    // says so.
+                    match from_fold.recv() {
+                        Ok(next) => _ = full.send(std::mem::replace(&mut filling, next)),
+                        Err(_) => filling = (Vec::new(), store.routes()),
                     }
                 }
-                JournalRecord::Publish(listing) => {
-                    table.insert(listing.service, listing);
-                }
-                JournalRecord::Deregister(service) => {
-                    table.remove(&service);
-                }
-            });
+            }
+        });
         // The rest, on an error too (the service is then not built, and
         // what was folded goes with it); then the hand-off ends, and so
         // does the fold thread.
         let _ = full.send(filling);
         drop(full);
+        // The listings go in while the fold thread finishes.
+        store.list(
+            table
+                .values()
+                .map(|listing| (listing.service.into(), listing.category)),
+        );
+        listings.install(table);
         if let Err(panic) = fold.join() {
             std::panic::resume_unwind(panic);
         }
         opened
     })?;
-    store.list(
-        table
-            .values()
-            .map(|listing| (listing.service.into(), listing.category)),
-    );
-    for listing in table.into_values() {
-        listings.publish(listing);
-    }
     let (set, replayed) = opened;
     Ok((set, replayed.records_recovered))
 }

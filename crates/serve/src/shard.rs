@@ -52,6 +52,12 @@
 //! even, so a reader pinned to it never retries), and such a reader
 //! linearizes before the swap.
 //!
+//! **Recovery** is the one writer that publishes late: `recover_routed`
+//! applies a recovering log's groups through the same loop and publishes
+//! nothing, and `publish_all` then publishes every subject once, before
+//! the service that owns the store is built, so no reader sees the store
+//! in between.
+//!
 //! **Cost model.** Applying a report is one probe of the published map,
 //! which yields the slot, plus one dynamic call that absorbs it into the
 //! slot's row, found beside its neighbours in a block rather than behind
@@ -254,6 +260,15 @@ pub struct ShardedStore {
     pub(crate) mechanism: MechanismFactory,
 }
 
+/// Where the reports of a batch go, worked out ahead of
+/// [`ShardedStore::recover_routed`]: each shard's reports by their place
+/// in the batch. Filled and applied over and over, it allocates nothing
+/// once it has held its largest groups.
+#[derive(Debug)]
+pub(crate) struct Routed {
+    shards: Vec<Vec<u32>>,
+}
+
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
@@ -314,8 +329,49 @@ impl ShardedStore {
         let groups = self.partition(batch, |report| report.subject);
         for (idx, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
-                self.apply_group(idx, group);
+                self.apply_group(idx, group.into_iter(), true);
             }
+        }
+    }
+
+    /// An empty [`Routed`] with a group for each shard.
+    pub(crate) fn routes(&self) -> Routed {
+        let shards = self.slots.iter().map(|_| Vec::new()).collect();
+        Routed { shards }
+    }
+
+    /// Route `report`, at index `at` of its batch, to its shard's group.
+    pub(crate) fn route(&self, routed: &mut Routed, report: &Feedback, at: usize) {
+        routed.shards[self.shard_of(report.subject)].push(at as u32);
+    }
+
+    /// Recovery's [`ShardedStore::insert_batch`] of a batch already routed,
+    /// which leaves `routed` empty for the next. It publishes nothing: a
+    /// score lags the applied state until [`ShardedStore::publish_all`],
+    /// so only a store no reader can reach yet may take it.
+    pub(crate) fn recover_routed(&self, routed: &mut Routed, batch: &[Feedback]) {
+        for (idx, group) in routed.shards.iter_mut().enumerate() {
+            if !group.is_empty() {
+                let reports = group.iter().map(|&at| &batch[at as usize]);
+                self.apply_group(idx, reports, false);
+                group.clear();
+            }
+        }
+    }
+
+    /// Publish every subject's estimate, once: what
+    /// [`ShardedStore::recover_routed`] left unpublished.
+    pub(crate) fn publish_all(&self) {
+        for slot in &self.slots {
+            slot.update(|shard, published| {
+                for entry in published.values() {
+                    let row = entry.slot.load(Ordering::Relaxed);
+                    if row != NONE {
+                        entry.set_estimate(shard.table.estimate(row as usize));
+                    }
+                }
+                PublishedMap::default()
+            });
         }
     }
 
@@ -325,7 +381,15 @@ impl ShardedStore {
     /// after the apply and before the lock is released, so neither a
     /// score nor an epoch a reader observes can be ahead of, or (once
     /// this returns) behind, the applied state.
-    fn apply_group(&self, idx: usize, group: Vec<&Feedback>) {
+    ///
+    /// Without `publish` it only applies (recovery's way, which publishes
+    /// once at its end): no estimate or epoch moves, and no stamp.
+    fn apply_group<'a>(
+        &self,
+        idx: usize,
+        group: impl ExactSizeIterator<Item = &'a Feedback>,
+        publish: bool,
+    ) {
         let applied = group.len();
         self.slots[idx].update(|shard, published| {
             shard.group += 1;
@@ -338,7 +402,7 @@ impl ShardedStore {
                     Some(entry) => shard.slot_of(entry),
                     None => shard.slot_of(fresh.entry(subject).or_insert_with(unseen)),
                 };
-                if shard.first_touch(slot) {
+                if publish && shard.first_touch(slot) {
                     touched.push((subject, slot, known));
                 }
                 shard.table.absorb(slot, report);

@@ -743,3 +743,95 @@ fn many_chunks_over_two_groups_recover_to_the_twin_and_damage_is_refused() {
     assert_eq!(tree(&live), before, "a refused journal is left as it lies");
     fs::remove_dir_all(&live).unwrap();
 }
+
+/// A journal over `groups` writer groups whose final commit, five reports
+/// in the last group's final segment, checks but stops decoding at its
+/// third report: recovery keeps none of that commit, the two reports
+/// before the damage included, recovers the twin of every commit before
+/// it and cuts the segment back to them. The log before it is several
+/// recovery chunks long, so the damage is met while chunks are folding.
+fn assert_a_final_frame_that_stops_decoding_keeps_none_of_it(tag: &str, groups: usize) {
+    use wsrep_journal::codec::{CodecError, CompactRules, Cursor};
+    use wsrep_journal::record::decode_payload;
+    use wsrep_journal::segment::{group_dir_name, list_segments, LSN_MARKER};
+
+    let live = temp_dir(tag);
+    let set = GroupSet::open(&live, groups, JournalConfig::default(), 0).unwrap();
+    let mut log: Vec<JournalRecord> = (0..6)
+        .map(|s| JournalRecord::Publish(listing(s, 0)))
+        .collect();
+    set.append_batch(0, &log).unwrap();
+    for commit in 0..100u64 {
+        let reports: Vec<JournalRecord> = (commit * 100..(commit + 1) * 100)
+            .map(|i| JournalRecord::Feedback(feedback(i % 13, i % 6, (i % 7) as f64 / 7.0, i / 50)))
+            .collect();
+        set.append_batch(commit as usize % groups, &reports)
+            .unwrap();
+        log.extend(reports);
+    }
+    let last: Vec<JournalRecord> = (0..5)
+        .map(|i| JournalRecord::Feedback(feedback(20 + i, i % 6, 1.0, 999)))
+        .collect();
+    set.append_batch(groups - 1, &last).unwrap();
+    drop(set);
+
+    let dir = live.join(group_dir_name(groups - 1));
+    let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+    let mut bytes = fs::read(&path).unwrap();
+    let ends = frame_ends(&bytes);
+    let [.., start, end] = ends[..] else {
+        panic!("no frame in {}", path.display());
+    };
+    assert_eq!(end, bytes.len());
+    // The third report's head gains its reserved bit, and the frame a
+    // checksum over the damage.
+    let mut payload = bytes[start + 8..end].to_vec();
+    let records_at = if payload[0] == LSN_MARKER { 9 } else { 0 };
+    let third = |payload: &[u8]| {
+        let mut cur = Cursor::new(&payload[records_at..]);
+        let mut seen = 0;
+        let decoded = decode_payload(&mut cur, CompactRules::Format6(None), |_| {
+            seen += 1;
+            if seen == 2 {
+                return Err(CodecError::BadCount);
+            }
+            Ok(())
+        });
+        (decoded, seen, payload.len() - cur.remaining())
+    };
+    let (_, _, head) = third(&payload);
+    payload[head] |= 0x40;
+    let (decoded, seen, _) = third(&payload);
+    assert_eq!(
+        (decoded, seen),
+        (Err(CodecError::BadCount), 2),
+        "two reports decode"
+    );
+    bytes.truncate(start);
+    wsrep_journal::frame::write_frame(&mut bytes, &payload);
+    fs::write(&path, &bytes).unwrap();
+
+    let revived = ReputationService::builder()
+        .shards(4)
+        .writer_groups(groups)
+        .recover_from(&live)
+        .build();
+    twin_equal(&revived, &Twin::replay(log)).unwrap();
+    drop(revived);
+    assert_eq!(
+        fs::metadata(&path).unwrap().len() as usize,
+        start,
+        "cut to the commits before it"
+    );
+    fs::remove_dir_all(&live).unwrap();
+}
+
+#[test]
+fn a_final_frame_that_checks_and_stops_decoding_partway_keeps_none_of_its_reports() {
+    assert_a_final_frame_that_stops_decoding_keeps_none_of_it("partway-one-group", 1);
+}
+
+#[test]
+fn the_same_frame_in_the_second_of_two_groups_keeps_none_of_its_reports() {
+    assert_a_final_frame_that_stops_decoding_keeps_none_of_it("partway-second-group", 2);
+}

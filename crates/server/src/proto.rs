@@ -712,46 +712,44 @@ impl Request {
     /// Decode one request from a frame payload (version byte included).
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut cur = Cursor::new(payload);
-        let version = cur.u8().map_err(DecodeError::Codec)?;
+        let version = cur.u8()?;
         if version != PROTO_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let opcode = cur.u8().map_err(DecodeError::Codec)?;
+        let opcode = cur.u8()?;
         let request = match opcode {
             OP_PING => Request::Ping,
-            OP_PUBLISH => Request::Publish(get_listing(&mut cur).map_err(DecodeError::Codec)?),
-            OP_DEREGISTER => {
-                Request::Deregister(ServiceId::new(cur.u64().map_err(DecodeError::Codec)?))
-            }
+            OP_PUBLISH => Request::Publish(get_listing(&mut cur)?),
+            OP_DEREGISTER => Request::Deregister(ServiceId::new(cur.u64()?)),
             OP_INGEST => {
-                let key = if cur.bool().map_err(DecodeError::Codec)? {
+                let key = if cur.bool()? {
                     Some(IngestKey {
-                        producer: cur.u64().map_err(DecodeError::Codec)?,
-                        seq: cur.u64().map_err(DecodeError::Codec)?,
+                        producer: cur.u64()?,
+                        seq: cur.u64()?,
                     })
                 } else {
                     None
                 };
-                let batch = get_records(&mut cur, report).map_err(DecodeError::Codec)?;
+                let batch = get_records(&mut cur, report)?;
                 Request::Ingest { batch, key }
             }
-            OP_SCORE => Request::Score(get_subject(&mut cur).map_err(DecodeError::Codec)?),
+            OP_SCORE => Request::Score(get_subject(&mut cur)?),
             OP_TOP_K => {
-                let category = cur.u32().map_err(DecodeError::Codec)?;
-                let k = cur.u32().map_err(DecodeError::Codec)?;
-                let prefs = get_prefs(&mut cur).map_err(DecodeError::Codec)?;
+                let category = cur.u32()?;
+                let k = cur.u32()?;
+                let prefs = get_prefs(&mut cur)?;
                 Request::TopK { category, prefs, k }
             }
             OP_STATS => Request::Stats,
             OP_FLUSH => Request::Flush,
             OP_SHUTDOWN => Request::Shutdown,
             OP_REPL_PULL => Request::ReplPull {
-                from_lsn: cur.u64().map_err(DecodeError::Codec)?,
-                max_records: cur.u32().map_err(DecodeError::Codec)?,
+                from_lsn: cur.u64()?,
+                max_records: cur.u32()?,
             },
             OP_REPL_HEARTBEAT => Request::ReplHeartbeat {
-                replica: cur.u64().map_err(DecodeError::Codec)?,
-                durable_lsn: cur.u64().map_err(DecodeError::Codec)?,
+                replica: cur.u64()?,
+                durable_lsn: cur.u64()?,
             },
             tag => {
                 return Err(DecodeError::Codec(CodecError::BadTag {
@@ -844,14 +842,14 @@ impl Response {
     /// Decode one response from a frame payload (version byte included).
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut cur = Cursor::new(payload);
-        let version = cur.u8().map_err(DecodeError::Codec)?;
+        let version = cur.u8()?;
         if version != PROTO_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let opcode = cur.u8().map_err(DecodeError::Codec)?;
+        let opcode = cur.u8()?;
         let response = match opcode {
             OP_PONG => Response::Pong,
-            OP_PUBLISHED => match cur.u8().map_err(DecodeError::Codec)? {
+            OP_PUBLISHED => match cur.u8()? {
                 0 => Response::Published(PublishStatus::Created),
                 1 => Response::Published(PublishStatus::Updated),
                 tag => {
@@ -861,27 +859,27 @@ impl Response {
                     }))
                 }
             },
-            OP_DEREGISTERED => Response::Deregistered(cur.bool().map_err(DecodeError::Codec)?),
-            OP_INGESTED => Response::Ingested(cur.u64().map_err(DecodeError::Codec)?),
-            OP_SCORED => Response::Scored(get_opt_estimate(&mut cur).map_err(DecodeError::Codec)?),
+            OP_DEREGISTERED => Response::Deregistered(cur.bool()?),
+            OP_INGESTED => Response::Ingested(cur.u64()?),
+            OP_SCORED => Response::Scored(get_opt_estimate(&mut cur)?),
             OP_TOP_K_RESULT => {
-                let n = cur.u32().map_err(DecodeError::Codec)?;
+                let n = cur.u32()?;
                 let mut ranked = Vec::with_capacity(n.min(65_536) as usize);
                 for _ in 0..n {
                     ranked.push(WireRanked {
-                        service: cur.u64().map_err(DecodeError::Codec)?,
-                        provider: cur.u64().map_err(DecodeError::Codec)?,
-                        qos_score: cur.f64().map_err(DecodeError::Codec)?,
-                        reputation: get_opt_estimate(&mut cur).map_err(DecodeError::Codec)?,
-                        score: cur.f64().map_err(DecodeError::Codec)?,
+                        service: cur.u64()?,
+                        provider: cur.u64()?,
+                        qos_score: cur.f64()?,
+                        reputation: get_opt_estimate(&mut cur)?,
+                        score: cur.f64()?,
                     });
                 }
                 Response::TopKResult(ranked)
             }
             OP_STATS_RESULT => {
-                let service = get_service_stats(&mut cur).map_err(DecodeError::Codec)?;
-                let server = get_server_stats(&mut cur).map_err(DecodeError::Codec)?;
-                let replication = get_replication_stats(&mut cur).map_err(DecodeError::Codec)?;
+                let service = get_service_stats(&mut cur)?;
+                let server = get_server_stats(&mut cur)?;
+                let replication = get_replication_stats(&mut cur)?;
                 Response::StatsResult(Box::new(WireStats {
                     service,
                     server,
@@ -891,9 +889,9 @@ impl Response {
             OP_FLUSHED => Response::Flushed,
             OP_SHUTTING_DOWN => Response::ShuttingDown,
             OP_REPL_BATCH => {
-                let first_lsn = cur.u64().map_err(DecodeError::Codec)?;
-                let durable_lsn = cur.u64().map_err(DecodeError::Codec)?;
-                let records = get_records(&mut cur, Ok).map_err(DecodeError::Codec)?;
+                let first_lsn = cur.u64()?;
+                let durable_lsn = cur.u64()?;
+                let records = get_records(&mut cur, Ok)?;
                 Response::ReplBatch(ReplBatch {
                     first_lsn,
                     records,
@@ -901,14 +899,13 @@ impl Response {
                 })
             }
             OP_REPL_WATERMARK => Response::ReplWatermark(ReplWatermark {
-                durable_lsn: cur.u64().map_err(DecodeError::Codec)?,
-                replicas: cur.u32().map_err(DecodeError::Codec)?,
-                min_replica_lsn: cur.u64().map_err(DecodeError::Codec)?,
+                durable_lsn: cur.u64()?,
+                replicas: cur.u32()?,
+                min_replica_lsn: cur.u64()?,
             }),
             OP_ERROR => {
-                let code = ErrorCode::from_wire(cur.u8().map_err(DecodeError::Codec)?)
-                    .map_err(DecodeError::Codec)?;
-                let bytes = cur.bytes().map_err(DecodeError::Codec)?;
+                let code = ErrorCode::from_wire(cur.u8()?)?;
+                let bytes = cur.bytes()?;
                 Response::Error {
                     code,
                     message: String::from_utf8_lossy(bytes).into_owned(),
@@ -953,6 +950,12 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+impl From<CodecError> for DecodeError {
+    fn from(err: CodecError) -> Self {
+        DecodeError::Codec(err)
+    }
+}
 
 #[cfg(test)]
 mod tests {
