@@ -10,7 +10,7 @@
 //! systems (PageRank, NodeRanking) cannot use score valence at all.
 
 use wsrep_bench::base_config;
-use wsrep_core::mechanisms::all_figure4_mechanisms;
+use wsrep_core::mechanisms::{all_figure4_mechanisms, build};
 use wsrep_select::eval::{Market, MarketConfig};
 use wsrep_select::report::{f3, section, Table};
 use wsrep_select::strategy::{RandomSelect, ReputationSelect};
@@ -47,14 +47,12 @@ fn main() {
         "settled utility",
         "vs random",
     ]);
-    let count = all_figure4_mechanisms().len();
-    for i in 0..count {
-        let info = all_figure4_mechanisms()[i].info();
+    for info in all_figure4_mechanisms().iter().map(|m| m.info()) {
         // Seeds are independent markets: run them on worker threads.
         let reports = wsrep_select::eval::run_seeds_parallel(&seeds, |seed| {
             let mut cfg = base_config(seed);
             cfg.preference_heterogeneity = 0.0;
-            let mechanism = all_figure4_mechanisms().remove(i);
+            let mechanism = build(info.key).expect("a Figure-4 key");
             (
                 World::generate(cfg),
                 MarketConfig::new(ROUNDS, seed),

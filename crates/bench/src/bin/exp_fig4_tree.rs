@@ -1,49 +1,48 @@
 //! Experiment F4a — Figure 4: the typology tree itself.
 //!
 //! Every implemented mechanism self-reports its (centralization, subject,
-//! scope) coordinates; this binary reconstructs the classification tree
-//! from the *implementations* and checks it against the published table,
-//! then prints both the tree and the flat classification.
+//! scope) coordinates; this binary checks those reports against the
+//! paper's classification, transcribed in `typology::PUBLISHED`, then
+//! prints the tree and the flat classification from the reports.
 
 use wsrep_core::mechanisms::all_figure4_mechanisms;
-use wsrep_core::typology::{figure4, render_figure4};
+use wsrep_core::typology::{render_figure4, MechanismInfo, PUBLISHED};
 use wsrep_select::report::{section, Table};
 
 fn main() {
     println!("# F4a — Figure 4: trust and reputation system classification");
 
-    let published = figure4();
-    let implemented = all_figure4_mechanisms();
+    let implemented: Vec<MechanismInfo> =
+        all_figure4_mechanisms().iter().map(|m| m.info()).collect();
 
     // Cross-check implementations against the published classification.
     let mut mismatches = 0;
-    for m in &implemented {
-        let info = m.info();
-        match published.iter().find(|e| e.key == info.key) {
+    for info in &implemented {
+        match PUBLISHED.iter().find(|&&(key, ..)| key == info.key) {
             None => {
                 println!("!! `{}` not in the published figure", info.key);
                 mismatches += 1;
             }
-            Some(e) if e.coordinates() != info.coordinates() => {
+            Some(&(_, c, s, g)) if (c, s, g) != info.coordinates() => {
                 println!(
                     "!! `{}` classified {:?}, paper says {:?}",
                     info.key,
                     info.coordinates(),
-                    e.coordinates()
+                    (c, s, g)
                 );
                 mismatches += 1;
             }
             _ => {}
         }
     }
-    let missing: Vec<&str> = published
+    let missing: Vec<&str> = PUBLISHED
         .iter()
-        .filter(|e| implemented.iter().all(|m| m.info().key != e.key))
-        .map(|e| e.key)
+        .map(|&(key, ..)| key)
+        .filter(|&key| implemented.iter().all(|info| info.key != key))
         .collect();
 
     section("the tree (systems marked * were proposed for web services)");
-    print!("{}", render_figure4(&published));
+    print!("{}", render_figure4(&implemented));
 
     section("flat classification");
     let mut t = Table::new([
@@ -54,7 +53,7 @@ fn main() {
         "scope",
         "web services?",
     ]);
-    for e in &published {
+    for e in &implemented {
         t.row([
             e.display,
             e.citation,
@@ -75,7 +74,7 @@ fn main() {
         "implemented mechanisms: {} / {} published entries; mismatches: {mismatches}; \
          unimplemented: {missing:?}",
         implemented.len(),
-        published.len()
+        PUBLISHED.len()
     );
     println!(
         "\nSection 5's observation holds in the implementations too: every\n\

@@ -22,9 +22,7 @@ use std::sync::Arc;
 use wsrep_bench::base_config;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::SubjectId;
-use wsrep_core::mechanism::ReputationMechanism;
-use wsrep_core::mechanisms::all_figure4_mechanisms;
-use wsrep_core::mechanisms::beta::BetaMechanism;
+use wsrep_core::mechanisms::{all_figure4_mechanisms, build};
 use wsrep_core::time::Time;
 use wsrep_core::trust::TrustEstimate;
 use wsrep_core::typology::Centralization;
@@ -83,16 +81,6 @@ impl<S: EstimateSource> EstimateSource for Recording<S> {
     }
 }
 
-fn mechanism(key: &str) -> Box<dyn ReputationMechanism> {
-    if key == "beta" {
-        return Box::new(BetaMechanism::new());
-    }
-    all_figure4_mechanisms()
-        .into_iter()
-        .find(|m| m.info().key == key)
-        .expect("a Figure-4 key")
-}
-
 fn world(seed: u64) -> World {
     let mut cfg = base_config(seed);
     cfg.preference_heterogeneity = 0.0;
@@ -117,11 +105,13 @@ struct SeedRun {
 }
 
 fn run_seed(key: &'static str, seed: u64) -> SeedRun {
-    let (in_process, in_process_trace) = market(seed, mechanism(key));
+    let (in_process, in_process_trace) = market(seed, build(key).expect("a Figure-4 key or beta"));
     let service = Arc::new(
         ReputationService::builder()
             .shards(4)
-            .mechanism_factory(Arc::new(move || mechanism(key)))
+            .mechanism_factory(Arc::new(move || {
+                build(key).expect("a Figure-4 key or beta")
+            }))
             .build(),
     );
     let (served, served_trace) = market(seed, Arc::clone(&service));

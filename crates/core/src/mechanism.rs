@@ -15,12 +15,17 @@
 //! fold's accumulator, whose rows sit inline in fixed blocks of
 //! [`ROWS_PER_BLOCK`], or a [`LogReplay`] of each subject's reports for a
 //! mechanism without a fold. [`accumulator_table`] picks between them.
+//!
+//! A mechanism whose state is nothing but those rows is its fold:
+//! [`PerSubject`] runs one accumulator per subject in-process, so the
+//! update rule is written once, in the accumulator.
 
 use crate::feedback::Feedback;
 use crate::id::{AgentId, SubjectId};
 use crate::time::Time;
 use crate::trust::TrustEstimate;
 use crate::typology::MechanismInfo;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -49,11 +54,14 @@ pub trait ReputationMechanism: fmt::Debug + Send {
     /// Contract: after absorbing a subject's feedback log in order,
     /// [`SubjectAccumulator::estimate`] must equal
     /// [`score_from_log`] run over the same log through a **fresh
-    /// instance configured like `self`** — including the trailing
+    /// instance configured like `self`**, including the trailing
     /// `refresh` to the newest absorbed timestamp that `score_from_log`
     /// performs. Callers that keep accumulators resident (the served
     /// registry's shards) therefore read in O(1) exactly what a replay
-    /// would have recomputed in O(log length).
+    /// would have recomputed in O(log length). For a [`PerSubject`]
+    /// mechanism the replay runs the accumulator itself, so the contract
+    /// holds by construction; the closed-form oracles in
+    /// `crates/core/tests/oracle.rs` check what it computes.
     ///
     /// The parameters of `self` (forgetting factors, thresholds, …) carry
     /// into the accumulator; its evidence starts empty.
@@ -100,8 +108,11 @@ pub trait ReputationMechanism: fmt::Debug + Send {
 ///
 /// `estimate` is a pure read: time-decayed mechanisms apply the pending
 /// decay (from the last absorbed update to the newest absorbed
-/// timestamp) on the fly without mutating the resident state, mirroring
-/// the `refresh(latest)` that [`score_from_log`] issues after replay.
+/// timestamp) on the fly without mutating the resident state, so a row
+/// answers at its own subject's newest report, the clock
+/// [`score_from_log`] ends on. [`SubjectAccumulator::refresh`] moves that
+/// clock: [`PerSubject`] calls it on every row from its
+/// [`ReputationMechanism::refresh`]; the served registry never does.
 ///
 /// Every `Clone` accumulator is also a table's fresh row
 /// ([`IntoRows`]), so `mechanism.accumulator().map(|fresh| fresh.rows())`
@@ -115,6 +126,13 @@ pub trait SubjectAccumulator: fmt::Debug + Send + Sync + IntoRows {
     /// through a fresh mechanism would answer. `None` until evidence
     /// exists or while the mechanism abstains.
     fn estimate(&self) -> Option<TrustEstimate>;
+
+    /// Advance the statistics to `now`, as the mechanism's own `refresh`
+    /// does: a time-decayed fold ages its evidence to `now`. Does nothing
+    /// by default.
+    fn refresh(&mut self, now: Time) {
+        let _ = now;
+    }
 }
 
 /// The table half of [`SubjectAccumulator`], implemented for every `Clone`
@@ -161,7 +179,7 @@ pub const ROWS_PER_BLOCK: usize = 64;
 /// the rows pushed beside it, and a table of `n` rows holds
 /// `⌈n / ROWS_PER_BLOCK⌉` blocks and the block index. Nothing is
 /// allocated before the first push.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Rows<A> {
     fresh: A,
     blocks: Vec<Vec<A>>,
@@ -216,6 +234,11 @@ impl<A: Clone> Rows<A> {
     pub fn iter(&self) -> impl Iterator<Item = &A> {
         self.blocks.iter().flatten()
     }
+
+    /// Every row, in push order, to update.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut A> {
+        self.blocks.iter_mut().flatten()
+    }
 }
 
 impl<A: SubjectAccumulator + Clone> AccumulatorTable for Rows<A> {
@@ -234,6 +257,66 @@ impl<A: SubjectAccumulator + Clone> AccumulatorTable for Rows<A> {
     /// None: a fold keeps statistics only.
     fn reports_held(&self) -> usize {
         0
+    }
+}
+
+/// A mechanism that is its fold: one accumulator row per subject, so its
+/// global estimate of a subject is that subject's row, whose update rule
+/// is written once, in `A`. `submit` absorbs the report into its
+/// subject's row, `refresh(now)` refreshes every row, and `global` is the
+/// row's estimate. The served registry holds the same rows, so it answers
+/// what `global` answers until a `refresh` moves the in-process clock
+/// past a subject's newest report (DESIGN.md, "Scoring and read path").
+#[derive(Debug, Clone)]
+pub struct PerSubject<A> {
+    info: MechanismInfo,
+    rows: Rows<A>,
+    index: BTreeMap<SubjectId, usize>,
+    submitted: usize,
+}
+
+impl<A: Clone> PerSubject<A> {
+    /// The mechanism `info` describes, whose subjects' rows start as
+    /// clones of `fresh`. Allocates nothing.
+    pub fn over(info: MechanismInfo, fresh: A) -> Self {
+        PerSubject {
+            info,
+            rows: Rows::new(fresh),
+            index: BTreeMap::new(),
+            submitted: 0,
+        }
+    }
+}
+
+impl<A: SubjectAccumulator + Clone + 'static> ReputationMechanism for PerSubject<A> {
+    fn info(&self) -> MechanismInfo {
+        self.info.clone()
+    }
+
+    fn submit(&mut self, feedback: &Feedback) {
+        let rows = &mut self.rows;
+        let row = *self
+            .index
+            .entry(feedback.subject)
+            .or_insert_with(|| rows.push());
+        rows.get_mut(row).absorb(feedback);
+        self.submitted += 1;
+    }
+
+    fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
+        Some(Box::new(self.rows.fresh.clone()))
+    }
+
+    fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
+        self.rows.get(*self.index.get(&subject)?).estimate()
+    }
+
+    fn refresh(&mut self, now: Time) {
+        self.rows.iter_mut().for_each(|row| row.refresh(now));
+    }
+
+    fn feedback_count(&self) -> usize {
+        self.submitted
     }
 }
 
@@ -426,33 +509,6 @@ impl<M: ReputationMechanism + ?Sized> ReputationMechanism for Unfolded<M> {
     }
 }
 
-/// Convenience: rank `candidates` by a mechanism's estimate for `observer`,
-/// best first. Subjects without evidence rank by the ignorance prior.
-pub fn rank_candidates<M: ReputationMechanism + ?Sized>(
-    mechanism: &M,
-    observer: AgentId,
-    candidates: &[SubjectId],
-) -> Vec<(SubjectId, TrustEstimate)> {
-    let mut ranked: Vec<(SubjectId, TrustEstimate)> = candidates
-        .iter()
-        .map(|&s| {
-            (
-                s,
-                mechanism
-                    .personalized(observer, s)
-                    .unwrap_or_else(TrustEstimate::ignorance),
-            )
-        })
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.1.value
-            .get()
-            .partial_cmp(&a.1.value.get())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,24 +586,5 @@ mod tests {
             score_from_log(&mut MeanMechanism::default(), &[], s.into()),
             None
         );
-    }
-
-    #[test]
-    fn rank_orders_best_first_and_fills_ignorance() {
-        let mut m = MeanMechanism::default();
-        let good = ServiceId::new(1);
-        let bad = ServiceId::new(2);
-        let unknown = ServiceId::new(3);
-        m.submit(&Feedback::scored(AgentId::new(0), good, 0.9, Time::ZERO));
-        m.submit(&Feedback::scored(AgentId::new(0), bad, 0.1, Time::ZERO));
-        let ranked = rank_candidates(
-            &m,
-            AgentId::new(0),
-            &[bad.into(), unknown.into(), good.into()],
-        );
-        assert_eq!(ranked[0].0, good.into());
-        assert_eq!(ranked[1].0, unknown.into()); // neutral 0.5 beats 0.1
-        assert_eq!(ranked[2].0, bad.into());
-        assert_eq!(ranked[1].1.confidence, 0.0);
     }
 }

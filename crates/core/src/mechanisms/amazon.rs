@@ -9,7 +9,7 @@
 use crate::feedback::Feedback;
 use crate::id::{AgentId, SubjectId};
 use crate::mechanism::{ReputationMechanism, SubjectAccumulator};
-use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
+use crate::trust::{TrustEstimate, WeightedMean};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::BTreeMap;
 
@@ -19,6 +19,9 @@ struct Review {
     reviewer: AgentId,
     score: f64,
 }
+
+/// A reviewer's weight before any helpfulness vote.
+const UNVOTED_WEIGHT: f64 = 0.5;
 
 /// Amazon-style weighted review aggregation.
 #[derive(Debug, Clone, Default)]
@@ -50,7 +53,7 @@ impl AmazonMechanism {
     /// fraction, floored so unknown reviewers still count somewhat.
     pub fn reviewer_weight(&self, reviewer: AgentId) -> f64 {
         match self.helpfulness.get(&reviewer) {
-            None => 0.5,
+            None => UNVOTED_WEIGHT,
             Some(&(h, u)) => ((h as f64 + 1.0) / ((h + u) as f64 + 2.0)).max(0.25),
         }
     }
@@ -86,21 +89,11 @@ impl ReputationMechanism for AmazonMechanism {
     }
 
     fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let reviews = self.reviews.get(&subject)?;
-        if reviews.is_empty() {
-            return None;
+        let mut mean = WeightedMean::default();
+        for r in self.reviews.get(&subject)? {
+            mean.add(self.reviewer_weight(r.reviewer), r.score);
         }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for r in reviews {
-            let w = self.reviewer_weight(r.reviewer);
-            num += w * r.score;
-            den += w;
-        }
-        Some(TrustEstimate::new(
-            TrustValue::new(num / den),
-            evidence_confidence(reviews.len(), 4.0),
-        ))
+        mean.estimate()
     }
 
     fn feedback_count(&self) -> usize {
@@ -115,32 +108,19 @@ impl ReputationMechanism for AmazonMechanism {
 /// The Amazon fold. Helpfulness votes arrive out of band
 /// ([`AmazonMechanism::vote_helpful`]), never through the feedback log,
 /// so a replay through a fresh mechanism weighs every reviewer at the
-/// neutral 0.5; the fold runs the same weighted sums incrementally (the
-/// identical float operations, so estimates match replay bit-for-bit).
+/// unvoted weight; the fold keeps the same [`WeightedMean`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AmazonAccumulator {
-    num: f64,
-    den: f64,
-    n: usize,
+    mean: WeightedMean,
 }
 
 impl SubjectAccumulator for AmazonAccumulator {
     fn absorb(&mut self, feedback: &Feedback) {
-        // `reviewer_weight` of a reviewer with no helpfulness votes.
-        let w = 0.5;
-        self.num += w * feedback.score;
-        self.den += w;
-        self.n += 1;
+        self.mean.add(UNVOTED_WEIGHT, feedback.score);
     }
 
     fn estimate(&self) -> Option<TrustEstimate> {
-        if self.n == 0 {
-            return None;
-        }
-        Some(TrustEstimate::new(
-            TrustValue::new(self.num / self.den),
-            evidence_confidence(self.n, 4.0),
-        ))
+        self.mean.estimate()
     }
 }
 

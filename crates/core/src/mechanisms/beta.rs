@@ -7,12 +7,10 @@
 //! Beta(r+1, s+1) posterior.
 
 use crate::feedback::Feedback;
-use crate::id::SubjectId;
-use crate::mechanism::{ReputationMechanism, SubjectAccumulator};
+use crate::mechanism::{PerSubject, SubjectAccumulator};
 use crate::time::Time;
 use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
-use std::collections::BTreeMap;
 
 /// Accumulated beta evidence for one subject.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -35,16 +33,9 @@ impl BetaEvidence {
     }
 }
 
-/// Beta reputation with exponential forgetting.
-#[derive(Debug, Clone)]
-pub struct BetaMechanism {
-    /// Forgetting factor `λ ∈ \[0, 1\]` applied per elapsed round:
-    /// older evidence decays as `λ^age`. `1.0` disables forgetting.
-    lambda: f64,
-    evidence: BTreeMap<SubjectId, BetaEvidence>,
-    last_update: BTreeMap<SubjectId, Time>,
-    submitted: usize,
-}
+/// Beta reputation with exponential forgetting: one [`BetaAccumulator`]
+/// per subject.
+pub type BetaMechanism = PerSubject<BetaAccumulator>;
 
 impl Default for BetaMechanism {
     fn default() -> Self {
@@ -58,70 +49,84 @@ impl BetaMechanism {
         Self::with_forgetting(0.98)
     }
 
-    /// Beta reputation with an explicit forgetting factor.
+    /// Beta reputation with an explicit forgetting factor `λ ∈ \[0, 1\]`,
+    /// applied per elapsed round: older evidence decays as `λ^age`. `1.0`
+    /// disables forgetting.
     ///
     /// # Panics
     ///
     /// Panics if `lambda` is outside `\[0, 1\]`.
     pub fn with_forgetting(lambda: f64) -> Self {
         assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0,1]");
-        BetaMechanism {
-            lambda,
-            evidence: BTreeMap::new(),
-            last_update: BTreeMap::new(),
-            submitted: 0,
-        }
-    }
-
-    /// The accumulated evidence about a subject.
-    pub fn evidence(&self, subject: SubjectId) -> Option<BetaEvidence> {
-        self.evidence.get(&subject).copied()
-    }
-
-    fn age_evidence(&mut self, subject: SubjectId, now: Time) {
-        let last = self.last_update.get(&subject).copied().unwrap_or(now);
-        let age = now.since(last);
-        if age > 0 {
-            if let Some(e) = self.evidence.get_mut(&subject) {
-                let f = self.lambda.powi(age as i32);
-                e.r *= f;
-                e.s *= f;
-            }
-        }
-        self.last_update.insert(subject, now);
+        let info = MechanismInfo {
+            key: "beta",
+            display: "Jøsang–Ismail beta reputation",
+            centralization: Centralization::Centralized,
+            subject: Subject::PersonAgent,
+            scope: Scope::Global,
+            citation: "11",
+            proposed_for_web_services: false,
+        };
+        PerSubject::over(info, BetaAccumulator::fresh(lambda))
     }
 }
 
-/// The beta fold: `(r, s)` mass plus the two timestamps the decay
-/// schedule depends on. `absorb` mirrors `submit` (age to the report's
-/// timestamp, then add mass); `estimate` applies the pending decay up to
-/// the newest absorbed timestamp on the fly, exactly like the
-/// `refresh(latest)` a log replay ends with.
+/// One subject's beta evidence: the `(r, s)` mass and the two timestamps
+/// its decay depends on. A report first ages the mass from the last
+/// report's time to its own, then adds its score; the estimate reads the
+/// mass aged on to the newest report seen; `refresh(now)` ages it to
+/// `now`. Mass ages only forward, so after a report older than the one
+/// before it, the next step forward ages everything absorbed so far
+/// again from that older time: the log-order rule.
 #[derive(Debug, Clone, Copy)]
 pub struct BetaAccumulator {
     lambda: f64,
     evidence: BetaEvidence,
-    /// Timestamp the evidence mass is aged to (the last absorbed report's
-    /// time — which moves *backwards* on out-of-order reports, exactly
-    /// like `BetaMechanism::age_evidence` resetting `last_update`).
+    /// Timestamp the evidence mass is aged to: the last absorbed report's
+    /// time, which moves *backwards* on an out-of-order report, or the
+    /// last `refresh`.
     aged_to: Time,
-    /// Newest timestamp seen, the clock `estimate` decays forward to.
+    /// The clock `estimate` decays forward to: the newest timestamp
+    /// absorbed, or the last `refresh`.
     latest: Time,
     absorbed: bool,
+}
+
+impl BetaAccumulator {
+    /// A row with no evidence yet, forgetting by `lambda`.
+    fn fresh(lambda: f64) -> Self {
+        BetaAccumulator {
+            lambda,
+            evidence: BetaEvidence::default(),
+            aged_to: Time::ZERO,
+            latest: Time::ZERO,
+            absorbed: false,
+        }
+    }
+
+    /// The evidence mass aged from `aged_to` to `now` by `λ^(now −
+    /// aged_to)`; unchanged when `now` is not later.
+    fn aged(&self, now: Time) -> BetaEvidence {
+        let mut e = self.evidence;
+        let age = now.since(self.aged_to);
+        if age > 0 {
+            let f = self.lambda.powi(age as i32);
+            e.r *= f;
+            e.s *= f;
+        }
+        e
+    }
 }
 
 impl SubjectAccumulator for BetaAccumulator {
     fn absorb(&mut self, feedback: &Feedback) {
         if self.absorbed {
-            let age = feedback.at.since(self.aged_to);
-            if age > 0 {
-                let f = self.lambda.powi(age as i32);
-                self.evidence.r *= f;
-                self.evidence.s *= f;
-            }
+            self.evidence = self.aged(feedback.at);
         }
         self.aged_to = feedback.at;
         self.latest = self.latest.max(feedback.at);
+        // A score of 0.8 contributes 0.8 positive and 0.2 negative mass:
+        // the continuous-rating extension of the beta system.
         self.evidence.r += feedback.score;
         self.evidence.s += 1.0 - feedback.score;
         self.absorbed = true;
@@ -131,45 +136,7 @@ impl SubjectAccumulator for BetaAccumulator {
         if !self.absorbed {
             return None;
         }
-        let mut e = self.evidence;
-        let age = self.latest.since(self.aged_to);
-        if age > 0 {
-            let f = self.lambda.powi(age as i32);
-            e.r *= f;
-            e.s *= f;
-        }
-        Some(TrustEstimate::new(
-            TrustValue::new(e.expectation()),
-            evidence_confidence(e.total().round() as usize, 5.0),
-        ))
-    }
-}
-
-impl ReputationMechanism for BetaMechanism {
-    fn info(&self) -> MechanismInfo {
-        MechanismInfo {
-            key: "beta",
-            display: "Jøsang–Ismail beta reputation",
-            centralization: Centralization::Centralized,
-            subject: Subject::PersonAgent,
-            scope: Scope::Global,
-            citation: "11",
-            proposed_for_web_services: false,
-        }
-    }
-
-    fn submit(&mut self, feedback: &Feedback) {
-        self.age_evidence(feedback.subject, feedback.at);
-        let e = self.evidence.entry(feedback.subject).or_default();
-        // A score of 0.8 contributes 0.8 positive and 0.2 negative mass —
-        // the continuous-rating extension of the beta system.
-        e.r += feedback.score;
-        e.s += 1.0 - feedback.score;
-        self.submitted += 1;
-    }
-
-    fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let e = self.evidence.get(&subject)?;
+        let e = self.aged(self.latest);
         Some(TrustEstimate::new(
             TrustValue::new(e.expectation()),
             evidence_confidence(e.total().round() as usize, 5.0),
@@ -177,24 +144,9 @@ impl ReputationMechanism for BetaMechanism {
     }
 
     fn refresh(&mut self, now: Time) {
-        let subjects: Vec<SubjectId> = self.evidence.keys().copied().collect();
-        for s in subjects {
-            self.age_evidence(s, now);
-        }
-    }
-
-    fn feedback_count(&self) -> usize {
-        self.submitted
-    }
-
-    fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
-        Some(Box::new(BetaAccumulator {
-            lambda: self.lambda,
-            evidence: BetaEvidence::default(),
-            aged_to: Time::ZERO,
-            latest: Time::ZERO,
-            absorbed: false,
-        }))
+        self.evidence = self.aged(now);
+        self.aged_to = now;
+        self.latest = now;
     }
 }
 
@@ -202,7 +154,7 @@ impl ReputationMechanism for BetaMechanism {
 mod tests {
     use super::*;
     use crate::id::{AgentId, ServiceId};
-    use crate::mechanism::score_from_log;
+    use crate::mechanism::{score_from_log, ReputationMechanism};
     use proptest::prelude::*;
 
     fn fb(score: f64, t: u64) -> Feedback {
@@ -246,21 +198,39 @@ mod tests {
 
     #[test]
     fn refresh_decays_between_interactions() {
+        let mut acc = BetaAccumulator::fresh(0.5);
+        acc.absorb(&fb(1.0, 0));
+        let before = acc.evidence.total();
+        acc.refresh(Time::new(4));
+        let after = acc.evidence.total();
+        assert!((after - before * 0.5f64.powi(4)).abs() < 1e-12);
+
         let mut m = BetaMechanism::with_forgetting(0.5);
         m.submit(&fb(1.0, 0));
-        let before = m.evidence(ServiceId::new(1).into()).unwrap().total();
         m.refresh(Time::new(4));
-        let after = m.evidence(ServiceId::new(1).into()).unwrap().total();
-        assert!((after - before * 0.5f64.powi(4)).abs() < 1e-12);
+        let decayed = m.global(ServiceId::new(1).into()).unwrap();
+        let mass = BetaEvidence {
+            r: 0.5f64.powi(4),
+            s: 0.0,
+        };
+        assert_eq!(decayed.value.get(), mass.expectation());
     }
 
     #[test]
     fn continuous_scores_split_mass() {
-        let mut m = BetaMechanism::with_forgetting(1.0);
-        m.submit(&fb(0.75, 0));
-        let e = m.evidence(ServiceId::new(1).into()).unwrap();
-        assert!((e.r - 0.75).abs() < 1e-12);
-        assert!((e.s - 0.25).abs() < 1e-12);
+        let mut acc = BetaAccumulator::fresh(1.0);
+        acc.absorb(&fb(0.75, 0));
+        assert!((acc.evidence.r - 0.75).abs() < 1e-12);
+        assert!((acc.evidence.s - 0.25).abs() < 1e-12);
+    }
+
+    /// `Rows` keep their rows inline in blocks, so a Beta row's size is
+    /// the main term of the registry's resident bytes a report: 8 more
+    /// bytes a row is about +0.16 B a report at 4 000 subjects and
+    /// 200 000 reports.
+    #[test]
+    fn a_row_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<BetaAccumulator>(), 48);
     }
 
     #[test]

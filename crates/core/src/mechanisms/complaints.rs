@@ -120,18 +120,10 @@ impl ReputationMechanism for ComplaintsMechanism {
     }
 
     fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let n = self.interactions.get(&subject).copied()?;
-        let received = self.received.get(&subject).copied().unwrap_or(0) as f64;
-        // Trust falls with the complaint *rate*, additionally discounted by
-        // the filed-complaint suspicion factor.
-        let rate = if n > 0 { received / n as f64 } else { 0.0 };
-        let filed = self.filed.get(&subject).copied().unwrap_or(0) as f64;
-        let suspicion = 1.0 / (1.0 + filed / 10.0);
-        let base = 1.0 - rate;
-        Some(TrustEstimate::new(
-            TrustValue::new(0.5 + (base - 0.5) * suspicion),
-            evidence_confidence(n as usize, 4.0),
-        ))
+        let interactions = self.interactions.get(&subject).copied()?;
+        let received = self.received.get(&subject).copied().unwrap_or(0);
+        let filed = self.filed.get(&subject).copied().unwrap_or(0);
+        Some(complaint_trust(interactions, received, filed))
     }
 
     fn feedback_count(&self) -> usize {
@@ -174,17 +166,26 @@ impl SubjectAccumulator for ComplaintsAccumulator {
     }
 
     fn estimate(&self) -> Option<TrustEstimate> {
-        if self.interactions == 0 {
-            return None;
-        }
-        let rate = self.received as f64 / self.interactions as f64;
-        let suspicion = 1.0 / (1.0 + self.filed as f64 / 10.0);
-        let base = 1.0 - rate;
-        Some(TrustEstimate::new(
-            TrustValue::new(0.5 + (base - 0.5) * suspicion),
-            evidence_confidence(self.interactions as usize, 4.0),
-        ))
+        (self.interactions > 0)
+            .then(|| complaint_trust(self.interactions, self.received, self.filed))
     }
+}
+
+/// Trust falls with the complaint *rate*, `received / interactions` (0
+/// with no interaction), discounted toward neutral by the suspicion
+/// factor `1 / (1 + filed / 10)` of the complaints the subject filed.
+fn complaint_trust(interactions: u64, received: u64, filed: u64) -> TrustEstimate {
+    let rate = if interactions > 0 {
+        received as f64 / interactions as f64
+    } else {
+        0.0
+    };
+    let suspicion = 1.0 / (1.0 + filed as f64 / 10.0);
+    let base = 1.0 - rate;
+    TrustEstimate::new(
+        TrustValue::new(0.5 + (base - 0.5) * suspicion),
+        evidence_confidence(interactions as usize, 4.0),
+    )
 }
 
 #[cfg(test)]

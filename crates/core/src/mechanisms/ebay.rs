@@ -6,11 +6,9 @@
 //! for settings where personalization does not matter.
 
 use crate::feedback::Feedback;
-use crate::id::SubjectId;
-use crate::mechanism::{ReputationMechanism, SubjectAccumulator};
+use crate::mechanism::{PerSubject, SubjectAccumulator};
 use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
-use std::collections::BTreeMap;
 
 /// Running positive/neutral/negative tallies for one subject.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,28 +44,20 @@ impl EbayProfile {
     }
 }
 
-/// The eBay mechanism: ternary feedback, global tallies.
-#[derive(Debug, Clone, Default)]
-pub struct EbayMechanism {
-    profiles: BTreeMap<SubjectId, EbayProfile>,
-    submitted: usize,
+/// The eBay mechanism: ternary feedback, global tallies, one
+/// [`EbayAccumulator`] per subject.
+pub type EbayMechanism = PerSubject<EbayAccumulator>;
+
+impl Default for EbayMechanism {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EbayMechanism {
     /// Empty mechanism.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The raw profile of a subject, if it has any feedback.
-    pub fn profile(&self, subject: SubjectId) -> Option<EbayProfile> {
-        self.profiles.get(&subject).copied()
-    }
-}
-
-impl ReputationMechanism for EbayMechanism {
-    fn info(&self) -> MechanismInfo {
-        MechanismInfo {
+        let info = MechanismInfo {
             key: "ebay",
             display: "eBay",
             centralization: Centralization::Centralized,
@@ -75,40 +65,13 @@ impl ReputationMechanism for EbayMechanism {
             scope: Scope::Global,
             citation: "7",
             proposed_for_web_services: false,
-        }
-    }
-
-    fn submit(&mut self, feedback: &Feedback) {
-        let p = self.profiles.entry(feedback.subject).or_default();
-        match feedback.ebay_sign() {
-            1 => p.positive += 1,
-            -1 => p.negative += 1,
-            _ => p.neutral += 1,
-        }
-        self.submitted += 1;
-    }
-
-    fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let p = self.profiles.get(&subject)?;
-        let value = p.positive_fraction().unwrap_or(0.5);
-        Some(TrustEstimate::new(
-            TrustValue::new(value),
-            evidence_confidence((p.positive + p.negative) as usize, 5.0),
-        ))
-    }
-
-    fn feedback_count(&self) -> usize {
-        self.submitted
-    }
-
-    fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
-        Some(Box::new(EbayAccumulator {
-            profile: EbayProfile::default(),
-        }))
+        };
+        PerSubject::over(info, EbayAccumulator::default())
     }
 }
 
-/// The eBay fold: the profile tallies *are* the sufficient statistics.
+/// One subject's eBay profile: the tallies *are* the sufficient
+/// statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EbayAccumulator {
     profile: EbayProfile,
@@ -139,6 +102,7 @@ impl SubjectAccumulator for EbayAccumulator {
 mod tests {
     use super::*;
     use crate::id::{AgentId, ServiceId};
+    use crate::mechanism::ReputationMechanism;
     use crate::time::Time;
 
     fn fb(rater: u64, score: f64) -> Feedback {
@@ -147,12 +111,12 @@ mod tests {
 
     #[test]
     fn tallies_follow_ternary_buckets() {
-        let mut m = EbayMechanism::new();
-        m.submit(&fb(0, 0.9));
-        m.submit(&fb(1, 0.9));
-        m.submit(&fb(2, 0.5));
-        m.submit(&fb(3, 0.1));
-        let p = m.profile(ServiceId::new(1).into()).unwrap();
+        let mut row = EbayAccumulator::default();
+        row.absorb(&fb(0, 0.9));
+        row.absorb(&fb(1, 0.9));
+        row.absorb(&fb(2, 0.5));
+        row.absorb(&fb(3, 0.1));
+        let p = row.profile;
         assert_eq!((p.positive, p.neutral, p.negative), (2, 1, 1));
         assert_eq!(p.score(), 1);
         assert_eq!(p.total(), 4);
@@ -163,8 +127,8 @@ mod tests {
         let mut m = EbayMechanism::new();
         m.submit(&fb(0, 0.9));
         m.submit(&fb(1, 0.5));
-        let p = m.profile(ServiceId::new(1).into()).unwrap();
-        assert_eq!(p.positive_fraction(), Some(1.0));
+        let est = m.global(ServiceId::new(1).into()).unwrap();
+        assert_eq!(est.value, TrustValue::MAX);
     }
 
     #[test]

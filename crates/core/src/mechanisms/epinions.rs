@@ -9,7 +9,7 @@
 use crate::feedback::Feedback;
 use crate::id::{AgentId, SubjectId};
 use crate::mechanism::{ReputationMechanism, SubjectAccumulator};
-use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
+use crate::trust::{TrustEstimate, WeightedMean};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,10 +58,14 @@ impl EpinionsMechanism {
             .get(&reviewer)
             .map(BTreeSet::len)
             .unwrap_or(0) as f64;
-        let net = (t - b).max(0.0);
-        // 0 trusters → 0.2 baseline; influence saturates toward 1.
-        0.2 + 0.8 * net / (net + 3.0)
+        influence_of((t - b).max(0.0))
     }
+}
+
+/// Influence from net incoming trust: 0 trusters → 0.2 baseline, then
+/// saturating toward 1.
+fn influence_of(net: f64) -> f64 {
+    0.2 + 0.8 * net / (net + 3.0)
 }
 
 impl ReputationMechanism for EpinionsMechanism {
@@ -86,21 +90,11 @@ impl ReputationMechanism for EpinionsMechanism {
     }
 
     fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let reviews = self.reviews.get(&subject)?;
-        if reviews.is_empty() {
-            return None;
+        let mut mean = WeightedMean::default();
+        for &(reviewer, score) in self.reviews.get(&subject)? {
+            mean.add(self.influence(reviewer), score);
         }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for &(reviewer, score) in reviews {
-            let w = self.influence(reviewer);
-            num += w * score;
-            den += w;
-        }
-        Some(TrustEstimate::new(
-            TrustValue::new(num / den),
-            evidence_confidence(reviews.len(), 4.0),
-        ))
+        mean.estimate()
     }
 
     fn feedback_count(&self) -> usize {
@@ -108,44 +102,27 @@ impl ReputationMechanism for EpinionsMechanism {
     }
 
     fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
-        Some(Box::new(EpinionsAccumulator {
-            // `influence` of a reviewer with no incoming trust edges.
-            baseline: 0.2,
-            num: 0.0,
-            den: 0.0,
-            n: 0,
-        }))
+        Some(Box::new(EpinionsAccumulator::default()))
     }
 }
 
 /// The Epinions fold. Web-of-trust edges arrive out of band
 /// ([`EpinionsMechanism::trust`] / [`EpinionsMechanism::block`]), never
 /// through the feedback log, so a replay through a fresh mechanism gives
-/// every reviewer the no-trusters baseline influence; the fold runs the
-/// same weighted sums incrementally.
-#[derive(Debug, Clone, Copy)]
+/// every reviewer the no-trusters baseline influence; the fold keeps the
+/// same [`WeightedMean`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EpinionsAccumulator {
-    baseline: f64,
-    num: f64,
-    den: f64,
-    n: usize,
+    mean: WeightedMean,
 }
 
 impl SubjectAccumulator for EpinionsAccumulator {
     fn absorb(&mut self, feedback: &Feedback) {
-        self.num += self.baseline * feedback.score;
-        self.den += self.baseline;
-        self.n += 1;
+        self.mean.add(influence_of(0.0), feedback.score);
     }
 
     fn estimate(&self) -> Option<TrustEstimate> {
-        if self.n == 0 {
-            return None;
-        }
-        Some(TrustEstimate::new(
-            TrustValue::new(self.num / self.den),
-            evidence_confidence(self.n, 4.0),
-        ))
+        self.mean.estimate()
     }
 }
 

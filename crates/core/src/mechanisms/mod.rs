@@ -51,70 +51,97 @@ pub mod yolum_singh;
 pub mod yu_singh;
 
 use crate::mechanism::ReputationMechanism;
+use amazon::AmazonMechanism;
+use bayesian::BayesianMechanism;
+use cf::{CfMechanism, Similarity};
+use complaints::ComplaintsMechanism;
+use damiani::DamianiMechanism;
+use day::DayMechanism;
+use ebay::EbayMechanism;
+use eigentrust::EigenTrustMechanism;
+use epinions::EpinionsMechanism;
+use histos::HistosMechanism;
+use lnz::LnzMechanism;
+use manikrao::ManikraoMechanism;
+use maximilien::MaximilienMechanism;
+use pagerank::PageRankMechanism;
+use peertrust::PeerTrustMechanism;
+use social::SocialMechanism;
+use sporas::SporasMechanism;
+use vu::VuMechanism;
+use yolum_singh::YolumSinghMechanism;
+use yu_singh::YuSinghMechanism;
+
+/// Builds one mechanism with default parameters.
+type Build = fn() -> Box<dyn ReputationMechanism>;
+
+/// Every Figure 4 system by its typology key, in the figure's order.
+const FIGURE4: [(&str, Build); 21] = [
+    ("ebay", || Box::new(EbayMechanism::new())),
+    ("sporas", || Box::new(SporasMechanism::new())),
+    ("histos", || Box::new(HistosMechanism::new())),
+    ("pagerank", || Box::new(PageRankMechanism::new())),
+    ("amazon", || Box::new(AmazonMechanism::new())),
+    ("epinions", || Box::new(EpinionsMechanism::new())),
+    ("cf", || Box::new(CfMechanism::new(Similarity::Pearson))),
+    ("maximilien", || Box::new(MaximilienMechanism::new())),
+    ("lnz", || Box::new(LnzMechanism::new())),
+    ("manikrao", || Box::new(ManikraoMechanism::new())),
+    ("day", || Box::new(DayMechanism::new())),
+    ("karta", || Box::new(CfMechanism::karta())),
+    ("yu_singh", || Box::new(YuSinghMechanism::new())),
+    ("yolum_singh", || Box::new(YolumSinghMechanism::new())),
+    ("damiani", || Box::new(DamianiMechanism::new())),
+    ("wang_vassileva", || Box::new(BayesianMechanism::new())),
+    ("social", || Box::new(SocialMechanism::new())),
+    ("complaints", || Box::new(ComplaintsMechanism::new())),
+    ("peertrust", || Box::new(PeerTrustMechanism::new())),
+    ("eigentrust", || Box::new(EigenTrustMechanism::new())),
+    ("vu", || Box::new(VuMechanism::new())),
+];
 
 /// One boxed instance of every Figure 4 mechanism, in the figure's order,
 /// with default parameters. The experiment harness iterates this to fill
 /// the typology grid.
 pub fn all_figure4_mechanisms() -> Vec<Box<dyn ReputationMechanism>> {
-    vec![
-        Box::new(ebay::EbayMechanism::new()),
-        Box::new(sporas::SporasMechanism::new()),
-        Box::new(histos::HistosMechanism::new()),
-        Box::new(pagerank::PageRankMechanism::new()),
-        Box::new(amazon::AmazonMechanism::new()),
-        Box::new(epinions::EpinionsMechanism::new()),
-        Box::new(cf::CfMechanism::new(cf::Similarity::Pearson)),
-        Box::new(maximilien::MaximilienMechanism::new()),
-        Box::new(lnz::LnzMechanism::new()),
-        Box::new(manikrao::ManikraoMechanism::new()),
-        Box::new(day::DayMechanism::new()),
-        Box::new(cf::CfMechanism::karta()),
-        Box::new(yu_singh::YuSinghMechanism::new()),
-        Box::new(yolum_singh::YolumSinghMechanism::new()),
-        Box::new(damiani::DamianiMechanism::new()),
-        Box::new(bayesian::BayesianMechanism::new()),
-        Box::new(social::SocialMechanism::new()),
-        Box::new(complaints::ComplaintsMechanism::new()),
-        Box::new(peertrust::PeerTrustMechanism::new()),
-        Box::new(eigentrust::EigenTrustMechanism::new()),
-        Box::new(vu::VuMechanism::new()),
-    ]
+    FIGURE4.iter().map(|(_, build)| build()).collect()
+}
+
+/// The mechanism `key` names, with default parameters: any Figure 4 key,
+/// or `beta` for the beta-reputation building block. `None` for any
+/// other key.
+pub fn build(key: &str) -> Option<Box<dyn ReputationMechanism>> {
+    if key == "beta" {
+        return Some(Box::new(beta::BetaMechanism::new()));
+    }
+    let (_, build) = FIGURE4.iter().find(|(k, _)| *k == key)?;
+    Some(build())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typology::figure4;
+    use crate::typology::PUBLISHED;
 
     #[test]
-    fn every_figure4_entry_is_implemented() {
-        let implemented: Vec<&'static str> = all_figure4_mechanisms()
-            .iter()
-            .map(|m| m.info().key)
-            .collect();
-        for entry in figure4() {
-            assert!(
-                implemented.contains(&entry.key),
-                "figure-4 system `{}` has no implementation",
-                entry.key
-            );
+    fn every_key_builds_the_mechanism_it_names() {
+        for key in FIGURE4.iter().map(|&(key, _)| key).chain(["beta"]) {
+            let mechanism = build(key).unwrap_or_else(|| panic!("`{key}` builds nothing"));
+            assert_eq!(mechanism.info().key, key);
         }
+        assert!(build("gossip").is_none());
     }
 
     #[test]
     fn implementations_agree_with_the_published_classification() {
-        let expected = figure4();
-        for m in all_figure4_mechanisms() {
-            let info = m.info();
-            let published = expected
-                .iter()
-                .find(|e| e.key == info.key)
-                .unwrap_or_else(|| panic!("`{}` is not in Figure 4", info.key));
+        let reported: Vec<_> = all_figure4_mechanisms().iter().map(|m| m.info()).collect();
+        assert_eq!(reported.len(), PUBLISHED.len());
+        for (info, &(key, centralization, subject, scope)) in reported.iter().zip(&PUBLISHED) {
+            assert_eq!(info.key, key, "Figure 4's order");
             assert_eq!(
                 info.coordinates(),
-                published.coordinates(),
-                "`{}` classified differently from the paper",
-                info.key
+                (centralization, subject, scope),
+                "`{key}` classified differently from the paper"
             );
         }
     }

@@ -20,15 +20,53 @@ use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::BTreeMap;
 
-/// Sporas with the original paper's constants as defaults.
-#[derive(Debug, Clone)]
-pub struct SporasMechanism {
+/// Sporas's constants and its update rule, shared by the mechanism and
+/// its fold.
+#[derive(Debug, Clone, Copy)]
+struct Constants {
     /// Maximum reputation `D` (original paper uses 3000).
     max_reputation: f64,
     /// Effective number of ratings `θ` controlling adaptation speed.
     theta: f64,
     /// Damping width `σ`.
     sigma: f64,
+}
+
+impl Constants {
+    /// `Φ(R)`.
+    fn damping(&self, r: f64) -> f64 {
+        1.0 - 1.0 / (1.0 + (-(r - self.max_reputation) / self.sigma).exp())
+    }
+
+    /// One rating's update of reputation `r` by a rater of reputation
+    /// `rater_rep`: `R + (1/θ)·Φ(R)·R_rater·(W − R/D)` clamped to
+    /// `[0, D]`, where the score maps onto Sporas's `W ∈ [0.1, 1]`.
+    fn step(&self, r: f64, rater_rep: f64, score: f64) -> f64 {
+        let w = 0.1 + 0.9 * score;
+        let r =
+            r + (1.0 / self.theta) * self.damping(r) * rater_rep * (w - r / self.max_reputation);
+        r.clamp(0.0, self.max_reputation)
+    }
+
+    /// A rater's reputation before anyone rated it: mid-range, which is
+    /// how Sporas treats newcomers acting as raters.
+    fn newcomer(&self) -> f64 {
+        self.max_reputation / 2.0
+    }
+
+    /// The estimate at reputation `r` after `n` ratings.
+    fn estimate(&self, r: f64, n: usize) -> TrustEstimate {
+        TrustEstimate::new(
+            TrustValue::new(r / self.max_reputation),
+            evidence_confidence(n, 5.0),
+        )
+    }
+}
+
+/// Sporas with the original paper's constants as defaults.
+#[derive(Debug, Clone)]
+pub struct SporasMechanism {
+    constants: Constants,
     reputations: BTreeMap<SubjectId, f64>,
     counts: BTreeMap<SubjectId, usize>,
     submitted: usize,
@@ -54,9 +92,11 @@ impl SporasMechanism {
     pub fn with_params(max_reputation: f64, theta: f64, sigma: f64) -> Self {
         assert!(max_reputation > 0.0 && theta > 0.0 && sigma > 0.0);
         SporasMechanism {
-            max_reputation,
-            theta,
-            sigma,
+            constants: Constants {
+                max_reputation,
+                theta,
+                sigma,
+            },
             reputations: BTreeMap::new(),
             counts: BTreeMap::new(),
             submitted: 0,
@@ -66,7 +106,7 @@ impl SporasMechanism {
     /// The damping function `Φ(R)`: near 1 for newcomers, approaching 1/2
     /// as reputation nears `D`, so established reputations move slowly.
     pub fn damping(&self, r: f64) -> f64 {
-        1.0 - 1.0 / (1.0 + (-(r - self.max_reputation) / self.sigma).exp())
+        self.constants.damping(r)
     }
 
     /// Raw Sporas reputation in `[0, D]`, if the subject has been rated.
@@ -89,22 +129,13 @@ impl ReputationMechanism for SporasMechanism {
     }
 
     fn submit(&mut self, feedback: &Feedback) {
-        // Ratings map onto Sporas's [0.1, 1] scale.
-        let w = 0.1 + 0.9 * feedback.score;
-        // The rater's own reputation; unrated raters count as mid-range,
-        // which is how Sporas treats newcomers acting as raters.
         let rater_rep = self
             .reputations
             .get(&SubjectId::Agent(feedback.rater))
             .copied()
-            .unwrap_or(self.max_reputation / 2.0);
+            .unwrap_or(self.constants.newcomer());
         let r = self.reputations.entry(feedback.subject).or_insert(0.0);
-        let phi = {
-            // inline damping to satisfy the borrow checker
-            1.0 - 1.0 / (1.0 + (-(*r - self.max_reputation) / self.sigma).exp())
-        };
-        *r += (1.0 / self.theta) * phi * rater_rep * (w - *r / self.max_reputation);
-        *r = r.clamp(0.0, self.max_reputation);
+        *r = self.constants.step(*r, rater_rep, feedback.score);
         *self.counts.entry(feedback.subject).or_insert(0) += 1;
         self.submitted += 1;
     }
@@ -112,10 +143,7 @@ impl ReputationMechanism for SporasMechanism {
     fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
         let r = self.reputations.get(&subject)?;
         let n = self.counts.get(&subject).copied().unwrap_or(0);
-        Some(TrustEstimate::new(
-            TrustValue::new(r / self.max_reputation),
-            evidence_confidence(n, 5.0),
-        ))
+        Some(self.constants.estimate(*r, n))
     }
 
     fn feedback_count(&self) -> usize {
@@ -124,9 +152,7 @@ impl ReputationMechanism for SporasMechanism {
 
     fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
         Some(Box::new(SporasAccumulator {
-            max_reputation: self.max_reputation,
-            theta: self.theta,
-            sigma: self.sigma,
+            constants: self.constants,
             reputation: 0.0,
             count: 0,
         }))
@@ -141,39 +167,29 @@ impl ReputationMechanism for SporasMechanism {
 /// would weigh them.
 #[derive(Debug, Clone, Copy)]
 pub struct SporasAccumulator {
-    max_reputation: f64,
-    theta: f64,
-    sigma: f64,
+    constants: Constants,
     reputation: f64,
     count: usize,
 }
 
 impl SubjectAccumulator for SporasAccumulator {
     fn absorb(&mut self, feedback: &Feedback) {
-        let w = 0.1 + 0.9 * feedback.score;
         // A self-rating on the very first report still sees the newcomer
         // mid-range: `submit` reads the rater's reputation before the
         // subject's entry is created.
         let rater_rep = if SubjectId::from(feedback.rater) == feedback.subject && self.count > 0 {
             self.reputation
         } else {
-            self.max_reputation / 2.0
+            self.constants.newcomer()
         };
-        let r = &mut self.reputation;
-        let phi = 1.0 - 1.0 / (1.0 + (-(*r - self.max_reputation) / self.sigma).exp());
-        *r += (1.0 / self.theta) * phi * rater_rep * (w - *r / self.max_reputation);
-        *r = r.clamp(0.0, self.max_reputation);
+        self.reputation = self
+            .constants
+            .step(self.reputation, rater_rep, feedback.score);
         self.count += 1;
     }
 
     fn estimate(&self) -> Option<TrustEstimate> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(TrustEstimate::new(
-            TrustValue::new(self.reputation / self.max_reputation),
-            evidence_confidence(self.count, 5.0),
-        ))
+        (self.count > 0).then(|| self.constants.estimate(self.reputation, self.count))
     }
 }
 

@@ -120,6 +120,37 @@ pub fn evidence_confidence(n: usize, k: f64) -> f64 {
     }
 }
 
+/// A running weighted mean of scores, `Σ wᵢ·sᵢ / Σ wᵢ`, with confidence
+/// `n / (n + 4)` from the number of scores: the review sites' aggregate
+/// (Amazon, Epinions). Each keeps one over a subject's reviews in
+/// `global` and one per subject in its fold, so both add in the same
+/// order and answer the same floats.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WeightedMean {
+    num: f64,
+    den: f64,
+    n: usize,
+}
+
+impl WeightedMean {
+    /// Add `score` with weight `weight`.
+    pub fn add(&mut self, weight: f64, score: f64) {
+        self.num += weight * score;
+        self.den += weight;
+        self.n += 1;
+    }
+
+    /// The mean and its confidence, or `None` before the first score.
+    pub fn estimate(&self) -> Option<TrustEstimate> {
+        (self.n > 0).then(|| {
+            TrustEstimate::new(
+                TrustValue::new(self.num / self.den),
+                evidence_confidence(self.n, 4.0),
+            )
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,9 +10,10 @@
 //!   reputation or each member computes their own.
 //!
 //! Every mechanism in this crate self-reports its coordinates via
-//! [`MechanismInfo`], and [`figure4`] reconstructs the paper's tree from
-//! those reports — experiment `exp_fig4_tree` asserts the output matches
-//! the published figure.
+//! [`MechanismInfo`]; [`PUBLISHED`] transcribes where the paper puts each
+//! system, and [`render_figure4`] draws the tree from the reports.
+//! Experiment `exp_fig4_tree` checks the reports against the
+//! transcription and prints the tree.
 
 use std::fmt;
 
@@ -114,208 +115,38 @@ impl fmt::Display for MechanismInfo {
     }
 }
 
-/// The classification of every system named in Figure 4 of the paper, in
-/// the figure's left-to-right order.
-///
-/// This is the *expected* classification; the mechanisms implemented in
-/// [`crate::mechanisms`] each return their own [`MechanismInfo`], and the
-/// test suite checks those agree with this table.
-pub fn figure4() -> Vec<MechanismInfo> {
+/// Figure 4 as the paper draws it: each system's key and leaf, in the
+/// figure's left-to-right order. The mechanisms in [`crate::mechanisms`]
+/// each report their own [`MechanismInfo`]; this transcription is what
+/// those reports are checked against.
+pub const PUBLISHED: [(&str, Centralization, Subject, Scope); 21] = {
     use Centralization::*;
     use Scope::*;
     use Subject::*;
-    vec![
-        MechanismInfo {
-            key: "ebay",
-            display: "eBay",
-            centralization: Centralized,
-            subject: PersonAgent,
-            scope: Global,
-            citation: "7",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "sporas",
-            display: "Sporas",
-            centralization: Centralized,
-            subject: PersonAgent,
-            scope: Global,
-            citation: "37",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "histos",
-            display: "Histos",
-            centralization: Centralized,
-            subject: PersonAgent,
-            scope: Personalized,
-            citation: "37",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "pagerank",
-            display: "Google PageRank",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Global,
-            citation: "23",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "amazon",
-            display: "Amazon",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Global,
-            citation: "2",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "epinions",
-            display: "Epinions",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Global,
-            citation: "8",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "cf",
-            display: "Collaborative filtering",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Personalized,
-            citation: "3",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "maximilien",
-            display: "E. M. Maximilien & M. P. Singh",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Personalized,
-            citation: "18-21",
-            proposed_for_web_services: true,
-        },
-        MechanismInfo {
-            key: "lnz",
-            display: "Y. Liu & A. Ngu & L. Zeng",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Personalized,
-            citation: "16",
-            proposed_for_web_services: true,
-        },
-        MechanismInfo {
-            key: "manikrao",
-            display: "U. S. Manikrao & T. V. Prabhakar",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Personalized,
-            citation: "17",
-            proposed_for_web_services: true,
-        },
-        MechanismInfo {
-            key: "day",
-            display: "J. Day",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Personalized,
-            citation: "6",
-            proposed_for_web_services: true,
-        },
-        MechanismInfo {
-            key: "karta",
-            display: "K. Karta",
-            centralization: Centralized,
-            subject: Resource,
-            scope: Personalized,
-            citation: "13",
-            proposed_for_web_services: true,
-        },
-        MechanismInfo {
-            key: "yu_singh",
-            display: "B. Yu & M. Singh",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Personalized,
-            citation: "35, 36",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "yolum_singh",
-            display: "P. Yolum & M. Singh",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Personalized,
-            citation: "34",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "damiani",
-            display: "E. Damiani",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Personalized,
-            citation: "4",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "wang_vassileva",
-            display: "Y. Wang & J. Vassileva",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Personalized,
-            citation: "30, 31",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "social",
-            display: "Social-network topology analysis",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Global,
-            citation: "24",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "complaints",
-            display: "K. Aberer & Z. Despotovic",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Global,
-            citation: "1",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "peertrust",
-            display: "L. Xiong & L. Liu (PeerTrust)",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Global,
-            citation: "33",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "eigentrust",
-            display: "Kamvar, Schlosser & Garcia-Molina (EigenTrust)",
-            centralization: Decentralized,
-            subject: PersonAgent,
-            scope: Global,
-            citation: "11",
-            proposed_for_web_services: false,
-        },
-        MechanismInfo {
-            key: "vu",
-            display: "L.-H. Vu, M. Hauswirth & K. Aberer",
-            centralization: Decentralized,
-            subject: Both,
-            scope: Personalized,
-            citation: "28, 29",
-            proposed_for_web_services: true,
-        },
+    [
+        ("ebay", Centralized, PersonAgent, Global),
+        ("sporas", Centralized, PersonAgent, Global),
+        ("histos", Centralized, PersonAgent, Personalized),
+        ("pagerank", Centralized, Resource, Global),
+        ("amazon", Centralized, Resource, Global),
+        ("epinions", Centralized, Resource, Global),
+        ("cf", Centralized, Resource, Personalized),
+        ("maximilien", Centralized, Resource, Personalized),
+        ("lnz", Centralized, Resource, Personalized),
+        ("manikrao", Centralized, Resource, Personalized),
+        ("day", Centralized, Resource, Personalized),
+        ("karta", Centralized, Resource, Personalized),
+        ("yu_singh", Decentralized, PersonAgent, Personalized),
+        ("yolum_singh", Decentralized, PersonAgent, Personalized),
+        ("damiani", Decentralized, PersonAgent, Personalized),
+        ("wang_vassileva", Decentralized, PersonAgent, Personalized),
+        ("social", Decentralized, PersonAgent, Global),
+        ("complaints", Decentralized, PersonAgent, Global),
+        ("peertrust", Decentralized, PersonAgent, Global),
+        ("eigentrust", Decentralized, PersonAgent, Global),
+        ("vu", Decentralized, Both, Personalized),
     ]
-}
+};
 
 /// Render the classification as the three-level tree of Figure 4. Systems
 /// proposed for web services are marked with `*` (the paper uses bold and
@@ -355,20 +186,19 @@ pub fn render_figure4(entries: &[MechanismInfo]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanisms::all_figure4_mechanisms;
 
-    #[test]
-    fn figure4_has_21_systems() {
-        // The figure lists 21 system entries across its leaves.
-        assert_eq!(figure4().len(), 21);
+    /// Every Figure-4 mechanism's own report, in the figure's order.
+    fn reported() -> Vec<MechanismInfo> {
+        all_figure4_mechanisms().iter().map(|m| m.info()).collect()
     }
 
     #[test]
     fn keys_are_unique() {
-        let entries = figure4();
-        let mut keys: Vec<_> = entries.iter().map(|e| e.key).collect();
+        let mut keys: Vec<_> = PUBLISHED.iter().map(|&(key, ..)| key).collect();
         keys.sort();
         keys.dedup();
-        assert_eq!(keys.len(), entries.len());
+        assert_eq!(keys.len(), PUBLISHED.len());
     }
 
     #[test]
@@ -376,7 +206,7 @@ mod tests {
         // The paper bolds [13, 16, 18-21] (plus Manikrao/Day in the
         // centralized-resource-personalized leaf) and Vu et al. in the
         // decentralized branch.
-        let ws: Vec<_> = figure4()
+        let ws: Vec<_> = reported()
             .into_iter()
             .filter(|e| e.proposed_for_web_services)
             .map(|e| e.key)
@@ -392,7 +222,7 @@ mod tests {
         // Section 5: "most of the current trust and reputation mechanisms
         // proposed for web services belong to one branch … centralized,
         // resources-based, and personalized".
-        for e in figure4().iter().filter(|e| e.proposed_for_web_services) {
+        for e in reported().iter().filter(|e| e.proposed_for_web_services) {
             if e.key == "vu" {
                 assert_eq!(e.centralization, Centralization::Decentralized);
             } else {
@@ -412,36 +242,27 @@ mod tests {
 
     #[test]
     fn ebay_is_centralized_person_global() {
-        let e = figure4().into_iter().find(|e| e.key == "ebay").unwrap();
-        assert_eq!(
-            e.coordinates(),
-            (
-                Centralization::Centralized,
-                Subject::PersonAgent,
-                Scope::Global
-            )
-        );
+        assert!(PUBLISHED.contains(&(
+            "ebay",
+            Centralization::Centralized,
+            Subject::PersonAgent,
+            Scope::Global
+        )));
     }
 
     #[test]
     fn eigentrust_is_decentralized_person_global() {
-        let e = figure4()
-            .into_iter()
-            .find(|e| e.key == "eigentrust")
-            .unwrap();
-        assert_eq!(
-            e.coordinates(),
-            (
-                Centralization::Decentralized,
-                Subject::PersonAgent,
-                Scope::Global
-            )
-        );
+        assert!(PUBLISHED.contains(&(
+            "eigentrust",
+            Centralization::Decentralized,
+            Subject::PersonAgent,
+            Scope::Global
+        )));
     }
 
     #[test]
     fn rendering_contains_all_axis_labels_and_marks() {
-        let text = render_figure4(&figure4());
+        let text = render_figure4(&reported());
         for label in [
             "centralized",
             "decentralized",
@@ -458,8 +279,7 @@ mod tests {
 
     #[test]
     fn display_formats_info() {
-        let e = &figure4()[0];
-        let s = e.to_string();
+        let s = reported()[0].to_string();
         assert!(s.contains("eBay"));
         assert!(s.contains("centralized"));
     }

@@ -18,8 +18,8 @@ use wsrep_core::mechanism::{
     fold_matches_replay, score_from_log, AccumulatorTable, LogReplay, MechanismFactory,
     ReputationMechanism, SubjectAccumulator, ROWS_PER_BLOCK,
 };
-use wsrep_core::mechanisms::all_figure4_mechanisms;
 use wsrep_core::mechanisms::beta::BetaMechanism;
+use wsrep_core::mechanisms::{all_figure4_mechanisms, build};
 use wsrep_core::time::Time;
 
 /// Every concrete mechanism: the Figure 4 set plus the beta building
@@ -96,12 +96,7 @@ fn table_stream(seed: u64) -> Vec<Feedback> {
 
 /// `key`'s mechanism, built fresh per call.
 fn factory(key: &'static str) -> MechanismFactory {
-    Arc::new(move || {
-        mechanisms()
-            .into_iter()
-            .find(|m| m.info().key == key)
-            .expect("mechanism key is stable")
-    })
+    Arc::new(move || build(key).expect("a Figure-4 key or beta"))
 }
 
 /// Every fold, as the rows of one table, answers per row what one boxed

@@ -552,8 +552,8 @@ mod tests {
     use std::sync::Barrier;
     use wsrep_core::id::{AgentId, ServiceId};
     use wsrep_core::mechanism::{score_from_log, ReputationMechanism, Unfolded};
-    use wsrep_core::mechanisms::all_figure4_mechanisms;
     use wsrep_core::mechanisms::beta::BetaMechanism;
+    use wsrep_core::mechanisms::{all_figure4_mechanisms, build};
     use wsrep_core::time::Time;
 
     fn fb(rater: u64, service: u64, score: f64) -> Feedback {
@@ -633,12 +633,7 @@ mod tests {
         let mut abstained = 0;
         for prototype in all_figure4_mechanisms() {
             let key = prototype.info().key;
-            let mechanism: MechanismFactory = Arc::new(move || {
-                all_figure4_mechanisms()
-                    .into_iter()
-                    .find(|m| m.info().key == key)
-                    .expect("mechanism key is stable")
-            });
+            let mechanism: MechanismFactory = Arc::new(move || build(key).expect("a Figure-4 key"));
             let folding = ShardedStore::new(3, Arc::clone(&mechanism));
             assert_eq!(folding.is_incremental(), prototype.accumulator().is_some());
             let twin = ShardedStore::new(3, unfolded(&mechanism));
@@ -890,12 +885,8 @@ mod tests {
                 }
                 folded += 1;
                 let key = prototype.info().key;
-                let mechanism: MechanismFactory = Arc::new(move || {
-                    all_figure4_mechanisms()
-                        .into_iter()
-                        .find(|m| m.info().key == key)
-                        .expect("mechanism key is stable")
-                });
+                let mechanism: MechanismFactory =
+                    Arc::new(move || build(key).expect("a Figure-4 key"));
                 let folding = ShardedStore::new(shards, Arc::clone(&mechanism));
                 let twin = ShardedStore::new(shards, unfolded(&mechanism));
                 let mut steps = Step::scripted(&folding);

@@ -10,7 +10,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId};
-use wsrep_core::mechanisms::all_figure4_mechanisms;
+use wsrep_core::mechanism::{score_from_log, ReputationMechanism};
+use wsrep_core::mechanisms::beta::BetaMechanism;
+use wsrep_core::mechanisms::{all_figure4_mechanisms, build};
 use wsrep_core::time::Time;
 use wsrep_journal::JournalRecord;
 use wsrep_qos::metric::Metric;
@@ -58,12 +60,7 @@ fn every_figure4_mechanism_scores_identically_incremental_and_replay() {
     for prototype in all_figure4_mechanisms() {
         let key = prototype.info().key;
         let has_fold = prototype.accumulator().is_some();
-        let mechanism: MechanismFactory = Arc::new(move || {
-            all_figure4_mechanisms()
-                .into_iter()
-                .find(|m| m.info().key == key)
-                .expect("mechanism key is stable")
-        });
+        let mechanism: MechanismFactory = Arc::new(move || build(key).expect("a Figure-4 key"));
         let svc = ReputationService::builder()
             .shards(4)
             .mechanism_factory(mechanism)
@@ -77,6 +74,48 @@ fn every_figure4_mechanism_scores_identically_incremental_and_replay() {
         // Scores equal the replay's, and so does every ranking.
         let prefs = Preferences::uniform([Metric::Price, Metric::Accuracy]);
         never_stale(&svc, &Twin::replay(log), &prefs).unwrap_or_else(|v| panic!("{key}: {v}"));
+    }
+}
+
+/// The two clocks of a Beta score. With nothing refreshed, a served score
+/// equals in-process `global()`: both decay a subject's evidence to its
+/// own newest report, out-of-order timestamps included. `refresh(now)`
+/// moves the in-process clock to `now` and decays every subject there;
+/// the registry runs no refresh, so its score stays at the subject's
+/// newest applied report.
+#[test]
+fn a_served_beta_score_keeps_its_subjects_clock_while_refresh_moves_in_process() {
+    let reports: Vec<Feedback> = (0..60)
+        .map(|i| feedback(i % 5, i % 3, (i % 7) as f64 / 6.0, (i * 7) % 13))
+        .collect();
+    let svc = ReputationService::builder().shards(2).build();
+    ingest_all(&svc, &reports);
+    let mut in_process = BetaMechanism::new();
+    reports.iter().for_each(|report| in_process.submit(report));
+    for service in 0..3 {
+        let subject = ServiceId::new(service).into();
+        assert_eq!(svc.score(subject), in_process.global(subject), "{subject}");
+    }
+
+    in_process.refresh(Time::new(40));
+    for service in 0..3 {
+        let subject = ServiceId::new(service).into();
+        let own: Vec<Feedback> = reports
+            .iter()
+            .filter(|report| report.subject == subject)
+            .cloned()
+            .collect();
+        let served = svc.score(subject).expect("reports exist");
+        let refreshed = in_process.global(subject).expect("reports exist");
+        assert_eq!(
+            Some(served),
+            score_from_log(&mut BetaMechanism::new(), &own, subject),
+            "{subject}: the served score is the replay to its newest report"
+        );
+        assert!(
+            refreshed.confidence < served.confidence,
+            "{subject}: refreshed {refreshed:?}, served {served:?}"
+        );
     }
 }
 

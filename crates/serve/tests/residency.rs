@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ServiceId};
-use wsrep_core::mechanisms::all_figure4_mechanisms;
+use wsrep_core::mechanisms::{all_figure4_mechanisms, build};
 use wsrep_core::time::Time;
 use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::{MechanismFactory, ReputationService};
@@ -52,12 +52,7 @@ fn every_mechanism_holds_its_log_exactly_when_it_has_no_fold() {
     for prototype in all_figure4_mechanisms() {
         let key = prototype.info().key;
         let has_fold = prototype.accumulator().is_some();
-        let mechanism: MechanismFactory = Arc::new(move || {
-            all_figure4_mechanisms()
-                .into_iter()
-                .find(|m| m.info().key == key)
-                .expect("mechanism key is stable")
-        });
+        let mechanism: MechanismFactory = Arc::new(move || build(key).expect("a Figure-4 key"));
         let dir = temp_dir(key);
         let builder = || {
             ReputationService::builder()
