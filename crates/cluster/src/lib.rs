@@ -31,10 +31,9 @@
 //! next fsync) part of the primary's acknowledged history, in the same
 //! order.
 
-pub mod primary;
-pub mod replica;
-pub mod watermark;
+mod primary;
+mod replica;
+mod watermark;
 
 pub use primary::{Primary, PrimaryConfig};
 pub use replica::{Replica, ReplicaConfig};
-pub use watermark::WatermarkTable;

@@ -23,7 +23,7 @@ use wsrep_journal::ShipCursor;
 use wsrep_serve::ReputationService;
 use wsrep_server::{
     ReplBatch, ReplError, ReplWatermark, ReplicationGauge, ReplicationHooks, ReplicationStats,
-    Replicator, Server, ServerConfig, ServerStats,
+    Replicator, Server, ServerConfig,
 };
 
 /// Tuning for a [`Primary`].
@@ -171,16 +171,6 @@ impl Primary {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.server.local_addr()
-    }
-
-    /// The service this primary serves and ships.
-    pub fn service(&self) -> &Arc<ReputationService> {
-        &self.service
-    }
-
-    /// Reactor counters.
-    pub fn server_stats(&self) -> ServerStats {
-        self.server.server_stats()
     }
 
     /// Replication watermarks as of now.

@@ -109,7 +109,6 @@ pub struct Replica {
     service: Arc<ReputationService>,
     shared: Arc<ReplShared>,
     puller: Option<JoinHandle<()>>,
-    journal_dir: PathBuf,
 }
 
 impl Replica {
@@ -121,11 +120,10 @@ impl Replica {
         journal_dir: impl Into<PathBuf>,
         config: ReplicaConfig,
     ) -> io::Result<Replica> {
-        let journal_dir = journal_dir.into();
         let service = Arc::new(
             ReputationService::builder()
                 .shards(config.shards)
-                .recover_from(&journal_dir)
+                .recover_from(journal_dir.into())
                 .try_build()?,
         );
         let gauge = Arc::new(ReplicationGauge::replica());
@@ -153,7 +151,6 @@ impl Replica {
             service,
             shared,
             puller: Some(puller),
-            journal_dir,
         })
     }
 
@@ -169,11 +166,6 @@ impl Replica {
     /// The replica's service — reads here see the replicated state.
     pub fn service(&self) -> &Arc<ReputationService> {
         &self.service
-    }
-
-    /// The replica's own journal directory.
-    pub fn journal_dir(&self) -> &PathBuf {
-        &self.journal_dir
     }
 
     /// Replication watermarks as of now; `lag` is the bounded-staleness
@@ -216,11 +208,6 @@ impl Replica {
     /// Whether a shutdown has been requested (locally or over the wire).
     pub fn is_shutting_down(&self) -> bool {
         self.server().is_shutting_down()
-    }
-
-    /// Begin a graceful drain of the replica's own server.
-    pub fn shutdown(&self) {
-        self.server().shutdown();
     }
 
     /// Stop pulling, drain the server, and return once everything exited.

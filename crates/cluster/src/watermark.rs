@@ -20,17 +20,17 @@ struct ReplicaMark {
 
 /// Latest heartbeat per replica id, TTL-aged.
 #[derive(Debug, Default)]
-pub struct WatermarkTable {
+pub(crate) struct WatermarkTable {
     marks: Mutex<HashMap<u64, ReplicaMark>>,
 }
 
 impl WatermarkTable {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WatermarkTable::default()
     }
 
     /// Record a heartbeat from `replica` claiming `durable_lsn` applied.
-    pub fn observe(&self, replica: u64, durable_lsn: u64) {
+    pub(crate) fn observe(&self, replica: u64, durable_lsn: u64) {
         let mut marks = self.marks.lock().unwrap_or_else(|e| e.into_inner());
         marks.insert(
             replica,
@@ -43,7 +43,7 @@ impl WatermarkTable {
 
     /// `(live replica count, slowest live replica's LSN)`. Entries older
     /// than `ttl` are dropped; `None` when no replica is live.
-    pub fn snapshot(&self, ttl: Duration) -> (u32, Option<u64>) {
+    pub(crate) fn snapshot(&self, ttl: Duration) -> (u32, Option<u64>) {
         let mut marks = self.marks.lock().unwrap_or_else(|e| e.into_inner());
         let now = Instant::now();
         marks.retain(|_, mark| now.duration_since(mark.last_seen) < ttl);

@@ -52,23 +52,6 @@ impl ContextualTrust {
         }
     }
 
-    /// Explicit decay model and transfer discount.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transfer_discount` is outside `\[0, 1\]`.
-    pub fn with_params(decay: DecayModel, transfer_discount: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&transfer_discount),
-            "discount must be in [0,1]"
-        );
-        ContextualTrust {
-            series: BTreeMap::new(),
-            decay,
-            transfer_discount,
-        }
-    }
-
     /// Record an in-context experience (`score` in `\[0, 1\]`).
     pub fn record(
         &mut self,
@@ -84,7 +67,7 @@ impl ContextualTrust {
     }
 
     /// In-context trust, `None` without in-context evidence.
-    pub fn in_context(
+    pub(crate) fn in_context(
         &self,
         subject: impl Into<SubjectId>,
         context: Context,
@@ -134,26 +117,6 @@ impl ContextualTrust {
             shrunk,
             combined.confidence * self.transfer_discount,
         ))
-    }
-
-    /// Contexts in which a subject has evidence.
-    pub fn contexts_of(&self, subject: impl Into<SubjectId>) -> Vec<Context> {
-        let subject = subject.into();
-        self.series
-            .keys()
-            .filter(|&&(s, _)| s == subject)
-            .map(|&(_, c)| c)
-            .collect()
-    }
-
-    /// Total recorded samples.
-    pub fn len(&self) -> usize {
-        self.series.values().map(Vec::len).sum()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
     }
 }
 
@@ -206,7 +169,11 @@ mod tests {
 
     #[test]
     fn zero_discount_means_no_transfer_signal() {
-        let mut ct = ContextualTrust::with_params(DecayModel::None, 0.0);
+        let mut ct = ContextualTrust {
+            decay: DecayModel::None,
+            transfer_discount: 0.0,
+            ..ContextualTrust::new()
+        };
         ct.record(john(), DOCTOR, 1.0, Time::ZERO);
         let est = ct.trust(john(), MECHANIC, Time::new(1)).unwrap();
         assert_eq!(est.value, TrustValue::NEUTRAL);
@@ -220,25 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn contexts_of_lists_evidence_contexts() {
-        let ct = mikes_view();
-        let cs = ct.contexts_of(john());
-        assert_eq!(cs, vec![DOCTOR, MECHANIC]);
-        assert_eq!(ct.len(), 12);
-    }
-
-    #[test]
     fn decay_applies_within_contexts() {
-        let mut ct = ContextualTrust::with_params(DecayModel::Exponential { half_life: 1 }, 0.3);
+        let mut ct = ContextualTrust {
+            decay: DecayModel::Exponential { half_life: 1 },
+            ..ContextualTrust::new()
+        };
         ct.record(john(), DOCTOR, 0.0, Time::new(0));
         ct.record(john(), DOCTOR, 1.0, Time::new(10));
         let est = ct.in_context(john(), DOCTOR, Time::new(10)).unwrap();
         assert!(est.value.get() > 0.99);
-    }
-
-    #[test]
-    #[should_panic(expected = "discount must be in [0,1]")]
-    fn invalid_discount_panics() {
-        ContextualTrust::with_params(DecayModel::None, 1.5);
     }
 }

@@ -34,7 +34,7 @@ impl DecayModel {
     ///
     /// Panics if an `Exponential` model was built with `half_life == 0`
     /// (checked here because the weight would be ill-defined).
-    pub fn weight(&self, at: Time, now: Time) -> f64 {
+    pub(crate) fn weight(&self, at: Time, now: Time) -> f64 {
         let age = now.since(at) as f64;
         match *self {
             DecayModel::None => 1.0,

@@ -28,14 +28,6 @@ impl FacetedTrust {
         Self::default()
     }
 
-    /// New tracker with an explicit decay model.
-    pub fn with_decay(decay: DecayModel) -> Self {
-        FacetedTrust {
-            samples: BTreeMap::new(),
-            decay,
-        }
-    }
-
     /// Record a normalized per-metric experience (`score` in `\[0, 1\]`,
     /// higher better, already oriented).
     pub fn record(&mut self, metric: Metric, score: f64, at: Time) {
@@ -46,7 +38,7 @@ impl FacetedTrust {
     }
 
     /// Trust in one facet at time `now`.
-    pub fn facet(&self, metric: Metric, now: Time) -> Option<TrustEstimate> {
+    pub(crate) fn facet(&self, metric: Metric, now: Time) -> Option<TrustEstimate> {
         let samples = self.samples.get(&metric)?;
         let mean = self.decay.weighted_mean(samples.iter().copied(), now)?;
         Some(TrustEstimate::new(
@@ -91,18 +83,8 @@ impl FacetedTrust {
         ))
     }
 
-    /// Metrics with at least one sample.
-    pub fn metrics(&self) -> impl Iterator<Item = Metric> + '_ {
-        self.samples.keys().copied()
-    }
-
-    /// Total number of recorded samples across facets.
-    pub fn len(&self) -> usize {
-        self.samples.values().map(Vec::len).sum()
-    }
-
     /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 }
@@ -111,9 +93,16 @@ impl FacetedTrust {
 mod tests {
     use super::*;
 
+    fn tracker(decay: DecayModel) -> FacetedTrust {
+        FacetedTrust {
+            decay,
+            ..FacetedTrust::new()
+        }
+    }
+
     #[test]
     fn facets_are_tracked_independently() {
-        let mut ft = FacetedTrust::with_decay(DecayModel::None);
+        let mut ft = tracker(DecayModel::None);
         ft.record(Metric::ResponseTime, 1.0, Time::ZERO);
         ft.record(Metric::Accuracy, 0.0, Time::ZERO);
         let now = Time::new(1);
@@ -124,7 +113,7 @@ mod tests {
 
     #[test]
     fn overall_follows_preferences() {
-        let mut ft = FacetedTrust::with_decay(DecayModel::None);
+        let mut ft = tracker(DecayModel::None);
         // Great speed, terrible accuracy.
         for t in 0..5 {
             ft.record(Metric::ResponseTime, 1.0, Time::new(t));
@@ -146,7 +135,7 @@ mod tests {
 
     #[test]
     fn missing_facet_lowers_confidence_not_value() {
-        let mut ft = FacetedTrust::with_decay(DecayModel::None);
+        let mut ft = tracker(DecayModel::None);
         for t in 0..10 {
             ft.record(Metric::ResponseTime, 0.9, Time::new(t));
         }
@@ -172,20 +161,10 @@ mod tests {
 
     #[test]
     fn decay_applies_per_facet() {
-        let mut ft = FacetedTrust::with_decay(DecayModel::Exponential { half_life: 1 });
+        let mut ft = tracker(DecayModel::Exponential { half_life: 1 });
         ft.record(Metric::Accuracy, 0.0, Time::new(0));
         ft.record(Metric::Accuracy, 1.0, Time::new(10));
         let est = ft.facet(Metric::Accuracy, Time::new(10)).unwrap();
         assert!(est.value.get() > 0.99, "old bad sample should be forgotten");
-    }
-
-    #[test]
-    fn len_counts_all_samples() {
-        let mut ft = FacetedTrust::new();
-        ft.record(Metric::Accuracy, 0.5, Time::ZERO);
-        ft.record(Metric::Price, 0.5, Time::ZERO);
-        ft.record(Metric::Price, 0.6, Time::new(1));
-        assert_eq!(ft.len(), 3);
-        assert_eq!(ft.metrics().count(), 2);
     }
 }

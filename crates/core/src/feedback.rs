@@ -43,7 +43,7 @@ impl Feedback {
     /// use wsrep_core::id::{AgentId, ServiceId};
     /// use wsrep_core::time::Time;
     /// let fb = Feedback::scored(AgentId::new(1), ServiceId::new(2), 0.8, Time::new(3));
-    /// assert!(fb.is_positive(0.5));
+    /// assert_eq!(fb.score, 0.8);
     /// ```
     pub fn scored(rater: AgentId, subject: impl Into<SubjectId>, score: f64, at: Time) -> Self {
         Feedback {
@@ -69,13 +69,13 @@ impl Feedback {
     }
 
     /// Whether the rater was satisfied relative to `threshold`.
-    pub fn is_positive(&self, threshold: f64) -> bool {
+    pub(crate) fn is_positive(&self, threshold: f64) -> bool {
         self.score >= threshold
     }
 
     /// Map the score onto eBay's ternary scale: `+1` (score ≥ 2/3),
     /// `-1` (score ≤ 1/3), `0` otherwise.
-    pub fn ebay_sign(&self) -> i8 {
+    pub(crate) fn ebay_sign(&self) -> i8 {
         if self.score >= 2.0 / 3.0 {
             1
         } else if self.score <= 1.0 / 3.0 {
@@ -88,7 +88,7 @@ impl Feedback {
     /// Whether this report is a *complaint* in the Aberer–Despotovic sense
     /// (only negative experiences are filed; anything below the threshold
     /// becomes a complaint).
-    pub fn is_complaint(&self, threshold: f64) -> bool {
+    pub(crate) fn is_complaint(&self, threshold: f64) -> bool {
         self.score < threshold
     }
 }

@@ -89,14 +89,6 @@ impl SubjectId {
             _ => None,
         }
     }
-
-    /// The provider inside, if this subject is a provider.
-    pub fn as_provider(self) -> Option<ProviderId> {
-        match self {
-            SubjectId::Provider(p) => Some(p),
-            _ => None,
-        }
-    }
 }
 
 impl From<AgentId> for SubjectId {
@@ -143,7 +135,6 @@ mod tests {
         let s: SubjectId = ServiceId::new(3).into();
         assert_eq!(s.as_service(), Some(ServiceId::new(3)));
         assert_eq!(s.as_agent(), None);
-        assert_eq!(s.as_provider(), None);
         assert_eq!(s.to_string(), "s3");
     }
 

@@ -45,7 +45,5 @@ pub mod trust;
 pub mod typology;
 
 pub use feedback::Feedback;
-pub use id::{AgentId, ProviderId, ServiceId, SubjectId};
+pub use id::{AgentId, ProviderId, ServiceId};
 pub use mechanism::ReputationMechanism;
-pub use time::Time;
-pub use trust::{TrustEstimate, TrustValue};

@@ -11,7 +11,7 @@
 //! offers an **incremental fold** ([`ReputationMechanism::accumulator`]):
 //! a small [`SubjectAccumulator`] that absorbs each report once and answers
 //! in O(1). A store that keeps many subjects resident holds their
-//! accumulators as the rows of one [`AccumulatorTable`]: a [`Rows`] of the
+//! accumulators as the rows of one [`AccumulatorTable`]: a `Rows` of the
 //! fold's accumulator, whose rows sit inline in fixed blocks of
 //! [`ROWS_PER_BLOCK`], or a [`LogReplay`] of each subject's reports for a
 //! mechanism without a fold. [`accumulator_table`] picks between them.
@@ -168,7 +168,7 @@ pub trait AccumulatorTable: fmt::Debug + Send + Sync {
     fn reports_held(&self) -> usize;
 }
 
-/// Rows per block of a [`Rows`] table: 64 beta accumulators of 48 bytes
+/// Rows per block of a `Rows` table: 64 beta accumulators of 48 bytes
 /// make a 3 KiB block.
 pub const ROWS_PER_BLOCK: usize = 64;
 
@@ -180,14 +180,14 @@ pub const ROWS_PER_BLOCK: usize = 64;
 /// `⌈n / ROWS_PER_BLOCK⌉` blocks and the block index. Nothing is
 /// allocated before the first push.
 #[derive(Debug, Clone)]
-pub struct Rows<A> {
+pub(crate) struct Rows<A> {
     fresh: A,
     blocks: Vec<Vec<A>>,
 }
 
 impl<A: Clone> Rows<A> {
     /// An empty table whose rows start as clones of `fresh`.
-    pub fn new(fresh: A) -> Self {
+    pub(crate) fn new(fresh: A) -> Self {
         Rows {
             fresh,
             blocks: Vec::new(),
@@ -195,19 +195,14 @@ impl<A: Clone> Rows<A> {
     }
 
     /// Rows pushed so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.blocks.last().map_or(0, |last| {
             (self.blocks.len() - 1) * ROWS_PER_BLOCK + last.len()
         })
     }
 
-    /// Whether no row was pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
     /// Append a clone of the fresh value; answers its index.
-    pub fn push(&mut self) -> usize {
+    pub(crate) fn push(&mut self) -> usize {
         let row = self.len();
         if row.is_multiple_of(ROWS_PER_BLOCK) {
             self.blocks.push(Vec::with_capacity(ROWS_PER_BLOCK));
@@ -221,22 +216,22 @@ impl<A: Clone> Rows<A> {
     }
 
     /// The row at `row`. Panics past the end.
-    pub fn get(&self, row: usize) -> &A {
+    pub(crate) fn get(&self, row: usize) -> &A {
         &self.blocks[row / ROWS_PER_BLOCK][row % ROWS_PER_BLOCK]
     }
 
     /// The row at `row`, to update. Panics past the end.
-    pub fn get_mut(&mut self, row: usize) -> &mut A {
+    pub(crate) fn get_mut(&mut self, row: usize) -> &mut A {
         &mut self.blocks[row / ROWS_PER_BLOCK][row % ROWS_PER_BLOCK]
     }
 
     /// Every row, in push order.
-    pub fn iter(&self) -> impl Iterator<Item = &A> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &A> {
         self.blocks.iter().flatten()
     }
 
     /// Every row, in push order, to update.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut A> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut A> {
         self.blocks.iter_mut().flatten()
     }
 }
@@ -278,7 +273,7 @@ pub struct PerSubject<A> {
 impl<A: Clone> PerSubject<A> {
     /// The mechanism `info` describes, whose subjects' rows start as
     /// clones of `fresh`. Allocates nothing.
-    pub fn over(info: MechanismInfo, fresh: A) -> Self {
+    pub(crate) fn over(info: MechanismInfo, fresh: A) -> Self {
         PerSubject {
             info,
             rows: Rows::new(fresh),
@@ -372,7 +367,7 @@ impl AccumulatorTable for LogReplay {
     }
 }
 
-/// The table `mechanism`'s subjects are kept in: its fold's [`Rows`] when
+/// The table `mechanism`'s subjects are kept in: its fold's `Rows` when
 /// it offers one, a [`LogReplay`] when it does not.
 pub fn accumulator_table(mechanism: &MechanismFactory) -> Box<dyn AccumulatorTable> {
     match mechanism().accumulator() {

@@ -51,16 +51,11 @@ impl AmazonMechanism {
 
     /// A reviewer's weight in `[0.25, 1]`: Laplace-smoothed helpful
     /// fraction, floored so unknown reviewers still count somewhat.
-    pub fn reviewer_weight(&self, reviewer: AgentId) -> f64 {
+    pub(crate) fn reviewer_weight(&self, reviewer: AgentId) -> f64 {
         match self.helpfulness.get(&reviewer) {
             None => UNVOTED_WEIGHT,
             Some(&(h, u)) => ((h as f64 + 1.0) / ((h + u) as f64 + 2.0)).max(0.25),
         }
-    }
-
-    /// Number of reviews an item has.
-    pub fn review_count(&self, subject: SubjectId) -> usize {
-        self.reviews.get(&subject).map(Vec::len).unwrap_or(0)
     }
 }
 
@@ -110,7 +105,7 @@ impl ReputationMechanism for AmazonMechanism {
 /// so a replay through a fresh mechanism weighs every reviewer at the
 /// unvoted weight; the fold keeps the same [`WeightedMean`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AmazonAccumulator {
+pub(crate) struct AmazonAccumulator {
     mean: WeightedMean,
 }
 
@@ -141,7 +136,6 @@ mod tests {
         m.submit(&fb(1, 0.0));
         let est = m.global(ServiceId::new(1).into()).unwrap();
         assert!((est.value.get() - 0.5).abs() < 1e-12);
-        assert_eq!(m.review_count(ServiceId::new(1).into()), 2);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl BayesianMechanism {
     }
 
     /// Trust in `peer` as a recommender for `observer` (smoothed).
-    pub fn recommender_trust(&self, observer: AgentId, peer: AgentId) -> f64 {
+    pub(crate) fn recommender_trust(&self, observer: AgentId, peer: AgentId) -> f64 {
         match self.recommender.get(&(observer, peer)) {
             None => 0.5,
             Some(&(g, b)) => (g + 1.0) / (g + b + 2.0),

@@ -14,7 +14,7 @@ use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 
 /// Accumulated beta evidence for one subject.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BetaEvidence {
+pub(crate) struct BetaEvidence {
     /// Positive evidence mass `r`.
     pub r: f64,
     /// Negative evidence mass `s`.
@@ -23,12 +23,12 @@ pub struct BetaEvidence {
 
 impl BetaEvidence {
     /// Expected value of the Beta(r+1, s+1) posterior.
-    pub fn expectation(&self) -> f64 {
+    pub(crate) fn expectation(&self) -> f64 {
         (self.r + 1.0) / (self.r + self.s + 2.0)
     }
 
     /// Total evidence mass.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.r + self.s
     }
 }

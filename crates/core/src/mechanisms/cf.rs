@@ -50,17 +50,11 @@ impl CfMechanism {
     }
 
     /// The instantiation Karta \[13\] evaluated for web-service selection.
-    pub fn karta() -> Self {
+    pub(crate) fn karta() -> Self {
         CfMechanism {
             karta_variant: true,
             ..Self::new(Similarity::Pearson)
         }
-    }
-
-    /// Change the neighborhood size (builder style).
-    pub fn with_top_k(mut self, k: usize) -> Self {
-        self.top_k = k.max(1);
-        self
     }
 
     /// Mean rating of a user over everything they rated.
@@ -74,7 +68,7 @@ impl CfMechanism {
 
     /// Similarity between two users over co-rated items, `None` if they
     /// share fewer than 2 items (1 for cosine).
-    pub fn user_similarity(&self, a: AgentId, b: AgentId) -> Option<f64> {
+    pub(crate) fn user_similarity(&self, a: AgentId, b: AgentId) -> Option<f64> {
         let ra = self.ratings.get(&a)?;
         let rb = self.ratings.get(&b)?;
         let common: Vec<(f64, f64)> = ra
@@ -120,7 +114,7 @@ impl CfMechanism {
 
     /// Predict `observer`'s rating for `item` by the standard
     /// deviation-from-mean weighted formula over the top-k neighbors.
-    pub fn predict(&self, observer: AgentId, item: SubjectId) -> Option<f64> {
+    pub(crate) fn predict(&self, observer: AgentId, item: SubjectId) -> Option<f64> {
         // A user's own rating is the best prediction.
         if let Some(&own) = self.ratings.get(&observer).and_then(|r| r.get(&item)) {
             return Some(own);
@@ -347,7 +341,11 @@ mod tests {
 
     #[test]
     fn predictions_are_clamped() {
-        let mut m = CfMechanism::new(Similarity::Pearson).with_top_k(5);
+        // A neighbourhood smaller than the population, so the top-k cut runs.
+        let mut m = CfMechanism {
+            top_k: 5,
+            ..CfMechanism::new(Similarity::Pearson)
+        };
         two_camps(&mut m);
         m.submit(&fb(100, 0, 1.0));
         m.submit(&fb(100, 2, 0.0));

@@ -27,10 +27,8 @@ use std::collections::BTreeMap;
 pub struct ComplaintsMechanism {
     /// Score below which an interaction produces a complaint.
     complaint_threshold: f64,
-    received: BTreeMap<SubjectId, u64>,
-    filed: BTreeMap<SubjectId, u64>,
-    /// Interactions seen per subject (complaints + satisfactory ones).
-    interactions: BTreeMap<SubjectId, u64>,
+    /// Every peer seen, as a subject or as a rater.
+    tallies: BTreeMap<SubjectId, Tally>,
     submitted: usize,
 }
 
@@ -51,16 +49,14 @@ impl ComplaintsMechanism {
     /// # Panics
     ///
     /// Panics if the threshold is outside `\[0, 1\]`.
-    pub fn with_threshold(complaint_threshold: f64) -> Self {
+    pub(crate) fn with_threshold(complaint_threshold: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&complaint_threshold),
             "threshold must be in [0,1]"
         );
         ComplaintsMechanism {
             complaint_threshold,
-            received: BTreeMap::new(),
-            filed: BTreeMap::new(),
-            interactions: BTreeMap::new(),
+            tallies: BTreeMap::new(),
             submitted: 0,
         }
     }
@@ -68,16 +64,15 @@ impl ComplaintsMechanism {
     /// The complaint index `cr(q)`; uses `(filed + 1)` so pure receivers
     /// are still distinguishable.
     pub fn complaint_index(&self, subject: SubjectId) -> f64 {
-        let r = self.received.get(&subject).copied().unwrap_or(0) as f64;
-        let f = self.filed.get(&subject).copied().unwrap_or(0) as f64;
-        r * (f + 1.0)
+        let t = self.tallies.get(&subject).copied().unwrap_or_default();
+        t.received as f64 * (t.filed as f64 + 1.0)
     }
 
     /// Median complaint index over all known subjects (the decision
     /// baseline of the original algorithm).
     pub fn median_index(&self) -> f64 {
         let mut idx: Vec<f64> = self
-            .interactions
+            .tallies
             .keys()
             .map(|&s| self.complaint_index(s))
             .collect();
@@ -109,21 +104,16 @@ impl ReputationMechanism for ComplaintsMechanism {
     }
 
     fn submit(&mut self, feedback: &Feedback) {
-        let rater: SubjectId = feedback.rater.into();
-        *self.interactions.entry(feedback.subject).or_insert(0) += 1;
-        self.interactions.entry(rater).or_insert(0);
-        if feedback.is_complaint(self.complaint_threshold) {
-            *self.received.entry(feedback.subject).or_insert(0) += 1;
-            *self.filed.entry(rater).or_insert(0) += 1;
-        }
+        let complaint = u64::from(feedback.is_complaint(self.complaint_threshold));
+        let subject = self.tallies.entry(feedback.subject).or_default();
+        subject.interactions += 1;
+        subject.received += complaint;
+        self.tallies.entry(feedback.rater.into()).or_default().filed += complaint;
         self.submitted += 1;
     }
 
     fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let interactions = self.interactions.get(&subject).copied()?;
-        let received = self.received.get(&subject).copied().unwrap_or(0);
-        let filed = self.filed.get(&subject).copied().unwrap_or(0);
-        Some(complaint_trust(interactions, received, filed))
+        self.tallies.get(&subject).map(Tally::trust)
     }
 
     fn feedback_count(&self) -> usize {
@@ -133,9 +123,7 @@ impl ReputationMechanism for ComplaintsMechanism {
     fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
         Some(Box::new(ComplaintsAccumulator {
             complaint_threshold: self.complaint_threshold,
-            interactions: 0,
-            received: 0,
-            filed: 0,
+            tally: Tally::default(),
         }))
     }
 }
@@ -147,45 +135,53 @@ impl ReputationMechanism for ComplaintsMechanism {
 /// population-median decision baseline ([`ComplaintsMechanism::median_index`])
 /// is inherently cross-subject and stays on the full mechanism.
 #[derive(Debug, Clone, Copy)]
-pub struct ComplaintsAccumulator {
+pub(crate) struct ComplaintsAccumulator {
     complaint_threshold: f64,
-    interactions: u64,
-    received: u64,
-    filed: u64,
+    tally: Tally,
 }
 
 impl SubjectAccumulator for ComplaintsAccumulator {
     fn absorb(&mut self, feedback: &Feedback) {
-        self.interactions += 1;
+        self.tally.interactions += 1;
         if feedback.is_complaint(self.complaint_threshold) {
-            self.received += 1;
+            self.tally.received += 1;
             if SubjectId::from(feedback.rater) == feedback.subject {
-                self.filed += 1;
+                self.tally.filed += 1;
             }
         }
     }
 
     fn estimate(&self) -> Option<TrustEstimate> {
-        (self.interactions > 0)
-            .then(|| complaint_trust(self.interactions, self.received, self.filed))
+        (self.tally.interactions > 0).then(|| self.tally.trust())
     }
 }
 
-/// Trust falls with the complaint *rate*, `received / interactions` (0
-/// with no interaction), discounted toward neutral by the suspicion
-/// factor `1 / (1 + filed / 10)` of the complaints the subject filed.
-fn complaint_trust(interactions: u64, received: u64, filed: u64) -> TrustEstimate {
-    let rate = if interactions > 0 {
-        received as f64 / interactions as f64
-    } else {
-        0.0
-    };
-    let suspicion = 1.0 / (1.0 + filed as f64 / 10.0);
-    let base = 1.0 - rate;
-    TrustEstimate::new(
-        TrustValue::new(0.5 + (base - 0.5) * suspicion),
-        evidence_confidence(interactions as usize, 4.0),
-    )
+/// One peer's counts: interactions it was the subject of (complaints and
+/// satisfactory ones), complaints it received and complaints it filed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    interactions: u64,
+    received: u64,
+    filed: u64,
+}
+
+impl Tally {
+    /// Trust falls with the complaint *rate*, `received / interactions`
+    /// (0 with no interaction), discounted toward neutral by the suspicion
+    /// factor `1 / (1 + filed / 10)` of the complaints the peer filed.
+    fn trust(&self) -> TrustEstimate {
+        let rate = if self.interactions > 0 {
+            self.received as f64 / self.interactions as f64
+        } else {
+            0.0
+        };
+        let suspicion = 1.0 / (1.0 + self.filed as f64 / 10.0);
+        let base = 1.0 - rate;
+        TrustEstimate::new(
+            TrustValue::new(0.5 + (base - 0.5) * suspicion),
+            evidence_confidence(self.interactions as usize, 4.0),
+        )
+    }
 }
 
 #[cfg(test)]

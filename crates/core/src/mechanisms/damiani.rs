@@ -84,7 +84,7 @@ impl DamianiMechanism {
     /// Run a poll on behalf of `poller`: every peer with an opinion votes;
     /// votes are weighted by poller-side credibility. Returns
     /// `(weighted_plus, weighted_minus, voter_count)`.
-    pub fn poll(&self, poller: AgentId, subject: SubjectId) -> (f64, f64, usize) {
+    pub(crate) fn poll(&self, poller: AgentId, subject: SubjectId) -> (f64, f64, usize) {
         let mut plus = 0.0;
         let mut minus = 0.0;
         let mut voters = 0;

@@ -30,7 +30,7 @@ pub enum Level {
 
 impl Level {
     /// Discretize a normalized `\[0, 1\]` value into terciles.
-    pub fn of(value: f64) -> Level {
+    pub(crate) fn of(value: f64) -> Level {
         if value < 1.0 / 3.0 {
             Level::Low
         } else if value < 2.0 / 3.0 {
@@ -43,7 +43,7 @@ impl Level {
 
 /// A rule: "metric must be at least `level`".
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rule {
+pub(crate) struct Rule {
     /// The facet the rule constrains.
     pub metric: Metric,
     /// The minimum acceptable level.
@@ -70,23 +70,13 @@ impl RuleEngine {
 
     /// Evaluate against per-facet normalized values. Missing facets fail
     /// their rule (no evidence, no pass).
-    pub fn accepts(&self, facets: &BTreeMap<Metric, f64>) -> bool {
+    pub(crate) fn accepts(&self, facets: &BTreeMap<Metric, f64>) -> bool {
         self.rules.iter().all(|r| {
             facets
                 .get(&r.metric)
                 .map(|&v| Level::of(v) >= r.at_least)
                 .unwrap_or(false)
         })
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the rule set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 }
 
@@ -125,7 +115,7 @@ impl DayMechanism {
 
     /// Expert-system verdict: does `subject`'s latest facet profile pass
     /// `consumer`'s rules? `None` if the consumer has no rules installed.
-    pub fn rules_accept(&self, consumer: AgentId, subject: SubjectId) -> Option<bool> {
+    pub(crate) fn rules_accept(&self, consumer: AgentId, subject: SubjectId) -> Option<bool> {
         let engine = self.rules.get(&consumer)?;
         let facets: BTreeMap<Metric, f64> = self
             .stats
@@ -149,7 +139,7 @@ impl DayMechanism {
 
     /// Naive Bayes posterior P(good | subject's latest facet evidence),
     /// with Laplace smoothing.
-    pub fn posterior(&self, subject: SubjectId) -> Option<f64> {
+    pub(crate) fn posterior(&self, subject: SubjectId) -> Option<f64> {
         let st = self.stats.get(&subject)?;
         if st.n == 0 {
             return None;

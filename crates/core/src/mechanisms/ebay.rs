@@ -12,7 +12,7 @@ use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 
 /// Running positive/neutral/negative tallies for one subject.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EbayProfile {
+pub(crate) struct EbayProfile {
     /// Count of `+1` feedback.
     pub positive: u64,
     /// Count of `0` feedback.
@@ -22,14 +22,9 @@ pub struct EbayProfile {
 }
 
 impl EbayProfile {
-    /// eBay's headline number: positives minus negatives.
-    pub fn score(&self) -> i64 {
-        self.positive as i64 - self.negative as i64
-    }
-
     /// eBay's positive-feedback percentage over non-neutral feedback, or
     /// `None` with no such feedback.
-    pub fn positive_fraction(&self) -> Option<f64> {
+    pub(crate) fn positive_fraction(&self) -> Option<f64> {
         let judged = self.positive + self.negative;
         if judged == 0 {
             None
@@ -39,7 +34,7 @@ impl EbayProfile {
     }
 
     /// Total feedback received.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.positive + self.neutral + self.negative
     }
 }
@@ -118,7 +113,6 @@ mod tests {
         row.absorb(&fb(3, 0.1));
         let p = row.profile;
         assert_eq!((p.positive, p.neutral, p.negative), (2, 1, 1));
-        assert_eq!(p.score(), 1);
         assert_eq!(p.total(), 4);
     }
 
@@ -128,7 +122,7 @@ mod tests {
         m.submit(&fb(0, 0.9));
         m.submit(&fb(1, 0.5));
         let est = m.global(ServiceId::new(1).into()).unwrap();
-        assert_eq!(est.value, TrustValue::MAX);
+        assert_eq!(est.value, TrustValue::new(1.0));
     }
 
     #[test]
@@ -147,7 +141,7 @@ mod tests {
             m.submit(&fb(i, 0.9));
         }
         let est = m.global(ServiceId::new(1).into()).unwrap();
-        assert_eq!(est.value, TrustValue::MAX);
+        assert_eq!(est.value, TrustValue::new(1.0));
         assert!(est.confidence > 0.7);
     }
 

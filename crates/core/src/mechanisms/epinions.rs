@@ -47,7 +47,7 @@ impl EpinionsMechanism {
     }
 
     /// A reviewer's influence: saturating function of net incoming trust.
-    pub fn influence(&self, reviewer: AgentId) -> f64 {
+    pub(crate) fn influence(&self, reviewer: AgentId) -> f64 {
         let t = self
             .trusted_by
             .get(&reviewer)
@@ -112,7 +112,7 @@ impl ReputationMechanism for EpinionsMechanism {
 /// every reviewer the no-trusters baseline influence; the fold keeps the
 /// same [`WeightedMean`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EpinionsAccumulator {
+pub(crate) struct EpinionsAccumulator {
     mean: WeightedMean,
 }
 

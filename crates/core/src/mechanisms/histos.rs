@@ -42,7 +42,7 @@ impl HistosMechanism {
     /// # Panics
     ///
     /// Panics if `max_depth == 0`.
-    pub fn with_depth(max_depth: usize) -> Self {
+    pub(crate) fn with_depth(max_depth: usize) -> Self {
         assert!(max_depth > 0, "depth must be at least 1");
         HistosMechanism {
             edges: BTreeMap::new(),

@@ -53,7 +53,7 @@ impl LnzMechanism {
 
     /// Compute the overall rating of every known subject under `prefs`,
     /// best first. This is the full "QoS computation" of the paper.
-    pub fn rank(&self, prefs: &Preferences) -> Vec<(SubjectId, f64)> {
+    pub(crate) fn rank(&self, prefs: &Preferences) -> Vec<(SubjectId, f64)> {
         let subjects: Vec<SubjectId> = self.reported.keys().copied().collect();
         let vectors: Vec<QosVector> = subjects.iter().map(|s| self.reported[s].clone()).collect();
         let metrics = self.metrics();

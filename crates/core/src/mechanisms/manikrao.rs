@@ -46,7 +46,7 @@ impl ManikraoMechanism {
     }
 
     /// How strongly the CF prediction is trusted for `observer` in `\[0,1\]`.
-    pub fn cf_weight(&self, observer: AgentId) -> f64 {
+    pub(crate) fn cf_weight(&self, observer: AgentId) -> f64 {
         let n = self.user_history.get(&observer).copied().unwrap_or(0);
         evidence_confidence(n, self.history_saturation)
     }

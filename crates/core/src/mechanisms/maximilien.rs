@@ -6,8 +6,8 @@
 //! multi-attribute reputation against its owner's preferences. The
 //! framework's distinctive *explorer agents* (the multiagent paper \[19\])
 //! re-probe services whose reputation went negative so that improved
-//! services can recover — [`MaximilienMechanism::exploration_targets`]
-//! exposes the candidates and the simulator drives the probes.
+//! services can recover; `wsrep_sim::monitor::explorer_targets` picks
+//! those services from the reputations this mechanism answers.
 
 use crate::facets::FacetedTrust;
 use crate::feedback::Feedback;
@@ -17,7 +17,6 @@ use crate::time::Time;
 use crate::trust::{evidence_confidence, TrustEstimate, TrustValue};
 use crate::typology::{Centralization, MechanismInfo, Scope, Subject};
 use std::collections::BTreeMap;
-use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 
 /// Per-service multi-attribute reputation with preference matching.
@@ -40,27 +39,6 @@ impl MaximilienMechanism {
     /// QoS ontology).
     pub fn set_profile(&mut self, consumer: AgentId, prefs: Preferences) {
         self.profiles.insert(consumer, prefs);
-    }
-
-    /// Services whose current global reputation sits below `threshold` —
-    /// the set the central node sends explorer agents to, "to give the
-    /// services a chance to be selected when they improve their service
-    /// quality" (Section 2 of the survey).
-    pub fn exploration_targets(&self, threshold: f64) -> Vec<SubjectId> {
-        self.overall
-            .keys()
-            .filter(|&&s| {
-                self.global(s)
-                    .map(|e| e.value.get() < threshold)
-                    .unwrap_or(false)
-            })
-            .copied()
-            .collect()
-    }
-
-    /// Trust in one quality attribute of a service.
-    pub fn facet(&self, subject: SubjectId, metric: Metric) -> Option<TrustEstimate> {
-        self.facets.get(&subject)?.facet(metric, self.now)
     }
 }
 
@@ -140,6 +118,7 @@ impl ReputationMechanism for MaximilienMechanism {
 mod tests {
     use super::*;
     use crate::id::ServiceId;
+    use wsrep_qos::metric::Metric;
 
     fn fb(rater: u64, item: u64, score: f64, acc: f64, speed: f64, t: u64) -> Feedback {
         Feedback::scored(
@@ -158,9 +137,10 @@ mod tests {
         for t in 0..5 {
             m.submit(&fb(t, 1, 0.5, 0.9, 0.1, t));
         }
-        let s: SubjectId = ServiceId::new(1).into();
-        assert!(m.facet(s, Metric::Accuracy).unwrap().value.get() > 0.8);
-        assert!(m.facet(s, Metric::ResponseTime).unwrap().value.get() < 0.2);
+        let facets = &m.facets[&ServiceId::new(1).into()];
+        let facet = |metric| facets.facet(metric, m.now).unwrap().value.get();
+        assert!(facet(Metric::Accuracy) > 0.8);
+        assert!(facet(Metric::ResponseTime) < 0.2);
     }
 
     #[test]
@@ -178,31 +158,6 @@ mod tests {
         let accuracy_first = m.personalized(AgentId::new(100), s).unwrap();
         let speed_first = m.personalized(AgentId::new(101), s).unwrap();
         assert!(accuracy_first.value.get() > speed_first.value.get());
-    }
-
-    #[test]
-    fn exploration_targets_are_the_negative_reputation_services() {
-        let mut m = MaximilienMechanism::new();
-        for t in 0..6 {
-            m.submit(&fb(t, 1, 0.1, 0.1, 0.1, t)); // bad service
-            m.submit(&fb(t, 2, 0.9, 0.9, 0.9, t)); // good service
-        }
-        let targets = m.exploration_targets(0.4);
-        assert_eq!(targets, vec![SubjectId::from(ServiceId::new(1))]);
-    }
-
-    #[test]
-    fn explorer_feedback_rehabilitates_improved_service() {
-        let mut m = MaximilienMechanism::new();
-        for t in 0..4 {
-            m.submit(&fb(t, 1, 0.1, 0.1, 0.1, t));
-        }
-        assert!(!m.exploration_targets(0.4).is_empty());
-        // Explorer agents find the service improved and file positives.
-        for t in 4..20 {
-            m.submit(&fb(t, 1, 0.9, 0.9, 0.9, t));
-        }
-        assert!(m.exploration_targets(0.4).is_empty());
     }
 
     #[test]

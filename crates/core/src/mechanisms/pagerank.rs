@@ -94,7 +94,7 @@ impl PageRankMechanism {
     /// # Panics
     ///
     /// Panics if `damping` is outside `(0, 1)`.
-    pub fn with_params(damping: f64, epsilon: f64, max_iter: usize) -> Self {
+    pub(crate) fn with_params(damping: f64, epsilon: f64, max_iter: usize) -> Self {
         assert!(damping > 0.0 && damping < 1.0, "damping must be in (0,1)");
         PageRankMechanism {
             damping,
@@ -119,7 +119,7 @@ impl PageRankMechanism {
 
     /// Run (or reuse) the power iteration and return all ranks. Ranks sum
     /// to 1 over all nodes.
-    pub fn ranks(&self) -> &BTreeMap<SubjectId, f64> {
+    pub(crate) fn ranks(&self) -> &BTreeMap<SubjectId, f64> {
         self.cache.get_or_init(|| {
             damped_ranks(
                 &self.nodes,
@@ -212,7 +212,7 @@ mod tests {
         let hub = ranks[&s(0)];
         assert!(ranks.iter().all(|(&k, &v)| k == s(0) || v <= hub));
         let est = m.global(s(0)).unwrap();
-        assert_eq!(est.value, TrustValue::MAX);
+        assert_eq!(est.value, TrustValue::new(1.0));
     }
 
     #[test]

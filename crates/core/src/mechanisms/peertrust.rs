@@ -90,7 +90,7 @@ impl PeerTrustMechanism {
 
     /// Rating-behaviour similarity between two raters (PSM): 1 − RMS
     /// difference over commonly rated subjects; neutral 0.5 without overlap.
-    pub fn rating_similarity(&self, a: AgentId, b: AgentId) -> f64 {
+    pub(crate) fn rating_similarity(&self, a: AgentId, b: AgentId) -> f64 {
         if a == b {
             return 1.0;
         }

@@ -54,21 +54,28 @@ impl Constants {
         self.max_reputation / 2.0
     }
 
-    /// The estimate at reputation `r` after `n` ratings.
-    fn estimate(&self, r: f64, n: usize) -> TrustEstimate {
+    /// The estimate of `standing`.
+    fn estimate(&self, standing: Standing) -> TrustEstimate {
         TrustEstimate::new(
-            TrustValue::new(r / self.max_reputation),
-            evidence_confidence(n, 5.0),
+            TrustValue::new(standing.reputation / self.max_reputation),
+            evidence_confidence(standing.count, 5.0),
         )
     }
+}
+
+/// One rated subject: its running reputation `R` and the ratings that
+/// moved it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Standing {
+    reputation: f64,
+    count: usize,
 }
 
 /// Sporas with the original paper's constants as defaults.
 #[derive(Debug, Clone)]
 pub struct SporasMechanism {
     constants: Constants,
-    reputations: BTreeMap<SubjectId, f64>,
-    counts: BTreeMap<SubjectId, usize>,
+    standings: BTreeMap<SubjectId, Standing>,
     submitted: usize,
 }
 
@@ -89,7 +96,7 @@ impl SporasMechanism {
     /// # Panics
     ///
     /// Panics if any constant is not strictly positive.
-    pub fn with_params(max_reputation: f64, theta: f64, sigma: f64) -> Self {
+    pub(crate) fn with_params(max_reputation: f64, theta: f64, sigma: f64) -> Self {
         assert!(max_reputation > 0.0 && theta > 0.0 && sigma > 0.0);
         SporasMechanism {
             constants: Constants {
@@ -97,21 +104,9 @@ impl SporasMechanism {
                 theta,
                 sigma,
             },
-            reputations: BTreeMap::new(),
-            counts: BTreeMap::new(),
+            standings: BTreeMap::new(),
             submitted: 0,
         }
-    }
-
-    /// The damping function `Φ(R)`: near 1 for newcomers, approaching 1/2
-    /// as reputation nears `D`, so established reputations move slowly.
-    pub fn damping(&self, r: f64) -> f64 {
-        self.constants.damping(r)
-    }
-
-    /// Raw Sporas reputation in `[0, D]`, if the subject has been rated.
-    pub fn raw_reputation(&self, subject: SubjectId) -> Option<f64> {
-        self.reputations.get(&subject).copied()
     }
 }
 
@@ -130,20 +125,18 @@ impl ReputationMechanism for SporasMechanism {
 
     fn submit(&mut self, feedback: &Feedback) {
         let rater_rep = self
-            .reputations
+            .standings
             .get(&SubjectId::Agent(feedback.rater))
-            .copied()
-            .unwrap_or(self.constants.newcomer());
-        let r = self.reputations.entry(feedback.subject).or_insert(0.0);
-        *r = self.constants.step(*r, rater_rep, feedback.score);
-        *self.counts.entry(feedback.subject).or_insert(0) += 1;
+            .map_or(self.constants.newcomer(), |rater| rater.reputation);
+        let s = self.standings.entry(feedback.subject).or_default();
+        s.reputation = self.constants.step(s.reputation, rater_rep, feedback.score);
+        s.count += 1;
         self.submitted += 1;
     }
 
     fn global(&self, subject: SubjectId) -> Option<TrustEstimate> {
-        let r = self.reputations.get(&subject)?;
-        let n = self.counts.get(&subject).copied().unwrap_or(0);
-        Some(self.constants.estimate(*r, n))
+        let standing = self.standings.get(&subject)?;
+        Some(self.constants.estimate(*standing))
     }
 
     fn feedback_count(&self) -> usize {
@@ -153,8 +146,7 @@ impl ReputationMechanism for SporasMechanism {
     fn accumulator(&self) -> Option<Box<dyn SubjectAccumulator>> {
         Some(Box::new(SporasAccumulator {
             constants: self.constants,
-            reputation: 0.0,
-            count: 0,
+            standing: Standing::default(),
         }))
     }
 }
@@ -166,10 +158,9 @@ impl ReputationMechanism for SporasMechanism {
 /// newcomer mid-range, exactly as a replay through a fresh mechanism
 /// would weigh them.
 #[derive(Debug, Clone, Copy)]
-pub struct SporasAccumulator {
+pub(crate) struct SporasAccumulator {
     constants: Constants,
-    reputation: f64,
-    count: usize,
+    standing: Standing,
 }
 
 impl SubjectAccumulator for SporasAccumulator {
@@ -177,19 +168,18 @@ impl SubjectAccumulator for SporasAccumulator {
         // A self-rating on the very first report still sees the newcomer
         // mid-range: `submit` reads the rater's reputation before the
         // subject's entry is created.
-        let rater_rep = if SubjectId::from(feedback.rater) == feedback.subject && self.count > 0 {
-            self.reputation
+        let s = &mut self.standing;
+        let rater_rep = if SubjectId::from(feedback.rater) == feedback.subject && s.count > 0 {
+            s.reputation
         } else {
             self.constants.newcomer()
         };
-        self.reputation = self
-            .constants
-            .step(self.reputation, rater_rep, feedback.score);
-        self.count += 1;
+        s.reputation = self.constants.step(s.reputation, rater_rep, feedback.score);
+        s.count += 1;
     }
 
     fn estimate(&self) -> Option<TrustEstimate> {
-        (self.count > 0).then(|| self.constants.estimate(self.reputation, self.count))
+        (self.standing.count > 0).then(|| self.constants.estimate(self.standing))
     }
 }
 
@@ -204,16 +194,21 @@ mod tests {
         Feedback::scored(AgentId::new(0), ServiceId::new(1), score, Time::ZERO)
     }
 
+    /// Raw Sporas reputation in `[0, D]`, if the subject has been rated.
+    fn raw(m: &SporasMechanism, subject: impl Into<SubjectId>) -> Option<f64> {
+        m.standings.get(&subject.into()).map(|s| s.reputation)
+    }
+
     #[test]
     fn newcomers_start_at_zero_and_climb() {
         let mut m = SporasMechanism::new();
         m.submit(&fb(1.0));
-        let r1 = m.raw_reputation(ServiceId::new(1).into()).unwrap();
+        let r1 = raw(&m, ServiceId::new(1)).unwrap();
         assert!(r1 > 0.0);
         for _ in 0..50 {
             m.submit(&fb(1.0));
         }
-        let r2 = m.raw_reputation(ServiceId::new(1).into()).unwrap();
+        let r2 = raw(&m, ServiceId::new(1)).unwrap();
         assert!(r2 > r1);
     }
 
@@ -223,7 +218,7 @@ mod tests {
         for _ in 0..5000 {
             m.submit(&fb(1.0));
         }
-        let r = m.raw_reputation(ServiceId::new(1).into()).unwrap();
+        let r = raw(&m, ServiceId::new(1)).unwrap();
         assert!(r <= 3000.0);
         let t = m.global(ServiceId::new(1).into()).unwrap();
         assert!(t.value.get() <= 1.0);
@@ -232,9 +227,9 @@ mod tests {
     #[test]
     fn damping_slows_highly_reputed_users() {
         let m = SporasMechanism::new();
-        assert!(m.damping(0.0) > 0.99);
-        assert!(m.damping(3000.0) < 0.51);
-        assert!(m.damping(0.0) > m.damping(1500.0));
+        assert!(m.constants.damping(0.0) > 0.99);
+        assert!(m.constants.damping(3000.0) < 0.51);
+        assert!(m.constants.damping(0.0) > m.constants.damping(1500.0));
     }
 
     #[test]
@@ -243,11 +238,11 @@ mod tests {
         for _ in 0..100 {
             m.submit(&fb(1.0));
         }
-        let high = m.raw_reputation(ServiceId::new(1).into()).unwrap();
+        let high = raw(&m, ServiceId::new(1)).unwrap();
         for _ in 0..100 {
             m.submit(&fb(0.0));
         }
-        let low = m.raw_reputation(ServiceId::new(1).into()).unwrap();
+        let low = raw(&m, ServiceId::new(1)).unwrap();
         assert!(low < high);
         assert!(low >= 0.0, "never below a newcomer");
     }
@@ -266,7 +261,7 @@ mod tests {
                 Time::ZERO,
             ));
         }
-        let rater_rep = m.raw_reputation(reputable.into()).unwrap();
+        let rater_rep = raw(&m, reputable).unwrap();
         assert!(rater_rep > 1500.0);
 
         m.submit(&Feedback::scored(
@@ -275,7 +270,7 @@ mod tests {
             1.0,
             Time::ZERO,
         ));
-        let by_reputable = m.raw_reputation(ServiceId::new(10).into()).unwrap();
+        let by_reputable = raw(&m, ServiceId::new(10)).unwrap();
 
         m.submit(&Feedback::scored(
             AgentId::new(99), // unknown rater: mid reputation
@@ -283,7 +278,7 @@ mod tests {
             1.0,
             Time::ZERO,
         ));
-        let by_unknown = m.raw_reputation(ServiceId::new(11).into()).unwrap();
+        let by_unknown = raw(&m, ServiceId::new(11)).unwrap();
         assert!(by_reputable > by_unknown);
     }
 

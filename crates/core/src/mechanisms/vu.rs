@@ -111,7 +111,7 @@ impl VuMechanism {
     /// deviation from trusted measurements over all subjects it reported
     /// on that were also probed. Reporters never cross-checked keep a
     /// neutral 0.5.
-    pub fn reporter_credibility(&self, reporter: AgentId) -> f64 {
+    pub(crate) fn reporter_credibility(&self, reporter: AgentId) -> f64 {
         let all = self.credibility.get_or_init(|| self.credibilities());
         all.get(&reporter).copied().unwrap_or(0.5)
     }
@@ -143,7 +143,7 @@ impl VuMechanism {
 
     /// Credibility-weighted per-metric estimate of a subject's delivered
     /// QoS, blending trusted probes (full weight) with reports.
-    pub fn estimated_qos(&self, subject: SubjectId) -> Option<QosVector> {
+    pub(crate) fn estimated_qos(&self, subject: SubjectId) -> Option<QosVector> {
         let mut acc: BTreeMap<Metric, (f64, f64)> = BTreeMap::new();
         if let Some(truth) = self.trusted_mean(subject) {
             for (m, v) in truth.iter() {
@@ -172,7 +172,7 @@ impl VuMechanism {
 
     /// Rank all reported subjects under `prefs` via the normalization
     /// matrix over credibility-weighted QoS estimates.
-    pub fn rank(&self, prefs: &Preferences) -> Vec<(SubjectId, f64)> {
+    pub(crate) fn rank(&self, prefs: &Preferences) -> Vec<(SubjectId, f64)> {
         let mut subjects: Vec<SubjectId> = self.reports.keys().copied().collect();
         for s in self.trusted.keys() {
             if !subjects.contains(s) {

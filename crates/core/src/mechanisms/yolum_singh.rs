@@ -63,16 +63,11 @@ impl YolumSinghMechanism {
         }
     }
 
-    /// Current weight of a neighbor link.
-    pub fn neighbor_weight(&self, from: AgentId, to: AgentId) -> Option<f64> {
-        self.neighbors.get(&from)?.get(&to).copied()
-    }
-
     /// Referral search: starting from `observer`'s neighbors, walk links
     /// (strong links first) up to the TTL, collecting answers about
     /// `subject`. Returns `(answers, agents_contacted)` where each answer
     /// is `(answering agent, estimate, evidence count, path weight)`.
-    pub fn locate(
+    pub(crate) fn locate(
         &self,
         observer: AgentId,
         subject: SubjectId,
@@ -258,7 +253,7 @@ mod tests {
         for _ in 0..5 {
             m.reinforce(a(0), a(1), false);
         }
-        assert_eq!(m.neighbor_weight(a(0), a(1)), Some(0.0));
+        assert_eq!(m.neighbors[&a(0)].get(&a(1)).copied(), Some(0.0));
         for _ in 0..4 {
             m.submit(&fb(1, 9, 0.9));
         }
@@ -273,7 +268,7 @@ mod tests {
         for _ in 0..20 {
             m.reinforce(a(0), a(1), true);
         }
-        assert_eq!(m.neighbor_weight(a(0), a(1)), Some(1.0));
+        assert_eq!(m.neighbors[&a(0)].get(&a(1)).copied(), Some(1.0));
     }
 
     #[test]

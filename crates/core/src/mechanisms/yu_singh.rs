@@ -64,7 +64,7 @@ impl YuSinghMechanism {
     }
 
     /// The belief mass `observer` assigns `subject` from local history.
-    pub fn local_belief(&self, observer: AgentId, subject: SubjectId) -> BeliefMass {
+    pub(crate) fn local_belief(&self, observer: AgentId, subject: SubjectId) -> BeliefMass {
         match self.histories.get(&(observer, subject)) {
             None => BeliefMass::vacuous(),
             Some(scores) => BeliefMass::from_scores(scores, self.lower, self.upper),
@@ -85,7 +85,7 @@ impl YuSinghMechanism {
 
     /// The witnesses `observer` can reach for testimony about `subject`:
     /// agents within the referral horizon that have local evidence.
-    pub fn witnesses(&self, observer: AgentId, subject: SubjectId) -> Vec<AgentId> {
+    pub(crate) fn witnesses(&self, observer: AgentId, subject: SubjectId) -> Vec<AgentId> {
         let reachable = if self.acquaintances.is_empty() {
             // Without an explicit acquaintance network every evidence
             // holder is reachable (fully-connected referral fallback).

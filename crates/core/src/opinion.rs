@@ -22,16 +22,6 @@ pub struct Opinion {
 }
 
 impl Opinion {
-    /// Total ignorance: all mass on uncertainty.
-    pub fn vacuous(base_rate: f64) -> Self {
-        Opinion {
-            b: 0.0,
-            d: 0.0,
-            u: 1.0,
-            a: base_rate.clamp(0.0, 1.0),
-        }
-    }
-
     /// Build from positive/negative evidence counts via the beta mapping:
     /// `b = r/(r+s+2)`, `d = s/(r+s+2)`, `u = 2/(r+s+2)`.
     pub fn from_evidence(r: f64, s: f64, base_rate: f64) -> Self {
@@ -56,7 +46,7 @@ impl Opinion {
     /// about `other` as a recommender. This is the algebra behind "Alice
     /// trusts her doctor and her doctor trusts an eye specialist, then
     /// Alice can trust the eye specialist" from Section 3.
-    pub fn discount(&self, other: &Opinion) -> Opinion {
+    pub(crate) fn discount(&self, other: &Opinion) -> Opinion {
         Opinion {
             b: self.b * other.b,
             d: self.b * other.d,
@@ -67,7 +57,7 @@ impl Opinion {
 
     /// Jøsang's *consensus* (cumulative fusion) operator `⊕`: combine two
     /// independent opinions about the same subject.
-    pub fn consensus(&self, other: &Opinion) -> Opinion {
+    pub(crate) fn consensus(&self, other: &Opinion) -> Opinion {
         let k = self.u + other.u - self.u * other.u;
         if k <= f64::EPSILON {
             // Both opinions are (almost) dogmatic; average them.
@@ -85,14 +75,6 @@ impl Opinion {
             a: (self.a + other.a) / 2.0,
         }
     }
-
-    /// Whether `(b, d, u)` is a valid simplex point (sums to 1, all ≥ 0).
-    pub fn is_valid(&self) -> bool {
-        self.b >= -1e-9
-            && self.d >= -1e-9
-            && self.u >= -1e-9
-            && (self.b + self.d + self.u - 1.0).abs() < 1e-6
-    }
 }
 
 /// A Dempster–Shafer mass assignment over the frame
@@ -102,7 +84,7 @@ impl Opinion {
 /// above an upper satisfaction threshold, `m({¬T})` from those below a
 /// lower threshold, and put the rest on the whole frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BeliefMass {
+pub(crate) struct BeliefMass {
     /// Mass on "trustworthy".
     pub trust: f64,
     /// Mass on "not trustworthy".
@@ -113,7 +95,7 @@ pub struct BeliefMass {
 
 impl BeliefMass {
     /// Total ignorance.
-    pub fn vacuous() -> Self {
+    pub(crate) fn vacuous() -> Self {
         BeliefMass {
             trust: 0.0,
             distrust: 0.0,
@@ -126,7 +108,7 @@ impl BeliefMass {
     /// # Panics
     ///
     /// Panics if all masses are zero or any is negative.
-    pub fn new(trust: f64, distrust: f64, unknown: f64) -> Self {
+    pub(crate) fn new(trust: f64, distrust: f64, unknown: f64) -> Self {
         assert!(
             trust >= 0.0 && distrust >= 0.0 && unknown >= 0.0,
             "masses must be non-negative"
@@ -144,7 +126,7 @@ impl BeliefMass {
     /// of `scores` at or above `upper` becomes trust mass, the fraction at
     /// or below `lower` becomes distrust mass, the remainder stays unknown.
     /// Empty history yields [`Self::vacuous`].
-    pub fn from_scores(scores: &[f64], lower: f64, upper: f64) -> Self {
+    pub(crate) fn from_scores(scores: &[f64], lower: f64, upper: f64) -> Self {
         if scores.is_empty() {
             return Self::vacuous();
         }
@@ -156,7 +138,7 @@ impl BeliefMass {
 
     /// Dempster's rule of combination. Returns `None` on total conflict
     /// (the normalization constant is zero).
-    pub fn combine(&self, other: &BeliefMass) -> Option<BeliefMass> {
+    pub(crate) fn combine(&self, other: &BeliefMass) -> Option<BeliefMass> {
         let conflict = self.trust * other.distrust + self.distrust * other.trust;
         let k = 1.0 - conflict;
         if k <= f64::EPSILON {
@@ -180,17 +162,15 @@ impl BeliefMass {
     /// Belief minus disbelief mapped onto `\[0, 1\]` — the scalar Yu & Singh
     /// compare against their trust threshold (they use `m(T) - m(¬T)` on
     /// `[-1, 1]`; we shift to the unit interval for the common API).
-    pub fn trust_score(&self) -> f64 {
+    pub(crate) fn trust_score(&self) -> f64 {
         ((self.trust - self.distrust) + 1.0) / 2.0
     }
+}
 
-    /// Whether the masses form a valid assignment.
-    pub fn is_valid(&self) -> bool {
-        self.trust >= -1e-9
-            && self.distrust >= -1e-9
-            && self.unknown >= -1e-9
-            && (self.trust + self.distrust + self.unknown - 1.0).abs() < 1e-6
-    }
+/// `(b, d, u)` is a point of the simplex: each ≥ 0, summing to 1.
+#[cfg(test)]
+pub(crate) fn on_simplex(b: f64, d: f64, u: f64) -> bool {
+    b >= -1e-9 && d >= -1e-9 && u >= -1e-9 && (b + d + u - 1.0).abs() < 1e-6
 }
 
 #[cfg(test)]
@@ -198,18 +178,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn evidence_mapping_is_valid_and_sensible() {
-        let o = Opinion::from_evidence(8.0, 2.0, 0.5);
-        assert!(o.is_valid());
-        assert!(o.b > o.d);
-        assert!((o.expectation() - (8.0 / 12.0 + 0.5 * (2.0 / 12.0))).abs() < 1e-12);
+    fn valid(o: &Opinion) -> bool {
+        on_simplex(o.b, o.d, o.u)
+    }
+
+    fn valid_mass(m: &BeliefMass) -> bool {
+        on_simplex(m.trust, m.distrust, m.unknown)
     }
 
     #[test]
-    fn vacuous_expectation_is_base_rate() {
-        let o = Opinion::vacuous(0.3);
-        assert!((o.expectation() - 0.3).abs() < 1e-12);
+    fn evidence_mapping_is_valid_and_sensible() {
+        let o = Opinion::from_evidence(8.0, 2.0, 0.5);
+        assert!(valid(&o));
+        assert!(o.b > o.d);
+        assert!((o.expectation() - (8.0 / 12.0 + 0.5 * (2.0 / 12.0))).abs() < 1e-12);
     }
 
     #[test]
@@ -217,7 +199,7 @@ mod tests {
         let recommender = Opinion::from_evidence(5.0, 5.0, 0.5);
         let target = Opinion::from_evidence(20.0, 0.0, 0.5);
         let d = recommender.discount(&target);
-        assert!(d.is_valid());
+        assert!(valid(&d));
         assert!(d.b <= target.b + 1e-12);
         assert!(d.u >= target.u - 1e-12);
     }
@@ -241,7 +223,7 @@ mod tests {
         let a = Opinion::from_evidence(3.0, 1.0, 0.5);
         let b = Opinion::from_evidence(4.0, 0.0, 0.5);
         let c = a.consensus(&b);
-        assert!(c.is_valid());
+        assert!(valid(&c));
         assert!(c.u < a.u.min(b.u));
     }
 
@@ -270,7 +252,7 @@ mod tests {
         assert!((m.trust - 0.5).abs() < 1e-12);
         assert!((m.distrust - 0.25).abs() < 1e-12);
         assert!((m.unknown - 0.25).abs() < 1e-12);
-        assert!(m.is_valid());
+        assert!(valid_mass(&m));
     }
 
     #[test]
@@ -288,7 +270,7 @@ mod tests {
         let b = BeliefMass::new(0.7, 0.0, 0.3);
         let c = a.combine(&b).unwrap();
         assert!(c.trust > 0.7);
-        assert!(c.is_valid());
+        assert!(valid_mass(&c));
     }
 
     #[test]
@@ -312,8 +294,8 @@ mod tests {
         ) {
             let a = Opinion::from_evidence(r1, s1, 0.5);
             let b = Opinion::from_evidence(r2, s2, 0.5);
-            prop_assert!(a.discount(&b).is_valid());
-            prop_assert!(a.consensus(&b).is_valid());
+            prop_assert!(valid(&a.discount(&b)));
+            prop_assert!(valid(&a.consensus(&b)));
         }
 
         #[test]
@@ -325,7 +307,7 @@ mod tests {
             let a = BeliefMass::new(t1, d1, 0.5);
             let b = BeliefMass::new(t2, d2, 0.5);
             let c = a.combine(&b).expect("unknown mass prevents total conflict");
-            prop_assert!(c.is_valid());
+            prop_assert!(valid_mass(&c));
         }
 
         #[test]

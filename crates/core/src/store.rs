@@ -6,7 +6,6 @@
 
 use crate::feedback::Feedback;
 use crate::id::{AgentId, SubjectId};
-use crate::time::Time;
 use std::collections::BTreeMap;
 
 /// Append-only feedback log with secondary indexes.
@@ -50,32 +49,6 @@ impl FeedbackStore {
             .into_iter()
             .flatten()
             .map(|&i| &self.log[i])
-    }
-
-    /// Reports about `subject` not older than `window` rounds at `now`.
-    pub fn about_recent(
-        &self,
-        subject: SubjectId,
-        now: Time,
-        window: u64,
-    ) -> impl Iterator<Item = &Feedback> {
-        self.about(subject)
-            .filter(move |f| now.since(f.at) < window)
-    }
-
-    /// Rating filed by `rater` about `subject`, most recent one if several.
-    pub fn latest(&self, rater: AgentId, subject: SubjectId) -> Option<&Feedback> {
-        self.by(rater).filter(|f| f.subject == subject).last()
-    }
-
-    /// All distinct subjects with at least one report.
-    pub fn subjects(&self) -> impl Iterator<Item = SubjectId> + '_ {
-        self.by_subject.keys().copied()
-    }
-
-    /// All distinct raters.
-    pub fn raters(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.by_rater.keys().copied()
     }
 
     /// Total number of reports.
@@ -126,6 +99,7 @@ impl FromIterator<Feedback> for FeedbackStore {
 mod tests {
     use super::*;
     use crate::id::ServiceId;
+    use crate::time::Time;
 
     fn store() -> FeedbackStore {
         let s1 = ServiceId::new(1);
@@ -146,29 +120,6 @@ mod tests {
         assert_eq!(st.len(), 4);
         assert_eq!(st.about(ServiceId::new(1).into()).count(), 3);
         assert_eq!(st.by(AgentId::new(0)).count(), 3);
-        assert_eq!(st.subjects().count(), 2);
-        assert_eq!(st.raters().count(), 2);
-    }
-
-    #[test]
-    fn recent_window_filters_by_age() {
-        let st = store();
-        let recent: Vec<_> = st
-            .about_recent(ServiceId::new(1).into(), Time::new(10), 6)
-            .collect();
-        assert_eq!(recent.len(), 2); // t=5 and t=10
-    }
-
-    #[test]
-    fn latest_returns_most_recent_pairing() {
-        let st = store();
-        let f = st
-            .latest(AgentId::new(0), ServiceId::new(1).into())
-            .unwrap();
-        assert_eq!(f.at, Time::new(10));
-        assert!(st
-            .latest(AgentId::new(9), ServiceId::new(1).into())
-            .is_none());
     }
 
     #[test]

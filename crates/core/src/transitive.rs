@@ -34,7 +34,10 @@ impl TrustGraph {
     }
 
     /// Outgoing opinions of `from`.
-    pub fn successors(&self, from: AgentId) -> impl Iterator<Item = (AgentId, Opinion)> + '_ {
+    pub(crate) fn successors(
+        &self,
+        from: AgentId,
+    ) -> impl Iterator<Item = (AgentId, Opinion)> + '_ {
         self.edges
             .get(&from)
             .into_iter()
@@ -43,12 +46,12 @@ impl TrustGraph {
     }
 
     /// Number of edges.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.edges.values().map(BTreeMap::len).sum()
     }
 
     /// Whether the graph has no edges.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -123,7 +126,7 @@ impl TrustGraph {
 
     /// Agents reachable from `source` within `max_hops` (BFS) — the
     /// referral horizon used by decentralized witness search.
-    pub fn reachable(&self, source: AgentId, max_hops: usize) -> BTreeSet<AgentId> {
+    pub(crate) fn reachable(&self, source: AgentId, max_hops: usize) -> BTreeSet<AgentId> {
         let mut seen = BTreeSet::new();
         let mut queue = VecDeque::from([(source, 0usize)]);
         while let Some((at, d)) = queue.pop_front() {
@@ -143,6 +146,7 @@ impl TrustGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opinion::on_simplex;
 
     fn a(i: u64) -> AgentId {
         AgentId::new(i)
@@ -163,7 +167,7 @@ mod tests {
         g.set(a(0), a(1), strong()); // Alice trusts doctor
         g.set(a(1), a(2), strong()); // doctor trusts specialist
         let derived = g.derive(a(0), a(2), 3).unwrap();
-        assert!(derived.is_valid());
+        assert!(on_simplex(derived.b, derived.d, derived.u));
         assert!(derived.expectation() > 0.6, "e={}", derived.expectation());
         // but weaker than the direct links
         assert!(derived.b < strong().b);
@@ -227,7 +231,7 @@ mod tests {
         g.set(a(1), a(0), strong());
         g.set(a(1), a(2), strong());
         let derived = g.derive(a(0), a(2), 4).unwrap();
-        assert!(derived.is_valid());
+        assert!(on_simplex(derived.b, derived.d, derived.u));
     }
 
     #[test]

@@ -18,11 +18,9 @@ pub struct TrustValue(f64);
 
 impl TrustValue {
     /// Complete distrust.
-    pub const MIN: TrustValue = TrustValue(0.0);
+    pub(crate) const MIN: TrustValue = TrustValue(0.0);
     /// The ignorance prior.
-    pub const NEUTRAL: TrustValue = TrustValue(0.5);
-    /// Complete trust.
-    pub const MAX: TrustValue = TrustValue(1.0);
+    pub(crate) const NEUTRAL: TrustValue = TrustValue(0.5);
 
     /// Build from a raw score, clamping into `\[0, 1\]`. NaN maps to 0.
     pub fn new(raw: f64) -> Self {
@@ -75,11 +73,6 @@ impl TrustEstimate {
         }
     }
 
-    /// A fully confident estimate.
-    pub fn certain(value: impl Into<TrustValue>) -> Self {
-        Self::new(value, 1.0)
-    }
-
     /// The ignorance prior: neutral value, zero confidence.
     pub fn ignorance() -> Self {
         Self::new(TrustValue::NEUTRAL, 0.0)
@@ -126,7 +119,7 @@ pub fn evidence_confidence(n: usize, k: f64) -> f64 {
 /// `global` and one per subject in its fold, so both add in the same
 /// order and answer the same floats.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WeightedMean {
+pub(crate) struct WeightedMean {
     num: f64,
     den: f64,
     n: usize,
@@ -134,14 +127,14 @@ pub struct WeightedMean {
 
 impl WeightedMean {
     /// Add `score` with weight `weight`.
-    pub fn add(&mut self, weight: f64, score: f64) {
+    pub(crate) fn add(&mut self, weight: f64, score: f64) {
         self.num += weight * score;
         self.den += weight;
         self.n += 1;
     }
 
     /// The mean and its confidence, or `None` before the first score.
-    pub fn estimate(&self) -> Option<TrustEstimate> {
+    pub(crate) fn estimate(&self) -> Option<TrustEstimate> {
         (self.n > 0).then(|| {
             TrustEstimate::new(
                 TrustValue::new(self.num / self.den),
@@ -158,7 +151,7 @@ mod tests {
 
     #[test]
     fn construction_clamps() {
-        assert_eq!(TrustValue::new(1.5), TrustValue::MAX);
+        assert_eq!(TrustValue::new(1.5), TrustValue::new(1.0));
         assert_eq!(TrustValue::new(-0.2), TrustValue::MIN);
         assert_eq!(TrustValue::new(f64::NAN).get(), 0.0);
     }

@@ -10,13 +10,20 @@
 //! `submit`ting the log in-process. A log holds one subject, an agent that
 //! may rate itself, with timestamps that step back (out of order) and jump
 //! ahead (decay gaps).
+//!
+//! Amazon's helpfulness votes and Epinions' web of trust are model inputs
+//! that never pass through the log, so their weighted means are read
+//! through `global()` alone, after the votes or trust edges are set.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::AgentId;
 use wsrep_core::mechanism::ReputationMechanism;
+use wsrep_core::mechanisms::amazon::AmazonMechanism;
 use wsrep_core::mechanisms::beta::BetaMechanism;
 use wsrep_core::mechanisms::build;
+use wsrep_core::mechanisms::epinions::EpinionsMechanism;
 use wsrep_core::time::Time;
 use wsrep_core::trust::TrustEstimate;
 
@@ -152,6 +159,55 @@ fn neutral_weight_mean_oracle(log: &[Feedback]) -> (f64, f64) {
     )
 }
 
+/// A mean of the log's scores, each weighted by `weight(rater)`, with the
+/// confidence of its report count.
+fn weighted_mean_oracle(log: &[Feedback], weight: impl Fn(AgentId) -> f64) -> (f64, f64) {
+    let (num, den) = log.iter().fold((0.0, 0.0), |(num, den), f| {
+        let w = weight(f.rater);
+        (num + w * f.score, den + w)
+    });
+    (num / den, confidence(log.len() as f64, 4.0))
+}
+
+/// Amazon with helpfulness votes `(reviewer, helpful)`: a reviewer with
+/// `h` helpful and `u` unhelpful votes weighs `max(0.25, (h+1)/(h+u+2))`,
+/// one with no vote 0.5.
+fn amazon_oracle(log: &[Feedback], votes: &[(u64, bool)]) -> (f64, f64) {
+    weighted_mean_oracle(log, |rater| {
+        let mine = votes
+            .iter()
+            .filter(|(reviewer, _)| AgentId::new(*reviewer) == rater);
+        let h = mine.clone().filter(|(_, helpful)| *helpful).count() as f64;
+        let u = mine.filter(|(_, helpful)| !*helpful).count() as f64;
+        if h + u == 0.0 {
+            0.5
+        } else {
+            ((h + 1.0) / (h + u + 2.0)).max(0.25)
+        }
+    })
+}
+
+/// Epinions after `edges` `(member, reviewer, trusts)` in order: a
+/// member's last edge to a reviewer stands (a `trust` after a `block`
+/// removes the block, and the reverse), and a reviewer with `n =
+/// max(0, trusters − blockers)` weighs `0.2 + 0.8·n/(n+3)`.
+fn epinions_oracle(log: &[Feedback], edges: &[(u64, u64, bool)]) -> (f64, f64) {
+    let standing: BTreeMap<(u64, u64), bool> = edges
+        .iter()
+        .map(|&(member, reviewer, trusts)| ((member, reviewer), trusts))
+        .collect();
+    weighted_mean_oracle(log, |rater| {
+        let edges_to = |trusts: bool| {
+            standing
+                .iter()
+                .filter(|(&(_, reviewer), &t)| AgentId::new(reviewer) == rater && t == trusts)
+                .count() as f64
+        };
+        let n = (edges_to(true) - edges_to(false)).max(0.0);
+        0.2 + 0.8 * n / (n + 3.0)
+    })
+}
+
 /// Sporas (Zacharia, Moukas & Maes), `D = 3000`, `θ = 10`, `σ = 250`:
 /// `R_0 = 0`, `R_k = clamp(R_{k−1} + (1/θ)·Φ(R_{k−1})·R_rater·(W_k −
 /// R_{k−1}/D), 0, D)` with `Φ(R) = 1 − 1/(1 + e^{−(R−D)/σ})`, `W = 0.1 +
@@ -227,6 +283,41 @@ proptest! {
     }
 
     #[test]
+    fn amazon_weighs_reviewers_by_their_helpfulness_votes(
+        reports in reports(),
+        votes in proptest::collection::vec((0u64..3, 0u8..2).prop_map(|(r, h)| (r, h == 1)), 0..20),
+    ) {
+        let log = log(&reports);
+        let mut amazon = AmazonMechanism::new();
+        for &(reviewer, helpful) in &votes {
+            amazon.vote_helpful(AgentId::new(reviewer), helpful);
+        }
+        log.iter().for_each(|f| amazon.submit(f));
+        let (value, conf) = amazon_oracle(&log, &votes);
+        check("amazon", amazon.global(AgentId::new(SUBJECT).into()).unwrap(), value, conf)?;
+    }
+
+    #[test]
+    fn epinions_weighs_reviewers_by_their_web_of_trust(
+        reports in reports(),
+        edges in proptest::collection::vec((0u64..6, 0u64..3, 0u8..2).prop_map(|(m, r, t)| (m, r, t == 1)), 0..30),
+    ) {
+        let log = log(&reports);
+        let mut epinions = EpinionsMechanism::new();
+        for &(member, reviewer, trusts) in &edges {
+            let (member, reviewer) = (AgentId::new(member), AgentId::new(reviewer));
+            if trusts {
+                epinions.trust(member, reviewer);
+            } else {
+                epinions.block(member, reviewer);
+            }
+        }
+        log.iter().for_each(|f| epinions.submit(f));
+        let (value, conf) = epinions_oracle(&log, &edges);
+        check("epinions", epinions.global(AgentId::new(SUBJECT).into()).unwrap(), value, conf)?;
+    }
+
+    #[test]
     fn sporas_is_its_recurrence(reports in reports()) {
         let log = log(&reports);
         let (value, conf) = sporas_oracle(&log);
@@ -262,6 +353,15 @@ fn the_oracles_agree_with_hand_computed_logs() {
         ebay_oracle(&[at(0.9, 1, 0), at(0.5, 1, 0), at(0.1, 1, 0)]),
         (0.5, 2.0 / 7.0)
     );
+    // Reviewer 1 has one helpful vote in one, (1+1)/(1+2) = 2/3; reviewer 2
+    // has none, 0.5.
+    let (value, _) = amazon_oracle(&[at(1.0, 1, 0), at(0.0, 2, 0)], &[(1, true)]);
+    assert!((value - (2.0 / 3.0) / (2.0 / 3.0 + 0.5)).abs() < 1e-12);
+    // Member 5 trusts then blocks reviewer 1, member 6 trusts it: one
+    // truster, one blocker, n = 0, so both reviewers weigh 0.2.
+    let edges = [(5, 1, true), (6, 1, true), (5, 1, false)];
+    let (value, _) = epinions_oracle(&[at(1.0, 1, 0), at(0.0, 2, 0)], &edges);
+    assert!((value - 0.5).abs() < 1e-12);
     // Two complaints in three reports, one filed by the subject itself.
     let (value, _) = complaints_oracle(&[at(0.1, SUBJECT, 0), at(0.2, 1, 0), at(0.9, 2, 0)]);
     assert!((value - (0.5 + (1.0 / 3.0 - 0.5) / 1.1)).abs() < 1e-12);

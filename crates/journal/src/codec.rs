@@ -10,11 +10,11 @@
 //!
 //! - **The version-1 contract**, fixed width: [`put_feedback`] /
 //!   [`get_feedback`] and what they are built from ([`put_subject`],
-//!   [`put_qos_vector`], `u32` counts, `u64` ids). It is only read now:
+//!   `put_qos_vector`, `u32` counts, `u64` ids). It is only read now:
 //!   tag-1 feedback records in segments of format 1–3 and the bodies of
 //!   snapshots of version 1–3. It is not changed.
 //! - **The compact form**, what segment formats 4 and up hold and every
-//!   commit payload carries ([`crate::record`]): [`put_feedback_compact`] /
+//!   commit payload carries ([`crate::record`]): `put_feedback_compact` /
 //!   [`crate::record::decode_payload`] over [`put_varint`] / [`get_varint`]: varint
 //!   ids and round, a head bit for an empty collection, and since format 6
 //!   no `0x3F` top score byte and no round its payload holds ([`CompactRules`]).
@@ -293,7 +293,7 @@ pub(crate) fn subject_of(kind: u8, raw: u64) -> Option<SubjectId> {
 
 /// Encode a QoS vector as a count followed by `(metric, f64)` pairs in
 /// the vector's stable metric order.
-pub fn put_qos_vector(out: &mut Vec<u8>, vector: &QosVector) {
+pub(crate) fn put_qos_vector(out: &mut Vec<u8>, vector: &QosVector) {
     put_u32(out, vector.len() as u32);
     for (metric, value) in vector.iter() {
         put_metric(out, metric);
@@ -302,7 +302,7 @@ pub fn put_qos_vector(out: &mut Vec<u8>, vector: &QosVector) {
 }
 
 /// Decode a QoS vector.
-pub fn get_qos_vector(cur: &mut Cursor<'_>) -> Result<QosVector, CodecError> {
+pub(crate) fn get_qos_vector(cur: &mut Cursor<'_>) -> Result<QosVector, CodecError> {
     let n = cur.u32()?;
     let mut vector = QosVector::new();
     for _ in 0..n {
@@ -346,7 +346,7 @@ pub fn get_feedback(cur: &mut Cursor<'_>) -> Result<Feedback, CodecError> {
 
 /// Top bit of a record's first byte: the record is a compact feedback
 /// report and the byte is its head. No record tag sets it.
-pub const FEEDBACK_COMPACT: u8 = 0x80;
+pub(crate) const FEEDBACK_COMPACT: u8 = 0x80;
 pub(crate) const HEAD_KIND: u8 = 0b0000_0011;
 pub(crate) const HEAD_OBSERVED: u8 = 0b0000_0100;
 pub(crate) const HEAD_FACETS: u8 = 0b0000_1000;
@@ -357,7 +357,7 @@ pub(crate) const HEAD_RESERVED: u8 = 0b0100_0000;
 pub(crate) const SCORE_TOP: u8 = 0x3F;
 
 /// Where a compact feedback report is read, which decides the head bits
-/// it may carry (see [`put_feedback_compact`]).
+/// it may carry (see `put_feedback_compact`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactRules {
     /// A frame of segment format 1–5: bits 4–6 clear.
@@ -411,7 +411,11 @@ pub(crate) fn get_pairs(
 /// [observed  varint n ≥ 1, then n × (metric tag, f64)]   when bit 2 is set
 /// [facets    varint n ≥ 1, then n × (metric tag, f64)]   when bit 3 is set
 /// ```
-pub fn put_feedback_compact(out: &mut Vec<u8>, feedback: &Feedback, round: &mut Option<u64>) {
+pub(crate) fn put_feedback_compact(
+    out: &mut Vec<u8>,
+    feedback: &Feedback,
+    round: &mut Option<u64>,
+) {
     let (kind, subject) = match feedback.subject {
         SubjectId::Agent(a) => (SUBJECT_AGENT, a.raw()),
         SubjectId::Service(s) => (SUBJECT_SERVICE, s.raw()),

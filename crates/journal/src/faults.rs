@@ -49,14 +49,14 @@ pub enum IoOp {
 
 impl IoOp {
     /// Every interceptable operation, in counter-index order.
-    pub const ALL: [IoOp; 4] = [IoOp::Append, IoOp::Fsync, IoOp::Rotate, IoOp::Snapshot];
+    pub(crate) const ALL: [IoOp; 4] = [IoOp::Append, IoOp::Fsync, IoOp::Rotate, IoOp::Snapshot];
 
     fn index(self) -> usize {
         self as usize
     }
 
     /// Lower-case operation name, for error messages and logs.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             IoOp::Append => "append",
             IoOp::Fsync => "fsync",
@@ -117,7 +117,7 @@ impl FaultCounters {
     }
 
     /// Faults injected into one operation.
-    pub fn for_op(&self, op: IoOp) -> u64 {
+    pub(crate) fn for_op(&self, op: IoOp) -> u64 {
         self.injected[op.index()].load(Ordering::Relaxed)
     }
 
@@ -199,32 +199,13 @@ impl IoPolicy for FaultScript {
 }
 
 /// Deterministic background chaos: every `n`th occurrence of an
-/// operation errors, and independently every `m`th is delayed. Built
-/// for long smoke runs where a CI gate needs the injected-fault count
-/// to be provably nonzero.
-#[derive(Debug)]
+/// operation fails with `StorageFull`. Built for long smoke runs where a
+/// CI gate needs the injected-fault count to be provably nonzero.
+#[derive(Debug, Default)]
 pub struct PeriodicFaults {
     error_every: [u64; 4],
-    error_kind: io::ErrorKind,
-    delay_every: [u64; 4],
-    delay: Duration,
     error_seen: [AtomicU64; 4],
-    delay_seen: [AtomicU64; 4],
     counters: FaultCounters,
-}
-
-impl Default for PeriodicFaults {
-    fn default() -> Self {
-        PeriodicFaults {
-            error_every: [0; 4],
-            error_kind: io::ErrorKind::StorageFull,
-            delay_every: [0; 4],
-            delay: Duration::from_millis(1),
-            error_seen: Default::default(),
-            delay_seen: Default::default(),
-            counters: FaultCounters::default(),
-        }
-    }
 }
 
 impl PeriodicFaults {
@@ -235,19 +216,6 @@ impl PeriodicFaults {
     /// Error every `n`th occurrence of `op` (`0` disables).
     pub fn error_every(mut self, op: IoOp, n: u64) -> Self {
         self.error_every[op.index()] = n;
-        self
-    }
-
-    /// The error kind injected by [`PeriodicFaults::error_every`].
-    pub fn error_kind(mut self, kind: io::ErrorKind) -> Self {
-        self.error_kind = kind;
-        self
-    }
-
-    /// Delay every `n`th occurrence of `op` by `delay` (`0` disables).
-    pub fn delay_every(mut self, op: IoOp, n: u64, delay: Duration) -> Self {
-        self.delay_every[op.index()] = n;
-        self.delay = delay;
         self
     }
 
@@ -265,15 +233,7 @@ impl IoPolicy for PeriodicFaults {
             let seen = self.error_seen[i].fetch_add(1, Ordering::Relaxed) + 1;
             if seen.is_multiple_of(every) {
                 self.counters.record(op);
-                return Some(Fault::Error(self.error_kind));
-            }
-        }
-        let every = self.delay_every[i];
-        if every > 0 {
-            let seen = self.delay_seen[i].fetch_add(1, Ordering::Relaxed) + 1;
-            if seen.is_multiple_of(every) {
-                self.counters.record(op);
-                return Some(Fault::Delay(self.delay));
+                return Some(Fault::enospc());
             }
         }
         None
@@ -314,14 +274,12 @@ mod tests {
 
     #[test]
     fn periodic_faults_fire_on_schedule() {
-        let plan = PeriodicFaults::new()
-            .error_every(IoOp::Append, 3)
-            .error_kind(io::ErrorKind::WriteZero);
+        let plan = PeriodicFaults::new().error_every(IoOp::Append, 3);
         assert_eq!(plan.inject(IoOp::Append), None);
         assert_eq!(plan.inject(IoOp::Append), None);
         assert_eq!(
             plan.inject(IoOp::Append),
-            Some(Fault::Error(io::ErrorKind::WriteZero))
+            Some(Fault::Error(io::ErrorKind::StorageFull))
         );
         assert_eq!(plan.inject(IoOp::Append), None);
         assert_eq!(plan.inject(IoOp::Fsync), None, "other ops untouched");

@@ -22,7 +22,7 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// Records larger than this are rejected at append time; a corrupted
 /// length field can therefore never make a reader attempt an absurd
 /// allocation.
-pub const MAX_PAYLOAD_LEN: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD_LEN: u32 = 16 * 1024 * 1024;
 
 const fn crc32_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
@@ -87,11 +87,18 @@ fn slice_by<const N: usize>(crc: u32, block: &[u8]) -> u32 {
     tables.fold(0, |crc, (table, b)| crc ^ table[usize::from(b)])
 }
 
-/// Append one framed payload to `out`.
+/// Append one framed payload to `out`: the two-step framing of an
+/// already encoded payload.
+///
+/// No production path calls it; every writer frames in place
+/// ([`begin_frame`] / [`end_frame`]). It stays as the reference the
+/// in-place framing is tested against (`encode_equivalence.rs` and
+/// `crc.rs`), and as the fixture writer for frames of historical segment
+/// formats in tests.
 ///
 /// # Panics
 ///
-/// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`] — a record that
+/// Panics if the payload exceeds `MAX_PAYLOAD_LEN` — a record that
 /// large is a logic error, not an I/O condition.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     assert!(
@@ -124,7 +131,7 @@ pub fn begin_frame(out: &mut Vec<u8>) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`], or if `out` shrank
+/// Panics if the payload exceeds `MAX_PAYLOAD_LEN`, or if `out` shrank
 /// below the reserved header (a caller bug).
 pub fn end_frame(out: &mut [u8], start: usize) {
     let payload_start = start + FRAME_HEADER_LEN;

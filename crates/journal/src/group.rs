@@ -72,7 +72,7 @@ struct AllocState {
 
 impl LsnAllocator {
     /// An allocator starting at `next_lsn` for `groups` writer groups.
-    pub fn new(next_lsn: u64, groups: usize) -> LsnAllocator {
+    pub(crate) fn new(next_lsn: u64, groups: usize) -> LsnAllocator {
         LsnAllocator {
             state: Mutex::new(AllocState {
                 next: next_lsn,
@@ -93,7 +93,7 @@ impl LsnAllocator {
     /// in flight. Call with the group's commit lock held, and pair with
     /// [`LsnAllocator::complete`] once the batch's fsync returns (or
     /// fails — an abandoned claim would freeze the watermark forever).
-    pub fn allocate(&self, group: usize, count: u64) -> u64 {
+    pub(crate) fn allocate(&self, group: usize, count: u64) -> u64 {
         let mut state = self.lock();
         let first = state.next;
         state.next += count;
@@ -104,7 +104,7 @@ impl LsnAllocator {
     }
 
     /// Mark `group`'s in-flight batch settled, advancing the watermark.
-    pub fn complete(&self, group: usize) {
+    pub(crate) fn complete(&self, group: usize) {
         let mut state = self.lock();
         state.in_flight[group] = IDLE;
         self.publish(&state);
@@ -116,7 +116,7 @@ impl LsnAllocator {
     /// batch leaves no hole in the LSN space; otherwise the run stays
     /// claimed and empty. Every run still in flight was claimed before
     /// this one, so the watermark cannot move back.
-    pub fn release(&self, group: usize, first: u64, count: u64) {
+    pub(crate) fn release(&self, group: usize, first: u64, count: u64) {
         let mut state = self.lock();
         if state.next == first + count {
             state.next = first;
@@ -126,7 +126,7 @@ impl LsnAllocator {
     }
 
     /// The contiguous durable frontier: every LSN below this is settled.
-    pub fn durable_lsn(&self) -> u64 {
+    pub(crate) fn durable_lsn(&self) -> u64 {
         self.watermark.load(Ordering::Acquire)
     }
 
@@ -224,7 +224,7 @@ impl GroupSet {
     }
 
     /// Install a fault-injection policy on every group's journal (see
-    /// [`Journal::set_io_policy`]).
+    /// `Journal::set_io_policy`).
     pub fn set_io_policy(&self, policy: std::sync::Arc<dyn crate::faults::IoPolicy>) {
         for group in 0..self.groups.len() {
             self.lock(group)

@@ -52,7 +52,7 @@ impl Default for JournalConfig {
 }
 
 /// A batch's open frame is closed, and another begun, once its payload
-/// has reached this size: far under [`crate::frame::MAX_PAYLOAD_LEN`]
+/// has reached this size: far under `crate::frame::MAX_PAYLOAD_LEN`
 /// whatever one more record adds, and a bound on what a reader must hold
 /// to see one whole frame.
 pub const FRAME_SPLIT_BYTES: usize = 1 << 20;
@@ -200,7 +200,7 @@ impl Journal {
     /// Install a fault-injection policy, consulted before every append,
     /// fsync and rotation from now on. Testing and chaos harness only;
     /// without one the write path is untouched.
-    pub fn set_io_policy(&mut self, policy: Arc<dyn IoPolicy>) {
+    pub(crate) fn set_io_policy(&mut self, policy: Arc<dyn IoPolicy>) {
         self.policy = Some(policy);
     }
 
@@ -361,7 +361,10 @@ impl Journal {
 
     /// Drop segments and stale snapshots fully covered by a snapshot at
     /// `covered_lsn`, then refresh the segment counter.
-    pub fn compact(&mut self, covered_lsn: u64) -> io::Result<crate::compact::CompactReport> {
+    pub(crate) fn compact(
+        &mut self,
+        covered_lsn: u64,
+    ) -> io::Result<crate::compact::CompactReport> {
         let report = crate::compact::compact_dir(&self.dir, covered_lsn)?;
         self.segments = list_segments(&self.dir)?.len() as u64;
         Ok(report)

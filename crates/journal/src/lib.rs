@@ -20,14 +20,14 @@
 //!   frames, and the one rule that gives a frame's records their LSNs;
 //! - [`journal`] — the group-committing writer of one log (one frame and
 //!   one fsync per batch);
-//! - [`group`] — the write-ahead log: one journal per writer group,
+//! - `group` — the write-ahead log: one journal per writer group,
 //!   sharing one LSN space via a global allocator, with a cross-group
 //!   durable watermark; opening it is the recovery pass;
 //! - [`snapshot`] — atomic point-in-time state captures;
-//! - [`recovery`] — snapshot + tail replay in one streaming pass, merging
+//! - `recovery` — snapshot + tail replay in one streaming pass, merging
 //!   all log streams by LSN as it reads, tolerant of torn final records;
-//! - [`compact`] — deletion of segments fully covered by a snapshot;
-//! - [`ship`] — incremental reads of a live log, merged across writer
+//! - `compact` — deletion of segments fully covered by a snapshot;
+//! - `ship` — incremental reads of a live log, merged across writer
 //!   groups, for replication followers.
 //!
 //! ## Durability contract
@@ -39,20 +39,20 @@
 //! time, which the framing detects and truncates per log stream. Only
 //! what a crashed append or rotation leaves is cut away; any other damage
 //! refuses to open. The acknowledged prefix is bounded by the cross-group
-//! watermark ([`group::LsnAllocator::durable_lsn`]); a crash
+//! watermark (`group::LsnAllocator::durable_lsn`); a crash
 //! may additionally preserve unacknowledged records above a gap, which
 //! recovery keeps (they are a superset of every acknowledged record).
 
 pub mod codec;
-pub mod compact;
+mod compact;
 pub mod faults;
 pub mod frame;
-pub mod group;
+mod group;
 pub mod journal;
 pub mod record;
-pub mod recovery;
+mod recovery;
 pub mod segment;
-pub mod ship;
+mod ship;
 pub mod snapshot;
 
 pub use compact::{compact_dir, CompactReport};

@@ -11,7 +11,7 @@
 //! A record opens with one byte. Tags 1–3 are the version-1 contract: a
 //! fixed-width feedback report (read from segments of format 1–5, no
 //! longer written), a listing, a withdrawal. A byte with
-//! [`FEEDBACK_COMPACT`] set is the head of a compact feedback report.
+//! `FEEDBACK_COMPACT` set is the head of a compact feedback report.
 //!
 //! Every record says where it ends, so **the commit payload** is records
 //! back to back, each report leaving out a round the one before it held:
@@ -61,7 +61,7 @@ impl JournalRecord {
 /// a snapshot), as a commit payload spells it.
 pub trait PayloadRecord {
     /// Append as the next record of a payload whose last report so far
-    /// had round `*round` (see [`put_feedback_compact`]).
+    /// had round `*round` (see `put_feedback_compact`).
     fn put(&self, out: &mut Vec<u8>, round: &mut Option<u64>);
 }
 
@@ -112,7 +112,7 @@ pub fn put_payload<'a, R: PayloadRecord + 'a>(
 /// (`Format6` for all written today), handing each record to `keep`. An
 /// empty payload holds none. The first record that does not decode, or
 /// that `keep` refuses, ends it with its error. It is the one compact-report
-/// reader: decode ∘ [`put_feedback_compact`] is the identity, score bits too.
+/// reader: decode ∘ `put_feedback_compact` is the identity, score bits too.
 pub fn decode_payload(
     cur: &mut Cursor<'_>,
     mut rules: CompactRules,

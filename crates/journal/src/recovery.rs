@@ -243,7 +243,7 @@ pub(crate) struct LogStream {
 }
 
 impl LogStream {
-    pub fn open(dir: &Path, upto: u64) -> io::Result<LogStream> {
+    pub(crate) fn open(dir: &Path, upto: u64) -> io::Result<LogStream> {
         // A segment's name is a lower bound on every LSN inside it, so
         // one named at or past `upto` holds nothing of the prefix.
         let mut segments = list_segments(dir)?;
@@ -295,7 +295,7 @@ impl LogStream {
     /// whole frame, and a crashed rotation's final segment, headerless and
     /// no longer than a header (`create_segment` syncs one before any
     /// append), is deleted. Anything else is `InvalidData`, files intact.
-    pub fn finish(mut self) -> io::Result<LogStream> {
+    pub(crate) fn finish(mut self) -> io::Result<LogStream> {
         while self.peek()?.is_some() {
             self.frame.clear();
         }

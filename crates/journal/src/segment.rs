@@ -19,7 +19,7 @@
 //! first frame, the header's start LSN) unless the payload opens with
 //! [`LSN_MARKER`] and the `u64` LSN it has instead; the records after it
 //! count up from there. A log that shares its LSN space with other writer
-//! groups (see [`crate::group`]) states an LSN exactly where one of its
+//! groups (see `crate::group`) states an LSN exactly where one of its
 //! commits does not continue its own previous one; a log written alone
 //! never does. A frame is read whole or not at all: one that does not
 //! check, label and decode to its last byte is where the log ends. One
@@ -68,7 +68,7 @@ pub fn segment_file_name(start_lsn: u64) -> String {
 }
 
 /// Parse a segment file name back to its start LSN.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
     parse_lsn_name(name, "wal-", ".log")
 }
 
@@ -225,7 +225,7 @@ pub fn group_dir_name(group: usize) -> String {
 }
 
 /// Parse a group directory name back to its group index.
-pub fn parse_group_dir_name(name: &str) -> Option<usize> {
+pub(crate) fn parse_group_dir_name(name: &str) -> Option<usize> {
     let digits = name.strip_prefix("group-")?;
     if digits.len() != 3 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -330,7 +330,7 @@ impl SegmentReader {
     /// segment (e.g. a crash tore the very first write) and the caller
     /// decides whether that is fatal; an unknown format version is an
     /// error (see [`LsnWalk::from_header`]).
-    pub fn open(path: &Path) -> io::Result<Option<SegmentReader>> {
+    pub(crate) fn open(path: &Path) -> io::Result<Option<SegmentReader>> {
         let mut file = File::open(path)?;
         // The header comes in with the first chunk.
         let mut buf = Vec::with_capacity(READ_CHUNK);
@@ -353,7 +353,7 @@ impl SegmentReader {
     /// Append the next whole frame's records to `into`, an LSN run: `Some`
     /// LSN of its first if there was one, `None` where the frames stop for
     /// now ([`end`](Self::end) says why) and `into` is as it was.
-    pub fn next_frame(&mut self, into: &mut Vec<JournalRecord>) -> io::Result<Option<u64>> {
+    pub(crate) fn next_frame(&mut self, into: &mut Vec<JournalRecord>) -> io::Result<Option<u64>> {
         let mut fresh = false;
         let frame_len = loop {
             match split_frame(&self.buf[self.taken..]) {
@@ -404,7 +404,7 @@ impl SegmentReader {
 
     /// Whether bytes after the valid prefix were torn or damaged: a log
     /// at rest ends there.
-    pub fn torn(&self) -> bool {
+    pub(crate) fn torn(&self) -> bool {
         self.end != SegmentEnd::Clean
     }
 }

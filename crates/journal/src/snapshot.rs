@@ -36,13 +36,13 @@ use wsrep_core::feedback::Feedback;
 use wsrep_sim::registry::Listing;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"WSRS";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"WSRS";
 /// The version byte this build writes. Versions 1–3 all name the first
 /// snapshot's fixed-width body (builds up to segment format 3 stamped it
 /// with the segment format of the day). It does not follow
 /// [`crate::segment::FORMAT_VERSION`]: a segment bump must not make the
 /// snapshots beside it read as damaged.
-pub const SNAPSHOT_VERSION: u8 = 4;
+pub(crate) const SNAPSHOT_VERSION: u8 = 4;
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 
 /// The file name of the snapshot covering records `[0, lsn)`.
@@ -51,7 +51,7 @@ pub fn snapshot_file_name(lsn: u64) -> String {
 }
 
 /// Parse a snapshot file name back to its covered LSN.
-pub fn parse_snapshot_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     parse_lsn_name(name, "snap-", ".snap")
 }
 

@@ -32,11 +32,6 @@ impl ChurnModel {
         }
     }
 
-    /// No churn at all.
-    pub fn none() -> Self {
-        Self::new(0.0, 0.0)
-    }
-
     /// Currently offline nodes.
     pub fn offline(&self) -> impl Iterator<Item = AgentId> + '_ {
         self.offline.iter().copied()
@@ -77,7 +72,7 @@ mod tests {
 
     #[test]
     fn no_churn_never_changes_anything() {
-        let mut c = ChurnModel::none();
+        let mut c = ChurnModel::new(0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
         let pop = population(20);
         for _ in 0..10 {

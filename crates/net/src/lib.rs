@@ -7,7 +7,7 @@
 //! of failure. This crate is the substrate that makes those claims
 //! measurable:
 //!
-//! * [`network`] — an in-process message-passing network with latency,
+//! * `network` — an in-process message-passing network with latency,
 //!   loss, node failure and full message/byte accounting;
 //! * [`overlay`] — topologies and routing: random graphs with
 //!   [`overlay::flood`]ing and [`overlay::gossip`], a Chord-like DHT
@@ -20,16 +20,18 @@
 //!   QoS registry over P-Grid.
 //!
 //! ```
-//! use wsrep_net::overlay::chord::ChordRing;
+//! use wsrep_core::AgentId;
+//! use wsrep_net::overlay::chord::{hash_key, ChordRing};
 //!
-//! let ring = ChordRing::new((0..16).map(wsrep_core::AgentId::new));
-//! let path = ring.route(ring.node_key(wsrep_core::AgentId::new(3)));
-//! assert!(!path.is_empty());
+//! // Node 3's own ring key routes to node 3.
+//! let ring = ChordRing::new((0..16).map(AgentId::new));
+//! let path = ring.route_from(AgentId::new(0), hash_key(3)).unwrap();
+//! assert_eq!(path.last(), Some(&AgentId::new(3)));
 //! ```
 
 pub mod churn;
-pub mod network;
+mod network;
 pub mod overlay;
 pub mod protocols;
 
-pub use network::{NetStats, SimNetwork};
+pub use network::SimNetwork;

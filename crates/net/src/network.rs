@@ -14,7 +14,7 @@ use wsrep_core::time::Time;
 
 /// A message in flight or delivered.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<P> {
+pub(crate) struct Envelope<P> {
     /// Sender node.
     pub from: AgentId,
     /// Destination node.
@@ -27,7 +27,7 @@ pub struct Envelope<P> {
 
 /// Cumulative transport statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetStats {
+pub(crate) struct NetStats {
     /// Messages handed to the network.
     pub sent: u64,
     /// Messages delivered into an inbox.
@@ -86,13 +86,8 @@ impl<P> SimNetwork<P> {
         self.inboxes.entry(node).or_default();
     }
 
-    /// All registered nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.nodes.iter().copied()
-    }
-
     /// Whether a node is currently alive.
-    pub fn is_alive(&self, node: AgentId) -> bool {
+    pub(crate) fn is_alive(&self, node: AgentId) -> bool {
         self.nodes.contains(&node) && !self.down.contains(&node)
     }
 
@@ -109,19 +104,14 @@ impl<P> SimNetwork<P> {
         self.down.remove(&node);
     }
 
-    /// Current simulation round.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
     /// Transport statistics so far.
-    pub fn stats(&self) -> NetStats {
+    pub(crate) fn stats(&self) -> NetStats {
         self.stats
     }
 
     /// Send a message; it will arrive after the configured latency unless
     /// lost. Sending from or to a dead/unknown node drops immediately.
-    pub fn send(&mut self, from: AgentId, to: AgentId, payload: P, size: usize) {
+    pub(crate) fn send(&mut self, from: AgentId, to: AgentId, payload: P, size: usize) {
         self.stats.sent += 1;
         self.stats.bytes_sent += size as u64;
         if !self.is_alive(from) || !self.nodes.contains(&to) {
@@ -143,7 +133,7 @@ impl<P> SimNetwork<P> {
 
     /// Advance one round, delivering everything due. Returns the number of
     /// messages delivered this step.
-    pub fn step(&mut self) -> usize {
+    pub(crate) fn step(&mut self) -> usize {
         let due: Vec<Time> = self
             .in_flight
             .keys()
@@ -167,7 +157,7 @@ impl<P> SimNetwork<P> {
     }
 
     /// Run steps until no message is in flight (or `max_steps` elapse).
-    pub fn settle(&mut self, max_steps: usize) -> usize {
+    pub(crate) fn settle(&mut self, max_steps: usize) -> usize {
         let mut total = 0;
         for _ in 0..max_steps {
             total += self.step();
@@ -179,22 +169,21 @@ impl<P> SimNetwork<P> {
     }
 
     /// Drain a node's inbox.
-    pub fn drain_inbox(&mut self, node: AgentId) -> Vec<Envelope<P>> {
+    pub(crate) fn drain_inbox(&mut self, node: AgentId) -> Vec<Envelope<P>> {
         self.inboxes
             .get_mut(&node)
             .map(|q| q.drain(..).collect())
             .unwrap_or_default()
-    }
-
-    /// Peek at a node's inbox length.
-    pub fn inbox_len(&self, node: AgentId) -> usize {
-        self.inboxes.get(&node).map(VecDeque::len).unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn inbox_len(n: &SimNetwork<String>, node: AgentId) -> usize {
+        n.inboxes.get(&node).map_or(0, VecDeque::len)
+    }
 
     fn a(i: u64) -> AgentId {
         AgentId::new(i)
@@ -249,17 +238,17 @@ mod tests {
         n.send(a(0), a(1), "early".into(), 1);
         n.step();
         n.step();
-        assert_eq!(n.inbox_len(a(1)), 1);
+        assert_eq!(inbox_len(&n, a(1)), 1);
         n.fail(a(1));
-        assert_eq!(n.inbox_len(a(1)), 0, "inbox cleared on failure");
+        assert_eq!(inbox_len(&n, a(1)), 0, "inbox cleared on failure");
         n.send(a(0), a(1), "late".into(), 1);
         n.settle(5);
-        assert_eq!(n.inbox_len(a(1)), 0);
+        assert_eq!(inbox_len(&n, a(1)), 0);
         assert!(!n.is_alive(a(1)));
         n.recover(a(1));
         n.send(a(0), a(1), "after".into(), 1);
         n.settle(5);
-        assert_eq!(n.inbox_len(a(1)), 1);
+        assert_eq!(inbox_len(&n, a(1)), 1);
     }
 
     #[test]
@@ -285,7 +274,7 @@ mod tests {
         n.send(a(0), a(1), "x".into(), 1);
         let delivered = n.settle(100);
         assert_eq!(delivered, 1);
-        assert!(n.now().round() < 100, "stopped early once drained");
+        assert!(n.now.round() < 100, "stopped early once drained");
     }
 
     #[test]

@@ -54,16 +54,8 @@ impl ChordRing {
     }
 
     /// The ring key of a node.
-    pub fn node_key(&self, node: AgentId) -> u64 {
+    pub(crate) fn node_key(&self, node: AgentId) -> u64 {
         hash_key(node.raw())
-    }
-
-    /// The node responsible for `key` (its successor on the ring).
-    pub fn successor(&self, key: u64) -> Option<AgentId> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        Some(self.ring[&self.successor_key(key)])
     }
 
     fn successor_key(&self, key: u64) -> u64 {
@@ -73,17 +65,6 @@ impl ChordRing {
             .next()
             .map(|(k, _)| k)
             .unwrap_or_else(|| self.ring.keys().next().expect("non-empty ring"))
-    }
-
-    /// Greedy finger routing from the ring's first node to the node
-    /// responsible for `key`. Returns the node path including start and
-    /// destination; `path.len() - 1` is the hop count.
-    pub fn route(&self, key: u64) -> Vec<AgentId> {
-        let Some(&start_node) = self.ring.values().next() else {
-            return Vec::new();
-        };
-        self.route_from(start_node, key)
-            .unwrap_or_else(|| vec![start_node])
     }
 
     /// Route from a specific node to the owner of `key`.
@@ -121,21 +102,6 @@ impl ChordRing {
         }
         Some(path)
     }
-
-    /// Number of nodes on the ring.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// All nodes on the ring in key order.
-    pub fn nodes(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.ring.values().copied()
-    }
 }
 
 /// Clockwise distance from `a` to `b` on the 2^64 ring.
@@ -155,13 +121,18 @@ mod tests {
         ChordRing::new((0..n).map(a))
     }
 
+    /// The node responsible for `key`: its successor on the ring.
+    fn successor(r: &ChordRing, key: u64) -> AgentId {
+        r.ring[&r.successor_key(key)]
+    }
+
     #[test]
     fn successor_owns_keys_consistently() {
         let r = ring(16);
         for probe in [0u64, 42, u64::MAX / 2, u64::MAX] {
-            let owner = r.successor(probe).unwrap();
+            let owner = successor(&r, probe);
             // Owner must be a ring member.
-            assert!(r.nodes().any(|n| n == owner));
+            assert!(r.ring.values().any(|&n| n == owner));
         }
     }
 
@@ -169,7 +140,7 @@ mod tests {
     fn node_key_routes_to_itself() {
         let r = ring(16);
         for i in 0..16 {
-            let owner = r.successor(r.node_key(a(i))).unwrap();
+            let owner = successor(&r, r.node_key(a(i)));
             assert_eq!(owner, a(i));
         }
     }
@@ -178,7 +149,7 @@ mod tests {
     fn routing_terminates_at_the_owner() {
         let r = ring(64);
         for probe in [7u64, 999, u64::MAX - 3] {
-            let owner = r.successor(probe).unwrap();
+            let owner = successor(&r, probe);
             let path = r.route_from(a(0), probe).unwrap();
             assert_eq!(*path.last().unwrap(), owner, "probe {probe}");
         }
@@ -205,9 +176,8 @@ mod tests {
     #[test]
     fn empty_ring_behaves() {
         let r = ChordRing::new(std::iter::empty());
-        assert!(r.is_empty());
-        assert_eq!(r.successor(1), None);
-        assert!(r.route(1).is_empty());
+        assert!(r.ring.is_empty());
+        assert!(r.route_from(a(0), 1).is_none());
     }
 
     #[test]

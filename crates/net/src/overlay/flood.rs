@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn isolated_source_reaches_nobody() {
         let mut g = NeighborGraph::new();
-        g.add_node(a(0));
+        g.add_edge(a(1), a(2));
         let out = flood(&g, a(0), 5);
         assert!(out.reached.is_empty());
         assert_eq!(out.messages, 0);

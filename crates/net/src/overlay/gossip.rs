@@ -102,12 +102,14 @@ mod tests {
 
     #[test]
     fn isolated_source_stops_immediately() {
+        // Other nodes exist, so the run does not end as "everyone
+        // informed": it ends after one round with no progress.
         let mut g = NeighborGraph::new();
-        g.add_node(a(0));
-        g.add_node(a(1));
+        g.add_edge(a(1), a(2));
         let mut rng = StdRng::seed_from_u64(13);
         let out = gossip(&mut rng, &g, a(0), 3, 10);
         assert_eq!(out.informed.len(), 1);
+        assert_eq!(out.rounds, 1);
         assert_eq!(out.messages, 0);
     }
 }

@@ -17,11 +17,6 @@ impl NeighborGraph {
         Self::default()
     }
 
-    /// Add a node (idempotent).
-    pub fn add_node(&mut self, node: AgentId) {
-        self.adj.entry(node).or_default();
-    }
-
     /// Add an undirected edge (adds missing endpoints).
     pub fn add_edge(&mut self, a: AgentId, b: AgentId) {
         if a == b {
@@ -31,57 +26,14 @@ impl NeighborGraph {
         self.adj.entry(b).or_default().insert(a);
     }
 
-    /// Remove a node and its edges.
-    pub fn remove_node(&mut self, node: AgentId) {
-        if let Some(neis) = self.adj.remove(&node) {
-            for n in neis {
-                if let Some(set) = self.adj.get_mut(&n) {
-                    set.remove(&node);
-                }
-            }
-        }
-    }
-
     /// Neighbors of a node.
-    pub fn neighbors(&self, node: AgentId) -> impl Iterator<Item = AgentId> + '_ {
+    pub(crate) fn neighbors(&self, node: AgentId) -> impl Iterator<Item = AgentId> + '_ {
         self.adj.get(&node).into_iter().flatten().copied()
     }
 
-    /// All nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.adj.keys().copied()
-    }
-
     /// Node count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.adj.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Edge count.
-    pub fn edge_count(&self) -> usize {
-        self.adj.values().map(BTreeSet::len).sum::<usize>() / 2
-    }
-
-    /// Whether the graph is connected (trivially true when empty).
-    pub fn is_connected(&self) -> bool {
-        let Some(&start) = self.adj.keys().next() else {
-            return true;
-        };
-        let mut seen = BTreeSet::from([start]);
-        let mut stack = vec![start];
-        while let Some(at) = stack.pop() {
-            for n in self.neighbors(at) {
-                if seen.insert(n) {
-                    stack.push(n);
-                }
-            }
-        }
-        seen.len() == self.adj.len()
     }
 
     /// A connected random graph: a ring over `nodes` (guaranteeing
@@ -123,30 +75,24 @@ mod tests {
         AgentId::new(i)
     }
 
+    fn edge_count(g: &NeighborGraph) -> usize {
+        g.adj.values().map(BTreeSet::len).sum::<usize>() / 2
+    }
+
     #[test]
     fn edges_are_undirected() {
         let mut g = NeighborGraph::new();
         g.add_edge(a(0), a(1));
         assert!(g.neighbors(a(0)).any(|n| n == a(1)));
         assert!(g.neighbors(a(1)).any(|n| n == a(0)));
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(edge_count(&g), 1);
     }
 
     #[test]
     fn self_loops_are_ignored() {
         let mut g = NeighborGraph::new();
         g.add_edge(a(0), a(0));
-        assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn removal_cleans_both_sides() {
-        let mut g = NeighborGraph::new();
-        g.add_edge(a(0), a(1));
-        g.add_edge(a(1), a(2));
-        g.remove_node(a(1));
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.neighbors(a(0)).count(), 0);
+        assert_eq!(edge_count(&g), 0);
     }
 
     #[test]
@@ -154,23 +100,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let nodes: Vec<AgentId> = (0..50).map(a).collect();
         let g = NeighborGraph::random_connected(&mut rng, &nodes, 2);
-        assert!(g.is_connected());
         assert_eq!(g.len(), 50);
-    }
-
-    #[test]
-    fn single_node_graph_is_connected() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = NeighborGraph::random_connected(&mut rng, &[a(0)], 2);
-        assert!(g.is_connected());
-        assert!(NeighborGraph::new().is_connected());
-    }
-
-    #[test]
-    fn disconnected_graph_detected() {
-        let mut g = NeighborGraph::new();
-        g.add_edge(a(0), a(1));
-        g.add_node(a(9));
-        assert!(!g.is_connected());
+        let mut seen = BTreeSet::from([a(0)]);
+        let mut stack = vec![a(0)];
+        while let Some(at) = stack.pop() {
+            stack.extend(g.neighbors(at).filter(|&n| seen.insert(n)));
+        }
+        assert_eq!(seen.len(), 50);
     }
 }

@@ -27,7 +27,7 @@ pub struct PGrid {
 }
 
 /// A key in the binary key space: the first `depth` bits of a 64-bit hash.
-pub fn key_bits(key: u64, depth: usize) -> String {
+pub(crate) fn key_bits(key: u64, depth: usize) -> String {
     (0..depth)
         .map(|i| {
             if key & (1u64 << (63 - i)) != 0 {
@@ -109,7 +109,7 @@ impl PGrid {
     }
 
     /// The peer responsible for a key.
-    pub fn responsible(&self, key: u64) -> Option<AgentId> {
+    pub(crate) fn responsible(&self, key: u64) -> Option<AgentId> {
         if self.by_prefix.is_empty() {
             return None;
         }
@@ -124,11 +124,6 @@ impl PGrid {
             .next_back()
             .or_else(|| self.by_prefix.iter().next())
             .map(|(_, &p)| p)
-    }
-
-    /// The prefix a peer is responsible for.
-    pub fn prefix_of(&self, peer: AgentId) -> Option<&str> {
-        self.prefixes.get(&peer).map(String::as_str)
     }
 
     /// Greedy prefix-correcting routing from `start` toward the owner of
@@ -162,17 +157,12 @@ impl PGrid {
     }
 
     /// Number of peers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.prefixes.len()
     }
 
-    /// Whether the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
-    }
-
     /// All peers.
-    pub fn peers(&self) -> impl Iterator<Item = AgentId> + '_ {
+    pub(crate) fn peers(&self) -> impl Iterator<Item = AgentId> + '_ {
         self.prefixes.keys().copied()
     }
 }
@@ -194,7 +184,7 @@ mod tests {
     fn prefixes_partition_the_key_space_for_powers_of_two() {
         let g = grid(8);
         assert_eq!(g.depth(), 3);
-        let mut prefixes: Vec<&str> = g.peers().map(|p| g.prefix_of(p).unwrap()).collect();
+        let mut prefixes: Vec<&str> = g.prefixes.values().map(String::as_str).collect();
         prefixes.sort();
         prefixes.dedup();
         assert_eq!(prefixes.len(), 8);
@@ -247,7 +237,6 @@ mod tests {
     #[test]
     fn empty_grid_behaves() {
         let g = PGrid::new(&[]);
-        assert!(g.is_empty());
         assert_eq!(g.responsible(5), None);
     }
 

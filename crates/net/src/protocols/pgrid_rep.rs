@@ -64,7 +64,7 @@ impl PGridQosRegistry {
 
     /// Whether there are no registries.
     pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
+        self.len() == 0
     }
 
     fn service_key(service: ServiceId) -> u64 {

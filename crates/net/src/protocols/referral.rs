@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn isolated_asker_finds_nothing() {
         let mut g = NeighborGraph::new();
-        g.add_node(a(0));
+        g.add_edge(a(1), a(2));
         let out = find_witnesses(&g, a(0), 3, 5, |_| true);
         assert!(out.witnesses.is_empty());
         assert_eq!(out.messages, 0);

@@ -40,9 +40,5 @@ pub mod sla;
 pub mod taxonomy;
 pub mod value;
 
-pub use metric::{Metric, Monotonicity};
-pub use normalize::{NormalizationMatrix, OverallScore};
-pub use preference::Preferences;
-pub use profile::QualityProfile;
-pub use sla::{Sla, SlaOutcome};
-pub use value::QosVector;
+pub use normalize::OverallScore;
+pub use sla::SlaOutcome;

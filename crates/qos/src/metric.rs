@@ -169,32 +169,8 @@ impl Metric {
         }
     }
 
-    /// Whether the metric can be measured automatically by execution
-    /// monitoring (response time, availability, …) or needs a human/agent
-    /// *rating* (accuracy as perceived, security assurances).
-    ///
-    /// The paper distinguishes exactly these two kinds of consumer feedback
-    /// in Section 2: "quality information collected from actual execution
-    /// monitoring" versus "ratings about the quality of the service,
-    /// especially the QoS aspects like accuracy that can not be acquired
-    /// through execution monitoring".
-    pub fn observable_by_monitoring(self) -> bool {
-        use Metric::*;
-        matches!(
-            self,
-            ProcessingTime
-                | Throughput
-                | ResponseTime
-                | Latency
-                | Availability
-                | Accessibility
-                | Capacity
-                | Price
-        )
-    }
-
     /// Short stable name used in reports and tables.
-    pub fn name(self) -> String {
+    pub(crate) fn name(self) -> String {
         use Metric::*;
         match self {
             ProcessingTime => "processing_time".into(),
@@ -264,12 +240,6 @@ mod tests {
         ] {
             assert_eq!(m.monotonicity(), Monotonicity::HigherBetter, "{m}");
         }
-    }
-
-    #[test]
-    fn accuracy_needs_a_rating_not_a_probe() {
-        assert!(!Metric::Accuracy.observable_by_monitoring());
-        assert!(Metric::ResponseTime.observable_by_monitoring());
     }
 
     #[test]

@@ -67,33 +67,6 @@ impl NormalizationMatrix {
         }
     }
 
-    /// The metric columns in order.
-    pub fn metrics(&self) -> &[Metric] {
-        &self.metrics
-    }
-
-    /// Number of candidate rows.
-    pub fn candidates(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Normalized entry for candidate `i`, metric column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of bounds.
-    pub fn entry(&self, i: usize, j: usize) -> f64 {
-        self.rows[i][j]
-    }
-
-    /// Normalized row for candidate `i` as `(metric, value)` pairs.
-    pub fn row(&self, i: usize) -> impl Iterator<Item = (Metric, f64)> + '_ {
-        self.metrics
-            .iter()
-            .copied()
-            .zip(self.rows[i].iter().copied())
-    }
-
     /// Weighted overall scores under `prefs`, sorted best-first.
     ///
     /// Metrics in the matrix that the consumer assigns no weight contribute
@@ -211,9 +184,9 @@ mod tests {
     #[test]
     fn lower_better_metric_is_flipped() {
         let m = NormalizationMatrix::new(&candidates(), &[Metric::ResponseTime]);
-        assert_eq!(m.entry(0, 0), 1.0); // fastest
-        assert_eq!(m.entry(1, 0), 0.0); // slowest
-        assert!((m.entry(2, 0) - 0.5).abs() < 1e-12);
+        assert_eq!(m.rows[0][0], 1.0); // fastest
+        assert_eq!(m.rows[1][0], 0.0); // slowest
+        assert!((m.rows[2][0] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -235,7 +208,7 @@ mod tests {
             QosVector::new(), // reports nothing
         ];
         let m = NormalizationMatrix::new(&cands, &[Metric::Accuracy]);
-        assert_eq!(m.entry(1, 0), 0.0);
+        assert_eq!(m.rows[1][0], 0.0);
     }
 
     #[test]
@@ -245,8 +218,8 @@ mod tests {
             QosVector::from_pairs([(Metric::Price, 4.0)]),
         ];
         let m = NormalizationMatrix::new(&cands, &[Metric::Price]);
-        assert_eq!(m.entry(0, 0), 1.0);
-        assert_eq!(m.entry(1, 0), 1.0);
+        assert_eq!(m.rows[0][0], 1.0);
+        assert_eq!(m.rows[1][0], 1.0);
     }
 
     #[test]
@@ -326,7 +299,7 @@ mod tests {
             let a = NormalizationMatrix::new(&raw, &[Metric::Throughput]);
             let b = NormalizationMatrix::new(&scaled, &[Metric::Throughput]);
             for i in 0..vals.len() {
-                prop_assert!((a.entry(i, 0) - b.entry(i, 0)).abs() < 1e-9);
+                prop_assert!((a.rows[i][0] - b.rows[i][0]).abs() < 1e-9);
             }
         }
 
@@ -341,7 +314,7 @@ mod tests {
             let m = NormalizationMatrix::new(&raw, &[Metric::Latency]);
             let prefs = Preferences::uniform([Metric::Latency]);
             for i in 0..vals.len() {
-                prop_assert!((0.0..=1.0).contains(&m.entry(i, 0)));
+                prop_assert!((0.0..=1.0).contains(&m.rows[i][0]));
             }
             for s in m.scores(&prefs) {
                 prop_assert!((0.0..=1.0).contains(&s.score));

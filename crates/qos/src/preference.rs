@@ -76,15 +76,6 @@ impl Preferences {
         self.weights.is_empty()
     }
 
-    /// Utility of an *already normalized* QoS vector (entries in `\[0, 1\]`,
-    /// higher better): the weighted sum over this profile's metrics.
-    /// Missing metrics contribute 0.
-    pub fn utility(&self, normalized: &QosVector) -> f64 {
-        self.iter()
-            .map(|(m, w)| w * normalized.get(m).unwrap_or(0.0))
-            .sum()
-    }
-
     /// Utility of a *raw* QoS vector, normalizing each metric against fixed
     /// reference bounds `(min, max)` supplied per metric. Useful for ground
     /// -truth utility where the simulator knows global bounds.
@@ -102,21 +93,6 @@ impl Preferences {
                 w * crate::normalize::normalize_one(v, min, max, m.monotonicity())
             })
             .sum()
-    }
-
-    /// Cosine similarity between two preference profiles in `\[0, 1\]`.
-    ///
-    /// Used by personalized mechanisms (Histos, collaborative filtering)
-    /// to find like-minded consumers.
-    pub fn similarity(&self, other: &Preferences) -> f64 {
-        let dot: f64 = self.iter().map(|(m, w)| w * other.weight(m)).sum();
-        let na: f64 = self.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-        let nb: f64 = other.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            (dot / (na * nb)).clamp(0.0, 1.0)
-        }
     }
 
     /// Sample a random profile over `metrics` with controllable
@@ -199,40 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_profile_utility_is_zero() {
-        let p = Preferences::default();
-        let v = QosVector::from_pairs([(Metric::Price, 1.0)]);
-        assert_eq!(p.utility(&v), 0.0);
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn utility_weights_normalized_values() {
-        let p = Preferences::from_weights([(Metric::Accuracy, 0.75), (Metric::Price, 0.25)]);
-        let v = QosVector::from_pairs([(Metric::Accuracy, 1.0), (Metric::Price, 0.0)]);
-        assert!((p.utility(&v) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn utility_raw_respects_monotonicity() {
         let p = Preferences::uniform([Metric::ResponseTime]);
         let fast = QosVector::from_pairs([(Metric::ResponseTime, 0.0)]);
         let slow = QosVector::from_pairs([(Metric::ResponseTime, 100.0)]);
         let bounds = |_| (0.0, 100.0);
         assert!(p.utility_raw(&fast, bounds) > p.utility_raw(&slow, bounds));
-    }
-
-    #[test]
-    fn similarity_of_identical_profiles_is_one() {
-        let p = Preferences::from_weights([(Metric::Price, 0.3), (Metric::Accuracy, 0.7)]);
-        assert!((p.similarity(&p) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn similarity_of_disjoint_profiles_is_zero() {
-        let a = Preferences::uniform([Metric::Price]);
-        let b = Preferences::uniform([Metric::Accuracy]);
-        assert_eq!(a.similarity(&b), 0.0);
     }
 
     #[test]

@@ -55,21 +55,6 @@ impl QualityProfile {
         self.qualities.get(&metric).copied()
     }
 
-    /// Metrics with a latent quality.
-    pub fn metrics(&self) -> impl Iterator<Item = Metric> + '_ {
-        self.qualities.keys().copied()
-    }
-
-    /// Number of metrics carried.
-    pub fn len(&self) -> usize {
-        self.qualities.len()
-    }
-
-    /// Whether the profile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.qualities.is_empty()
-    }
-
     /// The mean vector: expected observation, without jitter.
     pub fn means(&self) -> QosVector {
         self.qualities.iter().map(|(m, q)| (*m, q.mean)).collect()
@@ -102,14 +87,6 @@ impl QualityProfile {
             q.mean = clamp_to_domain(m, q.mean * factor.max(0.0));
         }
     }
-
-    /// Exaggerated advertisement: the mean vector made better by `factor`
-    /// (0 = honest, 0.5 = 50% better than truth on every metric).
-    pub fn exaggerated(&self, factor: f64) -> QosVector {
-        let mut adv = self.clone();
-        adv.drift(factor);
-        adv.means()
-    }
 }
 
 impl FromIterator<(Metric, MetricQuality)> for QualityProfile {
@@ -123,7 +100,7 @@ impl FromIterator<(Metric, MetricQuality)> for QualityProfile {
 /// Clamp a raw value to the metric's meaningful domain: fraction-valued
 /// metrics (availability, accuracy, …) stay in `\[0, 1\]`; everything else is
 /// non-negative.
-pub fn clamp_to_domain(metric: Metric, value: f64) -> f64 {
+pub(crate) fn clamp_to_domain(metric: Metric, value: f64) -> f64 {
     if is_fraction_metric(metric) {
         value.clamp(0.0, 1.0)
     } else {
@@ -132,7 +109,7 @@ pub fn clamp_to_domain(metric: Metric, value: f64) -> f64 {
 }
 
 /// Whether a metric's raw values are probabilities/fractions in `\[0, 1\]`.
-pub fn is_fraction_metric(metric: Metric) -> bool {
+pub(crate) fn is_fraction_metric(metric: Metric) -> bool {
     use Metric::*;
     matches!(
         metric,
@@ -179,7 +156,6 @@ mod tests {
     fn means_reflect_construction() {
         let p = profile();
         assert_eq!(p.means().get(Metric::ResponseTime), Some(100.0));
-        assert_eq!(p.len(), 2);
     }
 
     #[test]
@@ -232,21 +208,5 @@ mod tests {
         let mut q = QualityProfile::from_triples([(Metric::ResponseTime, 10.0, 0.0)]);
         q.drift(2.0); // factor would go negative; clamped to zero
         assert_eq!(q.get(Metric::ResponseTime).unwrap().mean, 0.0);
-    }
-
-    #[test]
-    fn exaggerated_advertisement_is_better_than_truth() {
-        let p = profile();
-        let adv = p.exaggerated(0.3);
-        assert!(adv.get(Metric::ResponseTime).unwrap() < 100.0);
-        assert!(adv.get(Metric::Availability).unwrap() >= 0.95);
-        // original untouched
-        assert_eq!(p.means().get(Metric::ResponseTime), Some(100.0));
-    }
-
-    #[test]
-    fn honest_advertisement_equals_means() {
-        let p = profile();
-        assert_eq!(p.exaggerated(0.0), p.means());
     }
 }

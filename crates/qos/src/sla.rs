@@ -5,9 +5,10 @@
 //! Agreement (SLA) which specifies the quality that a service should meet
 //! … A provider may have to pay a penalty when the service is not
 //! delivered according to SLA. However, making a SLA comes with a cost."
-//! This module models exactly those three pieces: per-metric obligations,
-//! violation detection against observed QoS, and the penalty/negotiation
-//! cost accounting used by the `exp_fig2` information-source experiment.
+//! This module models the agreement itself: per-metric obligations,
+//! violation detection against observed QoS, and the penalty each
+//! violation owes. The negotiation cost is charged by whoever makes the
+//! agreement (`SlaSelect` in the `exp_fig2` information-source experiment).
 
 use crate::metric::{Metric, Monotonicity};
 use crate::value::QosVector;
@@ -15,7 +16,7 @@ use std::collections::BTreeMap;
 
 /// One obligation: the delivered value must be at least as good as `bound`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Obligation {
+pub(crate) struct Obligation {
     /// The guaranteed bound in the metric's raw unit.
     pub bound: f64,
     /// Penalty the provider pays per violation of this obligation.
@@ -26,9 +27,6 @@ pub struct Obligation {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Sla {
     obligations: BTreeMap<Metric, Obligation>,
-    /// One-off cost of negotiating this agreement (time, legal expenses),
-    /// charged to the consumer side in experiments.
-    negotiation_cost: f64,
 }
 
 /// The outcome of checking one invocation against an SLA.
@@ -48,16 +46,8 @@ impl SlaOutcome {
 }
 
 impl Sla {
-    /// Empty SLA with the given negotiation cost.
-    pub fn new(negotiation_cost: f64) -> Self {
-        Sla {
-            obligations: BTreeMap::new(),
-            negotiation_cost,
-        }
-    }
-
     /// Add an obligation; later calls replace earlier ones for the metric.
-    pub fn require(&mut self, metric: Metric, bound: f64, penalty: f64) -> &mut Self {
+    pub(crate) fn require(&mut self, metric: Metric, bound: f64, penalty: f64) -> &mut Self {
         self.obligations
             .insert(metric, Obligation { bound, penalty });
         self
@@ -67,13 +57,8 @@ impl Sla {
     /// each advertised value becomes an obligation loosened by
     /// `slack` (e.g. `slack = 0.1` allows delivered response time 10% above
     /// the advertised one before a violation fires).
-    pub fn from_advertised(
-        advertised: &QosVector,
-        slack: f64,
-        penalty_per_metric: f64,
-        negotiation_cost: f64,
-    ) -> Self {
-        let mut sla = Sla::new(negotiation_cost);
+    pub fn from_advertised(advertised: &QosVector, slack: f64, penalty_per_metric: f64) -> Self {
+        let mut sla = Sla::default();
         for (m, v) in advertised.iter() {
             let bound = match m.monotonicity() {
                 Monotonicity::HigherBetter => v * (1.0 - slack),
@@ -82,31 +67,6 @@ impl Sla {
             sla.require(m, bound, penalty_per_metric);
         }
         sla
-    }
-
-    /// The negotiation cost of this agreement.
-    pub fn negotiation_cost(&self) -> f64 {
-        self.negotiation_cost
-    }
-
-    /// The obligation on one metric, if any.
-    pub fn obligation(&self, metric: Metric) -> Option<Obligation> {
-        self.obligations.get(&metric).copied()
-    }
-
-    /// Metrics under obligation.
-    pub fn metrics(&self) -> impl Iterator<Item = Metric> + '_ {
-        self.obligations.keys().copied()
-    }
-
-    /// Number of obligations.
-    pub fn len(&self) -> usize {
-        self.obligations.len()
-    }
-
-    /// Whether the SLA carries no obligations.
-    pub fn is_empty(&self) -> bool {
-        self.obligations.is_empty()
     }
 
     /// Check one observed invocation. A metric missing from the observation
@@ -137,7 +97,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn sla() -> Sla {
-        let mut s = Sla::new(5.0);
+        let mut s = Sla::default();
         s.require(Metric::ResponseTime, 150.0, 2.0)
             .require(Metric::Availability, 0.9, 3.0);
         s
@@ -181,18 +141,16 @@ mod tests {
     fn from_advertised_applies_slack_by_orientation() {
         let adv =
             QosVector::from_pairs([(Metric::ResponseTime, 100.0), (Metric::Availability, 0.9)]);
-        let sla = Sla::from_advertised(&adv, 0.1, 1.0, 2.0);
-        let rt = sla.obligation(Metric::ResponseTime).unwrap();
+        let sla = Sla::from_advertised(&adv, 0.1, 1.0);
+        let rt = sla.obligations[&Metric::ResponseTime];
         assert!((rt.bound - 110.0).abs() < 1e-9); // 10% slower allowed
-        let av = sla.obligation(Metric::Availability).unwrap();
+        let av = sla.obligations[&Metric::Availability];
         assert!((av.bound - 0.81).abs() < 1e-9); // 10% lower allowed
-        assert_eq!(sla.negotiation_cost(), 2.0);
     }
 
     #[test]
     fn empty_sla_is_always_compliant() {
-        let sla = Sla::new(0.0);
-        assert!(sla.is_empty());
+        let sla = Sla::default();
         assert!(sla.check(&QosVector::new()).compliant());
     }
 
@@ -213,7 +171,7 @@ mod tests {
             prop_assert!(out.penalty >= 0.0);
             prop_assert!(out.penalty <= 5.0 + 1e-9);
             let expected: f64 = out.violations.iter()
-                .map(|&m| s.obligation(m).unwrap().penalty)
+                .map(|&m| s.obligations[&m].penalty)
                 .sum();
             prop_assert!((out.penalty - expected).abs() < 1e-9);
         }

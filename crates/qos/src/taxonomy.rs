@@ -25,46 +25,14 @@ impl Taxonomy {
         Taxonomy { branches }
     }
 
-    /// Build a taxonomy extended with `n` application-specific metrics, as
-    /// needed for general services in the mediated scenario.
-    pub fn with_app_specific(n: u8) -> Self {
-        let mut tax = Self::standard();
-        let leaf = tax
-            .branches
-            .entry(Category::ApplicationSpecific)
-            .or_default();
-        for k in 0..n {
-            leaf.push(Metric::AppSpecific(k));
-        }
-        tax
-    }
-
-    /// Metrics under one category. Empty slice if the category has no leaves.
-    pub fn metrics_in(&self, category: Category) -> &[Metric] {
-        self.branches
-            .get(&category)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Iterate `(category, metrics)` pairs in stable category order.
-    pub fn branches(&self) -> impl Iterator<Item = (Category, &[Metric])> {
+    pub(crate) fn branches(&self) -> impl Iterator<Item = (Category, &[Metric])> {
         self.branches.iter().map(|(c, ms)| (*c, ms.as_slice()))
     }
 
     /// Iterate every metric leaf in the taxonomy.
     pub fn metrics(&self) -> impl Iterator<Item = Metric> + '_ {
         self.branches.values().flatten().copied()
-    }
-
-    /// Total number of metric leaves.
-    pub fn len(&self) -> usize {
-        self.branches.values().map(Vec::len).sum()
-    }
-
-    /// Whether the taxonomy has no leaves (never true for [`Self::standard`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Render the tree as indented text, the form `exp_fig3` prints.
@@ -90,10 +58,16 @@ impl Default for Taxonomy {
 mod tests {
     use super::*;
 
+    fn leaves(tax: &Taxonomy, category: Category) -> usize {
+        tax.branches()
+            .find(|(c, _)| *c == category)
+            .map_or(0, |(_, metrics)| metrics.len())
+    }
+
     #[test]
     fn standard_taxonomy_covers_all_standard_metrics() {
         let tax = Taxonomy::standard();
-        assert_eq!(tax.len(), Metric::ALL_STANDARD.len());
+        assert_eq!(tax.metrics().count(), Metric::ALL_STANDARD.len());
         for m in Metric::ALL_STANDARD {
             assert!(tax.metrics().any(|x| x == m), "{m} missing");
         }
@@ -103,20 +77,13 @@ mod tests {
     fn performance_branch_has_four_leaves() {
         // Figure 3 lists processing time, throughput, response time, latency.
         let tax = Taxonomy::standard();
-        assert_eq!(tax.metrics_in(Category::Performance).len(), 4);
+        assert_eq!(leaves(&tax, Category::Performance), 4);
     }
 
     #[test]
     fn dependability_branch_has_eight_leaves() {
         let tax = Taxonomy::standard();
-        assert_eq!(tax.metrics_in(Category::Dependability).len(), 8);
-    }
-
-    #[test]
-    fn app_specific_extension_adds_leaves() {
-        let tax = Taxonomy::with_app_specific(3);
-        assert_eq!(tax.metrics_in(Category::ApplicationSpecific).len(), 3);
-        assert_eq!(tax.len(), Metric::ALL_STANDARD.len() + 3);
+        assert_eq!(leaves(&tax, Category::Dependability), 8);
     }
 
     #[test]
@@ -130,6 +97,6 @@ mod tests {
     #[test]
     fn metrics_in_unknown_category_is_empty() {
         let tax = Taxonomy::standard();
-        assert!(tax.metrics_in(Category::ApplicationSpecific).is_empty());
+        assert_eq!(leaves(&tax, Category::ApplicationSpecific), 0);
     }
 }

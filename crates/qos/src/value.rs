@@ -69,20 +69,6 @@ impl QosVector {
         self.values.is_empty()
     }
 
-    /// Pointwise combination with another vector: metrics present in both
-    /// are combined with `f`; metrics present in only one keep their value.
-    pub fn merge_with<F: Fn(f64, f64) -> f64>(&self, other: &QosVector, f: F) -> QosVector {
-        let mut out = self.clone();
-        for (m, v) in other.iter() {
-            let merged = match out.get(m) {
-                Some(u) => f(u, v),
-                None => v,
-            };
-            out.set(m, merged);
-        }
-        out
-    }
-
     /// Exponential moving average update toward `sample` with weight
     /// `alpha` in `\[0, 1\]`: `new = (1 - alpha) * old + alpha * sample`.
     /// Metrics absent from `self` adopt the sample value directly.
@@ -130,16 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_prefers_f_on_overlap_and_union_elsewhere() {
-        let a = QosVector::from_pairs([(Metric::Latency, 10.0), (Metric::Price, 5.0)]);
-        let b = QosVector::from_pairs([(Metric::Latency, 20.0), (Metric::Accuracy, 0.9)]);
-        let merged = a.merge_with(&b, |x, y| (x + y) / 2.0);
-        assert_eq!(merged.get(Metric::Latency), Some(15.0));
-        assert_eq!(merged.get(Metric::Price), Some(5.0));
-        assert_eq!(merged.get(Metric::Accuracy), Some(0.9));
-    }
-
-    #[test]
     fn ema_update_moves_toward_sample() {
         let mut v = QosVector::from_pairs([(Metric::ResponseTime, 100.0)]);
         let sample = QosVector::from_pairs([(Metric::ResponseTime, 200.0)]);
@@ -178,19 +154,6 @@ mod tests {
             let got = v.get(Metric::Latency).unwrap();
             let (lo, hi) = if old <= new { (old, new) } else { (new, old) };
             prop_assert!(got >= lo - 1e-9 && got <= hi + 1e-9);
-        }
-
-        #[test]
-        fn merge_is_union_of_metrics(
-            xs in proptest::collection::vec(0u8..20, 0..10),
-            ys in proptest::collection::vec(0u8..20, 0..10),
-        ) {
-            let a = QosVector::from_pairs(xs.iter().map(|&k| (Metric::AppSpecific(k), k as f64)));
-            let b = QosVector::from_pairs(ys.iter().map(|&k| (Metric::AppSpecific(k), k as f64 + 1.0)));
-            let merged = a.merge_with(&b, |x, _| x);
-            for &k in xs.iter().chain(ys.iter()) {
-                prop_assert!(merged.contains(Metric::AppSpecific(k)));
-            }
         }
     }
 }

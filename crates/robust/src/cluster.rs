@@ -46,7 +46,7 @@ impl Default for ClusterFiltering {
 
 /// Result of clustering scores into two groups.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Clusters {
+pub(crate) struct Clusters {
     /// Lower-mean cluster values.
     pub low: Vec<f64>,
     /// Higher-mean cluster values.
@@ -63,17 +63,17 @@ impl Clusters {
     }
 
     /// Mean of the lower cluster.
-    pub fn low_mean(&self) -> f64 {
+    pub(crate) fn low_mean(&self) -> f64 {
         Self::mean(&self.low)
     }
 
     /// Mean of the higher cluster.
-    pub fn high_mean(&self) -> f64 {
+    pub(crate) fn high_mean(&self) -> f64 {
         Self::mean(&self.high)
     }
 
     /// Distance between the cluster means.
-    pub fn separation(&self) -> f64 {
+    pub(crate) fn separation(&self) -> f64 {
         if self.low.is_empty() || self.high.is_empty() {
             0.0
         } else {
@@ -84,7 +84,7 @@ impl Clusters {
 
 /// 1-D 2-means clustering with deterministic initialization (min and max
 /// as seeds), iterated to fixpoint.
-pub fn two_means(scores: &[f64]) -> Clusters {
+pub(crate) fn two_means(scores: &[f64]) -> Clusters {
     if scores.is_empty() {
         return Clusters {
             low: Vec::new(),

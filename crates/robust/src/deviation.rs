@@ -13,7 +13,7 @@ use wsrep_core::trust::{evidence_confidence, TrustEstimate, TrustValue};
 
 /// The iterative deviation filter.
 #[derive(Debug, Clone, Copy)]
-pub struct DeviationFilter {
+pub(crate) struct DeviationFilter {
     /// Maximum allowed absolute deviation of a rater's mean score from the
     /// consensus mean.
     pub max_deviation: f64,
@@ -33,7 +33,7 @@ impl Default for DeviationFilter {
 impl DeviationFilter {
     /// Run the filter: returns `(surviving rater means, consensus)` or
     /// `None` without evidence. Never removes the last rater.
-    pub fn filter(
+    pub(crate) fn filter(
         &self,
         per_rater: &BTreeMap<AgentId, f64>,
     ) -> Option<(BTreeMap<AgentId, f64>, f64)> {

@@ -9,7 +9,7 @@
 //!   witness-count guarantee \[26\];
 //! * [`zhang_cohen`] — Zhang & Cohen's personalized private/public blend
 //!   \[38\];
-//! * [`deviation`] — the Whitby–Jøsang beta deviation filter, included as
+//! * `deviation` — the Whitby–Jøsang beta deviation filter, included as
 //!   the standard extra baseline.
 //!
 //! The attacker populations the defenses are evaluated against live in
@@ -19,7 +19,7 @@
 
 pub mod cluster;
 pub mod defense;
-pub mod deviation;
+mod deviation;
 pub mod majority;
 pub mod zhang_cohen;
 

@@ -14,7 +14,7 @@ use wsrep_core::trust::{evidence_confidence, TrustEstimate, TrustValue};
 
 /// The majority-opinion defense.
 #[derive(Debug, Clone, Copy)]
-pub struct MajorityOpinion {
+pub(crate) struct MajorityOpinion {
     /// Score threshold separating a "good" from a "bad" boolean opinion.
     pub threshold: f64,
 }
@@ -28,7 +28,7 @@ impl Default for MajorityOpinion {
 /// Probability that the majority of `n` independent witnesses is honest
 /// when each is a liar with probability `liar_fraction`. Ties count as
 /// failure (even `n` is pessimistic; Sen & Sajja use odd query sizes).
-pub fn majority_correct_probability(n: usize, liar_fraction: f64) -> f64 {
+pub(crate) fn majority_correct_probability(n: usize, liar_fraction: f64) -> f64 {
     let p_honest = 1.0 - liar_fraction.clamp(0.0, 1.0);
     let mut prob = 0.0;
     for k in (n / 2 + 1)..=n {

@@ -39,7 +39,7 @@ impl Default for ZhangCohen {
 impl ZhangCohen {
     /// The buyer's private (beta) reputation of the subject:
     /// `(value, evidence count)`, or `None` without own experience.
-    pub fn private_reputation(
+    pub(crate) fn private_reputation(
         &self,
         store: &FeedbackStore,
         observer: AgentId,
@@ -62,7 +62,12 @@ impl ZhangCohen {
     /// The buyer's trust in an advisor: Laplace-smoothed agreement rate
     /// between the advisor's ratings and the buyer's own experience over
     /// commonly rated subjects. Unknown advisors get 0.5.
-    pub fn advisor_trust(&self, store: &FeedbackStore, observer: AgentId, advisor: AgentId) -> f64 {
+    pub(crate) fn advisor_trust(
+        &self,
+        store: &FeedbackStore,
+        observer: AgentId,
+        advisor: AgentId,
+    ) -> f64 {
         if observer == advisor {
             return 1.0;
         }
@@ -90,7 +95,7 @@ impl ZhangCohen {
 
     /// The public reputation: advisor-trust-weighted mean of all ratings
     /// about the subject, excluding the buyer's own.
-    pub fn public_reputation(
+    pub(crate) fn public_reputation(
         &self,
         store: &FeedbackStore,
         observer: AgentId,

@@ -63,7 +63,7 @@ impl ProviderBootstrap {
 
     /// The provider-level reputation: evidence-weighted combination of the
     /// inner mechanism's estimates over all the provider's known services.
-    pub fn provider_reputation(&self, provider: ProviderId) -> Option<TrustEstimate> {
+    pub(crate) fn provider_reputation(&self, provider: ProviderId) -> Option<TrustEstimate> {
         let estimates: Vec<TrustEstimate> = self
             .ownership
             .iter()
@@ -159,17 +159,6 @@ impl BootstrapSelect {
             mechanism: ProviderBootstrap::new(inner),
             epsilon: 0.1,
         }
-    }
-
-    /// Change the exploration rate (builder style).
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Access the wrapped mechanism (e.g. for provider queries).
-    pub fn mechanism(&self) -> &ProviderBootstrap {
-        &self.mechanism
     }
 }
 
@@ -306,7 +295,10 @@ mod tests {
         use wsrep_qos::value::QosVector;
         use wsrep_sim::consumer::{Consumer, RaterBehavior};
 
-        let mut strat = BootstrapSelect::new(Box::new(BetaMechanism::new())).with_epsilon(0.0);
+        let mut strat = BootstrapSelect {
+            epsilon: 0.0,
+            ..BootstrapSelect::new(Box::new(BetaMechanism::new()))
+        };
         let consumer = Consumer {
             id: AgentId::new(0),
             prefs: Preferences::uniform([Metric::Price]),

@@ -10,7 +10,6 @@
 use crate::strategy::{Candidate, SelectionContext, SelectionStrategy, SlaSelect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wsrep_core::id::AgentId;
 use wsrep_sim::world::World;
 
 /// Knobs of a market run.
@@ -70,11 +69,6 @@ impl Market {
     /// Build a market over a generated world.
     pub fn new(world: World, config: MarketConfig) -> Self {
         Market { world, config }
-    }
-
-    /// Access the underlying world (e.g. for oracle statistics).
-    pub fn world(&self) -> &World {
-        &self.world
     }
 
     /// Run the loop with the given strategy, consuming the market.
@@ -260,12 +254,6 @@ impl Market {
         report.penalties_collected = strategy.penalties_collected;
         report
     }
-}
-
-/// Convenience used by many tests and experiments: an `AgentId` for the
-/// virtual "market analyst" observer.
-pub fn analyst() -> AgentId {
-    AgentId::new(u64::MAX)
 }
 
 /// Run one market per seed on scoped worker threads (so the closures may

@@ -22,5 +22,4 @@ pub mod eval;
 pub mod report;
 pub mod strategy;
 
-pub use eval::{Market, MarketConfig, MarketReport};
-pub use strategy::SelectionStrategy;
+pub use eval::MarketReport;

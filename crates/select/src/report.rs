@@ -33,16 +33,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render as a GitHub-flavored markdown table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -124,7 +114,7 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["only"]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
         let text = t.render();
         assert!(text.contains("only"));
     }

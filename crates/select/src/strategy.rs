@@ -174,18 +174,18 @@ impl SlaSelect {
 
     /// Check an observation against the consumer's agreement for the
     /// service, updating violation and penalty accounting.
-    pub fn settle(&mut self, consumer: AgentId, candidate: &Candidate, observed: &QosVector) {
+    pub(crate) fn settle(
+        &mut self,
+        consumer: AgentId,
+        candidate: &Candidate,
+        observed: &QosVector,
+    ) {
         let sla = self
             .agreements
             .entry((consumer, candidate.service))
             .or_insert_with(|| {
                 self.negotiation_paid += self.negotiation_cost;
-                Sla::from_advertised(
-                    &candidate.advertised,
-                    self.slack,
-                    self.penalty,
-                    self.negotiation_cost,
-                )
+                Sla::from_advertised(&candidate.advertised, self.slack, self.penalty)
             });
         let outcome = sla.check(observed);
         let e = self.violations.entry(candidate.provider).or_insert((0, 0));
@@ -197,7 +197,7 @@ impl SlaSelect {
     }
 
     /// Whether a provider is currently blacklisted.
-    pub fn blacklisted(&self, provider: ProviderId) -> bool {
+    pub(crate) fn blacklisted(&self, provider: ProviderId) -> bool {
         self.violations
             .get(&provider)
             .map(|&(v, n)| {
@@ -438,11 +438,6 @@ impl<S: SelectionStrategy> DesignTimeSelect<S> {
             frozen: BTreeMap::new(),
         }
     }
-
-    /// How many consumers have a frozen choice.
-    pub fn frozen_count(&self) -> usize {
-        self.frozen.len()
-    }
 }
 
 impl<S: SelectionStrategy> SelectionStrategy for DesignTimeSelect<S> {
@@ -656,7 +651,7 @@ mod tests {
         let mut strat = DesignTimeSelect::new(AdvertisedQos);
         let mut rng = StdRng::seed_from_u64(8);
         let first = strat.choose(&ctx(&c, &cands, true), &mut rng).unwrap();
-        assert_eq!(strat.frozen_count(), 1);
+        assert_eq!(strat.frozen.len(), 1);
         // Even if the advertisement landscape changes, the choice holds.
         let mut flipped = cands.clone();
         flipped[0].advertised = QosVector::from_pairs([(Metric::ResponseTime, 900.0)]);
@@ -679,7 +674,7 @@ mod tests {
             .collect();
         let next = strat.choose(&ctx(&c, &survivors, true), &mut rng).unwrap();
         assert_ne!(survivors[next].service, cands[first].service);
-        assert_eq!(strat.frozen_count(), 1, "re-frozen on the survivor");
+        assert_eq!(strat.frozen.len(), 1, "re-frozen on the survivor");
     }
 
     #[test]

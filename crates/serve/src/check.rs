@@ -2,9 +2,10 @@
 //! DESIGN.md §7 names, over what a run leaves behind — journal
 //! directories, the ledger of what clients were told, a node's answers —
 //! and answers `Err(`[`Violation`]`)` with its first counterexample. A
-//! score has one tolerance: none. [`fold_matches_replay`] needs only a
-//! mechanism, so it lives in wsrep-core beside [`score_from_log`] and is
-//! re-exported here. A [`Twin`] keeps a log's raw input beside the
+//! score has one tolerance: none.
+//! [`fold_matches_replay`](wsrep_core::mechanism::fold_matches_replay)
+//! needs only a mechanism, so it lives in wsrep-core beside
+//! [`score_from_log`]. A [`Twin`] keeps a log's raw input beside the
 //! results checked against it, as rs-eigentrust's archives do.
 
 use crate::service::ReputationService;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{ServiceId, SubjectId};
 use wsrep_core::mechanism::score_from_log;
-pub use wsrep_core::mechanism::{fold_matches_replay, Violation};
+pub use wsrep_core::mechanism::Violation;
 use wsrep_journal::{replay_prefix, JournalRecord, ShipCursor};
 use wsrep_qos::preference::Preferences;
 use wsrep_sim::registry::Listing;

@@ -16,14 +16,14 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// `BuildHasher` plugging [`FxHasher`] into `HashMap`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// `std::collections::HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// The streaming state: one u64 folded word by word.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -72,7 +72,7 @@ impl Hasher for FxHasher {
 
 /// One-shot hash of any `Hash` value — the shard routers use this.
 #[inline]
-pub fn hash_one<T: Hash>(value: &T) -> u64 {
+pub(crate) fn hash_one<T: Hash>(value: &T) -> u64 {
     let mut hasher = FxHasher::default();
     value.hash(&mut hasher);
     hasher.finish()

@@ -141,7 +141,7 @@ impl Drop for CloseOnExit {
 
 /// The queues + writer threads feeding a [`ShardedStore`], one queue/writer
 /// pair per writer group.
-pub struct IngestPipeline {
+pub(crate) struct IngestPipeline {
     store: Arc<ShardedStore>,
     queues: Vec<Arc<GroupQueue>>,
     writers: Vec<JoinHandle<()>>,
@@ -157,11 +157,6 @@ impl fmt::Debug for IngestPipeline {
 }
 
 impl IngestPipeline {
-    /// Start a single writer thread draining into `store`.
-    pub fn start(store: Arc<ShardedStore>) -> Self {
-        Self::start_with_journal(store, None, 1)
-    }
-
     /// Start `writer_groups` writer threads, each journaling what it takes
     /// to its own writer group before applying it when a journal handle is
     /// attached. A journaled pipeline's group count must match the
@@ -206,7 +201,7 @@ impl IngestPipeline {
     /// writer is gone, the parts already queued stay accepted, and the call
     /// returns [`IngestClosed`], which carries no count: the server answers
     /// such a request `IngestClosed`.
-    pub fn submit_batch(
+    pub(crate) fn submit_batch(
         &self,
         batch: impl IntoIterator<Item = Feedback>,
     ) -> Result<u64, IngestClosed> {
@@ -234,13 +229,8 @@ impl IngestPipeline {
     }
 
     /// Reports accepted by [`IngestPipeline::submit_batch`] so far.
-    pub fn submitted(&self) -> u64 {
+    pub(crate) fn submitted(&self) -> u64 {
         self.queues.iter().map(|queue| queue.lock().submitted).sum()
-    }
-
-    /// Reports the writers have applied to the store so far.
-    pub fn applied(&self) -> u64 {
-        self.queues.iter().map(|queue| queue.lock().applied).sum()
     }
 
     /// Block until everything submitted before this call is applied: each
@@ -250,7 +240,7 @@ impl IngestPipeline {
     /// every writer fsyncs what it takes before applying it and applies it
     /// before counting it applied, so on return every prior submission is
     /// on stable storage.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let targets: Vec<u64> = self.queues.iter().map(|q| q.lock().submitted).collect();
         for (queue, target) in self.queues.iter().zip(targets) {
             queue.wait_applied(target);
@@ -325,6 +315,15 @@ mod tests {
         unfolded::<BetaMechanism>(shards)
     }
 
+    /// Reports the writers have applied to the store so far.
+    fn applied(pipeline: &IngestPipeline) -> u64 {
+        pipeline
+            .queues
+            .iter()
+            .map(|queue| queue.lock().applied)
+            .sum()
+    }
+
     fn fb(rater: u64, service: u64) -> Feedback {
         Feedback::scored(
             AgentId::new(rater),
@@ -357,20 +356,20 @@ mod tests {
     #[test]
     fn flush_observes_every_submitted_report() {
         let store = store(4);
-        let pipeline = IngestPipeline::start(Arc::clone(&store));
+        let pipeline = IngestPipeline::start_with_journal(Arc::clone(&store), None, 1);
         for i in 0..500 {
             pipeline.submit_batch([fb(i, i % 11)]).unwrap();
         }
         pipeline.flush();
         assert_eq!(store.len(), 500);
-        assert_eq!(pipeline.applied(), 500);
+        assert_eq!(applied(&pipeline), 500);
     }
 
     #[test]
     fn drop_drains_the_queue() {
         let store = store(2);
         {
-            let pipeline = IngestPipeline::start(Arc::clone(&store));
+            let pipeline = IngestPipeline::start_with_journal(Arc::clone(&store), None, 1);
             for i in 0..100 {
                 pipeline.submit_batch([fb(i, 3)]).unwrap();
             }
@@ -387,8 +386,8 @@ mod tests {
     fn submit_batch_counts_and_flushes_like_individual_submits() {
         let whole = store(4);
         let single = store(4);
-        let pipeline = IngestPipeline::start(Arc::clone(&whole));
-        let one_by_one = IngestPipeline::start(Arc::clone(&single));
+        let pipeline = IngestPipeline::start_with_journal(Arc::clone(&whole), None, 1);
+        let one_by_one = IngestPipeline::start_with_journal(Arc::clone(&single), None, 1);
         let accepted = pipeline
             .submit_batch((0..300).map(|i| fb(i, i % 7)))
             .unwrap();
@@ -424,7 +423,7 @@ mod tests {
         pipeline.flush();
         let commits = handle.health().commits;
         assert!(commits <= 2, "{commits} commits for 5 batches");
-        assert_eq!(pipeline.applied(), 250);
+        assert_eq!(applied(&pipeline), 250);
         assert_eq!(store.len(), 250);
         drop(pipeline);
         assert_eq!(recover(&dir).unwrap().feedback, batches.concat());
@@ -463,7 +462,7 @@ mod tests {
         });
         pipeline.flush();
         assert_eq!(pipeline.submitted(), total);
-        assert_eq!(pipeline.applied(), total);
+        assert_eq!(applied(&pipeline), total);
         assert_eq!(store.len() as u64, total);
         drop(pipeline);
         let _ = std::fs::remove_dir_all(&dir);

@@ -56,7 +56,7 @@ use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
 use wsrep_sim::registry::{search_category, Listing, PublishStatus, RegistryError};
 
-pub use crate::topk::RankedService;
+use crate::topk::RankedService;
 
 /// The listing table plus its **epoch** and **count**, both readable
 /// without the lock.
@@ -609,16 +609,6 @@ impl ReputationService {
         self.listings.table.read().get(&service).cloned()
     }
 
-    /// Every listing in `category`, through the same [`search_category`]
-    /// the simulated UDDI registry answers with.
-    pub fn search(&self, category: u32) -> Vec<Listing> {
-        let table = self.listings.table.read();
-        search_category(table.values(), category)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
     /// Enqueue one feedback report: a one-report
     /// [`ReputationService::ingest_batch`].
     pub fn ingest(&self, feedback: Feedback) -> Result<(), IngestClosed> {
@@ -780,7 +770,7 @@ impl ReputationService {
     }
 
     /// The subject's reputation as the ingest writer last published it
-    /// ([`ShardedStore::score`]): one probe, no lock, no computation,
+    /// (`ShardedStore::score`): one probe, no lock, no computation,
     /// whatever the mechanism.
     ///
     /// `None` means no evidence: either nothing was ever reported, or the
@@ -1078,14 +1068,23 @@ mod tests {
             svc.publish(listing(2, 7, 2.0, 0.5)),
             Ok(PublishStatus::Created)
         );
-        assert_eq!(svc.search(0).len(), 1);
-        assert_eq!(svc.search(7).len(), 1);
+        assert_eq!(
+            search_category(svc.listings.table.read().values(), 0).len(),
+            1
+        );
+        assert_eq!(
+            search_category(svc.listings.table.read().values(), 7).len(),
+            1
+        );
         assert_eq!(svc.deregister(ServiceId::new(2)), Ok(()));
         assert_eq!(
             svc.deregister(ServiceId::new(2)),
             Err(RegistryError::NotFound)
         );
-        assert_eq!(svc.search(7).len(), 0);
+        assert_eq!(
+            search_category(svc.listings.table.read().values(), 7).len(),
+            0
+        );
     }
 
     #[test]

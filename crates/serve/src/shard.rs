@@ -282,7 +282,7 @@ impl ShardedStore {
     /// A store with `shards` independent locks (at least one) scoring
     /// through `mechanism`: by its fold's rows where it offers one, and by
     /// a `LogReplay` table where it does not.
-    pub fn new(shards: usize, mechanism: MechanismFactory) -> Self {
+    pub(crate) fn new(shards: usize, mechanism: MechanismFactory) -> Self {
         let incremental = mechanism().accumulator().is_some();
         let slot = || Slot {
             shard: RwLock::new(Shard {
@@ -305,7 +305,7 @@ impl ShardedStore {
 
     /// Whether the mechanism offers a fold, so that shards hold no report
     /// (probed once, when the store is built).
-    pub fn is_incremental(&self) -> bool {
+    pub(crate) fn is_incremental(&self) -> bool {
         self.incremental
     }
 
@@ -315,7 +315,7 @@ impl ShardedStore {
     }
 
     /// The shard index owning `subject`.
-    pub fn shard_of(&self, subject: SubjectId) -> usize {
+    pub(crate) fn shard_of(&self, subject: SubjectId) -> usize {
         (fxhash::hash_one(&subject) % self.slots.len() as u64) as usize
     }
 
@@ -325,7 +325,7 @@ impl ShardedStore {
     /// spread over S shards costs at most `min(B, S)` lock acquisitions
     /// instead of B. A fold copies no report. When it returns,
     /// [`ShardedStore::score`] reflects every report in it.
-    pub fn insert_batch<'a>(&self, batch: impl IntoIterator<Item = &'a Feedback>) {
+    pub(crate) fn insert_batch<'a>(&self, batch: impl IntoIterator<Item = &'a Feedback>) {
         let groups = self.partition(batch, |report| report.subject);
         for (idx, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
@@ -439,7 +439,7 @@ impl ShardedStore {
     /// reported about it or the mechanism abstains. One snapshot pin, one
     /// probe, one sequence-checked read — no lock, and never older than
     /// the last group [`ShardedStore::insert_batch`] returned from.
-    pub fn score(&self, subject: SubjectId) -> Option<TrustEstimate> {
+    pub(crate) fn score(&self, subject: SubjectId) -> Option<TrustEstimate> {
         self.slots[self.shard_of(subject)]
             .published
             .read(|map| map.get(&subject)?.estimate())
@@ -449,7 +449,7 @@ impl ShardedStore {
     /// whenever a group that touched a subject listed in it is applied,
     /// after that subject's estimate is published. A rank rebuild reads it
     /// **before** it reads scores. Wait-free.
-    pub fn category_epoch(&self, category: u32) -> u64 {
+    pub(crate) fn category_epoch(&self, category: u32) -> u64 {
         self.category_epochs.read(|epochs| {
             epochs
                 .get(&category)
@@ -462,7 +462,7 @@ impl ShardedStore {
     /// elsewhere repoints it; an entry created here, before any feedback,
     /// reads as no estimate; first-seen subjects share one swap per shard,
     /// and an unchanged membership costs none.
-    pub fn list(&self, memberships: impl IntoIterator<Item = (SubjectId, u32)>) {
+    pub(crate) fn list(&self, memberships: impl IntoIterator<Item = (SubjectId, u32)>) {
         let per_shard = self.partition(memberships, |&(subject, _)| subject);
         self.ensure_categories(per_shard.iter().flatten().map(|&(_, category)| category));
         let touched = self.slots.iter().zip(per_shard);
@@ -502,7 +502,7 @@ impl ShardedStore {
     }
 
     /// Drop `subject`'s membership (deregister path); its estimate stays.
-    pub fn unlist(&self, subject: SubjectId) {
+    pub(crate) fn unlist(&self, subject: SubjectId) {
         self.slots[self.shard_of(subject)].update(|_, published| {
             if let Some(entry) = published.get(&subject) {
                 entry.set_category(None);
@@ -513,7 +513,7 @@ impl ShardedStore {
 
     /// Snapshots of the published maps and the category-epoch map swapped
     /// in so far: first-seen subjects and categories only, never a score.
-    pub fn swaps(&self) -> u64 {
+    pub(crate) fn swaps(&self) -> u64 {
         let published: u64 = self.slots.iter().map(|slot| slot.published.swaps()).sum();
         published + self.category_epochs.swaps()
     }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// Writers must serialize *logically* (last swap wins; use an external
 /// mutex for read-modify-write sequences), but any interleaving of
 /// `store` calls is memory-safe.
-pub struct SnapshotCell<T> {
+pub(crate) struct SnapshotCell<T> {
     /// `Arc::into_raw` of the current snapshot. Never null.
     current: AtomicPtr<T>,
     /// Readers currently inside their pin window.
@@ -52,7 +52,7 @@ unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
 
 impl<T> SnapshotCell<T> {
     /// A cell initially holding `snapshot`.
-    pub fn new(snapshot: Arc<T>) -> Self {
+    pub(crate) fn new(snapshot: Arc<T>) -> Self {
         SnapshotCell {
             current: AtomicPtr::new(Arc::into_raw(snapshot) as *mut T),
             pinned: AtomicU64::new(0),
@@ -66,7 +66,7 @@ impl<T> SnapshotCell<T> {
     /// Wait-free: pin (one `fetch_add`), load, call, unpin. Keep `f`
     /// short — while any reader is pinned, retired snapshots cannot be
     /// reclaimed (they are freed by a later `store` or by drop).
-    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         let _pin = PinGuard::enter(&self.pinned);
         let ptr = self.current.load(Ordering::SeqCst);
         // SAFETY: `ptr` came out of `current` inside the pin window, so
@@ -77,7 +77,7 @@ impl<T> SnapshotCell<T> {
     }
 
     /// Clone out an owning handle to the current snapshot.
-    pub fn load(&self) -> Arc<T> {
+    pub(crate) fn load(&self) -> Arc<T> {
         self.read(|value| {
             let ptr = value as *const T;
             // SAFETY: `ptr` is the `Arc::into_raw` pointer of a live Arc
@@ -102,7 +102,7 @@ impl<T> SnapshotCell<T> {
     /// load) also precedes the reader's `current` load in `S`, so the
     /// reader sees the *new* pointer and never touches the retired one.
     /// Either way no pinned reader can hold a pointer this call frees.
-    pub fn store(&self, snapshot: Arc<T>) {
+    pub(crate) fn store(&self, snapshot: Arc<T>) {
         let fresh = Arc::into_raw(snapshot) as *mut T;
         let old = self.current.swap(fresh, Ordering::SeqCst);
         self.swaps.fetch_add(1, Ordering::Relaxed);
@@ -120,7 +120,7 @@ impl<T> SnapshotCell<T> {
     }
 
     /// How many snapshots have ever been published (swapped in).
-    pub fn swaps(&self) -> u64 {
+    pub(crate) fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::Relaxed)
     }
 }

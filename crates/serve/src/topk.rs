@@ -63,7 +63,7 @@ pub struct RankedService {
 /// The listings-derived, preference-independent part of a `top_k`
 /// answer for one category, valid while the listings epoch stands still.
 #[derive(Debug)]
-pub struct CategoryPlan {
+pub(crate) struct CategoryPlan {
     /// The listings epoch this plan was built from.
     pub epoch: u64,
     /// The category's candidates in deterministic listing order, matching
@@ -76,7 +76,7 @@ pub struct CategoryPlan {
 /// Concurrent category → plan map with hit/miss accounting and wait-free
 /// reads (snapshot probe; no lock).
 #[derive(Debug, Default)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     plans: SnapshotCell<FxHashMap<u32, Arc<CategoryPlan>>>,
     write: Mutex<()>,
     hits: AtomicU64,
@@ -85,12 +85,12 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// Empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The cached plan for `category` if it was built at exactly `epoch`.
-    pub fn get(&self, category: u32, epoch: u64) -> Option<Arc<CategoryPlan>> {
+    pub(crate) fn get(&self, category: u32, epoch: u64) -> Option<Arc<CategoryPlan>> {
         let hit = self
             .plans
             .read(|map| map.get(&category).filter(|p| p.epoch == epoch).cloned());
@@ -103,7 +103,7 @@ impl PlanCache {
 
     /// Remember `plan` by copy-on-write, never clobbering a fresher one a
     /// racing builder installed (a higher epoch saw more listing changes).
-    pub fn insert(&self, category: u32, plan: Arc<CategoryPlan>) -> Arc<CategoryPlan> {
+    pub(crate) fn insert(&self, category: u32, plan: Arc<CategoryPlan>) -> Arc<CategoryPlan> {
         let _writer = self.write.lock();
         let current = self.plans.load();
         if let Some(existing) = current.get(&category) {
@@ -118,17 +118,17 @@ impl PlanCache {
     }
 
     /// Queries answered from a prebuilt plan.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Queries that had to (re)build the plan.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Snapshots published (one per accepted insert).
-    pub fn swaps(&self) -> u64 {
+    pub(crate) fn swaps(&self) -> u64 {
         self.plans.swaps()
     }
 }
@@ -136,7 +136,7 @@ impl PlanCache {
 /// A fully scored, fully sorted `top_k` answer for one `(category,
 /// preferences)` pair, valid while both stamped epochs stand still.
 #[derive(Debug)]
-pub struct RankedList {
+pub(crate) struct RankedList {
     /// Listings epoch of the plan the list was ranked over.
     pub listings_epoch: u64,
     /// The category's score epoch, read **before** scoring began.
@@ -156,7 +156,7 @@ const RANK_CACHE_CAP: usize = 1024;
 /// Concurrent `(category, preferences)` → [`RankedList`] map with
 /// wait-free validating reads.
 #[derive(Debug, Default)]
-pub struct RankCache {
+pub(crate) struct RankCache {
     lists: SnapshotCell<FxHashMap<u64, Arc<RankedList>>>,
     write: Mutex<()>,
     hits: AtomicU64,
@@ -165,7 +165,7 @@ pub struct RankCache {
 
 impl RankCache {
     /// Empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -184,7 +184,7 @@ impl RankCache {
 
     /// The cached rank list for `(category, prefs)` if it is still valid
     /// at both epochs. Wait-free; counts a hit or miss.
-    pub fn get(
+    pub(crate) fn get(
         &self,
         category: u32,
         prefs: &Preferences,
@@ -212,7 +212,7 @@ impl RankCache {
     /// Never clobbers a strictly fresher entry; sweeps entries whose
     /// listings epoch regressed behind the inserted one and resets the
     /// whole map at the capacity backstop.
-    pub fn insert(&self, category: u32, list: Arc<RankedList>) -> Arc<RankedList> {
+    pub(crate) fn insert(&self, category: u32, list: Arc<RankedList>) -> Arc<RankedList> {
         let key = Self::key(category, &list.prefs);
         let _writer = self.write.lock();
         let current = self.lists.load();
@@ -233,17 +233,17 @@ impl RankCache {
     }
 
     /// Queries answered from a pre-ranked list.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Queries that had to score and sort.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Snapshots published (one per accepted insert).
-    pub fn swaps(&self) -> u64 {
+    pub(crate) fn swaps(&self) -> u64 {
         self.lists.swaps()
     }
 }

@@ -231,7 +231,7 @@ impl Client {
     }
 
     /// One round trip: send `request`, receive its response.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+    pub(crate) fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.send(request)?;
         let response = self.recv()?;
         if let Response::Error { code, message } = response {

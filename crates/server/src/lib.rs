@@ -11,27 +11,27 @@
 //!   version-pinned binary layout (reusing the journal codec's layout
 //!   primitives and the WAL's frame discipline), and the pipelining /
 //!   error contract;
-//! - [`poll`] — readiness behind a trait: raw epoll (no `libc` crate,
+//! - `poll` — readiness behind a trait: raw epoll (no `libc` crate,
 //!   hand-declared syscall prototypes) with an `eventfd` waker;
-//! - [`server`] — the readiness-driven reactor: an acceptor thread
+//! - `server` — the readiness-driven reactor: an acceptor thread
 //!   dealing sockets to worker threads that own their connections and
-//!   block on a [`poll::Poller`], with bounded pipeline depth,
+//!   block on a `Poller`, with bounded pipeline depth,
 //!   write-buffer backpressure, slow-client eviction, and graceful
 //!   drain-on-shutdown;
-//! - [`client`] — the blocking connection: call-style one-shot RPCs and
+//! - `client` — the blocking connection: call-style one-shot RPCs and
 //!   a queue/flush/recv pipelining API over reusable buffers;
-//! - [`retry`] — jittered exponential backoff ([`RetryPolicy`],
+//! - `retry` — jittered exponential backoff ([`RetryPolicy`],
 //!   [`Backoff`]) and [`RetryingClient`], the auto-reconnecting wrapper
 //!   whose keyed ingest retries are exactly-once: each batch carries a
 //!   `(producer, seq)` [`IngestKey`] the server deduplicates;
-//! - [`chaos`] — the fault lab's link half: [`FlakyProxy`], an in-test
+//! - `chaos` — the fault lab's link half: [`FlakyProxy`], an in-test
 //!   TCP proxy that drops, delays, splits, and corrupts traffic on a
 //!   deterministic schedule, with counters proving it did;
-//! - [`repl`] — the replication seam: the [`Replicator`] hook a cluster
+//! - `repl` — the replication seam: the [`Replicator`] hook a cluster
 //!   primary plugs into the reactor to ship its log, and the
 //!   [`ReplicationGauge`] that surfaces watermarks and lag in `Stats`.
 //!
-//! The binary (`wsrep-server`) wraps [`server::Server`] around a
+//! The binary (`wsrep-server`) wraps [`Server`] around a
 //! [`ReputationService`](wsrep_serve::ReputationService) built from CLI
 //! flags — shards, journal directory, recovery — and serves until a
 //! `Shutdown` request drains it.
@@ -41,13 +41,13 @@
 #[cfg(not(target_os = "linux"))]
 compile_error!("wsrep-server is Linux-only: its reactor blocks in epoll");
 
-pub mod chaos;
-pub mod client;
-pub mod poll;
+mod chaos;
+mod client;
+mod poll;
 pub mod proto;
-pub mod repl;
-pub mod retry;
-pub mod server;
+mod repl;
+mod retry;
+mod server;
 
 pub use chaos::{ChaosConfig, ChaosCounters, FlakyProxy};
 pub use client::{Client, ClientError};
@@ -56,7 +56,7 @@ pub use proto::{
     ServerStats, WireRanked, WireStats, PROTO_VERSION,
 };
 pub use repl::{ReplError, ReplicationGauge, Replicator};
-pub use retry::{Backoff, RetryPolicy, RetryingClient, Rng64};
+pub use retry::{Backoff, RetryPolicy, RetryingClient};
 pub use server::{ReplicationHooks, Server, ServerConfig};
 
 /// The value of the valued flag `name` when `arg` is that flag, in either

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 /// Which readiness a descriptor is registered for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the descriptor has bytes to read (or hit EOF/error).
     pub readable: bool,
     /// Wake when the descriptor can accept writes.
@@ -38,7 +38,7 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
     };
@@ -46,14 +46,9 @@ impl Interest {
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the descriptor was registered under.
     pub token: usize,
-    /// The descriptor is readable (data, EOF, or error — the nonblocking
-    /// read disambiguates).
-    pub readable: bool,
-    /// The descriptor is writable.
-    pub writable: bool,
 }
 
 /// A thread-safe handle that interrupts a [`Poller::wait`].
@@ -62,11 +57,11 @@ pub struct Event {
 /// before a wait collapse into one immediate return. Safe to call from
 /// any thread at any time, including after the poller is gone.
 #[derive(Clone)]
-pub struct Waker(Arc<sys::EventFd>);
+pub(crate) struct Waker(Arc<sys::EventFd>);
 
 impl Waker {
     /// Make the poller's current (or next) `wait` return immediately.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.0.signal();
     }
 }
@@ -76,7 +71,7 @@ impl Waker {
 /// Registered descriptors must be nonblocking: readiness is permission
 /// to *try*, and `WouldBlock` from the actual I/O is normal (spurious
 /// wakeups are part of the contract).
-pub trait Poller: Send {
+pub(crate) trait Poller: Send {
     /// Start watching `fd` under `token`.
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
 
@@ -115,41 +110,44 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(any(target_arch = "x86_64", target_arch = "x86"), repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn eventfd(initval: u32, flags: i32) -> i32;
-        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        pub fn close(fd: i32) -> i32;
+        pub(crate) fn epoll_create1(flags: i32) -> i32;
+        pub(crate) fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        pub(crate) fn epoll_wait(
+            epfd: i32,
+            events: *mut EpollEvent,
+            maxevents: i32,
+            timeout: i32,
+        ) -> i32;
+        pub(crate) fn eventfd(initval: u32, flags: i32) -> i32;
+        pub(crate) fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+        pub(crate) fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        pub(crate) fn close(fd: i32) -> i32;
     }
 
-    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EFD_CLOEXEC: i32 = 0o2000000;
-    pub const EFD_NONBLOCK: i32 = 0o4000;
+    pub(crate) const EPOLL_CLOEXEC: i32 = 0o2000000;
+    pub(crate) const EPOLL_CTL_ADD: i32 = 1;
+    pub(crate) const EPOLL_CTL_DEL: i32 = 2;
+    pub(crate) const EPOLL_CTL_MOD: i32 = 3;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EFD_CLOEXEC: i32 = 0o2000000;
+    pub(crate) const EFD_NONBLOCK: i32 = 0o4000;
 
     /// An owned `eventfd`: written to wake, drained on wakeup, closed on
     /// drop. Shared `Arc`'d between the poller and its [`super::Waker`]s.
-    pub struct EventFd {
+    pub(crate) struct EventFd {
         fd: i32,
     }
 
     impl EventFd {
-        pub fn new() -> std::io::Result<EventFd> {
+        pub(crate) fn new() -> std::io::Result<EventFd> {
             // Nonblocking: draining reads until EAGAIN must not hang,
             // and a full counter (2^64-1 wakes) failing a signal write
             // is harmless — the level is already set.
@@ -160,18 +158,18 @@ mod sys {
             Ok(EventFd { fd })
         }
 
-        pub fn raw(&self) -> i32 {
+        pub(crate) fn raw(&self) -> i32 {
             self.fd
         }
 
         /// Bump the counter; the epoll side sees the fd readable.
-        pub fn signal(&self) {
+        pub(crate) fn signal(&self) {
             let one: u64 = 1;
             let _ = unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
         }
 
         /// Consume pending signals so the level clears.
-        pub fn drain(&self) {
+        pub(crate) fn drain(&self) {
             let mut buf = [0u8; 8];
             while unsafe { read(self.fd, buf.as_mut_ptr(), 8) } == 8 {}
         }
@@ -192,7 +190,7 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// waker. `wait` blocks in the kernel until a registered descriptor is
 /// actually ready, so idle connections cost nothing and wakeups carry
 /// exactly the set of sockets worth pumping.
-pub struct EpollPoller {
+pub(crate) struct EpollPoller {
     epfd: RawFd,
     waker_fd: Arc<sys::EventFd>,
     /// Kernel-filled event buffer, reused across waits.
@@ -201,7 +199,7 @@ pub struct EpollPoller {
 
 impl EpollPoller {
     /// An epoll instance with its waker eventfd already registered.
-    pub fn new() -> io::Result<EpollPoller> {
+    pub(crate) fn new() -> io::Result<EpollPoller> {
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -304,12 +302,6 @@ impl Poller for EpollPoller {
             }
             events.push(Event {
                 token: slot.data as usize,
-                // Error/hangup conditions surface as both: the next
-                // nonblocking read or write observes the real state.
-                readable: slot.events
-                    & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR)
-                    != 0,
-                writable: slot.events & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
             });
         }
         // A full buffer means more events may be pending: grow so a busy
@@ -364,7 +356,7 @@ mod tests {
             poller
                 .wait(&mut events, Duration::from_millis(50))
                 .expect("wait");
-            if events.iter().any(|e| e.token == 7 && e.readable) {
+            if events.iter().any(|e| e.token == 7) {
                 break;
             }
             assert!(

@@ -96,41 +96,30 @@ const OP_REPL_BATCH: u8 = 0x90;
 const OP_REPL_WATERMARK: u8 = 0x91;
 const OP_ERROR: u8 = 0xEE;
 
-/// Why the server rejected a message.
+/// Why the server rejected a message. The discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The payload's version byte is not [`PROTO_VERSION`].
-    BadVersion,
+    BadVersion = 1,
     /// The frame was sound but the payload did not decode.
-    BadRequest,
+    BadRequest = 2,
     /// The server is draining and no longer accepts work.
-    ShuttingDown,
+    ShuttingDown = 3,
     /// The ingest pipeline is closed.
-    IngestClosed,
+    IngestClosed = 4,
     /// This node cannot serve the replication request (not a primary, or
     /// the requested history was compacted away).
-    ReplUnavailable,
+    ReplUnavailable = 5,
     /// This node is a read-only replica: writes must go to the primary.
-    ReadOnly,
+    ReadOnly = 6,
     /// This node cannot make the write durable and its durability policy
     /// fenced writes rather than lie about it. Not retryable here —
     /// clients should fail over.
-    NotDurable,
+    NotDurable = 7,
 }
 
 impl ErrorCode {
-    fn to_wire(self) -> u8 {
-        match self {
-            ErrorCode::BadVersion => 1,
-            ErrorCode::BadRequest => 2,
-            ErrorCode::ShuttingDown => 3,
-            ErrorCode::IngestClosed => 4,
-            ErrorCode::ReplUnavailable => 5,
-            ErrorCode::ReadOnly => 6,
-            ErrorCode::NotDurable => 7,
-        }
-    }
-
     fn from_wire(tag: u8) -> Result<Self, CodecError> {
         match tag {
             1 => Ok(ErrorCode::BadVersion),
@@ -311,13 +300,15 @@ pub struct ReplWatermark {
     pub min_replica_lsn: u64,
 }
 
-/// Which side of replication a node is on.
+/// Which side of replication a node is on. The discriminant is the wire
+/// byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ReplRole {
     /// Accepts writes and ships its log.
-    Primary,
+    Primary = 0,
     /// Applies a shipped log and serves bounded-staleness reads.
-    Replica,
+    Replica = 1,
 }
 
 /// Replication state surfaced in [`WireStats`] — the bounded-staleness
@@ -412,33 +403,21 @@ fn get_prefs(cur: &mut Cursor<'_>) -> Result<Preferences, CodecError> {
     Ok(Preferences::from_weights(weights))
 }
 
-fn put_estimate(out: &mut Vec<u8>, estimate: &TrustEstimate) {
-    put_f64(out, estimate.value.get());
-    put_f64(out, estimate.confidence);
-}
-
-fn get_estimate(cur: &mut Cursor<'_>) -> Result<TrustEstimate, CodecError> {
-    let value = cur.f64()?;
-    let confidence = cur.f64()?;
-    Ok(TrustEstimate::new(value, confidence))
-}
-
 fn put_opt_estimate(out: &mut Vec<u8>, estimate: &Option<TrustEstimate>) {
-    match estimate {
-        Some(e) => {
-            put_bool(out, true);
-            put_estimate(out, e);
-        }
-        None => put_bool(out, false),
+    put_bool(out, estimate.is_some());
+    if let Some(e) = estimate {
+        put_f64(out, e.value.get());
+        put_f64(out, e.confidence);
     }
 }
 
 fn get_opt_estimate(cur: &mut Cursor<'_>) -> Result<Option<TrustEstimate>, CodecError> {
-    if cur.bool()? {
-        Ok(Some(get_estimate(cur)?))
-    } else {
-        Ok(None)
+    if !cur.bool()? {
+        return Ok(None);
     }
+    let value = cur.f64()?;
+    let confidence = cur.f64()?;
+    Ok(Some(TrustEstimate::new(value, confidence)))
 }
 
 fn put_service_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
@@ -551,10 +530,7 @@ fn put_replication_stats(out: &mut Vec<u8>, stats: &Option<ReplicationStats>) {
     match stats {
         Some(r) => {
             put_bool(out, true);
-            out.push(match r.role {
-                ReplRole::Primary => 0,
-                ReplRole::Replica => 1,
-            });
+            out.push(r.role as u8);
             put_u64(out, r.local_durable_lsn);
             put_u64(out, r.remote_durable_lsn);
             put_u64(out, r.lag);
@@ -625,7 +601,7 @@ fn get_server_stats(cur: &mut Cursor<'_>) -> Result<ServerStats, CodecError> {
 
 impl Request {
     /// Index into [`ServerStats::requests`] for this request kind.
-    pub fn stat_slot(&self) -> usize {
+    pub(crate) fn stat_slot(&self) -> usize {
         match self {
             Request::Ping => 0,
             Request::Publish(_) => 1,
@@ -833,7 +809,7 @@ impl Response {
             }
             Response::Error { code, message } => {
                 payload.push(OP_ERROR);
-                payload.push(code.to_wire());
+                payload.push(*code as u8);
                 put_bytes(payload, message.as_bytes());
             }
         }

@@ -30,21 +30,18 @@ use crate::proto::IngestKey;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use wsrep_core::feedback::Feedback;
-use wsrep_core::id::{ServiceId, SubjectId};
-use wsrep_core::trust::TrustEstimate;
-use wsrep_qos::preference::Preferences;
 use wsrep_sim::registry::{Listing, PublishStatus};
 
 /// A small fast PRNG (xorshift64*), seeded through splitmix64 so that
 /// consecutive seeds (0, 1, 2, …) still produce decorrelated streams.
 #[derive(Debug, Clone)]
-pub struct Rng64 {
+pub(crate) struct Rng64 {
     state: u64,
 }
 
 impl Rng64 {
     /// Seed the generator. Any seed is fine, including 0.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         // splitmix64 scrambles the seed so xorshift never sees 0 and
         // nearby seeds diverge immediately.
         let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -57,7 +54,7 @@ impl Rng64 {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -67,7 +64,7 @@ impl Rng64 {
     }
 
     /// Uniform value in `[0, bound)`; 0 when `bound` is 0.
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             0
         } else {
@@ -121,7 +118,7 @@ impl RetryPolicy {
     }
 
     /// The pre-jitter delay for 0-based retry `attempt`.
-    pub fn raw_delay(&self, attempt: u32) -> Duration {
+    pub(crate) fn raw_delay(&self, attempt: u32) -> Duration {
         let mult = self.multiplier.max(1.0);
         let factor = mult.powi(attempt.min(63) as i32);
         let nanos = (self.base.as_nanos() as f64 * factor).min(self.cap.as_nanos() as f64);
@@ -130,7 +127,7 @@ impl RetryPolicy {
 
     /// The jittered delay for 0-based retry `attempt`: uniform in
     /// `[raw/2, raw]`.
-    pub fn delay(&self, attempt: u32, rng: &mut Rng64) -> Duration {
+    pub(crate) fn delay(&self, attempt: u32, rng: &mut Rng64) -> Duration {
         let raw = self.raw_delay(attempt).as_nanos() as u64;
         let half = raw / 2;
         Duration::from_nanos(half + rng.below(raw - half + 1))
@@ -164,11 +161,6 @@ impl Backoff {
         let delay = self.policy.delay(self.attempt, &mut self.rng);
         self.attempt = self.attempt.saturating_add(1);
         delay
-    }
-
-    /// How many delays have been handed out since the last reset.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
     }
 
     /// Start over from the base delay (call after a successful attempt).
@@ -281,7 +273,7 @@ impl RetryingClient {
     ///
     /// Only safe for idempotent operations — ingest goes through
     /// [`RetryingClient::ingest`], which adds the dedup key.
-    pub fn retry<T>(
+    pub(crate) fn retry<T>(
         &mut self,
         mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
@@ -339,38 +331,11 @@ impl RetryingClient {
         self.retry(move |c| c.ingest_keyed(batch.clone(), key))
     }
 
-    /// One subject's reputation (read-only; trivially retryable).
-    pub fn score(&mut self, subject: SubjectId) -> Result<Option<TrustEstimate>, ClientError> {
-        self.retry(move |c| c.score(subject))
-    }
-
-    /// The `k` best services in `category` (read-only).
-    pub fn top_k(
-        &mut self,
-        category: u32,
-        prefs: &Preferences,
-        k: u32,
-    ) -> Result<Vec<crate::proto::WireRanked>, ClientError> {
-        self.retry(move |c| c.top_k(category, prefs, k))
-    }
-
-    /// Service + server counters (read-only).
-    pub fn stats(&mut self) -> Result<crate::proto::WireStats, ClientError> {
-        self.retry(|c| c.stats())
-    }
-
     /// Apply-everything barrier, retried. A flush that times out may
     /// have completed server-side; re-issuing it is idempotent (the
     /// barrier just drains again).
     pub fn flush(&mut self) -> Result<(), ClientError> {
         self.retry(|c| c.flush())
-    }
-
-    /// Withdraw a listing. Retried; a replay of a successful removal
-    /// reports `Ok(false)` (already gone), which callers should treat
-    /// as success when retries are in play.
-    pub fn deregister(&mut self, service: ServiceId) -> Result<bool, ClientError> {
-        self.retry(move |c| c.deregister(service))
     }
 }
 

@@ -54,7 +54,7 @@ pub struct Consumer {
 impl Consumer {
     /// The consumer's *true* satisfaction with an observation, given the
     /// global bounds function (ground-truth normalization).
-    pub fn satisfaction<F>(&self, observed: &QosVector, bounds: F) -> f64
+    pub(crate) fn satisfaction<F>(&self, observed: &QosVector, bounds: F) -> f64
     where
         F: Fn(Metric) -> (f64, f64),
     {
@@ -67,7 +67,7 @@ impl Consumer {
     /// and per-facet ratings; dishonest ones distort the score (and, for
     /// QoS-reporting mechanisms, the claimed measurements) according to
     /// their behaviour.
-    pub fn report<R, F>(
+    pub(crate) fn report<R, F>(
         &self,
         rng: &mut R,
         service: ServiceId,

@@ -1,4 +1,4 @@
-//! # wsrep-sim — a discrete-event web-service ecosystem
+//! # wsrep-sim — a round-driven web-service ecosystem
 //!
 //! The substrate the survey assumes: providers publishing services with
 //! (possibly exaggerated) QoS advertisements, consumers invoking them and
@@ -6,7 +6,10 @@
 //! QoS store, SLAs, monitoring sensors and explorer agents, and the
 //! mediated general-service scenario of Figure 1 B.
 //!
-//! * [`event`] — a small discrete-event queue driving scheduled dynamics;
+//! Time advances in rounds: [`world::World::step`] moves every provider's
+//! dynamics one round, and the caller (the market loop in `wsrep-select`)
+//! decides what happens within a round. Nothing schedules events.
+//!
 //! * [`provider`] — providers with behaviour dynamics (stable, improving,
 //!   degrading, oscillating, whitewashing) and advertisement honesty;
 //! * [`consumer`] — consumers with preference profiles and rater
@@ -25,11 +28,10 @@
 //! ```
 
 pub mod consumer;
-pub mod event;
 pub mod monitor;
 pub mod provider;
 pub mod registry;
 pub mod scenario;
 pub mod world;
 
-pub use world::{World, WorldConfig};
+pub use world::WorldConfig;

@@ -91,7 +91,7 @@ impl Provider {
     /// strong exaggerators all claim near-perfect QoS, which is what makes
     /// advertised-QoS selection gameable: saturated claims carry no
     /// ranking information.
-    pub fn advertise(&self, quality: &QualityProfile) -> QosVector {
+    pub(crate) fn advertise(&self, quality: &QualityProfile) -> QosVector {
         quality
             .means()
             .iter()

@@ -81,7 +81,7 @@ pub struct Listing {
 /// UDDI-like registry + central QoS feedback store.
 #[derive(Debug, Default)]
 pub struct UddiRegistry {
-    listings: BTreeMap<ServiceId, Listing>,
+    pub(crate) listings: BTreeMap<ServiceId, Listing>,
     /// The central QoS registry of Figure 2.
     pub qos_store: FeedbackStore,
     down: bool,
@@ -89,13 +89,13 @@ pub struct UddiRegistry {
 
 impl UddiRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Publish (or update) a service listing. Rejected while the registry
     /// is down — providers cannot reach it.
-    pub fn publish(&mut self, listing: Listing) -> Result<PublishStatus, RegistryError> {
+    pub(crate) fn publish(&mut self, listing: Listing) -> Result<PublishStatus, RegistryError> {
         if self.down {
             return Err(RegistryError::Down);
         }
@@ -107,7 +107,7 @@ impl UddiRegistry {
 
     /// Remove a listing (provider withdrawal). Rejected while down, which
     /// is exactly how stale entries accumulate.
-    pub fn withdraw(&mut self, service: ServiceId) -> Result<(), RegistryError> {
+    pub(crate) fn withdraw(&mut self, service: ServiceId) -> Result<(), RegistryError> {
         if self.down {
             return Err(RegistryError::Down);
         }
@@ -127,15 +127,6 @@ impl UddiRegistry {
         Some(search_category(self.listings.values(), category))
     }
 
-    /// Look up one listing.
-    pub fn listing(&self, service: ServiceId) -> Option<&Listing> {
-        if self.down {
-            None
-        } else {
-            self.listings.get(&service)
-        }
-    }
-
     /// Take the registry down (failure injection).
     pub fn fail(&mut self) {
         self.down = true;
@@ -149,16 +140,6 @@ impl UddiRegistry {
     /// Whether the registry is up.
     pub fn is_up(&self) -> bool {
         !self.down
-    }
-
-    /// Number of listings.
-    pub fn len(&self) -> usize {
-        self.listings.len()
-    }
-
-    /// Whether nothing is listed.
-    pub fn is_empty(&self) -> bool {
-        self.listings.is_empty()
     }
 
     /// Accept a consumer feedback report into the central QoS store.
@@ -209,7 +190,6 @@ mod tests {
         r.fail();
         assert!(!r.is_up());
         assert_eq!(r.search(10), None);
-        assert_eq!(r.listing(ServiceId::new(1)), None);
         assert_eq!(r.publish(listing(2, 10)), Err(RegistryError::Down));
         assert_eq!(
             r.accept_feedback(Feedback::scored(
@@ -234,7 +214,7 @@ mod tests {
         // The stale entry is still served.
         assert_eq!(r.search(10).unwrap().len(), 1);
         assert_eq!(r.withdraw(ServiceId::new(1)), Ok(()));
-        assert!(r.is_empty());
+        assert!(r.listings.is_empty());
         // A second withdrawal reports the missing listing.
         assert_eq!(r.withdraw(ServiceId::new(1)), Err(RegistryError::NotFound));
     }
@@ -259,8 +239,8 @@ mod tests {
         let mut updated = listing(1, 10);
         updated.category = 30;
         assert_eq!(r.publish(updated), Ok(PublishStatus::Updated));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.listing(ServiceId::new(1)).unwrap().category, 30);
+        assert_eq!(r.listings.len(), 1);
+        assert_eq!(r.listings[&ServiceId::new(1)].category, 30);
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl World {
     }
 
     /// The provider of a service.
-    pub fn provider_of(&self, id: ServiceId) -> Option<ProviderId> {
+    pub(crate) fn provider_of(&self, id: ServiceId) -> Option<ProviderId> {
         self.services.get(&id).map(|s| s.provider)
     }
 
@@ -552,7 +552,7 @@ mod tests {
         assert_eq!(w.providers.len(), 10);
         assert_eq!(w.services().count(), 20);
         assert_eq!(w.consumers.len(), 30);
-        assert_eq!(w.registry.len(), 20);
+        assert_eq!(w.registry.listings.len(), 20);
     }
 
     #[test]
@@ -644,8 +644,8 @@ mod tests {
         assert!(w.providers[&provider].services.contains(&new));
         assert!(!w.providers[&provider].services.contains(&old));
         // Registry reflects the swap.
-        assert!(w.registry.listing(old).is_none());
-        assert!(w.registry.listing(new).is_some());
+        assert!(!w.registry.listings.contains_key(&old));
+        assert!(w.registry.listings.contains_key(&new));
         // Service count preserved.
         assert_eq!(w.services().count(), 20);
     }
@@ -685,7 +685,7 @@ mod tests {
         let v2_utility = prefs.utility_raw(&w.service(v2).unwrap().quality.means(), metric_range);
         assert!(v2_utility >= before_best, "{v2_utility} >= {before_best}");
         assert_eq!(w.provider_of(v2), Some(provider));
-        assert!(w.registry.listing(v2).is_some());
+        assert!(w.registry.listings.contains_key(&v2));
         assert_eq!(w.services().count(), 21);
     }
 

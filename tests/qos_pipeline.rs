@@ -88,7 +88,7 @@ fn sla_derived_from_honest_measurement_is_mostly_compliant() {
     let mut rng = StdRng::seed_from_u64(11);
     let q = &profiles()[0];
     let advertised = q.means();
-    let sla = Sla::from_advertised(&advertised, 0.3, 1.0, 1.0);
+    let sla = Sla::from_advertised(&advertised, 0.3, 1.0);
     let mut violations = 0;
     let trials = 500;
     for _ in 0..trials {
@@ -109,7 +109,7 @@ fn sla_derived_from_a_lie_is_mostly_violated() {
     let q = &profiles()[2]; // the slow bargain
                             // Advertised as the sprinter's figures.
     let lie = profiles()[0].means();
-    let sla = Sla::from_advertised(&lie, 0.3, 1.0, 1.0);
+    let sla = Sla::from_advertised(&lie, 0.3, 1.0);
     let mut violations = 0;
     let trials = 200;
     for _ in 0..trials {
