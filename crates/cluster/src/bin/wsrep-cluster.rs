@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! wsrep-cluster primary --journal=DIR [--listen ADDR] [--recover=DIR]
-//!                       [--shards N] [--workers N]
+//!                       [--shards N]
 //! wsrep-cluster replica --primary ADDR --journal=DIR [--listen ADDR]
-//!                       [--id N] [--shards N] [--workers N]
-//!                       [--promote-on-disconnect SECS]
+//!                       [--id N] [--shards N] [--promote-on-disconnect SECS]
 //! ```
 //!
 //! Every flag takes its value as `--flag V` or `--flag=V`. A malformed
@@ -44,12 +43,12 @@ use std::time::Duration;
 use wsrep_cluster::{Primary, PrimaryConfig, Replica, ReplicaConfig};
 use wsrep_serve::check::{twin_equal, Twin};
 use wsrep_serve::ReputationService;
-use wsrep_server::{flag_number, flag_value, ServerConfig};
+use wsrep_server::{flag_number, flag_value};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wsrep-cluster primary --journal=DIR [--listen ADDR] [--recover=DIR] [--shards N] [--workers N]\n\
-            \x20      wsrep-cluster replica --primary ADDR --journal=DIR [--listen ADDR] [--id N] [--shards N] [--workers N] [--promote-on-disconnect SECS]"
+        "usage: wsrep-cluster primary --journal=DIR [--listen ADDR] [--recover=DIR] [--shards N]\n\
+            \x20      wsrep-cluster replica --primary ADDR --journal=DIR [--listen ADDR] [--id N] [--shards N] [--promote-on-disconnect SECS]"
     );
     exit(2)
 }
@@ -58,7 +57,6 @@ struct Args {
     listen: String,
     journal: Option<PathBuf>,
     shards: usize,
-    workers: usize,
     primary: Option<String>,
     replica_id: u64,
     promote_after: Option<Duration>,
@@ -69,7 +67,6 @@ fn parse_args(mut args: std::env::Args) -> Args {
         listen: "127.0.0.1:0".to_string(),
         journal: None,
         shards: 8,
-        workers: 4,
         primary: None,
         replica_id: 1,
         promote_after: None,
@@ -82,8 +79,6 @@ fn parse_args(mut args: std::env::Args) -> Args {
             parsed.journal = Some(PathBuf::from(v));
         } else if let Some(v) = value("--shards") {
             parsed.shards = flag_number("--shards", &v);
-        } else if let Some(v) = value("--workers") {
-            parsed.workers = flag_number("--workers", &v);
         } else if let Some(v) = value("--primary") {
             parsed.primary = Some(v);
         } else if let Some(v) = value("--id") {
@@ -121,14 +116,11 @@ fn run_primary(args: Args) -> i32 {
             return 1;
         }
     });
-    let config = PrimaryConfig {
-        server: ServerConfig {
-            workers: args.workers.max(1),
-            ..ServerConfig::default()
-        },
-        ..PrimaryConfig::default()
-    };
-    let primary = match Primary::start(Arc::clone(&service), &args.listen[..], config) {
+    let primary = match Primary::start(
+        Arc::clone(&service),
+        &args.listen[..],
+        PrimaryConfig::default(),
+    ) {
         Ok(primary) => primary,
         Err(err) => {
             eprintln!(
@@ -166,10 +158,6 @@ fn run_replica(args: Args) -> i32 {
         return 2;
     };
     let config = ReplicaConfig {
-        server: ServerConfig {
-            workers: args.workers.max(1),
-            ..ServerConfig::default()
-        },
         shards: args.shards,
         replica_id: args.replica_id,
         ..ReplicaConfig::default()

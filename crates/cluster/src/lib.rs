@@ -31,6 +31,8 @@
 //! next fsync) part of the primary's acknowledged history, in the same
 //! order.
 
+#![forbid(unsafe_code)]
+
 mod primary;
 mod replica;
 mod watermark;

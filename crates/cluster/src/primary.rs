@@ -1,8 +1,9 @@
 //! The primary: a journaled registry that also ships its log.
 //!
 //! [`Primary::start`] wraps a journaled [`ReputationService`] in a
-//! [`Server`] with a [`Replicator`] plugged in, so the same reactor that
-//! serves clients also serves `ReplPull`/`ReplHeartbeat` from replicas.
+//! [`Server`] with a [`Replicator`] plugged in, so the connection threads
+//! that serve clients also serve `ReplPull`/`ReplHeartbeat` from
+//! replicas.
 //! Shipping is **pull-based**:
 //! the replica is just another pipelined client, which keeps the
 //! protocol's FIFO contract and costs the primary nothing when no
@@ -29,7 +30,7 @@ use wsrep_server::{
 /// Tuning for a [`Primary`].
 #[derive(Debug, Clone)]
 pub struct PrimaryConfig {
-    /// Reactor tuning, passed through to the server.
+    /// Connection cap and stall timeout, passed through to the server.
     pub server: ServerConfig,
     /// Hard cap on records per `ReplPull` response, whatever the replica
     /// asks for (bounds response frames well under the frame size limit).

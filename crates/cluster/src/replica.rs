@@ -31,7 +31,8 @@ use wsrep_server::{
 /// Tuning for a [`Replica`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// Reactor tuning for the replica's own read-only server.
+    /// Connection cap and stall timeout for the replica's own read-only
+    /// server.
     pub server: ServerConfig,
     /// Store shards for the replica's service.
     pub shards: usize,

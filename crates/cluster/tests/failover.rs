@@ -33,7 +33,6 @@ fn spawn_primary(dir: &Path) -> (Child, String) {
         .arg("127.0.0.1:0")
         .arg(format!("--journal={}", dir.display()))
         .arg("--shards=4")
-        .arg("--workers=2")
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn wsrep-cluster primary");

@@ -35,7 +35,6 @@ fn every_valued_flag_is_accepted_in_both_forms() {
         ("--journal", &journal),
         ("--recover", &journal),
         ("--shards", "4"),
-        ("--workers", "2"),
         ("--primary", "127.0.0.1:1"),
         ("--id", "3"),
         ("--promote-on-disconnect", "5"),

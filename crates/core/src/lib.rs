@@ -30,6 +30,8 @@
 //! assert!(rep.value.get() > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod decay;
 pub mod facets;

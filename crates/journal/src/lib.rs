@@ -43,6 +43,8 @@
 //! may additionally preserve unacknowledged records above a gap, which
 //! recovery keeps (they are a superset of every acknowledged record).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 mod compact;
 pub mod faults;

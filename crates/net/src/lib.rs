@@ -29,6 +29,8 @@
 //! assert_eq!(path.last(), Some(&AgentId::new(3)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 mod network;
 pub mod overlay;

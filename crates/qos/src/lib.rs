@@ -32,6 +32,8 @@
 //! assert_eq!(prefs.metrics().count(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod metric;
 pub mod normalize;
 pub mod preference;

@@ -17,6 +17,8 @@
 //! `exp_unfair` sweeps attacker fractions and reports each defense's
 //! selection accuracy.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod defense;
 mod deviation;

@@ -17,6 +17,8 @@
 //!   report; outputs utility / regret / hit-rate / cost metrics;
 //! * [`report`] — markdown table rendering for the experiment binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod bootstrap;
 pub mod eval;
 pub mod report;

@@ -1,19 +1,22 @@
 //! wsrep-server — serve the reputation registry over TCP.
 //!
 //! ```text
-//! wsrep-server [--listen ADDR] [--shards N] [--workers N]
+//! wsrep-server [--listen ADDR] [--shards N]
 //!              [--journal DIR] [--recover DIR] [--durability MODE]
 //!              [--fault-append-every N] [--fault-fsync-every N]
-//!              [--pipeline-depth N]
+//!              [--workers N (retired, ignored)]
 //! ```
 //!
 //! Every flag takes its value as `--flag V` or `--flag=V`. An unknown
 //! flag or a malformed value is a usage error: one line on stderr, exit
 //! status 2.
 //!
-//! Defaults: listen on `127.0.0.1:7411`, 8 shards, 4 workers, no
-//! journal. `--listen 127.0.0.1:0` binds an ephemeral port; the actual
-//! address is printed (and flushed) as the first stdout line:
+//! Defaults: listen on `127.0.0.1:7411`, 8 shards, no journal. The
+//! server runs one thread per connection, up to 256 connections.
+//! `--workers N` is retired: it is still parsed, and a non-number is
+//! still refused, but the value sets nothing. `--listen 127.0.0.1:0`
+//! binds an ephemeral port; the actual address is printed (and flushed)
+//! as the first stdout line:
 //!
 //! ```text
 //! wsrep-server listening on 127.0.0.1:40519
@@ -50,24 +53,20 @@ use wsrep_server::{flag_number, flag_value, usage_error, Server, ServerConfig};
 struct Args {
     listen: String,
     shards: usize,
-    workers: usize,
     journal: Option<PathBuf>,
     durability: DurabilityPolicy,
     fault_append_every: Option<u64>,
     fault_fsync_every: Option<u64>,
-    pipeline_depth: usize,
 }
 
 fn parse_args() -> Args {
     let mut parsed = Args {
         listen: "127.0.0.1:7411".to_string(),
         shards: 8,
-        workers: 4,
         journal: None,
         durability: DurabilityPolicy::Degrade,
         fault_append_every: None,
         fault_fsync_every: None,
-        pipeline_depth: 128,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -77,7 +76,8 @@ fn parse_args() -> Args {
         } else if let Some(v) = value("--shards") {
             parsed.shards = flag_number("--shards", &v);
         } else if let Some(v) = value("--workers") {
-            parsed.workers = flag_number("--workers", &v);
+            // Retired, kept while `benchmark/src/host.rs` passes it.
+            flag_number::<usize>("--workers", &v);
         } else if let Some(v) = value("--journal").or_else(|| value("--recover")) {
             parsed.journal = Some(PathBuf::from(v));
         } else if let Some(v) = value("--durability") {
@@ -90,8 +90,6 @@ fn parse_args() -> Args {
             parsed.fault_append_every = Some(flag_number("--fault-append-every", &v));
         } else if let Some(v) = value("--fault-fsync-every") {
             parsed.fault_fsync_every = Some(flag_number("--fault-fsync-every", &v));
-        } else if let Some(v) = value("--pipeline-depth") {
-            parsed.pipeline_depth = flag_number("--pipeline-depth", &v);
         } else {
             usage_error(&format!("unknown argument: {arg}"));
         }
@@ -127,12 +125,11 @@ fn main() {
         }
     });
 
-    let config = ServerConfig {
-        workers: args.workers.max(1),
-        max_pipeline_depth: args.pipeline_depth.max(1),
-        ..ServerConfig::default()
-    };
-    let server = match Server::start(Arc::clone(&service), &args.listen[..], config) {
+    let server = match Server::start(
+        Arc::clone(&service),
+        &args.listen[..],
+        ServerConfig::default(),
+    ) {
         Ok(server) => server,
         Err(err) => {
             eprintln!("wsrep-server: failed to start on {}: {err}", args.listen);
@@ -150,7 +147,7 @@ fn main() {
     }
 
     // Serve until a Shutdown request flips the flag, then let the drain
-    // finish. `join` returns only after every worker exited and the
+    // finish. `join` returns only after every connection thread exited and the
     // ingest pipeline flushed (the final fsync with a journal).
     while !server.is_shutting_down() {
         std::thread::sleep(Duration::from_millis(50));

@@ -11,12 +11,10 @@
 //!   version-pinned binary layout (reusing the journal codec's layout
 //!   primitives and the WAL's frame discipline), and the pipelining /
 //!   error contract;
-//! - `poll` — readiness behind a trait: raw epoll (no `libc` crate,
-//!   hand-declared syscall prototypes) with an `eventfd` waker;
-//! - `server` — the readiness-driven reactor: an acceptor thread
-//!   dealing sockets to worker threads that own their connections and
-//!   block on a `Poller`, with bounded pipeline depth,
-//!   write-buffer backpressure, slow-client eviction, and graceful
+//! - `server` — one blocking thread per connection: an acceptor thread
+//!   spawns a thread for each connection up to a cap (answering the
+//!   rest `Busy`), each serving its requests in arrival order, with
+//!   blocking-write backpressure, slow-client eviction, and graceful
 //!   drain-on-shutdown;
 //! - `client` — the blocking connection: call-style one-shot RPCs and
 //!   a queue/flush/recv pipelining API over reusable buffers;
@@ -28,22 +26,18 @@
 //!   TCP proxy that drops, delays, splits, and corrupts traffic on a
 //!   deterministic schedule, with counters proving it did;
 //! - `repl` — the replication seam: the [`Replicator`] hook a cluster
-//!   primary plugs into the reactor to ship its log, and the
+//!   primary plugs into the server to ship its log, and the
 //!   [`ReplicationGauge`] that surfaces watermarks and lag in `Stats`.
 //!
 //! The binary (`wsrep-server`) wraps [`Server`] around a
 //! [`ReputationService`](wsrep_serve::ReputationService) built from CLI
 //! flags — shards, journal directory, recovery — and serves until a
 //! `Shutdown` request drains it.
-//!
-//! The crate is Linux-only: its reactor blocks in `epoll_wait`.
 
-#[cfg(not(target_os = "linux"))]
-compile_error!("wsrep-server is Linux-only: its reactor blocks in epoll");
+#![forbid(unsafe_code)]
 
 mod chaos;
 mod client;
-mod poll;
 pub mod proto;
 mod repl;
 mod retry;

@@ -64,6 +64,7 @@ use wsrep_sim::registry::{Listing, PublishStatus};
 /// v4: `Ingest` is `key?, count u32, payload`, `ReplBatch` is
 /// `first_lsn, durable_lsn, count u32, payload`; the stats body lost its
 /// two reserved `cache_*` slots. A peer speaks this version only.
+/// [`ErrorCode::Busy`] was appended within v4; nothing else moved.
 pub const PROTO_VERSION: u8 = 4;
 
 // Request opcodes — wire contract, never renumber.
@@ -117,6 +118,9 @@ pub enum ErrorCode {
     /// fenced writes rather than lie about it. Not retryable here —
     /// clients should fail over.
     NotDurable = 7,
+    /// The server is at its connection cap and closed this connection
+    /// unserved. Retryable: the same request succeeds once a slot frees.
+    Busy = 8,
 }
 
 impl ErrorCode {
@@ -129,6 +133,7 @@ impl ErrorCode {
             5 => Ok(ErrorCode::ReplUnavailable),
             6 => Ok(ErrorCode::ReadOnly),
             7 => Ok(ErrorCode::NotDurable),
+            8 => Ok(ErrorCode::Busy),
             tag => Err(CodecError::BadTag {
                 what: "error code",
                 tag,
@@ -147,6 +152,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::ReplUnavailable => write!(f, "replication unavailable here"),
             ErrorCode::ReadOnly => write!(f, "read-only replica"),
             ErrorCode::NotDurable => write!(f, "writes fenced after journal failure"),
+            ErrorCode::Busy => write!(f, "server at its connection cap"),
         }
     }
 }
@@ -1120,6 +1126,10 @@ mod tests {
             Response::Error {
                 code: ErrorCode::ReplUnavailable,
                 message: "not a primary".to_string(),
+            },
+            Response::Error {
+                code: ErrorCode::Busy,
+                message: "at the cap".to_string(),
             },
         ];
         for response in responses {

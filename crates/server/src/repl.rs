@@ -1,6 +1,6 @@
 //! The server's replication seam.
 //!
-//! The reactor stays ignorant of *how* records are shipped: a node that
+//! The server stays ignorant of *how* records are shipped: a node that
 //! can serve [`crate::proto::Request::ReplPull`] plugs a [`Replicator`]
 //! into [`crate::Server`], and a node that wants its staleness visible
 //! in `Stats` plugs in a [`ReplicationGauge`]. The cluster crate owns

@@ -26,7 +26,7 @@
 //! dependency: backoff jitter needs decorrelation, not cryptography.
 
 use crate::client::{Client, ClientError};
-use crate::proto::IngestKey;
+use crate::proto::{ErrorCode, IngestKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use wsrep_core::feedback::Feedback;
@@ -183,9 +183,10 @@ fn auto_producer_id() -> u64 {
     Rng64::new(nanos ^ (nonce.rotate_left(32))).next_u64()
 }
 
-/// Is this failure worth a reconnect-and-retry? Server refusals
-/// (protocol errors, `NotDurable` fences) and corrupt streams are not —
-/// the same request would fail the same way.
+/// Is this failure worth a reconnect-and-retry? A `Busy` refusal is —
+/// the same request succeeds once a connection slot frees. Other server
+/// refusals (protocol errors, `NotDurable` fences) and corrupt streams
+/// are not — the same request would fail the same way.
 fn retryable(err: &ClientError) -> bool {
     matches!(
         err,
@@ -193,6 +194,10 @@ fn retryable(err: &ClientError) -> bool {
             | ClientError::TimedOut
             | ClientError::Poisoned
             | ClientError::Io(_)
+            | ClientError::Server {
+                code: ErrorCode::Busy,
+                ..
+            }
     )
 }
 
@@ -435,5 +440,16 @@ mod tests {
         assert_eq!(client.next_seq, 1);
         let _ = client.ingest(Vec::new());
         assert_eq!(client.next_seq, 2);
+    }
+
+    #[test]
+    fn busy_is_the_one_retryable_refusal() {
+        let refusal = |code| ClientError::Server {
+            code,
+            message: String::new(),
+        };
+        assert!(retryable(&refusal(ErrorCode::Busy)));
+        assert!(!retryable(&refusal(ErrorCode::NotDurable)));
+        assert!(!retryable(&refusal(ErrorCode::BadRequest)));
     }
 }

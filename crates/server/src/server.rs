@@ -1,85 +1,70 @@
-//! The serving loop: a hand-rolled readiness-driven reactor.
+//! The serving loop: one blocking thread per connection.
 //!
-//! One **acceptor** thread owns the listener and deals accepted sockets
-//! round-robin to N **worker** threads. Each worker owns its connections
-//! outright (no cross-thread connection state, no locks on the data
-//! path) and blocks on a [`Poller`] — raw epoll (see [`crate::poll`]) — waking
-//! only when a socket is actually readable/writable, a new connection is
-//! dealt to it, or shutdown is requested. Per wakeup it pumps exactly
-//! the ready connections: nonblocking writes first, then nonblocking
-//! reads, then frame parsing and request dispatch. Read interest is
-//! dropped while a connection is over its write-buffer limit and write
-//! interest exists only while responses are queued, so a fully idle
-//! server sits in `epoll_wait` at ~zero CPU instead of spinning a
-//! sleep-poll loop. The connection ownership model is unchanged from the
-//! polling reactor: readiness says *which* worker-owned connection to
-//! pump, never moves one across threads.
+//! One **acceptor** thread blocks in `accept` and spawns a named thread
+//! per connection, up to [`ServerConfig::max_connections`]. Past the cap
+//! a connection is answered with one pre-encoded [`ErrorCode::Busy`]
+//! frame and closed; no thread is spawned for it. A connection thread
+//! blocks in `read`, so an idle server sits in the kernel at ~zero CPU.
 //!
 //! ## Pipelining and backpressure
 //!
 //! Requests are served strictly in arrival order per connection; a
-//! client may pipeline as deep as it likes, but the server bounds the
-//! damage a connection can do:
+//! client may pipeline as deep as it likes. After each read the thread
+//! serves every complete frame it holds, then writes all their responses
+//! at once — or earlier, once they pass [`WRITE_BATCH`] bytes, so a flood
+//! of fat requests cannot balloon the response buffer. Backpressure is
+//! the blocking `write`: a thread that is writing is not reading, and TCP
+//! pushes the backpressure to the client.
 //!
-//! - **Bounded in-flight depth**: a worker parses at most
-//!   [`ServerConfig::max_pipeline_depth`] requests per connection per
-//!   pass, and stops *reading* from a socket whose output buffer already
-//!   holds more than [`ServerConfig::write_buffer_limit`] unsent bytes.
-//!   An unread response backlog therefore freezes that connection's
-//!   intake (TCP pushes the backpressure to the client) without ever
-//!   growing server memory unboundedly.
-//! - **Slow-client timeout**: a connection that stays *over* the
-//!   write-buffer limit for longer than
-//!   [`ServerConfig::write_stall_timeout`] is closed — trickling a few
-//!   bytes now and then doesn't reset the clock, only draining back
-//!   under the limit does. One stuck socket costs one bounded buffer
-//!   for one bounded time, never the reactor.
+//! - **Slow-client timeout**: [`ServerConfig::write_stall_timeout`] is a
+//!   deadline over one batch of responses. Each `write` waits at most the
+//!   time left, so trickling a few bytes now and then doesn't reset the
+//!   clock; a client not done by the deadline is closed. One stuck
+//!   socket costs one bounded buffer for one bounded time, and only its
+//!   own thread.
 //!
 //! ## Lifecycle
 //!
-//! [`Server::shutdown`] (or a [`Request::Shutdown`] frame) flips a flag;
-//! the acceptor stops accepting, workers stop reading, finish writing
-//! every queued response, close their connections, and exit; `join`
-//! then flushes the ingest pipeline — with a journal attached that is a
-//! final group-commit fsync, so everything acknowledged over the wire
-//! is durable before the process exits.
+//! [`Server::shutdown`] (or a [`Request::Shutdown`] frame, or a fail-stop
+//! fence) flips a flag, wakes the acceptor with one connection to the
+//! listener, and shuts down the read half of every open connection. Each
+//! reader then sees the end of its stream, serves what it has buffered,
+//! writes the responses and exits; `join` waits for every thread, then
+//! flushes the ingest pipeline — with a journal attached that is a final
+//! group-commit fsync, so everything acknowledged over the wire is
+//! durable before the process exits.
 
-use crate::poll::{EpollPoller, Event, Interest, Poller, Waker};
 use crate::proto::{ErrorCode, IngestKey, Request, Response, ServerStats, WireRanked, WireStats};
 use crate::repl::{ReplicationGauge, Replicator};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
+use std::net::{
+    Ipv4Addr, Ipv6Addr, Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use wsrep_core::feedback::Feedback;
-use wsrep_journal::frame::{split_frame, FrameSplit};
+use wsrep_journal::frame::{split_frame, FrameSplit, FRAME_HEADER_LEN};
 use wsrep_serve::{DurabilityPolicy, ReputationService};
 use wsrep_sim::registry::RegistryError;
 
-/// Reactor tuning knobs.
+/// Server knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads (each owns a share of the connections).
-    pub workers: usize,
-    /// Most requests parsed and served per connection per reactor pass.
-    pub max_pipeline_depth: usize,
-    /// Stop reading from a connection whose unsent output exceeds this.
-    pub write_buffer_limit: usize,
-    /// Close a connection write-blocked over the limit for this long.
+    /// Most connections served at once, one thread each. A connection
+    /// past the cap is answered [`ErrorCode::Busy`] and closed.
+    pub max_connections: usize,
+    /// Close a connection that has not taken one batch of responses
+    /// within this long.
     pub write_stall_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 4,
-            max_pipeline_depth: 128,
-            write_buffer_limit: 1 << 20,
+            max_connections: 256,
             write_stall_timeout: Duration::from_secs(10),
         }
     }
@@ -198,19 +183,37 @@ struct Shared {
     replicator: Option<Arc<dyn Replicator>>,
     repl_gauge: Option<Arc<ReplicationGauge>>,
     config: ServerConfig,
-    /// One waker per reactor thread (workers + acceptor): shutdown must
-    /// interrupt a blocked `Poller::wait`, not wait out its timeout.
-    wakers: Vec<Waker>,
+    /// Where shutdown connects to wake the acceptor out of `accept`.
+    wake_addr: SocketAddr,
+    /// A clone of every open connection, by connection number: shutdown
+    /// closes their read halves to wake the blocked readers. The map's
+    /// length is the number of connections the cap counts.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Shared {
-    /// Flip the shutdown flag and wake every reactor thread so none
-    /// sleeps through it.
+    /// Flip the shutdown flag, wake the acceptor, and end every open
+    /// connection's input so no thread sleeps through it.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        for waker in &self.wakers {
-            waker.wake();
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return;
         }
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        for stream in self.open_conns().values() {
+            let _ = stream.shutdown(SockShutdown::Read);
+        }
+    }
+
+    fn open_conns(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Forget connection `id` and count it closed.
+    fn close(&self, id: u64) {
+        self.open_conns().remove(&id);
+        self.counters
+            .connections_closed
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -218,8 +221,8 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Returns the threads of the connections still open when it exits.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -243,21 +246,14 @@ impl Server {
         hooks: ReplicationHooks,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        // Pollers are built before any thread starts so their wakers can
-        // live in `Shared` — anyone holding the shared state can wake
-        // every reactor thread (shutdown, the acceptor dealing a socket).
-        let workers_n = config.workers.max(1);
-        let acceptor_poller: Box<dyn Poller> = Box::new(EpollPoller::new()?);
-        let mut worker_pollers: Vec<Box<dyn Poller>> = Vec::with_capacity(workers_n);
-        for _ in 0..workers_n {
-            worker_pollers.push(Box::new(EpollPoller::new()?));
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        let worker_wakers: Vec<Waker> =
-            worker_pollers.iter().map(|poller| poller.waker()).collect();
-        let mut wakers = worker_wakers.clone();
-        wakers.push(acceptor_poller.waker());
         let shared = Arc::new(Shared {
             service,
             counters: Counters::default(),
@@ -267,39 +263,17 @@ impl Server {
             replicator: hooks.replicator,
             repl_gauge: hooks.gauge,
             config,
-            wakers,
+            wake_addr,
+            conns: Mutex::new(HashMap::new()),
         });
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers_n);
-        let mut workers = Vec::with_capacity(workers_n);
-        for (w, poller) in worker_pollers.into_iter().enumerate() {
-            let (tx, rx) = channel::<TcpStream>();
-            senders.push(tx);
-            let shared = Arc::clone(&shared);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("wsrep-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, rx, poller))
-                    .expect("spawn worker thread"),
-            );
-        }
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = thread::Builder::new()
             .name("wsrep-acceptor".to_string())
-            .spawn(move || {
-                accept_loop(
-                    &acceptor_shared,
-                    listener,
-                    senders,
-                    worker_wakers,
-                    acceptor_poller,
-                )
-            })
-            .expect("spawn acceptor thread");
+            .spawn(move || accept_loop(&acceptor_shared, &listener))?;
         Ok(Server {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -348,10 +322,9 @@ impl Server {
 
     fn join_inner(&mut self) {
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            for conn in acceptor.join().unwrap_or_default() {
+                let _ = conn.join();
+            }
         }
         // Everything acknowledged over the wire is queued in the ingest
         // pipeline at most; this barrier applies and (with a journal)
@@ -367,471 +340,229 @@ impl Drop for Server {
     }
 }
 
-/// Read chunk size per pass per connection.
+/// Bytes a connection's read buffer holds. It is allocated once, when
+/// the connection starts, and grows only for a frame larger than itself.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// How often an over-limit connection is re-pumped while its stall
-/// clock runs. The kernel stops announcing writability once the send
-/// buffer is mostly full even though small writes still succeed (and
-/// each attempt lets the buffer autotune larger), so readiness alone
-/// would both under-drain a recovering client and take too long to
-/// prove a dead one stalled.
-const STALL_POLL: Duration = Duration::from_millis(1);
+/// Encoded responses a connection writes at the latest: past this it
+/// stops serving and writes, so a flood of fat requests holds at most
+/// about this much response memory.
+const WRITE_BATCH: usize = 1 << 20;
 
-/// Capacity a drained `rbuf`/`wbuf` keeps. A burst may grow the buffers
-/// up to the backpressure limits; once drained they shrink back here so
-/// one past slow client doesn't pin megabytes for its lifetime.
+/// Capacity a written response buffer keeps. One burst of fat responses
+/// may grow it to [`WRITE_BATCH`]; it shrinks back here so one past
+/// flood doesn't pin a megabyte for the connection's lifetime.
 const BUF_RETAIN: usize = 256 * 1024;
 
-fn accept_loop(
-    shared: &Shared,
-    listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
-    worker_wakers: Vec<Waker>,
-    mut poller: Box<dyn Poller>,
-) {
-    // Block on listener readiness between accepts; if registration fails
-    // (exotic fd limits) fall back to a short sleep — accept stays
-    // correct either way, only the idle cost differs.
-    let registered = poller
-        .register(listener.as_raw_fd(), 0, Interest::READ)
-        .is_ok();
-    let mut events: Vec<Event> = Vec::new();
-    let mut next = 0usize;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                shared
-                    .counters
-                    .connections_opened
-                    .fetch_add(1, Ordering::Relaxed);
-                // Round-robin deal; a worker that exited drops its
-                // receiver and the send fails, closing the socket. The
-                // wake makes the worker adopt it now, not at its next
-                // natural wakeup.
-                let worker = next % senders.len();
-                if senders[worker].send(stream).is_ok() {
-                    worker_wakers[worker].wake();
-                }
-                next = next.wrapping_add(1);
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                if registered {
-                    let max_idle = poller.max_idle();
-                    let _ = poller.wait(&mut events, max_idle);
-                } else {
-                    thread::sleep(Duration::from_micros(500));
-                }
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, incoming: Receiver<TcpStream>, mut poller: Box<dyn Poller>) {
-    // Connection slab: the poller token is the index, freed slots are
-    // reused. `scheduled` dedups the pump set within one pass.
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut scheduled: Vec<bool> = Vec::new();
-    let mut pump_set: Vec<usize> = Vec::new();
-    // Connections that still have work no readiness event will announce:
-    // a complete frame beyond the per-pass pipeline bound, or a stall
-    // deadline that just expired. Pumped again on the next pass.
-    let mut carry: Vec<usize> = Vec::new();
-    // Over-limit connections being polled at STALL_POLL cadence. Unlike
-    // `carry`, these wait out a short timed sleep first: their next
-    // write is expected to fail, so spinning on them would burn a core.
-    let mut stall_poll: Vec<usize> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut accepting = true;
-    let mut timeout = Duration::ZERO;
-    loop {
-        let _ = poller.wait(&mut events, timeout);
-        let draining = shared.shutdown.load(Ordering::Acquire);
-
-        // Adopt newly dealt connections; ones that arrive mid-shutdown
-        // are drained and closed by the same path as the rest.
-        while accepting {
-            match incoming.try_recv() {
-                Ok(stream) => {
-                    let token = free.pop().unwrap_or_else(|| {
-                        conns.push(None);
-                        scheduled.push(false);
-                        conns.len() - 1
-                    });
-                    let conn = Conn::new(stream);
-                    if poller
-                        .register(conn.stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        // Unwatchable socket: close it rather than hold a
-                        // connection no event will ever pump.
-                        shared
-                            .counters
-                            .connections_closed
-                            .fetch_add(1, Ordering::Relaxed);
-                        free.push(token);
-                        continue;
-                    }
-                    conns[token] = Some(conn);
-                    if !scheduled[token] {
-                        scheduled[token] = true;
-                        pump_set.push(token);
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    accepting = false;
-                }
-            }
-        }
-
-        for token in carry.drain(..).chain(stall_poll.drain(..)) {
-            if conns.get(token).is_some_and(Option::is_some) && !scheduled[token] {
-                scheduled[token] = true;
-                pump_set.push(token);
-            }
-        }
-        for event in &events {
-            let token = event.token;
-            if conns.get(token).is_some_and(Option::is_some) && !scheduled[token] {
-                scheduled[token] = true;
-                pump_set.push(token);
-            }
-        }
-        if draining {
-            // Every connection must notice the drain, events or not.
-            for (token, slot) in conns.iter().enumerate() {
-                if slot.is_some() && !scheduled[token] {
-                    scheduled[token] = true;
-                    pump_set.push(token);
-                }
-            }
-        }
-
-        let mut progress = false;
-        for &token in &pump_set {
-            scheduled[token] = false;
-            let Some(conn) = conns[token].as_mut() else {
-                continue;
-            };
-            let outcome = conn.pump(shared, draining);
-            progress |= outcome.progress;
-            if outcome.closed {
-                let _ = poller.deregister(conn.stream.as_raw_fd(), token);
-                conns[token] = None;
-                free.push(token);
-                shared
-                    .counters
-                    .connections_closed
-                    .fetch_add(1, Ordering::Relaxed);
+/// Accept until shutdown, one thread per connection below the cap.
+/// Returns the threads of the connections still open.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for id in 0u64.. {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(_) if shared.shutdown.load(Ordering::Acquire) => break,
+            // Out of descriptors or the like: back off, don't spin.
+            Err(_) => {
+                thread::sleep(Duration::from_millis(5));
                 continue;
             }
-            // Keep the kernel's picture current: read interest off under
-            // write backlog (TCP backpressure), write interest only while
-            // responses are queued.
-            let desired = conn.desired_interest(shared, draining);
-            if desired != conn.interest
-                && poller
-                    .reregister(conn.stream.as_raw_fd(), token, desired)
-                    .is_ok()
-            {
-                conn.interest = desired;
-            }
-            if outcome.more {
-                carry.push(token);
-            }
-        }
-        pump_set.clear();
-
-        // Bookkeeping pass: live count for the drain exit, and stall
-        // deadlines — the one timer readiness knows nothing about.
-        let mut live = 0usize;
-        let mut stall_wait: Option<Duration> = None;
-        for (token, slot) in conns.iter_mut().enumerate() {
-            let Some(conn) = slot else { continue };
-            live += 1;
-            if conn.backlog() > shared.config.write_buffer_limit {
-                // Start the clock here too: the serve loop may push a
-                // backlog over the limit without another pump running.
-                let stalled_since = *conn.stalled_since.get_or_insert_with(Instant::now);
-                let elapsed = stalled_since.elapsed();
-                if elapsed >= shared.config.write_stall_timeout {
-                    // Deadline hit: pump immediately, the pump evicts.
-                    carry.push(token);
-                } else {
-                    stall_poll.push(token);
-                    stall_wait = Some(STALL_POLL);
-                }
-            }
-        }
-        if draining && live == 0 {
-            return;
-        }
-        timeout = if progress || !carry.is_empty() {
-            Duration::ZERO
-        } else {
-            let mut idle = poller.max_idle();
-            if let Some(stall) = stall_wait {
-                idle = idle.min(stall);
-            }
-            idle
         };
-    }
-}
-
-struct PumpOutcome {
-    progress: bool,
-    closed: bool,
-    /// A complete frame is still buffered (the pass hit the pipeline
-    /// bound): pump again without waiting for readiness.
-    more: bool,
-}
-
-/// One connection, owned by exactly one worker.
-struct Conn {
-    stream: TcpStream,
-    /// Received bytes not yet parsed; `rpos` marks the parsed prefix.
-    rbuf: Vec<u8>,
-    rpos: usize,
-    /// Encoded responses not yet written; `wpos` marks the sent prefix.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Stop reading and close once `wbuf` drains (fatal protocol error,
-    /// shutdown handshake, or peer EOF).
-    close_after_flush: bool,
-    /// When the write backlog first exceeded the limit. The stall
-    /// clock: eviction fires when this gets old while the backlog is
-    /// still over the limit, and only draining to *half* the limit
-    /// clears it — trickling bytes at the boundary resets nothing.
-    stalled_since: Option<Instant>,
-    /// Readiness interest currently registered with the worker's poller.
-    interest: Interest,
-    /// Reusable read scratch — connections allocate their buffers once,
-    /// not per request.
-    read_chunk: Box<[u8; READ_CHUNK]>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            // One read chunk up front: a pipelined window of requests then
-            // lands without regrowing the buffer, so how the bytes happen
-            // to arrive does not decide what the worker's heap holds.
-            rbuf: Vec::with_capacity(READ_CHUNK),
-            rpos: 0,
-            wbuf: Vec::new(),
-            wpos: 0,
-            close_after_flush: false,
-            stalled_since: None,
-            interest: Interest::READ,
-            read_chunk: Box::new([0u8; READ_CHUNK]),
-        }
-    }
-
-    /// Unsent response bytes.
-    fn backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-
-    /// What readiness this connection can currently act on: reads unless
-    /// backpressured/closing, writes only while responses are queued.
-    fn desired_interest(&self, shared: &Shared, draining: bool) -> Interest {
-        Interest {
-            readable: !self.close_after_flush
-                && !draining
-                && self.backlog() <= shared.config.write_buffer_limit,
-            writable: self.wpos < self.wbuf.len(),
-        }
-    }
-
-    fn pump(&mut self, shared: &Shared, draining: bool) -> PumpOutcome {
-        let mut progress = false;
-
-        // 1. Drain pending writes (nonblocking).
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return self.closed(),
-                Ok(n) => {
-                    self.wpos += n;
-                    shared
-                        .counters
-                        .bytes_out
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    progress = true;
+        threads.retain(|conn| !conn.is_finished());
+        {
+            let mut conns = shared.open_conns();
+            // Checked under the lock `request_shutdown` takes after
+            // flipping the flag: a connection registered here is always
+            // among the ones it shuts down.
+            if shared.shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            if conns.len() >= shared.config.max_connections {
+                drop(conns);
+                // Never block the acceptor on a peer we are refusing.
+                if stream.set_nonblocking(true).is_ok() {
+                    let _ = (&stream).write(busy_reply());
                 }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return self.closed(),
+                continue;
             }
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            conns.insert(id, clone);
         }
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-            if self.wbuf.capacity() > BUF_RETAIN {
-                self.wbuf.shrink_to(BUF_RETAIN);
-            }
-            if self.close_after_flush {
-                let _ = self.stream.shutdown(SockShutdown::Both);
-                return self.closed();
-            }
+        shared
+            .counters
+            .connections_opened
+            .fetch_add(1, Ordering::Relaxed);
+        let conn_shared = Arc::clone(shared);
+        match thread::Builder::new()
+            .name(format!("wsrep-conn-{id}"))
+            .spawn(move || serve_connection(&conn_shared, id, stream))
+        {
+            Ok(conn) => threads.push(conn),
+            Err(_) => shared.close(id),
         }
+    }
+    threads
+}
 
-        let backlog = self.backlog();
-        if backlog > shared.config.write_buffer_limit {
-            // Slow client: its responses aren't draining. Stop reading
-            // (TCP backpressure) and give up on it entirely if it stays
-            // over the limit for the whole stall timeout.
-            let stalled_since = *self.stalled_since.get_or_insert_with(Instant::now);
-            if stalled_since.elapsed() > shared.config.write_stall_timeout {
+/// Serve one connection until the peer hangs up, a framing error, an
+/// eviction, or shutdown ends its input.
+fn serve_connection(shared: &Shared, id: u64, mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    // Received bytes; `rbuf[..filled]` is what is not yet served. It has
+    // a fixed capacity, not one sized by how a burst happened to arrive:
+    // burst-sized buffers made what the process holds depend on timing.
+    let mut rbuf = vec![0u8; READ_CHUNK];
+    let mut filled = 0;
+    let mut wbuf = Vec::new();
+    loop {
+        if filled == rbuf.len() {
+            // One frame larger than the whole buffer.
+            rbuf.resize(2 * rbuf.len(), 0);
+        }
+        match stream.read(&mut rbuf[filled..]) {
+            // The peer hung up, or shutdown ended our input.
+            Ok(0) => break,
+            Ok(n) => {
+                filled += n;
                 shared
                     .counters
-                    .slow_client_closes
+                    .bytes_in
+                    .fetch_add(n as u64, Ordering::Relaxed);
+            }
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        let Some(served) = serve_frames(shared, &mut stream, &rbuf[..filled], &mut wbuf) else {
+            break;
+        };
+        rbuf.copy_within(served..filled, 0);
+        filled -= served;
+        if rbuf.len() > READ_CHUNK && filled <= READ_CHUNK {
+            rbuf.truncate(READ_CHUNK);
+            rbuf.shrink_to_fit();
+        }
+    }
+    let _ = stream.shutdown(SockShutdown::Both);
+    shared.close(id);
+}
+
+/// Serve every complete frame at the front of `bytes`, in order, and
+/// write their responses. Returns how many bytes it served, or `None`
+/// once the connection must close.
+fn serve_frames(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    bytes: &[u8],
+    wbuf: &mut Vec<u8>,
+) -> Option<usize> {
+    let mut served = 0;
+    let mut open = true;
+    while open {
+        match split_frame(&bytes[served..]) {
+            FrameSplit::Incomplete => break,
+            FrameSplit::Corrupt => {
+                // The stream can't be resynchronized: answer with a final
+                // error and close. The reply is pre-encoded — garbage on
+                // the wire is exactly where a peer shouldn't get to charge
+                // us allocations.
+                shared
+                    .counters
+                    .malformed_frames
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = self.stream.shutdown(SockShutdown::Both);
-                return self.closed();
+                wbuf.extend_from_slice(corrupt_frame_reply());
+                open = false;
             }
-            return PumpOutcome {
-                progress,
-                closed: false,
-                more: false,
-            };
-        }
-        if backlog <= shared.config.write_buffer_limit / 2 {
-            self.stalled_since = None;
-        }
-
-        // 2. Read whatever the socket has (nonblocking), unless closing
-        //    or draining for shutdown.
-        let mut peer_eof = false;
-        if !self.close_after_flush && !draining {
-            loop {
-                match self.stream.read(&mut self.read_chunk[..]) {
-                    Ok(0) => {
-                        peer_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.rbuf.extend_from_slice(&self.read_chunk[..n]);
-                        shared
-                            .counters
-                            .bytes_in
-                            .fetch_add(n as u64, Ordering::Relaxed);
-                        progress = true;
-                        if n < self.read_chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return self.closed(),
-                }
+            FrameSplit::Frame { frame_len } => {
+                let payload = &bytes[served + FRAME_HEADER_LEN..served + frame_len];
+                let draining = shared.shutdown.load(Ordering::Acquire);
+                let response = serve_payload(shared, payload, draining);
+                served += frame_len;
+                open = !matches!(response, Response::ShuttingDown);
+                response.encode_frame(wbuf);
             }
         }
-
-        // 3. Parse and serve complete frames, bounded per pass.
-        let mut served = 0usize;
-        while served < shared.config.max_pipeline_depth
-            && self.wbuf.len() - self.wpos <= shared.config.write_buffer_limit
-            && !self.close_after_flush
-        {
-            match split_frame(&self.rbuf[self.rpos..]) {
-                FrameSplit::Incomplete => break,
-                FrameSplit::Corrupt => {
-                    // The stream can't be resynchronized: answer with a
-                    // final error and close once it's flushed. The reply
-                    // is pre-encoded — garbage on the wire is exactly
-                    // where a peer shouldn't get to charge us
-                    // allocations.
-                    shared
-                        .counters
-                        .malformed_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.wbuf.extend_from_slice(corrupt_frame_reply());
-                    self.close_after_flush = true;
-                }
-                FrameSplit::Frame { frame_len } => {
-                    let start = self.rpos + wsrep_journal::frame::FRAME_HEADER_LEN;
-                    let end = self.rpos + frame_len;
-                    let response = serve_payload(shared, &self.rbuf[start..end], draining);
-                    self.rpos = end;
-                    let shutting_down = matches!(response, Response::ShuttingDown);
-                    response.encode_frame(&mut self.wbuf);
-                    if shutting_down {
-                        self.close_after_flush = true;
-                    }
-                    served += 1;
-                    progress = true;
-                }
-            }
-        }
-        // Reclaim the parsed prefix once it dominates the buffer, and
-        // give back burst capacity once it's reclaimed.
-        if self.rpos > 0 && (self.rpos == self.rbuf.len() || self.rpos >= READ_CHUNK) {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-            if self.rbuf.capacity() > BUF_RETAIN && self.rbuf.len() <= BUF_RETAIN {
-                self.rbuf.shrink_to(BUF_RETAIN);
-            }
-        }
-
-        // Did the pipeline bound stop us with a complete frame already
-        // buffered? No readiness event will announce it, so tell the
-        // reactor to pump again. (Exiting for backpressure instead is
-        // announced — by the socket turning writable.)
-        let more = served == shared.config.max_pipeline_depth
-            && !self.close_after_flush
-            && self.backlog() <= shared.config.write_buffer_limit
-            && matches!(
-                split_frame(&self.rbuf[self.rpos..]),
-                FrameSplit::Frame { .. }
-            );
-
-        if (peer_eof || draining) && !self.close_after_flush && !more {
-            // Serve what was already buffered, then close.
-            if split_frame(&self.rbuf[self.rpos..]) == FrameSplit::Incomplete || draining {
-                self.close_after_flush = true;
-                if self.wbuf.len() == self.wpos {
-                    let _ = self.stream.shutdown(SockShutdown::Both);
-                    return self.closed();
-                }
-            }
-        }
-
-        PumpOutcome {
-            progress,
-            closed: false,
-            more,
+        if wbuf.len() > WRITE_BATCH && !write_batch(shared, stream, wbuf) {
+            return None;
         }
     }
+    (write_batch(shared, stream, wbuf) && open).then_some(served)
+}
 
-    fn closed(&mut self) -> PumpOutcome {
-        PumpOutcome {
-            progress: true,
-            closed: true,
-            more: false,
+/// Write all of `wbuf` within the stall timeout, then empty it. False
+/// when the connection failed or was evicted as a slow client.
+fn write_batch(shared: &Shared, stream: &mut TcpStream, wbuf: &mut Vec<u8>) -> bool {
+    let deadline = Instant::now() + shared.config.write_stall_timeout;
+    let mut sent = 0;
+    while sent < wbuf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return evict_slow_client(shared);
+        }
+        if stream.set_write_timeout(Some(left)).is_err() {
+            return false;
+        }
+        match stream.write(&wbuf[sent..]) {
+            Ok(0) => return false,
+            Ok(n) => {
+                sent += n;
+                shared
+                    .counters
+                    .bytes_out
+                    .fetch_add(n as u64, Ordering::Relaxed);
+            }
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err)
+                if matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return evict_slow_client(shared)
+            }
+            Err(_) => return false,
         }
     }
+    wbuf.clear();
+    wbuf.shrink_to(BUF_RETAIN);
+    true
+}
+
+/// Count a connection closed for not taking its responses in time.
+fn evict_slow_client(shared: &Shared) -> bool {
+    shared
+        .counters
+        .slow_client_closes
+        .fetch_add(1, Ordering::Relaxed);
+    false
 }
 
 /// The pre-encoded reply to an unrecoverable framing error.
 fn corrupt_frame_reply() -> &'static [u8] {
     static REPLY: OnceLock<Vec<u8>> = OnceLock::new();
     REPLY.get_or_init(|| {
-        let mut frame = Vec::new();
-        Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "corrupt frame (bad length or checksum)".to_string(),
-        }
-        .encode_frame(&mut frame);
-        frame
+        error_frame(
+            ErrorCode::BadRequest,
+            "corrupt frame (bad length or checksum)",
+        )
     })
+}
+
+/// The pre-encoded refusal of a connection past the cap.
+fn busy_reply() -> &'static [u8] {
+    static REPLY: OnceLock<Vec<u8>> = OnceLock::new();
+    REPLY.get_or_init(|| error_frame(ErrorCode::Busy, "connection limit reached; retry later"))
+}
+
+fn error_frame(code: ErrorCode, message: &str) -> Vec<u8> {
+    let mut frame = Vec::new();
+    Response::Error {
+        code,
+        message: message.to_string(),
+    }
+    .encode_frame(&mut frame);
+    frame
 }
 
 /// The refusal a fenced service answers every write with. Under

@@ -241,6 +241,10 @@ fn every_response_variant_encodes_identically_in_place() {
             code: ErrorCode::NotDurable,
             message: "journal fenced".to_string(),
         },
+        Response::Error {
+            code: ErrorCode::Busy,
+            message: "connection limit reached; retry later".to_string(),
+        },
     ];
     for response in &responses {
         check_response(response);

@@ -38,7 +38,6 @@ fn every_valued_flag_is_accepted_in_both_forms() {
         ("--durability", "read-only"),
         ("--fault-append-every", "40"),
         ("--fault-fsync-every", "40"),
-        ("--pipeline-depth", "32"),
     ];
     for (flag, value) in flags {
         for form in [
@@ -61,9 +60,13 @@ fn every_valued_flag_is_accepted_in_both_forms() {
 
 #[test]
 fn a_usage_error_exits_with_status_2() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--batch", "64"], "unknown argument: --batch"),
         (&["--poller", "epoll"], "unknown argument: --poller"),
+        (
+            &["--pipeline-depth", "32"],
+            "unknown argument: --pipeline-depth",
+        ),
         (
             &["--workers", "abc"],
             "--workers expects a number, got \"abc\"",

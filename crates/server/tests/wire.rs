@@ -1,11 +1,11 @@
 //! End-to-end wire tests: a real `Server` on a loopback socket, driven
 //! by `Client` connections — publish/ingest/score/top_k round trips,
 //! pipelining order, malformed-frame handling, backpressure eviction,
-//! and graceful shutdown.
+//! the connection cap, and graceful shutdown.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use wsrep_core::feedback::Feedback;
 use wsrep_core::id::{AgentId, ProviderId, ServiceId, SubjectId};
@@ -15,7 +15,10 @@ use wsrep_qos::metric::Metric;
 use wsrep_qos::preference::Preferences;
 use wsrep_qos::value::QosVector;
 use wsrep_serve::ReputationService;
-use wsrep_server::{Client, ErrorCode, Request, Response, Server, ServerConfig, PROTO_VERSION};
+use wsrep_server::{
+    Client, ErrorCode, Request, Response, RetryPolicy, RetryingClient, Server, ServerConfig,
+    PROTO_VERSION,
+};
 use wsrep_sim::registry::{Listing, PublishStatus};
 
 fn start_server(config: ServerConfig) -> (Server, Arc<ReputationService>) {
@@ -353,9 +356,7 @@ fn wrong_version_is_answered_with_bad_version() {
 #[test]
 fn slow_client_is_evicted_instead_of_wedging_the_reactor() {
     let config = ServerConfig {
-        workers: 1,
-        max_pipeline_depth: 64,
-        write_buffer_limit: 4 * 1024,
+        max_connections: 4,
         write_stall_timeout: Duration::from_millis(300),
     };
     let (server, _service) = start_server(config);
@@ -413,4 +414,105 @@ fn graceful_shutdown_drains_and_reports() {
     server.join();
     // Everything acknowledged before shutdown is applied.
     assert_eq!(service.stats().feedback, 64);
+}
+
+/// Read from `raw` until one whole response frame has arrived.
+fn read_response(raw: &mut TcpStream) -> Response {
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let wsrep_journal::frame::FrameSplit::Frame { frame_len } =
+            wsrep_journal::frame::split_frame(&bytes)
+        {
+            assert_eq!(frame_len, bytes.len(), "one frame, nothing after it");
+            let payload = &bytes[wsrep_journal::frame::FRAME_HEADER_LEN..frame_len];
+            return Response::decode(payload).expect("decodes");
+        }
+        let n = raw.read(&mut chunk).expect("read");
+        assert_ne!(n, 0, "closed before a whole frame");
+        bytes.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// The end of `raw`'s stream, with nothing before it.
+fn assert_eof(raw: &mut TcpStream) {
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).expect("read to the end");
+    assert!(rest.is_empty(), "{} bytes before the end", rest.len());
+}
+
+/// A connection to `addr` that `Ping` has proved the server serves.
+fn served_raw(addr: std::net::SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut ping = Vec::new();
+    Request::Ping.encode_frame(&mut ping);
+    raw.write_all(&ping).expect("write ping");
+    assert_eq!(read_response(&mut raw), Response::Pong);
+    raw
+}
+
+#[test]
+fn a_connection_past_the_cap_is_refused_busy() {
+    let config = ServerConfig {
+        max_connections: 4,
+        ..ServerConfig::default()
+    };
+    let (server, _service) = start_server(config);
+    let addr = server.local_addr();
+    let mut served: Vec<TcpStream> = (0..4).map(|_| served_raw(addr)).collect();
+
+    let mut fifth = TcpStream::connect(addr).expect("connect the fifth");
+    let refusal = read_response(&mut fifth);
+    assert!(
+        matches!(
+            refusal,
+            Response::Error {
+                code: ErrorCode::Busy,
+                ..
+            }
+        ),
+        "got {refusal:?}"
+    );
+    assert_eof(&mut fifth);
+
+    let mut ping = Vec::new();
+    Request::Ping.encode_frame(&mut ping);
+    for raw in &mut served {
+        raw.write_all(&ping).expect("write ping");
+        assert_eq!(read_response(raw), Response::Pong);
+    }
+
+    // Once one of the four hangs up, its slot serves a new connection.
+    // The server sees the hang-up a moment later, so the new client
+    // retries through any `Busy` in between.
+    drop(served.pop());
+    let mut next = RetryingClient::new(addr.to_string(), RetryPolicy::default());
+    next.ping().expect("a freed slot is served");
+    assert_eq!(server.server_stats().connections_opened, 5);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn shutdown_ends_idle_connections_and_join_returns() {
+    let (server, _service) = start_server(ServerConfig::default());
+    let addr = server.local_addr();
+    let mut idle: Vec<TcpStream> = (0..3).map(|_| served_raw(addr)).collect();
+
+    let mut admin = Client::connect(addr).expect("connect admin");
+    admin.shutdown_server().expect("shutdown handshake");
+    let (joined, join_done) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    join_done
+        .recv_timeout(Duration::from_secs(2))
+        .expect("join returns within 2 s of the Shutdown");
+    for raw in &mut idle {
+        assert_eof(raw);
+    }
 }

@@ -27,6 +27,8 @@
 //! assert!(world.services().count() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod consumer;
 pub mod monitor;
 pub mod provider;
